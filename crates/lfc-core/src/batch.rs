@@ -84,14 +84,12 @@
 //! latency.
 
 use crate::compose::{
-    fan_out_keyed, move_verdict, run_insert, run_insert_keyed, run_remove, Engine, StageRemoveCtx,
-    SwapOutcome,
+    drive_move_keyed, drive_move_keyed_to_all, drive_move_one, drive_swap, move_verdict,
+    swap_verdict, Engine, SwapOutcome,
 };
 use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering};
-use crate::{
-    KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget, RemoveOutcome,
-};
-use lfc_dcas::{DAtomic, DcasResult, DescHandle, Word, MAX_ENTRIES};
+use crate::{KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget};
+use lfc_dcas::{try_commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
 use lfc_hazard::{pin, pin_op, slot, Guard, OpGuard, RetireInfo};
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
@@ -191,21 +189,17 @@ pub trait BatchOp: Copy + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Flagged drivers: compositions with the result flag as an extra CASN entry.
+// Flagged runs: a shape driver with the result flag as an extra CASN entry.
+// (`flagged_move_one` / `direct_move_one` are free functions because custom
+// `BatchOp`s build on them; the other shapes live in their `BatchOp` impls.)
 // ---------------------------------------------------------------------------
 
-/// Capture `flag: PENDING → done` at entry `idx` and commit. Under the
-/// model checker's `SKIP_FLAG_ENTRY` toggle this instead commits *without*
-/// the flag entry and publishes the flag by a separate CAS afterwards —
-/// the naive handoff protocol whose double-commit window the model
-/// scenario exists to catch.
-fn flagged_commit(
-    eng: &mut Engine,
-    idx: usize,
-    flag: &DAtomic,
-    done: Word,
-    node_hp: usize,
-) -> bool {
+/// The flagged terminal stage: capture `flag: PENDING → done` as the
+/// plan's last entry and commit. Under the model checker's
+/// `SKIP_FLAG_ENTRY` toggle this instead commits *without* the flag entry
+/// and publishes the flag by a separate CAS afterwards — the naive handoff
+/// protocol whose double-commit window the model scenario exists to catch.
+fn flagged_commit(eng: &mut Engine, flag: &DAtomic, done: Word, node_hp: usize) -> bool {
     #[cfg(lfc_model)]
     if crate::model_toggles::skip_flag_entry() {
         let ok = eng.commit_without_flag();
@@ -215,7 +209,7 @@ fn flagged_commit(
         return ok;
     }
     eng.capture(
-        idx,
+        eng.plan() - 1,
         &LinPoint {
             word: flag,
             old: FLAG_PENDING,
@@ -237,31 +231,58 @@ fn finalize(flag: &DAtomic, done: Word) -> Option<Word> {
     }
 }
 
-/// Map a flagged move's outermost outcome to its flag resolution.
-fn settle_move<T>(
-    g: &Guard,
-    eng: &Engine,
-    outcome: RemoveOutcome<T>,
-    flag: &DAtomic,
-) -> Option<Word> {
-    match outcome {
+/// Pin, and hand the guard back iff the request is still unresolved.
+fn still_pending(flag: &DAtomic) -> Option<Guard> {
+    let g = pin();
+    (flag.read(&g) == FLAG_PENDING).then_some(g)
+}
+
+/// The two verdict words of a shape that a flagged run treats specially.
+#[derive(Clone, Copy)]
+struct ShapeWords {
+    /// The shape's success verdict — the `new` of the flag entry.
+    done: Word,
+    /// Its permanent-rejection verdict — what an abort maps to when
+    /// nothing else explains it.
+    rejected: Word,
+}
+
+/// [`ShapeWords`] of the three move-shaped requests.
+fn move_words() -> ShapeWords {
+    ShapeWords {
+        done: encode_move(MoveOutcome::Moved),
+        rejected: encode_move(MoveOutcome::TargetRejected),
+    }
+}
+
+/// [`ShapeWords`] of a swap.
+fn swap_words() -> ShapeWords {
+    ShapeWords {
+        done: encode_swap(SwapOutcome::Swapped),
+        rejected: encode_swap(SwapOutcome::Rejected),
+    }
+}
+
+/// Map a flagged run's verdict word to its flag resolution.
+///
+/// `None` leaves the request for another round: a racing executor resolved
+/// it (or is mid-commit on it), or our commit could not allocate its
+/// descriptor — the flag then still reads [`FLAG_PENDING`], which
+/// `drain_pass` treats as "not done, keep the batch", so a descriptor OOM
+/// inside a drain is a lost round, never a panic.
+fn settle(g: &Guard, eng: &Engine, flag: &DAtomic, verdict: Word, w: ShapeWords) -> Option<Word> {
+    if verdict == w.done {
         // The CASN — flag entry included — succeeded: the flag already
         // holds our done word.
-        RemoveOutcome::Removed(_) => Some(encode_move(MoveOutcome::Moved)),
-        RemoveOutcome::Empty => finalize(flag, encode_move(MoveOutcome::SourceEmpty)),
-        RemoveOutcome::Aborted => {
-            if eng.was_aliased() {
-                finalize(flag, encode_move(MoveOutcome::WouldAlias))
-            } else if flag.read(g) != FLAG_PENDING {
-                // The abort was the flag entry failing inside our CASN (or
-                // a downstream consequence): somebody else resolved the
-                // request. Exactly-once held; we lost.
-                None
-            } else {
-                finalize(flag, encode_move(MoveOutcome::TargetRejected))
-            }
-        }
+        return Some(verdict);
     }
+    if eng.oom() || (verdict == w.rejected && flag.read(g) != FLAG_PENDING) {
+        // Out of descriptors; or the abort was the flag entry failing
+        // inside our CASN (or a downstream consequence): somebody else
+        // resolved the request. Exactly-once held; we lost.
+        return None;
+    }
+    finalize(flag, verdict)
 }
 
 /// `move_one` with the result flag folded into the commit (plan: remove,
@@ -272,309 +293,41 @@ where
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    let g = pin();
-    if flag.read(&g) != FLAG_PENDING {
-        return None;
-    }
-    let done = encode_move(MoveOutcome::Moved);
+    let g = still_pending(flag)?;
+    let w = move_words();
     let mut eng = Engine::new(3);
-    let outcome = src.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, elem: &T| {
-            run_insert(eng, 1, dst, elem.clone(), |eng: &mut Engine| {
-                flagged_commit(eng, 2, flag, done, node_hp)
-            })
-        },
+    let outcome = drive_move_one(&mut eng, src, dst, |eng: &mut Engine| {
+        flagged_commit(eng, flag, w.done, node_hp)
     });
-    eng.finish();
-    settle_move(&g, &eng, outcome, flag)
-}
-
-/// `move_keyed` with the result flag folded into the commit.
-pub fn flagged_move_keyed<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dst: &D,
-    flag: &DAtomic,
-    node_hp: usize,
-) -> Option<Word>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    let g = pin();
-    if flag.read(&g) != FLAG_PENDING {
-        return None;
-    }
-    let done = encode_move(MoveOutcome::Moved);
-    let mut eng = Engine::new(3);
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| {
-                run_insert_keyed(
-                    eng,
-                    1,
-                    dst,
-                    key.clone(),
-                    elem.clone(),
-                    |eng: &mut Engine| flagged_commit(eng, 2, flag, done, node_hp),
-                )
-            },
-        },
-    );
-    eng.finish();
-    settle_move(&g, &eng, outcome, flag)
-}
-
-/// Keyed fan-out whose terminal stage is the flagged commit.
-#[allow(clippy::too_many_arguments)] // recursive stage plumbing, all borrowed
-fn fan_keyed_flagged<K, T, D>(
-    eng: &mut Engine,
-    idx: usize,
-    dsts: &[&D],
-    key: &K,
-    elem: &T,
-    flag: &DAtomic,
-    done: Word,
-    node_hp: usize,
-) -> bool
-where
-    K: Clone,
-    T: Clone,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    match dsts.split_first() {
-        None => flagged_commit(eng, idx, flag, done, node_hp),
-        Some((first, rest)) => run_insert_keyed(
-            eng,
-            idx,
-            *first,
-            key.clone(),
-            elem.clone(),
-            move |eng: &mut Engine| {
-                fan_keyed_flagged(eng, idx + 1, rest, key, elem, flag, done, node_hp)
-            },
-        ),
-    }
-}
-
-/// `move_keyed_to_all` with the result flag folded into the commit (the
-/// flag spends one of the [`MAX_ENTRIES`] slots: up to `MAX_ENTRIES - 2`
-/// targets).
-pub fn flagged_move_keyed_to_all<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dsts: &[&D],
-    flag: &DAtomic,
-    node_hp: usize,
-) -> Option<Word>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    assert!(
-        !dsts.is_empty() && dsts.len() <= MAX_ENTRIES - 2,
-        "flagged fan-out supports 1..={} targets",
-        MAX_ENTRIES - 2
-    );
-    let g = pin();
-    if flag.read(&g) != FLAG_PENDING {
-        return None;
-    }
-    let done = encode_move(MoveOutcome::Moved);
-    let mut eng = Engine::new(2 + dsts.len());
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| {
-                fan_keyed_flagged(eng, 1, dsts, key, elem, flag, done, node_hp)
-            },
-        },
-    );
-    eng.finish();
-    settle_move(&g, &eng, outcome, flag)
-}
-
-/// `swap` with the result flag folded into the commit (plan: remove a,
-/// remove b, insert a, insert b, flag — five of the six entries).
-pub fn flagged_swap<T, A, B>(a: &A, b: &B, flag: &DAtomic, node_hp: usize) -> Option<Word>
-where
-    T: Clone,
-    A: MoveSource<T> + MoveTarget<T> + ?Sized,
-    B: MoveSource<T> + MoveTarget<T> + ?Sized,
-{
-    let g = pin();
-    if flag.read(&g) != FLAG_PENDING {
-        return None;
-    }
-    let done = encode_swap(SwapOutcome::Swapped);
-    let mut eng = Engine::new(5);
-    let outcome = a.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, x: &T| {
-            run_remove(eng, 1, b, |eng: &mut Engine, y: &T| {
-                run_insert(eng, 2, a, y.clone(), |eng: &mut Engine| {
-                    run_insert(eng, 3, b, x.clone(), |eng: &mut Engine| {
-                        flagged_commit(eng, 4, flag, done, node_hp)
-                    })
-                })
-            })
-        },
-    });
-    eng.finish();
-    match outcome {
-        RemoveOutcome::Removed(_) => Some(done),
-        RemoveOutcome::Empty => finalize(flag, encode_swap(SwapOutcome::FirstEmpty)),
-        RemoveOutcome::Aborted => {
-            if eng.was_aliased() {
-                finalize(flag, encode_swap(SwapOutcome::WouldAlias))
-            } else if eng.empty_at(1) {
-                finalize(flag, encode_swap(SwapOutcome::SecondEmpty))
-            } else if flag.read(&g) != FLAG_PENDING {
-                None
-            } else {
-                finalize(flag, encode_swap(SwapOutcome::Rejected))
-            }
-        }
-    }
+    settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
 }
 
 // ---------------------------------------------------------------------------
-// Direct (budgeted) drivers for the adaptive fast path.
+// Direct (budgeted) runs for the adaptive fast path.
 // ---------------------------------------------------------------------------
 
-/// Budgeted `move_one`: `None` = starved on contention — or the fallible
-/// commit's own descriptor allocation failed (budgeted engines never reach
-/// the aborting allocator) — fall back to the gate / retry.
+/// A direct attempt's result: `None` = starved on contention — or the
+/// commit's own descriptor allocation failed — fall back to the gate /
+/// retry.
+fn direct_word(eng: &Engine, verdict: Word) -> Option<Word> {
+    if eng.starved() || eng.oom() {
+        None
+    } else {
+        Some(verdict)
+    }
+}
+
+/// Budgeted `move_one`.
 pub fn direct_move_one<T, S, D>(src: &S, dst: &D, fail_budget: u32) -> Option<Word>
 where
     T: Clone,
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    let mut eng = Engine::new_budgeted(2, fail_budget);
-    let outcome = src.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, elem: &T| run_insert(eng, 1, dst, elem.clone(), Engine::commit),
-    });
-    eng.finish();
-    if eng.starved() || eng.oom() {
-        None
-    } else {
-        Some(encode_move(move_verdict(&eng, outcome)))
-    }
-}
-
-/// Budgeted `move_keyed`.
-pub fn direct_move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D, fail_budget: u32) -> Option<Word>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    let mut eng = Engine::new_budgeted(2, fail_budget);
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| {
-                run_insert_keyed(eng, 1, dst, key.clone(), elem.clone(), Engine::commit)
-            },
-        },
-    );
-    eng.finish();
-    if eng.starved() || eng.oom() {
-        None
-    } else {
-        Some(encode_move(move_verdict(&eng, outcome)))
-    }
-}
-
-/// Budgeted `move_keyed_to_all`.
-pub fn direct_move_keyed_to_all<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dsts: &[&D],
-    fail_budget: u32,
-) -> Option<Word>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    assert!(
-        !dsts.is_empty() && dsts.len() <= MAX_ENTRIES - 2,
-        "batched fan-out supports 1..={} targets",
-        MAX_ENTRIES - 2
-    );
-    let mut eng = Engine::new_budgeted(1 + dsts.len(), fail_budget);
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| fan_out_keyed(eng, 1, dsts, key, elem),
-        },
-    );
-    eng.finish();
-    if eng.starved() || eng.oom() {
-        None
-    } else {
-        Some(encode_move(move_verdict(&eng, outcome)))
-    }
-}
-
-/// Budgeted `swap`.
-pub fn direct_swap<T, A, B>(a: &A, b: &B, fail_budget: u32) -> Option<Word>
-where
-    T: Clone,
-    A: MoveSource<T> + MoveTarget<T> + ?Sized,
-    B: MoveSource<T> + MoveTarget<T> + ?Sized,
-{
-    let mut eng = Engine::new_budgeted(4, fail_budget);
-    let outcome = a.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, x: &T| {
-            run_remove(eng, 1, b, |eng: &mut Engine, y: &T| {
-                run_insert(eng, 2, a, y.clone(), |eng: &mut Engine| {
-                    run_insert(eng, 3, b, x.clone(), Engine::commit)
-                })
-            })
-        },
-    });
-    eng.finish();
-    if eng.starved() || eng.oom() {
-        return None;
-    }
-    Some(encode_swap(match outcome {
-        RemoveOutcome::Removed(_) => SwapOutcome::Swapped,
-        RemoveOutcome::Empty => SwapOutcome::FirstEmpty,
-        RemoveOutcome::Aborted => {
-            if eng.was_aliased() {
-                SwapOutcome::WouldAlias
-            } else if eng.empty_at(1) {
-                SwapOutcome::SecondEmpty
-            } else {
-                SwapOutcome::Rejected
-            }
-        }
-    }))
+    let mut eng = Engine::new(2);
+    eng.set_fail_budget(fail_budget);
+    let outcome = drive_move_one(&mut eng, src, dst, Engine::commit);
+    direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
 }
 
 // ---------------------------------------------------------------------------
@@ -848,11 +601,10 @@ impl<R: BatchOp> BatchGate<R> {
             Ok(n) => n,
             Err(_) => {
                 // No memory for a request node: degrade to direct execution
-                // with an effectively unbounded commit budget. The direct
-                // attempt commits fallibly (budgeted engines, see
-                // `Engine::new_budgeted`), so a descriptor refill failing
-                // under the same pressure surfaces as `None` here instead
-                // of reaching the aborting allocator; snooze and retry —
+                // with an effectively unbounded commit budget. A descriptor
+                // refill failing under the same pressure surfaces as `None`
+                // here (every engine commits fallibly) instead of
+                // panicking; snooze and retry —
                 // each round either a rival made progress (commit failure)
                 // or memory is still short and yielding is the best this
                 // infallible entry point can do.
@@ -945,16 +697,36 @@ impl<R: BatchOp> BatchGate<R> {
             // state a stalled claimer could strand; word-level transfer ⇒
             // a recycled head address (ABA) is harmless, we claim whatever
             // list is headed there *now*.
-            let mut d = DescHandle::new();
-            d.set_first(&self.header().incoming, h, 0, self.header_addr());
-            d.set_second(&self.header().batch, 0, h, self.header_addr());
-            let (r, _) = d.commit(&og);
-            if r == DcasResult::Success {
-                self.drain_pass(&og, h);
-                return;
+            let hp = self.header_addr();
+            let claim = [
+                CasnEntry {
+                    ptr: &self.header().incoming,
+                    old: h,
+                    new: 0,
+                    hp,
+                },
+                CasnEntry {
+                    ptr: &self.header().batch,
+                    old: 0,
+                    new: h,
+                    hp,
+                },
+            ];
+            // Safety: both words live in the gate header, which outlives
+            // every submit (`Drop` takes `&mut self`), and are distinct.
+            match unsafe { try_commit_entries(&claim, &og) } {
+                Ok(CasnResult::Success) => {
+                    self.drain_pass(&og, h);
+                    return;
+                }
+                Ok(CasnResult::FailedAt(_)) => {}
+                // No descriptor for the claim: end this bounded helping
+                // step (the waiter loop re-checks its flag and comes back)
+                // rather than panic a helper.
+                Err(_) => return,
             }
-            // FirstFailed: a rival pushed or claimed — loop re-reads.
-            // SecondFailed: a rival claimed — the batch read drains it.
+            // FailedAt(0): a rival pushed or claimed — loop re-reads.
+            // FailedAt(1): a rival claimed — the batch read drains it.
         }
     }
 
@@ -1111,10 +883,23 @@ where
     D: KeyedMoveTarget<K, T> + Sync + ?Sized,
 {
     fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        direct_move_keyed(self.src, &self.key, self.dst, fail_budget)
+        let mut eng = Engine::new(2);
+        eng.set_fail_budget(fail_budget);
+        let outcome = drive_move_keyed(&mut eng, self.src, &self.key, self.dst, Engine::commit);
+        direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
     }
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        flagged_move_keyed(self.src, &self.key, self.dst, flag, node_hp)
+        let g = still_pending(flag)?;
+        let w = move_words();
+        let mut eng = Engine::new(3);
+        let outcome = drive_move_keyed(
+            &mut eng,
+            self.src,
+            &self.key,
+            self.dst,
+            |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
+        );
+        settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
     }
 }
 
@@ -1137,6 +922,15 @@ impl<'a, K, T, S: ?Sized, D: ?Sized> MoveKeyedToAllOp<'a, K, T, S, D> {
             _elem: PhantomData,
         }
     }
+
+    /// Both run sites refuse an empty or oversized target list.
+    fn check_width(&self) {
+        assert!(
+            (1..=MAX_ENTRIES - 2).contains(&self.dsts.len()),
+            "batched fan-out supports 1..={} targets",
+            MAX_ENTRIES - 2
+        );
+    }
 }
 
 impl<K: Copy, T, S: ?Sized, D: ?Sized> Clone for MoveKeyedToAllOp<'_, K, T, S, D> {
@@ -1154,10 +948,26 @@ where
     D: KeyedMoveTarget<K, T> + Sync + ?Sized,
 {
     fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        direct_move_keyed_to_all(self.src, &self.key, self.dsts, fail_budget)
+        self.check_width();
+        let mut eng = Engine::new(1 + self.dsts.len());
+        eng.set_fail_budget(fail_budget);
+        let outcome =
+            drive_move_keyed_to_all(&mut eng, self.src, &self.key, self.dsts, Engine::commit);
+        direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
     }
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        flagged_move_keyed_to_all(self.src, &self.key, self.dsts, flag, node_hp)
+        self.check_width();
+        let g = still_pending(flag)?;
+        let w = move_words();
+        let mut eng = Engine::new(2 + self.dsts.len());
+        let outcome = drive_move_keyed_to_all(
+            &mut eng,
+            self.src,
+            &self.key,
+            self.dsts,
+            |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
+        );
+        settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
     }
 }
 
@@ -1193,10 +1003,21 @@ where
     B: MoveSource<T> + MoveTarget<T> + Sync + ?Sized,
 {
     fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        direct_swap(self.a, self.b, fail_budget)
+        let mut eng = Engine::new(4);
+        eng.set_fail_budget(fail_budget);
+        let outcome = drive_swap(&mut eng, self.a, self.b, Engine::commit);
+        direct_word(&eng, encode_swap(swap_verdict(&eng, &outcome)))
     }
+    /// Plan: remove a, remove b, insert a, insert b, flag — five of the
+    /// six entries.
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        flagged_swap(self.a, self.b, flag, node_hp)
+        let g = still_pending(flag)?;
+        let w = swap_words();
+        let mut eng = Engine::new(5);
+        let outcome = drive_swap(&mut eng, self.a, self.b, |eng: &mut Engine| {
+            flagged_commit(eng, flag, w.done, node_hp)
+        });
+        settle(&g, &eng, flag, encode_swap(swap_verdict(&eng, &outcome)), w)
     }
 }
 

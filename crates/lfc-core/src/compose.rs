@@ -34,7 +34,7 @@
 //! Structure traversals are protected by an *operation epoch*
 //! ([`lfc_hazard::pin_op`]) rather than per-node hazards, and each nested
 //! stage's epoch ends when its operation returns — before the engine is
-//! done with the captured entries (`finish` runs after the outermost
+//! done with the captured entries (the engine drops after the outermost
 //! remove returns, and DCAS/CASN helpers validate their adopted
 //! protections against *hazards*, not epochs). The engine therefore
 //! **promotes** every captured entry's allocation from epoch protection to
@@ -58,7 +58,8 @@
 //!   the marked slot keeps gating reclamation until the owner acknowledges).
 //! * **ACK happens at outermost exit.** The outermost guard's drop stores 0
 //!   to the epoch slot, which doubles as the ejection acknowledgement; by
-//!   then `finish` has already released the ENTRY promotions.
+//!   then the commit is decided; the ENTRY promotions are hazards and go
+//!   when the engine drops.
 //! * **Captured words survive ejection.** Promotion moves each captured
 //!   entry's allocation to an ENTRY *hazard* slot, and hazards are immune to
 //!   ejection — zombie partitioning only bypasses the epoch side of the free
@@ -70,7 +71,7 @@ use crate::{
     MoveTarget, RemoveCtx, RemoveOutcome, ScasResult,
 };
 use lfc_alloc::AllocError;
-use lfc_dcas::{commit_entries, try_commit_entries, CasnEntry, CasnResult, DAtomic};
+use lfc_dcas::{try_commit_entries, CasnEntry, CasnResult, DAtomic};
 use lfc_hazard::{pin, slot, Guard};
 
 pub use lfc_dcas::MAX_ENTRIES;
@@ -107,25 +108,16 @@ pub struct Engine {
     retry_at: Option<usize>,
     dead: Option<Dead>,
     /// Commit failures this composition may still absorb before giving up
-    /// (`None` = unbounded, the default). The batched front-end's *direct*
-    /// attempts run with a small budget: a contended composition that
-    /// burns through it aborts with [`Engine::starved`] set and falls back
-    /// to the claim-list group commit instead of fighting the hot words.
+    /// (`None` = unbounded, the default; see [`Engine::set_fail_budget`]).
     fail_budget: Option<u32>,
     /// Whether the composition aborted because `fail_budget` ran out
     /// (contention starvation), as opposed to a semantic rejection.
     starved: bool,
-    /// Commit through [`try_commit_entries`], recording allocation failure
-    /// in `oom` instead of panicking (the `try_*` composition entry
-    /// points).
-    fallible: bool,
-    /// A fallible commit failed to allocate; the composition aborted with
-    /// nothing changed and the entry point surfaces `Err(AllocError)`.
+    /// A commit failed to allocate its descriptor; the composition aborted
+    /// with nothing changed. The entry point decides what that means:
+    /// `Err(AllocError)` (`try_*`), a panic (the infallible names), or a
+    /// lost round (the batched front-end).
     oom: bool,
-    /// Set by [`Engine::finish`]; an engine dropped without it is
-    /// unwinding (panicking element `Clone`, injected abandonment) and
-    /// cleans its ENTRY protections in `Drop`.
-    finished: bool,
 }
 
 impl Engine {
@@ -146,36 +138,22 @@ impl Engine {
             dead: None,
             fail_budget: None,
             starved: false,
-            fallible: false,
             oom: false,
-            finished: false,
         }
     }
 
-    /// An engine whose commits surface allocation failure through
-    /// [`Engine::oom`] instead of panicking (the `try_*` entry points).
-    pub(crate) fn new_fallible(plan: usize) -> Engine {
-        let mut eng = Engine::new(plan);
-        eng.fallible = true;
-        eng
-    }
-
-    /// Whether a fallible commit aborted on allocation failure.
+    /// Whether a commit aborted on allocation failure.
     pub(crate) fn oom(&self) -> bool {
         self.oom
     }
 
-    /// A budgeted engine for the batched front-end's direct attempts (see
-    /// [`Engine::fail_budget`]). Budgeted engines also commit *fallibly*:
-    /// the gate's OOM fallback runs direct attempts under exactly the
-    /// memory pressure that failed its node allocation, so a descriptor
-    /// refill there must surface as [`Engine::oom`] (the caller retries or
-    /// falls back) rather than reach the aborting allocator.
-    pub(crate) fn new_budgeted(plan: usize, fail_budget: u32) -> Engine {
-        let mut eng = Engine::new(plan);
-        eng.fail_budget = Some(fail_budget);
-        eng.fallible = true;
-        eng
+    /// Bound the commit failures this composition may absorb. The batched
+    /// front-end's *direct* attempts run with a small budget: a contended
+    /// composition that burns through it aborts with [`Engine::starved`]
+    /// set and falls back to the claim-list group commit instead of
+    /// fighting the hot words.
+    pub(crate) fn set_fail_budget(&mut self, fail_budget: u32) {
+        self.fail_budget = Some(fail_budget);
     }
 
     /// Whether the composition aborted on budget exhaustion rather than a
@@ -184,15 +162,9 @@ impl Engine {
         self.starved
     }
 
-    /// Whether the last abort was an aliasing rejection.
-    pub(crate) fn was_aliased(&self) -> bool {
-        self.aliased
-    }
-
-    /// Whether the composition died because the remove at stage `idx`
-    /// found its source empty (swap verdict mapping).
-    pub(crate) fn empty_at(&self, idx: usize) -> bool {
-        self.dead == Some(Dead::Empty(idx))
+    /// Total number of stages (entries) in this composition's plan.
+    pub(crate) fn plan(&self) -> usize {
+        self.plan
     }
 
     /// Record stage `idx`'s linearization point; `false` means the word
@@ -226,7 +198,7 @@ impl Engine {
         // so publishing it in the engine-owned slot makes the protection
         // continuous — and the hazard then outlives the nested operations'
         // epochs, which end when they return, before the commit's
-        // descriptor teardown and `finish` run. `promote` (Release) is
+        // descriptor teardown and the engine's drop run. `promote` (Release) is
         // sufficient: scans sweep epochs before hazards, so a scan that
         // sees the covering epoch exited has acquired this store.
         self.g.promote(slot::ENTRY0 + idx, lp.hp);
@@ -237,34 +209,7 @@ impl Engine {
     /// "deeper succeeded" verdict.
     pub(crate) fn commit(&mut self) -> bool {
         debug_assert_eq!(self.count, self.plan);
-        self.no_commit = false;
-        // Safety: every entry was captured by `capture` from a live
-        // `&DAtomic` whose allocation the owning operation's borrows and
-        // hazards (plus the ENTRY* handoff slots) keep alive through this
-        // call, and `capture` rejects aliased words, so the entries are
-        // pairwise distinct.
-        let r = if self.fallible {
-            match unsafe { try_commit_entries(&self.entries[..self.count], &self.g) } {
-                Ok(r) => r,
-                Err(_) => {
-                    // Descriptor/RDCSS allocation failed with no word left
-                    // changed. `retry_at` stays `None` and `no_commit` is
-                    // false, so `resolve` aborts every stage and the entry
-                    // point reports `Err(AllocError)`.
-                    self.oom = true;
-                    return false;
-                }
-            }
-        } else {
-            unsafe { commit_entries(&self.entries[..self.count], &self.g) }
-        };
-        match r {
-            CasnResult::Success => true,
-            CasnResult::FailedAt(k) => {
-                self.retry_at = Some(k);
-                false
-            }
-        }
+        self.commit_captured()
     }
 
     /// Seeded-bug support (`model_toggles::SKIP_FLAG_ENTRY`): commit only
@@ -276,12 +221,28 @@ impl Engine {
     /// the model checker can demonstrate it catches that bug.
     #[cfg(lfc_model)]
     pub(crate) fn commit_without_flag(&mut self) -> bool {
+        self.commit_captured()
+    }
+
+    fn commit_captured(&mut self) -> bool {
         self.no_commit = false;
-        // Safety: same as `commit` — entries `..count` were captured live.
-        match unsafe { commit_entries(&self.entries[..self.count], &self.g) } {
-            CasnResult::Success => true,
-            CasnResult::FailedAt(k) => {
+        // Safety: every entry was captured by `capture` from a live
+        // `&DAtomic` whose allocation the owning operation's borrows and
+        // hazards (plus the ENTRY* handoff slots) keep alive through this
+        // call, and `capture` rejects aliased words, so the entries are
+        // pairwise distinct.
+        match unsafe { try_commit_entries(&self.entries[..self.count], &self.g) } {
+            Ok(CasnResult::Success) => true,
+            Ok(CasnResult::FailedAt(k)) => {
                 self.retry_at = Some(k);
+                false
+            }
+            Err(_) => {
+                // Descriptor/RDCSS allocation failed with no word left
+                // changed. `retry_at` stays `None` and `no_commit` is
+                // false, so `resolve` aborts every stage and the entry
+                // point reads `oom`.
+                self.oom = true;
                 false
             }
         }
@@ -322,28 +283,17 @@ impl Engine {
             _ => ScasResult::Abort,
         }
     }
-
-    /// Release the engine-owned entry protections. The whole plan range is
-    /// cleared (not just `count`): a commit failure rewinds `count` while
-    /// deeper entries' slots may still hold their last promotion.
-    pub(crate) fn finish(&mut self) {
-        self.finished = true;
-        for i in 0..self.plan {
-            self.g.clear(slot::ENTRY0 + i);
-        }
-    }
 }
 
 impl Drop for Engine {
+    /// Release the engine-owned entry protections — on the normal return
+    /// path and when the composition is unwinding (a user element's
+    /// panicking `Clone`, a refused descriptor under an infallible name)
+    /// alike: leaving ENTRY slots published would silently pin their
+    /// allocations forever. The whole plan range is cleared (not just
+    /// `count`): a commit failure rewinds `count` while deeper entries'
+    /// slots may still hold their last promotion.
     fn drop(&mut self) {
-        // Every entry point calls `finish` on the normal return path, so
-        // reaching here without it means the composition is unwinding —
-        // most likely out of a user element's panicking `Clone`, or an
-        // injected abandonment (`lfc_runtime::fault`). Leaving ENTRY slots
-        // published would silently pin their allocations forever.
-        if self.finished {
-            return;
-        }
         if lfc_runtime::fault::thread_is_abandoning() {
             // A corpse's ENTRY protections must persist: helpers completing
             // its announced commit validate against the initiator's hazards
@@ -359,10 +309,10 @@ impl Drop for Engine {
 
 /// The remove-side stage context: captures entry `idx`, then runs the rest
 /// of the chain (deeper stages and the commit) via `cont`.
-pub(crate) struct StageRemoveCtx<'a, F> {
-    pub(crate) eng: &'a mut Engine,
-    pub(crate) idx: usize,
-    pub(crate) cont: F,
+struct StageRemoveCtx<'a, F> {
+    eng: &'a mut Engine,
+    idx: usize,
+    cont: F,
 }
 
 impl<T, F> RemoveCtx<T> for StageRemoveCtx<'_, F>
@@ -415,7 +365,7 @@ fn note_insert_outcome(eng: &mut Engine, idx: usize, r: InsertOutcome) -> bool {
 }
 
 /// Drive an unkeyed insert as stage `idx`.
-pub(crate) fn run_insert<T, D, F>(eng: &mut Engine, idx: usize, dst: &D, elem: T, cont: F) -> bool
+fn run_insert<T, D, F>(eng: &mut Engine, idx: usize, dst: &D, elem: T, cont: F) -> bool
 where
     D: MoveTarget<T> + ?Sized,
     F: FnMut(&mut Engine) -> bool,
@@ -425,7 +375,7 @@ where
 }
 
 /// Drive a keyed insert as stage `idx`.
-pub(crate) fn run_insert_keyed<K, T, D, F>(
+fn run_insert_keyed<K, T, D, F>(
     eng: &mut Engine,
     idx: usize,
     dst: &D,
@@ -441,15 +391,39 @@ where
     note_insert_outcome(eng, idx, r)
 }
 
-/// Drive an *inner* remove as stage `idx` (the outermost remove is driven
-/// directly by the composition entry points, which need its
-/// [`RemoveOutcome`] for the verdict).
-pub(crate) fn run_remove<T, S, F>(eng: &mut Engine, idx: usize, src: &S, cont: F) -> bool
+/// Drive an unkeyed remove as stage `idx`, handing back its raw outcome
+/// (the outermost stage's outcome is what the verdict mappings read).
+fn remove_stage<T, S, F>(eng: &mut Engine, idx: usize, src: &S, cont: F) -> RemoveOutcome<T>
 where
     S: MoveSource<T> + ?Sized,
     F: FnMut(&mut Engine, &T) -> bool,
 {
-    match src.remove_with(&mut StageRemoveCtx { eng, idx, cont }) {
+    src.remove_with(&mut StageRemoveCtx { eng, idx, cont })
+}
+
+/// Drive a keyed remove as stage `idx`.
+fn remove_key_stage<K, T, S, F>(
+    eng: &mut Engine,
+    idx: usize,
+    src: &S,
+    key: &K,
+    cont: F,
+) -> RemoveOutcome<T>
+where
+    S: KeyedMoveSource<K, T> + ?Sized,
+    F: FnMut(&mut Engine, &T) -> bool,
+{
+    src.remove_key_with(key, &mut StageRemoveCtx { eng, idx, cont })
+}
+
+/// Drive an *inner* remove as stage `idx`, folding its outcome into the
+/// "deeper succeeded" verdict.
+fn run_remove<T, S, F>(eng: &mut Engine, idx: usize, src: &S, cont: F) -> bool
+where
+    S: MoveSource<T> + ?Sized,
+    F: FnMut(&mut Engine, &T) -> bool,
+{
+    match remove_stage(eng, idx, src, cont) {
         RemoveOutcome::Removed(_) => true,
         RemoveOutcome::Empty => {
             if eng.dead.is_none() {
@@ -461,89 +435,238 @@ where
     }
 }
 
+// ---------------------------------------------------------------------------
+// One driver per composition shape. Each writes its stage nest once and
+// takes the engine (set up by the caller: plan size, retry budget) and the
+// terminal stage `tail` — [`Engine::commit`], or the batched front-end's
+// flag-capturing commit. The plain, `try_`, `direct_*` and `flagged_*`
+// entry points all call these and differ only in engine set-up and in how
+// they map the returned outermost outcome to a verdict.
+// ---------------------------------------------------------------------------
+
+/// Shape `move_one`: remove (stage 0) → insert (stage 1) → `tail`.
+pub(crate) fn drive_move_one<T, S, D, F>(
+    eng: &mut Engine,
+    src: &S,
+    dst: &D,
+    mut tail: F,
+) -> RemoveOutcome<T>
+where
+    T: Clone,
+    S: MoveSource<T> + ?Sized,
+    D: MoveTarget<T> + ?Sized,
+    F: FnMut(&mut Engine) -> bool,
+{
+    remove_stage(eng, 0, src, |eng: &mut Engine, elem: &T| {
+        run_insert(eng, 1, dst, elem.clone(), &mut tail)
+    })
+}
+
+/// Shape `move_keyed`: keyed remove → keyed insert (same key) → `tail`.
+pub(crate) fn drive_move_keyed<K, T, S, D, F>(
+    eng: &mut Engine,
+    src: &S,
+    key: &K,
+    dst: &D,
+    mut tail: F,
+) -> RemoveOutcome<T>
+where
+    K: Clone,
+    T: Clone,
+    S: KeyedMoveSource<K, T> + ?Sized,
+    D: KeyedMoveTarget<K, T> + ?Sized,
+    F: FnMut(&mut Engine) -> bool,
+{
+    remove_key_stage(eng, 0, src, key, |eng: &mut Engine, elem: &T| {
+        run_insert_keyed(eng, 1, dst, key.clone(), elem.clone(), &mut tail)
+    })
+}
+
+/// Fan `elem` into every keyed target from stage `idx` on, then `tail`.
+fn fan_out_keyed<K, T, D, F>(
+    eng: &mut Engine,
+    idx: usize,
+    dsts: &[&D],
+    key: &K,
+    elem: &T,
+    tail: &mut F,
+) -> bool
+where
+    K: Clone,
+    T: Clone,
+    D: KeyedMoveTarget<K, T> + ?Sized,
+    F: FnMut(&mut Engine) -> bool,
+{
+    match dsts.split_first() {
+        None => tail(eng),
+        Some((first, rest)) => run_insert_keyed(
+            eng,
+            idx,
+            *first,
+            key.clone(),
+            elem.clone(),
+            |eng: &mut Engine| fan_out_keyed(eng, idx + 1, rest, key, elem, tail),
+        ),
+    }
+}
+
+/// Shape `move_keyed_to_all`: keyed remove → one keyed insert per target →
+/// `tail`.
+pub(crate) fn drive_move_keyed_to_all<K, T, S, D, F>(
+    eng: &mut Engine,
+    src: &S,
+    key: &K,
+    dsts: &[&D],
+    mut tail: F,
+) -> RemoveOutcome<T>
+where
+    K: Clone,
+    T: Clone,
+    S: KeyedMoveSource<K, T> + ?Sized,
+    D: KeyedMoveTarget<K, T> + ?Sized,
+    F: FnMut(&mut Engine) -> bool,
+{
+    remove_key_stage(eng, 0, src, key, |eng: &mut Engine, elem: &T| {
+        fan_out_keyed(eng, 1, dsts, key, elem, &mut tail)
+    })
+}
+
+/// Shape `swap`: remove a → remove b → insert b's element into a → insert
+/// a's element into b → `tail`.
+pub(crate) fn drive_swap<T, A, B, F>(
+    eng: &mut Engine,
+    a: &A,
+    b: &B,
+    mut tail: F,
+) -> RemoveOutcome<T>
+where
+    T: Clone,
+    A: MoveSource<T> + MoveTarget<T> + ?Sized,
+    B: MoveSource<T> + MoveTarget<T> + ?Sized,
+    F: FnMut(&mut Engine) -> bool,
+{
+    remove_stage(eng, 0, a, |eng: &mut Engine, x: &T| {
+        run_remove(eng, 1, b, |eng: &mut Engine, y: &T| {
+            run_insert(eng, 2, a, y.clone(), |eng: &mut Engine| {
+                run_insert(eng, 3, b, x.clone(), &mut tail)
+            })
+        })
+    })
+}
+
 /// Map the outermost remove's outcome to a [`MoveOutcome`].
-pub(crate) fn move_verdict<T>(eng: &Engine, outcome: RemoveOutcome<T>) -> MoveOutcome {
+pub(crate) fn move_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> MoveOutcome {
     match outcome {
         RemoveOutcome::Removed(_) => MoveOutcome::Moved,
         RemoveOutcome::Empty => MoveOutcome::SourceEmpty,
-        RemoveOutcome::Aborted => {
-            if eng.aliased {
-                MoveOutcome::WouldAlias
-            } else {
-                MoveOutcome::TargetRejected
-            }
-        }
+        RemoveOutcome::Aborted if eng.aliased => MoveOutcome::WouldAlias,
+        RemoveOutcome::Aborted => MoveOutcome::TargetRejected,
     }
 }
 
-/// Shared epilogue of every composition entry point: release protections,
-/// then surface either the allocation failure (fallible engines) or the
-/// mapped verdict.
-fn conclude<T>(eng: &mut Engine, outcome: RemoveOutcome<T>) -> Result<MoveOutcome, AllocError> {
-    eng.finish();
+/// Map a swap's outermost remove outcome to a [`SwapOutcome`] — the single
+/// copy of the swap verdict.
+pub(crate) fn swap_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> SwapOutcome {
+    match outcome {
+        RemoveOutcome::Removed(_) => SwapOutcome::Swapped,
+        RemoveOutcome::Empty => SwapOutcome::FirstEmpty,
+        RemoveOutcome::Aborted if eng.aliased => SwapOutcome::WouldAlias,
+        RemoveOutcome::Aborted if eng.dead == Some(Dead::Empty(1)) => SwapOutcome::SecondEmpty,
+        RemoveOutcome::Aborted => SwapOutcome::Rejected,
+    }
+}
+
+/// Shared epilogue of every `try_` entry point: surface the allocation
+/// failure, or the mapped verdict.
+fn conclude<V>(eng: &Engine, verdict: V) -> Result<V, AllocError> {
     if eng.oom() {
-        return Err(AllocError);
+        Err(AllocError)
+    } else {
+        Ok(verdict)
     }
-    Ok(move_verdict(eng, outcome))
 }
 
-/// `move_one` over the engine: remove at stage 0, insert at stage 1.
-pub(crate) fn move_one_impl<T, S, D>(
-    src: &S,
-    dst: &D,
-    fallible: bool,
-) -> Result<MoveOutcome, AllocError>
+/// Where every infallible composition name routes the `Err` of its `try_`
+/// twin: panic — unwinding, exactly as `lfc_alloc::alloc_block` does, with
+/// nothing changed anywhere (the engine's `Drop` releases its
+/// protections). A genuine descriptor exhaustion and an injected
+/// `dcas.*` fault both arrive here.
+pub(crate) fn infallible<V>(r: Result<V, AllocError>) -> V {
+    r.unwrap_or_else(|e| panic!("lfc-core: commit descriptor allocation failed ({e})"))
+}
+
+/// Atomically move one element from `src` to `dst` (paper Algorithm 3).
+///
+/// Lock-free and linearizable when `src` and `dst` are lock-free move-ready
+/// objects (paper Theorem 2): the element is never observable in both
+/// objects, nor absent from both, at any point in time.
+///
+/// The element type must be `Clone`: the value is read (cloned) from the
+/// source *before* the unified linearization point — move-candidate
+/// requirement 4 — and materialized in the target's freshly allocated node.
+///
+/// A thin wrapper over the unified composition engine: the remove is
+/// stage 0, the insert stage 1, and the commit is the K=2 (DCAS) case of
+/// the k-entry commit.
+pub fn move_one<T, S, D>(src: &S, dst: &D) -> MoveOutcome
 where
     T: Clone,
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    let mut eng = if fallible {
-        Engine::new_fallible(2)
-    } else {
-        Engine::new(2)
-    };
-    let outcome = src.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, elem: &T| run_insert(eng, 1, dst, elem.clone(), Engine::commit),
-    });
-    conclude(&mut eng, outcome)
+    infallible(try_move_one(src, dst))
 }
 
-/// `move_keyed` over the engine.
-pub(crate) fn move_keyed_impl<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dst: &D,
-    fallible: bool,
-) -> Result<MoveOutcome, AllocError>
+/// Fallible [`move_one`]: a commit-descriptor allocation failure (genuine
+/// exhaustion, or injected via `lfc_runtime::fault`'s `"dcas.desc"` /
+/// `"dcas.casn"` / `"dcas.rdcss"` sites) surfaces as `Err` with both
+/// objects untouched, instead of panicking. The solo-regime fast path
+/// allocates nothing and cannot fail.
+pub fn try_move_one<T, S, D>(src: &S, dst: &D) -> Result<MoveOutcome, AllocError>
+where
+    T: Clone,
+    S: MoveSource<T> + ?Sized,
+    D: MoveTarget<T> + ?Sized,
+{
+    let mut eng = Engine::new(2);
+    let outcome = drive_move_one(&mut eng, src, dst, Engine::commit);
+    conclude(&eng, move_verdict(&eng, &outcome))
+}
+
+/// Atomically move the element stored under `key` from `src` to `dst`
+/// (keeping its key). Returns [`MoveOutcome::SourceEmpty`] when the key is
+/// absent from the source and [`MoveOutcome::TargetRejected`] when the
+/// target already holds the key (or is full).
+///
+/// A thin wrapper over the unified composition engine (keyed remove at
+/// stage 0, keyed insert at stage 1).
+pub fn move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> MoveOutcome
 where
     K: Clone,
     T: Clone,
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    let mut eng = if fallible {
-        Engine::new_fallible(2)
-    } else {
-        Engine::new(2)
-    };
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| {
-                run_insert_keyed(eng, 1, dst, key.clone(), elem.clone(), Engine::commit)
-            },
-        },
-    );
-    conclude(&mut eng, outcome)
+    infallible(try_move_keyed(src, key, dst))
+}
+
+/// Fallible [`move_keyed`]: a commit-descriptor allocation failure
+/// (genuine exhaustion, or injected via `lfc_runtime::fault`) surfaces as
+/// `Err` with both objects untouched, instead of panicking.
+pub fn try_move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> Result<MoveOutcome, AllocError>
+where
+    K: Clone,
+    T: Clone,
+    S: KeyedMoveSource<K, T> + ?Sized,
+    D: KeyedMoveTarget<K, T> + ?Sized,
+{
+    let mut eng = Engine::new(2);
+    let outcome = drive_move_keyed(&mut eng, src, key, dst, Engine::commit);
+    conclude(&eng, move_verdict(&eng, &outcome))
 }
 
 /// Fan `elem` into every target from stage `idx` on, committing innermost.
-pub(crate) fn fan_out<T, D>(eng: &mut Engine, idx: usize, dsts: &[&D], elem: &T) -> bool
+fn fan_out<T, D>(eng: &mut Engine, idx: usize, dsts: &[&D], elem: &T) -> bool
 where
     T: Clone,
     D: MoveTarget<T> + ?Sized,
@@ -558,12 +681,39 @@ where
     }
 }
 
-/// `move_to_all` over the engine.
-pub(crate) fn move_to_all_impl<T, S, D>(
-    src: &S,
-    dsts: &[&D],
-    fallible: bool,
-) -> Result<MoveOutcome, AllocError>
+/// Atomically remove one element from `src` and insert a clone of it into
+/// **each** target in `dsts` — the n-object move of the paper's conclusion
+/// (§8). Linearizable and lock-free when all objects are lock-free
+/// move-ready objects; no concurrent observer can see the element in only
+/// a strict subset of `{dsts...}` after removal, or in both the source and
+/// any target.
+///
+/// The remove is stage 0, each target's insert one further stage, and the
+/// innermost stage commits every captured entry through the k-entry commit
+/// (K=2 dispatches to the paper's DCAS, larger fan-outs to CASN). A commit
+/// failure at entry k re-runs the init phase of exactly the operation that
+/// owns entry k — the generalization of the FIRSTFAILED/SECONDFAILED retry
+/// rule — and a failure *before* any commit aborts the whole composition.
+///
+/// # Panics
+///
+/// Panics if `dsts` is empty or holds more than [`MAX_TARGETS`] targets.
+pub fn move_to_all<T, S, D>(src: &S, dsts: &[&D]) -> MoveOutcome
+where
+    T: Clone,
+    S: MoveSource<T> + ?Sized,
+    D: MoveTarget<T> + ?Sized,
+{
+    infallible(try_move_to_all(src, dsts))
+}
+
+/// Fallible [`move_to_all`]: a commit-descriptor allocation failure
+/// surfaces as `Err` with every object untouched, instead of panicking.
+///
+/// # Panics
+///
+/// As [`move_to_all`], on an empty or oversized `dsts`.
+pub fn try_move_to_all<T, S, D>(src: &S, dsts: &[&D]) -> Result<MoveOutcome, AllocError>
 where
     T: Clone,
     S: MoveSource<T> + ?Sized,
@@ -573,42 +723,11 @@ where
         !dsts.is_empty() && dsts.len() <= MAX_TARGETS,
         "move_to_all supports 1..={MAX_TARGETS} targets"
     );
-    let mut eng = if fallible {
-        Engine::new_fallible(1 + dsts.len())
-    } else {
-        Engine::new(1 + dsts.len())
-    };
-    let outcome = src.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, elem: &T| fan_out(eng, 1, dsts, elem),
+    let mut eng = Engine::new(1 + dsts.len());
+    let outcome = remove_stage(&mut eng, 0, src, |eng: &mut Engine, elem: &T| {
+        fan_out(eng, 1, dsts, elem)
     });
-    conclude(&mut eng, outcome)
-}
-
-pub(crate) fn fan_out_keyed<K, T, D>(
-    eng: &mut Engine,
-    idx: usize,
-    dsts: &[&D],
-    key: &K,
-    elem: &T,
-) -> bool
-where
-    K: Clone,
-    T: Clone,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    match dsts.split_first() {
-        None => eng.commit(),
-        Some((first, rest)) => run_insert_keyed(
-            eng,
-            idx,
-            *first,
-            key.clone(),
-            elem.clone(),
-            move |eng: &mut Engine| fan_out_keyed(eng, idx + 1, rest, key, elem),
-        ),
-    }
+    conclude(&eng, move_verdict(&eng, &outcome))
 }
 
 /// Atomically remove the element stored under `key` in `src` and insert a
@@ -629,10 +748,7 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    match move_keyed_to_all_impl(src, key, dsts, false) {
-        Ok(o) => o,
-        Err(_) => unreachable!("infallible engine cannot report OOM"),
-    }
+    infallible(try_move_keyed_to_all(src, key, dsts))
 }
 
 /// Fallible [`move_keyed_to_all`]: descriptor allocation failure surfaces
@@ -648,39 +764,13 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    move_keyed_to_all_impl(src, key, dsts, true)
-}
-
-fn move_keyed_to_all_impl<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dsts: &[&D],
-    fallible: bool,
-) -> Result<MoveOutcome, AllocError>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
     assert!(
         !dsts.is_empty() && dsts.len() <= MAX_TARGETS,
         "move_keyed_to_all supports 1..={MAX_TARGETS} targets"
     );
-    let mut eng = if fallible {
-        Engine::new_fallible(1 + dsts.len())
-    } else {
-        Engine::new(1 + dsts.len())
-    };
-    let outcome = src.remove_key_with(
-        key,
-        &mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| fan_out_keyed(eng, 1, dsts, key, elem),
-        },
-    );
-    conclude(&mut eng, outcome)
+    let mut eng = Engine::new(1 + dsts.len());
+    let outcome = drive_move_keyed_to_all(&mut eng, src, key, dsts, Engine::commit);
+    conclude(&eng, move_verdict(&eng, &outcome))
 }
 
 /// Atomically move the element stored under `key` in a *keyed* source into
@@ -695,9 +785,7 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    Composition::moving_key_from(src, key)
-        .into_target(dst)
-        .run()
+    infallible(try_move_keyed_to_unkeyed(src, key, dst))
 }
 
 /// Fallible [`move_keyed_to_unkeyed`].
@@ -753,10 +841,7 @@ where
     A: MoveSource<T> + MoveTarget<T> + ?Sized,
     B: MoveSource<T> + MoveTarget<T> + ?Sized,
 {
-    match swap_impl(a, b, false) {
-        Ok(o) => o,
-        Err(_) => unreachable!("infallible engine cannot report OOM"),
-    }
+    infallible(try_swap(a, b))
 }
 
 /// Fallible [`swap`]: descriptor allocation failure surfaces as `Err`
@@ -767,48 +852,9 @@ where
     A: MoveSource<T> + MoveTarget<T> + ?Sized,
     B: MoveSource<T> + MoveTarget<T> + ?Sized,
 {
-    swap_impl(a, b, true)
-}
-
-fn swap_impl<T, A, B>(a: &A, b: &B, fallible: bool) -> Result<SwapOutcome, AllocError>
-where
-    T: Clone,
-    A: MoveSource<T> + MoveTarget<T> + ?Sized,
-    B: MoveSource<T> + MoveTarget<T> + ?Sized,
-{
-    let mut eng = if fallible {
-        Engine::new_fallible(4)
-    } else {
-        Engine::new(4)
-    };
-    let outcome = a.remove_with(&mut StageRemoveCtx {
-        eng: &mut eng,
-        idx: 0,
-        cont: |eng: &mut Engine, x: &T| {
-            run_remove(eng, 1, b, |eng: &mut Engine, y: &T| {
-                run_insert(eng, 2, a, y.clone(), |eng: &mut Engine| {
-                    run_insert(eng, 3, b, x.clone(), Engine::commit)
-                })
-            })
-        },
-    });
-    eng.finish();
-    if eng.oom() {
-        return Err(AllocError);
-    }
-    Ok(match outcome {
-        RemoveOutcome::Removed(_) => SwapOutcome::Swapped,
-        RemoveOutcome::Empty => SwapOutcome::FirstEmpty,
-        RemoveOutcome::Aborted => {
-            if eng.aliased {
-                SwapOutcome::WouldAlias
-            } else if eng.dead == Some(Dead::Empty(1)) {
-                SwapOutcome::SecondEmpty
-            } else {
-                SwapOutcome::Rejected
-            }
-        }
-    })
+    let mut eng = Engine::new(4);
+    let outcome = drive_swap(&mut eng, a, b, Engine::commit);
+    conclude(&eng, swap_verdict(&eng, &outcome))
 }
 
 mod sealed {
@@ -1000,34 +1046,24 @@ where
     /// Execute the composition. Lock-free and linearizable when every
     /// object involved is a lock-free move-ready object.
     pub fn run(&self) -> MoveOutcome {
-        match self.run_impl(false) {
-            Ok(o) => o,
-            Err(_) => unreachable!("infallible engine cannot report OOM"),
-        }
+        infallible(self.try_run())
     }
 
     /// Fallible [`run`](Self::run): descriptor allocation failure surfaces
     /// as `Err` with nothing changed anywhere.
     pub fn try_run(&self) -> Result<MoveOutcome, AllocError> {
-        self.run_impl(true)
-    }
-
-    fn run_impl(&self, fallible: bool) -> Result<MoveOutcome, AllocError> {
         assert!(
             (1..=MAX_TARGETS).contains(&C::LEN),
             "a composition takes 1..={MAX_TARGETS} insert stages"
         );
-        let mut eng = if fallible {
-            Engine::new_fallible(1 + C::LEN)
-        } else {
-            Engine::new(1 + C::LEN)
-        };
-        let outcome = self.source.src.remove_with(&mut StageRemoveCtx {
-            eng: &mut eng,
-            idx: 0,
-            cont: |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
-        });
-        conclude(&mut eng, outcome)
+        let mut eng = Engine::new(1 + C::LEN);
+        let outcome = remove_stage(
+            &mut eng,
+            0,
+            self.source.src,
+            |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
+        );
+        conclude(&eng, move_verdict(&eng, &outcome))
     }
 }
 
@@ -1040,36 +1076,24 @@ where
 {
     /// Execute the composition (keyed source).
     pub fn run(&self) -> MoveOutcome {
-        match self.run_impl(false) {
-            Ok(o) => o,
-            Err(_) => unreachable!("infallible engine cannot report OOM"),
-        }
+        infallible(self.try_run())
     }
 
     /// Fallible [`run`](Self::run): descriptor allocation failure surfaces
     /// as `Err` with nothing changed anywhere.
     pub fn try_run(&self) -> Result<MoveOutcome, AllocError> {
-        self.run_impl(true)
-    }
-
-    fn run_impl(&self, fallible: bool) -> Result<MoveOutcome, AllocError> {
         assert!(
             (1..=MAX_TARGETS).contains(&C::LEN),
             "a composition takes 1..={MAX_TARGETS} insert stages"
         );
-        let mut eng = if fallible {
-            Engine::new_fallible(1 + C::LEN)
-        } else {
-            Engine::new(1 + C::LEN)
-        };
-        let outcome = self.source.src.remove_key_with(
+        let mut eng = Engine::new(1 + C::LEN);
+        let outcome = remove_key_stage(
+            &mut eng,
+            0,
+            self.source.src,
             self.source.key,
-            &mut StageRemoveCtx {
-                eng: &mut eng,
-                idx: 0,
-                cont: |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
-            },
+            |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
         );
-        conclude(&mut eng, outcome)
+        conclude(&eng, move_verdict(&eng, &outcome))
     }
 }

@@ -6,8 +6,8 @@
 //! The linearization contexts are key-agnostic (a keyed remove still
 //! linearizes at one CAS and still has its element available beforehand),
 //! so keyed objects plug into the same unified engine ([`crate::compose`])
-//! as everything else: [`move_keyed`] is a two-stage composition, and the
-//! keyed traits also power [`crate::move_keyed_to_all`],
+//! as everything else: [`crate::move_keyed`] is a two-stage composition,
+//! and the keyed traits also power [`crate::move_keyed_to_all`],
 //! [`crate::move_keyed_to_unkeyed`] and keyed [`crate::Composition`]
 //! stages.
 //!
@@ -26,7 +26,7 @@
 //! semantically meaningful words, and every `scas` retry re-running the
 //! locate phase from scratch.
 
-use crate::{compose, InsertCtx, InsertOutcome, MoveOutcome, RemoveCtx, RemoveOutcome};
+use crate::{InsertCtx, InsertOutcome, RemoveCtx, RemoveOutcome};
 
 /// An object whose keyed remove is move-ready.
 pub trait KeyedMoveSource<K, T> {
@@ -51,41 +51,4 @@ impl<K, T, D: KeyedMoveTarget<K, T>> KeyedMoveTarget<K, T> for &D {
     fn insert_key_with<C: InsertCtx>(&self, key: K, elem: T, ctx: &mut C) -> InsertOutcome {
         (**self).insert_key_with(key, elem, ctx)
     }
-}
-
-/// Atomically move the element stored under `key` from `src` to `dst`
-/// (keeping its key). Returns [`MoveOutcome::SourceEmpty`] when the key is
-/// absent from the source and [`MoveOutcome::TargetRejected`] when the
-/// target already holds the key (or is full).
-///
-/// A thin wrapper over the unified composition engine (keyed remove at
-/// stage 0, keyed insert at stage 1).
-pub fn move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> MoveOutcome
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    match compose::move_keyed_impl(src, key, dst, false) {
-        Ok(o) => o,
-        Err(_) => unreachable!("infallible engine cannot report OOM"),
-    }
-}
-
-/// Fallible [`move_keyed`]: a commit-descriptor allocation failure
-/// (genuine exhaustion, or injected via `lfc_runtime::fault`) surfaces as
-/// `Err` with both objects untouched, instead of panicking.
-pub fn try_move_keyed<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dst: &D,
-) -> Result<MoveOutcome, lfc_alloc::AllocError>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
-    compose::move_keyed_impl(src, key, dst, true)
 }

@@ -44,16 +44,15 @@
 pub mod batch;
 pub mod compose;
 pub mod keyed;
-pub mod multi;
 mod sync;
 
 pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 pub use compose::{
-    move_keyed_to_all, move_keyed_to_unkeyed, swap, try_move_keyed_to_all,
-    try_move_keyed_to_unkeyed, try_swap, Composition, SwapOutcome, MAX_ENTRIES,
+    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap,
+    try_move_keyed, try_move_keyed_to_all, try_move_keyed_to_unkeyed, try_move_one,
+    try_move_to_all, try_swap, Composition, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
-pub use keyed::{move_keyed, try_move_keyed, KeyedMoveSource, KeyedMoveTarget};
-pub use multi::{move_to_all, try_move_to_all, MAX_TARGETS};
+pub use keyed::{KeyedMoveSource, KeyedMoveTarget};
 
 use lfc_dcas::{DAtomic, Word};
 
@@ -201,45 +200,6 @@ pub enum MoveOutcome {
     /// The two linearization points landed on the *same* memory word (e.g.
     /// a stack moved onto itself), which a two-word CAS cannot express.
     WouldAlias,
-}
-
-/// Atomically move one element from `src` to `dst` (paper Algorithm 3).
-///
-/// Lock-free and linearizable when `src` and `dst` are lock-free move-ready
-/// objects (paper Theorem 2): the element is never observable in both
-/// objects, nor absent from both, at any point in time.
-///
-/// The element type must be `Clone`: the value is read (cloned) from the
-/// source *before* the unified linearization point — move-candidate
-/// requirement 4 — and materialized in the target's freshly allocated node.
-///
-/// A thin wrapper over the unified composition engine: the remove is
-/// stage 0, the insert stage 1, and the commit is the K=2 (DCAS) case of
-/// the k-entry commit.
-pub fn move_one<T, S, D>(src: &S, dst: &D) -> MoveOutcome
-where
-    T: Clone,
-    S: MoveSource<T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
-    match compose::move_one_impl(src, dst, false) {
-        Ok(o) => o,
-        Err(_) => unreachable!("infallible engine cannot report OOM"),
-    }
-}
-
-/// Fallible [`move_one`]: a commit-descriptor allocation failure (genuine
-/// exhaustion, or injected via `lfc_runtime::fault`'s `"dcas.desc"` /
-/// `"dcas.casn"` / `"dcas.rdcss"` sites) surfaces as `Err` with both
-/// objects untouched, instead of panicking. The solo-regime fast path
-/// allocates nothing and cannot fail.
-pub fn try_move_one<T, S, D>(src: &S, dst: &D) -> Result<MoveOutcome, lfc_alloc::AllocError>
-where
-    T: Clone,
-    S: MoveSource<T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
-    compose::move_one_impl(src, dst, true)
 }
 
 impl<T, S: MoveSource<T>> MoveSource<T> for &S {

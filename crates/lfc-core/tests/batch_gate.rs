@@ -4,8 +4,12 @@
 
 use lfc_core::batch::{self, decode_move, decode_swap, encode_move, encode_swap};
 use lfc_core::compose::SwapOutcome;
-use lfc_core::{BatchGate, MoveKeyedOp, MoveOneOp, MoveOutcome, SwapOp};
-use lfc_structures::{LfHashMap, MsQueue};
+use lfc_core::{
+    move_keyed, move_one, swap, try_move_keyed, try_move_one, try_swap, BatchGate, BatchOp,
+    MoveKeyedOp, MoveOneOp, MoveOutcome, MoveSource, MoveTarget, SwapOp,
+};
+use lfc_dcas::DAtomic;
+use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -91,6 +95,158 @@ fn batched_path_matches_direct_semantics() {
     assert_eq!(decode_move(w), MoveOutcome::Moved);
     assert_eq!(q2.dequeue(), Some(99));
     assert!(batch::counters::batched_ops() > before);
+}
+
+/// Every entry point of the `move_one` shape on its own freshly prepared
+/// state: the plain name, its `try_` twin, the budgeted direct attempt and
+/// the flagged attempt (what `MoveOneOp`'s `BatchOp` impl forwards to) all
+/// run one driver and must report `expect`.
+fn move_one_agrees<St, S, D>(
+    prepare: impl Fn() -> St,
+    pick: impl for<'s> Fn(&'s St) -> (&'s S, &'s D),
+    expect: MoveOutcome,
+) where
+    S: MoveSource<u64>,
+    D: MoveTarget<u64>,
+{
+    let st = prepare();
+    let (s, d) = pick(&st);
+    assert_eq!(move_one(s, d), expect);
+    let st = prepare();
+    let (s, d) = pick(&st);
+    assert_eq!(try_move_one(s, d), Ok(expect));
+    let st = prepare();
+    let (s, d) = pick(&st);
+    let w = batch::direct_move_one(s, d, 3).expect("uncontended: never starves");
+    assert_eq!(decode_move(w), expect);
+    let st = prepare();
+    let (s, d) = pick(&st);
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    let w = batch::flagged_move_one(s, d, &flag, 0).expect("sole executor: resolves the flag");
+    assert_eq!(decode_move(w), expect);
+    assert_eq!(flag.load_word(), w, "the flag holds the verdict");
+    assert_eq!(
+        batch::flagged_move_one(s, d, &flag, 0),
+        None,
+        "a resolved request never re-executes"
+    );
+}
+
+/// [`move_one_agrees`] for the `swap` shape.
+fn swap_agrees<St, A, B>(
+    prepare: impl Fn() -> St,
+    pick: impl for<'s> Fn(&'s St) -> (&'s A, &'s B),
+    expect: SwapOutcome,
+) where
+    A: MoveSource<u64> + MoveTarget<u64> + Sync,
+    B: MoveSource<u64> + MoveTarget<u64> + Sync,
+{
+    let st = prepare();
+    let (a, b) = pick(&st);
+    assert_eq!(swap(a, b), expect);
+    let st = prepare();
+    let (a, b) = pick(&st);
+    assert_eq!(try_swap(a, b), Ok(expect));
+    let st = prepare();
+    let (a, b) = pick(&st);
+    let w = SwapOp::new(a, b)
+        .try_direct(3)
+        .expect("uncontended: never starves");
+    assert_eq!(decode_swap(w), expect);
+    let st = prepare();
+    let (a, b) = pick(&st);
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    let w = SwapOp::new(a, b)
+        .run_flagged(&flag, 0)
+        .expect("sole executor: resolves the flag");
+    assert_eq!(decode_swap(w), expect);
+    assert_eq!(flag.load_word(), w, "the flag holds the verdict");
+    assert_eq!(SwapOp::new(a, b).run_flagged(&flag, 0), None);
+}
+
+fn queue_of(items: &[u64]) -> MsQueue<u64> {
+    let q = MsQueue::new();
+    for &v in items {
+        q.enqueue(v);
+    }
+    q
+}
+
+fn slot_of(item: Option<u64>) -> OneSlot<u64> {
+    let s = OneSlot::new();
+    if let Some(v) = item {
+        assert!(s.put(v));
+    }
+    s
+}
+
+#[test]
+fn every_entry_point_of_a_shape_reports_the_same_verdict() {
+    // `move_one`: all four `MoveOutcome` variants.
+    move_one_agrees(
+        || (queue_of(&[1]), queue_of(&[])),
+        |(s, d)| (s, d),
+        MoveOutcome::Moved,
+    );
+    move_one_agrees(
+        || (queue_of(&[]), queue_of(&[2])),
+        |(s, d)| (s, d),
+        MoveOutcome::SourceEmpty,
+    );
+    move_one_agrees(
+        || (queue_of(&[1]), slot_of(Some(2))),
+        |(s, d)| (s, d),
+        MoveOutcome::TargetRejected,
+    );
+    // A stack's push and pop linearize on the same `top` word.
+    move_one_agrees(
+        || {
+            let s = TreiberStack::new();
+            s.push(1u64);
+            s
+        },
+        |s| (s, s),
+        MoveOutcome::WouldAlias,
+    );
+
+    // `swap`: all five `SwapOutcome` variants.
+    swap_agrees(
+        || (queue_of(&[1]), queue_of(&[2])),
+        |(a, b)| (a, b),
+        SwapOutcome::Swapped,
+    );
+    swap_agrees(
+        || (queue_of(&[]), queue_of(&[2])),
+        |(a, b)| (a, b),
+        SwapOutcome::FirstEmpty,
+    );
+    swap_agrees(
+        || (queue_of(&[1]), queue_of(&[])),
+        |(a, b)| (a, b),
+        SwapOutcome::SecondEmpty,
+    );
+    // The slot stays occupied until the commit, so inserting b's element
+    // into it is permanently rejected.
+    swap_agrees(
+        || (slot_of(Some(1)), queue_of(&[2])),
+        |(a, b)| (a, b),
+        SwapOutcome::Rejected,
+    );
+    swap_agrees(|| queue_of(&[1, 2]), |q| (q, q), SwapOutcome::WouldAlias);
+
+    // The keyed shape maps through the same `move_verdict`; spot-check the
+    // variant only keyed targets produce organically (duplicate key).
+    let (a, b): (LfHashMap<u64, u64>, LfHashMap<u64, u64>) = (LfHashMap::new(), LfHashMap::new());
+    a.insert(1, 10);
+    b.insert(1, 11);
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    let rejected = MoveOutcome::TargetRejected;
+    assert_eq!(move_keyed(&a, &1, &b), rejected);
+    assert_eq!(try_move_keyed(&a, &1, &b), Ok(rejected));
+    let op = MoveKeyedOp::new(&a, 1u64, &b);
+    assert_eq!(op.try_direct(3).map(decode_move), Some(rejected));
+    assert_eq!(op.run_flagged(&flag, 0).map(decode_move), Some(rejected));
+    assert_eq!((a.get(&1), b.get(&1)), (Some(10), Some(11)));
 }
 
 #[test]

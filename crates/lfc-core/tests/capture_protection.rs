@@ -106,9 +106,13 @@ fn parked_capture_survives_forced_epoch_advance() {
     // The insert is rejected while parked, so the composition aborts.
     assert_eq!(move_one(&src, &dst), MoveOutcome::TargetRejected);
 
-    // `Engine::finish` has cleared the ENTRY slots; the probe is now
+    // The engine's drop has cleared the ENTRY slots; the probe is now
     // unprotected and must be reclaimed.
-    assert_eq!(pin().get(slot::ENTRY0), 0, "finish must clear ENTRY slots");
+    assert_eq!(
+        pin().get(slot::ENTRY0),
+        0,
+        "the engine's drop must clear ENTRY slots"
+    );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while DROPS.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
         flush();

@@ -129,7 +129,11 @@ fn ejected_composition_keeps_entry_protection() {
     assert_eq!(move_one(&src, &dst), MoveOutcome::TargetRejected);
 
     // Promotions released; the probe must now drain normally.
-    assert_eq!(pin().get(slot::ENTRY0), 0, "finish must clear ENTRY slots");
+    assert_eq!(
+        pin().get(slot::ENTRY0),
+        0,
+        "the engine's drop must clear ENTRY slots"
+    );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while DROPS.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
         flush();

@@ -99,7 +99,7 @@ thread_local! {
     static POOL: crate::pool::PoolCell<DcasDesc> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// Allocate a descriptor: pool hit, or a fresh pool-backed block.
+/// Pool-hit reset (the fresh-block twin is [`init_desc`]).
 ///
 /// `DescHandle::new` on the seed path paid, per DCAS attempt: a size-class
 /// lookup plus magazine pop in `lfc-alloc` and a full 9-field descriptor
@@ -147,14 +147,6 @@ fn init_desc(block: NonNull<DcasDesc>) {
     }
 }
 
-fn alloc_desc() -> NonNull<DcasDesc> {
-    crate::pool::alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)
-}
-
-fn try_alloc_desc() -> Result<NonNull<DcasDesc>, lfc_alloc::AllocError> {
-    crate::pool::try_alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)
-}
-
 /// Return an unreachable descriptor to the pool (or the backing allocator).
 ///
 /// # Safety
@@ -191,20 +183,21 @@ impl std::fmt::Debug for DescHandle {
 
 impl DescHandle {
     /// Allocate a fresh descriptor (per-thread pooled, 512-aligned).
+    /// Panics (unwinds) where [`Self::try_new`] returns `Err`.
     pub fn new() -> Self {
-        DescHandle { desc: alloc_desc() }
+        Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
     }
 
     /// Fallible [`Self::new`]: `Err` when the pool is empty and the backing
     /// allocation fails (or the `dcas.desc` / `alloc.block` fault site
-    /// fires).
+    /// fires). The site check runs before the pool so injection fires even
+    /// when a pooled block would have been a guaranteed hit.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
         if lfc_runtime::fault::check("dcas.desc") {
             return Err(lfc_alloc::AllocError);
         }
-        Ok(DescHandle {
-            desc: try_alloc_desc()?,
-        })
+        let desc = crate::pool::try_alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)?;
+        Ok(DescHandle { desc })
     }
 
     fn desc(&self) -> &DcasDesc {
@@ -279,13 +272,7 @@ impl DescHandle {
     /// state is unobservable by construction, which is exactly the
     /// atomicity the descriptor protocol exists to provide.
     pub fn commit(self, g: &Guard) -> (DcasResult, Option<DescHandle>) {
-        let addr = self.desc.as_ptr() as usize;
-        debug_assert_eq!(
-            self.desc().res.load(Ordering::Relaxed),
-            RES_UNDECIDED,
-            "descriptor reuse after publication"
-        );
-        debug_assert!(!self.desc().ptr1.is_null() && !self.desc().ptr2.is_null());
+        self.debug_check_fresh();
 
         {
             let d = self.desc();
@@ -325,19 +312,7 @@ impl DescHandle {
             }
         }
 
-        // Announce the in-flight operation in the adoption table before
-        // publication: from here until `clear_announce`, a survivor can
-        // complete this DCAS on our behalf if we die
-        // (`crate::adopt_dead_threads`). The kill site models exactly that
-        // death.
-        // One armed-generation load covers every kill site this commit
-        // passes (announce, publish, and any helping it triggers).
-        let fg = lfc_runtime::fault::gate();
-        crate::adopt::announce(g.tid(), word::dcas_plain(addr));
-        fg.check_kill("dcas.announced");
-        // Safety: we own the descriptor; `dcas_run_gated` publishes it.
-        let result = unsafe { dcas_run_gated(word::dcas_plain(addr), true, g, fg) };
-        crate::adopt::clear_announce(g.tid());
+        let result = self.publish_and_run(g);
         match result {
             DcasResult::FirstFailed => {
                 // Announcement failed: never published, safe to reuse.
@@ -374,26 +349,11 @@ impl DescHandle {
     /// (its regime 1), dispatched before this path is reached, and the
     /// engine's alias detection guarantees the two words are distinct.
     pub(crate) fn commit_engine(self, g: &Guard) -> DcasResult {
-        let addr = self.desc.as_ptr() as usize;
-        debug_assert_eq!(
-            self.desc().res.load(Ordering::Relaxed),
-            RES_UNDECIDED,
-            "descriptor reuse after publication"
-        );
-        debug_assert!(!self.desc().ptr1.is_null() && !self.desc().ptr2.is_null());
         debug_assert!(
             !std::ptr::eq(self.desc().ptr1, self.desc().ptr2),
             "engine entries are pairwise distinct"
         );
-
-        // Announce for adoption (see `commit`), then publish. One
-        // armed-generation load gates every kill site of this commit.
-        let fg = lfc_runtime::fault::gate();
-        crate::adopt::announce(g.tid(), word::dcas_plain(addr));
-        fg.check_kill("dcas.announced");
-        // Safety: we own the descriptor; `dcas_run_gated` publishes it.
-        let result = unsafe { dcas_run_gated(word::dcas_plain(addr), true, g, fg) };
-        crate::adopt::clear_announce(g.tid());
+        let result = self.publish_and_run(g);
         if let DcasResult::FirstFailed = result {
             // Announcement failed: never published, so Drop recycles the
             // block straight into the pool.
@@ -405,30 +365,71 @@ impl DescHandle {
         result
     }
 
+    /// Announce the operation for adoption, then publish the descriptor
+    /// and run the DCAS as its initiator. The caller disposes of the
+    /// handle: unpublished after `FirstFailed`, published otherwise.
+    fn publish_and_run(&self, g: &Guard) -> DcasResult {
+        let addr = self.desc.as_ptr() as usize;
+        self.debug_check_fresh();
+        // Announce the in-flight operation in the adoption table before
+        // publication: from here until `clear_announce`, a survivor can
+        // complete this DCAS on our behalf if we die
+        // (`crate::adopt_dead_threads`). The kill site models exactly that
+        // death. One armed-generation load covers every kill site this
+        // commit passes (announce, publish, and any helping it triggers).
+        let fg = lfc_runtime::fault::gate();
+        crate::adopt::announce(g.tid(), word::dcas_plain(addr));
+        fg.check_kill("dcas.announced");
+        // Safety: we own the descriptor; `dcas_run_gated` publishes it.
+        let result = unsafe { dcas_run_gated(word::dcas_plain(addr), true, g, fg) };
+        crate::adopt::clear_announce(g.tid());
+        result
+    }
+
+    /// Debug check shared by every commit path, solo fast path included:
+    /// the handle is filled in and has never been published.
+    fn debug_check_fresh(&self) {
+        debug_assert_eq!(
+            self.desc().res.load(Ordering::Relaxed),
+            RES_UNDECIDED,
+            "descriptor reuse after publication"
+        );
+        debug_assert!(!self.desc().ptr1.is_null() && !self.desc().ptr2.is_null());
+    }
+
     /// Retire the (published) descriptor through the hazard domain.
-    ///
-    /// Uses `retire_with`: descriptors carry their allocation era so a
-    /// zombie scan can exonerate ones born after the stall, and — having no
-    /// drop glue — they divert straight into the type-stable pool when a
-    /// zombie pins them.
     fn retire(self) {
-        let birth = self.desc().birth;
-        let p = self.desc.as_ptr() as *mut u8;
+        let p = self.desc.as_ptr();
         std::mem::forget(self);
         // Safety: decided descriptors are unreachable except through stale
         // marked words, whose readers fail hazard validation (module docs).
-        unsafe {
-            lfc_hazard::retire_with(
-                p,
-                reclaim_desc,
-                lfc_hazard::RetireInfo {
-                    bytes: std::mem::size_of::<DcasDesc>(),
-                    birth,
-                    divert: Some(reclaim_desc),
-                },
-            )
-        };
+        unsafe { retire_desc(p) };
     }
+}
+
+/// Hand a (published, decided) descriptor to the hazard domain.
+///
+/// Uses `retire_with`: descriptors carry their allocation era so a zombie
+/// scan can exonerate ones born after the stall, and — having no drop
+/// glue — they divert straight into the type-stable pool when a zombie
+/// pins them.
+///
+/// # Safety
+///
+/// `p` must be a live descriptor, decided, retired exactly once.
+unsafe fn retire_desc(p: *mut DcasDesc) {
+    // Safety: alive per contract, so `birth` is readable; forwarded.
+    unsafe {
+        lfc_hazard::retire_with(
+            p as *mut u8,
+            reclaim_desc,
+            lfc_hazard::RetireInfo {
+                bytes: std::mem::size_of::<DcasDesc>(),
+                birth: (*p).birth,
+                divert: Some(reclaim_desc),
+            },
+        )
+    };
 }
 
 impl Drop for DescHandle {
@@ -801,22 +802,8 @@ pub mod test_support {
     ///
     /// Must be called exactly once, after the DCAS is decided.
     pub unsafe fn retire_announced(desc_word: Word) {
-        let p = word::desc_addr(desc_word) as *mut u8;
-        // Safety: the descriptor is alive (forwarded contract), so its
-        // birth field is readable.
-        let birth = unsafe { (*(p as *const DcasDesc)).birth };
         // Safety: forwarded contract.
-        unsafe {
-            lfc_hazard::retire_with(
-                p,
-                reclaim_desc,
-                lfc_hazard::RetireInfo {
-                    bytes: std::mem::size_of::<DcasDesc>(),
-                    birth,
-                    divert: Some(reclaim_desc),
-                },
-            )
-        };
+        unsafe { retire_desc(word::desc_addr(desc_word) as *mut DcasDesc) };
     }
 
     /// Current `res` state, decoded loosely for assertions.

@@ -4,7 +4,8 @@
 //! The composition engine in `lfc-core` captures up to
 //! [`MAX_ENTRIES`](crate::kcas::MAX_ENTRIES) linearization-point CAS
 //! triples (as [`CasnEntry`] values) and commits them all through
-//! [`commit_entries`]. Three regimes, fastest first:
+//! [`commit_entries`] / [`try_commit_entries`] (one body, the fallible
+//! one; the infallible name wraps it). Three regimes, fastest first:
 //!
 //! 1. **Solo** ([`lfc_runtime::solo`]): the calling thread is the only
 //!    registered thread and the registration handshake keeps it that way,
@@ -30,6 +31,12 @@ use lfc_runtime::solo;
 /// [`CasnResult::FailedAt`] with the first failing index — no word is left
 /// changed.
 ///
+/// The infallible name of [`try_commit_entries`]: a descriptor or RDCSS
+/// allocation failure (genuine exhaustion, or injection at the
+/// `"dcas.desc"`, `"dcas.casn"` and `"dcas.rdcss"` sites) panics —
+/// unwinding, with no word left changed — where the `try_` name returns
+/// `Err`.
+///
 /// # Safety
 ///
 /// Every entry's `ptr` must point to a live `DAtomic` whose allocation the
@@ -41,48 +48,13 @@ use lfc_runtime::solo;
 /// (debug builds re-check distinctness here).
 #[inline]
 pub unsafe fn commit_entries(entries: &[CasnEntry], g: &Guard) -> CasnResult {
-    assert!(
-        (2..=MAX_ENTRIES).contains(&entries.len()),
-        "commit_entries supports 2..={MAX_ENTRIES} entries"
-    );
-    debug_assert!(
-        entries
-            .iter()
-            .enumerate()
-            .all(|(i, e)| entries[..i].iter().all(|p| !std::ptr::eq(p.ptr, e.ptr))),
-        "entry words must be pairwise distinct (engine alias detection)"
-    );
-
-    // Regime 1: solo — no descriptor, no publication, no reclamation work.
-    if let Some(_solo) = solo::try_enter() {
-        return solo_commit(entries);
-    }
-
-    // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
-    if let [first, second] = entries {
-        let mut h = DescHandle::new();
-        h.set_first_from(first);
-        h.set_second_from(second);
-        return match h.commit_engine(g) {
-            DcasResult::Success => CasnResult::Success,
-            DcasResult::FirstFailed => CasnResult::FailedAt(0),
-            DcasResult::SecondFailed => CasnResult::FailedAt(1),
-        };
-    }
-
-    // Regime 3: the general CASN.
-    let mut h = CasnHandle::new();
-    for (i, e) in entries.iter().enumerate() {
-        h.set_entry_from(i, e);
-    }
-    h.commit(g)
+    // Safety: forwarded contract.
+    unsafe { try_commit_entries(entries, g) }.unwrap_or_else(|e| crate::pool::alloc_failed(e))
 }
 
-/// Fallible [`commit_entries`]: descriptor and RDCSS allocation failures
-/// (genuine exhaustion, or injection at the `"dcas.desc"`, `"dcas.casn"`
-/// and `"dcas.rdcss"` sites) surface as `Err` instead of panicking, with
-/// no word left changed. The solo regime allocates nothing and cannot
-/// fail.
+/// The one commit body. Descriptor and RDCSS allocation failures surface
+/// as `Err`, with no word left changed. The solo regime allocates nothing
+/// and cannot fail.
 ///
 /// # Safety
 ///
@@ -104,10 +76,12 @@ pub unsafe fn try_commit_entries(
         "entry words must be pairwise distinct (engine alias detection)"
     );
 
+    // Regime 1: solo — no descriptor, no publication, no reclamation work.
     if let Some(_solo) = solo::try_enter() {
         return Ok(solo_commit(entries));
     }
 
+    // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
     if let [first, second] = entries {
         let mut h = DescHandle::try_new()?;
         h.set_first_from(first);
@@ -119,6 +93,7 @@ pub unsafe fn try_commit_entries(
         });
     }
 
+    // Regime 3: the general CASN.
     let mut h = CasnHandle::try_new()?;
     for (i, e) in entries.iter().enumerate() {
         h.set_entry_from(i, e);

@@ -233,9 +233,9 @@ fn init_casn(block: NonNull<CasnDesc>) {
 
 impl CasnHandle {
     /// Allocate an empty descriptor (per-thread pooled, 512-aligned).
+    /// Panics (unwinds) where [`try_new`](Self::try_new) returns `Err`.
     pub fn new() -> Self {
-        let block = crate::pool::alloc(&CASN_POOL, CASN_LAYOUT, reuse_casn, init_casn);
-        CasnHandle { desc: block }
+        Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
     }
 
     /// Fallible [`new`](Self::new): surfaces allocation failure (injected
@@ -290,29 +290,21 @@ impl CasnHandle {
     /// hold it); the composition engine re-captures into a fresh pooled
     /// handle on retry, so no partial state is handed back.
     ///
-    /// An RDCSS allocation failure mid-install decides the operation
-    /// `FAILED_BASE + i` and reverts (see `casn_execute`); this infallible
-    /// API reports it as an ordinary [`CasnResult::FailedAt`] — callers
-    /// that must distinguish resource exhaustion from a mismatch use
-    /// [`try_commit`](Self::try_commit).
+    /// Panics (unwinds) where [`try_commit`](Self::try_commit) returns
+    /// `Err` — by then the operation is decided, reverted and retired, so
+    /// every target word holds its old raw value.
     pub fn commit(self, g: &Guard) -> CasnResult {
-        self.run(g).0
+        self.try_commit(g)
+            .unwrap_or_else(|e| crate::pool::alloc_failed(e))
     }
 
-    /// [`commit`](Self::commit), surfacing an RDCSS allocation failure
-    /// that decided the operation as `Err` instead of a spurious
-    /// `FailedAt`. Either way the operation is decided and every target
-    /// word holds a raw value on return.
+    /// The commit body. An RDCSS allocation failure mid-install decides
+    /// the operation `FAILED_BASE + i` and reverts (see `casn_execute`);
+    /// it surfaces as `Err` — resource exhaustion, not a mismatch — iff
+    /// this executor's own failure is what decided the operation. Either
+    /// way the operation is decided and every target word holds a raw
+    /// value on return.
     pub fn try_commit(self, g: &Guard) -> Result<CasnResult, lfc_alloc::AllocError> {
-        match self.run(g) {
-            (_, true) => Err(lfc_alloc::AllocError),
-            (r, false) => Ok(r),
-        }
-    }
-
-    /// Shared commit body. The second return is true iff this executor's
-    /// own allocation failure is what decided the operation.
-    fn run(self, g: &Guard) -> (CasnResult, bool) {
         let addr = self.desc.as_ptr() as usize;
         let d = self.desc();
         debug_assert!(d.count >= 2, "a CASN of fewer than 2 words is a CAS");
@@ -328,12 +320,9 @@ impl CasnHandle {
         let out = casn_execute(d, cw, g, true);
         crate::adopt::clear_announce(g.tid());
         self.retire();
-        match out {
-            Ok(r) => (r, false),
-            // Owner alloc failure at entry `i`, decided FAILED_BASE + i
-            // and fully reverted by phase 2.
-            Err(i) => (CasnResult::FailedAt(i), true),
-        }
+        // `Err(i)`: owner alloc failure at entry `i`, decided
+        // FAILED_BASE + i and fully reverted by phase 2.
+        out.map_err(|_| lfc_alloc::AllocError)
     }
 
     fn retire(self) {

@@ -58,25 +58,8 @@ fn with_pool<T: 'static, R>(
 
 /// Allocate a descriptor block: pool hit (handed to `reuse` to reset the
 /// fields publication cares about), or a fresh block initialized by `init`.
-pub(crate) fn alloc<T: 'static>(
-    key: &'static LocalKey<PoolCell<T>>,
-    layout: Layout,
-    reuse: impl FnOnce(NonNull<T>),
-    init: impl FnOnce(NonNull<T>),
-) -> NonNull<T> {
-    if !thread_is_exiting() {
-        if let Some(d) = with_pool(key, layout, |pool| pool.free.pop()) {
-            reuse(d);
-            return d;
-        }
-    }
-    let block = lfc_alloc::alloc_block(layout).cast::<T>();
-    init(block);
-    block
-}
-
-/// Fallible [`alloc`]: a pool hit never fails; the fresh-block fallthrough
-/// surfaces `lfc-alloc`'s `AllocError` instead of panicking.
+/// A pool hit never fails; the fresh-block fallthrough surfaces
+/// `lfc-alloc`'s `AllocError`.
 pub(crate) fn try_alloc<T: 'static>(
     key: &'static LocalKey<PoolCell<T>>,
     layout: Layout,
@@ -92,6 +75,16 @@ pub(crate) fn try_alloc<T: 'static>(
     let block = lfc_alloc::try_alloc_block(layout)?.cast::<T>();
     init(block);
     Ok(block)
+}
+
+/// Where every infallible name in this crate (`DescHandle::new`,
+/// `CasnHandle::new`, `CasnHandle::commit`, `commit_entries`) routes the
+/// `Err` of its `try_` twin. Panics — unwinds, exactly as
+/// `lfc_alloc::alloc_block` does; it does **not** abort — so a caller under
+/// `catch_unwind` keeps the global state helpable.
+#[cold]
+pub(crate) fn alloc_failed(e: lfc_alloc::AllocError) -> ! {
+    panic!("lfc-dcas: descriptor allocation failed ({e})")
 }
 
 /// Return an unreachable descriptor block to the pool (or the backing

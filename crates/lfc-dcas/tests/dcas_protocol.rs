@@ -349,13 +349,3 @@ fn descriptors_do_not_leak() {
         lfc_hazard::pending_retired()
     );
 }
-
-#[test]
-fn dropped_unpublished_handle_is_freed() {
-    let before = lfc_alloc::outstanding();
-    for _ in 0..100 {
-        let h = DescHandle::new();
-        drop(h);
-    }
-    assert!(lfc_alloc::outstanding() <= before + 1);
-}

@@ -1,5 +1,6 @@
 //! Deterministic coverage of the unified k-entry commit
-//! (`lfc_dcas::engine::commit_entries`) across its three regimes.
+//! (`lfc_dcas::engine::try_commit_entries` and its infallible name
+//! `commit_entries`) across its three regimes.
 //!
 //! This file intentionally holds **one** test function: integration tests
 //! in one binary run on a thread pool, and a sibling test's `pin()` would
@@ -9,8 +10,11 @@
 //! dispatches — all asserted against the same all-or-nothing contract.
 
 use lfc_dcas::kcas::counters as kcounters;
-use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, MAX_ENTRIES};
-use lfc_hazard::pin;
+use lfc_dcas::{
+    commit_entries, counters as dcounters, try_commit_entries, CasnEntry, CasnResult, DAtomic,
+    MAX_ENTRIES,
+};
+use lfc_hazard::{pin, Guard};
 
 fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
     CasnEntry {
@@ -21,22 +25,36 @@ fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
     }
 }
 
-fn commit(entries: &[CasnEntry], g: &lfc_hazard::Guard) -> CasnResult {
+fn commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
     // Safety: every entry in this file is built by `entry` from a `&DAtomic`
     // that outlives the call, over pairwise-distinct words.
     unsafe { commit_entries(entries, g) }
 }
 
-#[test]
-fn unified_commit_covers_solo_dcas_and_casn_regimes() {
-    let g = pin();
-    assert_eq!(
-        lfc_runtime::active_threads(),
-        1,
-        "this binary must contain exactly this one test"
-    );
+fn try_commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
+    // Safety: as `commit`.
+    unsafe { try_commit_entries(entries, g) }.expect("nothing is armed")
+}
 
-    // --- Phase 1: solo regime, every supported width. ---
+/// Descriptor allocations so far, per pool (hits + misses: which of the two
+/// an allocation was depends on what the hazard domain has handed back).
+fn pool_allocs() -> [usize; 3] {
+    [
+        dcounters::desc_pool_hits() + dcounters::desc_pool_misses(),
+        kcounters::casn_pool_hits() + kcounters::casn_pool_misses(),
+        kcounters::rdcss_pool_hits() + kcounters::rdcss_pool_misses(),
+    ]
+}
+
+/// Every supported width through `name`: one all-match commit and one
+/// last-entry mismatch per width, each checked against the all-or-nothing
+/// contract. Returns the results and the per-pool allocation deltas.
+fn sweep_widths(
+    name: fn(&[CasnEntry], &Guard) -> CasnResult,
+    g: &Guard,
+) -> (Vec<CasnResult>, [usize; 3]) {
+    let before = pool_allocs();
+    let mut results = Vec::new();
     for k in 2..=MAX_ENTRIES {
         let words: Vec<DAtomic> = (0..k).map(|i| DAtomic::new(i * 8)).collect();
         let ok: Vec<CasnEntry> = words
@@ -44,9 +62,9 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
             .enumerate()
             .map(|(i, w)| entry(w, i * 8, i * 8 + 8))
             .collect();
-        assert_eq!(commit(&ok, &g), CasnResult::Success);
+        results.push(name(&ok, g));
         for (i, w) in words.iter().enumerate() {
-            assert_eq!(w.read(&g), i * 8 + 8, "k={k}: every word swung");
+            assert_eq!(w.read(g), i * 8 + 8, "k={k}: every word swung");
         }
 
         // Last-entry mismatch: the whole prefix must be rolled back and the
@@ -62,47 +80,75 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
                 }
             })
             .collect();
-        assert_eq!(commit(&bad, &g), CasnResult::FailedAt(k - 1));
+        results.push(name(&bad, g));
         for (i, w) in words.iter().enumerate() {
-            assert_eq!(w.read(&g), i * 8 + 8, "k={k}: nothing left changed");
+            assert_eq!(w.read(g), i * 8 + 8, "k={k}: nothing left changed");
         }
     }
-    // Solo commits build no descriptors at all.
+    let after = pool_allocs();
+    (results, std::array::from_fn(|i| after[i] - before[i]))
+}
+
+fn expected_results() -> Vec<CasnResult> {
+    (2..=MAX_ENTRIES)
+        .flat_map(|k| [CasnResult::Success, CasnResult::FailedAt(k - 1)])
+        .collect()
+}
+
+#[test]
+fn unified_commit_covers_solo_dcas_and_casn_regimes() {
+    let g = pin();
     assert_eq!(
-        kcounters::casn_pool_hits() + kcounters::casn_pool_misses(),
-        0,
-        "the solo regime must never allocate a CASN descriptor"
+        lfc_runtime::active_threads(),
+        1,
+        "this binary must contain exactly this one test"
     );
 
-    // --- Phase 2: a second registered thread forces the published paths. ---
-    let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-    let blocker = std::thread::spawn(move || {
-        let _g = pin();
-        ready_tx.send(()).unwrap();
-        stop_rx.recv().ok();
-    });
-    ready_rx.recv().unwrap();
-    assert!(lfc_runtime::active_threads() > 1, "solo regime disabled");
+    // --- Phase 1: solo regime, every supported width, both names. ---
+    // Solo commits build no descriptors at all.
+    for name in [commit, try_commit] {
+        let (results, allocs) = sweep_widths(name, &g);
+        assert_eq!(results, expected_results());
+        assert_eq!(allocs, [0; 3], "the solo regime allocates no descriptor");
+    }
+
+    // --- Phase 2: a registered peer forces the published paths. ---
+    lfc_runtime::fault::with_registered_peer(|| published_phase(&g));
+}
+
+fn published_phase(g: &Guard) {
+    // Every width through both names again: K=2 takes one DCAS descriptor
+    // per commit, K>2 one CASN descriptor plus one RDCSS descriptor per
+    // install attempt — the same for the infallible name and its `try_`
+    // twin, because they are one body.
+    let (results, allocs) = sweep_widths(commit, g);
+    let (try_results, try_allocs) = sweep_widths(try_commit, g);
+    assert_eq!(results, expected_results());
+    assert_eq!(try_results, results);
+    assert_eq!(try_allocs, allocs, "[desc, casn, rdcss] allocations");
+    let wide = MAX_ENTRIES - 2; // widths that dispatch to CASN
+    assert_eq!(allocs[0], 2, "one DCAS descriptor per K=2 commit");
+    assert_eq!(allocs[1], 2 * wide, "one CASN descriptor per K>2 commit");
+    assert!(allocs[2] >= 2 * wide * 3, "RDCSS installs ran");
 
     // K=2 dispatch: the paper's DCAS protocol, with the failing index
     // translated from FIRSTFAILED/SECONDFAILED.
     let a = DAtomic::new(0);
     let b = DAtomic::new(8);
     assert_eq!(
-        commit(&[entry(&a, 0, 16), entry(&b, 8, 24)], &g),
+        commit(&[entry(&a, 0, 16), entry(&b, 8, 24)], g),
         CasnResult::Success
     );
-    assert_eq!((a.read(&g), b.read(&g)), (16, 24));
+    assert_eq!((a.read(g), b.read(g)), (16, 24));
     assert_eq!(
-        commit(&[entry(&a, 0xBAD0, 1 << 4), entry(&b, 24, 32)], &g),
+        commit(&[entry(&a, 0xBAD0, 1 << 4), entry(&b, 24, 32)], g),
         CasnResult::FailedAt(0)
     );
     assert_eq!(
-        commit(&[entry(&a, 16, 32), entry(&b, 0xBAD0, 1 << 4)], &g),
+        commit(&[entry(&a, 16, 32), entry(&b, 0xBAD0, 1 << 4)], g),
         CasnResult::FailedAt(1)
     );
-    assert_eq!((a.read(&g), b.read(&g)), (16, 24), "nothing left changed");
+    assert_eq!((a.read(g), b.read(g)), (16, 24), "nothing left changed");
 
     // K=3 dispatch: the CASN protocol, now pooled — steady-state commits
     // must recycle descriptors instead of falling through to `lfc-alloc`.
@@ -114,7 +160,7 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
             .enumerate()
             .map(|(i, w)| entry(w, i * 8 + round * 8, i * 8 + round * 8 + 8))
             .collect();
-        assert_eq!(commit(&es, &g), CasnResult::Success);
+        assert_eq!(commit(&es, g), CasnResult::Success);
         // Retired descriptors come back through the hazard domain; a flush
         // per iteration makes the recycling deterministic for the assert.
         lfc_hazard::flush();
@@ -130,7 +176,4 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
         misses <= 16,
         "steady-state misses must be bounded by the warmup burst, got {misses}"
     );
-
-    stop_tx.send(()).unwrap();
-    blocker.join().unwrap();
 }

@@ -14,12 +14,19 @@
 
 use lfc_hazard::{bank_is_clear, pin, pin_op, slot};
 use lfc_runtime::{registered_high_water, tid_is_claimed, MAX_THREADS};
+use std::sync::{Mutex, PoisonError};
+
+/// Both tests read other threads' banks by tid while the tid registry is
+/// process-global: a thread of the *other* test claiming a just-released
+/// id between two reads looks exactly like a dirty bank. Serialize them.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Thousands of short-lived threads, each leaving hazards and a pinned
 /// epoch behind at exit: the id space must stay bounded and every released
 /// id's bank must come back clear.
 #[test]
 fn churned_threads_release_clean_banks() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const ROUNDS: usize = 500;
     const PAR: usize = 8;
     let mut seen = std::collections::HashSet::new();
@@ -38,11 +45,17 @@ fn churned_threads_release_clean_banks() {
                 })
             })
             .collect();
-        for h in handles {
-            let tid = h.join().expect("churn thread");
+        // Join the whole round before looking at any bank: a sibling still
+        // starting up could claim a released id between the claimed-check
+        // and the bank read and publish its own hazards there.
+        let tids: Vec<u16> = handles
+            .into_iter()
+            .map(|h| h.join().expect("churn thread"))
+            .collect();
+        for tid in tids {
             // Joining a thread orders its TLS destructors before us: the
             // finalizer must already have scrubbed the bank and the id must
-            // be claimable again (unless a concurrent sibling grabbed it).
+            // be claimable again.
             seen.insert(tid);
             if !tid_is_claimed(tid) {
                 assert!(
@@ -69,6 +82,7 @@ fn churned_threads_release_clean_banks() {
 /// previous owner exited mid-"operation" (hazards set, epoch pinned).
 #[test]
 fn reused_tid_starts_pristine() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for _ in 0..64 {
         let dirty_tid = std::thread::spawn(|| {
             let g = pin();

@@ -10,33 +10,13 @@
 use lfc_ledger::{HealthCfg, Ledger, LedgerCfg, LedgerError, ServiceState, SettleOutcome};
 use lfc_runtime::fault;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Commit descriptors are only allocated outside the solo regime: keep a
-/// second registered thread alive around `f` so the multi-thread protocol
-/// (and with it the fallible allocation paths) actually runs. Same idiom
-/// as `tests/oom_graceful.rs`.
-fn with_peer<R>(f: impl FnOnce() -> R) -> R {
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|sc| {
-        sc.spawn(|| {
-            fault::shield_thread(true);
-            let _g = lfc_hazard::pin();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        let _stop_guard = StopOnDrop(&stop);
-        f()
-    })
+/// Poison-tolerant: one failing test reports as one failure, not two.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn tiny_cfg() -> LedgerCfg {
@@ -59,7 +39,7 @@ fn tiny_cfg() -> LedgerCfg {
 
 #[test]
 fn injected_oom_walks_the_ladder_and_the_service_heals() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     fault::disarm();
     let l = Ledger::new(tiny_cfg());
     let a = l.open(10).unwrap();
@@ -68,9 +48,10 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
 
     // Starve the commit engine's descriptor allocation: every composed
     // settle now fails its whole retry budget and reports Overloaded —
-    // never blocks, never panics. (The peer defeats the solo-regime fast
-    // path, which allocates no descriptor and could not fail.)
-    with_peer(|| {
+    // never blocks, never panics. (The registered peer defeats the
+    // solo-regime fast path, which allocates no descriptor and could not
+    // fail.)
+    fault::with_registered_peer(|| {
         // A 4-entry swap commit allocates a CASN descriptor; 2-entry
         // commits a DCAS one. Starve both.
         fault::arm_site("dcas.desc", fault::Schedule::Always);
@@ -78,6 +59,10 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
         for _ in 0..3 {
             assert_eq!(l.settle(0, 1), Err(LedgerError::Overloaded));
         }
+        assert!(
+            fault::fired_total() >= 9,
+            "every retry of every settle was refused by injection"
+        );
         fault::disarm();
     });
 
@@ -116,7 +101,7 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
 
 #[test]
 fn killed_workers_are_adopted_and_every_sweep_conserves() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     fault::install_quiet_abandon_hook();
     fault::disarm();
     fault::shield_thread(true);

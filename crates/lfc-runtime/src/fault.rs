@@ -185,6 +185,45 @@ pub fn shield_thread(on: bool) {
     let _ = SHIELDED.try_with(|c| c.set(on));
 }
 
+/// Run `f` with a second *registered* thread alive, so the calling thread
+/// is provably outside the solo regime ([`crate::solo`]) for the whole of
+/// `f`: commit descriptors are only allocated there, so an armed
+/// descriptor site (`dcas.desc`, `dcas.casn`, `dcas.rdcss`) can only fire
+/// — and a test arming one can only be non-vacuous — with a peer present.
+///
+/// The peer shields itself (it never trips an armed site), claims a thread
+/// id, raises a ready flag and parks; the caller registers too, then waits
+/// for the flag **and** `active_threads() >= 2` before running `f`. The
+/// peer is released from a drop guard: if `f` panics, `thread::scope`
+/// joins the peer *before* resuming the unwind, which would deadlock
+/// against a plain store placed after `f()`.
+pub fn with_registered_peer<R>(f: impl FnOnce() -> R) -> R {
+    struct StopOnDrop<'a>(&'a AtomicBool, std::thread::Thread);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+            self.1.unpark();
+        }
+    }
+    let (ready, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|sc| {
+        let peer = sc.spawn(|| {
+            shield_thread(true);
+            crate::tid::current_tid();
+            ready.store(true, Ordering::Release);
+            while !stop.load(Ordering::Acquire) {
+                std::thread::park();
+            }
+        });
+        let _stop_guard = StopOnDrop(&stop, peer.thread().clone());
+        crate::tid::current_tid();
+        while !(ready.load(Ordering::Acquire) && crate::tid::active_threads() >= 2) {
+            std::thread::yield_now();
+        }
+        f()
+    })
+}
+
 fn is_shielded() -> bool {
     // Threads whose TLS is gone are mid-exit: never fault them.
     SHIELDED.try_with(|c| c.get()).unwrap_or(true)
@@ -828,6 +867,18 @@ mod tests {
         shield_thread(false);
         assert!(check("any.site"));
         disarm();
+    }
+
+    #[test]
+    fn registered_peer_defeats_the_solo_regime_and_survives_a_panic() {
+        with_registered_peer(|| {
+            assert!(crate::tid::active_threads() >= 2);
+            assert!(crate::solo::try_enter().is_none());
+        });
+        // A panicking body must still release the peer (no deadlock at the
+        // scope's join) and propagate.
+        let r = std::panic::catch_unwind(|| with_registered_peer(|| panic!("body failed")));
+        assert!(r.is_err());
     }
 
     #[test]

@@ -295,11 +295,20 @@ struct MapHeader {
     /// written only on growth.
     size: CachePadded<AtomicUsize>,
     /// Approximate live-item count driving the growth heuristic. Padded:
-    /// bumped by every successful insert/remove.
+    /// bumped by every successful insert/remove. Two's-complement signed:
+    /// an insert's increment runs *after* its commit, so a racing remove of
+    /// the same key can decrement first and take the raw word to −1 —
+    /// always read it through [`live_items`].
     items: CachePadded<AtomicUsize>,
     /// Segment pointers (`*mut AtomicUsize` as usize; 0 = unallocated).
     /// Written once per segment with a CAS; read-mostly thereafter.
     dir: [AtomicUsize; DIR_SLOTS],
+}
+
+/// The item counter's raw word as a count: transiently negative values
+/// (see `MapHeader::items`) clamp to 0.
+fn live_items(raw: usize) -> usize {
+    (raw as isize).max(0) as usize
 }
 
 fn alloc_map_header(init: usize) -> std::ptr::NonNull<MapHeader> {
@@ -708,7 +717,12 @@ where
         // Relaxed (audited): the counter is a heuristic; the split-order
         // invariants hold at every size, so a missed or doubled increment
         // only shifts *when* growth happens.
-        let items = self.hdr().items.fetch_add(1, Ordering::Relaxed) + 1;
+        let items = live_items(
+            self.hdr()
+                .items
+                .fetch_add(1, Ordering::Relaxed)
+                .wrapping_add(1),
+        );
         let size = self.hdr().size.load(Ordering::Relaxed);
         if items > size << GROW_SHIFT && size < self.max_size {
             // Degrade under memory pressure (`map.grow` fault site): skip
@@ -767,7 +781,7 @@ where
     pub fn grow_bound(&self) -> usize {
         // Relaxed (audited): a racy item count only shifts the clamp by a
         // doubling; the directory-memory bound is asymptotic, not exact.
-        let items = self.hdr().items.load(Ordering::Relaxed);
+        let items = live_items(self.hdr().items.load(Ordering::Relaxed));
         (items + 1)
             .next_power_of_two()
             .checked_shl(GROW_SHIFT as u32 + 1)
@@ -1119,6 +1133,20 @@ mod tests {
                 assert_ne!(family[i], family[j], "keys {i} and {j} collide");
             }
         }
+    }
+
+    #[test]
+    fn item_counter_survives_the_transient_minus_one() {
+        // An insert bumps the counter *after* its commit, so a racing
+        // composed remove of the same key can decrement first: the raw word
+        // reads −1 when the inserter arrives. Drive it there by hand.
+        let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(2);
+        m.hdr().items.fetch_sub(1, Ordering::Relaxed);
+        assert_eq!(m.grow_bound(), 4, "a negative count clamps to zero items");
+        assert!(m.insert(1, 10), "the late increment must not overflow");
+        assert_eq!(m.hdr().items.load(Ordering::Relaxed), 0);
+        assert_eq!(m.capacity(), 2, "−1 is not a huge item count: no growth");
+        assert_eq!(m.get(&1), Some(10));
     }
 
     #[test]

@@ -311,30 +311,3 @@ fn movers_race_direct_consumers_for_exactly_once_delivery() {
     assert!(q.is_empty());
     assert!(s.is_empty());
 }
-
-#[test]
-fn structures_do_not_leak_blocks() {
-    let before = lfc_alloc::outstanding();
-    {
-        let q: MsQueue<u64> = MsQueue::new();
-        let s: TreiberStack<u64> = TreiberStack::new();
-        for i in 0..2_000 {
-            q.enqueue(i);
-            s.push(i);
-        }
-        for _ in 0..500 {
-            let _ = move_one(&q, &s);
-            let _ = move_one(&s, &q);
-        }
-        while q.dequeue().is_some() {}
-        while s.pop().is_some() {}
-    }
-    lfc_hazard::flush();
-    let after = lfc_alloc::outstanding();
-    // Everything except a bounded number of still-hazarded stragglers must
-    // be back in the pool.
-    assert!(
-        after <= before + 64,
-        "outstanding blocks grew {before} -> {after}"
-    );
-}

@@ -68,7 +68,8 @@ pub mod fault {
     pub use lfc_runtime::fault::{
         abandon, abandoned_total, abandonment_scope, adopted_total, arm_all, arm_script, arm_site,
         corpse_count, corpses, counters, disarm, disarm_site, fired_total,
-        install_quiet_abandon_hook, is_corpse, shield_thread, thread_is_abandoning, Schedule,
+        install_quiet_abandon_hook, is_corpse, shield_thread, thread_is_abandoning,
+        with_registered_peer, Schedule,
     };
 }
 

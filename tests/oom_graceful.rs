@@ -10,51 +10,29 @@
 //! `map.grow` / `map.segment` / `map.dummy` (directory growth degrade),
 //! and the allocator-level `alloc.block` beneath them all.
 
-use lockfree_compose::batch::decode_move;
-use lockfree_compose::fault::{arm_site, disarm, fired_total, Schedule};
+use lockfree_compose::batch::{decode_move, decode_swap};
+use lockfree_compose::fault::{arm_site, disarm, fired_total, with_registered_peer, Schedule};
 use lockfree_compose::{
     move_one, try_move_keyed, try_move_one, try_move_to_all, try_swap, BatchGate, LfHashMap,
-    MoveOneOp, MoveOutcome, MsQueue, TreiberStack,
+    MoveOneOp, MoveOutcome, MsQueue, SwapOp, SwapOutcome, TreiberStack,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The fault registry is process-global; serialize the tests sharing it.
+/// Poison-tolerant, so one failing test reports as one failure instead of
+/// cascading `PoisonError`s through the rest of the binary. Every test
+/// starts from a disarmed registry.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Commit descriptors are only allocated outside the solo regime: keep a
-/// second registered thread alive around `f` so the multi-thread protocol
-/// (and with it the fallible allocation paths) actually runs.
-fn with_peer<R>(f: impl FnOnce() -> R) -> R {
-    // Stop the peer from a drop guard: if `f` panics, `thread::scope`
-    // joins the peer *before* resuming the unwind, which would deadlock
-    // against a plain store placed after `f()`.
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|sc| {
-        sc.spawn(|| {
-            // Shielded peer: registers a tid (defeating the solo regime)
-            // without tripping any armed site itself.
-            lockfree_compose::fault::shield_thread(true);
-            let _g = lockfree_compose::hazard::pin();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        let _stop_guard = StopOnDrop(&stop);
-        f()
-    })
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    disarm();
+    guard
 }
 
 #[test]
 fn composition_try_ops_surface_alloc_errors() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let q: MsQueue<u64> = MsQueue::new();
     let q2: MsQueue<u64> = MsQueue::new();
     let s: TreiberStack<u64> = TreiberStack::new();
@@ -68,7 +46,7 @@ fn composition_try_ops_surface_alloc_errors() {
     q2.enqueue(2);
     m.insert(7, 70);
 
-    with_peer(|| {
+    with_registered_peer(|| {
         let before = fired_total();
         arm_site("dcas.desc", Schedule::Always);
         arm_site("dcas.casn", Schedule::Always);
@@ -99,22 +77,23 @@ fn composition_try_ops_surface_alloc_errors() {
 
 #[test]
 fn rdcss_exhaustion_fails_casn_commits_gracefully() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let q: MsQueue<u64> = MsQueue::new();
     let a: TreiberStack<u64> = TreiberStack::new();
     let b: TreiberStack<u64> = TreiberStack::new();
     q.enqueue(5);
 
-    with_peer(|| {
+    with_registered_peer(|| {
         // The CASN descriptor itself allocates, but every entry install
         // also needs an RDCSS descriptor: starve only those. Nth (not
         // Always) keeps concurrent best-effort helpers from livelocking
         // the owner's read loop — the documented schedule for this site.
         arm_site("dcas.rdcss", Schedule::Nth(1));
         let r = try_move_to_all(&q, &[&a, &b]);
+        let fired = fired_total();
         disarm();
         assert!(r.is_err(), "owner's first RDCSS allocation failed");
+        assert_eq!(fired, 1, "the Err came from the injection");
         assert_eq!(
             q.dequeue(),
             Some(5),
@@ -126,8 +105,7 @@ fn rdcss_exhaustion_fails_casn_commits_gracefully() {
 
 #[test]
 fn structure_try_ops_hand_the_element_back() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let q: MsQueue<String> = MsQueue::new();
     let s: TreiberStack<String> = TreiberStack::new();
     let m: LfHashMap<u64, String> = LfHashMap::new();
@@ -139,6 +117,7 @@ fn structure_try_ops_hand_the_element_back() {
     assert_eq!(v, "queue");
     let ((k, v), _) = m.try_insert(3, "map".into()).expect_err("node starved");
     assert_eq!((k, v.as_str()), (3, "map"));
+    assert!(fired_total() >= 3, "every Err came from an injection");
     disarm();
 
     assert!(s.try_push("stack".into()).is_ok());
@@ -151,13 +130,13 @@ fn structure_try_ops_hand_the_element_back() {
 
 #[test]
 fn constructors_and_gate_fail_fallibly() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     arm_site("structures.header", Schedule::Always);
     arm_site("batch.gate", Schedule::Always);
     assert!(TreiberStack::<u64>::try_new().is_err());
     assert!(MsQueue::<u64>::try_new().is_err());
     assert!(BatchGate::<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>>::try_new().is_err());
+    assert!(fired_total() >= 3, "every Err came from an injection");
     disarm();
     assert!(TreiberStack::<u64>::try_new().is_ok());
     assert!(MsQueue::<u64>::try_new().is_ok());
@@ -165,8 +144,7 @@ fn constructors_and_gate_fail_fallibly() {
 
 #[test]
 fn batch_submit_degrades_to_direct_execution_without_nodes() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let q: MsQueue<u64> = MsQueue::new();
     let s: TreiberStack<u64> = TreiberStack::new();
     q.enqueue(9);
@@ -178,15 +156,71 @@ fn batch_submit_degrades_to_direct_execution_without_nodes() {
         BatchGate::always_batched();
     arm_site("batch.node", Schedule::Always);
     let w = gate.submit(MoveOneOp::new(&q, &s));
+    let fired = fired_total();
     disarm();
+    assert!(fired >= 1, "the node allocation was actually refused");
     assert_eq!(decode_move(w), MoveOutcome::Moved);
     assert_eq!(s.pop(), Some(9));
 }
 
 #[test]
+fn batched_submits_ride_out_descriptor_refusals() {
+    let _serial = serial();
+    const TOKENS: u64 = 6;
+    let a: MsQueue<u64> = MsQueue::new();
+    let b: MsQueue<u64> = MsQueue::new();
+    for t in 0..TOKENS {
+        a.enqueue(t);
+        b.enqueue(100 + t);
+    }
+    let moves: BatchGate<MoveOneOp<u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::always_batched();
+    let swaps: BatchGate<SwapOp<u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::always_batched();
+
+    // Outside the solo regime every claim DCAS, every flagged commit and
+    // every self-executed request needs a descriptor, and every second
+    // allocation of each kind is refused. The gate must stay panic-free —
+    // a refused claim ends the helping step, a refused flagged commit is a
+    // lost round with the flag still pending — and still return each
+    // request's real outcome.
+    with_registered_peer(|| {
+        arm_site("dcas.desc", Schedule::EveryNth(2));
+        arm_site("dcas.casn", Schedule::EveryNth(2));
+        for left in (0..TOKENS).rev() {
+            let w = moves.submit(MoveOneOp::new(&a, &b));
+            assert_eq!(decode_move(w), MoveOutcome::Moved);
+            // The last move drains `a`: the swap then resolves by the
+            // plain finalize CAS instead of a commit.
+            let w = swaps.submit(SwapOp::new(&a, &b));
+            let expect = if left > 0 {
+                SwapOutcome::Swapped
+            } else {
+                SwapOutcome::FirstEmpty
+            };
+            assert_eq!(decode_swap(w), expect);
+        }
+        let w = moves.submit(MoveOneOp::new(&a, &b));
+        assert_eq!(decode_move(w), MoveOutcome::SourceEmpty, "a is drained");
+        let fired = fired_total();
+        disarm();
+        assert!(fired > 0, "descriptor allocations were actually refused");
+    });
+
+    // Swaps preserve both populations' sizes and each move shifts one
+    // token a → b: nothing was created, destroyed or duplicated by a
+    // refused round.
+    let mut seen = Vec::new();
+    while let Some(v) = b.dequeue() {
+        seen.push(v);
+    }
+    assert!(a.dequeue().is_none());
+    seen.sort_unstable();
+    let expect: Vec<u64> = (0..TOKENS).chain(100..100 + TOKENS).collect();
+    assert_eq!(seen, expect, "every token exactly once");
+}
+
+#[test]
 fn map_degrades_to_no_resize_under_pressure() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(2);
 
     // Growth starved at every layer: the doubling CAS, the directory
@@ -199,6 +233,7 @@ fn map_degrades_to_no_resize_under_pressure() {
         assert!(m.insert(k, !k), "insert {k} under growth pressure");
     }
     assert_eq!(m.capacity(), 2, "no doubling happened under pressure");
+    assert!(fired_total() > 0, "growth was refused by injection");
     for k in 0..500u64 {
         assert_eq!(m.get(&k), Some(!k));
     }
@@ -218,8 +253,7 @@ fn map_degrades_to_no_resize_under_pressure() {
 
 #[test]
 fn allocator_level_failures_stay_fallible() {
-    let _serial = SERIAL.lock().unwrap();
-    disarm();
+    let _serial = serial();
     let s: TreiberStack<u64> = TreiberStack::new();
     let q: MsQueue<u64> = MsQueue::new();
     q.enqueue(2);
@@ -228,10 +262,11 @@ fn allocator_level_failures_stay_fallible() {
     // try_ paths must propagate it as the same AllocError.
     arm_site("alloc.block", Schedule::Always);
     assert!(s.try_push(1).is_err());
+    assert!(fired_total() >= 1, "the Err came from the injection");
     disarm();
     assert!(s.try_push(1).is_ok());
 
-    // And the infallible API never noticed any of this.
+    // Disarmed, the infallible API is the same path minus the `Err`.
     assert_eq!(move_one(&q, &s), MoveOutcome::Moved);
     assert_eq!(s.pop(), Some(2));
 }

@@ -13,14 +13,20 @@
 //! *between descriptor publication and decision* are the abandonment
 //! subsystem's territory (`lfc_runtime::fault`) and are covered by the
 //! crash-adversary and model-kill suites.
+//!
+//! The other panic source is the infallible API itself: every infallible
+//! composed name is its `try_` twin with `Err(AllocError)` routed to a
+//! panic, so a refused commit descriptor unwinds out of `move_one` —
+//! before publication, with nothing changed.
 
+use lockfree_compose::fault::{arm_site, disarm, fired_total, with_registered_peer, Schedule};
 use lockfree_compose::{move_one, Composition, LfHashMap, MoveOutcome, MsQueue, TreiberStack};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: they share the panic-arming
-/// statics below.
+/// statics below and the process-global fault registry.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -68,6 +74,42 @@ fn unwind_mid_move_leaves_both_objects_usable() {
     let mut all: Vec<u64> = std::iter::from_fn(|| s.pop().map(|b| b.0)).collect();
     all.sort_unstable();
     assert_eq!(all, (0..N).collect::<Vec<u64>>());
+}
+
+#[test]
+fn refused_descriptor_unwinds_the_infallible_move_cleanly() {
+    let _serial = SERIAL.lock().unwrap();
+    disarm();
+    let q: MsQueue<u64> = MsQueue::new();
+    let s: TreiberStack<u64> = TreiberStack::new();
+    q.enqueue(7);
+
+    // Outside the solo regime (which allocates no descriptor) the K=2
+    // commit passes the `dcas.desc` site — through `move_one` exactly as
+    // through `try_move_one`.
+    with_registered_peer(|| {
+        arm_site("dcas.desc", Schedule::Always);
+        let r = catch_unwind(AssertUnwindSafe(|| move_one(&q, &s)));
+        let fired = fired_total();
+        disarm();
+        assert!(
+            r.is_err(),
+            "a refused descriptor panics the infallible name"
+        );
+        assert!(fired >= 1, "the panic came from the injection");
+
+        // The refusal precedes publication: both objects are untouched and
+        // the unwound engine released every protection it had promoted.
+        assert!(s.is_empty());
+        let tid = lockfree_compose::hazard::pin().tid();
+        assert!(lockfree_compose::hazard::bank_is_clear(tid));
+
+        // Disarmed, the very same call succeeds (still on the published
+        // path: the peer is registered).
+        assert_eq!(move_one(&q, &s), MoveOutcome::Moved);
+        assert_eq!(s.pop(), Some(7));
+        assert_eq!(move_one(&q, &s), MoveOutcome::SourceEmpty);
+    });
 }
 
 #[test]
