@@ -248,6 +248,35 @@ impl Engine {
         }
     }
 
+    /// Stage `idx` met a permanent obstacle of its own: its target rejected
+    /// the element, or (an inner remove) its source was empty. The verdict
+    /// claims an instant at which that obstacle coexisted with every
+    /// shallower capture, so it only stands while each shallower captured
+    /// word still holds its `old`. A rival that changed one since its
+    /// capture (say, moved the same key source → target) may be the very
+    /// reason the obstacle is there, and then no such instant exists. So
+    /// re-read them: all current, and the verdict stands; otherwise the
+    /// first stale stage redoes its init phase, exactly as if the commit
+    /// had failed at that entry. That retry goes through [`Self::resolve`]
+    /// and so spends one `fail_budget` unit on a budgeted direct attempt,
+    /// like any commit failure.
+    fn observe_dead(&mut self, idx: usize, dead: Dead) {
+        let stale = self.entries[..idx].iter().position(|e| {
+            // Safety: captured this attempt, so the ENTRY* promotion made in
+            // `capture` still keeps the word's allocation alive.
+            unsafe { &*e.ptr }.load_word() != e.old
+        });
+        match stale {
+            Some(k) => {
+                self.no_commit = false;
+                self.retry_at = Some(k);
+            }
+            // A standing verdict ends the composition: every shallower
+            // stage now aborts, so this is the only verdict recorded.
+            None => self.dead = Some(dead),
+        }
+    }
+
     /// Translate a stage's "deeper" verdict into the `scas` result for the
     /// operation owning entry `idx` — the single copy of the
     /// FIRSTFAILED/SECONDFAILED generalization.
@@ -333,6 +362,9 @@ struct StageInsertCtx<'a, F> {
     eng: &'a mut Engine,
     idx: usize,
     cont: F,
+    /// `scas` told the insert to abort, so a `Rejected` outcome relays a
+    /// deeper stage's verdict (or an alias) instead of the target's own.
+    aborted: bool,
 }
 
 impl<F> InsertCtx for StageInsertCtx<'_, F>
@@ -340,24 +372,40 @@ where
     F: FnMut(&mut Engine) -> bool,
 {
     fn scas(&mut self, lp: LinPoint<'_>) -> ScasResult {
-        if !self.eng.capture(self.idx, &lp) {
-            return ScasResult::Abort;
-        }
-        let deeper_ok = (self.cont)(self.eng);
-        self.eng.resolve(self.idx, deeper_ok)
+        let r = if self.eng.capture(self.idx, &lp) {
+            let deeper_ok = (self.cont)(self.eng);
+            self.eng.resolve(self.idx, deeper_ok)
+        } else {
+            ScasResult::Abort
+        };
+        self.aborted = r == ScasResult::Abort;
+        r
     }
 }
 
-fn note_insert_outcome(eng: &mut Engine, idx: usize, r: InsertOutcome) -> bool {
-    match r {
+/// Run a stage's insert and fold its outcome into the "deeper succeeded"
+/// verdict; the target's own rejection (bounded target full, duplicate
+/// key) goes through [`Engine::observe_dead`].
+fn insert_stage<F>(
+    eng: &mut Engine,
+    idx: usize,
+    cont: F,
+    insert: impl FnOnce(&mut StageInsertCtx<'_, F>) -> InsertOutcome,
+) -> bool
+where
+    F: FnMut(&mut Engine) -> bool,
+{
+    let mut ctx = StageInsertCtx {
+        eng,
+        idx,
+        cont,
+        aborted: false,
+    };
+    match insert(&mut ctx) {
         InsertOutcome::Inserted => true,
         InsertOutcome::Rejected => {
-            // A rejection with no commit run is a *permanent* rejection
-            // (bounded target, duplicate key) at the deepest such stage;
-            // anything else is retry propagation already tracked by the
-            // engine flags.
-            if eng.no_commit && !eng.aliased && eng.dead.is_none() {
-                eng.dead = Some(Dead::Rejected(idx));
+            if !ctx.aborted {
+                ctx.eng.observe_dead(idx, Dead::Rejected(idx));
             }
             false
         }
@@ -370,8 +418,7 @@ where
     D: MoveTarget<T> + ?Sized,
     F: FnMut(&mut Engine) -> bool,
 {
-    let r = dst.insert_with(elem, &mut StageInsertCtx { eng, idx, cont });
-    note_insert_outcome(eng, idx, r)
+    insert_stage(eng, idx, cont, |ctx| dst.insert_with(elem, ctx))
 }
 
 /// Drive a keyed insert as stage `idx`.
@@ -387,8 +434,7 @@ where
     D: KeyedMoveTarget<K, T> + ?Sized,
     F: FnMut(&mut Engine) -> bool,
 {
-    let r = dst.insert_key_with(key, elem, &mut StageInsertCtx { eng, idx, cont });
-    note_insert_outcome(eng, idx, r)
+    insert_stage(eng, idx, cont, |ctx| dst.insert_key_with(key, elem, ctx))
 }
 
 /// Drive an unkeyed remove as stage `idx`, handing back its raw outcome
@@ -426,9 +472,7 @@ where
     match remove_stage(eng, idx, src, cont) {
         RemoveOutcome::Removed(_) => true,
         RemoveOutcome::Empty => {
-            if eng.dead.is_none() {
-                eng.dead = Some(Dead::Empty(idx));
-            }
+            eng.observe_dead(idx, Dead::Empty(idx));
             false
         }
         RemoveOutcome::Aborted => false,

@@ -6,10 +6,10 @@
 //! Requires `RUSTFLAGS="--cfg lfc_model"`; compiles to nothing otherwise.
 #![cfg(lfc_model)]
 
-use lfc_core::{move_one, MoveOutcome};
+use lfc_core::{move_keyed, move_one, swap, MoveOutcome, SwapOutcome};
 use lfc_linear::{check_linearizable, render_history, Cont, PairOp, PairSpec, Recorder};
 use lfc_model::{explore, ExploreOpts, MemoryMode};
-use lfc_structures::{MsQueue, OneSlot, TreiberStack};
+use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
 use std::sync::Arc;
 
 fn opts(bound: u32) -> ExploreOpts {
@@ -148,4 +148,92 @@ fn dfs_solo_fast_path_vs_concurrent_registration_weak() {
         },
     );
     report.assert_ok();
+}
+
+/// One preemption is enough to park a composition between its source
+/// capture and a deeper stage's obstacle while a rival runs whole. The race
+/// needs no stale read, so interleaving memory suffices (and keeps both
+/// searches to seconds).
+fn verdict_opts() -> ExploreOpts {
+    ExploreOpts {
+        preemption_bound: 1,
+        step_budget: 200_000,
+        max_executions: 400_000,
+        memory: MemoryMode::Interleaving,
+    }
+}
+
+#[test]
+fn dfs_duplicate_verdict_vs_rival_move() {
+    // Two movers race the same key from `a` to `b`. The key is never in
+    // both maps, so `TargetRejected` ("b already holds it while a does")
+    // is never a correct answer. The schedule that tempts it: one mover
+    // captures `a`'s word, is preempted, the rival moves the key, and the
+    // first mover's insert then finds the key in `b`. Its captured source
+    // word is stale by then, so the verdict must become a retry, which
+    // finds `a` empty.
+    let report = explore(verdict_opts(), || {
+        let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
+        let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
+        assert!(a.insert(3, 30));
+        // Keeps both movers off the solo fast path for the whole run.
+        let _g = lfc_hazard::pin();
+        let movers: Vec<_> = (0..2)
+            .map(|_| {
+                let (a, b) = (a.clone(), b.clone());
+                lfc_model::thread::spawn(move || {
+                    let out = move_keyed(&*a, &3, &*b);
+                    assert!(
+                        matches!(out, MoveOutcome::Moved | MoveOutcome::SourceEmpty),
+                        "the key was never in both maps, yet a mover reported {out:?}"
+                    );
+                })
+            })
+            .collect();
+        for m in movers {
+            m.join();
+        }
+        assert_eq!(a.get(&3), None);
+        assert_eq!(b.get(&3), Some(30), "the key moved exactly once");
+    });
+    report.assert_ok();
+    assert!(report.executions > 10, "scenario must actually branch");
+}
+
+#[test]
+fn dfs_second_empty_verdict_vs_rival_drain() {
+    // `swap(a, b)` against a rival that drains `a` and then `b` into `c`.
+    // No instant has `a` non-empty and `b` empty, so `SecondEmpty` is never
+    // a correct answer. The schedule that tempts it: the swap captures
+    // `a`'s head, is preempted, the rival drains both, and the swap's inner
+    // remove then finds `b` empty with its capture of `a` stale.
+    let report = explore(verdict_opts(), || {
+        let a = Arc::new(MsQueue::<u32>::new());
+        let b = Arc::new(MsQueue::<u32>::new());
+        let c = Arc::new(MsQueue::<u32>::new());
+        a.enqueue(1);
+        b.enqueue(2);
+        let _g = lfc_hazard::pin();
+        let (a1, b1) = (a.clone(), b.clone());
+        let swapper = lfc_model::thread::spawn(move || {
+            let out = swap(&*a1, &*b1);
+            assert!(
+                matches!(out, SwapOutcome::Swapped | SwapOutcome::FirstEmpty),
+                "a was never non-empty with b empty, yet the swap reported {out:?}"
+            );
+        });
+        let (a2, b2, c2) = (a.clone(), b.clone(), c.clone());
+        let drainer = lfc_model::thread::spawn(move || {
+            let _ = move_one(&*a2, &*c2);
+            let _ = move_one(&*b2, &*c2);
+        });
+        swapper.join();
+        drainer.join();
+        assert_eq!((a.dequeue(), b.dequeue()), (None, None));
+        let mut drained = [c.dequeue(), c.dequeue()];
+        drained.sort();
+        assert_eq!(drained, [Some(1), Some(2)], "both tokens end in c once");
+    });
+    report.assert_ok();
+    assert!(report.executions > 10, "scenario must actually branch");
 }

@@ -1,7 +1,10 @@
 //! The paper's §1.1 motivating scenario end-to-end: atomic keyed moves
 //! between a hash map and a sorted list (and between maps).
 
-use lockfree_compose::{move_keyed, LfHashMap, MoveOutcome, OrderedSet};
+use lockfree_compose::{
+    move_keyed, InsertCtx, InsertOutcome, KeyedMoveTarget, LfHashMap, MoveOutcome, OrderedSet,
+};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -46,6 +49,46 @@ fn duplicate_key_in_target_rejects_and_preserves_source() {
     assert_eq!(move_keyed(&a, &5, &b), MoveOutcome::TargetRejected);
     assert_eq!(a.get(&5), Some(50), "abort left the source intact");
     assert_eq!(b.get(&5), Some(55), "target untouched");
+}
+
+/// A target whose first insert lets `rival` run to completion on another
+/// thread. A composed insert runs inside the source's capture, so the
+/// rival lands exactly between the mover's source capture and the target's
+/// duplicate check.
+struct RivalFirst<'a, D> {
+    dst: &'a D,
+    rival: Cell<Option<Box<dyn FnOnce() + Send + 'a>>>,
+}
+
+impl<D: KeyedMoveTarget<u64, u64>> KeyedMoveTarget<u64, u64> for RivalFirst<'_, D> {
+    fn insert_key_with<C: InsertCtx>(&self, key: u64, elem: u64, ctx: &mut C) -> InsertOutcome {
+        if let Some(rival) = self.rival.take() {
+            std::thread::scope(|sc| {
+                sc.spawn(rival);
+            });
+        }
+        self.dst.insert_key_with(key, elem, ctx)
+    }
+}
+
+#[test]
+fn rival_move_after_capture_is_not_a_duplicate() {
+    let a: OrderedSet<u64, u64> = OrderedSet::new();
+    let b: OrderedSet<u64, u64> = OrderedSet::new();
+    a.insert(5, 50);
+    let (ra, rb) = (&a, &b);
+    let target = RivalFirst {
+        dst: &b,
+        rival: Cell::new(Some(Box::new(move || {
+            assert_eq!(move_keyed(ra, &5, rb), MoveOutcome::Moved);
+        }))),
+    };
+    // The rival moved the key after our capture of `a`. It was never in both
+    // sets, so `TargetRejected` would claim an instant that did not exist:
+    // the stale capture must turn into a retry, which finds `a` empty.
+    assert_eq!(move_keyed(&a, &5, &target), MoveOutcome::SourceEmpty);
+    assert_eq!(a.get(&5), None);
+    assert_eq!(b.get(&5), Some(50));
 }
 
 #[test]

@@ -4,9 +4,11 @@
 //! `Composition` chains.
 
 use lockfree_compose::{
-    move_keyed_to_all, move_keyed_to_unkeyed, swap, Composition, LfHashMap, MoveOutcome, MsQueue,
-    OrderedSet, SwapOutcome, TreiberStack,
+    move_keyed_to_all, move_keyed_to_unkeyed, move_one, swap, Composition, InsertCtx,
+    InsertOutcome, LfHashMap, MoveOutcome, MoveSource, MoveTarget, MsQueue, OrderedSet, RemoveCtx,
+    RemoveOutcome, SwapOutcome, TreiberStack,
 };
+use std::cell::Cell;
 use std::collections::HashSet;
 
 #[test]
@@ -246,4 +248,52 @@ fn builder_rejects_duplicate_and_preserves_everything() {
     assert_eq!(m1.get(&1), Some(10), "source untouched");
     assert_eq!(m2.get(&2), Some(20), "target untouched");
     assert!(q.is_empty(), "sibling target untouched");
+}
+
+/// A queue whose first remove lets `rival` run to completion on another
+/// thread. As a swap's second source its remove runs inside the first
+/// source's capture, so the rival lands exactly between the two.
+struct RivalFirst<'a> {
+    q: &'a MsQueue<u64>,
+    rival: Cell<Option<Box<dyn FnOnce() + Send + 'a>>>,
+}
+
+impl MoveSource<u64> for RivalFirst<'_> {
+    fn remove_with<C: RemoveCtx<u64>>(&self, ctx: &mut C) -> RemoveOutcome<u64> {
+        if let Some(rival) = self.rival.take() {
+            std::thread::scope(|sc| {
+                sc.spawn(rival);
+            });
+        }
+        self.q.remove_with(ctx)
+    }
+}
+
+impl MoveTarget<u64> for RivalFirst<'_> {
+    fn insert_with<C: InsertCtx>(&self, elem: u64, ctx: &mut C) -> InsertOutcome {
+        self.q.insert_with(elem, ctx)
+    }
+}
+
+#[test]
+fn rival_drain_after_capture_is_not_second_empty() {
+    let a: MsQueue<u64> = MsQueue::new();
+    let b: MsQueue<u64> = MsQueue::new();
+    let c: MsQueue<u64> = MsQueue::new();
+    a.enqueue(1);
+    b.enqueue(2);
+    let (ra, rb, rc) = (&a, &b, &c);
+    let second = RivalFirst {
+        q: &b,
+        rival: Cell::new(Some(Box::new(move || {
+            assert_eq!(move_one(ra, rc), MoveOutcome::Moved);
+            assert_eq!(move_one(rb, rc), MoveOutcome::Moved);
+        }))),
+    };
+    // The rival emptied `a`, then `b`, after our capture of `a`'s head: no
+    // instant had `a` non-empty with `b` empty, so `SecondEmpty` would be a
+    // lie. The stale capture must turn into a retry, which finds `a` empty.
+    assert_eq!(swap(&a, &second), SwapOutcome::FirstEmpty);
+    assert!(a.is_empty() && b.is_empty());
+    assert_eq!((c.dequeue(), c.dequeue()), (Some(1), Some(2)));
 }
