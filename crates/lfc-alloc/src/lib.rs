@@ -17,10 +17,14 @@
 //! callers (the structures and the DCAS layer) must only hand blocks back
 //! once they are unreachable — which they guarantee by routing frees through
 //! `lfc-hazard::retire`.
+//!
+//! The counters behind [`stats`] are [`ShardedCounter`]s: every allocation
+//! and free bumps one, and a process-global line would be shared by every
+//! thread that allocates, however disjoint its data.
 
 #![warn(missing_docs)]
 
-use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded};
+use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded, ShardedCounter, MAX_THREADS};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
@@ -30,8 +34,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const LOCAL_CAP: usize = 200;
 
 /// Size classes (bytes). Each class allocates `Layout::from_size_align(c, c)`
-/// so any allocation with `align <= size <= c` fits; class 512 serves the
-/// 512-aligned DCAS descriptors.
+/// so any allocation with `align <= size <= c` fits; classes 64, 128 and
+/// 256 serve the 64-aligned RDCSS, DCAS and CASN descriptors.
 pub const CLASS_SIZES: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 
 const NUM_CLASSES: usize = CLASS_SIZES.len();
@@ -51,13 +55,28 @@ pub struct AllocStats {
     pub oversize: usize,
 }
 
-// Each counter padded to its own line: FREED is bumped on every free by
-// every thread and would otherwise false-share with FRESH/RECYCLED bumped
-// on every allocation.
-static FRESH: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static RECYCLED: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static FREED: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-static OVERSIZE: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
+static FRESH: ShardedCounter = ShardedCounter::new();
+static RECYCLED: ShardedCounter = ShardedCounter::new();
+static FREED: ShardedCounter = ShardedCounter::new();
+static OVERSIZE: ShardedCounter = ShardedCounter::new();
+
+/// Blocks each thread id keeps parked in a cache layered above this
+/// allocator (the `lfc-dcas` descriptor pools), see [`set_parked`]. One
+/// padded line per id, written only by the thread holding the id.
+static PARKED: [CachePadded<AtomicUsize>; MAX_THREADS] =
+    [const { CachePadded::new(AtomicUsize::new(0)) }; MAX_THREADS];
+
+/// Publish that thread `tid` now holds `blocks` blocks parked in a cache
+/// of its own above this allocator. Parked blocks count as *cached*, like
+/// magazine blocks, so [`outstanding`] keeps meaning "held by callers".
+///
+/// Only the thread holding `tid` may call this, and it must publish 0
+/// before it releases the id. That makes it one owner-only Relaxed store,
+/// with no RMW on a cache's hit path.
+#[inline]
+pub fn set_parked(tid: u16, blocks: usize) {
+    PARKED[tid as usize].store(blocks, Ordering::Relaxed);
+}
 
 /// A full (or partial, on thread exit) magazine pushed to the global stack.
 struct Segment {
@@ -207,19 +226,19 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     if thread_is_exiting() {
         // Thread-exit fallback: no per-thread cache may be (re)created now.
         let Some(class) = class_for(layout) else {
-            OVERSIZE.fetch_add(1, Ordering::Relaxed);
+            OVERSIZE.add(1);
             // Safety: non-zero size.
             let p = unsafe { std::alloc::alloc(layout) };
             return NonNull::new(p).ok_or(AllocError);
         };
-        FRESH.fetch_add(1, Ordering::Relaxed);
+        FRESH.add(1);
         let l = class_layout(class);
         // Safety: non-zero size.
         let p = unsafe { std::alloc::alloc(l) };
         return NonNull::new(p).ok_or(AllocError);
     }
     let Some(class) = class_for(layout) else {
-        OVERSIZE.fetch_add(1, Ordering::Relaxed);
+        OVERSIZE.add(1);
         // Safety: oversized layouts always have non-zero size here.
         let p = unsafe { std::alloc::alloc(layout) };
         return NonNull::new(p).ok_or(AllocError);
@@ -236,12 +255,12 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     });
     match recycled {
         Some(p) => {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
+            RECYCLED.add(1);
             // Safety: recycled blocks came from `alloc` with the class layout.
             Ok(NonNull::new(p).expect("pool never stores null"))
         }
         None => {
-            FRESH.fetch_add(1, Ordering::Relaxed);
+            FRESH.add(1);
             let l = class_layout(class);
             // Safety: class layouts have non-zero size.
             let p = unsafe { std::alloc::alloc(l) };
@@ -258,7 +277,7 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
 /// `ptr` must come from `alloc_block(layout)` (same size-class) and must not
 /// be used afterwards.
 pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
-    FREED.fetch_add(1, Ordering::Relaxed);
+    FREED.add(1);
     #[cfg(lfc_model)]
     {
         // Inside a model execution the block is *quarantined* instead of
@@ -304,18 +323,22 @@ pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
 /// Current counters.
 pub fn stats() -> AllocStats {
     AllocStats {
-        fresh: FRESH.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
-        freed: FREED.load(Ordering::Relaxed),
-        oversize: OVERSIZE.load(Ordering::Relaxed),
+        fresh: FRESH.get(),
+        recycled: RECYCLED.get(),
+        freed: FREED.get(),
+        oversize: OVERSIZE.get(),
     }
 }
 
 /// Blocks currently held by callers (allocated and not yet freed). Cached
-/// blocks in magazines / the global stack do not count as outstanding.
+/// blocks — in magazines, on the global stack, or parked in a per-thread
+/// cache above this allocator ([`set_parked`]) — do not count.
 pub fn outstanding() -> usize {
     let s = stats();
-    (s.fresh + s.recycled + s.oversize).saturating_sub(s.freed)
+    let parked: usize = PARKED.iter().map(|p| p.load(Ordering::Relaxed)).sum();
+    (s.fresh + s.recycled + s.oversize)
+        .saturating_sub(s.freed)
+        .saturating_sub(parked)
 }
 
 #[cfg(test)]
@@ -332,7 +355,10 @@ mod tests {
         assert_eq!(class_for(l(16, 8)), Some(0));
         assert_eq!(class_for(l(17, 8)), Some(1)); // 32
         assert_eq!(class_for(l(24, 8)), Some(1));
-        assert_eq!(class_for(l(80, 512)), Some(5)); // descriptor: align drives it
+        assert_eq!(class_for(l(80, 512)), Some(5)); // align drives it
+        assert_eq!(class_for(l(128, 64)), Some(3)); // DCAS descriptor
+        assert_eq!(class_for(l(256, 64)), Some(4)); // CASN descriptor
+        assert_eq!(class_for(l(64, 64)), Some(2)); // RDCSS descriptor
         assert_eq!(class_for(l(1024, 8)), Some(6));
         assert_eq!(class_for(l(1025, 8)), None);
     }

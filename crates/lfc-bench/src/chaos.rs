@@ -100,8 +100,11 @@ impl ChaosCfg {
 /// DESIGN.md "Fault model"): 1 never-recycled descriptor + up to 2
 /// unpublished nodes.
 pub const LEAK_BLOCKS_PER_ABANDON: usize = 3;
-/// Snapshot slack for caches the two `outstanding()` snapshots cannot see
-/// identically (live threads' magazines and descriptor pools).
+/// Snapshot slack for blocks the two `outstanding()` snapshots cannot see
+/// identically (retired records a live reader still pins at the end
+/// snapshot). Descriptor pools no longer need any: `outstanding()`
+/// subtracts pooled blocks, as it always did magazine blocks. So this may
+/// drop, but must never rise.
 pub const LEAK_SLACK_BLOCKS: usize = 96;
 
 /// Stall policy the campaign installs: a small garbage budget so the

@@ -33,13 +33,13 @@ const MAX_VICTIM_OPS: usize = 4_000_000;
 const SAMPLE_EVERY: Duration = Duration::from_millis(5);
 
 /// Documented leak bound, in allocator blocks per abandonment: 1 leaked
-/// descriptor (≤ 512 B, deliberately never recycled — a helper may still
+/// descriptor (≤ 256 B, deliberately never recycled — a helper may still
 /// hold it) + up to 2 nodes the dead thread allocated but had not
 /// published. See DESIGN.md "Fault model".
 const LEAK_BLOCKS_PER_ABANDON: usize = 3;
-/// Slack for caches the baseline/end snapshots cannot see identically
-/// (per-thread descriptor pools and allocator magazines of threads still
-/// alive at the end snapshot).
+/// Slack for blocks the baseline/end snapshots cannot see identically.
+/// Pooled descriptors and magazine blocks both count as cached, not
+/// outstanding, so this may drop but must never rise.
 const LEAK_SLACK_BLOCKS: usize = 64;
 
 #[test]

@@ -19,7 +19,7 @@
 //!    to completion, then releases the id and bank through the tid
 //!    finalizers.
 //!
-//! The leak bound (DESIGN.md "Fault model"): one descriptor (≤ 512 B,
+//! The leak bound (DESIGN.md "Fault model"): one descriptor (≤ 256 B,
 //! leaked because helpers may still hold it — see `DescHandle`'s drop) per
 //! abandonment, plus whatever nodes the abandoned operation owned but had
 //! not published. Everything else — pooled descriptors, allocator

@@ -33,8 +33,6 @@ use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
 use lfc_runtime::solo;
-use std::alloc::Layout;
-use std::cell::Cell;
 use std::ptr::NonNull;
 
 /// `res`: operation not yet decided.
@@ -62,7 +60,7 @@ pub enum DcasResult {
 /// All fields except `res` are written only while the descriptor is
 /// unpublished (uniquely owned) and are immutable once the announcing CAS
 /// publishes it, so helpers may read them through a shared reference.
-#[repr(align(512))]
+#[repr(align(64))]
 pub struct DcasDesc {
     ptr1: *const DAtomic,
     old1: Word,
@@ -87,18 +85,6 @@ pub struct DcasDesc {
 unsafe impl Send for DcasDesc {}
 unsafe impl Sync for DcasDesc {}
 
-const DESC_LAYOUT: Layout = Layout::new::<DcasDesc>();
-
-/// Per-thread descriptor pool capacity. A thread can have at most a
-/// handful of descriptors logically in flight (one per composed move
-/// attempt), but retired descriptors return in scan-sized bursts; 64 keeps
-/// those bursts local without hoarding.
-pub(crate) const DESC_POOL_CAP: usize = 64;
-
-thread_local! {
-    static POOL: crate::pool::PoolCell<DcasDesc> = const { Cell::new(std::ptr::null_mut()) };
-}
-
 /// Pool-hit reset (the fresh-block twin is [`init_desc`]).
 ///
 /// `DescHandle::new` on the seed path paid, per DCAS attempt: a size-class
@@ -108,7 +94,7 @@ thread_local! {
 /// `res` reset — the CAS triples are overwritten by `set_first` /
 /// `set_second` anyway.
 fn reuse_desc(d: NonNull<DcasDesc>) {
-    counters::DESC_POOL_HITS.fetch_add(1, Ordering::Relaxed);
+    counters::DESC_POOL_HITS.add(1);
     // Safety: unreachable by any other thread (pool contract);
     // Relaxed reset is enough — publication happens-before is
     // established by the announcing CAS, never by this store.
@@ -129,7 +115,7 @@ fn reuse_desc(d: NonNull<DcasDesc>) {
 }
 
 fn init_desc(block: NonNull<DcasDesc>) {
-    counters::DESC_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+    counters::DESC_POOL_MISSES.add(1);
     // Safety: freshly allocated, properly aligned and sized.
     unsafe {
         block.as_ptr().write(DcasDesc {
@@ -155,7 +141,7 @@ fn init_desc(block: NonNull<DcasDesc>) {
 /// published, or past its hazard-domain reclamation point.
 unsafe fn dealloc_desc(d: NonNull<DcasDesc>) {
     // Safety: forwarded contract.
-    unsafe { crate::pool::dealloc(&POOL, DESC_LAYOUT, DESC_POOL_CAP, d) };
+    unsafe { crate::pool::dealloc(crate::pool::Kind::Dcas, d) };
 }
 
 unsafe fn reclaim_desc(p: *mut u8) {
@@ -182,7 +168,7 @@ impl std::fmt::Debug for DescHandle {
 }
 
 impl DescHandle {
-    /// Allocate a fresh descriptor (per-thread pooled, 512-aligned).
+    /// Allocate a fresh descriptor (per-thread pooled, 64-aligned).
     /// Panics (unwinds) where [`Self::try_new`] returns `Err`.
     pub fn new() -> Self {
         Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
@@ -196,7 +182,7 @@ impl DescHandle {
         if lfc_runtime::fault::check("dcas.desc") {
             return Err(lfc_alloc::AllocError);
         }
-        let desc = crate::pool::try_alloc(&POOL, DESC_LAYOUT, reuse_desc, init_desc)?;
+        let desc = crate::pool::try_alloc(crate::pool::Kind::Dcas, reuse_desc, init_desc)?;
         Ok(DescHandle { desc })
     }
 
@@ -456,42 +442,40 @@ impl Default for DescHandle {
     }
 }
 
-/// Diagnostic counters (Relaxed; used by the false-helping ablation bench
-/// and the pooling tests). Each is cache-line padded so bumping one from
-/// many threads cannot false-share with the others.
+/// Diagnostic counters (used by the false-helping ablation bench, the
+/// pooling tests and the benchmark). Sharded per thread
+/// ([`lfc_runtime::ShardedCounter`]): the pool ones are bumped on every
+/// published commit, and a global line would be shared by every committing
+/// thread.
 pub mod counters {
-    use lfc_runtime::CachePadded;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use lfc_runtime::ShardedCounter;
 
-    pub(crate) static HELP_RUNS: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static STALE_MARK_REVERTS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static DESC_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static DESC_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
+    pub(crate) static HELP_RUNS: ShardedCounter = ShardedCounter::new();
+    pub(crate) static STALE_MARK_REVERTS: ShardedCounter = ShardedCounter::new();
+    pub(crate) static DESC_POOL_HITS: ShardedCounter = ShardedCounter::new();
+    pub(crate) static DESC_POOL_MISSES: ShardedCounter = ShardedCounter::new();
 
     /// Number of helper invocations of the DCAS (each is a `read` that found
     /// a descriptor and joined the protocol).
     pub fn help_runs() -> usize {
-        HELP_RUNS.load(Ordering::Relaxed)
+        HELP_RUNS.get()
     }
 
     /// Number of marked-descriptor installations that had to be reverted —
     /// each one is a *false helping* episode caused by the ABA the paper's
     /// §7 discussion attributes to the stack.
     pub fn stale_mark_reverts() -> usize {
-        STALE_MARK_REVERTS.load(Ordering::Relaxed)
+        STALE_MARK_REVERTS.get()
     }
 
     /// Descriptor allocations served by the per-thread pool.
     pub fn desc_pool_hits() -> usize {
-        DESC_POOL_HITS.load(Ordering::Relaxed)
+        DESC_POOL_HITS.get()
     }
 
     /// Descriptor allocations that fell through to `lfc-alloc`.
     pub fn desc_pool_misses() -> usize {
-        DESC_POOL_MISSES.load(Ordering::Relaxed)
+        DESC_POOL_MISSES.get()
     }
 }
 
@@ -508,7 +492,7 @@ pub(crate) unsafe fn help(desc_word: Word, g: &Guard) {
     // load gates this and the nested `dcas.published` site.
     let fg = lfc_runtime::fault::gate();
     fg.check_kill("dcas.help");
-    counters::HELP_RUNS.fetch_add(1, Ordering::Relaxed);
+    counters::HELP_RUNS.add(1);
     // Safety: forwarded contract.
     let _ = unsafe { dcas_run_gated(desc_word, false, g, fg) };
 }
@@ -697,7 +681,7 @@ fn dcas_body(
         // D25–D27: decision went against us; undo our installation (if any)
         // and make sure the announcement is reverted.
         if p2set && ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            counters::STALE_MARK_REVERTS.add(1);
         }
         ptr1.cas_word(plain, desc.old1);
         return DcasResult::SecondFailed;
@@ -707,7 +691,7 @@ fn dcas_body(
         // a stale ABA leftover (the winner's word was consumed before
         // SUCCESS was stored): revert it.
         if p2set && ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            counters::STALE_MARK_REVERTS.add(1);
         }
         return DcasResult::Success;
     }
@@ -718,7 +702,7 @@ fn dcas_body(
         // We installed but lost the promotion race ("will have to change it
         // back to its old value", Lemma 3).
         if ptr2.cas_word(my_mark, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            counters::STALE_MARK_REVERTS.add(1);
         }
     }
     // D28–D30: complete. `*ptr1` swings from the announcement to `new1`
@@ -750,7 +734,7 @@ fn finish_decided(
         // still installed is an ABA leftover; on SECONDFAILED every
         // installation is stale): revert it.
         if ptr2.cas_word(desc_word, desc.old2) {
-            counters::STALE_MARK_REVERTS.fetch_add(1, Ordering::Relaxed);
+            counters::STALE_MARK_REVERTS.add(1);
         }
     } else if res == RES_SECONDFAILED {
         // Came through `*ptr1`: only a failed pair leaves the announcement

@@ -39,11 +39,10 @@
 //!   once the RDCSS descriptor itself is protected and validated.
 
 use crate::atomic::DAtomic;
+use crate::pool::Kind;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
-use std::alloc::Layout;
-use std::cell::Cell;
 use std::ptr::NonNull;
 
 /// Maximum entries in one CASN (1 remove + up to 5 insert targets). Bounded
@@ -90,7 +89,7 @@ impl Default for CasnEntry {
 
 /// The CASN descriptor. Entries are immutable once published (announced via
 /// the first RDCSS); only `status` is written concurrently.
-#[repr(align(512))]
+#[repr(align(64))]
 pub struct CasnDesc {
     entries: [CasnEntry; MAX_ENTRIES],
     count: usize,
@@ -103,67 +102,48 @@ pub struct CasnDesc {
 unsafe impl Send for CasnDesc {}
 unsafe impl Sync for CasnDesc {}
 
-const CASN_LAYOUT: Layout = Layout::new::<CasnDesc>();
-
-thread_local! {
-    static CASN_POOL: crate::pool::PoolCell<CasnDesc> = const { Cell::new(std::ptr::null_mut()) };
-    static RDCSS_POOL: crate::pool::PoolCell<RdcssDesc> = const { Cell::new(std::ptr::null_mut()) };
-}
-
-/// Diagnostic counters for the CASN/RDCSS pools (Relaxed; used by the
-/// pooling tests asserting the steady-state hot path never falls through to
-/// `lfc-alloc`). Padded like the DCAS counters.
+/// Diagnostic counters for the CASN/RDCSS pools (used by the pooling tests
+/// asserting the steady-state hot path never falls through to `lfc-alloc`,
+/// and by the benchmark). Sharded like the DCAS counters.
 pub mod counters {
-    use lfc_runtime::CachePadded;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use lfc_runtime::ShardedCounter;
 
-    pub(crate) static CASN_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static CASN_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static RDCSS_POOL_HITS: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
-    pub(crate) static RDCSS_POOL_MISSES: CachePadded<AtomicUsize> =
-        CachePadded::new(AtomicUsize::new(0));
+    pub(crate) static CASN_POOL_HITS: ShardedCounter = ShardedCounter::new();
+    pub(crate) static CASN_POOL_MISSES: ShardedCounter = ShardedCounter::new();
+    pub(crate) static RDCSS_POOL_HITS: ShardedCounter = ShardedCounter::new();
+    pub(crate) static RDCSS_POOL_MISSES: ShardedCounter = ShardedCounter::new();
 
     /// CASN descriptor allocations served by the per-thread pool.
     pub fn casn_pool_hits() -> usize {
-        CASN_POOL_HITS.load(Ordering::Relaxed)
+        CASN_POOL_HITS.get()
     }
 
     /// CASN descriptor allocations that fell through to `lfc-alloc`.
     pub fn casn_pool_misses() -> usize {
-        CASN_POOL_MISSES.load(Ordering::Relaxed)
+        CASN_POOL_MISSES.get()
     }
 
     /// RDCSS descriptor allocations served by the per-thread pool.
     pub fn rdcss_pool_hits() -> usize {
-        RDCSS_POOL_HITS.load(Ordering::Relaxed)
+        RDCSS_POOL_HITS.get()
     }
 
     /// RDCSS descriptor allocations that fell through to `lfc-alloc`.
     pub fn rdcss_pool_misses() -> usize {
-        RDCSS_POOL_MISSES.load(Ordering::Relaxed)
+        RDCSS_POOL_MISSES.get()
     }
 }
 
 unsafe fn reclaim_casn(p: *mut u8) {
     // CasnDesc has no drop glue; recycle the block through the pool.
     // Safety: the hazard domain guarantees unreachability.
-    unsafe {
-        crate::pool::dealloc(
-            &CASN_POOL,
-            CASN_LAYOUT,
-            crate::dcas::DESC_POOL_CAP,
-            NonNull::new_unchecked(p as *mut CasnDesc),
-        )
-    };
+    unsafe { crate::pool::dealloc(Kind::Casn, NonNull::new_unchecked(p as *mut CasnDesc)) };
 }
 
 /// RDCSS descriptor: install `casn_word` at `word` iff `*status` is still
 /// undecided and `*word == old`.
-#[repr(align(512))]
-struct RdcssDesc {
+#[repr(align(64))]
+pub(crate) struct RdcssDesc {
     status: *const AtomicUsize,
     word: *const DAtomic,
     old: Word,
@@ -175,18 +155,9 @@ struct RdcssDesc {
 unsafe impl Send for RdcssDesc {}
 unsafe impl Sync for RdcssDesc {}
 
-const RDCSS_LAYOUT: Layout = Layout::new::<RdcssDesc>();
-
 unsafe fn reclaim_rdcss(p: *mut u8) {
     // Safety: the hazard domain guarantees unreachability.
-    unsafe {
-        crate::pool::dealloc(
-            &RDCSS_POOL,
-            RDCSS_LAYOUT,
-            crate::dcas::DESC_POOL_CAP,
-            NonNull::new_unchecked(p as *mut RdcssDesc),
-        )
-    };
+    unsafe { crate::pool::dealloc(Kind::Rdcss, NonNull::new_unchecked(p as *mut RdcssDesc)) };
 }
 
 /// Uniquely owned, unpublished CASN descriptor.
@@ -203,7 +174,7 @@ impl std::fmt::Debug for CasnHandle {
 }
 
 fn reuse_casn(d: NonNull<CasnDesc>) {
-    counters::CASN_POOL_HITS.fetch_add(1, Ordering::Relaxed);
+    counters::CASN_POOL_HITS.add(1);
     // Safety: unreachable by any other thread (pool contract).
     // Relaxed reset suffices: publication happens-before is
     // established by the phase-1 RDCSS installs, never here.
@@ -219,7 +190,7 @@ fn reuse_casn(d: NonNull<CasnDesc>) {
 }
 
 fn init_casn(block: NonNull<CasnDesc>) {
-    counters::CASN_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+    counters::CASN_POOL_MISSES.add(1);
     // Safety: fresh block.
     unsafe {
         block.as_ptr().write(CasnDesc {
@@ -232,7 +203,7 @@ fn init_casn(block: NonNull<CasnDesc>) {
 }
 
 impl CasnHandle {
-    /// Allocate an empty descriptor (per-thread pooled, 512-aligned).
+    /// Allocate an empty descriptor (per-thread pooled, 64-aligned).
     /// Panics (unwinds) where [`try_new`](Self::try_new) returns `Err`.
     pub fn new() -> Self {
         Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
@@ -247,7 +218,7 @@ impl CasnHandle {
         if lfc_runtime::fault::check("dcas.casn") {
             return Err(lfc_alloc::AllocError);
         }
-        let block = crate::pool::try_alloc(&CASN_POOL, CASN_LAYOUT, reuse_casn, init_casn)?;
+        let block = crate::pool::try_alloc(Kind::Casn, reuse_casn, init_casn)?;
         Ok(CasnHandle { desc: block })
     }
 
@@ -623,14 +594,13 @@ fn try_alloc_rdcss(
         }
     };
     let block = crate::pool::try_alloc(
-        &RDCSS_POOL,
-        RDCSS_LAYOUT,
+        Kind::Rdcss,
         |d| {
-            counters::RDCSS_POOL_HITS.fetch_add(1, Ordering::Relaxed);
+            counters::RDCSS_POOL_HITS.add(1);
             fill(d);
         },
         |d| {
-            counters::RDCSS_POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+            counters::RDCSS_POOL_MISSES.add(1);
             fill(d);
         },
     )?;

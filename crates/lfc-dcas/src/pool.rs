@@ -1,54 +1,104 @@
-//! Per-thread descriptor pools, shared by every descriptor kind in the
-//! crate (DCAS, CASN and RDCSS descriptors).
+//! Per-thread descriptor pools: one free list per descriptor kind (DCAS,
+//! CASN, RDCSS), all three in one thread-local.
 //!
-//! PR 1 introduced pooling for the DCAS descriptor only; the unified
-//! composition engine commits through the CASN layer as well, so the pool
-//! machinery is factored out here and instantiated once per descriptor
-//! type. The safety argument is identical for every instantiation: a block
-//! re-enters circulation **only** from (a) a handle that was never
-//! published (no other thread ever learned the address), or (b) the hazard
-//! domain's reclaimer, which runs only once no thread's slot protects the
-//! address — exactly the point at which handing the block to a *different*
+//! The safety argument is identical for every kind: a block re-enters
+//! circulation **only** from (a) a handle that was never published (no
+//! other thread ever learned the address), or (b) the hazard domain's
+//! reclaimer, which runs only once no thread's slot protects the address —
+//! exactly the point at which handing the block to a *different*
 //! allocation would also have been legal.
+//!
+//! # Bound
+//!
+//! A pool has no capacity of its own. Retired descriptors come home in
+//! scan-sized bursts, and a cap would spill each burst into `lfc-alloc`'s
+//! magazines and shared global stack, only for the next window's
+//! allocations to miss. The bound comes from the retire list instead. A
+//! thread allocates a fresh block only when its list for that kind is
+//! empty, and blocks come back only from its own unpublished handles (a
+//! handful in flight) and its own scans, which free at most what its
+//! retire list held — a list its scan trigger bounds (plus orphans a scan
+//! adopts from exited threads, each bounded by that thread's trigger). So
+//! a pool never holds more than its thread's scan trigger lets that list
+//! hold. Thread exit hands every pooled block back to `lfc-alloc`.
+//!
+//! # Accounting
+//!
+//! Pooled blocks are *cached*, like magazine blocks: each push or pop
+//! republishes the thread's pooled count with one owner-only Relaxed store
+//! (`lfc_alloc::set_parked`), which `lfc_alloc::outstanding` subtracts. The
+//! hit path therefore carries no RMW on a shared line.
 
+use crate::dcas::DcasDesc;
+use crate::kcas::{CasnDesc, RdcssDesc};
 use lfc_runtime::{on_thread_exit, thread_is_exiting};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
-use std::thread::LocalKey;
 
-/// A per-thread free list of ready-to-reuse descriptor blocks.
-///
-/// A thread has at most a handful of descriptors logically in flight (one
-/// per composed-operation attempt), but retired descriptors return in
-/// scan-sized bursts; the per-type capacity keeps those bursts local
-/// without hoarding.
-pub(crate) struct DescPool<T> {
-    free: Vec<NonNull<T>>,
+/// The descriptor kinds, one free list each.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    Dcas,
+    Casn,
+    Rdcss,
 }
 
-/// The thread-local anchor a descriptor type declares for its pool.
-pub(crate) type PoolCell<T> = Cell<*mut DescPool<T>>;
+const KINDS: [Kind; 3] = [Kind::Dcas, Kind::Casn, Kind::Rdcss];
 
-fn with_pool<T: 'static, R>(
-    key: &'static LocalKey<PoolCell<T>>,
-    layout: Layout,
-    f: impl FnOnce(&mut DescPool<T>) -> R,
-) -> R {
-    key.with(|cell| {
+impl Kind {
+    fn layout(self) -> Layout {
+        match self {
+            Kind::Dcas => Layout::new::<DcasDesc>(),
+            Kind::Casn => Layout::new::<CasnDesc>(),
+            Kind::Rdcss => Layout::new::<RdcssDesc>(),
+        }
+    }
+}
+
+/// One thread's pools.
+struct Pools {
+    free: [Vec<NonNull<u8>>; KINDS.len()],
+    /// Blocks on all lists, as last published for this thread's id.
+    parked: usize,
+    tid: u16,
+}
+
+impl Pools {
+    fn set_parked(&mut self, parked: usize) {
+        self.parked = parked;
+        lfc_alloc::set_parked(self.tid, parked);
+    }
+}
+
+thread_local! {
+    static POOLS: Cell<*mut Pools> = const { Cell::new(std::ptr::null_mut()) };
+}
+
+fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
+    POOLS.with(|cell| {
         let mut p = cell.get();
         if p.is_null() {
-            p = Box::into_raw(Box::new(DescPool { free: Vec::new() }));
+            p = Box::into_raw(Box::new(Pools {
+                free: Default::default(),
+                parked: 0,
+                // The exit hook below runs before this id is released, so
+                // the id stays ours for the pools' whole life.
+                tid: lfc_runtime::current_tid(),
+            }));
             cell.set(p);
             on_thread_exit(Box::new(move || {
-                key.with(|c| c.set(std::ptr::null_mut()));
+                POOLS.with(|c| c.set(std::ptr::null_mut()));
                 // Safety: created above; the hook runs once per thread.
-                let pool = unsafe { Box::from_raw(p) };
-                for d in pool.free {
-                    // Safety: pooled blocks came from `alloc_block` with
-                    // this layout and are unreachable.
-                    unsafe { lfc_alloc::free_block(d.as_ptr() as *mut u8, layout) };
+                let mut pools = unsafe { Box::from_raw(p) };
+                for (kind, free) in KINDS.iter().zip(std::mem::take(&mut pools.free)) {
+                    for d in free {
+                        // Safety: pooled blocks came from `alloc_block`
+                        // with this kind's layout and are unreachable.
+                        unsafe { lfc_alloc::free_block(d.as_ptr(), kind.layout()) };
+                    }
                 }
+                pools.set_parked(0);
             }));
         }
         // Safety: thread-exclusive, not re-entered.
@@ -56,23 +106,29 @@ fn with_pool<T: 'static, R>(
     })
 }
 
-/// Allocate a descriptor block: pool hit (handed to `reuse` to reset the
-/// fields publication cares about), or a fresh block initialized by `init`.
-/// A pool hit never fails; the fresh-block fallthrough surfaces
+/// Allocate a `kind` descriptor block: pool hit (handed to `reuse` to reset
+/// the fields publication cares about), or a fresh block initialized by
+/// `init`. A pool hit never fails; the fresh-block fallthrough surfaces
 /// `lfc-alloc`'s `AllocError`.
-pub(crate) fn try_alloc<T: 'static>(
-    key: &'static LocalKey<PoolCell<T>>,
-    layout: Layout,
+pub(crate) fn try_alloc<T>(
+    kind: Kind,
     reuse: impl FnOnce(NonNull<T>),
     init: impl FnOnce(NonNull<T>),
 ) -> Result<NonNull<T>, lfc_alloc::AllocError> {
+    debug_assert_eq!(Layout::new::<T>(), kind.layout());
     if !thread_is_exiting() {
-        if let Some(d) = with_pool(key, layout, |pool| pool.free.pop()) {
+        let hit = with_pools(|p| {
+            let d = p.free[kind as usize].pop()?;
+            p.set_parked(p.parked - 1);
+            Some(d)
+        });
+        if let Some(d) = hit {
+            let d = d.cast::<T>();
             reuse(d);
             return Ok(d);
         }
     }
-    let block = lfc_alloc::try_alloc_block(layout)?.cast::<T>();
+    let block = lfc_alloc::try_alloc_block(kind.layout())?.cast::<T>();
     init(block);
     Ok(block)
 }
@@ -87,32 +143,21 @@ pub(crate) fn alloc_failed(e: lfc_alloc::AllocError) -> ! {
     panic!("lfc-dcas: descriptor allocation failed ({e})")
 }
 
-/// Return an unreachable descriptor block to the pool (or the backing
-/// allocator when the pool is full or the thread is tearing down).
+/// Return an unreachable `kind` descriptor block to this thread's pool (or
+/// to the backing allocator while the thread is tearing down).
 ///
 /// # Safety
 ///
-/// `d` must be a live block of `layout` that no thread can reach: either
-/// never published, or past its hazard-domain reclamation point.
-pub(crate) unsafe fn dealloc<T: 'static>(
-    key: &'static LocalKey<PoolCell<T>>,
-    layout: Layout,
-    cap: usize,
-    d: NonNull<T>,
-) {
+/// `d` must be a live block of `kind`'s layout that no thread can reach:
+/// either never published, or past its hazard-domain reclamation point.
+pub(crate) unsafe fn dealloc<T>(kind: Kind, d: NonNull<T>) {
     if !thread_is_exiting() {
-        let pooled = with_pool(key, layout, |pool| {
-            if pool.free.len() < cap {
-                pool.free.push(d);
-                true
-            } else {
-                false
-            }
+        with_pools(|p| {
+            p.free[kind as usize].push(d.cast());
+            p.set_parked(p.parked + 1);
         });
-        if pooled {
-            return;
-        }
+        return;
     }
     // Safety: forwarded contract; the block came from `alloc_block`.
-    unsafe { lfc_alloc::free_block(d.as_ptr() as *mut u8, layout) };
+    unsafe { lfc_alloc::free_block(d.as_ptr() as *mut u8, kind.layout()) };
 }

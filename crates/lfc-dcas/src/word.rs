@@ -9,12 +9,18 @@
 //! paper describes in §3.2.2.
 //!
 //! ```text
-//! bits [1:0]  kind: 00 raw value, 01 DCAS descriptor,
-//!                   10 CASN descriptor, 11 RDCSS descriptor
-//! bits [8:2]  DCAS thread-id field: 0 = unmarked (installed at *ptr1),
-//!                                   tid+1 = marked (installed at *ptr2)
-//! bits [63:9] descriptor address (descriptors are 512-byte aligned)
+//! bits [1:0]   kind: 00 raw value, 01 DCAS descriptor,
+//!                    10 CASN descriptor, 11 RDCSS descriptor
+//! bits [5:2]   zero in descriptor words (descriptors are 64-byte aligned)
+//! bits [56:6]  descriptor address
+//! bits [63:57] DCAS thread-id field: 0 = unmarked (installed at *ptr1),
+//!                                    tid+1 = marked (installed at *ptr2)
 //! ```
+//!
+//! The thread-id field sits above every user address: user space ends
+//! below 2^57 on every supported target (x86-64 with 5-level paging
+//! included), so the field costs descriptors no alignment and they stay
+//! one or a few cache lines each.
 //!
 //! Raw values must have their low two bits clear: nodes are at least
 //! 8-byte-aligned heap blocks, so node pointers (and null) qualify, and
@@ -35,13 +41,18 @@ pub const KIND_CASN: Word = 0b10;
 /// RDCSS descriptor (substrate of CASN).
 pub const KIND_RDCSS: Word = 0b11;
 
-const TID_SHIFT: u32 = 2;
-const TID_MASK: Word = 0x7F << TID_SHIFT;
+const TID_SHIFT: u32 = 57;
+const TID_FIELD_MAX: Word = 0x7F;
+const TID_MASK: Word = TID_FIELD_MAX << TID_SHIFT;
+
+// `MAX_THREADS + 1` must fit the 7-bit field: a larger thread cap would
+// silently fold marks of different threads together.
+const _: () = assert!(lfc_runtime::MAX_THREADS < TID_FIELD_MAX);
 
 /// Alignment required of all descriptor allocations.
-pub const DESC_ALIGN: usize = 512;
+pub const DESC_ALIGN: usize = 64;
 
-const ADDR_MASK: Word = !(DESC_ALIGN - 1);
+const ADDR_MASK: Word = !(DESC_ALIGN - 1) & !TID_MASK;
 
 /// Kind field of `w`.
 #[inline]
@@ -61,10 +72,18 @@ pub fn desc_addr(w: Word) -> usize {
     w & ADDR_MASK
 }
 
+/// Debug check shared by every encoder: `addr` is a descriptor address
+/// the word can carry intact.
+#[inline]
+fn debug_check_addr(addr: usize) {
+    debug_assert_eq!(addr % DESC_ALIGN, 0, "descriptor must be 64-aligned");
+    debug_assert_eq!(addr & TID_MASK, 0, "address bits [63:57] must be clear");
+}
+
 /// Unmarked DCAS descriptor word, as installed at `*ptr1` (line D10).
 #[inline]
 pub fn dcas_plain(addr: usize) -> Word {
-    debug_assert_eq!(addr & !ADDR_MASK, 0, "descriptor must be 512-aligned");
+    debug_check_addr(addr);
     addr | KIND_DCAS
 }
 
@@ -72,7 +91,7 @@ pub fn dcas_plain(addr: usize) -> Word {
 /// (lines D13–D14).
 #[inline]
 pub fn dcas_marked(addr: usize, tid: u16) -> Word {
-    debug_assert_eq!(addr & !ADDR_MASK, 0, "descriptor must be 512-aligned");
+    debug_check_addr(addr);
     debug_assert!((tid as usize) < lfc_runtime::MAX_THREADS);
     addr | KIND_DCAS | (((tid as Word) + 1) << TID_SHIFT)
 }
@@ -93,20 +112,24 @@ pub fn is_marked_dcas(w: Word) -> bool {
 /// CASN descriptor word.
 #[inline]
 pub fn casn_word(addr: usize) -> Word {
-    debug_assert_eq!(addr & !ADDR_MASK, 0);
+    debug_check_addr(addr);
     addr | KIND_CASN
 }
 
 /// RDCSS descriptor word.
 #[inline]
 pub fn rdcss_word(addr: usize) -> Word {
-    debug_assert_eq!(addr & !ADDR_MASK, 0);
+    debug_check_addr(addr);
     addr | KIND_RDCSS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lfc_runtime::MAX_THREADS;
+
+    /// The highest address a descriptor can have.
+    const TOP: usize = (1 << 57) - DESC_ALIGN;
 
     #[test]
     fn raw_detection() {
@@ -153,11 +176,35 @@ mod tests {
     }
 
     #[test]
+    fn every_tid_roundtrips_at_every_address_width() {
+        // Every tid against addresses from the first aligned block up to
+        // the top of the 57-bit space: each address bit from 6 to 56, alone
+        // and with a low address bit as well, plus the two highest blocks.
+        let addrs = (6..57).flat_map(|b| [1usize << b, (1usize << b) | (DESC_ALIGN << 1)]);
+        for addr in addrs.chain([TOP, TOP - DESC_ALIGN]) {
+            for tid in 0..MAX_THREADS as u16 {
+                let w = dcas_marked(addr, tid);
+                assert_eq!(desc_addr(w), addr, "tid {tid} at {addr:#x}");
+                assert_eq!(dcas_tid_field(w), tid as usize + 1);
+                assert_eq!(kind(w), KIND_DCAS);
+                assert!(is_marked_dcas(w));
+            }
+            for (w, k) in [
+                (dcas_plain(addr), KIND_DCAS),
+                (casn_word(addr), KIND_CASN),
+                (rdcss_word(addr), KIND_RDCSS),
+            ] {
+                assert_eq!((desc_addr(w), kind(w), dcas_tid_field(w)), (addr, k, 0));
+            }
+        }
+    }
+
+    #[test]
     fn roundtrip_marked_randomized() {
         let mut rng = lfc_runtime::SmallRng::seed_from_u64(0xD0C5);
         for _ in 0..2_000 {
-            let addr = (1 + rng.below(1_000_000) as usize) * DESC_ALIGN;
-            let tid = rng.below(126) as u16;
+            let addr = (1 + rng.below((TOP / DESC_ALIGN) as u64) as usize) * DESC_ALIGN;
+            let tid = rng.below(MAX_THREADS as u64) as u16;
             let w = dcas_marked(addr, tid);
             assert_eq!(desc_addr(w), addr);
             assert_eq!(dcas_tid_field(w), tid as usize + 1);
@@ -169,7 +216,7 @@ mod tests {
     fn kinds_partition_randomized() {
         let mut rng = lfc_runtime::SmallRng::seed_from_u64(0xFACE);
         for _ in 0..2_000 {
-            let addr = (1 + rng.below(1_000_000) as usize) * DESC_ALIGN;
+            let addr = (1 + rng.below((TOP / DESC_ALIGN) as u64) as usize) * DESC_ALIGN;
             let words = [addr, dcas_plain(addr), casn_word(addr), rdcss_word(addr)];
             for (i, a) in words.iter().enumerate() {
                 for (j, b) in words.iter().enumerate() {
@@ -180,5 +227,12 @@ mod tests {
                 assert_eq!(desc_addr(*a), addr);
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bits [63:57]")]
+    fn encoders_refuse_addresses_above_57_bits() {
+        let _ = casn_word(1 << 57);
     }
 }

@@ -112,7 +112,8 @@
 
 use crate::sync::{fence, AtomicPtr, AtomicUsize, Ordering};
 use lfc_runtime::{
-    current_tid, on_thread_exit, registered_high_water, thread_is_exiting, CachePadded, MAX_THREADS,
+    current_tid, on_thread_exit, registered_high_water, thread_is_exiting, CachePadded,
+    ShardedCounter, MAX_THREADS,
 };
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -330,11 +331,15 @@ pub fn stall_policy() -> StallPolicy {
     }
 }
 
-/// Total allocations handed to [`retire`]. Padded: bumped on every retire
-/// by every thread; must not share a line with `RECLAIMED_TOTAL` (bumped in
-/// scans) or the orphan head.
-static RETIRED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total retired allocations whose reclaimer has run. Padded as above.
+/// Total allocations handed to [`retire`]. Bumped on every retire by every
+/// thread, so sharded per thread: a global line would be shared by every
+/// retiring thread however disjoint its data. Plain `std` atomics, outside
+/// the [`sync`] model facade: it is a diagnostic plus a heuristic trigger
+/// (the pressure check and the era tick read its sum, never a freeing
+/// decision), and the era tick is compiled out under the model anyway.
+static RETIRED_TOTAL: ShardedCounter = ShardedCounter::new();
+/// Total retired allocations whose reclaimer has run. Padded: bumped once
+/// per scan, and kept off the orphan head's line.
 static RECLAIMED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
 /// Total reclamation scans run (diagnostics; the adaptive-threshold test
 /// asserts scan counts stay logarithmic under pinned retire bursts).
@@ -913,7 +918,7 @@ pub struct RetireInfo {
 /// block into type-stable memory without dereferencing its contents.
 #[inline]
 pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: RetireInfo) {
-    RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
+    RETIRED_TOTAL.add(1);
     // No fence and no epoch read here: the record enters the list
     // UNTAGGED, and the first scan that sees it — whose own SC fence is
     // ordered after this retire (same thread, or the orphan handoff's
@@ -1159,9 +1164,11 @@ fn collect_protection() -> Protection {
     // scenarios drive eras explicitly via `advance_epoch`.
     #[cfg(not(lfc_model))]
     if !all_at_cur {
-        let retired = RETIRED_TOTAL.load(Ordering::Relaxed);
+        let retired = RETIRED_TOTAL.get();
         let mark = ERA_TICK.load(Ordering::Relaxed);
-        if retired.wrapping_sub(mark) >= ERA_RETIRE_QUANTUM
+        // Saturating: the sharded sum is no snapshot, so this scan may read
+        // less than the mark another scan stored; that is not volume.
+        if retired.saturating_sub(mark) >= ERA_RETIRE_QUANTUM
             && ERA_TICK
                 .compare_exchange(mark, retired, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
@@ -1299,7 +1306,7 @@ pub fn pending_retired() -> usize {
 /// [`StallPolicy::max_retired_count`] budget is charged against).
 pub fn retired_count() -> usize {
     RETIRED_TOTAL
-        .load(Ordering::Relaxed)
+        .get()
         .saturating_sub(RECLAIMED_TOTAL.load(Ordering::Relaxed))
         .saturating_sub(DIVERTED_TOTAL.load(Ordering::Relaxed))
 }
@@ -1333,10 +1340,7 @@ pub fn scan_count() -> usize {
 
 /// (retired, reclaimed) totals since process start.
 pub fn stats() -> (usize, usize) {
-    (
-        RETIRED_TOTAL.load(Ordering::Relaxed),
-        RECLAIMED_TOTAL.load(Ordering::Relaxed),
-    )
+    (RETIRED_TOTAL.get(), RECLAIMED_TOTAL.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //! * [`lock`] — the test-test-and-set lock the paper uses for its blocking
 //!   baseline composition (§6).
 //! * [`pad`] — 128-byte cache-line padding to eliminate false sharing.
+//! * [`counter`] — per-thread sharded event counters, so diagnostics
+//!   bumped on every operation do not share a cache line between threads.
 //! * [`rng`] — a small deterministic PRNG for workloads and tests.
 //! * [`sync`] — the virtual-atomics facade every protocol atomic in this
 //!   crate stack goes through: `std::sync::atomic` in normal builds, the
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod counter;
 pub mod fault;
 pub mod lock;
 pub mod pad;
@@ -34,6 +37,7 @@ pub mod sync;
 pub mod tid;
 
 pub use backoff::{camp_round, Backoff, BackoffCfg, Snooze};
+pub use counter::ShardedCounter;
 pub use lock::TtasLock;
 pub use pad::CachePadded;
 pub use rng::SmallRng;

@@ -18,10 +18,11 @@
 //! branches.
 //!
 //! Deliberately *not* routed through the facade: pure diagnostic counters
-//! (`lfc-dcas::counters`, the hazard domain's retired/reclaimed totals'
-//! consumers assert on them but no protocol decision reads them in a
-//! racy way) would only multiply scheduling points; they stay on plain
-//! `std` atomics where noted at their definitions.
+//! (every [`crate::ShardedCounter`]: `lfc-alloc`'s stats,
+//! `lfc-dcas::counters`, the hazard domain's retire total). Tests and
+//! heuristics read them, but no protocol decision does, so instrumenting
+//! them would only multiply scheduling points; they stay on plain `std`
+//! atomics where noted at their definitions.
 
 #[cfg(not(lfc_model))]
 pub use std::hint::spin_loop;

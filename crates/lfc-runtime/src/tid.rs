@@ -211,6 +211,12 @@ pub fn on_thread_exit(hook: Box<dyn FnOnce()>) {
     });
 }
 
+/// Whether the current thread holds a thread id.
+#[cfg(test)]
+pub(crate) fn thread_is_registered() -> bool {
+    SLOT.try_with(|s| s.borrow().is_some()).unwrap_or(false)
+}
+
 /// One past the largest thread id ever claimed by this process.
 pub fn registered_high_water() -> usize {
     HIGH_WATER.load(Ordering::Relaxed)
