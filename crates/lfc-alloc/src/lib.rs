@@ -330,15 +330,20 @@ pub fn stats() -> AllocStats {
     }
 }
 
+/// Blocks parked in per-thread caches above this allocator, summed over
+/// every thread id's last [`set_parked`].
+pub fn parked() -> usize {
+    PARKED.iter().map(|p| p.load(Ordering::Relaxed)).sum()
+}
+
 /// Blocks currently held by callers (allocated and not yet freed). Cached
-/// blocks — in magazines, on the global stack, or parked in a per-thread
-/// cache above this allocator ([`set_parked`]) — do not count.
+/// blocks — in magazines, on the global stack, or [`parked`] in a
+/// per-thread cache above this allocator — do not count.
 pub fn outstanding() -> usize {
     let s = stats();
-    let parked: usize = PARKED.iter().map(|p| p.load(Ordering::Relaxed)).sum();
     (s.fresh + s.recycled + s.oversize)
         .saturating_sub(s.freed)
-        .saturating_sub(parked)
+        .saturating_sub(parked())
 }
 
 #[cfg(test)]

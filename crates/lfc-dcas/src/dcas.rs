@@ -141,7 +141,7 @@ fn init_desc(block: NonNull<DcasDesc>) {
 /// published, or past its hazard-domain reclamation point.
 unsafe fn dealloc_desc(d: NonNull<DcasDesc>) {
     // Safety: forwarded contract.
-    unsafe { crate::pool::dealloc(crate::pool::Kind::Dcas, d) };
+    unsafe { crate::pool::dealloc(d) };
 }
 
 unsafe fn reclaim_desc(p: *mut u8) {
@@ -182,7 +182,7 @@ impl DescHandle {
         if lfc_runtime::fault::check("dcas.desc") {
             return Err(lfc_alloc::AllocError);
         }
-        let desc = crate::pool::try_alloc(crate::pool::Kind::Dcas, reuse_desc, init_desc)?;
+        let desc = crate::pool::try_alloc(reuse_desc, init_desc)?;
         Ok(DescHandle { desc })
     }
 

@@ -39,7 +39,6 @@
 //!   once the RDCSS descriptor itself is protected and validated.
 
 use crate::atomic::DAtomic;
-use crate::pool::Kind;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
@@ -137,7 +136,7 @@ pub mod counters {
 unsafe fn reclaim_casn(p: *mut u8) {
     // CasnDesc has no drop glue; recycle the block through the pool.
     // Safety: the hazard domain guarantees unreachability.
-    unsafe { crate::pool::dealloc(Kind::Casn, NonNull::new_unchecked(p as *mut CasnDesc)) };
+    unsafe { crate::pool::dealloc(NonNull::new_unchecked(p as *mut CasnDesc)) };
 }
 
 /// RDCSS descriptor: install `casn_word` at `word` iff `*status` is still
@@ -157,7 +156,7 @@ unsafe impl Sync for RdcssDesc {}
 
 unsafe fn reclaim_rdcss(p: *mut u8) {
     // Safety: the hazard domain guarantees unreachability.
-    unsafe { crate::pool::dealloc(Kind::Rdcss, NonNull::new_unchecked(p as *mut RdcssDesc)) };
+    unsafe { crate::pool::dealloc(NonNull::new_unchecked(p as *mut RdcssDesc)) };
 }
 
 /// Uniquely owned, unpublished CASN descriptor.
@@ -218,7 +217,7 @@ impl CasnHandle {
         if lfc_runtime::fault::check("dcas.casn") {
             return Err(lfc_alloc::AllocError);
         }
-        let block = crate::pool::try_alloc(Kind::Casn, reuse_casn, init_casn)?;
+        let block = crate::pool::try_alloc(reuse_casn, init_casn)?;
         Ok(CasnHandle { desc: block })
     }
 
@@ -594,7 +593,6 @@ fn try_alloc_rdcss(
         }
     };
     let block = crate::pool::try_alloc(
-        Kind::Rdcss,
         |d| {
             counters::RDCSS_POOL_HITS.add(1);
             fill(d);

@@ -9,6 +9,7 @@ use lfc_dcas::DescHandle;
 #[test]
 fn pooled_descriptors_are_cached_until_their_thread_exits() {
     const N: usize = 100;
+    const _: () = assert!(N < lfc_hazard::MIN_SCAN_TRIGGER);
     let outstanding0 = lfc_alloc::outstanding();
     let freed0 = lfc_alloc::stats().freed;
     std::thread::spawn(move || {
@@ -19,7 +20,7 @@ fn pooled_descriptors_are_cached_until_their_thread_exits() {
             "held by a caller"
         );
         // Never published, so every handle goes straight into this
-        // thread's pool, however many there are.
+        // thread's pool: N is below every scan trigger, the pool's bound.
         drop(held);
         assert_eq!(
             lfc_alloc::outstanding(),

@@ -459,6 +459,14 @@ fn orphans_adopt(list: &mut Vec<Retired>) {
 
 struct ThreadReclaim {
     pending: Vec<Retired>,
+    /// Bytes retired by this thread since it last published into
+    /// [`RETIRED_BYTES`] (see the doc there): folded in by
+    /// [`publish_and_scan`], so the retire fast path is a plain add.
+    bytes_unpublished: usize,
+}
+
+thread_local! {
+    static RECLAIM: Cell<*mut ThreadReclaim> = const { Cell::new(std::ptr::null_mut()) };
     /// Pending-list length that re-arms the next threshold scan: the max of
     /// the base threshold and **twice the survivors of the last scan**,
     /// retention-capped (adaptive, PR 5; see [`rearm_scan`]). A fixed
@@ -469,16 +477,10 @@ struct ThreadReclaim {
     /// Re-arming at 2× the surviving count makes consecutive scans
     /// geometric in the live retired-record count — amortized O(1) scan
     /// work per retire — while an empty survivor set falls back to the
-    /// base threshold unchanged.
-    next_scan: usize,
-    /// Bytes retired by this thread since it last published into
-    /// [`RETIRED_BYTES`] (see the doc there): folded in by
-    /// [`publish_and_scan`], so the retire fast path is a plain add.
-    bytes_unpublished: usize,
-}
-
-thread_local! {
-    static RECLAIM: Cell<*mut ThreadReclaim> = const { Cell::new(std::ptr::null_mut()) };
+    /// base threshold unchanged. Its own cell rather than a
+    /// [`ThreadReclaim`] field: [`scan_trigger`] reads it from reclaimers
+    /// that run inside a scan, while the scan holds the list mutably.
+    static NEXT_SCAN: Cell<usize> = const { Cell::new(0) };
 }
 
 fn with_reclaim<R>(f: impl FnOnce(&mut ThreadReclaim) -> R) -> R {
@@ -487,7 +489,6 @@ fn with_reclaim<R>(f: impl FnOnce(&mut ThreadReclaim) -> R) -> R {
         if p.is_null() {
             p = Box::into_raw(Box::new(ThreadReclaim {
                 pending: Vec::new(),
-                next_scan: 0,
                 bytes_unpublished: 0,
             }));
             cell.set(p);
@@ -944,7 +945,7 @@ pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: Retir
     with_reclaim(|tr| {
         tr.bytes_unpublished += info.bytes;
         tr.pending.push(r);
-        if tr.pending.len() >= tr.next_scan.max(scan_threshold()) {
+        if tr.pending.len() >= scan_trigger() {
             publish_and_scan(tr);
         }
     });
@@ -959,16 +960,29 @@ fn publish_and_scan(tr: &mut ThreadReclaim) {
         tr.bytes_unpublished = 0;
     }
     scan_list(&mut tr.pending);
-    tr.next_scan = rearm_scan(tr.pending.len());
+    NEXT_SCAN.with(|n| n.set(rearm_scan(tr.pending.len())));
+}
+
+/// The lowest value [`scan_trigger`] ever returns.
+pub const MIN_SCAN_TRIGGER: usize = 128;
+
+/// The calling thread's retire-list length at which its next scan runs: the
+/// base threshold (which grows with the registered thread count, never
+/// below [`MIN_SCAN_TRIGGER`]) or the adaptive re-arm of its last scan,
+/// whichever is larger. So it also bounds how many records one scan of
+/// this thread's own list can free, which is what the `lfc-dcas`
+/// descriptor pools size themselves by.
+pub fn scan_trigger() -> usize {
+    NEXT_SCAN.with(Cell::get).max(scan_threshold())
 }
 
 fn scan_threshold() -> usize {
-    (2 * SLOTS_PER_THREAD * registered_high_water().max(1)).max(128)
+    (2 * SLOTS_PER_THREAD * registered_high_water().max(1)).max(MIN_SCAN_TRIGGER)
 }
 
-/// Adaptive re-arm after a scan (see [`ThreadReclaim::next_scan`]): the
-/// next scan triggers once the pending list doubles past the records this
-/// scan could not free — capped at a multiple of the base threshold, so a
+/// Adaptive re-arm after a scan (see [`NEXT_SCAN`]): the next scan
+/// triggers once the pending list doubles past the records this scan
+/// could not free — capped at a multiple of the base threshold, so a
 /// one-time pinned burst cannot permanently raise the trigger: once the
 /// pin clears, at most `RETENTION_CAP` further retires pass before a scan
 /// drains the (now freeable) backlog, instead of waiting for pending to
