@@ -10,6 +10,7 @@
 //! (each revert is one false-helping episode).
 
 use lfc_bench::harness::{bench, bench_custom, report, Measurement};
+use lfc_bench::json::Json;
 use lfc_core::move_one;
 use lfc_structures::{StampedStack, TreiberStack};
 use std::hint::black_box;
@@ -149,9 +150,15 @@ fn main() {
     let mut ms = move_throughput();
     ms.extend(normal_op_cost());
     if json {
-        for m in &ms {
-            println!("{}", m.to_json());
-        }
+        let rows = ms.iter().map(|m| {
+            Json::Obj(vec![
+                ("name".into(), Json::str(m.name.clone())),
+                ("median_ns".into(), Json::Num(m.median_ns)),
+                ("min_ns".into(), Json::Num(m.min_ns)),
+                ("max_ns".into(), Json::Num(m.max_ns)),
+            ])
+        });
+        print!("{}", Json::Arr(rows.collect()).to_pretty());
     } else {
         report("stamped_ablation", &ms);
         false_helping_report();

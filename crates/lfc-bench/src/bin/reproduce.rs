@@ -1,5 +1,5 @@
-//! Regenerates the paper's evaluation figures, and captures the repo's
-//! standing hot-path micro-benchmarks.
+//! Regenerates the paper's evaluation figures, and runs the combined
+//! fault campaign against the sharded ledger.
 //!
 //! ```text
 //! reproduce fig2            # queue/stack  (paper Figure 2)
@@ -7,21 +7,11 @@
 //! reproduce fig4            # stack/stack  (paper Figure 4)
 //! reproduce all
 //! reproduce fig2 --backoff  # §6–§7 "with backoff" variant
-//! reproduce bench --label optimized [--out BENCH_run.json]
-//! reproduce throughput --label pr7 [--threads 1,2,4,8] [--duration-ms 300]
 //! reproduce chaos --label nightly [--smoke] [--duration-ms N] [--out FILE.json]
 //! ```
 //!
-//! `bench` runs the hot-path micro-suite (uncontended `move_one`, contended
-//! DCAS, raw-structure overhead ratios) and emits one JSON object, the
-//! format recorded in `BENCH_results.json` for the perf trajectory.
-//!
-//! `throughput` runs the PR 7 multi-thread closed-loop harness: each
-//! workload × mode (baseline/adaptive) at each thread count, emitting
-//! scaling curves (ops/sec + p50/p99/p999 + reclamation high-water) as one
-//! JSON object. With no `--threads`, a host with ≥ 4 cores sweeps
-//! 1/2/4/8 and a small CI container falls back to a 2-thread
-//! oversubscribed smoke run (`--smoke` forces the latter).
+//! The repo's benchmark (hot-path costs, closed-loop throughput and
+//! latency) is the separate `benchmark/` package.
 //!
 //! Options: `--ops N` (total operations, default 1,000,000), `--trials K`
 //! (default 10; paper uses 5,000,000/50), `--threads 1,2,4,8,16`, `--csv`.
@@ -34,8 +24,25 @@
 
 use lfc_bench::json::Json;
 use lfc_bench::stats::{mean, std_dev};
-use lfc_bench::throughput::{cores, run_throughput, Skew, TpCfg, TpWorkload};
 use lfc_bench::{run_config, Contention, Impl, Mix, Pair, RunCfg};
+
+const USAGE: &str = "usage: reproduce <fig2|fig3|fig4|all> [--backoff] [--ops N] [--trials K] [--threads 1,2,..] [--csv]
+       reproduce chaos [--label NAME] [--smoke] [--duration-ms N] [--workers N] [--out FILE.json]";
+
+/// Print `msg` and the usage line, then exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parse `args[i]`, the value of `flag`; a missing or malformed value
+/// exits through [`usage`].
+fn value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    match args.get(i).map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => usage(&format!("{flag}: missing or malformed value")),
+    }
+}
 
 struct Options {
     figures: Vec<(&'static str, Pair)>,
@@ -46,7 +53,7 @@ struct Options {
     csv: bool,
 }
 
-fn parse_args() -> Options {
+fn parse_args(args: &[String]) -> Options {
     let mut figures = Vec::new();
     let mut total_ops = 1_000_000;
     let mut trials = 10;
@@ -54,7 +61,6 @@ fn parse_args() -> Options {
     let mut backoff = false;
     let mut csv = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -70,31 +76,25 @@ fn parse_args() -> Options {
             "--csv" => csv = true,
             "--ops" => {
                 i += 1;
-                total_ops = args[i].parse().expect("--ops N");
+                total_ops = value(args, i, "--ops");
             }
             "--trials" => {
                 i += 1;
-                trials = args[i].parse().expect("--trials K");
+                trials = value(args, i, "--trials");
             }
             "--threads" => {
                 i += 1;
-                threads = args[i]
+                threads = value::<String>(args, i, "--threads")
                     .split(',')
-                    .map(|s| s.parse().expect("--threads a,b,c"))
+                    .map(|s| s.parse().unwrap_or_else(|_| usage("--threads a,b,c")))
                     .collect();
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument: {other}")),
         }
         i += 1;
     }
     if figures.is_empty() {
-        eprintln!(
-            "usage: reproduce <fig2|fig3|fig4|all> [--backoff] [--ops N] [--trials K] [--threads 1,2,..] [--csv]\n       reproduce bench [--label NAME] [--out FILE.json]\n       reproduce throughput [--label NAME] [--threads 1,2,4,8] [--duration-ms N] [--key-space N] [--smoke] [--out FILE.json]"
-        );
-        std::process::exit(2);
+        usage("no figure selected");
     }
     Options {
         figures,
@@ -104,72 +104,6 @@ fn parse_args() -> Options {
         backoff,
         csv,
     }
-}
-
-/// `reproduce bench`: run the hot-path micro-suite and emit one JSON run
-/// object (the unit recorded in `BENCH_results.json`).
-fn run_bench_capture(args: &[String]) {
-    use lfc_bench::micro;
-
-    let mut label = "unlabeled".to_string();
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--label" => {
-                i += 1;
-                label = value(args, i, "--label");
-            }
-            "--out" => {
-                i += 1;
-                out = Some(value(args, i, "--out"));
-            }
-            other => {
-                eprintln!("unknown bench argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    let seed = lfc_bench::base_seed();
-    eprintln!("capturing hot-path micro-benchmarks ({label}, seed {seed:#x})...");
-    let mut results = Vec::new();
-    results.push(micro::move_uncontended());
-    results.push(micro::move_contended());
-    let overhead = micro::overhead();
-    let q_ratio = micro::overhead_ratio(&overhead, "queue_enqueue_dequeue");
-    let s_ratio = micro::overhead_ratio(&overhead, "stack_push_pop");
-    results.extend(overhead);
-    results.extend(micro::dcas());
-    results.extend(micro::multi());
-    results.extend(micro::traverse());
-    results.extend(micro::hashmap_scaling());
-    results.extend(micro::skiplist());
-
-    // Reclamation diagnostics (PR 6): a post-suite snapshot of the hazard
-    // domain, so regressions in garbage accumulation (or an ejection storm
-    // on an unstalled run, which should report zero) show up in the
-    // tracked BENCH_results.json alongside the latency numbers.
-    let ratio = |r: f64| Json::Num((r * 10_000.0).round() / 10_000.0);
-    let doc = Json::Obj(vec![
-        ("label".into(), Json::str(label)),
-        ("seed".into(), Json::int(seed)),
-        (
-            "results".into(),
-            Json::Arr(results.iter().map(|m| m.to_value()).collect()),
-        ),
-        ("overhead_ratio_queue".into(), ratio(q_ratio)),
-        ("overhead_ratio_stack".into(), ratio(s_ratio)),
-        ("reclamation".into(), lfc_bench::diag::reclamation_json()),
-    ]);
-    emit(&doc, out);
 }
 
 /// `reproduce chaos`: run the combined-adversary campaign against the
@@ -183,12 +117,6 @@ fn run_chaos_capture(args: &[String]) {
     let mut out: Option<String> = None;
     let mut cfg = ChaosCfg::full();
     let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--label" => {
@@ -202,18 +130,13 @@ fn run_chaos_capture(args: &[String]) {
             "--smoke" => cfg = ChaosCfg::smoke(),
             "--duration-ms" => {
                 i += 1;
-                cfg.duration_ms = value(args, i, "--duration-ms")
-                    .parse()
-                    .expect("--duration-ms N");
+                cfg.duration_ms = value(args, i, "--duration-ms");
             }
             "--workers" => {
                 i += 1;
-                cfg.workers = value(args, i, "--workers").parse().expect("--workers N");
+                cfg.workers = value(args, i, "--workers");
             }
-            other => {
-                eprintln!("unknown chaos argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown chaos argument: {other}")),
         }
         i += 1;
     }
@@ -272,163 +195,13 @@ fn emit(doc: &Json, out: Option<String>) {
     }
 }
 
-/// `reproduce throughput`: run the multi-thread closed-loop harness and
-/// emit one scaling-curve JSON object.
-fn run_throughput_capture(args: &[String]) {
-    let mut label = "unlabeled".to_string();
-    let mut out: Option<String> = None;
-    let mut threads: Option<Vec<usize>> = None;
-    let mut duration_ms = 300u64;
-    let mut key_space = 64u64;
-    let mut smoke = false;
-    let value = |args: &[String], i: usize, flag: &str| -> String {
-        args.get(i).cloned().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--label" => {
-                i += 1;
-                label = value(args, i, "--label");
-            }
-            "--out" => {
-                i += 1;
-                out = Some(value(args, i, "--out"));
-            }
-            "--threads" => {
-                i += 1;
-                threads = Some(
-                    value(args, i, "--threads")
-                        .split(',')
-                        .map(|s| s.parse().expect("--threads a,b,c"))
-                        .collect(),
-                );
-            }
-            "--duration-ms" => {
-                i += 1;
-                duration_ms = value(args, i, "--duration-ms")
-                    .parse()
-                    .expect("--duration-ms N");
-            }
-            "--key-space" => {
-                i += 1;
-                key_space = value(args, i, "--key-space")
-                    .parse()
-                    .expect("--key-space N");
-            }
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown throughput argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    // Thread-count floor: a 1-core PR container cannot produce a credible
-    // scaling curve, so without an explicit sweep it runs one 2-thread
-    // oversubscribed smoke configuration instead.
-    let threads = match threads {
-        Some(t) => t,
-        None if smoke || cores() < 4 => vec![2],
-        None => vec![1, 2, 4, 8],
-    };
-    if smoke {
-        duration_ms = duration_ms.min(150);
-    }
-
-    let seed = lfc_bench::base_seed();
-    eprintln!(
-        "throughput sweep ({label}, seed {seed:#x}, {} core(s), threads {threads:?}, {duration_ms} ms/run)...",
-        cores()
-    );
-    let workloads = [
-        (TpWorkload::MoveHeavy, Skew::Zipfian),
-        (TpWorkload::ReadMostly, Skew::Zipfian),
-        (TpWorkload::Mixed, Skew::Zipfian),
-        (TpWorkload::MoveHeavy, Skew::Uniform),
-        (TpWorkload::StackPushPop, Skew::Uniform),
-        (TpWorkload::SkipMix, Skew::Zipfian),
-    ];
-    // Interleave baseline/adaptive trials and keep each mode's median-
-    // throughput trial: back-to-back single runs on a shared box otherwise
-    // hand whichever mode runs second a warmed allocator and a quieter
-    // scheduler.
-    let trials = if smoke { 1 } else { 3 };
-    let mut curves = Vec::new();
-    for &n in &threads {
-        for (workload, skew) in workloads {
-            let mut runs: [Vec<_>; 2] = [Vec::new(), Vec::new()];
-            for _ in 0..trials {
-                for adaptive in [false, true] {
-                    runs[adaptive as usize].push(run_throughput(&TpCfg {
-                        workload,
-                        threads: n,
-                        skew,
-                        duration_ms,
-                        key_space,
-                        adaptive,
-                        seed,
-                    }));
-                }
-            }
-            for per_mode in runs {
-                let mut per_mode = per_mode;
-                per_mode.sort_by_key(|r| r.ops);
-                let r = per_mode.swap_remove(per_mode.len() / 2);
-                eprintln!(
-                    "  {:<22} {:<8} t={n}: {:>10.0} ops/s  p50={} p99={} p999={} retired_hwm={} batched={} elim={}",
-                    r.name,
-                    r.mode,
-                    r.ops_per_sec(),
-                    r.p50_ns,
-                    r.p99_ns,
-                    r.p999_ns,
-                    r.retired_hwm,
-                    r.batched_ops,
-                    r.elim_pairs
-                );
-                curves.push(r.to_value());
-            }
-        }
-    }
-    let doc = Json::Obj(vec![
-        ("label".into(), Json::str(label)),
-        ("seed".into(), Json::int(seed)),
-        ("cores".into(), Json::int(cores() as u64)),
-        (
-            "threads".into(),
-            Json::Arr(threads.iter().map(|&t| Json::int(t as u64)).collect()),
-        ),
-        ("duration_ms".into(), Json::int(duration_ms)),
-        ("curves".into(), Json::Arr(curves)),
-        // Same post-run snapshot `reproduce bench` embeds: a throughput
-        // capture with nonzero ejections/abandonments is not a clean
-        // perf number, and the tracked JSON should say so itself.
-        ("reclamation".into(), lfc_bench::diag::reclamation_json()),
-    ]);
-    emit(&doc, out);
-}
-
 fn main() {
-    {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.first().map(String::as_str) == Some("bench") {
-            run_bench_capture(&args[1..]);
-            return;
-        }
-        if args.first().map(String::as_str) == Some("throughput") {
-            run_throughput_capture(&args[1..]);
-            return;
-        }
-        if args.first().map(String::as_str) == Some("chaos") {
-            run_chaos_capture(&args[1..]);
-            return;
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("chaos") {
+        run_chaos_capture(&args[1..]);
+        return;
     }
-    let opt = parse_args();
+    let opt = parse_args(&args);
     // The paper tunes the backoff "so as to give the best performance to the
     // blocking implementation"; these constants behave well on small hosts.
     let backoff = opt.backoff.then_some((250u32, 100_000u32));

@@ -46,6 +46,45 @@ use lfc_runtime::SmallRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+/// Cores available to this process.
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Zipfian sampler over ranks `0..n`: precomputed CDF + binary search.
+struct ZipfSampler {
+    cdf: Vec<f64>,
+}
+
+impl ZipfSampler {
+    /// Build the CDF for `n` ranks with exponent `s`.
+    fn new(n: u64, s: f64) -> Self {
+        let mut cdf = Vec::with_capacity(n as usize);
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s);
+            cdf.push(acc);
+        }
+        for p in &mut cdf {
+            *p /= acc;
+        }
+        ZipfSampler { cdf }
+    }
+
+    /// Draw a rank in `0..n` (rank 0 is the hottest).
+    fn sample(&self, rng: &mut SmallRng) -> u64 {
+        let r = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        match self
+            .cdf
+            .binary_search_by(|p| p.partial_cmp(&r).expect("cdf has no NaNs"))
+        {
+            Ok(i) | Err(i) => (i as u64).min(self.cdf.len() as u64 - 1),
+        }
+    }
+}
+
 /// Campaign parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosCfg {
@@ -74,7 +113,7 @@ impl ChaosCfg {
     pub fn full() -> Self {
         ChaosCfg {
             shards: 4,
-            workers: (crate::throughput::cores() + 4).max(8),
+            workers: (cores() + 4).max(8),
             duration_ms: 4_000,
             accounts: 2_048,
             vouchers_per_lane: 32,
@@ -328,7 +367,7 @@ pub fn run_chaos(cfg: &ChaosCfg) -> ChaosResult {
             let zipf_s = cfg.zipf_s;
             let seed = cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             sc.spawn(move || {
-                let zipf = crate::throughput::ZipfSampler::new(accounts, zipf_s);
+                let zipf = ZipfSampler::new(accounts, zipf_s);
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut local_n = Hist::new();
                 let mut local_d = Hist::new();
@@ -535,4 +574,27 @@ pub fn run_chaos(cfg: &ChaosCfg) -> ChaosResult {
     };
     fault::shield_thread(false);
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zipf_is_skewed_and_in_range() {
+        let z = ZipfSampler::new(100, 0.99);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut counts = [0u64; 100];
+        for _ in 0..20_000 {
+            counts[z.sample(&mut rng) as usize] += 1;
+        }
+        // Rank 0 must dominate the tail decisively.
+        assert!(
+            counts[0] > counts[50] * 5,
+            "{} vs {}",
+            counts[0],
+            counts[50]
+        );
+        assert!(counts.iter().sum::<u64>() == 20_000);
+    }
 }

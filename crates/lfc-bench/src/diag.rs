@@ -1,17 +1,15 @@
-//! Shared reclamation/robustness diagnostics block for captured JSON.
+//! Reclamation/robustness diagnostics block for captured JSON.
 //!
-//! Every capture the CI tracks (`reproduce bench`, `reproduce throughput`,
-//! `reproduce chaos`) embeds the same post-run snapshot of the hazard
-//! domain and the fault subsystem, under the same `"reclamation"` key, so
-//! regressions in garbage accumulation — or an armed fault site leaking
-//! into a perf capture — show up in whichever artifact is being diffed.
+//! The `reproduce chaos` capture embeds a post-run snapshot of the hazard
+//! domain and the fault subsystem under the `"reclamation"` key, so
+//! regressions in garbage accumulation — or an armed fault site firing
+//! where it should not — show up in the artifact being diffed.
 
 use crate::json::Json;
 
 /// A post-run snapshot of the hazard domain and fault counters as one JSON
 /// object. On an unfaulted run the `ejections`, `zombies`,
-/// `abandoned_threads`, and every `fired` are zero; nonzero values in a
-/// perf capture flag an armed site leaking in.
+/// `abandoned_threads`, and every `fired` are zero.
 pub fn reclamation_json() -> Json {
     let (ejections, zombies) = lfc_hazard::ejection_stats();
     Json::Obj(vec![

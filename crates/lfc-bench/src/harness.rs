@@ -1,4 +1,5 @@
-//! A minimal, dependency-free benchmark harness.
+//! A minimal, dependency-free benchmark harness, used by the
+//! `stamped_ablation` bench target (the repo's benchmark is `benchmark/`).
 //!
 //! Methodology: a sample times a batch of `B` iterations, where `B` is
 //! calibrated so one batch takes roughly [`TARGET_SAMPLE`]; the reported
@@ -17,7 +18,7 @@ pub const WARMUP: Duration = Duration::from_millis(200);
 /// One benchmark result.
 #[derive(Clone, Debug)]
 pub struct Measurement {
-    /// Benchmark id, e.g. `"dcas/success_uncontended"`.
+    /// Benchmark id, e.g. `"stack_normal_ops/stamped_push_pop"`.
     pub name: String,
     /// Median nanoseconds per operation.
     pub median_ns: f64,
@@ -25,49 +26,6 @@ pub struct Measurement {
     pub min_ns: f64,
     /// Maximum over samples.
     pub max_ns: f64,
-}
-
-impl Measurement {
-    /// Render as one JSON object (flat, stable keys).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"median_ns\":{:.3},\"min_ns\":{:.3},\"max_ns\":{:.3}}}",
-            json_escape(&self.name),
-            self.median_ns,
-            self.min_ns,
-            self.max_ns
-        )
-    }
-
-    /// The same object as a [`crate::json::Json`] value (the emitters in
-    /// `reproduce` build one tree and serialize once).
-    pub fn to_value(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let ms = |v: f64| Json::Num((v * 1000.0).round() / 1000.0);
-        Json::Obj(vec![
-            ("name".into(), Json::str(self.name.clone())),
-            ("median_ns".into(), ms(self.median_ns)),
-            ("min_ns".into(), ms(self.min_ns)),
-            ("max_ns".into(), ms(self.max_ns)),
-        ])
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn summarize(name: &str, mut ns: Vec<f64>) -> Measurement {

@@ -1,10 +1,8 @@
-//! One tiny JSON tree shared by every bench emitter (no crates.io).
-//!
-//! Before PR 7, `reproduce bench` hand-concatenated its JSON with
-//! `format!`, and the throughput harness would have grown a second copy —
-//! schema drift waiting to happen. Both now build a [`Json`] value and
-//! serialize through this module; the parser exists so a round-trip test
-//! can pin the emitted bytes to a real JSON grammar.
+//! One tiny JSON tree shared by every emitter (no crates.io): `reproduce
+//! chaos`, the `stamped_ablation` bench target and the `benchmark/`
+//! package all build a [`Json`] value and serialize through this module;
+//! the parser exists so a round-trip test can pin the emitted bytes to a
+//! real JSON grammar.
 
 use std::fmt::Write as _;
 

@@ -17,9 +17,7 @@ pub mod diag;
 pub mod harness;
 pub mod hist;
 pub mod json;
-pub mod micro;
 pub mod stats;
-pub mod throughput;
 pub mod workload;
 
 pub use workload::{

@@ -18,21 +18,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Median (0 for empty).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,11 +33,5 @@ mod tests {
         assert_eq!(std_dev(&[5.0]), 0.0);
         let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((sd - 2.138).abs() < 0.01);
-    }
-
-    #[test]
-    fn median_basic() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
     }
 }

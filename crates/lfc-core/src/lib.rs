@@ -20,7 +20,8 @@
 //! / `remove_with` monomorphize back into the object's original operations
 //! (the paper keeps a runtime `desc != 0` test instead; hoisting it to the
 //! type level preserves the claim that normal operations keep their
-//! performance behaviour — validated by the `overhead` benchmark).
+//! performance behaviour — validated by the benchmark's
+//! `structures.native_overhead_ratio` row).
 //!
 //! # The move operation (paper Algorithm 3), generalized
 //!

@@ -14,6 +14,11 @@ use lfc_hazard::{pin, slot as hslot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// The hazard slot protecting the node a remove reads: the last engine
+/// entry slot, which a two-entry move never promotes into (`read` helps
+/// through DESC/HELP*/KCAS*, so those slots would be overwritten).
+const NODE_SLOT: usize = hslot::ENTRY0 + hslot::ENTRY_COUNT - 1;
+
 struct SlotNode<T> {
     val: T,
 }
@@ -92,7 +97,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for Slot<T> {
             if cur == 0 {
                 return RemoveOutcome::Empty;
             }
-            g.set(hslot::REM0, cur);
+            g.set(NODE_SLOT, cur);
             if self.word.read(&g) != cur {
                 continue;
             }
@@ -107,7 +112,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for Slot<T> {
                 },
                 &val,
             );
-            g.clear(hslot::REM0);
+            g.clear(NODE_SLOT);
             match r {
                 ScasResult::Success => {
                     unsafe { lfc_hazard::retire(cur as *mut u8, reclaim_slot_node::<T>) };

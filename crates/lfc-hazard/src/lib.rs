@@ -16,19 +16,17 @@
 //! D2–D3). Fixed roles are assigned in [`slot`] so the layers never clobber
 //! each other:
 //!
-//! * insert-side operation hazards: [`slot::INS0`]..[`slot::INS2`]
-//! * remove-side operation hazards: [`slot::REM0`]..[`slot::REM2`]
-//!   (insert and remove *must not share* hazard slots — paper requirement 2
-//!   discussion: shared hazard pointers would let a move's insert overwrite
-//!   its remove's protections. **Since PR 3 the in-tree structures protect
-//!   traversal with epochs instead and no longer publish these roles**;
-//!   they remain reserved for hazard-style move-ready objects — the
-//!   protocol tests build such objects — and the requirement-2 slot
-//!   disjointness now lives in the per-entry `ENTRY*` promotions)
 //! * the descriptor hazard set by `read` before helping: [`slot::DESC`]
 //! * the adopted protections of a helping DCAS (lines D2–D3):
 //!   [`slot::HELP1`], [`slot::HELP2`]
 //! * CASN helping protections (extension): [`slot::KCAS0`]..
+//! * the composition engine's per-entry protections: [`slot::ENTRY0`]..
+//!   (insert and remove *must not share* hazard slots — paper requirement 2
+//!   discussion: shared hazard pointers would let a move's insert overwrite
+//!   its remove's protections. The structures protect traversal with
+//!   epochs, so the disjointness lives in these per-entry promotions)
+//! * the batch-claim and elimination-camp hazards: [`slot::CLAIM`],
+//!   [`slot::ELIM`]
 //!
 //! # Epoch-batched traversal protection (PR 3)
 //!
@@ -155,27 +153,15 @@ pub mod model_toggles {
 
 /// Named hazard-slot indices (roles) within a thread's slot bank.
 pub mod slot {
-    /// First insert-side operation hazard (paper `hp1`).
-    pub const INS0: usize = 0;
-    /// Second insert-side operation hazard (paper `hp2`).
-    pub const INS1: usize = 1;
-    /// Third insert-side hazard (keyed structures need prev/curr/next).
-    pub const INS2: usize = 2;
-    /// First remove-side operation hazard (paper `hp3`).
-    pub const REM0: usize = 3;
-    /// Second remove-side operation hazard (paper `hp4`).
-    pub const REM1: usize = 4;
-    /// Third remove-side hazard (keyed structures).
-    pub const REM2: usize = 5;
     /// Descriptor hazard set by the `read` operation before helping
     /// (the paper's `hpd`, line D35).
-    pub const DESC: usize = 6;
+    pub const DESC: usize = 0;
     /// Helper-adopted protection of the word-1 allocation (line D3).
-    pub const HELP1: usize = 7;
+    pub const HELP1: usize = 1;
     /// Helper-adopted protection of the word-2 allocation (line D3).
-    pub const HELP2: usize = 8;
+    pub const HELP2: usize = 2;
     /// Base of the CASN helper protections (extension; one per entry).
-    pub const KCAS0: usize = 9;
+    pub const KCAS0: usize = 3;
     /// Number of CASN helper slots.
     pub const KCAS_COUNT: usize = 7;
     /// Base of the composition engine's per-entry protections: at capture
@@ -190,7 +176,7 @@ pub mod slot {
     /// *initiating* thread's composition, KCAS* to the same thread's
     /// *helping* of foreign CASNs (a `read` inside a nested operation can
     /// help a foreign CASN mid-composition).
-    pub const ENTRY0: usize = 16;
+    pub const ENTRY0: usize = 10;
     /// Number of engine entry slots (one per possible CASN entry).
     pub const ENTRY_COUNT: usize = 6;
     /// The batched-composition claim protection (PR 7): a submitter parks
@@ -200,27 +186,26 @@ pub mod slot {
     /// immune to the zombie tier's birth-era partition, unlike epochs).
     /// The batch drainer that clears a batch retires its nodes; a waiter's
     /// CLAIM slot is what makes its final result-word read safe after that.
-    pub const CLAIM: usize = 22;
+    pub const CLAIM: usize = 16;
     /// The elimination exchanger's camp protection (PR 7): a pusher parks
     /// its offered node's address here for as long as it camps on an
     /// exchanger slot. A claimed offer is *retired* (never freed
     /// directly), so this hazard is what closes the ABA window — the
     /// node's address cannot be recycled into a fresh offer the camping
     /// pusher's withdraw CAS could steal (see `lfc-structures::elim`).
-    pub const ELIM: usize = 23;
+    pub const ELIM: usize = 17;
 }
 
 /// Hazard slots per registered thread.
-pub const SLOTS_PER_THREAD: usize = 24;
+pub const SLOTS_PER_THREAD: usize = 18;
 
 /// One thread's hazard slots, cache-line padded: before padding,
 /// neighbouring threads' banks shared lines in one flat array and every
 /// hazard publication invalidated other threads' cached banks. The
 /// alignment keeps each bank on its own aligned prefetch-pairs of lines
-/// (`24 × 8 = 192` bytes, padded to 256 by the alignment). Since PR 3 the
-/// hot writers are the `ENTRY*` promotions (every composed capture), the
-/// `DESC`/`HELP*`/`KCAS*` helper slots, and any hazard-style object's
-/// INS*/REM* roles.
+/// (`18 × 8 = 144` bytes, padded to 256 by the alignment). The hot writers
+/// are the `ENTRY*` promotions (every composed capture) and the
+/// `DESC`/`HELP*`/`KCAS*` helper slots.
 #[repr(align(128))]
 struct SlotBank {
     slots: [AtomicUsize; SLOTS_PER_THREAD],
@@ -976,8 +961,17 @@ pub fn scan_trigger() -> usize {
     NEXT_SCAN.with(Cell::get).max(scan_threshold())
 }
 
+/// Retire records per registered thread in the base scan threshold. A
+/// constant of its own, not a multiple of [`SLOTS_PER_THREAD`], so
+/// resizing the bank never moves the scan trigger.
+const SCAN_RECORDS_PER_THREAD: usize = 48;
+
 fn scan_threshold() -> usize {
-    (2 * SLOTS_PER_THREAD * registered_high_water().max(1)).max(MIN_SCAN_TRIGGER)
+    base_scan_threshold(registered_high_water())
+}
+
+fn base_scan_threshold(threads: usize) -> usize {
+    (SCAN_RECORDS_PER_THREAD * threads.max(1)).max(MIN_SCAN_TRIGGER)
 }
 
 /// Adaptive re-arm after a scan (see [`NEXT_SCAN`]): the next scan
@@ -1373,11 +1367,11 @@ mod tests {
     fn protect_returns_loaded_value() {
         let g = pin();
         let word = AtomicUsize::new(0xAB00);
-        let v = g.protect(slot::INS0, || word.load(Ordering::Relaxed));
+        let v = g.protect(slot::DESC, || word.load(Ordering::Relaxed));
         assert_eq!(v, 0xAB00);
-        assert_eq!(g.get(slot::INS0), 0xAB00);
-        g.clear(slot::INS0);
-        assert_eq!(g.get(slot::INS0), 0);
+        assert_eq!(g.get(slot::DESC), 0xAB00);
+        g.clear(slot::DESC);
+        assert_eq!(g.get(slot::DESC), 0);
     }
 
     #[test]
@@ -1386,7 +1380,7 @@ mod tests {
         // settle on a validated one.
         let g = pin();
         let calls = Counter::new(0);
-        let v = g.protect(slot::INS1, || {
+        let v = g.protect(slot::DESC, || {
             let c = calls.fetch_add(1, Ordering::Relaxed);
             if c < 3 {
                 0x1000 + c
@@ -1395,7 +1389,7 @@ mod tests {
             }
         });
         assert_eq!(v, 0x2000);
-        g.clear(slot::INS1);
+        g.clear(slot::DESC);
     }
 
     #[test]
@@ -1411,12 +1405,12 @@ mod tests {
     fn protected_retire_is_deferred_until_cleared() {
         let g = pin();
         let p = Box::into_raw(Box::new(9u64)) as *mut u8;
-        g.set(slot::REM0, p as usize);
+        g.set(slot::ENTRY0, p as usize);
         unsafe { retire(p, reclaim_box_u64) };
         flush();
         // Still protected: must not have been freed. Read through it.
         assert_eq!(unsafe { *(p as *mut u64) }, 9);
-        g.clear(slot::REM0);
+        g.clear(slot::ENTRY0);
         flush();
         // Now it must be gone (we cannot read it; rely on counters).
         assert!(!pending_retired_contains(p));
@@ -1443,6 +1437,14 @@ mod tests {
             pending_retired(),
             scan_threshold()
         );
+    }
+
+    #[test]
+    fn scan_threshold_is_independent_of_the_bank_size() {
+        assert_eq!(SLOTS_PER_THREAD, 18);
+        for threads in 0..=MAX_THREADS {
+            assert_eq!(base_scan_threshold(threads), (48 * threads.max(1)).max(128));
+        }
     }
 
     #[test]
@@ -1521,7 +1523,7 @@ mod tests {
         // Main thread protects; worker retires + flushes; object must survive.
         let g = pin();
         let p = Box::into_raw(Box::new(0xFEEDu64)) as *mut u8;
-        g.set(slot::INS2, p as usize);
+        g.set(slot::ENTRY0, p as usize);
         let pv = p as usize;
         std::thread::spawn(move || {
             let p = pv as *mut u8;
@@ -1532,7 +1534,7 @@ mod tests {
         .unwrap();
         // Worker exited; its leftovers are orphaned. We still hold the hazard.
         assert_eq!(unsafe { *(p as *mut u64) }, 0xFEED);
-        g.clear(slot::INS2);
+        g.clear(slot::ENTRY0);
         flush();
     }
 

@@ -4,8 +4,8 @@
 //! Every protocol atomic in `lfc-runtime`, `lfc-dcas`, `lfc-hazard` and
 //! `lfc-structures` goes through this module (the other crates re-export it
 //! as their own crate-local `sync`). In a normal build it re-exports `std`
-//! verbatim — zero cost by construction, verified by the tracked
-//! `reproduce bench` numbers. Under `RUSTFLAGS="--cfg lfc_model"` it
+//! verbatim — zero cost by construction, checked by the `benchmark/`
+//! probe ladder. Under `RUSTFLAGS="--cfg lfc_model"` it
 //! re-exports [`lfc_model::atomic`], whose types pass through to `std`
 //! until a model execution is live on the calling thread and are fully
 //! instrumented (scheduling points, vector clocks, SC constraint graph,

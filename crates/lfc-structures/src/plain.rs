@@ -1,11 +1,11 @@
 //! Textbook (non-move-ready) Michael–Scott queue and Treiber stack.
 //!
-//! These are the *reference* implementations against which the `overhead`
-//! benchmark validates the paper's claim that "the operations originally
-//! supported by the data objects keep their performance behavior" once the
-//! objects are made move-ready: identical algorithms and memory management
-//! (epoch-batched protection via `pin_op`, same unified reclamation
-//! domain), but plain CASes and plain loads — no `scas` indirection, no
+//! These are the *reference* implementations against which the benchmark's
+//! `structures.native_overhead_ratio` row validates the paper's claim that
+//! "the operations originally supported by the data objects keep their
+//! performance behavior" once the objects are made move-ready: identical
+//! algorithms and memory management (epoch-batched protection via
+//! `pin_op`, same unified reclamation domain), but plain CASes and plain loads — no `scas` indirection, no
 //! descriptor check on reads.
 
 use crate::node::{

@@ -1,8 +1,12 @@
 //! Cross-crate stress: element conservation across every move-ready
 //! structure under concurrent mixed traffic, plus allocator leak checks.
 
-use lockfree_compose::{move_one, MoveOutcome, MsQueue, OneSlot, StampedStack, TreiberStack};
+use lockfree_compose::{
+    batch, move_keyed, move_one, BatchGate, LfHashMap, MoveKeyedOp, MoveOutcome, MsQueue, OneSlot,
+    StampedStack, TreiberStack,
+};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 #[test]
 fn four_way_topology_conserves_every_token() {
@@ -249,5 +253,85 @@ fn abort_storm_never_corrupts() {
     assert!(
         aborted.load(std::sync::atomic::Ordering::Relaxed) > 0,
         "the abort path was actually exercised"
+    );
+}
+
+#[test]
+fn oversubscribed_churn_stays_inside_the_garbage_budget() {
+    // One more worker than cores shuttles Zipf-hot keys between two maps
+    // for ~80 ms — half the workers through a batch gate, half directly —
+    // sampling the retired-bytes gauge. A preempted worker must never let
+    // garbage pile up past the stall-policy budget, where the ejection
+    // ladder takes over.
+    const KEYS: u64 = 32;
+    type Map = LfHashMap<u64, u64>;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+    // Zipf (s = 0.99) CDF over key ranks: rank 0 is the hottest key.
+    let mut cdf: Vec<f64> = (1..=KEYS)
+        .scan(0.0, |acc, k| {
+            *acc += 1.0 / (k as f64).powf(0.99);
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[cdf.len() - 1];
+    cdf.iter_mut().for_each(|p| *p /= total);
+
+    let a: Map = LfHashMap::new();
+    let b: Map = LfHashMap::new();
+    for k in 0..KEYS {
+        a.insert(k, k);
+    }
+    let gate: BatchGate<MoveKeyedOp<'_, u64, u64, Map, Map>> = BatchGate::new();
+    let stop = AtomicBool::new(false);
+    let hwm = AtomicUsize::new(0);
+    let ops: Vec<usize> = std::thread::scope(|sc| {
+        let handles: Vec<_> = (0..workers)
+            .map(|t| {
+                let (a, b, gate, cdf, stop, hwm) = (&a, &b, &gate, &cdf, &stop, &hwm);
+                sc.spawn(move || {
+                    let mut x = 0x5E0C ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut n = 0;
+                    while !stop.load(Ordering::Acquire) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let r = (x >> 11) as f64 / (1u64 << 53) as f64;
+                        let key = cdf.partition_point(|&p| p < r).min(KEYS as usize - 1) as u64;
+                        let (src, dst) = if x & 1 == 0 { (a, b) } else { (b, a) };
+                        if t % 2 == 0 {
+                            let _ = move_keyed(src, &key, dst);
+                        } else {
+                            let _ =
+                                batch::decode_move(gate.submit(MoveKeyedOp::new(src, key, dst)));
+                        }
+                        n += 1;
+                        if n % 64 == 0 {
+                            hwm.fetch_max(lfc_hazard::retired_bytes(), Ordering::Relaxed);
+                        }
+                    }
+                    n
+                })
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(80));
+        stop.store(true, Ordering::Release);
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert!(
+        ops.iter().all(|&n| n > 0),
+        "a worker was starved outright: {ops:?}"
+    );
+    for k in 0..KEYS {
+        assert!(
+            a.get(&k).is_some() != b.get(&k).is_some(),
+            "key {k} must live in exactly one map"
+        );
+    }
+    let budget = lfc_hazard::stall_policy().max_retired_bytes;
+    let hwm = hwm.load(Ordering::Relaxed);
+    assert!(
+        hwm < budget,
+        "retired high-water {hwm} exceeded the stall-policy budget {budget}"
     );
 }
