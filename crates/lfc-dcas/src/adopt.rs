@@ -20,11 +20,12 @@
 //!    finalizers.
 //!
 //! The leak bound (DESIGN.md "Fault model"): one descriptor (≤ 256 B,
-//! leaked because helpers may still hold it — see `DescHandle`'s drop) per
-//! abandonment, plus whatever nodes the abandoned operation owned but had
-//! not published. Everything else — pooled descriptors, allocator
-//! magazines, pending retire lists — is flushed by the exit hooks that run
-//! during abandonment, and the id/bank are reclaimed here.
+//! leaked because helpers may still hold it — see the abandoned end of
+//! `crate::pool::Owned`) per abandonment, plus whatever nodes the
+//! abandoned operation owned but had not published. Everything else —
+//! pooled descriptors, allocator magazines, pending retire lists — is
+//! flushed by the exit hooks that run during abandonment, and the id/bank
+//! are reclaimed here.
 
 use crate::word::{self, Word};
 use lfc_hazard::Guard;
@@ -155,7 +156,7 @@ unsafe fn help_announced(w: Word, g: &Guard) -> bool {
             // Safety: forwarded (announced descriptors are leaked alive).
             if unsafe { crate::dcas::dcas_is_published(w) } {
                 // Safety: forwarded; run as helper (the initiator is dead).
-                let _ = unsafe { crate::dcas::dcas_run(w, false, g) };
+                let _ = unsafe { crate::dcas::dcas_run(w, false, g, fault::gate()) };
             }
             true
         }

@@ -1,6 +1,6 @@
 //! The software DCAS of paper §3.2.2 / Algorithm 4.
 //!
-//! A DCAS attempt allocates a [`DcasDesc`], fills in the two CAS triples
+//! A DCAS attempt allocates a `DcasDesc`, fills in the two CAS triples
 //! captured at the composed linearization points, and *announces* the
 //! operation by CASing `*ptr1` from `old1` to an unmarked descriptor word
 //! (line D10). Helpers — threads whose `read` found the descriptor — then
@@ -29,11 +29,11 @@
 
 use crate::atomic::DAtomic;
 use crate::kcas::{CasnEntry, CasnResult};
+use crate::pool::{Owned, Pooled};
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
-use lfc_runtime::solo;
-use std::ptr::NonNull;
+use lfc_runtime::ShardedCounter;
 
 /// `res`: operation not yet decided.
 const RES_UNDECIDED: usize = 0;
@@ -43,10 +43,10 @@ const RES_SECONDFAILED: usize = 1;
 const RES_SUCCESS: usize = 2;
 
 /// Outcome of a DCAS, reporting which comparison failed (a capability the
-/// paper adds over Harris et al.; the move operation uses it to decide
-/// whether to redo only the insert or both operations).
+/// paper adds over Harris et al.; the engine reports it as the failing
+/// entry index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DcasResult {
+pub(crate) enum DcasResult {
     /// Both words were swung atomically.
     Success,
     /// `*ptr1 != old1`; nothing was changed (only reported to the initiator).
@@ -55,13 +55,23 @@ pub enum DcasResult {
     SecondFailed,
 }
 
+impl From<DcasResult> for CasnResult {
+    fn from(r: DcasResult) -> Self {
+        match r {
+            DcasResult::Success => CasnResult::Success,
+            DcasResult::FirstFailed => CasnResult::FailedAt(0),
+            DcasResult::SecondFailed => CasnResult::FailedAt(1),
+        }
+    }
+}
+
 /// The DCAS descriptor (paper Algorithm 1's `DCASDesc`).
 ///
 /// All fields except `res` are written only while the descriptor is
 /// unpublished (uniquely owned) and are immutable once the announcing CAS
 /// publishes it, so helpers may read them through a shared reference.
 #[repr(align(64))]
-pub struct DcasDesc {
+pub(crate) struct DcasDesc {
     ptr1: *const DAtomic,
     old1: Word,
     new1: Word,
@@ -74,8 +84,7 @@ pub struct DcasDesc {
     /// As `hp1`, for `*ptr2`.
     hp2: usize,
     res: AtomicUsize,
-    /// Global era at (re)allocation, forwarded to `retire_with` so zombie
-    /// scans can exonerate descriptors born after an ejected reader stalled.
+    /// Global era at (re)allocation ([`Pooled::birth`]).
     birth: usize,
 }
 
@@ -85,40 +94,24 @@ pub struct DcasDesc {
 unsafe impl Send for DcasDesc {}
 unsafe impl Sync for DcasDesc {}
 
-/// Pool-hit reset (the fresh-block twin is [`init_desc`]).
-///
-/// `DescHandle::new` on the seed path paid, per DCAS attempt: a size-class
-/// lookup plus magazine pop in `lfc-alloc` and a full 9-field descriptor
-/// write. The pool (see [`crate::pool`] for the shared machinery and its
-/// safety argument) reduces the hit path to one `Vec::pop` and a single
-/// `res` reset — the CAS triples are overwritten by `set_first` /
-/// `set_second` anyway.
-fn reuse_desc(d: NonNull<DcasDesc>) {
-    counters::DESC_POOL_HITS.add(1);
-    // Safety: unreachable by any other thread (pool contract);
-    // Relaxed reset is enough — publication happens-before is
-    // established by the announcing CAS, never by this store.
-    unsafe { d.as_ref() }
-        .res
-        .store(RES_UNDECIDED, Ordering::Relaxed);
-    // Safety: exclusively owned (pool contract); plain store before
-    // publication.
-    unsafe { (*d.as_ptr()).birth = lfc_hazard::birth_era() };
-    #[cfg(debug_assertions)]
-    // Safety: exclusively owned; poison the triple pointers so a
-    // commit without set_first/set_second trips the debug asserts.
-    unsafe {
-        let m = &mut *d.as_ptr();
-        m.ptr1 = std::ptr::null();
-        m.ptr2 = std::ptr::null();
+impl DcasDesc {
+    /// Record the two CAS triples: `first` is announced at `*ptr1`,
+    /// `second` swung through the marked-word race at `*ptr2`.
+    fn set(&mut self, first: &CasnEntry, second: &CasnEntry) {
+        (self.ptr1, self.old1, self.new1, self.hp1) = (first.ptr, first.old, first.new, first.hp);
+        (self.ptr2, self.old2, self.new2, self.hp2) =
+            (second.ptr, second.old, second.new, second.hp);
     }
 }
 
-fn init_desc(block: NonNull<DcasDesc>) {
-    counters::DESC_POOL_MISSES.add(1);
-    // Safety: freshly allocated, properly aligned and sized.
-    unsafe {
-        block.as_ptr().write(DcasDesc {
+impl Pooled for DcasDesc {
+    const LIST: usize = 0;
+    const SITE: &'static str = "dcas.desc";
+    const HITS: &'static ShardedCounter = &counters::DESC_POOL_HITS;
+    const MISSES: &'static ShardedCounter = &counters::DESC_POOL_MISSES;
+
+    fn fresh(birth: usize) -> Self {
+        DcasDesc {
             ptr1: std::ptr::null(),
             old1: 0,
             new1: 0,
@@ -128,318 +121,63 @@ fn init_desc(block: NonNull<DcasDesc>) {
             new2: 0,
             hp2: 0,
             res: AtomicUsize::new(RES_UNDECIDED),
-            birth: lfc_hazard::birth_era(),
-        });
+            birth,
+        }
+    }
+
+    fn reuse(&mut self, birth: usize) {
+        // Relaxed reset is enough — publication happens-before is
+        // established by the announcing CAS, never by this store.
+        self.res.store(RES_UNDECIDED, Ordering::Relaxed);
+        self.birth = birth;
+    }
+
+    fn birth(&self) -> usize {
+        self.birth
     }
 }
 
-/// Return an unreachable descriptor to the pool (or the backing allocator).
+/// The K=2 commit of [`crate::engine::try_commit_entries`]: allocate a
+/// pooled descriptor for `first`/`second`, publish it and run the DCAS as
+/// its initiator. The solo regime and alias detection are the engine's,
+/// dispatched before this is reached; a retry re-captures its entries, so
+/// nothing is handed back.
 ///
 /// # Safety
 ///
-/// `d` must be a live descriptor no thread can reach: either never
-/// published, or past its hazard-domain reclamation point.
-unsafe fn dealloc_desc(d: NonNull<DcasDesc>) {
-    // Safety: forwarded contract.
-    unsafe { crate::pool::dealloc(d) };
-}
-
-unsafe fn reclaim_desc(p: *mut u8) {
-    // DcasDesc has no drop glue; recycle the block through the pool.
-    // Safety: the hazard domain guarantees unreachability.
-    unsafe { dealloc_desc(NonNull::new_unchecked(p as *mut DcasDesc)) };
-}
-
-/// Uniquely owned, unpublished descriptor.
-///
-/// The handle encodes the publication protocol in its API: `commit`
-/// publishes and runs the DCAS as the initiator, consuming the handle and
-/// retiring the descriptor if it became visible to helpers.
-pub struct DescHandle {
-    desc: NonNull<DcasDesc>,
-}
-
-impl std::fmt::Debug for DescHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DescHandle")
-            .field("addr", &self.desc.as_ptr())
-            .finish()
+/// As `commit_entries`, for the two entries.
+pub(crate) unsafe fn commit(
+    first: &CasnEntry,
+    second: &CasnEntry,
+    g: &Guard,
+) -> Result<CasnResult, lfc_alloc::AllocError> {
+    let d = Owned::<DcasDesc>::try_new(|d| d.set(first, second))?;
+    debug_assert_eq!(
+        d.res.load(Ordering::Relaxed),
+        RES_UNDECIDED,
+        "descriptor reuse after publication"
+    );
+    let addr = d.addr();
+    // Announce the in-flight operation in the adoption table before
+    // publication: from here until `clear_announce`, a survivor can
+    // complete this DCAS on our behalf if we die
+    // (`crate::adopt_dead_threads`). The kill site models exactly that
+    // death. One armed-generation load covers every kill site this
+    // commit passes (announce, publish, and any helping it triggers).
+    let fg = lfc_runtime::fault::gate();
+    crate::adopt::announce(g.tid(), word::dcas_plain(addr));
+    fg.check_kill("dcas.announced");
+    // Safety: we own the descriptor; `dcas_run` publishes it.
+    let result = unsafe { dcas_run(word::dcas_plain(addr), true, g, fg) };
+    crate::adopt::clear_announce(g.tid());
+    match result {
+        // Announcement failed: never published, so dropping recycles the
+        // block straight into the pool.
+        DcasResult::FirstFailed => drop(d),
+        // Published (helpers may hold it): through the hazard domain.
+        _ => d.retire(),
     }
-}
-
-impl DescHandle {
-    /// Allocate a fresh descriptor (per-thread pooled, 64-aligned).
-    /// Panics (unwinds) where [`Self::try_new`] returns `Err`.
-    pub fn new() -> Self {
-        Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
-    }
-
-    /// Fallible [`Self::new`]: `Err` when the pool is empty and the backing
-    /// allocation fails (or the `dcas.desc` / `alloc.block` fault site
-    /// fires). The site check runs before the pool so injection fires even
-    /// when a pooled block would have been a guaranteed hit.
-    pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        if lfc_runtime::fault::check("dcas.desc") {
-            return Err(lfc_alloc::AllocError);
-        }
-        let desc = crate::pool::try_alloc(reuse_desc, init_desc)?;
-        Ok(DescHandle { desc })
-    }
-
-    fn desc(&self) -> &DcasDesc {
-        // Safety: uniquely owned and initialized.
-        unsafe { self.desc.as_ref() }
-    }
-
-    fn desc_mut(&mut self) -> &mut DcasDesc {
-        // Safety: unpublished handles are uniquely owned.
-        unsafe { self.desc.as_mut() }
-    }
-
-    /// Record the first (remove-side) CAS triple. `hp1` is the base address
-    /// of the allocation containing `*ptr1` (0 if none is needed).
-    pub fn set_first(&mut self, ptr1: &DAtomic, old1: Word, new1: Word, hp1: usize) {
-        let d = self.desc_mut();
-        d.ptr1 = ptr1;
-        d.old1 = old1;
-        d.new1 = new1;
-        d.hp1 = hp1;
-    }
-
-    /// Record the second (insert-side) CAS triple.
-    pub fn set_second(&mut self, ptr2: &DAtomic, old2: Word, new2: Word, hp2: usize) {
-        let d = self.desc_mut();
-        d.ptr2 = ptr2;
-        d.old2 = old2;
-        d.new2 = new2;
-        d.hp2 = hp2;
-    }
-
-    /// Record the first triple from a prepared engine entry
-    /// (the unified commit's K=2 dispatch, [`crate::engine`]). Crate-only:
-    /// the entry's raw `ptr` is dereferenced by `commit`, so the liveness
-    /// obligation stays inside the engine's `commit_entries` contract.
-    pub(crate) fn set_first_from(&mut self, e: &CasnEntry) {
-        let d = self.desc_mut();
-        d.ptr1 = e.ptr;
-        d.old1 = e.old;
-        d.new1 = e.new;
-        d.hp1 = e.hp;
-    }
-
-    /// Record the second triple from a prepared engine entry.
-    pub(crate) fn set_second_from(&mut self, e: &CasnEntry) {
-        let d = self.desc_mut();
-        d.ptr2 = e.ptr;
-        d.old2 = e.old;
-        d.new2 = e.new;
-        d.hp2 = e.hp;
-    }
-
-    /// Address of the first word, for alias detection (a DCAS whose two
-    /// words coincide can never succeed — e.g. a stack moved onto itself).
-    pub fn first_word_addr(&self) -> usize {
-        self.desc().ptr1 as usize
-    }
-
-    /// Publish the descriptor and run the DCAS as the initiating process.
-    ///
-    /// Returns the result plus a handle for the next attempt: a handle
-    /// carrying the first-side triple after `FirstFailed`/`SecondFailed`
-    /// (paper line M30, `new DCASDesc(desc)`), and `None` after `Success`.
-    ///
-    /// # Uncontended fast path
-    ///
-    /// In the solo regime ([`lfc_runtime::solo`]) — this thread is the only
-    /// registered thread, and the registration handshake keeps it that way
-    /// for the duration — no helper can observe the operation, so the
-    /// descriptor is never published: the two CASes run back to back, with
-    /// a revert of the first on a second-word mismatch. The intermediate
-    /// state is unobservable by construction, which is exactly the
-    /// atomicity the descriptor protocol exists to provide.
-    pub fn commit(self, g: &Guard) -> (DcasResult, Option<DescHandle>) {
-        self.debug_check_fresh();
-
-        {
-            let d = self.desc();
-            // Aliased words can never succeed and take the slow path so the
-            // outcome matches the published protocol (SECONDFAILED: the
-            // second comparison sees the announcement, not `old2`).
-            if !std::ptr::eq(d.ptr1, d.ptr2) {
-                if let Some(_solo) = solo::try_enter() {
-                    // The DCAS solo path is the K=2 instance of the engine's
-                    // shared solo commit (`kcas::solo_commit`): run the CASes
-                    // back to back, reverting on a mismatch. Safety: target
-                    // allocations are kept alive by the initiating
-                    // operation's borrows/hazards, as on the slow path.
-                    let entries = [
-                        CasnEntry {
-                            ptr: d.ptr1,
-                            old: d.old1,
-                            new: d.new1,
-                            hp: d.hp1,
-                        },
-                        CasnEntry {
-                            ptr: d.ptr2,
-                            old: d.old2,
-                            new: d.new2,
-                            hp: d.hp2,
-                        },
-                    ];
-                    return match crate::kcas::solo_commit(&entries) {
-                        // Never published: the handle is reused directly
-                        // (its first triple is intact) or, on success,
-                        // Drop recycles it straight into the pool.
-                        CasnResult::Success => (DcasResult::Success, None),
-                        CasnResult::FailedAt(0) => (DcasResult::FirstFailed, Some(self)),
-                        CasnResult::FailedAt(_) => (DcasResult::SecondFailed, Some(self)),
-                    };
-                }
-            }
-        }
-
-        let result = self.publish_and_run(g);
-        match result {
-            DcasResult::FirstFailed => {
-                // Announcement failed: never published, safe to reuse.
-                (result, Some(self))
-            }
-            DcasResult::SecondFailed => {
-                // Published (helpers may hold it): retire, hand back a fresh
-                // copy of the first-side triple for the insert retry.
-                let mut fresh = DescHandle::new();
-                {
-                    let d = self.desc();
-                    let f = fresh.desc_mut();
-                    f.ptr1 = d.ptr1;
-                    f.old1 = d.old1;
-                    f.new1 = d.new1;
-                    f.hp1 = d.hp1;
-                }
-                self.retire();
-                (result, Some(fresh))
-            }
-            DcasResult::Success => {
-                self.retire();
-                (result, None)
-            }
-        }
-    }
-
-    /// Publish and run the DCAS as the initiator, without the retry
-    /// hand-back of [`Self::commit`]: the unified engine
-    /// ([`crate::engine::commit_entries`]) re-captures its entries into a
-    /// fresh pooled handle on retry, so copying the first-side triple into
-    /// a new descriptor here would round-trip a pooled block per contended
-    /// failure for nothing. The solo regime is likewise the engine's job
-    /// (its regime 1), dispatched before this path is reached, and the
-    /// engine's alias detection guarantees the two words are distinct.
-    pub(crate) fn commit_engine(self, g: &Guard) -> DcasResult {
-        debug_assert!(
-            !std::ptr::eq(self.desc().ptr1, self.desc().ptr2),
-            "engine entries are pairwise distinct"
-        );
-        let result = self.publish_and_run(g);
-        if let DcasResult::FirstFailed = result {
-            // Announcement failed: never published, so Drop recycles the
-            // block straight into the pool.
-            drop(self);
-        } else {
-            // Published (helpers may hold it): through the hazard domain.
-            self.retire();
-        }
-        result
-    }
-
-    /// Announce the operation for adoption, then publish the descriptor
-    /// and run the DCAS as its initiator. The caller disposes of the
-    /// handle: unpublished after `FirstFailed`, published otherwise.
-    fn publish_and_run(&self, g: &Guard) -> DcasResult {
-        let addr = self.desc.as_ptr() as usize;
-        self.debug_check_fresh();
-        // Announce the in-flight operation in the adoption table before
-        // publication: from here until `clear_announce`, a survivor can
-        // complete this DCAS on our behalf if we die
-        // (`crate::adopt_dead_threads`). The kill site models exactly that
-        // death. One armed-generation load covers every kill site this
-        // commit passes (announce, publish, and any helping it triggers).
-        let fg = lfc_runtime::fault::gate();
-        crate::adopt::announce(g.tid(), word::dcas_plain(addr));
-        fg.check_kill("dcas.announced");
-        // Safety: we own the descriptor; `dcas_run_gated` publishes it.
-        let result = unsafe { dcas_run_gated(word::dcas_plain(addr), true, g, fg) };
-        crate::adopt::clear_announce(g.tid());
-        result
-    }
-
-    /// Debug check shared by every commit path, solo fast path included:
-    /// the handle is filled in and has never been published.
-    fn debug_check_fresh(&self) {
-        debug_assert_eq!(
-            self.desc().res.load(Ordering::Relaxed),
-            RES_UNDECIDED,
-            "descriptor reuse after publication"
-        );
-        debug_assert!(!self.desc().ptr1.is_null() && !self.desc().ptr2.is_null());
-    }
-
-    /// Retire the (published) descriptor through the hazard domain.
-    fn retire(self) {
-        let p = self.desc.as_ptr();
-        std::mem::forget(self);
-        // Safety: decided descriptors are unreachable except through stale
-        // marked words, whose readers fail hazard validation (module docs).
-        unsafe { retire_desc(p) };
-    }
-}
-
-/// Hand a (published, decided) descriptor to the hazard domain.
-///
-/// Uses `retire_with`: descriptors carry their allocation era so a zombie
-/// scan can exonerate ones born after the stall, and — having no drop
-/// glue — they divert straight into the type-stable pool when a zombie
-/// pins them.
-///
-/// # Safety
-///
-/// `p` must be a live descriptor, decided, retired exactly once.
-unsafe fn retire_desc(p: *mut DcasDesc) {
-    // Safety: alive per contract, so `birth` is readable; forwarded.
-    unsafe {
-        lfc_hazard::retire_with(
-            p as *mut u8,
-            reclaim_desc,
-            lfc_hazard::RetireInfo {
-                bytes: std::mem::size_of::<DcasDesc>(),
-                birth: (*p).birth,
-                divert: Some(reclaim_desc),
-            },
-        )
-    };
-}
-
-impl Drop for DescHandle {
-    fn drop(&mut self) {
-        // An abandoning thread (injected death, `lfc_runtime::fault`) may
-        // be unwinding out of `dcas_run` with the descriptor *published*:
-        // recycling it here would hand helpers a reused block. Leak it —
-        // the corpse's announce-table entry keeps it findable, and the
-        // documented leak bound charges one descriptor per abandonment.
-        if lfc_runtime::fault::thread_is_abandoning() {
-            return;
-        }
-        // Unpublished handle dropped without commit (e.g. move aborted in
-        // the remove init-phase, or a solo fast-path success): no helper
-        // can know the address, so it goes straight back to the pool.
-        // Safety: uniquely owned.
-        unsafe { dealloc_desc(self.desc) };
-    }
-}
-
-impl Default for DescHandle {
-    fn default() -> Self {
-        Self::new()
-    }
+    Ok(result.into())
 }
 
 /// Diagnostic counters (used by the false-helping ablation bench, the
@@ -494,7 +232,7 @@ pub(crate) unsafe fn help(desc_word: Word, g: &Guard) {
     fg.check_kill("dcas.help");
     counters::HELP_RUNS.add(1);
     // Safety: forwarded contract.
-    let _ = unsafe { dcas_run_gated(desc_word, false, g, fg) };
+    let _ = unsafe { dcas_run(desc_word, false, g, fg) };
 }
 
 /// Whether `plain`'s descriptor is currently installed at its first word
@@ -514,7 +252,8 @@ pub(crate) unsafe fn help(desc_word: Word, g: &Guard) {
 /// # Safety
 ///
 /// `plain`'s descriptor must be alive with its first triple recorded
-/// (announce-table contract: `announce` happens after `set_first`).
+/// (announce-table contract: `announce` happens after the descriptor's
+/// fill in [`commit`]).
 pub(crate) unsafe fn dcas_is_published(plain: Word) -> bool {
     // Safety: descriptor alive per contract; `ptr1` was set before the
     // announce made `plain` visible to adopters.
@@ -530,7 +269,9 @@ fn decode(res: usize) -> DcasResult {
     }
 }
 
-/// The DCAS protocol, lines D1–D31.
+/// The DCAS protocol, lines D1–D31, with the caller's
+/// [`lfc_runtime::fault::FaultGate`] snapshot, so a commit pays for the
+/// armed-generation load exactly once across all its kill sites.
 ///
 /// # Safety
 ///
@@ -538,19 +279,7 @@ fn decode(res: usize) -> DcasResult {
 /// duration of the call: by ownership for the initiator, by the `DESC`
 /// hazard for helpers. Helpers must additionally have validated that the
 /// word they came through still held `desc_word` after protecting it.
-pub unsafe fn dcas_run(desc_word: Word, initiator: bool, g: &Guard) -> DcasResult {
-    // Safety: forwarded contract.
-    unsafe { dcas_run_gated(desc_word, initiator, g, lfc_runtime::fault::gate()) }
-}
-
-/// [`dcas_run`] with the caller's [`lfc_runtime::fault::FaultGate`]
-/// snapshot, so a commit pays for the armed-generation load exactly once
-/// across all its kill sites.
-///
-/// # Safety
-///
-/// As [`dcas_run`].
-pub(crate) unsafe fn dcas_run_gated(
+pub(crate) unsafe fn dcas_run(
     desc_word: Word,
     initiator: bool,
     g: &Guard,
@@ -749,21 +478,27 @@ fn finish_decided(
 pub mod test_support {
     use super::*;
 
-    /// Announce `handle` (line D10 only) and "stall": returns the plain
-    /// descriptor word now installed at `*ptr1`, or gives the handle back if
-    /// the announcement failed. The caller takes over the initiator's
+    /// Allocate a descriptor for `first`/`second`, announce it (line D10
+    /// only) and "stall": returns the plain descriptor word now installed
+    /// at `*first.ptr`, or `None` (the descriptor recycled) if the
+    /// announcement failed. The caller takes over the initiator's
     /// responsibility to eventually run/finish and retire the descriptor.
-    pub fn announce_only(handle: DescHandle) -> Result<Word, DescHandle> {
-        let addr = handle.desc.as_ptr() as usize;
-        let plain = word::dcas_plain(addr);
-        let d = handle.desc();
-        // Safety: handle owns the descriptor; ptr1 was set by the test.
+    ///
+    /// # Safety
+    ///
+    /// As `commit_entries`, for the two entries, and their words must stay
+    /// alive until [`retire_announced`].
+    pub unsafe fn announce_only(first: CasnEntry, second: CasnEntry) -> Option<Word> {
+        let d = Owned::<DcasDesc>::try_new(|d| d.set(&first, &second))
+            .unwrap_or_else(|e| crate::pool::alloc_failed(e));
+        let plain = word::dcas_plain(d.addr());
+        // Safety: live per the contract.
         let ptr1 = unsafe { &*d.ptr1 };
         if ptr1.cas_word(d.old1, plain) {
-            std::mem::forget(handle);
-            Ok(plain)
+            d.into_raw();
+            Some(plain)
         } else {
-            Err(handle)
+            None
         }
     }
 
@@ -774,10 +509,10 @@ pub mod test_support {
     ///
     /// `desc_word` must come from [`announce_only`] and the descriptor must
     /// not have been finished+retired yet.
-    pub unsafe fn resume(desc_word: Word, g: &Guard) -> DcasResult {
+    pub unsafe fn resume(desc_word: Word, g: &Guard) -> CasnResult {
         // Resuming initiator: already announced, so run as a helper but
         // translate the result for the caller.
-        unsafe { dcas_run(desc_word, false, g) }
+        unsafe { dcas_run(desc_word, false, g, lfc_runtime::fault::gate()) }.into()
     }
 
     /// Retire a descriptor obtained from [`announce_only`] once decided.
@@ -786,8 +521,8 @@ pub mod test_support {
     ///
     /// Must be called exactly once, after the DCAS is decided.
     pub unsafe fn retire_announced(desc_word: Word) {
-        // Safety: forwarded contract.
-        unsafe { retire_desc(word::desc_addr(desc_word) as *mut DcasDesc) };
+        // Safety: `announce_only` gave the descriptor up; taken back once.
+        unsafe { Owned::from_raw(word::desc_addr(desc_word) as *mut DcasDesc) }.retire();
     }
 
     /// Current `res` state, decoded loosely for assertions.

@@ -10,19 +10,20 @@
 //! 1. **Solo** ([`lfc_runtime::solo`]): the calling thread is the only
 //!    registered thread and the registration handshake keeps it that way,
 //!    so no descriptor is built at all — the k CASes run back to back
-//!    ([`crate::kcas::solo_commit`], shared with `DescHandle`'s own fast
-//!    path), rolling back the prefix on the first mismatch.
-//! 2. **K = 2**: the paper's own DCAS (Algorithm 4) via a pooled
-//!    [`DescHandle`] — fewer CASes than the general protocol and no RDCSS
-//!    descriptors, which is exactly why the paper prefers it for pairs.
-//! 3. **K > 2**: the Harris–Fraser–Pratt CASN via a pooled
-//!    [`CasnHandle`](crate::kcas::CasnHandle).
+//!    ([`crate::kcas::solo_commit`]), rolling back the prefix on the first
+//!    mismatch.
+//! 2. **K = 2**: the paper's own DCAS (Algorithm 4, [`crate::dcas`]) —
+//!    fewer CASes than the general protocol and no RDCSS descriptors,
+//!    which is exactly why the paper prefers it for pairs.
+//! 3. **K > 2**: the Harris–Fraser–Pratt CASN ([`crate::kcas`]).
 //!
-//! All three share the per-thread descriptor pools (`crate::pool`), so the
-//! steady-state hot path performs **zero** `lfc-alloc` block allocations.
+//! This is the only way in for an initiator: the published regimes
+//! allocate, publish and retire their descriptors through the one
+//! lifecycle in `crate::pool` (per-thread pools, so the steady-state hot
+//! path performs **zero** `lfc-alloc` block allocations), and a retry
+//! re-captures its entries into a fresh descriptor.
 
-use crate::dcas::{DcasResult, DescHandle};
-use crate::kcas::{solo_commit, CasnEntry, CasnHandle, CasnResult, MAX_ENTRIES};
+use crate::kcas::{solo_commit, CasnEntry, CasnResult, MAX_ENTRIES};
 use lfc_hazard::Guard;
 use lfc_runtime::solo;
 
@@ -81,22 +82,13 @@ pub unsafe fn try_commit_entries(
         return Ok(solo_commit(entries));
     }
 
-    // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
     if let [first, second] = entries {
-        let mut h = DescHandle::try_new()?;
-        h.set_first_from(first);
-        h.set_second_from(second);
-        return Ok(match h.commit_engine(g) {
-            DcasResult::Success => CasnResult::Success,
-            DcasResult::FirstFailed => CasnResult::FailedAt(0),
-            DcasResult::SecondFailed => CasnResult::FailedAt(1),
-        });
+        // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
+        // Safety: forwarded contract.
+        unsafe { crate::dcas::commit(first, second, g) }
+    } else {
+        // Regime 3: the general CASN.
+        // Safety: forwarded contract.
+        unsafe { crate::kcas::commit(entries, g) }
     }
-
-    // Regime 3: the general CASN.
-    let mut h = CasnHandle::try_new()?;
-    for (i, e) in entries.iter().enumerate() {
-        h.set_entry_from(i, e);
-    }
-    h.try_commit(g)
 }

@@ -39,10 +39,11 @@
 //!   once the RDCSS descriptor itself is protected and validated.
 
 use crate::atomic::DAtomic;
+use crate::pool::{Owned, Pooled};
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
-use std::ptr::NonNull;
+use lfc_runtime::ShardedCounter;
 
 /// Maximum entries in one CASN (1 remove + up to 5 insert targets). Bounded
 /// by the per-thread `KCAS*` hazard slots.
@@ -89,11 +90,11 @@ impl Default for CasnEntry {
 /// The CASN descriptor. Entries are immutable once published (announced via
 /// the first RDCSS); only `status` is written concurrently.
 #[repr(align(64))]
-pub struct CasnDesc {
+pub(crate) struct CasnDesc {
     entries: [CasnEntry; MAX_ENTRIES],
     count: usize,
     status: AtomicUsize,
-    /// Global era at (re)allocation; see `DcasDesc::birth`.
+    /// Global era at (re)allocation ([`Pooled::birth`]).
     birth: usize,
 }
 
@@ -133,12 +134,6 @@ pub mod counters {
     }
 }
 
-unsafe fn reclaim_casn(p: *mut u8) {
-    // CasnDesc has no drop glue; recycle the block through the pool.
-    // Safety: the hazard domain guarantees unreachability.
-    unsafe { crate::pool::dealloc(NonNull::new_unchecked(p as *mut CasnDesc)) };
-}
-
 /// RDCSS descriptor: install `casn_word` at `word` iff `*status` is still
 /// undecided and `*word == old`.
 #[repr(align(64))]
@@ -147,194 +142,105 @@ pub(crate) struct RdcssDesc {
     word: *const DAtomic,
     old: Word,
     casn_word: Word,
-    /// Global era at (re)allocation; see `DcasDesc::birth`.
+    /// Global era at (re)allocation ([`Pooled::birth`]).
     birth: usize,
 }
 
 unsafe impl Send for RdcssDesc {}
 unsafe impl Sync for RdcssDesc {}
 
-unsafe fn reclaim_rdcss(p: *mut u8) {
-    // Safety: the hazard domain guarantees unreachability.
-    unsafe { crate::pool::dealloc(NonNull::new_unchecked(p as *mut RdcssDesc)) };
-}
+impl Pooled for CasnDesc {
+    const LIST: usize = 1;
+    const SITE: &'static str = "dcas.casn";
+    const HITS: &'static ShardedCounter = &counters::CASN_POOL_HITS;
+    const MISSES: &'static ShardedCounter = &counters::CASN_POOL_MISSES;
 
-/// Uniquely owned, unpublished CASN descriptor.
-pub struct CasnHandle {
-    desc: NonNull<CasnDesc>,
-}
-
-impl std::fmt::Debug for CasnHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CasnHandle")
-            .field("addr", &self.desc.as_ptr())
-            .finish()
-    }
-}
-
-fn reuse_casn(d: NonNull<CasnDesc>) {
-    counters::CASN_POOL_HITS.add(1);
-    // Safety: unreachable by any other thread (pool contract).
-    // Relaxed reset suffices: publication happens-before is
-    // established by the phase-1 RDCSS installs, never here.
-    unsafe { d.as_ref() }
-        .status
-        .store(ST_UNDECIDED, Ordering::Relaxed);
-    // Safety: exclusively owned; entries are governed by
-    // `count`, so stale triples are unreachable.
-    unsafe {
-        (*d.as_ptr()).count = 0;
-        (*d.as_ptr()).birth = lfc_hazard::birth_era();
-    };
-}
-
-fn init_casn(block: NonNull<CasnDesc>) {
-    counters::CASN_POOL_MISSES.add(1);
-    // Safety: fresh block.
-    unsafe {
-        block.as_ptr().write(CasnDesc {
+    fn fresh(birth: usize) -> Self {
+        CasnDesc {
             entries: [CasnEntry::default(); MAX_ENTRIES],
             count: 0,
             status: AtomicUsize::new(ST_UNDECIDED),
-            birth: lfc_hazard::birth_era(),
-        });
-    }
-}
-
-impl CasnHandle {
-    /// Allocate an empty descriptor (per-thread pooled, 64-aligned).
-    /// Panics (unwinds) where [`try_new`](Self::try_new) returns `Err`.
-    pub fn new() -> Self {
-        Self::try_new().unwrap_or_else(|e| crate::pool::alloc_failed(e))
-    }
-
-    /// Fallible [`new`](Self::new): surfaces allocation failure (injected
-    /// at the `"dcas.casn"` site, or genuine exhaustion on the fresh-block
-    /// fallthrough) instead of panicking. The site check runs before the
-    /// pool so injection fires even when a pooled block would have been a
-    /// guaranteed hit.
-    pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        if lfc_runtime::fault::check("dcas.casn") {
-            return Err(lfc_alloc::AllocError);
+            birth,
         }
-        let block = crate::pool::try_alloc(reuse_casn, init_casn)?;
-        Ok(CasnHandle { desc: block })
     }
 
-    fn desc(&self) -> &CasnDesc {
-        // Safety: owned and initialized.
-        unsafe { self.desc.as_ref() }
+    fn reuse(&mut self, birth: usize) {
+        // Relaxed reset suffices: publication happens-before is
+        // established by the phase-1 RDCSS installs, never here.
+        self.status.store(ST_UNDECIDED, Ordering::Relaxed);
+        self.birth = birth;
     }
 
-    fn desc_mut(&mut self) -> &mut CasnDesc {
-        // Safety: unpublished, uniquely owned.
-        unsafe { self.desc.as_mut() }
-    }
-
-    /// Number of entries recorded so far.
-    pub fn count(&self) -> usize {
-        self.desc().count
-    }
-
-    /// Record entry `i` (must be `count()`); entries need not be sorted.
-    pub fn set_entry(&mut self, idx: usize, ptr: &DAtomic, old: Word, new: Word, hp: usize) {
-        self.set_entry_from(idx, &CasnEntry { ptr, old, new, hp });
-    }
-
-    /// Record entry `idx` from a prepared engine entry
-    /// (the unified commit's K>2 dispatch, [`crate::engine`]). Crate-only:
-    /// the entry's raw `ptr` is dereferenced by `commit`, so the liveness
-    /// obligation stays inside the engine's `commit_entries` contract.
-    pub(crate) fn set_entry_from(&mut self, idx: usize, e: &CasnEntry) {
-        assert!(
-            idx < MAX_ENTRIES,
-            "CASN supports at most {MAX_ENTRIES} entries"
-        );
-        let d = self.desc_mut();
-        d.entries[idx] = *e;
-        d.count = d.count.max(idx + 1);
-    }
-
-    /// Publish and run the CASN as its initiator. Consumes the handle and
-    /// retires the descriptor through the hazard domain (helpers may still
-    /// hold it); the composition engine re-captures into a fresh pooled
-    /// handle on retry, so no partial state is handed back.
-    ///
-    /// Panics (unwinds) where [`try_commit`](Self::try_commit) returns
-    /// `Err` — by then the operation is decided, reverted and retired, so
-    /// every target word holds its old raw value.
-    pub fn commit(self, g: &Guard) -> CasnResult {
-        self.try_commit(g)
-            .unwrap_or_else(|e| crate::pool::alloc_failed(e))
-    }
-
-    /// The commit body. An RDCSS allocation failure mid-install decides
-    /// the operation `FAILED_BASE + i` and reverts (see `casn_execute`);
-    /// it surfaces as `Err` — resource exhaustion, not a mismatch — iff
-    /// this executor's own failure is what decided the operation. Either
-    /// way the operation is decided and every target word holds a raw
-    /// value on return.
-    pub fn try_commit(self, g: &Guard) -> Result<CasnResult, lfc_alloc::AllocError> {
-        let addr = self.desc.as_ptr() as usize;
-        let d = self.desc();
-        debug_assert!(d.count >= 2, "a CASN of fewer than 2 words is a CAS");
-        debug_assert_eq!(d.status.load(Ordering::Relaxed), ST_UNDECIDED);
-        let cw = word::casn_word(addr);
-        // Publish for dead-thread adopters before the descriptor can reach
-        // any shared word; cleared only after the operation is decided, so
-        // an abandonment anywhere inside leaves the slot set (crate::adopt).
-        // One armed-generation load for the commit's kill sites.
-        let fg = lfc_runtime::fault::gate();
-        crate::adopt::announce(g.tid(), cw);
-        fg.check_kill("kcas.announced");
-        let out = casn_execute(d, cw, g, true);
-        crate::adopt::clear_announce(g.tid());
-        self.retire();
-        // `Err(i)`: owner alloc failure at entry `i`, decided
-        // FAILED_BASE + i and fully reverted by phase 2.
-        out.map_err(|_| lfc_alloc::AllocError)
-    }
-
-    fn retire(self) {
-        let birth = self.desc().birth;
-        let p = self.desc.as_ptr() as *mut u8;
-        std::mem::forget(self);
-        // Safety: decided; stale references are resolved before their
-        // holders' hazards clear (module docs). No drop glue, so zombie
-        // scans may divert the block into the type-stable pool.
-        unsafe {
-            lfc_hazard::retire_with(
-                p,
-                reclaim_casn,
-                lfc_hazard::RetireInfo {
-                    bytes: std::mem::size_of::<CasnDesc>(),
-                    birth,
-                    divert: Some(reclaim_casn),
-                },
-            )
-        };
+    fn birth(&self) -> usize {
+        self.birth
     }
 }
 
-impl Default for CasnHandle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Pooled for RdcssDesc {
+    const LIST: usize = 2;
+    const SITE: &'static str = "dcas.rdcss";
+    const HITS: &'static ShardedCounter = &counters::RDCSS_POOL_HITS;
+    const MISSES: &'static ShardedCounter = &counters::RDCSS_POOL_MISSES;
 
-impl Drop for CasnHandle {
-    fn drop(&mut self) {
-        // An abandoning thread (injected death, `lfc_runtime::fault`) may
-        // be unwinding out of `run` with the descriptor announced and
-        // possibly installed; helpers and adopters still reach it, so it
-        // must be leaked, never recycled. Bounded: one descriptor per
-        // abandonment (DESIGN.md "Fault model").
-        if lfc_runtime::fault::thread_is_abandoning() {
-            return;
+    fn fresh(birth: usize) -> Self {
+        RdcssDesc {
+            status: std::ptr::null(),
+            word: std::ptr::null(),
+            old: 0,
+            casn_word: 0,
+            birth,
         }
-        // Unpublished: a descriptor only becomes visible through commit.
-        unsafe { reclaim_casn(self.desc.as_ptr() as *mut u8) };
     }
+
+    fn reuse(&mut self, birth: usize) {
+        // No decision word of its own: every other field is overwritten
+        // by the install's fill.
+        self.birth = birth;
+    }
+
+    fn birth(&self) -> usize {
+        self.birth
+    }
+}
+
+/// The K>2 commit of [`crate::engine::try_commit_entries`]: allocate a
+/// pooled descriptor for `entries`, publish and run the CASN as its
+/// initiator, and retire the descriptor through the hazard domain (helpers
+/// may still hold it). The engine re-captures into a fresh descriptor on
+/// retry, so no partial state is handed back.
+///
+/// An RDCSS allocation failure mid-install decides the operation
+/// `FAILED_BASE + i` and reverts (see `casn_execute`); it surfaces as
+/// `Err` — resource exhaustion, not a mismatch — iff this executor's own
+/// failure is what decided the operation. Either way the operation is
+/// decided and every target word holds a raw value on return.
+///
+/// # Safety
+///
+/// As `commit_entries`.
+pub(crate) unsafe fn commit(
+    entries: &[CasnEntry],
+    g: &Guard,
+) -> Result<CasnResult, lfc_alloc::AllocError> {
+    let d = Owned::<CasnDesc>::try_new(|d| {
+        d.entries[..entries.len()].copy_from_slice(entries);
+        d.count = entries.len();
+    })?;
+    debug_assert_eq!(d.status.load(Ordering::Relaxed), ST_UNDECIDED);
+    let cw = word::casn_word(d.addr());
+    // Publish for dead-thread adopters before the descriptor can reach
+    // any shared word; cleared only after the operation is decided, so
+    // an abandonment anywhere inside leaves the slot set (crate::adopt).
+    // One armed-generation load for the commit's kill sites.
+    let fg = lfc_runtime::fault::gate();
+    crate::adopt::announce(g.tid(), cw);
+    fg.check_kill("kcas.announced");
+    let out = casn_execute(&d, cw, g, true);
+    crate::adopt::clear_announce(g.tid());
+    d.retire();
+    // `Err(i)`: owner alloc failure at entry `i`, decided
+    // FAILED_BASE + i and fully reverted by phase 2.
+    out.map_err(|_| lfc_alloc::AllocError)
 }
 
 /// RDCSS after Harris et al.: returns the value seen at `word` (== `old`
@@ -437,7 +343,10 @@ pub(crate) fn casn_execute(
     if status == ST_UNDECIDED {
         'install: for i in 0..n {
             let e = &d.entries[i];
-            let rd = match try_alloc_rdcss(&d.status, e, casn_word) {
+            let rd = Owned::<RdcssDesc>::try_new(|r| {
+                (r.status, r.word, r.old, r.casn_word) = (&d.status, e.ptr, e.old, casn_word);
+            });
+            let rd = match rd {
                 Ok(rd) => rd,
                 Err(_) if owner => {
                     // Cannot install entry `i`: decide failure there (the
@@ -470,8 +379,11 @@ pub(crate) fn casn_execute(
                     break 'install;
                 }
             };
-            let seen = rdcss(rd, g);
-            retire_rdcss(rd);
+            let seen = rdcss(word::rdcss_word(rd.addr()), g);
+            // Published to helpers through the word: the install attempt
+            // has resolved, and stale readers fail validation because the
+            // word no longer holds this descriptor.
+            rd.retire();
             if seen == e.old {
                 // Installed (or already decided; re-checked here).
                 // Acquire (audited): as the phase-1 entry load.
@@ -533,10 +445,10 @@ pub(crate) fn casn_execute(
     }
 }
 
-/// The shared solo-regime commit: run the `entries` CASes back to back,
-/// reverting the prefix on the first mismatch. Both the DCAS fast path
-/// (K=2) and the unified engine commit ([`crate::engine::commit_entries`])
-/// run this exact function inside a [`lfc_runtime::solo`] section.
+/// The solo-regime commit: run the `entries` CASes back to back,
+/// reverting the prefix on the first mismatch. The unified engine commit
+/// ([`crate::engine::try_commit_entries`]) runs it, for every width, inside
+/// a [`lfc_runtime::solo`] section.
 ///
 /// Sound only while a [`lfc_runtime::solo::SoloSection`] is held: no other
 /// thread can observe shared memory, so the intermediate states between the
@@ -566,63 +478,6 @@ fn decode_status(st: usize) -> CasnResult {
         ST_SUCCEEDED => CasnResult::Success,
         ST_UNDECIDED => unreachable!("undecided status treated as decided"),
         f => CasnResult::FailedAt(f - ST_FAILED_BASE),
-    }
-}
-
-fn try_alloc_rdcss(
-    status: &AtomicUsize,
-    e: &CasnEntry,
-    casn_word: Word,
-) -> Result<Word, lfc_alloc::AllocError> {
-    // Site check ahead of the pool: a pool hit cannot organically fail, so
-    // this is the only way injection reaches the phase-1 install path.
-    if lfc_runtime::fault::check("dcas.rdcss") {
-        return Err(lfc_alloc::AllocError);
-    }
-    let fill = |block: NonNull<RdcssDesc>| {
-        // Safety: exclusively owned (fresh or pooled — see `crate::pool`);
-        // every field is overwritten, and RdcssDesc has no drop glue.
-        unsafe {
-            block.as_ptr().write(RdcssDesc {
-                status,
-                word: e.ptr,
-                old: e.old,
-                casn_word,
-                birth: lfc_hazard::birth_era(),
-            });
-        }
-    };
-    let block = crate::pool::try_alloc(
-        |d| {
-            counters::RDCSS_POOL_HITS.add(1);
-            fill(d);
-        },
-        |d| {
-            counters::RDCSS_POOL_MISSES.add(1);
-            fill(d);
-        },
-    )?;
-    Ok(word::rdcss_word(block.as_ptr() as usize))
-}
-
-fn retire_rdcss(desc_word: Word) {
-    let p = word::desc_addr(desc_word) as *mut u8;
-    // Safety: the descriptor is still alive here, so `birth` is readable.
-    let birth = unsafe { (*(p as *const RdcssDesc)).birth };
-    // Published to helpers through the word; must go through the domain.
-    // Safety: the install attempt has resolved; stale readers fail
-    // validation because the word no longer holds this descriptor. No drop
-    // glue, so zombie scans may divert into the type-stable pool.
-    unsafe {
-        lfc_hazard::retire_with(
-            p,
-            reclaim_rdcss,
-            lfc_hazard::RetireInfo {
-                bytes: std::mem::size_of::<RdcssDesc>(),
-                birth,
-                divert: Some(reclaim_rdcss),
-            },
-        );
     }
 }
 
@@ -670,14 +525,29 @@ pub(crate) unsafe fn help_word(w: Word, via: &DAtomic, g: &Guard) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::commit_entries;
     use lfc_hazard::pin;
 
-    fn entryless_commit(g: &Guard, words: &[&DAtomic], olds: &[Word], news: &[Word]) -> CasnResult {
-        let mut h = CasnHandle::new();
-        for (i, w) in words.iter().enumerate() {
-            h.set_entry(i, w, olds[i], news[i], 0);
+    fn entry(ptr: &DAtomic, old: Word, new: Word) -> CasnEntry {
+        CasnEntry {
+            ptr,
+            old,
+            new,
+            hp: 0,
         }
-        h.commit(g)
+    }
+
+    fn commit(g: &Guard, entries: &[CasnEntry]) -> CasnResult {
+        // Safety: every entry is built from a `&DAtomic` that outlives the
+        // call, over pairwise-distinct words.
+        unsafe { commit_entries(entries, g) }
+    }
+
+    fn entryless_commit(g: &Guard, words: &[&DAtomic], olds: &[Word], news: &[Word]) -> CasnResult {
+        let entries: Vec<CasnEntry> = (0..words.len())
+            .map(|i| entry(words[i], olds[i], news[i]))
+            .collect();
+        commit(g, &entries)
     }
 
     #[test]
@@ -749,11 +619,12 @@ mod tests {
                         // Read word 0; derive the rest without reading them:
                         // success proves the triple held simultaneously.
                         let v0 = w[0].read(&g);
-                        let mut h = CasnHandle::new();
-                        h.set_entry(0, &w[0], v0, v0 + 24, 0);
-                        h.set_entry(1, &w[1], v0 + 8, v0 + 32, 0);
-                        h.set_entry(2, &w[2], v0 + 16, v0 + 40, 0);
-                        if let CasnResult::Success = h.commit(&g) {
+                        let es = [
+                            entry(&w[0], v0, v0 + 24),
+                            entry(&w[1], v0 + 8, v0 + 32),
+                            entry(&w[2], v0 + 16, v0 + 40),
+                        ];
+                        if let CasnResult::Success = commit(&g, &es) {
                             done += 1;
                             total.fetch_add(1, O::Relaxed);
                         }
@@ -773,19 +644,23 @@ mod tests {
     fn readers_help_in_flight_casn() {
         // Concurrent plain readers (via read) while CASNs run: reads must
         // only ever observe raw values, never descriptors, and the final
-        // state must be consistent.
+        // state must be consistent. Three words, so the commits take the
+        // CASN protocol rather than the K=2 DCAS.
         let a = std::sync::Arc::new(DAtomic::new(0));
         let b = std::sync::Arc::new(DAtomic::new(8));
+        let c = DAtomic::new(16);
         std::thread::scope(|sc| {
-            let (ar, br) = (a.clone(), b.clone());
+            let (ar, br, cr) = (a.clone(), b.clone(), &c);
             sc.spawn(move || {
                 let g = pin();
                 for _ in 0..4_000 {
                     let v = ar.read(&g);
-                    let mut h = CasnHandle::new();
-                    h.set_entry(0, &ar, v, v + 16, 0);
-                    h.set_entry(1, &br, v + 8, v + 24, 0);
-                    let _ = h.commit(&g);
+                    let es = [
+                        entry(&ar, v, v + 24),
+                        entry(&br, v + 8, v + 32),
+                        entry(cr, v + 16, v + 40),
+                    ];
+                    let _ = commit(&g, &es);
                 }
             });
             let (ar, br) = (a.clone(), b.clone());
@@ -802,6 +677,7 @@ mod tests {
         });
         let g = pin();
         assert_eq!(b.read(&g), a.read(&g) + 8, "pair stayed in lockstep");
+        assert_eq!(c.read(&g), a.read(&g) + 16, "third word in lockstep");
     }
 
     #[test]
@@ -809,12 +685,17 @@ mod tests {
         let g = pin();
         let a = DAtomic::new(0);
         let b = DAtomic::new(0);
+        let c = DAtomic::new(0);
         for i in 0..10_000usize {
             let v = i * 8;
-            let mut h = CasnHandle::new();
-            h.set_entry(0, &a, v, v + 8, 0);
-            h.set_entry(1, &b, v, v + 8, 0);
-            let r = h.commit(&g);
+            let r = commit(
+                &g,
+                &[
+                    entry(&a, v, v + 8),
+                    entry(&b, v, v + 8),
+                    entry(&c, v, v + 8),
+                ],
+            );
             assert_eq!(r, CasnResult::Success);
         }
         lfc_hazard::flush();

@@ -1,9 +1,10 @@
-//! Per-thread descriptor pools: one free list per descriptor type (DCAS,
-//! CASN, RDCSS), all three in one thread-local.
+//! The descriptor lifecycle, one for all three descriptor types (DCAS,
+//! CASN, RDCSS): per-thread pools, one free list per type in one
+//! thread-local, and the [`Owned`] handle every commit allocates through.
 //!
 //! The safety argument is identical for every type: a block re-enters
-//! circulation **only** from (a) a handle that was never published (no
-//! other thread ever learned the address), or (b) the hazard domain's
+//! circulation **only** from (a) an [`Owned`] dropped before publication
+//! (no other thread ever learned the address), or (b) the hazard domain's
 //! reclaimer, which runs only once no thread's slot protects the address —
 //! exactly the point at which handing the block to a *different*
 //! allocation would also have been legal.
@@ -34,27 +35,35 @@
 use crate::dcas::DcasDesc;
 use crate::kcas::{CasnDesc, RdcssDesc};
 use lfc_hazard::{scan_trigger, MIN_SCAN_TRIGGER};
-use lfc_runtime::{on_thread_exit, thread_is_exiting};
+use lfc_runtime::{on_thread_exit, thread_is_exiting, ShardedCounter};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
 
-/// A descriptor type with a free list of its own.
+/// A descriptor type: its free list, and the per-type steps of the
+/// lifecycle [`Owned`] runs.
 pub(crate) trait Pooled: Sized {
     /// Index of the type's list in `Pools::free`.
     const LIST: usize;
-}
+    /// Fault site checked before the pool, so injection fires even when a
+    /// pooled block would have been a guaranteed hit.
+    const SITE: &'static str;
+    /// Allocations served by the pool.
+    const HITS: &'static ShardedCounter;
+    /// Allocations that fell through to `lfc-alloc`.
+    const MISSES: &'static ShardedCounter;
 
-impl Pooled for DcasDesc {
-    const LIST: usize = 0;
-}
+    /// A fresh block's contents, stamped with the era `birth`.
+    fn fresh(birth: usize) -> Self;
 
-impl Pooled for CasnDesc {
-    const LIST: usize = 1;
-}
+    /// Pool-hit reset: the decision word back to undecided and the era
+    /// stamp renewed. The fill that follows overwrites the rest.
+    fn reuse(&mut self, birth: usize);
 
-impl Pooled for RdcssDesc {
-    const LIST: usize = 2;
+    /// The era stamped at allocation, forwarded to `retire_with` so zombie
+    /// scans can exonerate descriptors born after an ejected reader
+    /// stalled.
+    fn birth(&self) -> usize;
 }
 
 /// One thread's pools.
@@ -111,34 +120,136 @@ fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
     })
 }
 
-/// Allocate a `T` descriptor block: pool hit (handed to `reuse` to reset
-/// the fields publication cares about), or a fresh block initialized by
-/// `init`. A pool hit never fails; the fresh-block fallthrough surfaces
-/// `lfc-alloc`'s `AllocError`.
-pub(crate) fn try_alloc<T: Pooled>(
-    reuse: impl FnOnce(NonNull<T>),
-    init: impl FnOnce(NonNull<T>),
-) -> Result<NonNull<T>, lfc_alloc::AllocError> {
-    if !thread_is_exiting() {
-        let hit = with_pools(|p| {
-            let d = p.free[T::LIST].pop()?;
-            p.publish();
-            Some(d)
-        });
-        if let Some(d) = hit {
-            let d = d.cast::<T>();
-            reuse(d);
-            return Ok(d);
+/// A uniquely owned descriptor of type `T`. Its three ends are the whole
+/// lifecycle:
+///
+/// * **unpublished**: dropping it recycles the block straight into the
+///   pool — no helper can know the address;
+/// * **published**: [`Owned::retire`] hands it to the hazard domain;
+/// * **abandoned**: a thread unwinding out of an operation it will never
+///   finish (injected death, `lfc_runtime::fault`) may hold it published,
+///   so dropping it then *leaks* it. The corpse's announce-table entry
+///   keeps it findable, and the leak bound charges one descriptor per
+///   abandonment (DESIGN.md "Fault model").
+///
+/// Between allocation and publication the initiator only reads it (the
+/// fill runs inside [`Owned::try_new`]), so helpers may share it through
+/// `&T` once published.
+pub(crate) struct Owned<T: Pooled>(NonNull<T>);
+
+impl<T: Pooled> Owned<T> {
+    /// Allocate a `T`: the fault-site check, then a pool hit (reset by
+    /// [`Pooled::reuse`]) or a fresh `lfc-alloc` block, then `fill`. A
+    /// pool hit never fails; the fresh-block fallthrough surfaces
+    /// `lfc-alloc`'s `AllocError`.
+    pub(crate) fn try_new(fill: impl FnOnce(&mut T)) -> Result<Self, lfc_alloc::AllocError> {
+        if lfc_runtime::fault::check(T::SITE) {
+            return Err(lfc_alloc::AllocError);
         }
+        let hit = if thread_is_exiting() {
+            None
+        } else {
+            with_pools(|p| {
+                let d = p.free[T::LIST].pop()?;
+                p.publish();
+                Some(d)
+            })
+        };
+        let d = match hit {
+            Some(d) => {
+                T::HITS.add(1);
+                let d = d.cast::<T>();
+                // Safety: unreachable by any other thread (module docs).
+                unsafe { (*d.as_ptr()).reuse(lfc_hazard::birth_era()) };
+                d
+            }
+            None => {
+                let block = lfc_alloc::try_alloc_block(Layout::new::<T>())?.cast::<T>();
+                T::MISSES.add(1);
+                // Safety: freshly allocated, properly aligned and sized.
+                unsafe { block.as_ptr().write(T::fresh(lfc_hazard::birth_era())) };
+                block
+            }
+        };
+        // Safety: initialized above and still exclusively ours.
+        fill(unsafe { &mut *d.as_ptr() });
+        Ok(Owned(d))
     }
-    let block = lfc_alloc::try_alloc_block(Layout::new::<T>())?.cast::<T>();
-    init(block);
-    Ok(block)
+
+    /// The descriptor's address, for encoding into a word.
+    pub(crate) fn addr(&self) -> usize {
+        self.0.as_ptr() as usize
+    }
+
+    /// Hand the published, decided descriptor to the hazard domain.
+    ///
+    /// Uses `retire_with`: descriptors carry their allocation era, and —
+    /// having no drop glue — they divert straight into the type-stable
+    /// pool when a zombie pins them.
+    pub(crate) fn retire(self) {
+        let p = self.into_raw();
+        // Safety: decided descriptors are unreachable except through stale
+        // words, whose readers fail hazard validation; alive until here, so
+        // `birth` is readable.
+        unsafe {
+            lfc_hazard::retire_with(
+                p.cast(),
+                reclaim::<T>,
+                lfc_hazard::RetireInfo {
+                    bytes: std::mem::size_of::<T>(),
+                    birth: (*p).birth(),
+                    divert: Some(reclaim::<T>),
+                },
+            )
+        };
+    }
+
+    /// Give up ownership without disposing of the descriptor: the caller
+    /// takes over the obligation to [`Owned::from_raw`] and retire it.
+    pub(crate) fn into_raw(self) -> *mut T {
+        let p = self.0.as_ptr();
+        std::mem::forget(self);
+        p
+    }
+
+    /// Take back a descriptor given up by [`Owned::into_raw`].
+    ///
+    /// # Safety
+    ///
+    /// `p` came from `into_raw`, and is taken back exactly once.
+    pub(crate) unsafe fn from_raw(p: *mut T) -> Self {
+        // Safety: non-null per contract.
+        Owned(unsafe { NonNull::new_unchecked(p) })
+    }
 }
 
-/// Where every infallible name in this crate (`DescHandle::new`,
-/// `CasnHandle::new`, `CasnHandle::commit`, `commit_entries`) routes the
-/// `Err` of its `try_` twin. Panics — unwinds, exactly as
+impl<T: Pooled> std::ops::Deref for Owned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        // Safety: initialized by `try_new`, alive until dropped or retired.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl<T: Pooled> Drop for Owned<T> {
+    fn drop(&mut self) {
+        if lfc_runtime::fault::thread_is_abandoning() {
+            return;
+        }
+        // Safety: dropped before publication (type docs).
+        unsafe { dealloc(self.0) };
+    }
+}
+
+unsafe fn reclaim<T: Pooled>(p: *mut u8) {
+    // No drop glue; recycle the block through the pool.
+    // Safety: the hazard domain guarantees unreachability.
+    unsafe { dealloc(NonNull::new_unchecked(p.cast::<T>())) };
+}
+
+/// Where `commit_entries`, the one infallible name in this crate, routes
+/// the `Err` of `try_commit_entries`. Panics — unwinds, exactly as
 /// `lfc_alloc::alloc_block` does; it does **not** abort — so a caller under
 /// `catch_unwind` keeps the global state helpable.
 #[cold]
@@ -154,7 +265,7 @@ pub(crate) fn alloc_failed(e: lfc_alloc::AllocError) -> ! {
 ///
 /// `d` must be a live block of `T`'s layout that no thread can reach:
 /// either never published, or past its hazard-domain reclamation point.
-pub(crate) unsafe fn dealloc<T: Pooled>(d: NonNull<T>) {
+unsafe fn dealloc<T: Pooled>(d: NonNull<T>) {
     if !thread_is_exiting() {
         let pooled = with_pools(|p| {
             let n = p.free[T::LIST].len();

@@ -1,35 +1,53 @@
-//! Protocol tests for the software DCAS (paper Algorithm 4).
+//! Protocol tests for the software DCAS (paper Algorithm 4), the K=2
+//! regime of `commit_entries`.
 //!
 //! Raw test values are multiples of 8 so they are valid "raw" protocol
 //! words (low kind bits clear), mimicking aligned node pointers.
 
-use lfc_dcas::dcas::test_support;
-use lfc_dcas::{DAtomic, DcasResult, DescHandle};
-use lfc_hazard::pin;
+use lfc_dcas::dcas::{counters, test_support};
+use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word};
+use lfc_hazard::{pin, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn commit(
+fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
+    CasnEntry {
+        ptr: w,
+        old,
+        new,
+        hp: 0,
+    }
+}
+
+fn dcas(
+    g: &Guard,
     a: &DAtomic,
     old1: usize,
     new1: usize,
     b: &DAtomic,
     old2: usize,
     new2: usize,
-) -> DcasResult {
-    let g = pin();
-    let mut h = DescHandle::new();
-    h.set_first(a, old1, new1, 0);
-    h.set_second(b, old2, new2, 0);
-    let (r, _next) = h.commit(&g);
-    r
+) -> CasnResult {
+    // Safety: both words outlive the call and are distinct.
+    unsafe { commit_entries(&[entry(a, old1, new1), entry(b, old2, new2)], g) }
+}
+
+/// Announce (line D10) a DCAS of `a: 8 → 24`, `b: old2 → 32` and stall.
+fn announce(a: &'static DAtomic, b: &'static DAtomic, old2: usize) -> Word {
+    // Safety: leaked words live forever and are distinct.
+    unsafe { test_support::announce_only(entry(a, 8, 24), entry(b, old2, 32)) }
+        .expect("announce succeeds")
+}
+
+fn leaked(v: usize) -> &'static DAtomic {
+    Box::leak(Box::new(DAtomic::new(v)))
 }
 
 #[test]
 fn success_swings_both_words() {
     let a = DAtomic::new(8);
     let b = DAtomic::new(16);
-    assert_eq!(commit(&a, 8, 24, &b, 16, 32), DcasResult::Success);
+    assert_eq!(dcas(&pin(), &a, 8, 24, &b, 16, 32), CasnResult::Success);
     let g = pin();
     assert_eq!(a.read(&g), 24);
     assert_eq!(b.read(&g), 32);
@@ -39,7 +57,10 @@ fn success_swings_both_words() {
 fn first_mismatch_changes_nothing() {
     let a = DAtomic::new(8);
     let b = DAtomic::new(16);
-    assert_eq!(commit(&a, 96, 24, &b, 16, 32), DcasResult::FirstFailed);
+    assert_eq!(
+        dcas(&pin(), &a, 96, 24, &b, 16, 32),
+        CasnResult::FailedAt(0)
+    );
     let g = pin();
     assert_eq!(a.read(&g), 8);
     assert_eq!(b.read(&g), 16);
@@ -49,7 +70,7 @@ fn first_mismatch_changes_nothing() {
 fn second_mismatch_reverts_announcement() {
     let a = DAtomic::new(8);
     let b = DAtomic::new(16);
-    assert_eq!(commit(&a, 8, 24, &b, 96, 32), DcasResult::SecondFailed);
+    assert_eq!(dcas(&pin(), &a, 8, 24, &b, 96, 32), CasnResult::FailedAt(1));
     let g = pin();
     // The announcement at word 1 must have been rolled back (Lemma 4).
     assert_eq!(a.read(&g), 8);
@@ -61,65 +82,40 @@ fn null_old_values_work() {
     // Queue enqueue CASes next from null; make sure 0 is a valid old/new.
     let a = DAtomic::new(0);
     let b = DAtomic::new(40);
-    assert_eq!(commit(&a, 0, 8, &b, 40, 0), DcasResult::Success);
+    assert_eq!(dcas(&pin(), &a, 0, 8, &b, 40, 0), CasnResult::Success);
     let g = pin();
     assert_eq!(a.read(&g), 8);
     assert_eq!(b.read(&g), 0);
 }
 
 #[test]
-fn failed_handle_is_reusable() {
-    let g = pin();
-    let a = DAtomic::new(8);
-    let b = DAtomic::new(16);
-    let mut h = DescHandle::new();
-    h.set_first(&a, 96, 24, 0); // will FirstFail
-    h.set_second(&b, 16, 32, 0);
-    let (r, next) = h.commit(&g);
-    assert_eq!(r, DcasResult::FirstFailed);
-    let mut h = next.expect("handle comes back after FirstFailed");
-    h.set_first(&a, 8, 24, 0);
-    let (r, next) = h.commit(&g);
-    assert_eq!(r, DcasResult::Success);
-    assert!(next.is_none());
-    assert_eq!(a.read(&g), 24);
-    assert_eq!(b.read(&g), 32);
-}
-
-#[test]
-fn second_failed_fresh_handle_keeps_first_triple() {
-    let g = pin();
-    let a = DAtomic::new(8);
-    let b = DAtomic::new(16);
-    let mut h = DescHandle::new();
-    h.set_first(&a, 8, 24, 0);
-    h.set_second(&b, 96, 32, 0); // will SecondFail
-    let (r, next) = h.commit(&g);
-    assert_eq!(r, DcasResult::SecondFailed);
-    let mut h = next.expect("fresh handle after SecondFailed");
-    // Only refresh the second side, as the move's insert retry does.
-    h.set_second(&b, 16, 32, 0);
-    let (r, _) = h.commit(&g);
-    assert_eq!(r, DcasResult::Success);
-    assert_eq!(a.read(&g), 24);
-    assert_eq!(b.read(&g), 32);
-}
-
-#[test]
 fn helper_completes_stalled_operation_via_word1() {
-    // Announce (D10) and stall; a reader of word 1 must complete the DCAS.
+    // Announce (D10) and stall: the owner never runs the protocol, so a
+    // reader of word 1 on another thread alone must complete the DCAS. The
+    // `help_runs()` delta shows the decision came from the help path.
     let g = pin();
-    let a = Box::leak(Box::new(DAtomic::new(8)));
-    let b = Box::leak(Box::new(DAtomic::new(16)));
-    let mut h = DescHandle::new();
-    h.set_first(a, 8, 24, 0);
-    h.set_second(b, 16, 32, 0);
-    let w = test_support::announce_only(h).expect("announce succeeds");
-    // Word 1 now holds the descriptor; a read must help and return 24.
+    let (a, b) = (leaked(8), leaked(16));
+    let w = announce(a, b, 16);
+    let before = counters::help_runs();
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            // Word 1 now holds the descriptor; a read must help and return 24.
+            let g = pin();
+            assert_eq!(a.read(&g), 24, "helper's read returns the post-DCAS value");
+        });
+    });
+    assert!(
+        counters::help_runs() > before,
+        "the decision can only have come from the help path"
+    );
+    // Both words swung without the owner ever running the protocol.
     assert_eq!(a.read(&g), 24);
     assert_eq!(b.read(&g), 32);
+    // The owner "wakes up": resuming is idempotent on a decided DCAS.
     let r = unsafe { test_support::resume(w, &g) };
-    assert_eq!(r, DcasResult::Success);
+    assert_eq!(r, CasnResult::Success);
+    // Safety: decided; retired exactly once (announce_only handed us the
+    // initiator's retire obligation).
     unsafe { test_support::retire_announced(w) };
 }
 
@@ -130,12 +126,8 @@ fn helper_completes_stalled_operation_via_word2() {
     // (the operation has not linearized yet). But once any reader of word 1
     // helps, word 2 is done too.
     let g = pin();
-    let a = Box::leak(Box::new(DAtomic::new(8)));
-    let b = Box::leak(Box::new(DAtomic::new(16)));
-    let mut h = DescHandle::new();
-    h.set_first(a, 8, 24, 0);
-    h.set_second(b, 16, 32, 0);
-    let w = test_support::announce_only(h).expect("announce succeeds");
+    let (a, b) = (leaked(8), leaked(16));
+    let w = announce(a, b, 16);
     assert_eq!(b.read(&g), 16, "not yet linearized");
     assert_eq!(a.read(&g), 24, "reader helps");
     assert_eq!(b.read(&g), 32, "second word completed by the helper");
@@ -148,19 +140,26 @@ fn helper_completes_stalled_operation_via_word2() {
 #[test]
 fn stalled_announcement_with_changed_second_word_fails_cleanly() {
     let g = pin();
-    let a = Box::leak(Box::new(DAtomic::new(8)));
-    let b = Box::leak(Box::new(DAtomic::new(16)));
-    let mut h = DescHandle::new();
-    h.set_first(a, 8, 24, 0);
-    h.set_second(b, 16, 32, 0);
-    let w = test_support::announce_only(h).expect("announce succeeds");
+    let (a, b) = (leaked(8), leaked(16));
+    let w = announce(a, b, 16);
     // Interfere: change word 2 before any helper arrives.
     assert!(b.cas_word(16, 48));
-    // A reader of word 1 helps; the DCAS must fail and revert word 1.
+    // A reader of word 1 on another thread helps: the DCAS must fail and
+    // roll the announcement back out of word 1 (Lemma 4), and only the
+    // help path can have decided it.
+    let before = counters::help_runs();
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            let g = pin();
+            assert_eq!(a.read(&g), 8, "helper's read returns the reverted value");
+        });
+    });
+    assert!(counters::help_runs() > before);
     assert_eq!(a.read(&g), 8);
     assert_eq!(b.read(&g), 48);
     let r = unsafe { test_support::resume(w, &g) };
-    assert_eq!(r, DcasResult::SecondFailed);
+    assert_eq!(r, CasnResult::FailedAt(1));
+    // Safety: decided; single retire.
     unsafe { test_support::retire_announced(w) };
 }
 
@@ -168,14 +167,10 @@ fn stalled_announcement_with_changed_second_word_fails_cleanly() {
 fn concurrent_helpers_agree_on_result() {
     // Many threads all help the same stalled announcement; the pair must
     // swing exactly once and everyone must report the same result.
-    let a = Box::leak(Box::new(DAtomic::new(8)));
-    let b = Box::leak(Box::new(DAtomic::new(16)));
-    let mut h = DescHandle::new();
-    h.set_first(a, 8, 24, 0);
-    h.set_second(b, 16, 32, 0);
-    let w = test_support::announce_only(h).expect("announce succeeds");
+    let (a, b) = (leaked(8), leaked(16));
+    let w = announce(a, b, 16);
 
-    let results: Vec<DcasResult> = std::thread::scope(|s| {
+    let results: Vec<CasnResult> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 s.spawn(move || {
@@ -187,7 +182,7 @@ fn concurrent_helpers_agree_on_result() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for r in &results {
-        assert_eq!(*r, DcasResult::Success, "all helpers agree (Lemma 2)");
+        assert_eq!(*r, CasnResult::Success, "all helpers agree (Lemma 2)");
     }
     let g = pin();
     assert_eq!(a.read(&g), 24);
@@ -220,10 +215,8 @@ fn pairwise_atomicity_under_contention() {
                 while done < SUCCESSES_PER_THREAD {
                     let w1 = a.read(&g);
                     let expected_w2 = w1 + 8;
-                    let mut h = DescHandle::new();
-                    h.set_first(&a, w1, w1 + 8, 0);
-                    h.set_second(&b, expected_w2, expected_w2 + 8, 0);
-                    if let (DcasResult::Success, _) = h.commit(&g) {
+                    let r = dcas(&g, &a, w1, w1 + 8, &b, expected_w2, expected_w2 + 8);
+                    if r == CasnResult::Success {
                         done += 1;
                         total.fetch_add(1, Ordering::Relaxed);
                     }
@@ -253,13 +246,9 @@ fn disjoint_pairs_proceed_independently() {
                 for k in 0..1_000usize {
                     let o1 = w1.read(&g);
                     let o2 = w2.read(&g);
-                    let mut h = DescHandle::new();
-                    h.set_first(&w1, o1, o1 + 8, 0);
-                    h.set_second(&w2, o2, o2 + 8, 0);
-                    let (r, _) = h.commit(&g);
                     assert_eq!(
-                        r,
-                        DcasResult::Success,
+                        dcas(&g, &w1, o1, o1 + 8, &w2, o2, o2 + 8),
+                        CasnResult::Success,
                         "thread {t} iter {k}: no contention, must succeed"
                     );
                 }
@@ -287,10 +276,7 @@ fn shared_second_word_serializes() {
                 for _ in 0..ITERS {
                     let o1 = mine.read(&g);
                     let o2 = shared.read(&g);
-                    let mut h = DescHandle::new();
-                    h.set_first(mine, o1, o1 + 8, 0);
-                    h.set_second(&shared, o2, o2 + 8, 0);
-                    if let (DcasResult::Success, _) = h.commit(&g) {
+                    if dcas(&g, mine, o1, o1 + 8, &shared, o2, o2 + 8) == CasnResult::Success {
                         successes.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -314,20 +300,6 @@ fn shared_second_word_serializes() {
 }
 
 #[test]
-fn aliased_words_fail_rather_than_corrupt() {
-    // A DCAS whose two words coincide can never satisfy both expectations
-    // through the protocol; it must fail cleanly and leave the word intact.
-    let g = pin();
-    let a = DAtomic::new(8);
-    let mut h = DescHandle::new();
-    h.set_first(&a, 8, 16, 0);
-    h.set_second(&a, 8, 24, 0);
-    let (r, _next) = h.commit(&g);
-    assert_eq!(r, DcasResult::SecondFailed);
-    assert_eq!(a.read(&g), 8, "word untouched after aliased attempt");
-}
-
-#[test]
 fn descriptors_do_not_leak() {
     // Outstanding pool blocks must not grow without bound across many
     // committed descriptors.
@@ -336,11 +308,7 @@ fn descriptors_do_not_leak() {
     let b = DAtomic::new(0);
     for i in 0..20_000usize {
         let o = i * 8;
-        let mut h = DescHandle::new();
-        h.set_first(&a, o, o + 8, 0);
-        h.set_second(&b, o, o + 8, 0);
-        let (r, _) = h.commit(&g);
-        assert_eq!(r, DcasResult::Success);
+        assert_eq!(dcas(&g, &a, o, o + 8, &b, o, o + 8), CasnResult::Success);
     }
     lfc_hazard::flush();
     assert!(

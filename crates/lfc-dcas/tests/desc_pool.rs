@@ -6,44 +6,90 @@
 //! *new* DCAS (which would corrupt unrelated words).
 
 use lfc_dcas::dcas::test_support;
-use lfc_dcas::{counters, DAtomic, DcasResult, DescHandle};
-use lfc_hazard::pin;
+use lfc_dcas::{commit_entries, counters, CasnEntry, CasnResult, DAtomic};
+use lfc_hazard::{pin, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+fn dcas(
+    g: &Guard,
+    a: &DAtomic,
+    old1: usize,
+    new1: usize,
+    b: &DAtomic,
+    old2: usize,
+    new2: usize,
+) -> CasnResult {
+    let es = [
+        CasnEntry {
+            ptr: a,
+            old: old1,
+            new: new1,
+            hp: 0,
+        },
+        CasnEntry {
+            ptr: b,
+            old: old2,
+            new: new2,
+            hp: 0,
+        },
+    ];
+    // Safety: both words outlive the call and are distinct.
+    unsafe { commit_entries(&es, g) }
+}
+
 #[test]
-fn dropped_handles_are_pooled_and_reused() {
-    let _g = pin();
-    let hits0 = counters::desc_pool_hits();
-    // Warm the pool.
-    drop(DescHandle::new());
-    // Subsequent allocations on this thread must hit the pool. (The
-    // counters are process-global and other tests in this binary run
-    // concurrently, so only lower bounds on our own contribution can be
-    // asserted — a miss upper bound would race sibling tests' threads.)
-    for _ in 0..64 {
-        drop(DescHandle::new());
-    }
-    assert!(
-        counters::desc_pool_hits() >= hits0 + 64,
-        "drop/alloc cycles must be pool hits (hits {} -> {})",
-        hits0,
-        counters::desc_pool_hits()
-    );
+fn unpublished_descriptors_are_pooled_and_reused() {
+    let g = pin();
+    let (a, b) = (DAtomic::new(8), DAtomic::new(16));
+    // A first-word mismatch drops the descriptor unpublished; the
+    // registered peer keeps the commit off the descriptor-free solo path.
+    lfc_runtime::fault::with_registered_peer(|| {
+        let hits0 = counters::desc_pool_hits();
+        // Warm the pool.
+        assert_eq!(dcas(&g, &a, 96, 24, &b, 16, 32), CasnResult::FailedAt(0));
+        // Subsequent allocations on this thread must hit the pool. (The
+        // counters are process-global and other tests in this binary run
+        // concurrently, so only lower bounds on our own contribution can
+        // be asserted — a miss upper bound would race sibling tests'
+        // threads.)
+        for _ in 0..64 {
+            assert_eq!(dcas(&g, &a, 96, 24, &b, 16, 32), CasnResult::FailedAt(0));
+        }
+        assert!(
+            counters::desc_pool_hits() >= hits0 + 64,
+            "drop/alloc cycles must be pool hits (hits {} -> {})",
+            hits0,
+            counters::desc_pool_hits()
+        );
+    });
 }
 
 #[test]
 fn published_descriptor_is_not_reused_while_helper_holds_it() {
     // Publish a descriptor, let a helper protect + complete it, and only
-    // then retire it. While the helper's DESC hazard is live, allocating a
-    // burst of new descriptors must never return the protected address.
+    // then retire it. While the helper's DESC hazard is live, a stream of
+    // published commits cycling descriptors through retire → flush → pool
+    // must never be handed the protected block.
     let g = pin();
     let a = Box::leak(Box::new(DAtomic::new(8)));
     let b = Box::leak(Box::new(DAtomic::new(16)));
-    let mut h = DescHandle::new();
-    h.set_first(a, 8, 24, 0);
-    h.set_second(b, 16, 32, 0);
-    let w = test_support::announce_only(h).expect("announce succeeds");
+    let es = [
+        CasnEntry {
+            ptr: a,
+            old: 8,
+            new: 24,
+            hp: 0,
+        },
+        CasnEntry {
+            ptr: b,
+            old: 16,
+            new: 32,
+            hp: 0,
+        },
+    ];
+    // Safety: leaked words live forever and are distinct.
+    let w = unsafe { test_support::announce_only(es[0], es[1]) }.expect("announce succeeds");
     let protected = lfc_dcas::word::desc_addr(w);
 
     // Simulate a stalled helper: protect the descriptor in our DESC slot.
@@ -51,20 +97,30 @@ fn published_descriptor_is_not_reused_while_helper_holds_it() {
     // Finish the operation as a helper would, then retire the descriptor —
     // it is now on the hazard domain's pending list, still protected.
     let r = unsafe { test_support::resume(w, &g) };
-    assert_eq!(r, DcasResult::Success);
+    assert_eq!(r, CasnResult::Success);
     unsafe { test_support::retire_announced(w) };
     lfc_hazard::flush();
 
-    // A burst of allocations (draining the thread pool and forcing fresh
-    // blocks) must never produce the protected address.
-    let burst: Vec<DescHandle> = (0..256).map(|_| DescHandle::new()).collect();
-    for d in &burst {
+    // Published commits that all end SECONDFAILED, each flushed so its
+    // descriptor comes back through the pool. A reuse of the protected
+    // block would overwrite its decided SUCCESS.
+    let (c, d) = (DAtomic::new(8), DAtomic::new(16));
+    lfc_runtime::fault::with_registered_peer(|| {
+        let hits0 = counters::desc_pool_hits();
+        for _ in 0..256 {
+            assert_eq!(dcas(&g, &c, 8, 24, &d, 96, 32), CasnResult::FailedAt(1));
+            lfc_hazard::flush();
+        }
         assert!(
-            !format!("{d:?}").contains(&format!("{protected:#x}")),
-            "protected descriptor must not re-enter circulation"
+            counters::desc_pool_hits() > hits0,
+            "descriptors were reused"
         );
-    }
-    drop(burst);
+    });
+    assert_eq!(
+        unsafe { test_support::res_state(w) },
+        2,
+        "protected descriptor must not re-enter circulation"
+    );
 
     // Release the hazard: now reclamation may recycle it.
     g.clear(lfc_hazard::slot::DESC);
@@ -94,10 +150,7 @@ fn pool_reuse_is_safe_under_helping_stress() {
                 let mut done = 0;
                 while done < SUCCESSES {
                     let w1 = a.read(&g);
-                    let mut h = DescHandle::new();
-                    h.set_first(&a, w1, w1 + 8, 0);
-                    h.set_second(&b, w1 + 8, w1 + 16, 0);
-                    if let (DcasResult::Success, _) = h.commit(&g) {
+                    if dcas(&g, &a, w1, w1 + 8, &b, w1 + 8, w1 + 16) == CasnResult::Success {
                         done += 1;
                         total.fetch_add(1, Ordering::Relaxed);
                     }

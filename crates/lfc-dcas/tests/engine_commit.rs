@@ -5,9 +5,11 @@
 //! This file intentionally holds **one** test function: integration tests
 //! in one binary run on a thread pool, and a sibling test's `pin()` would
 //! register a second thread and disable the solo regime. With a single
-//! test, the solo branch is guaranteed taken for the first phase, and the
-//! spawned-thread phase guarantees the published K=2 (DCAS) and K>2 (CASN)
-//! dispatches — all asserted against the same all-or-nothing contract.
+//! test, the solo branch is guaranteed taken for the first phase, the
+//! registered-peer phase guarantees the published K=2 (DCAS) and K>2
+//! (CASN) dispatches, and the last phase switches from solo to published
+//! under a concurrent reader — all asserted against the same
+//! all-or-nothing contract.
 
 use lfc_dcas::kcas::counters as kcounters;
 use lfc_dcas::{
@@ -105,15 +107,68 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
     );
 
     // --- Phase 1: solo regime, every supported width, both names. ---
-    // Solo commits build no descriptors at all.
+    // Solo commits build no descriptors at all, so they never publish and
+    // add nothing to the hazard domain's retire backlog.
+    let retired0 = lfc_hazard::stats().0;
     for name in [commit, try_commit] {
         let (results, allocs) = sweep_widths(name, &g);
         assert_eq!(results, expected_results());
         assert_eq!(allocs, [0; 3], "the solo regime allocates no descriptor");
     }
+    assert_eq!(
+        lfc_hazard::stats().0,
+        retired0,
+        "solo successes bypass retire entirely"
+    );
 
     // --- Phase 2: a registered peer forces the published paths. ---
     lfc_runtime::fault::with_registered_peer(|| published_phase(&g));
+
+    // --- Phase 3: solo → published under a concurrent reader. ---
+    regime_switch_phase();
+}
+
+/// The peer is gone, so commits start solo; a watcher's registration ends
+/// the solo regime mid-run, and the registration barrier means it can never
+/// observe a torn pair.
+fn regime_switch_phase() {
+    const ROUNDS: usize = if cfg!(miri) { 200 } else { 20_000 };
+    let a = DAtomic::new(0);
+    let b = DAtomic::new(0);
+    std::thread::scope(|sc| {
+        let watcher = sc.spawn(|| {
+            let g = pin();
+            // Every commit advances both words by 8 with b swinging last, so
+            // reading b before a must observe a >= b; both reads must be
+            // raw multiples of 8 (helping resolved any descriptor), and a
+            // is monotone.
+            let mut last_a = 0;
+            for _ in 0..ROUNDS {
+                let y = b.read(&g);
+                let x = a.read(&g);
+                assert_eq!(x % 8, 0, "raw value");
+                assert_eq!(y % 8, 0, "raw value");
+                assert!(x >= y, "a read after b cannot lag it: {x} < {y}");
+                assert!(x >= last_a, "a is monotone");
+                last_a = x;
+            }
+        });
+        let g = pin();
+        let mut o = a.read(&g);
+        for _ in 0..ROUNDS {
+            match commit(&[entry(&a, o, o + 8), entry(&b, o, o + 8)], &g) {
+                CasnResult::Success => o += 8,
+                _ => o = a.read(&g),
+            }
+        }
+        watcher.join().unwrap();
+    });
+    let g = pin();
+    assert_eq!(
+        a.read(&g),
+        b.read(&g),
+        "pair in lockstep after mixed regimes"
+    );
 }
 
 fn published_phase(g: &Guard) {

@@ -14,9 +14,30 @@
 //! Requires `RUSTFLAGS="--cfg lfc_model"`; compiles to nothing otherwise.
 #![cfg(lfc_model)]
 
-use lfc_dcas::{adopt_dead_threads, word, DAtomic, DescHandle};
+use lfc_dcas::{adopt_dead_threads, commit_entries, word, CasnEntry, DAtomic};
 use lfc_runtime::fault;
 use std::sync::Arc;
+
+/// The victim's K=2 commit (a: 8→24, b: 16→32), which dies inside.
+fn victim_commit(a: &DAtomic, b: &DAtomic) {
+    let g = lfc_hazard::pin();
+    let entries = [
+        CasnEntry {
+            ptr: a,
+            old: 8,
+            new: 24,
+            hp: 0,
+        },
+        CasnEntry {
+            ptr: b,
+            old: 16,
+            new: 32,
+            hp: 0,
+        },
+    ];
+    // Safety: the scenario's `Arc`s keep both distinct words alive.
+    let _ = unsafe { commit_entries(&entries, &g) };
+}
 
 /// One round: a victim announces and publishes a DCAS (a: 8→24, b: 16→32)
 /// and dies at the `"dcas.published"` kill site; a survivor (and finally
@@ -36,15 +57,9 @@ fn scenario() {
 
     let victim = {
         let (a, b) = (a.clone(), b.clone());
-        lfc_model::thread::spawn(move || {
-            let g = lfc_hazard::pin();
-            let mut h = DescHandle::new();
-            h.set_first(&a, 8, 24, 0);
-            h.set_second(&b, 16, 32, 0);
-            // Dies inside: the model thread wrapper recognizes the abandon
-            // payload and parks the id/bank as a corpse.
-            let _ = h.commit(&g);
-        })
+        // Dies inside: the model thread wrapper recognizes the abandon
+        // payload and parks the id/bank as a corpse.
+        lfc_model::thread::spawn(move || victim_commit(&a, &b))
     };
     let survivor = lfc_model::thread::spawn(|| {
         let g = lfc_hazard::pin();
@@ -93,14 +108,8 @@ fn scenario_unpublished() {
 
     let victim = {
         let (a, b) = (a.clone(), b.clone());
-        lfc_model::thread::spawn(move || {
-            let g = lfc_hazard::pin();
-            let mut h = DescHandle::new();
-            h.set_first(&a, 8, 24, 0);
-            h.set_second(&b, 16, 32, 0);
-            // Dies at the announced (pre-publication) kill site.
-            let _ = h.commit(&g);
-        })
+        // Dies at the announced (pre-publication) kill site.
+        lfc_model::thread::spawn(move || victim_commit(&a, &b))
     };
     let survivor = lfc_model::thread::spawn(|| {
         let g = lfc_hazard::pin();

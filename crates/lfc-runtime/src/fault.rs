@@ -173,8 +173,9 @@ thread_local! {
     /// Set by harness survivors: this thread never takes an injected fault.
     static SHIELDED: Cell<bool> = const { Cell::new(false) };
     /// Set by [`abandon`]: this thread is unwinding out of an operation it
-    /// will never complete. Read by descriptor-handle `Drop` impls to leak
-    /// (instead of recycle) published descriptors.
+    /// will never complete. Read by the owned-descriptor `Drop`
+    /// (`lfc-dcas`'s one descriptor lifecycle) to leak (instead of recycle)
+    /// published descriptors.
     static ABANDONING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -537,8 +538,8 @@ fn parse_schedule(s: &str) -> Option<Schedule> {
 pub const ABANDON_PAYLOAD: &str = "lfc: operation abandoned (injected thread death)";
 
 /// Whether the current thread is unwinding out of an operation it will
-/// never complete. Descriptor-handle `Drop` impls consult this to *leak*
-/// a published descriptor (helpers may still hold it) instead of
+/// never complete. The owned-descriptor `Drop` in `lfc-dcas` consults
+/// this to *leak* a published descriptor (helpers may still hold it) instead of
 /// recycling it, and `Engine`'s drop keeps the corpse's ENTRY hazards in
 /// place for them.
 pub fn thread_is_abandoning() -> bool {

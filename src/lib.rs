@@ -47,7 +47,7 @@ pub mod compose {
 pub mod batch {
     pub use lfc_core::batch::{counters, decode_move, decode_swap, encode_move, encode_swap};
 }
-pub use lfc_dcas::{DAtomic, DcasResult};
+pub use lfc_dcas::DAtomic;
 pub use lfc_runtime::{Backoff, BackoffCfg, TtasLock};
 pub use lfc_structures::*;
 

@@ -3,7 +3,7 @@
 //! allocations — solo commits build no descriptors at all, and published
 //! CASN/RDCSS descriptors are recycled through the per-thread pools.
 //!
-//! One test per file (like `solo_paths.rs` in lfc-dcas): a sibling test's
+//! One test per file (like `engine_commit.rs` in lfc-dcas): a sibling test's
 //! thread would register itself and both disturb the solo phase and race
 //! the process-global pool counters.
 
