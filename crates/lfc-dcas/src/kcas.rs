@@ -550,53 +550,83 @@ mod tests {
         commit(g, &entries)
     }
 
+    fn casn_allocs() -> usize {
+        counters::casn_pool_hits() + counters::casn_pool_misses()
+    }
+
+    /// Run `f` with a registered peer alive, so its K>2 commits take the
+    /// published CASN protocol (RDCSS installs, phase-2 revert, retire)
+    /// even when this test is the only one running — a lone thread would
+    /// commit solo, with no descriptor at all. Checks that `f` built at
+    /// least `min` CASN descriptors.
+    fn published(min: usize, f: impl FnOnce(&Guard)) {
+        lfc_runtime::fault::with_registered_peer(|| {
+            let before = casn_allocs();
+            f(&pin());
+            assert!(casn_allocs() - before >= min, "the CASN protocol ran");
+        });
+    }
+
     #[test]
     fn three_word_success() {
-        let g = pin();
-        let a = DAtomic::new(8);
-        let b = DAtomic::new(16);
-        let c = DAtomic::new(24);
-        let r = entryless_commit(&g, &[&a, &b, &c], &[8, 16, 24], &[80, 160, 240]);
-        assert_eq!(r, CasnResult::Success);
-        assert_eq!(a.read(&g), 80);
-        assert_eq!(b.read(&g), 160);
-        assert_eq!(c.read(&g), 240);
+        published(1, |g| {
+            let a = DAtomic::new(8);
+            let b = DAtomic::new(16);
+            let c = DAtomic::new(24);
+            let r = entryless_commit(g, &[&a, &b, &c], &[8, 16, 24], &[80, 160, 240]);
+            assert_eq!(r, CasnResult::Success);
+            assert_eq!(a.read(g), 80);
+            assert_eq!(b.read(g), 160);
+            assert_eq!(c.read(g), 240);
+        });
     }
 
     #[test]
     fn mid_entry_failure_reverts_everything() {
-        let g = pin();
-        let a = DAtomic::new(8);
-        let b = DAtomic::new(16);
-        let c = DAtomic::new(24);
-        let r = entryless_commit(&g, &[&a, &b, &c], &[8, 99, 24], &[80, 160, 240]);
-        assert_eq!(r, CasnResult::FailedAt(1));
-        assert_eq!(a.read(&g), 8, "entry 0 reverted");
-        assert_eq!(b.read(&g), 16);
-        assert_eq!(c.read(&g), 24, "entry 2 never touched");
+        published(1, |g| {
+            let a = DAtomic::new(8);
+            let b = DAtomic::new(16);
+            let c = DAtomic::new(24);
+            let r = entryless_commit(g, &[&a, &b, &c], &[8, 99, 24], &[80, 160, 240]);
+            assert_eq!(r, CasnResult::FailedAt(1));
+            assert_eq!(a.read(g), 8, "entry 0 reverted");
+            assert_eq!(b.read(g), 16);
+            assert_eq!(c.read(g), 24, "entry 2 never touched");
+        });
     }
 
     #[test]
     fn failure_reports_first_failing_index() {
-        let g = pin();
-        let a = DAtomic::new(8);
-        let b = DAtomic::new(16);
-        let r = entryless_commit(&g, &[&a, &b], &[0xBAD0, 0xBAD0], &[1 << 4, 2 << 4]);
-        assert_eq!(r, CasnResult::FailedAt(0));
+        // Three words, so the commit takes the CASN protocol rather than
+        // the K=2 DCAS.
+        published(1, |g| {
+            let a = DAtomic::new(8);
+            let b = DAtomic::new(16);
+            let c = DAtomic::new(24);
+            let r = entryless_commit(
+                g,
+                &[&a, &b, &c],
+                &[0xBAD0, 0xBAD0, 0xBAD0],
+                &[1 << 4, 2 << 4, 3 << 4],
+            );
+            assert_eq!(r, CasnResult::FailedAt(0));
+            assert_eq!((a.read(g), b.read(g), c.read(g)), (8, 16, 24));
+        });
     }
 
     #[test]
     fn six_entries_supported() {
-        let g = pin();
-        let words: Vec<DAtomic> = (0..MAX_ENTRIES).map(|i| DAtomic::new(i * 8)).collect();
-        let refs: Vec<&DAtomic> = words.iter().collect();
-        let olds: Vec<Word> = (0..MAX_ENTRIES).map(|i| i * 8).collect();
-        let news: Vec<Word> = (0..MAX_ENTRIES).map(|i| i * 8 + 8).collect();
-        let r = entryless_commit(&g, &refs, &olds, &news);
-        assert_eq!(r, CasnResult::Success);
-        for (i, w) in words.iter().enumerate() {
-            assert_eq!(w.read(&g), i * 8 + 8);
-        }
+        published(1, |g| {
+            let words: Vec<DAtomic> = (0..MAX_ENTRIES).map(|i| DAtomic::new(i * 8)).collect();
+            let refs: Vec<&DAtomic> = words.iter().collect();
+            let olds: Vec<Word> = (0..MAX_ENTRIES).map(|i| i * 8).collect();
+            let news: Vec<Word> = (0..MAX_ENTRIES).map(|i| i * 8 + 8).collect();
+            let r = entryless_commit(g, &refs, &olds, &news);
+            assert_eq!(r, CasnResult::Success);
+            for (i, w) in words.iter().enumerate() {
+                assert_eq!(w.read(g), i * 8 + 8);
+            }
+        });
     }
 
     #[test]
@@ -682,27 +712,28 @@ mod tests {
 
     #[test]
     fn descriptors_are_reclaimed() {
-        let g = pin();
-        let a = DAtomic::new(0);
-        let b = DAtomic::new(0);
-        let c = DAtomic::new(0);
-        for i in 0..10_000usize {
-            let v = i * 8;
-            let r = commit(
-                &g,
-                &[
-                    entry(&a, v, v + 8),
-                    entry(&b, v, v + 8),
-                    entry(&c, v, v + 8),
-                ],
+        published(10_000, |g| {
+            let a = DAtomic::new(0);
+            let b = DAtomic::new(0);
+            let c = DAtomic::new(0);
+            for i in 0..10_000usize {
+                let v = i * 8;
+                let r = commit(
+                    g,
+                    &[
+                        entry(&a, v, v + 8),
+                        entry(&b, v, v + 8),
+                        entry(&c, v, v + 8),
+                    ],
+                );
+                assert_eq!(r, CasnResult::Success);
+            }
+            lfc_hazard::flush();
+            assert!(
+                lfc_hazard::pending_retired() < 20_000,
+                "pending {}",
+                lfc_hazard::pending_retired()
             );
-            assert_eq!(r, CasnResult::Success);
-        }
-        lfc_hazard::flush();
-        assert!(
-            lfc_hazard::pending_retired() < 20_000,
-            "pending {}",
-            lfc_hazard::pending_retired()
-        );
+        });
     }
 }

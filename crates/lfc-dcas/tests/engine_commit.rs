@@ -1,5 +1,5 @@
 //! Deterministic coverage of the unified k-entry commit
-//! (`lfc_dcas::engine::try_commit_entries` and its infallible name
+//! (`lfc_dcas::try_commit_entries` and its infallible name
 //! `commit_entries`) across its three regimes.
 //!
 //! This file intentionally holds **one** test function: integration tests
@@ -48,9 +48,10 @@ fn pool_allocs() -> [usize; 3] {
     ]
 }
 
-/// Every supported width through `name`: one all-match commit and one
-/// last-entry mismatch per width, each checked against the all-or-nothing
-/// contract. Returns the results and the per-pool allocation deltas.
+/// Every supported width through `name`: one all-match commit, one
+/// last-entry mismatch and one first-entry mismatch per width, each checked
+/// against the all-or-nothing contract. Returns the results and the
+/// per-pool allocation deltas.
 fn sweep_widths(
     name: fn(&[CasnEntry], &Guard) -> CasnResult,
     g: &Guard,
@@ -86,6 +87,24 @@ fn sweep_widths(
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.read(g), i * 8 + 8, "k={k}: nothing left changed");
         }
+
+        // First-entry mismatch: nothing is swung before the failure, so
+        // every word is left untouched (the generalized FIRSTFAILED).
+        let bad: Vec<CasnEntry> = words
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                if i == 0 {
+                    entry(w, 0xBAD0, 1 << 4)
+                } else {
+                    entry(w, i * 8 + 8, i * 8 + 16)
+                }
+            })
+            .collect();
+        results.push(name(&bad, g));
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(w.read(g), i * 8 + 8, "k={k}: every word untouched");
+        }
     }
     let after = pool_allocs();
     (results, std::array::from_fn(|i| after[i] - before[i]))
@@ -93,7 +112,13 @@ fn sweep_widths(
 
 fn expected_results() -> Vec<CasnResult> {
     (2..=MAX_ENTRIES)
-        .flat_map(|k| [CasnResult::Success, CasnResult::FailedAt(k - 1)])
+        .flat_map(|k| {
+            [
+                CasnResult::Success,
+                CasnResult::FailedAt(k - 1),
+                CasnResult::FailedAt(0),
+            ]
+        })
         .collect()
 }
 
@@ -182,8 +207,8 @@ fn published_phase(g: &Guard) {
     assert_eq!(try_results, results);
     assert_eq!(try_allocs, allocs, "[desc, casn, rdcss] allocations");
     let wide = MAX_ENTRIES - 2; // widths that dispatch to CASN
-    assert_eq!(allocs[0], 2, "one DCAS descriptor per K=2 commit");
-    assert_eq!(allocs[1], 2 * wide, "one CASN descriptor per K>2 commit");
+    assert_eq!(allocs[0], 3, "one DCAS descriptor per K=2 commit");
+    assert_eq!(allocs[1], 3 * wide, "one CASN descriptor per K>2 commit");
     assert!(allocs[2] >= 2 * wide * 3, "RDCSS installs ran");
 
     // K=2 dispatch: the paper's DCAS protocol, with the failing index
