@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const LOCAL_CAP: usize = 200;
 
 /// Size classes (bytes). Each class allocates `Layout::from_size_align(c, c)`
-/// so any allocation with `align <= size <= c` fits; classes 64, 128 and
-/// 256 serve the 64-aligned RDCSS, DCAS and CASN descriptors.
+/// so any allocation with `align <= size <= c` fits; class 256 serves the
+/// 64-aligned commit descriptor (one type at every width).
 pub const CLASS_SIZES: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 
 const NUM_CLASSES: usize = CLASS_SIZES.len();
@@ -361,9 +361,9 @@ mod tests {
         assert_eq!(class_for(l(17, 8)), Some(1)); // 32
         assert_eq!(class_for(l(24, 8)), Some(1));
         assert_eq!(class_for(l(80, 512)), Some(5)); // align drives it
-        assert_eq!(class_for(l(128, 64)), Some(3)); // DCAS descriptor
-        assert_eq!(class_for(l(256, 64)), Some(4)); // CASN descriptor
-        assert_eq!(class_for(l(64, 64)), Some(2)); // RDCSS descriptor
+        assert_eq!(class_for(l(128, 64)), Some(3));
+        assert_eq!(class_for(l(256, 64)), Some(4)); // commit descriptor
+        assert_eq!(class_for(l(64, 64)), Some(2));
         assert_eq!(class_for(l(1024, 8)), Some(6));
         assert_eq!(class_for(l(1025, 8)), None);
     }

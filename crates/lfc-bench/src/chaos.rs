@@ -28,11 +28,11 @@
 //!
 //! # Fault schedule
 //!
-//! Kill sites are the crash adversary's: `dcas.announced`,
-//! `dcas.published`, `kcas.announced` — initiator boundaries whose
-//! abandoned operations helpers and adopters must finish. OOM sites are
-//! the `try_*`-surfaced ones: `dcas.desc`, `dcas.casn` (commit
-//! descriptors) and `structures.node` (account/voucher nodes). The
+//! Kill sites are the crash adversary's: `dcas.announced` and
+//! `dcas.published` — initiator boundaries whose abandoned operations
+//! helpers and adopters must finish. OOM sites are the `try_*`-surfaced
+//! ones: `dcas.desc` (commit descriptors) and `structures.node`
+//! (account/voucher nodes). The
 //! allocator-level `alloc.block` site is deliberately **not** armed: it
 //! also fails infallible internal paths (e.g. skip-list node allocation),
 //! which panic by contract rather than degrade — that tier is covered by
@@ -276,7 +276,6 @@ fn arm_combined(seed: u64) {
     // EveryNth counters advance only for unshielded threads).
     fault::arm_site("dcas.announced", Schedule::EveryNth(701));
     fault::arm_site("dcas.published", Schedule::EveryNth(463));
-    fault::arm_site("kcas.announced", Schedule::EveryNth(557));
     // OOM on the try_-surfaced allocation paths, probabilistic so failures
     // cluster unpredictably instead of beating like a metronome.
     fault::arm_site(
@@ -284,13 +283,6 @@ fn arm_combined(seed: u64) {
         Schedule::Prob {
             ppm: 30_000,
             seed: seed ^ 0xD0_0D,
-        },
-    );
-    fault::arm_site(
-        "dcas.casn",
-        Schedule::Prob {
-            ppm: 30_000,
-            seed: seed ^ 0xCA_51,
         },
     );
     fault::arm_site(

@@ -64,15 +64,14 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
     let baseline_blocks = lfc_alloc::outstanding();
 
     // Kill sites at every helping boundary a thread can die beyond:
-    // announced-not-published, published-not-decided (the worst torn
-    // state), a batched request handed to the group commit, and a CASN
-    // (group/fan-out commit) announcement. EveryNth counters are global
+    // announced-not-published and published-not-decided (the worst torn
+    // state), at every commit width, and a batched request handed to the
+    // group commit. EveryNth counters are global
     // and only unshielded threads advance them, so the victims reap
     // themselves at a steady rate while survivors run for free.
     fault::arm_site("dcas.announced", fault::Schedule::EveryNth(701));
     fault::arm_site("dcas.published", fault::Schedule::EveryNth(463));
     fault::arm_site("batch.submitted", fault::Schedule::EveryNth(389));
-    fault::arm_site("kcas.announced", fault::Schedule::EveryNth(557));
 
     let stop = AtomicBool::new(false);
     let mut series: Vec<(u128, usize, usize, usize)> = Vec::new();

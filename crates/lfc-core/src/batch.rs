@@ -354,7 +354,7 @@ struct BatchNode<R> {
     /// before publication; re-written only by the owner's push loop.
     next: AtomicUsize,
     /// Result flag: [`FLAG_PENDING`] until resolved, then an encoded
-    /// outcome. May transiently hold a CASN descriptor — always access
+    /// outcome. May transiently hold a commit descriptor — always access
     /// through [`DAtomic::read`] under a guard.
     flag: DAtomic,
     /// Allocation era (zombie-partition evidence, as for structure nodes).

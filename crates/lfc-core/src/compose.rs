@@ -11,8 +11,8 @@
 //!   captures the operation's linearization-point CAS triple at its entry,
 //!   and invokes stage *i*+1 from inside the capture;
 //! * the innermost stage commits every captured entry through
-//!   [`lfc_dcas::commit_entries`], where the paper's DCAS is the K=2
-//!   specialization of CASN and both share pooled descriptors and the
+//!   [`lfc_dcas::commit_entries`], which runs the paper's DCAS entry by
+//!   entry over all K words with one pooled descriptor type, or the
 //!   solo-regime fast path;
 //! * a commit failure at entry *k* aborts the stages deeper than *k* and
 //!   re-runs the init phase of exactly the operation owning entry *k* — the
@@ -35,7 +35,7 @@
 //! ([`lfc_hazard::pin_op`]) rather than per-node hazards, and each nested
 //! stage's epoch ends when its operation returns — before the engine is
 //! done with the captured entries (the engine drops after the outermost
-//! remove returns, and DCAS/CASN helpers validate their adopted
+//! remove returns, and commit helpers validate their adopted
 //! protections against *hazards*, not epochs). The engine therefore
 //! **promotes** every captured entry's allocation from epoch protection to
 //! a dedicated [`slot::ENTRY0`] hazard slot at capture time — while the
@@ -238,7 +238,7 @@ impl Engine {
                 false
             }
             Err(_) => {
-                // Descriptor/RDCSS allocation failed with no word left
+                // Descriptor allocation failed with no word left
                 // changed. `retry_at` stays `None` and `no_commit` is
                 // false, so `resolve` aborts every stage and the entry
                 // point reads `oom`.
@@ -662,8 +662,8 @@ where
 }
 
 /// Fallible [`move_one`]: a commit-descriptor allocation failure (genuine
-/// exhaustion, or injected via `lfc_runtime::fault`'s `"dcas.desc"` /
-/// `"dcas.casn"` / `"dcas.rdcss"` sites) surfaces as `Err` with both
+/// exhaustion, or injected via `lfc_runtime::fault`'s `"dcas.desc"`
+/// site) surfaces as `Err` with both
 /// objects untouched, instead of panicking. The solo-regime fast path
 /// allocates nothing and cannot fail.
 pub fn try_move_one<T, S, D>(src: &S, dst: &D) -> Result<MoveOutcome, AllocError>
@@ -734,7 +734,7 @@ where
 ///
 /// The remove is stage 0, each target's insert one further stage, and the
 /// innermost stage commits every captured entry through the k-entry commit
-/// (K=2 dispatches to the paper's DCAS, larger fan-outs to CASN). A commit
+/// (the paper's DCAS run over every entry). A commit
 /// failure at entry k re-runs the init phase of exactly the operation that
 /// owns entry k — the generalization of the FIRSTFAILED/SECONDFAILED retry
 /// rule — and a failure *before* any commit aborts the whole composition.

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// The hazard slot protecting the node a remove reads: the last engine
 /// entry slot, which a two-entry move never promotes into (`read` helps
-/// through DESC/HELP*/KCAS*, so those slots would be overwritten).
+/// through DESC/HELP*, so those slots would be overwritten).
 const NODE_SLOT: usize = hslot::ENTRY0 + hslot::ENTRY_COUNT - 1;
 
 struct SlotNode<T> {

@@ -27,7 +27,7 @@
 //! flushed by the exit hooks that run during abandonment, and the id/bank
 //! are reclaimed here.
 
-use crate::word::{self, Word};
+use crate::word::Word;
 use lfc_hazard::Guard;
 use lfc_runtime::{fault, CachePadded, MAX_THREADS};
 // Deliberately `std` atomics, NOT the `crate::sync` model facade: the
@@ -39,8 +39,8 @@ use lfc_runtime::{fault, CachePadded, MAX_THREADS};
 // model's cooperative scheduler real stores are sequentially consistent.
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One announce slot per tid: 0, or the initiator's in-flight descriptor
-/// word (`dcas_plain` / `casn_word`). Padded: a slot is written twice per
+/// One announce slot per tid: 0, or the initiator's in-flight plain
+/// descriptor word (`dcas_plain`). Padded: a slot is written twice per
 /// announced commit by its owner; adopters scan rarely.
 static ANNOUNCE: [CachePadded<AtomicUsize>; MAX_THREADS] =
     [const { CachePadded::new(AtomicUsize::new(0)) }; MAX_THREADS];
@@ -88,9 +88,8 @@ pub fn announced(tid: u16) -> Word {
 /// release, a hazard bank) that still protects an undecided operation.
 /// Claiming first closes the window: the tid cannot be released (and so
 /// cannot be re-minted) while this adopter holds the claim, so the
-/// announce word it reads is the claimed incarnation's. An adopter that
-/// cannot finish the help (allocation failure) re-parks the corpse for a
-/// later pass instead of releasing it.
+/// announce word it reads is the claimed incarnation's. Helping allocates
+/// nothing, so the claimed corpse is always released.
 ///
 /// Callers need any pinned guard; the helping path adopts the corpse's
 /// hazards exactly like an ordinary `read`-helper (Lemma 6 holds because
@@ -107,22 +106,14 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
         let skip_help = model_toggles::SKIP_ADOPT_HELP.load(std::sync::atomic::Ordering::Relaxed);
         #[cfg(not(lfc_model))]
         let skip_help = false;
-        let decided = if w == 0 || skip_help {
-            // Nothing announced (the corpse died outside a commit), or the
-            // model sabotage toggle pretends the help ran.
-            true
-        } else {
+        // Nothing announced means the corpse died outside a commit; the
+        // model sabotage toggle pretends the help ran.
+        if w != 0 && !skip_help {
             // Safety: the descriptor behind an announced word is leaked by
             // the abandoning drop path — it can never be freed or recycled
             // — and the corpse's hazard bank still protects the operation's
             // target allocations (Lemma 6's initiator obligation).
-            unsafe { help_announced(w, g) }
-        };
-        if !decided {
-            // This adopter ran out of memory mid-help; re-park the corpse
-            // for a later (or better-resourced) adoption pass.
-            fault::repark_corpse(tid);
-            continue;
+            unsafe { help_announced(w, g) };
         }
         // The operation is decided (helped above, or completed earlier by
         // organic read-helping); releasing the bank is now safe.
@@ -134,38 +125,25 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
     released
 }
 
-/// Help an announced descriptor word to completion, by kind. Returns true
-/// iff the operation is decided on return (false only when the adopter
-/// itself failed an RDCSS allocation mid-help).
+/// Help an announced descriptor word to its decision.
+///
+/// Only a *published* commit is helped. The first-word install is
+/// initiator-only, so helping a descriptor the dead initiator announced but
+/// never installed would run the helper half of the protocol against a
+/// word that never held the announcement and could apply only the later
+/// CASes — a torn half-commit (`kcas::is_published`). Unpublished + dead
+/// owner means the operation never took effect and never will: decided.
 ///
 /// # Safety
 ///
-/// `w` must be a descriptor word whose descriptor is alive for the whole
-/// call (adoption relies on abandoned descriptors being leaked) and whose
-/// initiator's hazard bank is still intact.
-unsafe fn help_announced(w: Word, g: &Guard) -> bool {
-    match word::kind(w) {
-        word::KIND_DCAS => {
-            // Only help a *published* DCAS. The first-word install is
-            // initiator-only, so helping a descriptor the dead initiator
-            // announced but never installed would run the helper half of
-            // the protocol against a word that never held the announcement
-            // and could apply only the second CAS — a torn half-commit
-            // (`dcas::dcas_is_published`). Unpublished + dead owner means
-            // the operation never took effect and never will: decided.
-            // Safety: forwarded (announced descriptors are leaked alive).
-            if unsafe { crate::dcas::dcas_is_published(w) } {
-                // Safety: forwarded; run as helper (the initiator is dead).
-                let _ = unsafe { crate::dcas::dcas_run(w, false, g, fault::gate()) };
-            }
-            true
-        }
-        word::KIND_CASN => {
-            let d = word::desc_addr(w) as *const crate::kcas::CasnDesc;
-            // Safety: forwarded.
-            unsafe { crate::kcas::casn_execute(&*d, w, g, false) }.is_ok()
-        }
-        _ => true,
+/// `w` must be a plain descriptor word whose descriptor is alive for the
+/// whole call (adoption relies on abandoned descriptors being leaked) and
+/// whose initiator's hazard bank is still intact.
+unsafe fn help_announced(w: Word, g: &Guard) {
+    // Safety: forwarded (announced descriptors are leaked alive).
+    if unsafe { crate::kcas::is_published(w) } {
+        // Safety: forwarded; run as a helper (the initiator is dead).
+        let _ = unsafe { crate::kcas::help_first_word(w, g) };
     }
 }
 
@@ -175,14 +153,14 @@ pub(crate) mod counters_adopt {
 }
 
 /// Total operations completed on behalf of another thread: helper runs of
-/// the DCAS/CASN protocol plus corpse adoptions. Surfaced in the
+/// the protocol plus corpse adoptions. Surfaced in the
 /// `reproduce` JSON `reclamation` block.
 pub fn helped_completions() -> usize {
-    crate::dcas::counters::help_runs() + fault::adopted_total()
+    crate::kcas::counters::help_runs() + fault::adopted_total()
 }
 
 /// Deterministic sabotage switches for the model checker: each one breaks
-/// the adoption protocol in a way a scenario must *catch*.
+/// the protocol in a way a scenario must *catch*.
 #[cfg(lfc_model)]
 pub mod model_toggles {
     use std::sync::atomic::AtomicBool;
@@ -193,4 +171,10 @@ pub mod model_toggles {
     /// words are raw after adoption — with this toggle set, that assertion
     /// must fail (the broken-helping bug is *caught*).
     pub static SKIP_ADOPT_HELP: AtomicBool = AtomicBool::new(false);
+
+    /// Skip Lemma 3's self-revert: an executor whose mark lost the
+    /// promotion race, or landed after the decision, leaves it installed.
+    /// The late-mark scenario asserts every word is raw at the end — with
+    /// this toggle set, that assertion must fail.
+    pub static SKIP_SELF_REVERT: AtomicBool = AtomicBool::new(false);
 }

@@ -7,7 +7,7 @@
 //! reader that finds a descriptor must help the in-flight operation finish
 //! before it can observe a raw value.
 
-use crate::dcas;
+use crate::kcas;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
@@ -52,8 +52,8 @@ impl DAtomic {
     /// publish the writes that prepared `new` (Release) and observe the
     /// state published by the CAS that installed `old` (Acquire). No
     /// protocol decision hinges on a *total* order of CASes to different
-    /// words: cross-word agreement in the DCAS/CASN protocols always goes
-    /// through an RMW on a single decision word (`res`/`status`), and RMWs
+    /// words: cross-word agreement in the protocol always goes through an
+    /// RMW on a single winner slot (`res[i]`), and RMWs
     /// read the latest value in modification order regardless of ordering.
     #[inline]
     pub fn cas_word(&self, old: Word, new: Word) -> bool {
@@ -94,7 +94,7 @@ impl DAtomic {
     /// which makes it safe to help operations whose initiator has already
     /// returned and retired the descriptor: in that case the validation
     /// fails, because stale descriptor words are always removed before the
-    /// protecting hazard of their installer is released (see `dcas`).
+    /// protecting hazard of their installer is released (see `kcas`).
     #[inline]
     pub fn read(&self, g: &Guard) -> Word {
         // SeqCst via `load_word` (audited): read-only results participate
@@ -139,30 +139,18 @@ impl DAtomic {
     fn read_slow(&self, g: &Guard) -> Word {
         loop {
             let w = self.load_word();
-            match word::kind(w) {
-                word::KIND_RAW => return w,
-                word::KIND_DCAS => {
-                    g.set(slot::DESC, word::desc_addr(w));
-                    // SeqCst validation load (audited): the load half of
-                    // the hazard Dekker pair with `g.set` above.
-                    if self.load_word() == w {
-                        // Safety: the descriptor is hazard-protected and was
-                        // re-validated to still be installed.
-                        unsafe { dcas::help(w, g) };
-                    }
-                    g.clear(slot::DESC);
-                }
-                _ => {
-                    // CASN / RDCSS descriptors (n-object move extension).
-                    g.set(slot::DESC, word::desc_addr(w));
-                    // SeqCst validation load (audited): as above.
-                    if self.load_word() == w {
-                        // Safety: as above.
-                        unsafe { crate::kcas::help_word(w, self, g) };
-                    }
-                    g.clear(slot::DESC);
-                }
+            if word::is_raw(w) {
+                return w;
             }
+            g.set(slot::DESC, word::desc_addr(w));
+            // SeqCst validation load (audited): the load half of the hazard
+            // Dekker pair with `g.set` above.
+            if self.load_word() == w {
+                // Safety: the descriptor is hazard-protected and was
+                // re-validated to still be installed in this word.
+                unsafe { kcas::help(w, self, g) };
+            }
+            g.clear(slot::DESC);
         }
     }
 }

@@ -1,29 +1,27 @@
 //! The unified k-entry commit: one entry point for every composed
-//! operation, with DCAS as the K=2 specialization of CASN.
+//! operation.
 //!
 //! The composition engine in `lfc-core` captures up to
 //! [`MAX_ENTRIES`](crate::kcas::MAX_ENTRIES) linearization-point CAS
 //! triples (as [`CasnEntry`] values) and commits them all through
 //! [`commit_entries`] / [`try_commit_entries`] (one body, the fallible
-//! one; the infallible name wraps it). Three regimes, fastest first:
+//! one; the infallible name wraps it). Two regimes, fastest first:
 //!
 //! 1. **Solo** ([`lfc_runtime::solo`]): the calling thread is the only
 //!    registered thread and the registration handshake keeps it that way,
 //!    so no descriptor is built at all — the k CASes run back to back
-//!    ([`crate::kcas::solo_commit`]), rolling back the prefix on the first
-//!    mismatch.
-//! 2. **K = 2**: the paper's own DCAS (Algorithm 4, [`crate::dcas`]) —
-//!    fewer CASes than the general protocol and no RDCSS descriptors,
-//!    which is exactly why the paper prefers it for pairs.
-//! 3. **K > 2**: the Harris–Fraser–Pratt CASN ([`crate::kcas`]).
+//!    ([`solo_commit`]), rolling back the prefix on the first mismatch.
+//! 2. **Published**: the paper's DCAS (Algorithm 4) run entry by entry
+//!    over all K words ([`crate::kcas`]); at K = 2 it is Algorithm 4 step
+//!    for step.
 //!
-//! This is the only way in for an initiator: the published regimes
-//! allocate, publish and retire their descriptors through the one
+//! This is the only way in for an initiator: the published regime
+//! allocates, publishes and retires its descriptor through the one
 //! lifecycle in `crate::pool` (per-thread pools, so the steady-state hot
 //! path performs **zero** `lfc-alloc` block allocations), and a retry
 //! re-captures its entries into a fresh descriptor.
 
-use crate::kcas::{solo_commit, CasnEntry, CasnResult, MAX_ENTRIES};
+use crate::kcas::{CasnEntry, CasnResult, MAX_ENTRIES};
 use lfc_hazard::Guard;
 use lfc_runtime::solo;
 
@@ -32,11 +30,10 @@ use lfc_runtime::solo;
 /// [`CasnResult::FailedAt`] with the first failing index — no word is left
 /// changed.
 ///
-/// The infallible name of [`try_commit_entries`]: a descriptor or RDCSS
-/// allocation failure (genuine exhaustion, or injection at the
-/// `"dcas.desc"`, `"dcas.casn"` and `"dcas.rdcss"` sites) panics —
-/// unwinding, with no word left changed — where the `try_` name returns
-/// `Err`.
+/// The infallible name of [`try_commit_entries`]: a descriptor allocation
+/// failure (genuine exhaustion, or injection at the `"dcas.desc"` site)
+/// panics — unwinding, with no word left changed — where the `try_` name
+/// returns `Err`.
 ///
 /// # Safety
 ///
@@ -53,8 +50,8 @@ pub unsafe fn commit_entries(entries: &[CasnEntry], g: &Guard) -> CasnResult {
     unsafe { try_commit_entries(entries, g) }.unwrap_or_else(|e| crate::pool::alloc_failed(e))
 }
 
-/// The one commit body. Descriptor and RDCSS allocation failures surface
-/// as `Err`, with no word left changed. The solo regime allocates nothing
+/// The one commit body. A descriptor allocation failure surfaces as `Err`,
+/// with no word left changed. The solo regime allocates nothing
 /// and cannot fail.
 ///
 /// # Safety
@@ -82,13 +79,33 @@ pub unsafe fn try_commit_entries(
         return Ok(solo_commit(entries));
     }
 
-    if let [first, second] = entries {
-        // Regime 2: K=2 — the paper's DCAS is the two-entry specialization.
-        // Safety: forwarded contract.
-        unsafe { crate::dcas::commit(first, second, g) }
-    } else {
-        // Regime 3: the general CASN.
-        // Safety: forwarded contract.
-        unsafe { crate::kcas::commit(entries, g) }
+    // Regime 2: the published protocol, every width.
+    // Safety: forwarded contract.
+    unsafe { crate::kcas::commit(entries, g) }
+}
+
+/// The solo-regime commit: run the `entries` CASes back to back,
+/// reverting the prefix on the first mismatch.
+///
+/// Sound only while a [`lfc_runtime::solo::SoloSection`] is held: no other
+/// thread can observe shared memory, so the intermediate states between the
+/// CASes (and between a failed CAS and its rollback) are unobservable by
+/// construction — which is precisely the atomicity the descriptor protocol
+/// otherwise provides.
+#[inline]
+fn solo_commit(entries: &[CasnEntry]) -> CasnResult {
+    for (i, e) in entries.iter().enumerate() {
+        // Safety: target allocations are kept alive by the initiating
+        // operation's borrows/hazards, exactly as on the published path.
+        let word = unsafe { &*e.ptr };
+        if !word.cas_word(e.old, e.new) {
+            for p in entries[..i].iter().rev() {
+                // Safety: as above.
+                let reverted = unsafe { &*p.ptr }.cas_word(p.new, p.old);
+                debug_assert!(reverted, "solo-mode revert cannot be contended");
+            }
+            return CasnResult::FailedAt(i);
+        }
     }
+    CasnResult::Success
 }

@@ -1,25 +1,23 @@
-//! The descriptor lifecycle, one for all three descriptor types (DCAS,
-//! CASN, RDCSS): per-thread pools, one free list per type in one
+//! The descriptor lifecycle: a per-thread pool, one free list in one
 //! thread-local, and the [`Owned`] handle every commit allocates through.
 //!
-//! The safety argument is identical for every type: a block re-enters
-//! circulation **only** from (a) an [`Owned`] dropped before publication
-//! (no other thread ever learned the address), or (b) the hazard domain's
-//! reclaimer, which runs only once no thread's slot protects the address —
-//! exactly the point at which handing the block to a *different*
-//! allocation would also have been legal.
+//! The safety argument: a block re-enters circulation **only** from (a) an
+//! [`Owned`] dropped before publication (no other thread ever learned the
+//! address), or (b) the hazard domain's reclaimer, which runs only once no
+//! thread's slot protects the address — exactly the point at which handing
+//! the block to a *different* allocation would also have been legal.
 //!
 //! # Bound
 //!
 //! A pool has no capacity of its own. Retired descriptors come home in
 //! scan-sized bursts, and a fixed cap would spill each burst into
 //! `lfc-alloc`'s magazines and shared global stack, only for the next
-//! window's allocations to miss. Each list is bounded by the thread's
+//! window's allocations to miss. The list is bounded by the thread's
 //! current scan trigger (`lfc_hazard::scan_trigger`) instead: the
 //! retire-list length at which its next scan runs, and so the most one
-//! scan of its own list can free. A free that finds its type's list that
-//! long hands the block to `lfc-alloc` and sheds the list down to the
-//! trigger, so no free leaves a list above the trigger in force. What does
+//! scan of its own list can free. A free that finds the list that long
+//! hands the block to `lfc-alloc` and sheds the list down to the trigger,
+//! so no free leaves the list above the trigger in force. What does
 //! not fit is what the thread would not have reused: orphan lists a scan
 //! adopts from exited threads, and, once a stall clears, the backlog of a
 //! trigger that had grown with the stall's survivors. Thread exit hands
@@ -32,19 +30,15 @@
 //! (`lfc_alloc::set_parked`), which `lfc_alloc::outstanding` subtracts. The
 //! hit path therefore carries no RMW on a shared line.
 
-use crate::dcas::DcasDesc;
-use crate::kcas::{CasnDesc, RdcssDesc};
+use crate::kcas::Desc;
 use lfc_hazard::{scan_trigger, MIN_SCAN_TRIGGER};
 use lfc_runtime::{on_thread_exit, thread_is_exiting, ShardedCounter};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
 
-/// A descriptor type: its free list, and the per-type steps of the
-/// lifecycle [`Owned`] runs.
+/// The descriptor type's steps of the lifecycle [`Owned`] runs.
 pub(crate) trait Pooled: Sized {
-    /// Index of the type's list in `Pools::free`.
-    const LIST: usize;
     /// Fault site checked before the pool, so injection fires even when a
     /// pooled block would have been a guaranteed hit.
     const SITE: &'static str;
@@ -66,23 +60,22 @@ pub(crate) trait Pooled: Sized {
     fn birth(&self) -> usize;
 }
 
-/// One thread's pools.
+/// One thread's pool.
 struct Pools {
-    free: [Vec<NonNull<u8>>; 3],
+    free: Vec<NonNull<u8>>,
     tid: u16,
 }
 
 impl Pools {
     fn publish(&self) {
-        lfc_alloc::set_parked(self.tid, self.free.iter().map(Vec::len).sum());
+        lfc_alloc::set_parked(self.tid, self.free.len());
     }
 
-    /// Hand `T` blocks back to `lfc-alloc` until `T`'s list holds at most
+    /// Hand `T` blocks back to `lfc-alloc` until the list holds at most
     /// `keep`.
     fn shed<T: Pooled>(&mut self, keep: usize) {
-        let list = &mut self.free[T::LIST];
-        while list.len() > keep {
-            let d = list.pop().expect("longer than keep");
+        while self.free.len() > keep {
+            let d = self.free.pop().expect("longer than keep");
             // Safety: pooled blocks came from `alloc_block` with `T`'s
             // layout and are unreachable.
             unsafe { lfc_alloc::free_block(d.as_ptr(), Layout::new::<T>()) };
@@ -100,7 +93,7 @@ fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
         let mut p = cell.get();
         if p.is_null() {
             p = Box::into_raw(Box::new(Pools {
-                free: Default::default(),
+                free: Vec::new(),
                 // The exit hook below runs before this id is released, so
                 // the id stays ours for the pools' whole life.
                 tid: lfc_runtime::current_tid(),
@@ -110,9 +103,7 @@ fn with_pools<R>(f: impl FnOnce(&mut Pools) -> R) -> R {
                 POOLS.with(|c| c.set(std::ptr::null_mut()));
                 // Safety: created above; the hook runs once per thread.
                 let mut pools = unsafe { Box::from_raw(p) };
-                pools.shed::<DcasDesc>(0);
-                pools.shed::<CasnDesc>(0);
-                pools.shed::<RdcssDesc>(0);
+                pools.shed::<Desc>(0);
             }));
         }
         // Safety: thread-exclusive, not re-entered.
@@ -150,7 +141,7 @@ impl<T: Pooled> Owned<T> {
             None
         } else {
             with_pools(|p| {
-                let d = p.free[T::LIST].pop()?;
+                let d = p.free.pop()?;
                 p.publish();
                 Some(d)
             })
@@ -258,7 +249,7 @@ pub(crate) fn alloc_failed(e: lfc_alloc::AllocError) -> ! {
 }
 
 /// Return an unreachable `T` descriptor block to this thread's pool, or to
-/// the backing allocator when `T`'s list is at the thread's scan trigger or
+/// the backing allocator when the list is at the thread's scan trigger or
 /// the thread is tearing down.
 ///
 /// # Safety
@@ -268,7 +259,7 @@ pub(crate) fn alloc_failed(e: lfc_alloc::AllocError) -> ! {
 unsafe fn dealloc<T: Pooled>(d: NonNull<T>) {
     if !thread_is_exiting() {
         let pooled = with_pools(|p| {
-            let n = p.free[T::LIST].len();
+            let n = p.free.len();
             // No trigger is below the floor, so short of it a free skips
             // the trigger's read of the shared thread high-water mark.
             if n >= MIN_SCAN_TRIGGER {
@@ -278,7 +269,7 @@ unsafe fn dealloc<T: Pooled>(d: NonNull<T>) {
                     return false;
                 }
             }
-            p.free[T::LIST].push(d.cast());
+            p.free.push(d.cast());
             p.publish();
             true
         });

@@ -1,20 +1,19 @@
 //! Protocol-word encoding.
 //!
 //! Every composable linearization point is a CAS on one machine word that
-//! normally holds a pointer (paper requirement 3). While a DCAS is in
+//! normally holds a pointer (paper requirement 3). While a commit is in
 //! flight the word temporarily holds a pointer to the operation's
 //! descriptor, distinguished by mark bits in the pointer's low bits — the
-//! technique of Harris (reference \[8\] in the paper) — and, for the second word,
-//! tagged with the installing thread's id to defeat the ABA problem the
-//! paper describes in §3.2.2.
+//! technique of Harris (reference \[8\] in the paper) — and, for every word
+//! after the first, tagged with the installing thread's id to defeat the
+//! ABA problem the paper describes in §3.2.2.
 //!
 //! ```text
-//! bits [1:0]   kind: 00 raw value, 01 DCAS descriptor,
-//!                    10 CASN descriptor, 11 RDCSS descriptor
+//! bits [1:0]   kind: 00 raw value, 01 descriptor (10 and 11 unused)
 //! bits [5:2]   zero in descriptor words (descriptors are 64-byte aligned)
 //! bits [56:6]  descriptor address
-//! bits [63:57] DCAS thread-id field: 0 = unmarked (installed at *ptr1),
-//!                                    tid+1 = marked (installed at *ptr2)
+//! bits [63:57] thread-id field: 0 = unmarked (installed at *ptr_0),
+//!                               tid+1 = marked (installed at *ptr_i, i ≥ 1)
 //! ```
 //!
 //! The thread-id field sits above every user address: user space ends
@@ -34,12 +33,8 @@ pub type Word = usize;
 pub const KIND_MASK: Word = 0b11;
 /// Raw value (node pointer / null / stamped pointer).
 pub const KIND_RAW: Word = 0b00;
-/// DCAS descriptor (paper Algorithm 4).
+/// Descriptor word (paper Algorithm 4, at every width).
 pub const KIND_DCAS: Word = 0b01;
-/// CASN descriptor (n-object move extension).
-pub const KIND_CASN: Word = 0b10;
-/// RDCSS descriptor (substrate of CASN).
-pub const KIND_RDCSS: Word = 0b11;
 
 const TID_SHIFT: u32 = 57;
 const TID_FIELD_MAX: Word = 0x7F;
@@ -80,14 +75,14 @@ fn debug_check_addr(addr: usize) {
     debug_assert_eq!(addr & TID_MASK, 0, "address bits [63:57] must be clear");
 }
 
-/// Unmarked DCAS descriptor word, as installed at `*ptr1` (line D10).
+/// Unmarked descriptor word, as installed at `*ptr_0` (line D10).
 #[inline]
 pub fn dcas_plain(addr: usize) -> Word {
     debug_check_addr(addr);
     addr | KIND_DCAS
 }
 
-/// Marked DCAS descriptor word for `tid`, as installed at `*ptr2`
+/// Marked descriptor word for `tid`, as installed at `*ptr_i`, i ≥ 1
 /// (lines D13–D14).
 #[inline]
 pub fn dcas_marked(addr: usize, tid: u16) -> Word {
@@ -96,31 +91,17 @@ pub fn dcas_marked(addr: usize, tid: u16) -> Word {
     addr | KIND_DCAS | (((tid as Word) + 1) << TID_SHIFT)
 }
 
-/// Thread-id field of a DCAS descriptor word (0 means unmarked).
+/// Thread-id field of a descriptor word (0 means unmarked).
 #[inline]
 pub fn dcas_tid_field(w: Word) -> Word {
     (w & TID_MASK) >> TID_SHIFT
 }
 
-/// Whether `w` is a *marked* DCAS descriptor word (the `desc is marked`
-/// test of line D5).
+/// Whether `w` is a *marked* descriptor word (the `desc is marked` test of
+/// line D5).
 #[inline]
 pub fn is_marked_dcas(w: Word) -> bool {
     kind(w) == KIND_DCAS && dcas_tid_field(w) != 0
-}
-
-/// CASN descriptor word.
-#[inline]
-pub fn casn_word(addr: usize) -> Word {
-    debug_check_addr(addr);
-    addr | KIND_CASN
-}
-
-/// RDCSS descriptor word.
-#[inline]
-pub fn rdcss_word(addr: usize) -> Word {
-    debug_check_addr(addr);
-    addr | KIND_RDCSS
 }
 
 #[cfg(test)]
@@ -136,8 +117,7 @@ mod tests {
         assert!(is_raw(0));
         assert!(is_raw(0x1000));
         assert!(!is_raw(0x1000 | KIND_DCAS));
-        assert!(!is_raw(0x1000 | KIND_CASN));
-        assert!(!is_raw(0x1000 | KIND_RDCSS));
+        assert!(!is_raw(dcas_marked(0x1000, 0)));
     }
 
     #[test]
@@ -189,13 +169,11 @@ mod tests {
                 assert_eq!(kind(w), KIND_DCAS);
                 assert!(is_marked_dcas(w));
             }
-            for (w, k) in [
-                (dcas_plain(addr), KIND_DCAS),
-                (casn_word(addr), KIND_CASN),
-                (rdcss_word(addr), KIND_RDCSS),
-            ] {
-                assert_eq!((desc_addr(w), kind(w), dcas_tid_field(w)), (addr, k, 0));
-            }
+            let w = dcas_plain(addr);
+            assert_eq!(
+                (desc_addr(w), kind(w), dcas_tid_field(w)),
+                (addr, KIND_DCAS, 0)
+            );
         }
     }
 
@@ -217,7 +195,8 @@ mod tests {
         let mut rng = lfc_runtime::SmallRng::seed_from_u64(0xFACE);
         for _ in 0..2_000 {
             let addr = (1 + rng.below((TOP / DESC_ALIGN) as u64) as usize) * DESC_ALIGN;
-            let words = [addr, dcas_plain(addr), casn_word(addr), rdcss_word(addr)];
+            let tid = rng.below(MAX_THREADS as u64) as u16;
+            let words = [addr, dcas_plain(addr), dcas_marked(addr, tid)];
             for (i, a) in words.iter().enumerate() {
                 for (j, b) in words.iter().enumerate() {
                     if i != j {
@@ -233,6 +212,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "bits [63:57]")]
     fn encoders_refuse_addresses_above_57_bits() {
-        let _ = casn_word(1 << 57);
+        let _ = dcas_plain(1 << 57);
     }
 }

@@ -1,11 +1,12 @@
-//! Protocol tests for the software DCAS (paper Algorithm 4), the K=2
-//! regime of `commit_entries`.
+//! Protocol tests for the software DCAS (paper Algorithm 4) behind
+//! `commit_entries`; the stalled-initiator helper tests run it at K=2 and
+//! at K=3.
 //!
 //! Raw test values are multiples of 8 so they are valid "raw" protocol
 //! words (low kind bits clear), mimicking aligned node pointers.
 
-use lfc_dcas::dcas::{counters, test_support};
-use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word};
+use lfc_dcas::kcas::test_support;
+use lfc_dcas::{commit_entries, counters, CasnEntry, CasnResult, DAtomic, Word};
 use lfc_hazard::{pin, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,15 +33,32 @@ fn dcas(
     unsafe { commit_entries(&[entry(a, old1, new1), entry(b, old2, new2)], g) }
 }
 
-/// Announce (line D10) a DCAS of `a: 8 → 24`, `b: old2 → 32` and stall.
-fn announce(a: &'static DAtomic, b: &'static DAtomic, old2: usize) -> Word {
-    // Safety: leaked words live forever and are distinct.
-    unsafe { test_support::announce_only(entry(a, 8, 24), entry(b, old2, 32)) }
-        .expect("announce succeeds")
+/// The stalled commit of width `k`: word `i` goes from `OLD[i]` to
+/// `NEW[i]`.
+const OLD: [usize; 3] = [8, 16, 40];
+const NEW: [usize; 3] = [24, 32, 56];
+
+/// `k` leaked words holding their `OLD` values.
+fn leaked_words(k: usize) -> Vec<&'static DAtomic> {
+    OLD[..k]
+        .iter()
+        .map(|&v| &*Box::leak(Box::new(DAtomic::new(v))))
+        .collect()
 }
 
-fn leaked(v: usize) -> &'static DAtomic {
-    Box::leak(Box::new(DAtomic::new(v)))
+/// Announce (line D10) the commit `OLD → NEW` over `words` and stall.
+fn announce(words: &[&'static DAtomic]) -> Word {
+    let es: Vec<CasnEntry> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| entry(w, OLD[i], NEW[i]))
+        .collect();
+    // Safety: leaked words live forever and are distinct.
+    unsafe { test_support::announce_only(&es) }.expect("announce succeeds")
+}
+
+fn values(words: &[&DAtomic], g: &Guard) -> Vec<usize> {
+    words.iter().map(|w| w.read(g)).collect()
 }
 
 #[test]
@@ -91,103 +109,120 @@ fn null_old_values_work() {
 #[test]
 fn helper_completes_stalled_operation_via_word1() {
     // Announce (D10) and stall: the owner never runs the protocol, so a
-    // reader of word 1 on another thread alone must complete the DCAS. The
-    // `help_runs()` delta shows the decision came from the help path.
-    let g = pin();
-    let (a, b) = (leaked(8), leaked(16));
-    let w = announce(a, b, 16);
-    let before = counters::help_runs();
-    std::thread::scope(|sc| {
-        sc.spawn(|| {
-            // Word 1 now holds the descriptor; a read must help and return 24.
-            let g = pin();
-            assert_eq!(a.read(&g), 24, "helper's read returns the post-DCAS value");
+    // reader of word 1 on another thread alone must complete the commit.
+    // The `help_runs()` delta shows the decision came from the help path.
+    for k in [2, 3] {
+        let g = pin();
+        let words = leaked_words(k);
+        let w = announce(&words);
+        let before = counters::help_runs();
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                // Word 1 now holds the descriptor; a read must help and
+                // return its new value.
+                let g = pin();
+                assert_eq!(words[0].read(&g), 24, "k={k}: the helper's read");
+            });
         });
-    });
-    assert!(
-        counters::help_runs() > before,
-        "the decision can only have come from the help path"
-    );
-    // Both words swung without the owner ever running the protocol.
-    assert_eq!(a.read(&g), 24);
-    assert_eq!(b.read(&g), 32);
-    // The owner "wakes up": resuming is idempotent on a decided DCAS.
-    let r = unsafe { test_support::resume(w, &g) };
-    assert_eq!(r, CasnResult::Success);
-    // Safety: decided; retired exactly once (announce_only handed us the
-    // initiator's retire obligation).
-    unsafe { test_support::retire_announced(w) };
+        assert!(
+            counters::help_runs() > before,
+            "k={k}: the decision can only have come from the help path"
+        );
+        // Every word swung without the owner ever running the protocol.
+        assert_eq!(values(&words, &g), NEW[..k]);
+        // The owner "wakes up": resuming is idempotent on a decided commit.
+        let r = unsafe { test_support::resume(w, &g) };
+        assert_eq!(r, CasnResult::Success);
+        // Safety: decided; retired exactly once (announce_only handed us
+        // the initiator's retire obligation).
+        unsafe { test_support::retire_announced(w) };
+    }
 }
 
 #[test]
 fn helper_completes_stalled_operation_via_word2() {
-    // Reading the *second* word while only the announcement happened: the
-    // word still holds a raw value, so the reader sees old2 — that is fine
-    // (the operation has not linearized yet). But once any reader of word 1
-    // helps, word 2 is done too.
-    let g = pin();
-    let (a, b) = (leaked(8), leaked(16));
-    let w = announce(a, b, 16);
-    assert_eq!(b.read(&g), 16, "not yet linearized");
-    assert_eq!(a.read(&g), 24, "reader helps");
-    assert_eq!(b.read(&g), 32, "second word completed by the helper");
-    unsafe {
-        assert_eq!(test_support::res_state(w), 2, "res is SUCCESS");
-        test_support::retire_announced(w);
+    // Reading a *later* word while only the announcement happened: the
+    // word still holds a raw value, so the reader sees its old value —
+    // that is fine (the operation has not linearized yet). But once any
+    // reader of word 1 helps, every later word is done too.
+    for k in [2, 3] {
+        let g = pin();
+        let words = leaked_words(k);
+        let w = announce(&words);
+        assert_eq!(values(&words[1..], &g), OLD[1..k], "not yet linearized");
+        assert_eq!(words[0].read(&g), 24, "reader helps");
+        assert_eq!(
+            values(&words[1..], &g),
+            NEW[1..k],
+            "later words completed by the helper"
+        );
+        unsafe {
+            assert_eq!(test_support::res_state(w), 2, "res[K-1] is SUCCESS");
+            test_support::retire_announced(w);
+        }
     }
 }
 
 #[test]
 fn stalled_announcement_with_changed_second_word_fails_cleanly() {
-    let g = pin();
-    let (a, b) = (leaked(8), leaked(16));
-    let w = announce(a, b, 16);
-    // Interfere: change word 2 before any helper arrives.
-    assert!(b.cas_word(16, 48));
-    // A reader of word 1 on another thread helps: the DCAS must fail and
-    // roll the announcement back out of word 1 (Lemma 4), and only the
-    // help path can have decided it.
-    let before = counters::help_runs();
-    std::thread::scope(|sc| {
-        sc.spawn(|| {
-            let g = pin();
-            assert_eq!(a.read(&g), 8, "helper's read returns the reverted value");
+    // Interfere with each later word `j` in turn before any helper
+    // arrives (at K=3 and j=2 the helper must also revert entry 1's
+    // winner).
+    for (k, j) in [(2, 1), (3, 1), (3, 2)] {
+        let g = pin();
+        let words = leaked_words(k);
+        let w = announce(&words);
+        assert!(words[j].cas_word(OLD[j], 48));
+        // A reader of word 1 on another thread helps: the commit must fail
+        // and roll every installed word back (Lemma 4), and only the help
+        // path can have decided it.
+        let before = counters::help_runs();
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                let g = pin();
+                assert_eq!(words[0].read(&g), 8, "k={k} j={j}: reverted value");
+            });
         });
-    });
-    assert!(counters::help_runs() > before);
-    assert_eq!(a.read(&g), 8);
-    assert_eq!(b.read(&g), 48);
-    let r = unsafe { test_support::resume(w, &g) };
-    assert_eq!(r, CasnResult::FailedAt(1));
-    // Safety: decided; single retire.
-    unsafe { test_support::retire_announced(w) };
+        assert!(counters::help_runs() > before);
+        let mut expect = OLD[..k].to_vec();
+        expect[j] = 48;
+        assert_eq!(values(&words, &g), expect, "k={k} j={j}");
+        let r = unsafe { test_support::resume(w, &g) };
+        assert_eq!(r, CasnResult::FailedAt(j));
+        // Safety: decided; single retire.
+        unsafe { test_support::retire_announced(w) };
+    }
 }
 
 #[test]
 fn concurrent_helpers_agree_on_result() {
-    // Many threads all help the same stalled announcement; the pair must
+    // Many threads all help the same stalled announcement; the words must
     // swing exactly once and everyone must report the same result.
-    let (a, b) = (leaked(8), leaked(16));
-    let w = announce(a, b, 16);
+    for k in [2, 3] {
+        let words = leaked_words(k);
+        let w = announce(&words);
 
-    let results: Vec<CasnResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                s.spawn(move || {
-                    let g = pin();
-                    unsafe { test_support::resume(w, &g) }
+        let results: Vec<CasnResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(move || {
+                        let g = pin();
+                        unsafe { test_support::resume(w, &g) }
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for r in &results {
-        assert_eq!(*r, CasnResult::Success, "all helpers agree (Lemma 2)");
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for r in &results {
+            assert_eq!(
+                *r,
+                CasnResult::Success,
+                "k={k}: all helpers agree (Lemma 2)"
+            );
+        }
+        assert_eq!(values(&words, &pin()), NEW[..k]);
+        unsafe { test_support::retire_announced(w) };
     }
-    let g = pin();
-    assert_eq!(a.read(&g), 24);
-    assert_eq!(b.read(&g), 32);
-    unsafe { test_support::retire_announced(w) };
 }
 
 #[test]

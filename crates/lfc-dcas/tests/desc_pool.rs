@@ -5,7 +5,7 @@
 //! helper can never operate on a descriptor that has been handed out for a
 //! *new* DCAS (which would corrupt unrelated words).
 
-use lfc_dcas::dcas::test_support;
+use lfc_dcas::kcas::test_support;
 use lfc_dcas::{commit_entries, counters, CasnEntry, CasnResult, DAtomic};
 use lfc_hazard::{pin, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,7 +89,7 @@ fn published_descriptor_is_not_reused_while_helper_holds_it() {
         },
     ];
     // Safety: leaked words live forever and are distinct.
-    let w = unsafe { test_support::announce_only(es[0], es[1]) }.expect("announce succeeds");
+    let w = unsafe { test_support::announce_only(&es) }.expect("announce succeeds");
     let protected = lfc_dcas::word::desc_addr(w);
 
     // Simulate a stalled helper: protect the descriptor in our DESC slot.

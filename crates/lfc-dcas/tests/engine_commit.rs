@@ -6,15 +6,12 @@
 //! in one binary run on a thread pool, and a sibling test's `pin()` would
 //! register a second thread and disable the solo regime. With a single
 //! test, the solo branch is guaranteed taken for the first phase, the
-//! registered-peer phase guarantees the published K=2 (DCAS) and K>2
-//! (CASN) dispatches, and the last phase switches from solo to published
-//! under a concurrent reader — all asserted against the same
-//! all-or-nothing contract.
+//! registered-peer phase guarantees the published protocol at every width,
+//! and the last phase switches from solo to published under a concurrent
+//! reader — all asserted against the same all-or-nothing contract.
 
-use lfc_dcas::kcas::counters as kcounters;
 use lfc_dcas::{
-    commit_entries, counters as dcounters, try_commit_entries, CasnEntry, CasnResult, DAtomic,
-    MAX_ENTRIES,
+    commit_entries, counters, try_commit_entries, CasnEntry, CasnResult, DAtomic, MAX_ENTRIES,
 };
 use lfc_hazard::{pin, Guard};
 
@@ -38,27 +35,24 @@ fn try_commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
     unsafe { try_commit_entries(entries, g) }.expect("nothing is armed")
 }
 
-/// Descriptor allocations so far, per pool (hits + misses: which of the two
-/// an allocation was depends on what the hazard domain has handed back).
-fn pool_allocs() -> [usize; 3] {
-    [
-        dcounters::desc_pool_hits() + dcounters::desc_pool_misses(),
-        kcounters::casn_pool_hits() + kcounters::casn_pool_misses(),
-        kcounters::rdcss_pool_hits() + kcounters::rdcss_pool_misses(),
-    ]
+/// Descriptor allocations so far (hits + misses: which of the two an
+/// allocation was depends on what the hazard domain has handed back).
+fn desc_allocs() -> usize {
+    counters::desc_pool_hits() + counters::desc_pool_misses()
 }
 
 /// Every supported width through `name`: one all-match commit, one
 /// last-entry mismatch and one first-entry mismatch per width, each checked
-/// against the all-or-nothing contract. Returns the results and the
-/// per-pool allocation deltas.
+/// against the all-or-nothing contract. Returns the results and the number
+/// of descriptors allocated per width, `[K=2, K=3, ..]`.
 fn sweep_widths(
     name: fn(&[CasnEntry], &Guard) -> CasnResult,
     g: &Guard,
-) -> (Vec<CasnResult>, [usize; 3]) {
-    let before = pool_allocs();
+) -> (Vec<CasnResult>, Vec<usize>) {
+    let mut allocs = Vec::new();
     let mut results = Vec::new();
     for k in 2..=MAX_ENTRIES {
+        let before = desc_allocs();
         let words: Vec<DAtomic> = (0..k).map(|i| DAtomic::new(i * 8)).collect();
         let ok: Vec<CasnEntry> = words
             .iter()
@@ -105,9 +99,9 @@ fn sweep_widths(
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.read(g), i * 8 + 8, "k={k}: every word untouched");
         }
+        allocs.push(desc_allocs() - before);
     }
-    let after = pool_allocs();
-    (results, std::array::from_fn(|i| after[i] - before[i]))
+    (results, allocs)
 }
 
 fn expected_results() -> Vec<CasnResult> {
@@ -123,7 +117,7 @@ fn expected_results() -> Vec<CasnResult> {
 }
 
 #[test]
-fn unified_commit_covers_solo_dcas_and_casn_regimes() {
+fn unified_commit_covers_solo_and_published_regimes() {
     let g = pin();
     assert_eq!(
         lfc_runtime::active_threads(),
@@ -138,7 +132,10 @@ fn unified_commit_covers_solo_dcas_and_casn_regimes() {
     for name in [commit, try_commit] {
         let (results, allocs) = sweep_widths(name, &g);
         assert_eq!(results, expected_results());
-        assert_eq!(allocs, [0; 3], "the solo regime allocates no descriptor");
+        assert!(
+            allocs.iter().all(|&a| a == 0),
+            "the solo regime allocates no descriptor"
+        );
     }
     assert_eq!(
         lfc_hazard::stats().0,
@@ -197,22 +194,28 @@ fn regime_switch_phase() {
 }
 
 fn published_phase(g: &Guard) {
-    // Every width through both names again: K=2 takes one DCAS descriptor
-    // per commit, K>2 one CASN descriptor plus one RDCSS descriptor per
-    // install attempt — the same for the infallible name and its `try_`
-    // twin, because they are one body.
+    // Every width through both names again: exactly one descriptor per
+    // published commit at every width — helpers and installs allocate
+    // nothing — the same for the infallible name and its `try_` twin,
+    // because they are one body.
     let (results, allocs) = sweep_widths(commit, g);
     let (try_results, try_allocs) = sweep_widths(try_commit, g);
     assert_eq!(results, expected_results());
     assert_eq!(try_results, results);
-    assert_eq!(try_allocs, allocs, "[desc, casn, rdcss] allocations");
-    let wide = MAX_ENTRIES - 2; // widths that dispatch to CASN
-    assert_eq!(allocs[0], 3, "one DCAS descriptor per K=2 commit");
-    assert_eq!(allocs[1], 3 * wide, "one CASN descriptor per K>2 commit");
-    assert!(allocs[2] >= 2 * wide * 3, "RDCSS installs ran");
+    assert_eq!(
+        allocs,
+        vec![3; MAX_ENTRIES - 1],
+        "one descriptor per commit, per width K=2..={MAX_ENTRIES}"
+    );
+    assert_eq!(try_allocs, allocs);
+    assert_eq!(
+        counters::rdcss_pool_hits() + counters::rdcss_pool_misses(),
+        0,
+        "no RDCSS descriptor exists"
+    );
 
-    // K=2 dispatch: the paper's DCAS protocol, with the failing index
-    // translated from FIRSTFAILED/SECONDFAILED.
+    // K=2: the paper's DCAS, reporting the failing index (the paper's
+    // FIRSTFAILED/SECONDFAILED).
     let a = DAtomic::new(0);
     let b = DAtomic::new(8);
     assert_eq!(
@@ -230,10 +233,10 @@ fn published_phase(g: &Guard) {
     );
     assert_eq!((a.read(g), b.read(g)), (16, 24), "nothing left changed");
 
-    // K=3 dispatch: the CASN protocol, now pooled — steady-state commits
-    // must recycle descriptors instead of falling through to `lfc-alloc`.
+    // K=3, pooled: steady-state commits must recycle descriptors instead
+    // of falling through to `lfc-alloc`.
     let words: Vec<DAtomic> = (0..3).map(|i| DAtomic::new(i * 8)).collect();
-    let miss0 = kcounters::casn_pool_misses() + kcounters::rdcss_pool_misses();
+    let (miss0, hits0) = (counters::desc_pool_misses(), counters::desc_pool_hits());
     for round in 0..60usize {
         let es: Vec<CasnEntry> = words
             .iter()
@@ -246,12 +249,10 @@ fn published_phase(g: &Guard) {
         lfc_hazard::flush();
     }
     assert!(
-        kcounters::casn_pool_hits() > 0 && kcounters::rdcss_pool_hits() > 0,
-        "steady-state CASN commits must reuse pooled descriptors (casn hits {}, rdcss hits {})",
-        kcounters::casn_pool_hits(),
-        kcounters::rdcss_pool_hits()
+        counters::desc_pool_hits() > hits0,
+        "steady-state K=3 commits must reuse pooled descriptors"
     );
-    let misses = kcounters::casn_pool_misses() + kcounters::rdcss_pool_misses() - miss0;
+    let misses = counters::desc_pool_misses() - miss0;
     assert!(
         misses <= 16,
         "steady-state misses must be bounded by the warmup burst, got {misses}"

@@ -1,13 +1,13 @@
-//! Each of a thread's descriptor pools stays within its scan trigger,
-//! however much its scans reclaim on behalf of threads that have exited.
+//! A thread's descriptor pool stays within its scan trigger, however much
+//! its scans reclaim on behalf of threads that have exited.
 //!
 //! A thread that exits while its retired descriptors are still pinned
 //! leaves them on the hazard domain's orphan list, and the next scan by any
-//! live thread adopts and frees them into that thread's pools. A
+//! live thread adopts and frees them into that thread's pool. A
 //! long-lived thread that scans but allocates no descriptors of its own
 //! would otherwise keep every exited thread's descriptors until it exits.
 //!
-//! One test per binary: `lfc_alloc::parked()` sums every thread's pools.
+//! One test per binary: `lfc_alloc::parked()` sums every thread's pool.
 
 use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic};
 
@@ -57,10 +57,10 @@ fn adopted_orphans_do_not_grow_a_scanners_pools() {
             reclaimed >= 2 * COMMITS,
             "the scan freed only {reclaimed} of the exited worker's descriptors"
         );
-        // Three lists (DCAS, CASN, RDCSS), each within the trigger.
+        // One list, within the trigger.
         assert!(
-            lfc_alloc::parked() <= 3 * lfc_hazard::scan_trigger(),
-            "pooled {} > 3 x scan trigger {}",
+            lfc_alloc::parked() <= lfc_hazard::scan_trigger(),
+            "pooled {} > scan trigger {}",
             lfc_alloc::parked(),
             lfc_hazard::scan_trigger()
         );

@@ -12,14 +12,13 @@
 //!
 //! The composition protocol needs several simultaneously live protections
 //! per thread (paper §5: `hp1..hp4`, plus the descriptor hazard `hpd` used
-//! by the `read` operation and the two adopted protections of DCAS lines
+//! by the `read` operation and the adopted protections of DCAS lines
 //! D2–D3). Fixed roles are assigned in [`slot`] so the layers never clobber
 //! each other:
 //!
 //! * the descriptor hazard set by `read` before helping: [`slot::DESC`]
-//! * the adopted protections of a helping DCAS (lines D2–D3):
-//!   [`slot::HELP1`], [`slot::HELP2`]
-//! * CASN helping protections (extension): [`slot::KCAS0`]..
+//! * the adopted protections of a helper (lines D2–D3), one per commit
+//!   entry: [`slot::HELP0`]..
 //! * the composition engine's per-entry protections: [`slot::ENTRY0`]..
 //!   (insert and remove *must not share* hazard slots — paper requirement 2
 //!   discussion: shared hazard pointers would let a move's insert overwrite
@@ -38,7 +37,7 @@
 //! nodes with plain acquire loads, and publishes per-node hazards only at
 //! the handoff points the composition protocol requires — the captured
 //! linearization entries (`ENTRY*`, promoted at capture time by the
-//! engine), descriptors (`DESC`) and helper adoptions (`HELP*`/`KCAS*`),
+//! engine), descriptors (`DESC`) and helper adoptions (`HELP*`),
 //! which keep their slots and orderings untouched.
 //!
 //! # Retire contract (unified domain)
@@ -64,8 +63,8 @@
 //! conditions hold: the tag is older than every active reader's entry epoch
 //! (so no in-flight traversal can still hold a pre-unlink pointer), **and**
 //! no hazard slot protects the block (so a
-//! node pinned by an in-flight move/CASN — an `ENTRY*`/`HELP*` slot —
-//! survives even after all epochs quiesce). The DCAS protocol preserves the
+//! node pinned by an in-flight composed commit — an `ENTRY*`/`HELP*` slot
+//! — survives even after all epochs quiesce). The DCAS protocol preserves the
 //! hazard half exactly as before: descriptors are retired only after the
 //! operation is decided and the initiating side's word has been swung, and
 //! every helper removes its own stale marked descriptor before clearing the
@@ -156,14 +155,11 @@ pub mod slot {
     /// Descriptor hazard set by the `read` operation before helping
     /// (the paper's `hpd`, line D35).
     pub const DESC: usize = 0;
-    /// Helper-adopted protection of the word-1 allocation (line D3).
-    pub const HELP1: usize = 1;
-    /// Helper-adopted protection of the word-2 allocation (line D3).
-    pub const HELP2: usize = 2;
-    /// Base of the CASN helper protections (extension; one per entry).
-    pub const KCAS0: usize = 3;
-    /// Number of CASN helper slots.
-    pub const KCAS_COUNT: usize = 7;
+    /// Base of the helper-adopted protections (lines D2–D3): entry `i`'s
+    /// allocation goes in `HELP0 + i`.
+    pub const HELP0: usize = 1;
+    /// Number of helper slots (one per possible commit entry).
+    pub const HELP_COUNT: usize = 6;
     /// Base of the composition engine's per-entry protections: at capture
     /// time the engine *promotes* each captured entry's allocation from
     /// the capturing operation's epoch into its own ENTRY slot
@@ -172,12 +168,12 @@ pub mod slot {
     /// `finish` run), keeping every entry word protected until the
     /// composition resolves. One slot per entry also keeps nested
     /// same-role stages from clobbering each other's protections.
-    /// Disjoint from the KCAS* range: ENTRY slots belong to the
-    /// *initiating* thread's composition, KCAS* to the same thread's
-    /// *helping* of foreign CASNs (a `read` inside a nested operation can
-    /// help a foreign CASN mid-composition).
-    pub const ENTRY0: usize = 10;
-    /// Number of engine entry slots (one per possible CASN entry).
+    /// Disjoint from the HELP* range: ENTRY slots belong to the
+    /// *initiating* thread's composition, HELP* to the same thread's
+    /// *helping* of foreign commits (a `read` inside a nested operation can
+    /// help a foreign commit mid-composition).
+    pub const ENTRY0: usize = 7;
+    /// Number of engine entry slots (one per possible commit entry).
     pub const ENTRY_COUNT: usize = 6;
     /// The batched-composition claim protection (PR 7): a submitter parks
     /// its request node's base address here for the whole submit — push,
@@ -186,26 +182,35 @@ pub mod slot {
     /// immune to the zombie tier's birth-era partition, unlike epochs).
     /// The batch drainer that clears a batch retires its nodes; a waiter's
     /// CLAIM slot is what makes its final result-word read safe after that.
-    pub const CLAIM: usize = 16;
+    pub const CLAIM: usize = 13;
     /// The elimination exchanger's camp protection (PR 7): a pusher parks
     /// its offered node's address here for as long as it camps on an
     /// exchanger slot. A claimed offer is *retired* (never freed
     /// directly), so this hazard is what closes the ABA window — the
     /// node's address cannot be recycled into a fresh offer the camping
     /// pusher's withdraw CAS could steal (see `lfc-structures::elim`).
-    pub const ELIM: usize = 17;
+    pub const ELIM: usize = 14;
 }
 
 /// Hazard slots per registered thread.
-pub const SLOTS_PER_THREAD: usize = 18;
+pub const SLOTS_PER_THREAD: usize = 15;
+
+// The roles tile the bank: no two share a slot and none is left over.
+const _: () = assert!(
+    slot::HELP0 == slot::DESC + 1
+        && slot::ENTRY0 == slot::HELP0 + slot::HELP_COUNT
+        && slot::CLAIM == slot::ENTRY0 + slot::ENTRY_COUNT
+        && slot::ELIM == slot::CLAIM + 1
+        && SLOTS_PER_THREAD == slot::ELIM + 1
+);
 
 /// One thread's hazard slots, cache-line padded: before padding,
 /// neighbouring threads' banks shared lines in one flat array and every
 /// hazard publication invalidated other threads' cached banks. The
-/// alignment keeps each bank on its own aligned prefetch-pairs of lines
-/// (`18 × 8 = 144` bytes, padded to 256 by the alignment). The hot writers
+/// alignment keeps each bank on its own aligned prefetch-pair of lines
+/// (`15 × 8 = 120` bytes, padded to 128 by the alignment). The hot writers
 /// are the `ENTRY*` promotions (every composed capture) and the
-/// `DESC`/`HELP*`/`KCAS*` helper slots.
+/// `DESC`/`HELP*` helper slots.
 #[repr(align(128))]
 struct SlotBank {
     slots: [AtomicUsize; SLOTS_PER_THREAD],
@@ -1441,7 +1446,7 @@ mod tests {
 
     #[test]
     fn scan_threshold_is_independent_of_the_bank_size() {
-        assert_eq!(SLOTS_PER_THREAD, 18);
+        assert_eq!(SLOTS_PER_THREAD, 15);
         for threads in 0..=MAX_THREADS {
             assert_eq!(base_scan_threshold(threads), (48 * threads.max(1)).max(128));
         }

@@ -52,10 +52,8 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
     // solo-regime fast path, which allocates no descriptor and could not
     // fail.)
     fault::with_registered_peer(|| {
-        // A 4-entry swap commit allocates a CASN descriptor; 2-entry
-        // commits a DCAS one. Starve both.
+        // Every commit width allocates its descriptor at this one site.
         fault::arm_site("dcas.desc", fault::Schedule::Always);
-        fault::arm_site("dcas.casn", fault::Schedule::Always);
         for _ in 0..3 {
             assert_eq!(l.settle(0, 1), Err(LedgerError::Overloaded));
         }
@@ -121,13 +119,12 @@ fn killed_workers_are_adopted_and_every_sweep_conserves() {
     let abandoned0 = fault::abandoned_total();
     let adopted0 = fault::adopted_total();
 
-    // The crash adversary's kill sites: die announced-not-published,
-    // published-not-decided, and at a CASN (swap/fan-out) announcement.
-    // EveryNth counters advance only for unshielded threads — the workers
-    // reap themselves while the auditor and governor run for free.
+    // The crash adversary's kill sites: die announced-not-published and
+    // published-not-decided, at every commit width. EveryNth counters
+    // advance only for unshielded threads — the workers reap themselves
+    // while the auditor and governor run for free.
     fault::arm_site("dcas.announced", fault::Schedule::EveryNth(463));
     fault::arm_site("dcas.published", fault::Schedule::EveryNth(701));
-    fault::arm_site("kcas.announced", fault::Schedule::EveryNth(557));
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|sc| {

@@ -1,10 +1,10 @@
 //! Model-checked thread-death robustness (PR 8 tentpole, part b): a model
 //! thread killed at the worst kill site — `"dcas.published"`, descriptor
-//! installed at word 1, word 2 untouched — must leave a state survivors
-//! always repair: the corpse's announced operation is helped to its
-//! decision, both words end raw with the committed values, and the dead
-//! thread's id/bank are adopted, all under a complete preemption-bound-1
-//! search.
+//! installed at word 1, the later words untouched — must leave a state
+//! survivors always repair: the corpse's announced operation is helped to
+//! its decision, every word ends raw with the committed value, and the
+//! dead thread's id/bank are adopted, all under a complete
+//! preemption-bound-1 search, at K=2 and at K=3.
 //!
 //! The second phase proves the harness has teeth: with the seeded
 //! `SKIP_ADOPT_HELP` sabotage (adoption releases the corpse *without*
@@ -18,37 +18,48 @@ use lfc_dcas::{adopt_dead_threads, commit_entries, word, CasnEntry, DAtomic};
 use lfc_runtime::fault;
 use std::sync::Arc;
 
-/// The victim's K=2 commit (a: 8→24, b: 16→32), which dies inside.
-fn victim_commit(a: &DAtomic, b: &DAtomic) {
+/// The victim's commit moves word `i` from `OLD[i]` to `NEW[i]`.
+const OLD: [usize; 3] = [8, 16, 40];
+const NEW: [usize; 3] = [24, 32, 56];
+
+/// `k` words holding their `OLD` values.
+fn words(k: usize) -> Arc<Vec<DAtomic>> {
+    Arc::new(OLD[..k].iter().map(|&v| DAtomic::new(v)).collect())
+}
+
+/// The victim's K-word commit (`OLD → NEW`), which dies inside.
+fn victim_commit(words: &[DAtomic]) {
     let g = lfc_hazard::pin();
-    let entries = [
-        CasnEntry {
-            ptr: a,
-            old: 8,
-            new: 24,
+    let entries: Vec<CasnEntry> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| CasnEntry {
+            ptr: w,
+            old: OLD[i],
+            new: NEW[i],
             hp: 0,
-        },
-        CasnEntry {
-            ptr: b,
-            old: 16,
-            new: 32,
-            hp: 0,
-        },
-    ];
-    // Safety: the scenario's `Arc`s keep both distinct words alive.
+        })
+        .collect();
+    // Safety: the scenario's `Arc` keeps the distinct words alive.
     let _ = unsafe { commit_entries(&entries, &g) };
 }
 
-/// One round: a victim announces and publishes a DCAS (a: 8→24, b: 16→32)
-/// and dies at the `"dcas.published"` kill site; a survivor (and finally
-/// the root) adopts the corpse. The end-state assertions are exactly the
-/// tentpole's robustness claim.
-fn scenario() {
+/// Every word through *plain* loads: `DAtomic::read` would help an
+/// installed descriptor and mask exactly the bug the sabotage toggle
+/// seeds, so only `load_word` is allowed here.
+fn plain_values(words: &[DAtomic]) -> Vec<usize> {
+    words.iter().map(DAtomic::load_word).collect()
+}
+
+/// One round: a victim announces and publishes a K-word commit
+/// (`OLD → NEW`) and dies at the `"dcas.published"` kill site; a survivor
+/// (and finally the root) adopts the corpse. The end-state assertions are
+/// exactly the tentpole's robustness claim.
+fn scenario(k: usize) {
     // Re-armed per execution: `Nth(1)` fires on the victim's first (and
     // only) pass through the site; the survivor never runs initiator code.
     fault::arm_site("dcas.published", fault::Schedule::Nth(1));
-    let a = Arc::new(DAtomic::new(8));
-    let b = Arc::new(DAtomic::new(16));
+    let ws = words(k);
 
     // Root pins *before* the victim runs: two registered threads keep the
     // victim out of the solo-regime fast path, which commits without ever
@@ -56,10 +67,10 @@ fn scenario() {
     let g = lfc_hazard::pin();
 
     let victim = {
-        let (a, b) = (a.clone(), b.clone());
+        let ws = ws.clone();
         // Dies inside: the model thread wrapper recognizes the abandon
         // payload and parks the id/bank as a corpse.
-        lfc_model::thread::spawn(move || victim_commit(&a, &b))
+        lfc_model::thread::spawn(move || victim_commit(&ws))
     };
     let survivor = lfc_model::thread::spawn(|| {
         let g = lfc_hazard::pin();
@@ -81,35 +92,32 @@ fn scenario() {
     }
     assert_eq!(fault::corpse_count(), 0, "corpse left unadopted");
 
-    // The tentpole claim, asserted through *plain* loads: `DAtomic::read`
-    // would help an installed descriptor and mask exactly the bug the
-    // sabotage toggle seeds, so only `load_word` is allowed here.
-    let (wa, wb) = (a.load_word(), b.load_word());
+    // The tentpole claim, asserted through plain loads.
+    let ws = plain_values(&ws);
     assert!(
-        word::is_raw(wa) && word::is_raw(wb),
-        "descriptor left installed after adoption (wa={wa:#x}, wb={wb:#x})"
+        ws.iter().all(|&w| word::is_raw(w)),
+        "descriptor left installed after adoption ({ws:x?})"
     );
-    assert_eq!((wa, wb), (24, 32), "adopted DCAS must have committed");
+    assert_eq!(ws, NEW[..k], "adopted commit must have committed");
     fault::disarm();
 }
 
 /// As [`scenario`], but the victim dies at `"dcas.announced"` — after the
 /// announce-table store, *before* the D10 first-word install. The adoption
 /// path must recognize the unpublished descriptor and complete *nothing*:
-/// helping it as if published would apply only the second CAS (the
+/// helping it as if published would apply only the later CASes (the
 /// first-word swing fails silently), duplicating the moved element — the
-/// torn half-commit the crash adversary caught. Both words must end
-/// exactly as they started.
-fn scenario_unpublished() {
+/// torn half-commit the crash adversary caught. Every word must end
+/// exactly as it started.
+fn scenario_unpublished(k: usize) {
     fault::arm_site("dcas.announced", fault::Schedule::Nth(1));
-    let a = Arc::new(DAtomic::new(8));
-    let b = Arc::new(DAtomic::new(16));
+    let ws = words(k);
     let g = lfc_hazard::pin();
 
     let victim = {
-        let (a, b) = (a.clone(), b.clone());
+        let ws = ws.clone();
         // Dies at the announced (pre-publication) kill site.
-        lfc_model::thread::spawn(move || victim_commit(&a, &b))
+        lfc_model::thread::spawn(move || victim_commit(&ws))
     };
     let survivor = lfc_model::thread::spawn(|| {
         let g = lfc_hazard::pin();
@@ -127,15 +135,15 @@ fn scenario_unpublished() {
     }
     assert_eq!(fault::corpse_count(), 0, "corpse left unadopted");
 
-    let (wa, wb) = (a.load_word(), b.load_word());
+    let ws = plain_values(&ws);
     assert!(
-        word::is_raw(wa) && word::is_raw(wb),
-        "descriptor installed by adoption of an unpublished op (wa={wa:#x}, wb={wb:#x})"
+        ws.iter().all(|&w| word::is_raw(w)),
+        "descriptor installed by adoption of an unpublished op ({ws:x?})"
     );
     assert_eq!(
-        (wa, wb),
-        (8, 16),
-        "an announced-but-unpublished DCAS must not be (half-)applied"
+        ws,
+        OLD[..k],
+        "an announced-but-unpublished commit must not be (half-)applied"
     );
     fault::disarm();
 }
@@ -149,64 +157,68 @@ fn opts() -> lfc_model::ExploreOpts {
     }
 }
 
-/// Both phases in ONE test: the sabotage toggle is process-global and two
-/// parallel `#[test]`s flipping it would race.
+/// Both phases in ONE test, at K=2 and at K=3: the sabotage toggle is
+/// process-global and two parallel `#[test]`s flipping it would race.
 #[test]
 fn killed_initiator_adopted_clean_then_sabotage_caught() {
-    // Phase 1 — helping intact: complete bound-1 search, no failure.
-    let report = lfc_model::explore(opts(), scenario);
-    if let Some(f) = &report.failure {
-        panic!("adoption must repair every bound-1 kill interleaving, but:\n{f}");
-    }
-    assert!(
-        report.complete,
-        "the robustness claim is a COMPLETE bounded search, not a truncated \
-         one ({} executions hit a budget)",
-        report.executions
-    );
-    eprintln!(
-        "kill scenario clean over {} executions (complete: {}, pruned: {})",
-        report.executions, report.complete, report.pruned
-    );
+    for k in [2, 3] {
+        // Phase 1 — helping intact: complete bound-1 search, no failure.
+        let report = lfc_model::explore(opts(), || scenario(k));
+        if let Some(f) = &report.failure {
+            panic!("K={k}: adoption must repair every bound-1 kill interleaving, but:\n{f}");
+        }
+        assert!(
+            report.complete,
+            "K={k}: the robustness claim is a COMPLETE bounded search, not a \
+             truncated one ({} executions hit a budget)",
+            report.executions
+        );
+        eprintln!(
+            "K={k} kill scenario clean over {} executions (complete: {}, pruned: {})",
+            report.executions, report.complete, report.pruned
+        );
 
-    // Phase 2 — helping sabotaged: the checker must catch the torn word.
-    lfc_dcas::adopt::model_toggles::SKIP_ADOPT_HELP
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    let report = lfc_model::explore(opts(), scenario);
-    lfc_dcas::adopt::model_toggles::SKIP_ADOPT_HELP
-        .store(false, std::sync::atomic::Ordering::SeqCst);
-    let failure = report
-        .failure
-        .expect("broken adoption helping must be caught by the bounded explorer");
-    assert!(
-        matches!(&failure.kind, lfc_model::FailureKind::Panic(m)
-            if m.contains("descriptor left installed") || m.contains("must have committed")),
-        "expected the torn-word assertion, got: {failure}"
-    );
-    assert!(!failure.schedule.is_empty());
-    eprintln!(
-        "sabotaged helping caught after {} executions:\n{failure}",
-        report.executions
-    );
+        // Phase 2 — helping sabotaged: the checker must catch the torn word.
+        lfc_dcas::adopt::model_toggles::SKIP_ADOPT_HELP
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let report = lfc_model::explore(opts(), || scenario(k));
+        lfc_dcas::adopt::model_toggles::SKIP_ADOPT_HELP
+            .store(false, std::sync::atomic::Ordering::SeqCst);
+        let failure = report
+            .failure
+            .expect("broken adoption helping must be caught by the bounded explorer");
+        assert!(
+            matches!(&failure.kind, lfc_model::FailureKind::Panic(m)
+                if m.contains("descriptor left installed") || m.contains("must have committed")),
+            "K={k}: expected the torn-word assertion, got: {failure}"
+        );
+        assert!(!failure.schedule.is_empty());
+        eprintln!(
+            "K={k} sabotaged helping caught after {} executions:\n{failure}",
+            report.executions
+        );
+    }
 }
 
 /// Regression for the torn half-commit the crash adversary caught: a
-/// victim killed *before* publication must never have its DCAS
+/// victim killed *before* publication must never have its commit
 /// half-applied by an adopter (the publication test in
-/// `lfc_dcas::adopt`). Complete bound-1 search.
+/// `lfc_dcas::adopt`). Complete bound-1 search, at K=2 and at K=3.
 #[test]
 fn killed_before_publication_is_never_half_applied() {
-    let report = lfc_model::explore(opts(), scenario_unpublished);
-    if let Some(f) = &report.failure {
-        panic!("adopting an unpublished DCAS must be a no-op on the words, but:\n{f}");
+    for k in [2, 3] {
+        let report = lfc_model::explore(opts(), || scenario_unpublished(k));
+        if let Some(f) = &report.failure {
+            panic!("K={k}: adopting an unpublished commit must be a no-op on the words, but:\n{f}");
+        }
+        assert!(
+            report.complete,
+            "K={k}: the no-half-commit claim is a COMPLETE bounded search ({} executions hit a budget)",
+            report.executions
+        );
+        eprintln!(
+            "K={k} unpublished-kill scenario clean over {} executions (complete: {}, pruned: {})",
+            report.executions, report.complete, report.pruned
+        );
     }
-    assert!(
-        report.complete,
-        "the no-half-commit claim is a COMPLETE bounded search ({} executions hit a budget)",
-        report.executions
-    );
-    eprintln!(
-        "unpublished-kill scenario clean over {} executions (complete: {}, pruned: {})",
-        report.executions, report.complete, report.pruned
-    );
 }

@@ -46,8 +46,8 @@
 //! | site | layer | meaning when fired |
 //! |---|---|---|
 //! | `alloc.block` | lfc-alloc | backstop: any pooled block allocation fails |
-//! | `dcas.desc`, `dcas.casn`, `dcas.rdcss` | lfc-dcas | descriptor-pool refill fails |
-//! | `dcas.announced`, `kcas.announced` | lfc-dcas | owner dies right after announcing its descriptor |
+//! | `dcas.desc` | lfc-dcas | descriptor allocation fails (checked before the pool) |
+//! | `dcas.announced` | lfc-dcas | owner dies right after announcing its descriptor |
 //! | `dcas.published` | lfc-dcas | owner dies right after the D10 install |
 //! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
 //! | `structures.node`, `structures.header` | lfc-structures | node/header allocation fails |
@@ -189,7 +189,7 @@ pub fn shield_thread(on: bool) {
 /// Run `f` with a second *registered* thread alive, so the calling thread
 /// is provably outside the solo regime ([`crate::solo`]) for the whole of
 /// `f`: commit descriptors are only allocated there, so an armed
-/// descriptor site (`dcas.desc`, `dcas.casn`, `dcas.rdcss`) can only fire
+/// descriptor site (`dcas.desc`) can only fire
 /// — and a test arming one can only be non-vacuous — with a peer present.
 ///
 /// The peer shields itself (it never trips an armed site), claims a thread
@@ -649,16 +649,6 @@ pub fn claim_corpse(tid: u16) -> bool {
         .is_ok()
 }
 
-/// Put a claimed corpse back on the adoption list: the adopter could not
-/// finish helping the announced operation (its own allocation failed
-/// mid-help), so the corpse's id, bank and announce slot must stay parked
-/// for a later pass. Call only after [`claim_corpse`] succeeded and
-/// *instead of* [`release_corpse`] — the counters are untouched because
-/// the claim released nothing.
-pub fn repark_corpse(tid: u16) {
-    CORPSE[tid as usize].store(true, Ordering::Release);
-}
-
 /// Release a claimed corpse's resources: runs the tid finalizers (hazard
 /// bank + epoch-slot reset) and frees the id back to the registry.
 ///
@@ -822,23 +812,6 @@ mod tests {
         assert!(armed());
         assert!(check("real.site"));
         disarm();
-    }
-
-    #[test]
-    fn repark_returns_corpse_to_the_list() {
-        let _s = serial();
-        let tid = 0u16;
-        CORPSE[tid as usize].store(true, Ordering::Release);
-        CORPSE_COUNT.fetch_add(1, Ordering::Relaxed);
-        assert!(claim_corpse(tid));
-        assert!(!is_corpse(tid), "claimed corpse leaves the list");
-        assert_eq!(corpse_count(), 1, "a claim releases nothing");
-        repark_corpse(tid);
-        assert!(is_corpse(tid), "re-parked corpse is adoptable again");
-        assert_eq!(corpse_count(), 1);
-        // Clean up without running tid finalizers (the slot was synthetic).
-        assert!(claim_corpse(tid));
-        CORPSE_COUNT.fetch_sub(1, Ordering::Relaxed);
     }
 
     #[test]

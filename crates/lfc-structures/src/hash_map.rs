@@ -182,7 +182,7 @@ const GROW_SHIFT: usize = 1;
 /// data node (`key == Some`).
 #[repr(C)]
 struct SNode<K, T> {
-    /// Successor word; may transiently hold a DCAS/CASN descriptor; bit 2
+    /// Successor word; may transiently hold a commit descriptor; bit 2
     /// of a raw value is the logical-deletion mark (never set on dummies).
     next: DAtomic,
     /// Split-order key (bit-reversed hash / bucket index). Immutable.

@@ -91,7 +91,7 @@ pub const MAX_LEVEL: usize = 12;
 /// tower holds levels `1..height`.
 #[repr(C)]
 struct ZNode<K, T> {
-    /// Level-0 successor; may transiently hold a DCAS/CASN descriptor;
+    /// Level-0 successor; may transiently hold a commit descriptor;
     /// bit 2 is the logical-delete mark. **The only capturable word.**
     next: DAtomic,
     /// Levels `1..height` (index `L-1` holds level `L`): plain marked

@@ -84,7 +84,6 @@ fn main() {
     // entry points burn their retry budget and report Overloaded — they
     // never block — and the error window drives the ladder to Shed.
     fault::arm_site("dcas.desc", fault::Schedule::Always);
-    fault::arm_site("dcas.casn", fault::Schedule::Always);
     let peer_stop = AtomicBool::new(false);
     std::thread::scope(|sc| {
         // A second registered thread keeps the service out of the solo

@@ -42,20 +42,11 @@ fn combined_kill_and_oom_conserve_every_token() {
     let abandoned0 = fault::abandoned_total();
 
     // Both adversaries at once (counters advance only for unshielded
-    // threads). At this scale the claim-pattern engine pools 2-entry
-    // descriptors, so the classic `dcas.desc`/`dcas.published` sites see
-    // only a couple dozen passes — the kills and refusals go where this
-    // workload actually commits: the 4-entry settle path (`kcas.announced`
-    // kill, `dcas.casn` allocation) and the slow-path publish.
-    fault::arm_site("kcas.announced", fault::Schedule::EveryNth(37));
+    // threads): kills after the announcement and after the publish, and
+    // refused descriptor allocations, at every commit width — the 4-entry
+    // settle path is where this workload mostly commits.
+    fault::arm_site("dcas.announced", fault::Schedule::EveryNth(37));
     fault::arm_site("dcas.published", fault::Schedule::EveryNth(7));
-    fault::arm_site(
-        "dcas.casn",
-        fault::Schedule::Prob {
-            ppm: 25_000,
-            seed: 0x1ED6,
-        },
-    );
     fault::arm_site(
         "dcas.desc",
         fault::Schedule::Prob {
@@ -118,11 +109,10 @@ fn combined_kill_and_oom_conserve_every_token() {
 
     // Phased wind-down: retire the crash adversary first and audit with
     // the OOM schedule still armed, then retire that too.
-    fault::disarm_site("kcas.announced");
+    fault::disarm_site("dcas.announced");
     fault::disarm_site("dcas.published");
     let r = l.quiesced_audit();
     assert!(r.conserved(), "sweep with only the OOM adversary: {r:?}");
-    fault::disarm_site("dcas.casn");
     fault::disarm_site("dcas.desc");
 
     let r = l.quiesced_audit();

@@ -4,8 +4,8 @@
 //! (with the caller's element handed back where one was consumed), and the
 //! hash map degrades to no-resize instead of failing at all.
 //!
-//! The named sites exercised here: `dcas.desc`, `dcas.casn`, `dcas.rdcss`
-//! (commit descriptors), `structures.node`, `structures.header` (object
+//! The named sites exercised here: `dcas.desc` (commit descriptors, every
+//! width), `structures.node`, `structures.header` (object
 //! allocations), `batch.node`, `batch.gate` (group-commit front-end),
 //! `map.grow` / `map.segment` / `map.dummy` (directory growth degrade),
 //! and the allocator-level `alloc.block` beneath them all.
@@ -49,17 +49,16 @@ fn composition_try_ops_surface_alloc_errors() {
     with_registered_peer(|| {
         let before = fired_total();
         arm_site("dcas.desc", Schedule::Always);
-        arm_site("dcas.casn", Schedule::Always);
         assert!(
             try_move_one(&q, &s).is_err(),
-            "2-entry commit needs a DCAS desc"
+            "2-entry commit needs a descriptor"
         );
         assert!(try_move_keyed(&m, &7, &m2).is_err());
         assert!(
             try_swap(&q, &q2).is_err(),
-            "4-entry swap commit needs a CASN desc"
+            "4-entry swap commit needs a descriptor"
         );
-        // Fan-out beyond 2 entries goes through CASN.
+        // A 3-entry fan-out allocates its descriptor at the same site.
         assert!(try_move_to_all(&q, &[&s, &s2]).is_err());
         assert!(
             fired_total() >= before + 4,
@@ -72,34 +71,6 @@ fn composition_try_ops_surface_alloc_errors() {
         assert_eq!(try_move_keyed(&m, &7, &m2), Ok(MoveOutcome::Moved));
         assert_eq!(s.pop(), Some(1));
         assert_eq!(m2.get(&7), Some(70));
-    });
-}
-
-#[test]
-fn rdcss_exhaustion_fails_casn_commits_gracefully() {
-    let _serial = serial();
-    let q: MsQueue<u64> = MsQueue::new();
-    let a: TreiberStack<u64> = TreiberStack::new();
-    let b: TreiberStack<u64> = TreiberStack::new();
-    q.enqueue(5);
-
-    with_registered_peer(|| {
-        // The CASN descriptor itself allocates, but every entry install
-        // also needs an RDCSS descriptor: starve only those. Nth (not
-        // Always) keeps concurrent best-effort helpers from livelocking
-        // the owner's read loop — the documented schedule for this site.
-        arm_site("dcas.rdcss", Schedule::Nth(1));
-        let r = try_move_to_all(&q, &[&a, &b]);
-        let fired = fired_total();
-        disarm();
-        assert!(r.is_err(), "owner's first RDCSS allocation failed");
-        assert_eq!(fired, 1, "the Err came from the injection");
-        assert_eq!(
-            q.dequeue(),
-            Some(5),
-            "aborted commit left the source intact"
-        );
-        assert!(a.is_empty() && b.is_empty());
     });
 }
 
@@ -184,7 +155,6 @@ fn batched_submits_ride_out_descriptor_refusals() {
     // request's real outcome.
     with_registered_peer(|| {
         arm_site("dcas.desc", Schedule::EveryNth(2));
-        arm_site("dcas.casn", Schedule::EveryNth(2));
         for left in (0..TOKENS).rev() {
             let w = moves.submit(MoveOneOp::new(&a, &b));
             assert_eq!(decode_move(w), MoveOutcome::Moved);
