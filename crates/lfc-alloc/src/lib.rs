@@ -24,18 +24,17 @@
 
 #![warn(missing_docs)]
 
-use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded, ShardedCounter, MAX_THREADS};
+use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded, ShardedCounter};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Capacity of a thread-local free list, from the paper.
 pub const LOCAL_CAP: usize = 200;
 
 /// Size classes (bytes). Each class allocates `Layout::from_size_align(c, c)`
-/// so any allocation with `align <= size <= c` fits; class 256 serves the
-/// 64-aligned commit descriptor (one type at every width).
+/// so any allocation with `align <= size <= c` fits.
 pub const CLASS_SIZES: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 
 const NUM_CLASSES: usize = CLASS_SIZES.len();
@@ -59,24 +58,6 @@ static FRESH: ShardedCounter = ShardedCounter::new();
 static RECYCLED: ShardedCounter = ShardedCounter::new();
 static FREED: ShardedCounter = ShardedCounter::new();
 static OVERSIZE: ShardedCounter = ShardedCounter::new();
-
-/// Blocks each thread id keeps parked in a cache layered above this
-/// allocator (the `lfc-dcas` descriptor pools), see [`set_parked`]. One
-/// padded line per id, written only by the thread holding the id.
-static PARKED: [CachePadded<AtomicUsize>; MAX_THREADS] =
-    [const { CachePadded::new(AtomicUsize::new(0)) }; MAX_THREADS];
-
-/// Publish that thread `tid` now holds `blocks` blocks parked in a cache
-/// of its own above this allocator. Parked blocks count as *cached*, like
-/// magazine blocks, so [`outstanding`] keeps meaning "held by callers".
-///
-/// Only the thread holding `tid` may call this, and it must publish 0
-/// before it releases the id. That makes it one owner-only Relaxed store,
-/// with no RMW on a cache's hit path.
-#[inline]
-pub fn set_parked(tid: u16, blocks: usize) {
-    PARKED[tid as usize].store(blocks, Ordering::Relaxed);
-}
 
 /// A full (or partial, on thread exit) magazine pushed to the global stack.
 struct Segment {
@@ -330,20 +311,11 @@ pub fn stats() -> AllocStats {
     }
 }
 
-/// Blocks parked in per-thread caches above this allocator, summed over
-/// every thread id's last [`set_parked`].
-pub fn parked() -> usize {
-    PARKED.iter().map(|p| p.load(Ordering::Relaxed)).sum()
-}
-
 /// Blocks currently held by callers (allocated and not yet freed). Cached
-/// blocks — in magazines, on the global stack, or [`parked`] in a
-/// per-thread cache above this allocator — do not count.
+/// blocks — in magazines or on the global stack — do not count.
 pub fn outstanding() -> usize {
     let s = stats();
-    (s.fresh + s.recycled + s.oversize)
-        .saturating_sub(s.freed)
-        .saturating_sub(parked())
+    (s.fresh + s.recycled + s.oversize).saturating_sub(s.freed)
 }
 
 #[cfg(test)]
@@ -362,7 +334,7 @@ mod tests {
         assert_eq!(class_for(l(24, 8)), Some(1));
         assert_eq!(class_for(l(80, 512)), Some(5)); // align drives it
         assert_eq!(class_for(l(128, 64)), Some(3));
-        assert_eq!(class_for(l(256, 64)), Some(4)); // commit descriptor
+        assert_eq!(class_for(l(256, 64)), Some(4));
         assert_eq!(class_for(l(64, 64)), Some(2));
         assert_eq!(class_for(l(1024, 8)), Some(6));
         assert_eq!(class_for(l(1025, 8)), None);

@@ -30,9 +30,9 @@
 //!
 //! Kill sites are the crash adversary's: `dcas.announced` and
 //! `dcas.published` — initiator boundaries whose abandoned operations
-//! helpers and adopters must finish. OOM sites are the `try_*`-surfaced
-//! ones: `dcas.desc` (commit descriptors) and `structures.node`
-//! (account/voucher nodes). The
+//! helpers and adopters must finish. The OOM site is the `try_*`-surfaced
+//! `structures.node` (account/voucher nodes); commits allocate nothing.
+//! The
 //! allocator-level `alloc.block` site is deliberately **not** armed: it
 //! also fails infallible internal paths (e.g. skip-list node allocation),
 //! which panic by contract rather than degrade — that tier is covered by
@@ -136,14 +136,12 @@ impl ChaosCfg {
 }
 
 /// Documented leak bound per abandonment, in allocator blocks (see
-/// DESIGN.md "Fault model"): 1 never-recycled descriptor + up to 2
-/// unpublished nodes.
-pub const LEAK_BLOCKS_PER_ABANDON: usize = 3;
+/// DESIGN.md "Fault model"): up to 2 unpublished nodes. Descriptors are
+/// per-thread static records, so none leaks.
+pub const LEAK_BLOCKS_PER_ABANDON: usize = 2;
 /// Snapshot slack for blocks the two `outstanding()` snapshots cannot see
 /// identically (retired records a live reader still pins at the end
-/// snapshot). Descriptor pools no longer need any: `outstanding()`
-/// subtracts pooled blocks, as it always did magazine blocks. So this may
-/// drop, but must never rise.
+/// snapshot). So this may drop, but must never rise.
 pub const LEAK_SLACK_BLOCKS: usize = 96;
 
 /// Stall policy the campaign installs: a small garbage budget so the
@@ -278,13 +276,6 @@ fn arm_combined(seed: u64) {
     fault::arm_site("dcas.published", Schedule::EveryNth(463));
     // OOM on the try_-surfaced allocation paths, probabilistic so failures
     // cluster unpredictably instead of beating like a metronome.
-    fault::arm_site(
-        "dcas.desc",
-        Schedule::Prob {
-            ppm: 30_000,
-            seed: seed ^ 0xD0_0D,
-        },
-    );
     fault::arm_site(
         "structures.node",
         Schedule::Prob {

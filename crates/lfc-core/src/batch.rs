@@ -30,7 +30,7 @@
 //!
 //! Claim: any thread may atomically detach the whole incoming list and
 //! install it as the batch with **one DCAS** `[incoming: h→0, batch: 0→h]`
-//! — the same pooled descriptor machinery the compositions themselves use.
+//! — the same commit the compositions themselves use.
 //! Because the claim is a single atomic step there is no window in which
 //! the list is detached but not yet owned: a stalled claimer either hasn't
 //! claimed (incoming intact, anyone can claim) or has (batch set, anyone
@@ -89,7 +89,7 @@ use crate::compose::{
 };
 use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering};
 use crate::{KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget};
-use lfc_dcas::{try_commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
+use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
 use lfc_hazard::{pin, pin_op, slot, Guard, OpGuard, RetireInfo};
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
@@ -266,20 +266,17 @@ fn swap_words() -> ShapeWords {
 /// Map a flagged run's verdict word to its flag resolution.
 ///
 /// `None` leaves the request for another round: a racing executor resolved
-/// it (or is mid-commit on it), or our commit could not allocate its
-/// descriptor — the flag then still reads [`FLAG_PENDING`], which
-/// `drain_pass` treats as "not done, keep the batch", so a descriptor OOM
-/// inside a drain is a lost round, never a panic.
-fn settle(g: &Guard, eng: &Engine, flag: &DAtomic, verdict: Word, w: ShapeWords) -> Option<Word> {
+/// it (or is mid-commit on it).
+fn settle(g: &Guard, flag: &DAtomic, verdict: Word, w: ShapeWords) -> Option<Word> {
     if verdict == w.done {
         // The CASN — flag entry included — succeeded: the flag already
         // holds our done word.
         return Some(verdict);
     }
-    if eng.oom() || (verdict == w.rejected && flag.read(g) != FLAG_PENDING) {
-        // Out of descriptors; or the abort was the flag entry failing
-        // inside our CASN (or a downstream consequence): somebody else
-        // resolved the request. Exactly-once held; we lost.
+    if verdict == w.rejected && flag.read(g) != FLAG_PENDING {
+        // The abort was the flag entry failing inside our CASN (or a
+        // downstream consequence): somebody else resolved the request.
+        // Exactly-once held; we lost.
         return None;
     }
     finalize(flag, verdict)
@@ -299,18 +296,17 @@ where
     let outcome = drive_move_one(&mut eng, src, dst, |eng: &mut Engine| {
         flagged_commit(eng, flag, w.done, node_hp)
     });
-    settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
+    settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
 }
 
 // ---------------------------------------------------------------------------
 // Direct (budgeted) runs for the adaptive fast path.
 // ---------------------------------------------------------------------------
 
-/// A direct attempt's result: `None` = starved on contention — or the
-/// commit's own descriptor allocation failed — fall back to the gate /
-/// retry.
+/// A direct attempt's result: `None` = starved on contention — fall back
+/// to the gate / retry.
 fn direct_word(eng: &Engine, verdict: Word) -> Option<Word> {
-    if eng.starved() || eng.oom() {
+    if eng.starved() {
         None
     } else {
         Some(verdict)
@@ -334,7 +330,7 @@ where
 // The gate.
 // ---------------------------------------------------------------------------
 
-/// Pooled two-word gate header; lives in its own allocation so the claim
+/// Two-word gate header, an `lfc-alloc` block of its own so the claim
 /// DCAS's helpers can adopt it by base address, like structure headers.
 #[repr(C)]
 struct GateHeader {
@@ -601,19 +597,12 @@ impl<R: BatchOp> BatchGate<R> {
             Ok(n) => n,
             Err(_) => {
                 // No memory for a request node: degrade to direct execution
-                // with an effectively unbounded commit budget. A descriptor
-                // refill failing under the same pressure surfaces as `None`
-                // here (every engine commits fallibly) instead of
-                // panicking; snooze and retry —
-                // each round either a rival made progress (commit failure)
-                // or memory is still short and yielding is the best this
-                // infallible entry point can do.
-                let mut snooze = lfc_runtime::Snooze::new();
+                // with an effectively unbounded commit budget (one that
+                // does run out just starts another).
                 loop {
                     if let Some(w) = req.try_direct(u32::MAX) {
                         return w;
                     }
-                    snooze.tick();
                 }
             }
         };
@@ -714,16 +703,9 @@ impl<R: BatchOp> BatchGate<R> {
             ];
             // Safety: both words live in the gate header, which outlives
             // every submit (`Drop` takes `&mut self`), and are distinct.
-            match unsafe { try_commit_entries(&claim, &og) } {
-                Ok(CasnResult::Success) => {
-                    self.drain_pass(&og, h);
-                    return;
-                }
-                Ok(CasnResult::FailedAt(_)) => {}
-                // No descriptor for the claim: end this bounded helping
-                // step (the waiter loop re-checks its flag and comes back)
-                // rather than panic a helper.
-                Err(_) => return,
+            if unsafe { commit_entries(&claim, &og) } == CasnResult::Success {
+                self.drain_pass(&og, h);
+                return;
             }
             // FailedAt(0): a rival pushed or claimed — loop re-reads.
             // FailedAt(1): a rival claimed — the batch read drains it.
@@ -899,7 +881,7 @@ where
             self.dst,
             |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
         );
-        settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
+        settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
     }
 }
 
@@ -967,7 +949,7 @@ where
             self.dsts,
             |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
         );
-        settle(&g, &eng, flag, encode_move(move_verdict(&eng, &outcome)), w)
+        settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
     }
 }
 
@@ -1017,7 +999,7 @@ where
         let outcome = drive_swap(&mut eng, self.a, self.b, |eng: &mut Engine| {
             flagged_commit(eng, flag, w.done, node_hp)
         });
-        settle(&g, &eng, flag, encode_swap(swap_verdict(&eng, &outcome)), w)
+        settle(&g, flag, encode_swap(swap_verdict(&eng, &outcome)), w)
     }
 }
 

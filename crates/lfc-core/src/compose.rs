@@ -12,8 +12,9 @@
 //!   and invokes stage *i*+1 from inside the capture;
 //! * the innermost stage commits every captured entry through
 //!   [`lfc_dcas::commit_entries`], which runs the paper's DCAS entry by
-//!   entry over all K words with one pooled descriptor type, or the
-//!   solo-regime fast path;
+//!   entry over all K words with one reused descriptor per thread, or the
+//!   solo-regime fast path — it cannot fail, so no composition has an
+//!   error channel;
 //! * a commit failure at entry *k* aborts the stages deeper than *k* and
 //!   re-runs the init phase of exactly the operation owning entry *k* — the
 //!   generalization of the paper's FIRSTFAILED/SECONDFAILED retry rule.
@@ -70,8 +71,7 @@ use crate::{
     InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource,
     MoveTarget, RemoveCtx, RemoveOutcome, ScasResult,
 };
-use lfc_alloc::AllocError;
-use lfc_dcas::{try_commit_entries, CasnEntry, CasnResult, DAtomic};
+use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic};
 use lfc_hazard::{pin, slot, Guard};
 
 pub use lfc_dcas::MAX_ENTRIES;
@@ -113,11 +113,6 @@ pub struct Engine {
     /// Whether the composition aborted because `fail_budget` ran out
     /// (contention starvation), as opposed to a semantic rejection.
     starved: bool,
-    /// A commit failed to allocate its descriptor; the composition aborted
-    /// with nothing changed. The entry point decides what that means:
-    /// `Err(AllocError)` (`try_*`), a panic (the infallible names), or a
-    /// lost round (the batched front-end).
-    oom: bool,
 }
 
 impl Engine {
@@ -138,13 +133,7 @@ impl Engine {
             dead: None,
             fail_budget: None,
             starved: false,
-            oom: false,
         }
-    }
-
-    /// Whether a commit aborted on allocation failure.
-    pub(crate) fn oom(&self) -> bool {
-        self.oom
     }
 
     /// Bound the commit failures this composition may absorb. The batched
@@ -197,10 +186,10 @@ impl Engine {
         // epoch (or, for header words, its borrow) still covers `hp` here,
         // so publishing it in the engine-owned slot makes the protection
         // continuous — and the hazard then outlives the nested operations'
-        // epochs, which end when they return, before the commit's
-        // descriptor teardown and the engine's drop run. `promote` (Release) is
-        // sufficient: scans sweep epochs before hazards, so a scan that
-        // sees the covering epoch exited has acquired this store.
+        // epochs, which end when they return, before the commit and the
+        // engine's drop run. `promote` (Release) is sufficient: scans sweep
+        // epochs before hazards, so a scan that sees the covering epoch
+        // exited has acquired this store.
         self.g.promote(slot::ENTRY0 + idx, lp.hp);
         true
     }
@@ -231,18 +220,10 @@ impl Engine {
         // hazards (plus the ENTRY* handoff slots) keep alive through this
         // call, and `capture` rejects aliased words, so the entries are
         // pairwise distinct.
-        match unsafe { try_commit_entries(&self.entries[..self.count], &self.g) } {
-            Ok(CasnResult::Success) => true,
-            Ok(CasnResult::FailedAt(k)) => {
+        match unsafe { commit_entries(&self.entries[..self.count], &self.g) } {
+            CasnResult::Success => true,
+            CasnResult::FailedAt(k) => {
                 self.retry_at = Some(k);
-                false
-            }
-            Err(_) => {
-                // Descriptor allocation failed with no word left
-                // changed. `retry_at` stays `None` and `no_commit` is
-                // false, so `resolve` aborts every stage and the entry
-                // point reads `oom`.
-                self.oom = true;
                 false
             }
         }
@@ -317,11 +298,10 @@ impl Engine {
 impl Drop for Engine {
     /// Release the engine-owned entry protections — on the normal return
     /// path and when the composition is unwinding (a user element's
-    /// panicking `Clone`, a refused descriptor under an infallible name)
-    /// alike: leaving ENTRY slots published would silently pin their
-    /// allocations forever. The whole plan range is cleared (not just
-    /// `count`): a commit failure rewinds `count` while deeper entries'
-    /// slots may still hold their last promotion.
+    /// panicking `Clone`, say) alike: leaving ENTRY slots published would
+    /// silently pin their allocations forever. The whole plan range is
+    /// cleared (not just `count`): a commit failure rewinds `count` while
+    /// deeper entries' slots may still hold their last promotion.
     fn drop(&mut self) {
         if lfc_runtime::fault::thread_is_abandoning() {
             // A corpse's ENTRY protections must persist: helpers completing
@@ -483,8 +463,8 @@ where
 // One driver per composition shape. Each writes its stage nest once and
 // takes the engine (set up by the caller: plan size, retry budget) and the
 // terminal stage `tail` — [`Engine::commit`], or the batched front-end's
-// flag-capturing commit. The plain, `try_`, `direct_*` and `flagged_*`
-// entry points all call these and differ only in engine set-up and in how
+// flag-capturing commit. The plain, `direct_*` and `flagged_*` entry
+// points all call these and differ only in engine set-up and in how
 // they map the returned outermost outcome to a verdict.
 // ---------------------------------------------------------------------------
 
@@ -620,25 +600,6 @@ pub(crate) fn swap_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> SwapO
     }
 }
 
-/// Shared epilogue of every `try_` entry point: surface the allocation
-/// failure, or the mapped verdict.
-fn conclude<V>(eng: &Engine, verdict: V) -> Result<V, AllocError> {
-    if eng.oom() {
-        Err(AllocError)
-    } else {
-        Ok(verdict)
-    }
-}
-
-/// Where every infallible composition name routes the `Err` of its `try_`
-/// twin: panic — unwinding, exactly as `lfc_alloc::alloc_block` does, with
-/// nothing changed anywhere (the engine's `Drop` releases its
-/// protections). A genuine descriptor exhaustion and an injected
-/// `dcas.*` fault both arrive here.
-pub(crate) fn infallible<V>(r: Result<V, AllocError>) -> V {
-    r.unwrap_or_else(|e| panic!("lfc-core: commit descriptor allocation failed ({e})"))
-}
-
 /// Atomically move one element from `src` to `dst` (paper Algorithm 3).
 ///
 /// Lock-free and linearizable when `src` and `dst` are lock-free move-ready
@@ -658,23 +619,9 @@ where
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    infallible(try_move_one(src, dst))
-}
-
-/// Fallible [`move_one`]: a commit-descriptor allocation failure (genuine
-/// exhaustion, or injected via `lfc_runtime::fault`'s `"dcas.desc"`
-/// site) surfaces as `Err` with both
-/// objects untouched, instead of panicking. The solo-regime fast path
-/// allocates nothing and cannot fail.
-pub fn try_move_one<T, S, D>(src: &S, dst: &D) -> Result<MoveOutcome, AllocError>
-where
-    T: Clone,
-    S: MoveSource<T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
     let mut eng = Engine::new(2);
     let outcome = drive_move_one(&mut eng, src, dst, Engine::commit);
-    conclude(&eng, move_verdict(&eng, &outcome))
+    move_verdict(&eng, &outcome)
 }
 
 /// Atomically move the element stored under `key` from `src` to `dst`
@@ -691,22 +638,9 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    infallible(try_move_keyed(src, key, dst))
-}
-
-/// Fallible [`move_keyed`]: a commit-descriptor allocation failure
-/// (genuine exhaustion, or injected via `lfc_runtime::fault`) surfaces as
-/// `Err` with both objects untouched, instead of panicking.
-pub fn try_move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> Result<MoveOutcome, AllocError>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
     let mut eng = Engine::new(2);
     let outcome = drive_move_keyed(&mut eng, src, key, dst, Engine::commit);
-    conclude(&eng, move_verdict(&eng, &outcome))
+    move_verdict(&eng, &outcome)
 }
 
 /// Fan `elem` into every target from stage `idx` on, committing innermost.
@@ -748,21 +682,6 @@ where
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    infallible(try_move_to_all(src, dsts))
-}
-
-/// Fallible [`move_to_all`]: a commit-descriptor allocation failure
-/// surfaces as `Err` with every object untouched, instead of panicking.
-///
-/// # Panics
-///
-/// As [`move_to_all`], on an empty or oversized `dsts`.
-pub fn try_move_to_all<T, S, D>(src: &S, dsts: &[&D]) -> Result<MoveOutcome, AllocError>
-where
-    T: Clone,
-    S: MoveSource<T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
     assert!(
         !dsts.is_empty() && dsts.len() <= MAX_TARGETS,
         "move_to_all supports 1..={MAX_TARGETS} targets"
@@ -771,7 +690,7 @@ where
     let outcome = remove_stage(&mut eng, 0, src, |eng: &mut Engine, elem: &T| {
         fan_out(eng, 1, dsts, elem)
     });
-    conclude(&eng, move_verdict(&eng, &outcome))
+    move_verdict(&eng, &outcome)
 }
 
 /// Atomically remove the element stored under `key` in `src` and insert a
@@ -792,29 +711,13 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    infallible(try_move_keyed_to_all(src, key, dsts))
-}
-
-/// Fallible [`move_keyed_to_all`]: descriptor allocation failure surfaces
-/// as `Err` with nothing changed anywhere.
-pub fn try_move_keyed_to_all<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dsts: &[&D],
-) -> Result<MoveOutcome, AllocError>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-{
     assert!(
         !dsts.is_empty() && dsts.len() <= MAX_TARGETS,
         "move_keyed_to_all supports 1..={MAX_TARGETS} targets"
     );
     let mut eng = Engine::new(1 + dsts.len());
     let outcome = drive_move_keyed_to_all(&mut eng, src, key, dsts, Engine::commit);
-    conclude(&eng, move_verdict(&eng, &outcome))
+    move_verdict(&eng, &outcome)
 }
 
 /// Atomically move the element stored under `key` in a *keyed* source into
@@ -829,24 +732,9 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    infallible(try_move_keyed_to_unkeyed(src, key, dst))
-}
-
-/// Fallible [`move_keyed_to_unkeyed`].
-pub fn try_move_keyed_to_unkeyed<K, T, S, D>(
-    src: &S,
-    key: &K,
-    dst: &D,
-) -> Result<MoveOutcome, AllocError>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
     Composition::moving_key_from(src, key)
         .into_target(dst)
-        .try_run()
+        .run()
 }
 
 /// Outcome of a composed [`swap`].
@@ -885,20 +773,9 @@ where
     A: MoveSource<T> + MoveTarget<T> + ?Sized,
     B: MoveSource<T> + MoveTarget<T> + ?Sized,
 {
-    infallible(try_swap(a, b))
-}
-
-/// Fallible [`swap`]: descriptor allocation failure surfaces as `Err`
-/// with both objects untouched.
-pub fn try_swap<T, A, B>(a: &A, b: &B) -> Result<SwapOutcome, AllocError>
-where
-    T: Clone,
-    A: MoveSource<T> + MoveTarget<T> + ?Sized,
-    B: MoveSource<T> + MoveTarget<T> + ?Sized,
-{
     let mut eng = Engine::new(4);
     let outcome = drive_swap(&mut eng, a, b, Engine::commit);
-    conclude(&eng, swap_verdict(&eng, &outcome))
+    swap_verdict(&eng, &outcome)
 }
 
 mod sealed {
@@ -1090,12 +967,6 @@ where
     /// Execute the composition. Lock-free and linearizable when every
     /// object involved is a lock-free move-ready object.
     pub fn run(&self) -> MoveOutcome {
-        infallible(self.try_run())
-    }
-
-    /// Fallible [`run`](Self::run): descriptor allocation failure surfaces
-    /// as `Err` with nothing changed anywhere.
-    pub fn try_run(&self) -> Result<MoveOutcome, AllocError> {
         assert!(
             (1..=MAX_TARGETS).contains(&C::LEN),
             "a composition takes 1..={MAX_TARGETS} insert stages"
@@ -1107,7 +978,7 @@ where
             self.source.src,
             |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
         );
-        conclude(&eng, move_verdict(&eng, &outcome))
+        move_verdict(&eng, &outcome)
     }
 }
 
@@ -1120,12 +991,6 @@ where
 {
     /// Execute the composition (keyed source).
     pub fn run(&self) -> MoveOutcome {
-        infallible(self.try_run())
-    }
-
-    /// Fallible [`run`](Self::run): descriptor allocation failure surfaces
-    /// as `Err` with nothing changed anywhere.
-    pub fn try_run(&self) -> Result<MoveOutcome, AllocError> {
         assert!(
             (1..=MAX_TARGETS).contains(&C::LEN),
             "a composition takes 1..={MAX_TARGETS} insert stages"
@@ -1138,6 +1003,6 @@ where
             self.source.key,
             |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
         );
-        conclude(&eng, move_verdict(&eng, &outcome))
+        move_verdict(&eng, &outcome)
     }
 }

@@ -49,9 +49,8 @@ mod sync;
 
 pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 pub use compose::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap,
-    try_move_keyed, try_move_keyed_to_all, try_move_keyed_to_unkeyed, try_move_one,
-    try_move_to_all, try_swap, Composition, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
+    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, Composition,
+    SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
 pub use keyed::{KeyedMoveSource, KeyedMoveTarget};
 

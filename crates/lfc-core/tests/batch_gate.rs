@@ -5,8 +5,8 @@
 use lfc_core::batch::{self, decode_move, decode_swap, encode_move, encode_swap};
 use lfc_core::compose::SwapOutcome;
 use lfc_core::{
-    move_keyed, move_one, swap, try_move_keyed, try_move_one, try_swap, BatchGate, BatchOp,
-    MoveKeyedOp, MoveOneOp, MoveOutcome, MoveSource, MoveTarget, SwapOp,
+    move_keyed, move_one, swap, BatchGate, BatchOp, MoveKeyedOp, MoveOneOp, MoveOutcome,
+    MoveSource, MoveTarget, SwapOp,
 };
 use lfc_dcas::DAtomic;
 use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
@@ -98,8 +98,8 @@ fn batched_path_matches_direct_semantics() {
 }
 
 /// Every entry point of the `move_one` shape on its own freshly prepared
-/// state: the plain name, its `try_` twin, the budgeted direct attempt and
-/// the flagged attempt (what `MoveOneOp`'s `BatchOp` impl forwards to) all
+/// state: the plain name, the budgeted direct attempt and the flagged
+/// attempt (what `MoveOneOp`'s `BatchOp` impl forwards to) all
 /// run one driver and must report `expect`.
 fn move_one_agrees<St, S, D>(
     prepare: impl Fn() -> St,
@@ -112,9 +112,6 @@ fn move_one_agrees<St, S, D>(
     let st = prepare();
     let (s, d) = pick(&st);
     assert_eq!(move_one(s, d), expect);
-    let st = prepare();
-    let (s, d) = pick(&st);
-    assert_eq!(try_move_one(s, d), Ok(expect));
     let st = prepare();
     let (s, d) = pick(&st);
     let w = batch::direct_move_one(s, d, 3).expect("uncontended: never starves");
@@ -144,9 +141,6 @@ fn swap_agrees<St, A, B>(
     let st = prepare();
     let (a, b) = pick(&st);
     assert_eq!(swap(a, b), expect);
-    let st = prepare();
-    let (a, b) = pick(&st);
-    assert_eq!(try_swap(a, b), Ok(expect));
     let st = prepare();
     let (a, b) = pick(&st);
     let w = SwapOp::new(a, b)
@@ -242,7 +236,6 @@ fn every_entry_point_of_a_shape_reports_the_same_verdict() {
     let flag = DAtomic::new(batch::FLAG_PENDING);
     let rejected = MoveOutcome::TargetRejected;
     assert_eq!(move_keyed(&a, &1, &b), rejected);
-    assert_eq!(try_move_keyed(&a, &1, &b), Ok(rejected));
     let op = MoveKeyedOp::new(&a, 1u64, &b);
     assert_eq!(op.try_direct(3).map(decode_move), Some(rejected));
     assert_eq!(op.run_flagged(&flag, 0).map(decode_move), Some(rejected));

@@ -7,10 +7,10 @@
 //! a thread genuinely dies (`lfc_runtime::fault::abandon`):
 //!
 //! 1. **Quiet words**: a descriptor installed at a word nobody else reads
-//!    stays torn forever. The **announce table** closes this: every
-//!    initiator publishes its descriptor word here (indexed by tid) for
-//!    the duration of its commit, so an adopter can find and help it
-//!    without ever touching the structure.
+//!    stays torn forever. The **announce slot** of every thread's
+//!    descriptor record closes this: every initiator publishes its plain
+//!    descriptor word there for the duration of its commit, so an adopter
+//!    can find and help it without ever touching the structure.
 //! 2. **Resources**: the dead thread's id, hazard-slot bank and epoch slot
 //!    stay claimed (deliberately — the bank is what keeps the corpse's
 //!    in-flight protections alive for helpers, and the held id keeps
@@ -19,59 +19,16 @@
 //!    to completion, then releases the id and bank through the tid
 //!    finalizers.
 //!
-//! The leak bound (DESIGN.md "Fault model"): one descriptor (≤ 256 B,
-//! leaked because helpers may still hold it — see the abandoned end of
-//! `crate::pool::Owned`) per abandonment, plus whatever nodes the
-//! abandoned operation owned but had not published. Everything else —
-//! pooled descriptors, allocator magazines, pending retire lists — is
-//! flushed by the exit hooks that run during abandonment, and the id/bank
-//! are reclaimed here.
+//! The leak bound (DESIGN.md "Fault model"): whatever nodes the abandoned
+//! operation owned but had not published — and no descriptor, since the
+//! corpse's descriptor is its static per-thread record. Everything else —
+//! allocator magazines, pending retire lists — is flushed by the exit hooks
+//! that run during abandonment, and the id/bank are reclaimed here.
 
+use crate::kcas::{self, clear_announce};
 use crate::word::Word;
 use lfc_hazard::Guard;
-use lfc_runtime::{fault, CachePadded, MAX_THREADS};
-// Deliberately `std` atomics, NOT the `crate::sync` model facade: the
-// announce table is control-plane metadata written around *every* non-solo
-// commit, and instrumenting those two stores would add two scheduling
-// points per commit to the model's state space without adding explorable
-// behaviour — an adopter synchronizes with the corpse through the fault
-// registry's flag (also `std`, `lfc_runtime::fault`), and under the
-// model's cooperative scheduler real stores are sequentially consistent.
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// One announce slot per tid: 0, or the initiator's in-flight plain
-/// descriptor word (`dcas_plain`). Padded: a slot is written twice per
-/// announced commit by its owner; adopters scan rarely.
-static ANNOUNCE: [CachePadded<AtomicUsize>; MAX_THREADS] =
-    [const { CachePadded::new(AtomicUsize::new(0)) }; MAX_THREADS];
-
-/// Publish `tid`'s in-flight descriptor word for adopters.
-///
-/// Release (audited): an adopter reads this slot only after winning
-/// `fault::claim_corpse` — an Acquire CAS of the corpse flag that the
-/// dying thread Release-stores *after* this store in program order (every
-/// kill site sits between announce and clear). That synchronizes-with edge
-/// already makes the announced word (and the descriptor fields written
-/// before it) visible to the adopter, so this store needs no ordering of
-/// its own; SeqCst here would put a full fence on every non-solo commit
-/// (measured: +47% on the contended 2-thread move bench). Release is kept
-/// over Relaxed as belt-and-braces for the tests-only [`announced`]
-/// diagnostic, which bypasses the corpse handshake.
-pub(crate) fn announce(tid: u16, desc_word: Word) {
-    ANNOUNCE[tid as usize].store(desc_word, Ordering::Release);
-}
-
-/// Clear `tid`'s announce slot after its commit call returned. Release:
-/// nothing is published; the slot only transitions to "nothing in
-/// flight".
-pub(crate) fn clear_announce(tid: u16) {
-    ANNOUNCE[tid as usize].store(0, Ordering::Release);
-}
-
-/// Announced descriptor word for `tid`, if any (diagnostics/tests).
-pub fn announced(tid: u16) -> Word {
-    ANNOUNCE[tid as usize].load(Ordering::SeqCst)
-}
+use lfc_runtime::fault;
 
 /// Adopt every corpse (thread that died mid-operation, see
 /// `lfc_runtime::fault`): help its announced operation to completion,
@@ -101,7 +58,7 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
             // A rival adopter owns this corpse (or already released it).
             continue;
         }
-        let w = ANNOUNCE[tid as usize].load(Ordering::SeqCst);
+        let w = kcas::announced(tid);
         #[cfg(lfc_model)]
         let skip_help = model_toggles::SKIP_ADOPT_HELP.load(std::sync::atomic::Ordering::Relaxed);
         #[cfg(not(lfc_model))]
@@ -109,15 +66,15 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
         // Nothing announced means the corpse died outside a commit; the
         // model sabotage toggle pretends the help ran.
         if w != 0 && !skip_help {
-            // Safety: the descriptor behind an announced word is leaked by
-            // the abandoning drop path — it can never be freed or recycled
-            // — and the corpse's hazard bank still protects the operation's
-            // target allocations (Lemma 6's initiator obligation).
+            // Safety: a corpse's record holds the announced incarnation
+            // until the tid is released below, and the corpse's hazard bank
+            // still protects the operation's target allocations (Lemma 6's
+            // initiator obligation).
             unsafe { help_announced(w, g) };
         }
         // The operation is decided (helped above, or completed earlier by
         // organic read-helping); releasing the bank is now safe.
-        ANNOUNCE[tid as usize].store(0, Ordering::Release);
+        clear_announce(tid);
         fault::release_corpse(tid);
         counters_adopt::ADOPTIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         released += 1;
@@ -136,14 +93,14 @@ pub fn adopt_dead_threads(g: &Guard) -> usize {
 ///
 /// # Safety
 ///
-/// `w` must be a plain descriptor word whose descriptor is alive for the
-/// whole call (adoption relies on abandoned descriptors being leaked) and
-/// whose initiator's hazard bank is still intact.
+/// `w` must be a claimed corpse's announced plain descriptor word, so its
+/// record holds that incarnation for the whole call and its initiator's
+/// hazard bank is still intact.
 unsafe fn help_announced(w: Word, g: &Guard) {
-    // Safety: forwarded (announced descriptors are leaked alive).
-    if unsafe { crate::kcas::is_published(w) } {
+    // Safety: forwarded.
+    if unsafe { kcas::is_published(w) } {
         // Safety: forwarded; run as a helper (the initiator is dead).
-        let _ = unsafe { crate::kcas::help_first_word(w, g) };
+        let _ = unsafe { kcas::help_first_word(w, g) };
     }
 }
 
@@ -156,7 +113,7 @@ pub(crate) mod counters_adopt {
 /// the protocol plus corpse adoptions. Surfaced in the
 /// `reproduce` JSON `reclamation` block.
 pub fn helped_completions() -> usize {
-    crate::kcas::counters::help_runs() + fault::adopted_total()
+    kcas::counters::help_runs() + fault::adopted_total()
 }
 
 /// Deterministic sabotage switches for the model checker: each one breaks
@@ -177,4 +134,18 @@ pub mod model_toggles {
     /// The late-mark scenario asserts every word is raw at the end — with
     /// this toggle set, that assertion must fail.
     pub static SKIP_SELF_REVERT: AtomicBool = AtomicBool::new(false);
+
+    /// Skip a helper's sequence-number validation: it adopts whatever
+    /// incarnation the record holds when it re-reads `seq`, as descriptor
+    /// reuse without sequence numbers would. The stale-helper scenario
+    /// asserts every commit ends whole — with this toggle set, a helper
+    /// that stalled across the owner's next commit corrupts it.
+    pub static SKIP_SEQ_CHECK: AtomicBool = AtomicBool::new(false);
+
+    /// Skip the reader's revert of a gone incarnation's late mark from its
+    /// installer's pending-install slot: the reader must then wait for the
+    /// stalled installer. The late-mark-after-reuse scenario asserts the
+    /// reader returns the decided raw value — with this toggle set, the
+    /// bounded search reports the reader's wait.
+    pub static SKIP_PENDING_REVERT: AtomicBool = AtomicBool::new(false);
 }

@@ -10,7 +10,7 @@
 use crate::kcas;
 use crate::sync::{AtomicUsize, Ordering};
 use crate::word::{self, Word};
-use lfc_hazard::{slot, Guard};
+use lfc_hazard::Guard;
 
 /// A machine word that may transiently hold an operation descriptor.
 ///
@@ -89,12 +89,12 @@ impl DAtomic {
     /// The paper's `read` operation: returns a raw value, helping any
     /// descriptor found in the word to completion first.
     ///
-    /// The descriptor is protected with the thread's [`slot::DESC`] hazard
-    /// and validated by re-reading the word (lines D34–D37) before helping,
-    /// which makes it safe to help operations whose initiator has already
-    /// returned and retired the descriptor: in that case the validation
-    /// fails, because stale descriptor words are always removed before the
-    /// protecting hazard of their installer is released (see `kcas`).
+    /// Descriptor records are static, so a found descriptor word needs no
+    /// hazard: the helper copies its incarnation and validates the copy by
+    /// sequence number (`kcas`, "One descriptor per thread"). A word of an
+    /// incarnation that has since ended is re-read; a helper's late mark
+    /// left behind by one is reverted from its installer's pending-install
+    /// slot first.
     #[inline]
     pub fn read(&self, g: &Guard) -> Word {
         // SeqCst via `load_word` (audited): read-only results participate
@@ -142,15 +142,7 @@ impl DAtomic {
             if word::is_raw(w) {
                 return w;
             }
-            g.set(slot::DESC, word::desc_addr(w));
-            // SeqCst validation load (audited): the load half of the hazard
-            // Dekker pair with `g.set` above.
-            if self.load_word() == w {
-                // Safety: the descriptor is hazard-protected and was
-                // re-validated to still be installed in this word.
-                unsafe { kcas::help(w, self, g) };
-            }
-            g.clear(slot::DESC);
+            kcas::help(w, self, g);
         }
     }
 }

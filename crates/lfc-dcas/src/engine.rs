@@ -4,22 +4,20 @@
 //! The composition engine in `lfc-core` captures up to
 //! [`MAX_ENTRIES`](crate::kcas::MAX_ENTRIES) linearization-point CAS
 //! triples (as [`CasnEntry`] values) and commits them all through
-//! [`commit_entries`] / [`try_commit_entries`] (one body, the fallible
-//! one; the infallible name wraps it). Two regimes, fastest first:
+//! [`commit_entries`], which cannot fail. Two regimes, fastest first:
 //!
 //! 1. **Solo** ([`lfc_runtime::solo`]): the calling thread is the only
 //!    registered thread and the registration handshake keeps it that way,
-//!    so no descriptor is built at all — the k CASes run back to back
+//!    so no descriptor is used at all — the k CASes run back to back
 //!    ([`solo_commit`]), rolling back the prefix on the first mismatch.
 //! 2. **Published**: the paper's DCAS (Algorithm 4) run entry by entry
 //!    over all K words ([`crate::kcas`]); at K = 2 it is Algorithm 4 step
 //!    for step.
 //!
-//! This is the only way in for an initiator: the published regime
-//! allocates, publishes and retires its descriptor through the one
-//! lifecycle in `crate::pool` (per-thread pools, so the steady-state hot
-//! path performs **zero** `lfc-alloc` block allocations), and a retry
-//! re-captures its entries into a fresh descriptor.
+//! This is the only way in for an initiator. The published regime reuses
+//! the calling thread's one descriptor record under a new sequence number
+//! (`crate::kcas`, "One descriptor per thread"): it allocates and retires
+//! nothing, and a retry re-captures its entries into the next incarnation.
 
 use crate::kcas::{CasnEntry, CasnResult, MAX_ENTRIES};
 use lfc_hazard::Guard;
@@ -29,11 +27,6 @@ use lfc_runtime::solo;
 /// either every word is swung from its `old` to its `new`, or — reported as
 /// [`CasnResult::FailedAt`] with the first failing index — no word is left
 /// changed.
-///
-/// The infallible name of [`try_commit_entries`]: a descriptor allocation
-/// failure (genuine exhaustion, or injection at the `"dcas.desc"` site)
-/// panics — unwinding, with no word left changed — where the `try_` name
-/// returns `Err`.
 ///
 /// # Safety
 ///
@@ -46,22 +39,6 @@ use lfc_runtime::solo;
 /// (debug builds re-check distinctness here).
 #[inline]
 pub unsafe fn commit_entries(entries: &[CasnEntry], g: &Guard) -> CasnResult {
-    // Safety: forwarded contract.
-    unsafe { try_commit_entries(entries, g) }.unwrap_or_else(|e| crate::pool::alloc_failed(e))
-}
-
-/// The one commit body. A descriptor allocation failure surfaces as `Err`,
-/// with no word left changed. The solo regime allocates nothing
-/// and cannot fail.
-///
-/// # Safety
-///
-/// As [`commit_entries`].
-#[inline]
-pub unsafe fn try_commit_entries(
-    entries: &[CasnEntry],
-    g: &Guard,
-) -> Result<CasnResult, lfc_alloc::AllocError> {
     assert!(
         (2..=MAX_ENTRIES).contains(&entries.len()),
         "commit_entries supports 2..={MAX_ENTRIES} entries"
@@ -74,9 +51,9 @@ pub unsafe fn try_commit_entries(
         "entry words must be pairwise distinct (engine alias detection)"
     );
 
-    // Regime 1: solo — no descriptor, no publication, no reclamation work.
+    // Regime 1: solo — no descriptor, no publication.
     if let Some(_solo) = solo::try_enter() {
-        return Ok(solo_commit(entries));
+        return solo_commit(entries);
     }
 
     // Regime 2: the published protocol, every width.

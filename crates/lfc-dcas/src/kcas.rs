@@ -6,21 +6,22 @@
 //! > n distinct objects, for example to create functions that remove an item
 //! > from one object and insert it into n others atomically." (§8)
 //!
-//! A commit allocates a descriptor, fills in the K CAS triples captured at
-//! the composed linearization points, and *announces* the operation by
-//! CASing `*ptr_0` from `old_0` to an unmarked descriptor word (line D10;
-//! the initiator alone does this). Then, for each entry `i` in `1..K` in
-//! order, every executor — the initiator and any helper whose `read` found
-//! a descriptor word — runs the D13–D27 race against the entry's own winner
-//! slot `res[i]`:
+//! A commit starts a new *incarnation* of its thread's one descriptor
+//! record (see "One descriptor per thread" below), fills in the K CAS
+//! triples captured at the composed linearization points, and *announces*
+//! the operation by CASing `*ptr_0` from `old_0` to an unmarked descriptor
+//! word (line D10; the initiator alone does this). Then, for each entry `i`
+//! in `1..K` in order, every executor — the initiator and any helper whose
+//! `read` found a descriptor word — runs the D13–D27 race against the
+//! entry's own winner slot `res[i]`:
 //!
 //! * install its thread-id-*marked* descriptor word at `*ptr_i` (D13–D14);
-//! * promote the installed mark of *this* descriptor into `res[i]` (D24) —
+//! * promote the installed mark of *this* incarnation into `res[i]` (D24) —
 //!   the first mark recorded wins;
 //! * revert its own mark if it lost the race or arrived after the decision
 //!   ("will have to change it back to its old value", Lemma 3).
 //!
-//! An entry holding neither `old_i` nor a mark of this descriptor decides
+//! An entry holding neither `old_i` nor a mark of this incarnation decides
 //! `res[i] = FAILED` (D17). A foreign descriptor counts as a mismatch: its
 //! operation has made progress, so failing keeps the system lock-free, and
 //! foreign descriptors are helped through `read`, whose hazard discipline is
@@ -42,40 +43,82 @@
 //! # `res` state machine
 //!
 //! ```text
-//! res[i], 1 ≤ i < K−1:  UNDECIDED ──► FAILED             (line D17)
-//!                       UNDECIDED ──► winner mark        (line D24)
-//! res[K−1]:             UNDECIDED ──► FAILED
-//!                       UNDECIDED ──► winner mark ──► SUCCESS   (D24, D30)
+//! res[i], 1 ≤ i < K−1:  UNDECIDED(n) ──► FAILED(n)            (line D17)
+//!                       UNDECIDED(n) ──► winner mark          (line D24)
+//! res[K−1]:             UNDECIDED(n) ──► FAILED(n)
+//!                       UNDECIDED(n) ──► winner mark ──► SUCCESS(n)  (D24, D30)
 //! ```
 //!
-//! Each slot leaves UNDECIDED once, and no executor works on entry `i + 1`
-//! before `res[i]` holds a winner, so the slots always read as a prefix of
-//! winners followed by at most one FAILED and then UNDECIDED slots. The
-//! first slot that does not hold a winner is therefore the decision:
-//! FAILED at `j` means the operation failed at entry `j` (every executor
-//! that sees it reverts the winners of `res[1..j)` and the announcement
-//! before returning), and SUCCESS — possible only in `res[K−1]` — is only
-//! ever stored after every word has been swung.
+//! Every value carries the incarnation `n` it belongs to (a winner mark
+//! carries it in its `seq` field). Within one incarnation each slot leaves
+//! UNDECIDED once, and no executor works on entry `i + 1` before `res[i]`
+//! holds a winner, so the slots always read as a prefix of winners followed
+//! by at most one FAILED and then UNDECIDED slots. The first slot that does
+//! not hold a winner is therefore the decision: FAILED at `j` means the
+//! operation failed at entry `j` (every executor that sees it reverts the
+//! winners of `res[1..j)` and the announcement before returning), and
+//! SUCCESS — possible only in `res[K−1]` — is only ever stored after every
+//! word has been swung. A slot holding another incarnation's value means
+//! incarnation `n` is decided and its owner has returned ("gone").
+//!
+//! # One descriptor per thread
+//!
+//! No descriptor is ever allocated or reclaimed: each thread id owns one
+//! static `Record` and reuses it for every published commit, after
+//! Brown's weak descriptors. Reuse is safe because nothing an executor of
+//! an old incarnation does can land on a newer one:
+//!
+//! * **Words name an incarnation.** Descriptor words carry the owner's tid
+//!   and the incarnation's `seq` (`crate::word`), and every winner-slot
+//!   value carries `seq`. Before publishing incarnation `n + 1` the owner
+//!   stores `UNDECIDED(n + 1)` into `res[1..K)`, so a stale executor's
+//!   D17/D24/D30 CASes fail on their own, its D4 and post-CAS reads see
+//!   "not mine", and its swing and revert CASes expect words that can
+//!   never reappear (the owner removes every plain and winner word of `n`
+//!   before it returns, and only `n`'s own executors could re-create them).
+//! * **Helpers snapshot, then validate (a seqlock).** The owner bumps
+//!   `seq`, then writes `count` and the entries with Release stores; D10's
+//!   Release CAS publishes them. A helper that found a word of incarnation
+//!   `n` copies `count` and the entries with Acquire loads and re-reads
+//!   `seq`: had any load seen a later incarnation's field, the Release
+//!   store it read from would order the `seq` bump before the re-read. So
+//!   `seq == n` proves the copy is `n`'s, and a mismatch means `n` is
+//!   decided and gone: the helper touches nothing. The helper then works
+//!   from its copy only.
+//! * **Late marks stay revertible without waiting.** A helper's mark can
+//!   land at `*ptr_i` after the decision (Lemma 3's late mark), and the
+//!   owner may since have moved on, overwriting `old_i`. So before helper
+//!   `m` installs `mark(t, n, m)` at `*ptr_i` it writes {mark, `ptr_i`,
+//!   `old_i`} into its own record's pending-install slot (a seqlock of its
+//!   own). A reader that finds `mark(t, n, m)` with `m ≠ t` and a gone
+//!   incarnation reads record `m`: if the slot names this mark at this
+//!   word, it CASes the word back to the recorded `old`; otherwise `m` has
+//!   already dealt with that install, and the reader re-reads the word.
+//!   Every record naming one (mark, word) pair carries the same `old`. The
+//!   owner's own marks need no slot: the owner swings or reverts them
+//!   before it returns.
+//! * **One commit in flight per thread.** A thread never starts an
+//!   incarnation while its previous one is undecided, and helping never
+//!   starts one (debug builds assert it through the announce slot).
 //!
 //! # Memory safety (hazard discipline)
 //!
-//! Executors reach a descriptor as its initiator, or through `read`, which
-//! protects it in [`slot::DESC`] and validates. Before touching any target
-//! word, a helper adopts every entry's `hp` (the allocation containing the
-//! word) into `HELP0 + i`, then reads the decision (line D4): while the
-//! operation is undecided the initiator is still inside it and its own
-//! protections cover the targets (the paper's Lemma 6, generalized). If the
-//! operation is already decided, the helper only fixes the word it came
-//! through, whose allocation its caller protects — found by matching the
-//! word's address against `entries[i].ptr`.
+//! Records are static, so a descriptor word is always safe to follow.
+//! Before touching any target word, a helper adopts every entry's `hp`
+//! (the allocation containing the word) into `HELP0 + i`, then reads the
+//! decision (line D4): while the incarnation is undecided its initiator is
+//! still inside it and its own protections cover the targets (the paper's
+//! Lemma 6, generalized). If it is already decided (or gone), the helper
+//! only fixes the word it came through, whose allocation its caller
+//! protects — found by matching the word's address against
+//! `entries[i].ptr`.
 
 use crate::atomic::DAtomic;
-use crate::pool::{Owned, Pooled};
-use crate::sync::{AtomicUsize, Ordering};
+use crate::sync::{AtomicPtr, AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
 use lfc_runtime::fault::FaultGate;
-use lfc_runtime::ShardedCounter;
+use lfc_runtime::MAX_THREADS;
 
 /// Maximum entries in one commit (1 remove + up to 5 insert targets).
 /// Bounded by the per-thread `HELP*` hazard slots, one per entry.
@@ -83,12 +126,13 @@ pub const MAX_ENTRIES: usize = 6;
 
 const _: () = assert!(MAX_ENTRIES == slot::HELP_COUNT);
 
-/// `res[i]`: entry `i` not yet decided.
-const UNDECIDED: usize = 0;
-/// `res[i]`: entry `i` did not match `old_i` (or held a foreign descriptor).
-const FAILED: usize = 1;
-/// `res[K−1]`: every word has been swung to its new value.
-const SUCCESS: usize = 2;
+/// Winner-slot states, in the kind bits of a slot value whose `seq` field
+/// names the incarnation (kind `01` is a winner mark).
+const UNDECIDED: Word = 0b00;
+/// Entry did not match `old_i` (or held a foreign descriptor).
+const FAILED: Word = 0b10;
+/// Every word has been swung to its new value (`res[K−1]` only).
+const SUCCESS: Word = 0b11;
 
 /// Outcome of a commit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,111 +168,298 @@ impl Default for CasnEntry {
     }
 }
 
-/// The descriptor (the paper's `DCASDesc`, K entries wide). The first cache
-/// line holds `count`, `birth` and the winner slots, the next ones the
-/// entries, so a K=2 commit touches two lines.
-///
-/// All fields except `res` are written only while the descriptor is
-/// unpublished (uniquely owned) and are immutable once the announcing CAS
-/// publishes it, so helpers may read them through a shared reference.
+/// One entry of a [`Record`]: written by the owner with Release stores,
+/// copied by helpers with Acquire loads (the seqlock in the module docs).
+#[repr(C)]
+struct EntryCell {
+    ptr: AtomicPtr<DAtomic>,
+    old: AtomicUsize,
+    new: AtomicUsize,
+    hp: AtomicUsize,
+}
+
+impl EntryCell {
+    const fn new() -> Self {
+        EntryCell {
+            ptr: AtomicPtr::new(std::ptr::null_mut()),
+            old: AtomicUsize::new(0),
+            new: AtomicUsize::new(0),
+            hp: AtomicUsize::new(0),
+        }
+    }
+
+    /// Owner only. Release (audited): each store orders the `seq` bump
+    /// before it, so a helper whose Acquire load reads it re-reads the new
+    /// `seq`.
+    fn write(&self, e: &CasnEntry) {
+        self.ptr.store(e.ptr.cast_mut(), Ordering::Release);
+        self.old.store(e.old, Ordering::Release);
+        self.new.store(e.new, Ordering::Release);
+        self.hp.store(e.hp, Ordering::Release);
+    }
+
+    /// Acquire (audited): pairs with [`EntryCell::write`].
+    fn read(&self) -> CasnEntry {
+        CasnEntry {
+            ptr: self.ptr.load(Ordering::Acquire),
+            old: self.old.load(Ordering::Acquire),
+            new: self.new.load(Ordering::Acquire),
+            hp: self.hp.load(Ordering::Acquire),
+        }
+    }
+}
+
+/// A helper's pending-install slot: the mark it is about to install, the
+/// word and that entry's `old`, so readers can revert a late mark of a
+/// gone incarnation without waiting for the installer. Written only by
+/// the record's own thread; `ver` is odd while a write is in progress.
+#[repr(C)]
+struct Pending {
+    ver: AtomicUsize,
+    mark: AtomicUsize,
+    ptr: AtomicUsize,
+    old: AtomicUsize,
+}
+
+impl Pending {
+    const fn new() -> Self {
+        Pending {
+            ver: AtomicUsize::new(0),
+            mark: AtomicUsize::new(0),
+            ptr: AtomicUsize::new(0),
+            old: AtomicUsize::new(0),
+        }
+    }
+
+    /// Owner only: record the install about to happen. Relaxed odd `ver`
+    /// then Release fields (audited): a reader whose Acquire load sees a
+    /// field of this write re-reads `ver` at least odd; the Release even
+    /// `ver` publishes the whole record to a reader's first Acquire load.
+    fn publish(&self, mark: Word, ptr: usize, old: Word) {
+        let v = self.ver.load(Ordering::Relaxed);
+        self.ver.store(v + 1, Ordering::Relaxed);
+        self.mark.store(mark, Ordering::Release);
+        self.ptr.store(ptr, Ordering::Release);
+        self.old.store(old, Ordering::Release);
+        self.ver.store(v + 2, Ordering::Release);
+    }
+
+    /// The recorded `old` if a consistent read of the slot names `mark`
+    /// at `ptr`. Acquire loads, Relaxed re-read (audited): as
+    /// [`Record::snapshot`].
+    fn old_for(&self, mark: Word, ptr: usize) -> Option<Word> {
+        let v = self.ver.load(Ordering::Acquire);
+        let named =
+            self.mark.load(Ordering::Acquire) == mark && self.ptr.load(Ordering::Acquire) == ptr;
+        let old = self.old.load(Ordering::Acquire);
+        (v.is_multiple_of(2) && named && self.ver.load(Ordering::Relaxed) == v).then_some(old)
+    }
+}
+
+/// One thread's descriptor record (the paper's `DCASDesc`, K entries wide,
+/// reused for every published commit). Line 0 holds `seq`, `count` and the
+/// winner slots, the next three the entries, so a K=2 commit touches two
+/// descriptor lines; the last line holds what only the record's own thread
+/// writes: the announce slot and the pending-install slot.
 #[repr(C, align(64))]
-pub(crate) struct Desc {
-    count: usize,
-    /// Global era at (re)allocation ([`Pooled::birth`]).
-    birth: usize,
-    /// `res[i]` is entry `i`'s winner slot. `res[0]` stays UNDECIDED:
-    /// entry 0 is announced by the initiator alone, so it has no race.
+pub(crate) struct Record {
+    /// The current incarnation; only grows (modulo `SEQ_MAX + 1`), also
+    /// across tid reincarnations. Written only by the owner.
+    seq: AtomicUsize,
+    count: AtomicUsize,
+    /// `res[i]` is entry `i`'s winner slot. `res[0]` is unused: entry 0 is
+    /// announced by the initiator alone, so it has no race.
     res: [AtomicUsize; MAX_ENTRIES],
-    entries: [CasnEntry; MAX_ENTRIES],
+    entries: [EntryCell; MAX_ENTRIES],
+    /// 0, or the owner's in-flight plain descriptor word, for adopters
+    /// (`crate::adopt`). Deliberately a `std` atomic, not the model
+    /// facade: it is control-plane metadata written around every
+    /// published commit, and an adopter synchronizes with a corpse through
+    /// the fault registry's flag (also `std`), so instrumenting it would
+    /// only add scheduling points.
+    announce: std::sync::atomic::AtomicUsize,
+    pending: Pending,
 }
 
-const _: () = assert!(std::mem::offset_of!(Desc, entries) == word::DESC_ALIGN);
+const _: () = assert!(std::mem::offset_of!(Record, entries) == 64);
+const _: () = assert!(std::mem::size_of::<Record>() == 320);
 
-// Safety: helpers on other threads read the immutable fields and CAS `res`;
-// the raw pointers target `DAtomic`s whose allocations the protocol keeps
-// alive (hazard adoption, lines D2–D3).
-unsafe impl Send for Desc {}
-unsafe impl Sync for Desc {}
-
-impl Pooled for Desc {
-    const SITE: &'static str = "dcas.desc";
-    const HITS: &'static ShardedCounter = &counters::DESC_POOL_HITS;
-    const MISSES: &'static ShardedCounter = &counters::DESC_POOL_MISSES;
-
-    fn fresh(birth: usize) -> Self {
-        Desc {
-            count: 0,
-            birth,
-            res: std::array::from_fn(|_| AtomicUsize::new(UNDECIDED)),
-            entries: [CasnEntry::default(); MAX_ENTRIES],
+impl Record {
+    const fn new() -> Self {
+        Record {
+            seq: AtomicUsize::new(0),
+            count: AtomicUsize::new(0),
+            res: [const { AtomicUsize::new(0) }; MAX_ENTRIES],
+            entries: [const { EntryCell::new() }; MAX_ENTRIES],
+            announce: std::sync::atomic::AtomicUsize::new(0),
+            pending: Pending::new(),
         }
     }
 
-    fn reuse(&mut self, birth: usize) {
-        // Only the previous operation's slots can have left UNDECIDED.
-        // Relaxed reset is enough — publication happens-before is
-        // established by the announcing CAS, never by these stores.
-        for r in self.res.iter().take(self.count).skip(1) {
-            r.store(UNDECIDED, Ordering::Relaxed);
+    /// Start the owner's next incarnation holding `entries`, unpublished —
+    /// the seqlock writer. Returns its `seq`.
+    fn begin(&self, entries: &[CasnEntry]) -> usize {
+        debug_assert_eq!(
+            self.announce.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "one commit in flight per thread"
+        );
+        // Relaxed (audited): only the owner writes `seq`; the Release field
+        // stores below order the bump before themselves for helpers.
+        let n = (self.seq.load(Ordering::Relaxed) + 1) & word::SEQ_MAX;
+        self.seq.store(n, Ordering::Relaxed);
+        // Release (audited): as `EntryCell::write`.
+        self.count.store(entries.len(), Ordering::Release);
+        for (cell, e) in self.entries.iter().zip(entries) {
+            cell.write(e);
         }
-        self.birth = birth;
+        // Relaxed (audited): D10's Release CAS publishes the reset to every
+        // executor of `n`; a stale executor's RMWs read the latest value.
+        for r in &self.res[1..entries.len()] {
+            r.store(word::seq_bits(n) | UNDECIDED, Ordering::Relaxed);
+        }
+        counters::DESC_POOL_HITS.add(1);
+        n
     }
 
-    fn birth(&self) -> usize {
-        self.birth
+    /// A helper's copy of incarnation `n`, with the helper's adoption of
+    /// the entries' protections (lines D2–D3) interleaved: `HELP0`/`HELP1`
+    /// are stored before line 0 (`count`, `seq`, `res`) is read, just
+    /// before D4 reads it again. `None` (protections cleared) when `n` is
+    /// no longer the record's incarnation.
+    fn snapshot(&self, n: usize, g: &Guard) -> Option<Snapshot> {
+        let mut entries = [CasnEntry::default(); MAX_ENTRIES];
+        entries[0] = self.entries[0].read();
+        entries[1] = self.entries[1].read();
+        g.set(slot::HELP0, entries[0].hp);
+        g.set(slot::HELP0 + 1, entries[1].hp);
+        // Acquire (audited): as `EntryCell::read`. Clamped: a later
+        // incarnation's count is discarded below, but must index safely.
+        let count = self.count.load(Ordering::Acquire).clamp(2, MAX_ENTRIES);
+        for (i, e) in entries.iter_mut().enumerate().take(count).skip(2) {
+            *e = self.entries[i].read();
+            g.set(slot::HELP0 + i, e.hp);
+        }
+        // Relaxed (audited): ordered after the Acquire loads above.
+        let now = self.seq.load(Ordering::Relaxed);
+        #[cfg(lfc_model)]
+        if crate::adopt::model_toggles::SKIP_SEQ_CHECK.load(std::sync::atomic::Ordering::Relaxed) {
+            return Some(Snapshot {
+                seq: now,
+                count,
+                entries,
+            });
+        }
+        if now != n {
+            clear_help(g, count);
+            return None;
+        }
+        Some(Snapshot {
+            seq: n,
+            count,
+            entries,
+        })
     }
-}
 
-impl Desc {
-    fn entry(&self, i: usize) -> (&CasnEntry, &DAtomic) {
-        let e = &self.entries[i];
-        // Safety: target words' allocations are protected for every
-        // executor that reaches here (the initiator's operation borrows,
-        // or a helper's adopted hazards validated by the undecided D4
-        // read).
-        (e, unsafe { &*e.ptr })
-    }
-
-    /// Lines D4–D9's test: the decision, if any — the first slot of
-    /// `res[1..K)` that does not hold a winner.
+    /// Lines D4–D9's test for incarnation `n` over its first `count`
+    /// entries: the first slot of `res[1..K)` that does not hold a winner.
     ///
     /// SeqCst (audited, required): for a helper these loads are the
     /// validation half of the Dekker pair with the `HELP*` hazard stores
-    /// in [`run`] — the load that finds the operation undecided proves the
-    /// initiator was still inside it, so its hazards covered the target
-    /// allocations while ours were published (Lemma 6). An Acquire load
-    /// could be satisfied before those hazard stores became visible to a
-    /// scanner. At K = 2 this is one load of `res[1]`.
-    fn decision(&self) -> Option<CasnResult> {
-        for i in 1..self.count {
-            match self.res[i].load(Ordering::SeqCst) {
-                UNDECIDED => return None,
-                FAILED => return Some(CasnResult::FailedAt(i)),
-                SUCCESS => return Some(CasnResult::Success),
+    /// in [`Record::snapshot`] — the load that finds the operation
+    /// undecided proves the initiator was still inside it, so its hazards
+    /// covered the target allocations while ours were published (Lemma 6).
+    /// An Acquire load could be satisfied before those hazard stores
+    /// became visible to a scanner. At K = 2 this is one load of `res[1]`.
+    fn decision(&self, count: usize, n: usize) -> Decision {
+        let mine = word::seq_bits(n);
+        for (i, r) in self.res.iter().enumerate().take(count).skip(1) {
+            let r = r.load(Ordering::SeqCst);
+            if word::seq(r) != n {
+                return Decision::Gone;
+            }
+            match r ^ mine {
+                UNDECIDED => return Decision::Undecided,
+                FAILED => return Decision::Decided(CasnResult::FailedAt(i)),
+                SUCCESS => return Decision::Decided(CasnResult::Success),
                 // A winner: final for i < K−1, so the decision lies further
                 // on; at K−1 the swing is still in progress.
                 _ => {}
             }
         }
-        None
+        Decision::Undecided
+    }
+
+    fn announce(&self, plain: Word) {
+        // Release (audited): an adopter reads this slot only after winning
+        // `fault::claim_corpse` — an Acquire CAS of the corpse flag the
+        // dying thread Release-stores *after* this store in program order
+        // (every kill site sits between announce and clear). That edge
+        // already makes the record's fields visible to the adopter; SeqCst
+        // here would put a full fence on every published commit.
+        self.announce
+            .store(plain, std::sync::atomic::Ordering::Release);
+    }
+}
+
+/// Every thread's descriptor record, indexed by tid (40 KB of `.bss`).
+static RECORDS: [Record; MAX_THREADS] = [const { Record::new() }; MAX_THREADS];
+
+fn record(tid: u16) -> &'static Record {
+    &RECORDS[tid as usize]
+}
+
+/// `tid`'s announced in-flight plain descriptor word, or 0.
+pub(crate) fn announced(tid: u16) -> Word {
+    record(tid)
+        .announce
+        .load(std::sync::atomic::Ordering::SeqCst)
+}
+
+/// Clear `tid`'s announce slot. Release: nothing is published; the slot
+/// only transitions to "nothing in flight".
+pub(crate) fn clear_announce(tid: u16) {
+    record(tid)
+        .announce
+        .store(0, std::sync::atomic::Ordering::Release);
+}
+
+/// A helper's validated copy of one incarnation.
+struct Snapshot {
+    seq: usize,
+    count: usize,
+    entries: [CasnEntry; MAX_ENTRIES],
+}
+
+/// Where an incarnation stands, as D4 reads it.
+enum Decision {
+    Undecided,
+    Decided(CasnResult),
+    /// The record has moved on: the incarnation is decided and its owner
+    /// has returned.
+    Gone,
+}
+
+fn clear_help(g: &Guard, count: usize) {
+    for i in 0..count {
+        g.clear(slot::HELP0 + i);
     }
 }
 
 /// Diagnostic counters (used by the false-helping ablation bench, the
-/// pooling tests and the benchmark). Sharded per thread
-/// ([`lfc_runtime::ShardedCounter`]): the pool ones are bumped on every
-/// published commit, and a global line would be shared by every committing
-/// thread.
+/// engine tests and the benchmark). Sharded per thread
+/// ([`lfc_runtime::ShardedCounter`]): the incarnation counter is bumped on
+/// every published commit, and a global line would be shared by every
+/// committing thread.
 pub mod counters {
     use lfc_runtime::ShardedCounter;
 
     pub(crate) static HELP_RUNS: ShardedCounter = ShardedCounter::new();
     pub(crate) static STALE_MARK_REVERTS: ShardedCounter = ShardedCounter::new();
     pub(crate) static DESC_POOL_HITS: ShardedCounter = ShardedCounter::new();
-    pub(crate) static DESC_POOL_MISSES: ShardedCounter = ShardedCounter::new();
 
     /// Number of helper invocations of the protocol (each is a `read` that
-    /// found a descriptor and joined the protocol).
+    /// found a descriptor of a current incarnation and joined it).
     pub fn help_runs() -> usize {
         HELP_RUNS.get()
     }
@@ -240,111 +471,110 @@ pub mod counters {
         STALE_MARK_REVERTS.get()
     }
 
-    /// Descriptor allocations served by the per-thread pool, at every width.
+    /// Descriptor incarnations started by published commits, at every
+    /// width (each reuses its thread's one record; the name predates it).
     pub fn desc_pool_hits() -> usize {
         DESC_POOL_HITS.get()
     }
 
-    /// Descriptor allocations that fell through to `lfc-alloc`.
+    /// Always 0: no descriptor is ever allocated. The five always-0
+    /// readers remain until a benchmark-definition change drops the
+    /// `dcas.*_pool_hit_ratio` rows.
     pub fn desc_pool_misses() -> usize {
-        DESC_POOL_MISSES.get()
+        0
     }
 
-    /// Always 0: every descriptor is counted by [`desc_pool_hits`]. The four
-    /// `casn`/`rdcss` readers remain until a benchmark-definition change
-    /// drops `dcas.casn_pool_hit_ratio` and `dcas.rdcss_pool_hit_ratio`.
+    /// Always 0; see [`desc_pool_misses`].
     pub fn casn_pool_hits() -> usize {
         0
     }
 
-    /// Always 0; see [`casn_pool_hits`].
+    /// Always 0; see [`desc_pool_misses`].
     pub fn casn_pool_misses() -> usize {
         0
     }
 
-    /// Always 0; see [`casn_pool_hits`].
+    /// Always 0; see [`desc_pool_misses`].
     pub fn rdcss_pool_hits() -> usize {
         0
     }
 
-    /// Always 0; see [`casn_pool_hits`].
+    /// Always 0; see [`desc_pool_misses`].
     pub fn rdcss_pool_misses() -> usize {
         0
     }
 }
 
-/// Allocate a pooled descriptor holding `entries`, unpublished.
-fn alloc(entries: &[CasnEntry]) -> Result<Owned<Desc>, lfc_alloc::AllocError> {
-    let d = Owned::<Desc>::try_new(|d| {
-        d.entries[..entries.len()].copy_from_slice(entries);
-        d.count = entries.len();
-    })?;
-    debug_assert!(
-        d.res[1..d.count]
-            .iter()
-            .all(|r| r.load(Ordering::Relaxed) == UNDECIDED),
-        "descriptor reuse after publication"
-    );
-    Ok(d)
-}
-
-/// The published commit of [`crate::engine::try_commit_entries`], every
-/// width: allocate a pooled descriptor for `entries`, publish it and run
-/// the protocol as its initiator. The solo regime and alias detection are
-/// the engine's, dispatched before this is reached; a retry re-captures its
-/// entries, so nothing is handed back.
+/// The published commit of [`crate::engine::commit_entries`], every width:
+/// start an incarnation of this thread's record for `entries`, publish it
+/// and run the protocol as its initiator. The solo regime and alias
+/// detection are the engine's, dispatched before this is reached; a retry
+/// re-captures its entries into the next incarnation.
 ///
 /// # Safety
 ///
 /// As `commit_entries`.
-pub(crate) unsafe fn commit(
-    entries: &[CasnEntry],
-    g: &Guard,
-) -> Result<CasnResult, lfc_alloc::AllocError> {
-    let d = alloc(entries)?;
-    let plain = word::dcas_plain(d.addr());
-    // Announce the in-flight operation in the adoption table before
-    // publication: from here until `clear_announce`, a survivor can
-    // complete this commit on our behalf if we die
-    // (`crate::adopt_dead_threads`). The kill site models exactly that
-    // death. One armed-generation load covers every kill site this
-    // commit passes (announce, publish, and any helping it triggers).
+pub(crate) unsafe fn commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
+    let tid = g.tid();
+    let rec = record(tid);
+    let n = rec.begin(entries);
+    let plain = word::dcas_plain(tid, n);
+    // Announce the in-flight operation for adopters before publication:
+    // from here until `clear_announce`, a survivor can complete this commit
+    // on our behalf if we die (`crate::adopt_dead_threads`). The kill site
+    // models exactly that death. One armed-generation load covers every
+    // kill site this commit passes (announce, publish).
     let fg = lfc_runtime::fault::gate();
-    crate::adopt::announce(g.tid(), plain);
+    rec.announce(plain);
     fg.check_kill("dcas.announced");
-    // Safety: we own the descriptor; the protocol publishes it.
-    let result = unsafe { run(plain, &*entries[0].ptr, true, g, fg) };
-    crate::adopt::clear_announce(g.tid());
-    match result {
-        // Announcement failed: never published, so dropping recycles the
-        // block straight into the pool.
-        CasnResult::FailedAt(0) => drop(d),
-        // Published (helpers may hold it): through the hazard domain.
-        _ => d.retire(),
-    }
-    Ok(result)
+    // Safety: the caller keeps every target word alive.
+    let via = unsafe { &*entries[0].ptr };
+    let result = body(rec, entries, n, plain, via, true, g, fg);
+    clear_announce(tid);
+    result.expect("an initiator's incarnation cannot end under it")
 }
 
-/// Help a published descriptor found in `via` (non-initiator entry point).
+/// Help the incarnation whose descriptor word `w` was found in `via`
+/// (non-initiator entry point). A word of a gone incarnation is left to
+/// the caller's re-read, except a helper's late mark, which is reverted
+/// through its installer's pending-install slot.
 ///
-/// # Safety
-///
-/// `desc_word` must reference a descriptor currently protected by the
-/// caller's [`slot::DESC`] hazard and validated as still installed in
-/// `via`, whose allocation the caller protects.
-pub(crate) unsafe fn help(desc_word: Word, via: &DAtomic, g: &Guard) {
+pub(crate) fn help(w: Word, via: &DAtomic, g: &Guard) {
     // Kill site at the helping boundary: a helper that dies here has
-    // published nothing yet — its only obligation (the DESC hazard) stays
-    // protected by its corpse bank until adoption. One armed-generation
-    // load gates this and the nested `dcas.published` site.
+    // published nothing yet.
     let fg = lfc_runtime::fault::gate();
     fg.check_kill("dcas.help");
-    counters::HELP_RUNS.add(1);
-    // Safety: forwarded contract.
-    let _ = unsafe { run(desc_word, via, false, g, fg) };
+    let rec = record(word::owner(w));
+    match rec.snapshot(word::seq(w), g) {
+        Some(s) => {
+            counters::HELP_RUNS.add(1);
+            let _ = run(rec, &s, w, via, g, fg);
+        }
+        None => revert_gone_mark(w, via),
+    }
 }
 
-/// Whether `plain`'s descriptor is currently installed at its first word
+/// A reader found `w` in `via` and `w`'s incarnation is gone: if `w` is a
+/// helper's late mark, revert it from the installer's pending-install
+/// slot. Plain words and the owner's own marks need nothing — the owner
+/// removed them before it moved on, so the caller's re-read sees progress.
+fn revert_gone_mark(w: Word, via: &DAtomic) {
+    if !word::is_marked_dcas(w) || word::marker(w) == word::owner(w) {
+        return;
+    }
+    #[cfg(lfc_model)]
+    if crate::adopt::model_toggles::SKIP_PENDING_REVERT.load(std::sync::atomic::Ordering::Relaxed) {
+        return;
+    }
+    let pending = &record(word::marker(w)).pending;
+    if let Some(old) = pending.old_for(w, via as *const DAtomic as usize) {
+        if via.cas_word(w, old) {
+            counters::STALE_MARK_REVERTS.add(1);
+        }
+    }
+}
+
+/// Whether `plain`'s incarnation is currently installed at its first word
 /// — adoption's publication test.
 ///
 /// The D10 first-word install is initiator-only: [`run`] as a helper
@@ -353,111 +583,108 @@ pub(crate) unsafe fn help(desc_word: Word, via: &DAtomic, g: &Guard) {
 /// half-commit — if the initiator in fact never published. An adopter must
 /// therefore never help a corpse's *announced-but-unpublished* commit.
 /// `*ptr_0` holds `plain` exactly between D10 and the decided swing/revert,
-/// and an abandoned descriptor is leaked (its address is never re-minted),
-/// so a single load is a stable test: `false` means never-published or
+/// and a corpse's record never starts another incarnation, so a single
+/// load is a stable test: `false` means never-published or
 /// already-decided, and with the initiator dead neither can change — there
 /// is nothing left to complete.
 ///
 /// # Safety
 ///
-/// `plain`'s descriptor must be alive with its entries recorded
-/// (announce-table contract: `announce` happens after the descriptor's
-/// fill in [`commit`]).
+/// `plain` must be a corpse's announced word, so that its record holds
+/// that incarnation and the corpse's hazards keep its first word alive.
 pub(crate) unsafe fn is_published(plain: Word) -> bool {
-    // Safety: descriptor alive per contract; `entries` were set before the
-    // announce made `plain` visible to adopters.
-    let d = unsafe { &*(word::desc_addr(plain) as *const Desc) };
-    unsafe { &*d.entries[0].ptr }.load_word() == plain
-}
-
-/// Run a published commit as a helper that came through its first word —
-/// a stalled initiator resuming, or an adopter completing a corpse's
-/// commit.
-///
-/// # Safety
-///
-/// `plain`'s descriptor must be alive for the whole call, and its first
-/// word's allocation protected.
-pub(crate) unsafe fn help_first_word(plain: Word, g: &Guard) -> CasnResult {
-    let d = unsafe { &*(word::desc_addr(plain) as *const Desc) };
+    let e0 = record(word::owner(plain)).entries[0].read();
     // Safety: forwarded contract.
-    unsafe {
-        run(
-            plain,
-            &*d.entries[0].ptr,
-            false,
-            g,
-            lfc_runtime::fault::gate(),
-        )
-    }
+    unsafe { &*e0.ptr }.load_word() == plain
 }
 
-/// The protocol, lines D1–D31 over K entries, with the caller's
-/// [`FaultGate`] snapshot, so a commit pays for the armed-generation load
-/// exactly once across all its kill sites. `via` is the word the executor
-/// came through (`*ptr_0` for the initiator and adopters).
+/// Run a published incarnation as a helper that came through its first
+/// word — a stalled initiator resuming, or an adopter completing a
+/// corpse's commit. `None` when the incarnation is gone.
 ///
 /// # Safety
 ///
-/// The descriptor referenced by `desc_word` must be kept alive for the
-/// duration of the call: by ownership for the initiator, by the `DESC`
-/// hazard for helpers. Helpers must additionally have validated that `via`
-/// still held `desc_word` after protecting it.
-unsafe fn run(
+/// The first word's allocation must be protected while the incarnation is
+/// current.
+pub(crate) unsafe fn help_first_word(plain: Word, g: &Guard) -> Option<CasnResult> {
+    let rec = record(word::owner(plain));
+    let s = rec.snapshot(word::seq(plain), g)?;
+    // Safety: forwarded contract; the snapshot validated the entry.
+    let via = unsafe { &*s.entries[0].ptr };
+    run(rec, &s, plain, via, g, lfc_runtime::fault::gate())
+}
+
+/// The protocol as a helper of the validated snapshot `s`, with the
+/// caller's [`FaultGate`] snapshot; releases the protections
+/// [`Record::snapshot`] adopted.
+fn run(
+    rec: &Record,
+    s: &Snapshot,
     desc_word: Word,
     via: &DAtomic,
-    initiator: bool,
     g: &Guard,
     fg: FaultGate,
-) -> CasnResult {
-    // Safety: per the function contract the descriptor is alive.
-    let d = unsafe { &*(word::desc_addr(desc_word) as *const Desc) };
-    if initiator {
-        return body(d, desc_word, via, true, g, fg);
-    }
-    // D2–D3: adopt the initiator's protections of the target allocations
-    // before touching any target word; `decision` then validates them
-    // (module docs). Every commit has at least two entries, so `count`,
-    // which shares its line with the winner slots other executors CAS, is
-    // read only after those two hazard stores — just before D4 reads the
-    // same line, as Algorithm 4's helper first touches `res` at D4.
-    g.set(slot::HELP0, d.entries[0].hp);
-    g.set(slot::HELP0 + 1, d.entries[1].hp);
-    let n = d.count;
-    for (i, e) in d.entries[..n].iter().enumerate().skip(2) {
-        g.set(slot::HELP0 + i, e.hp);
-    }
-    let result = body(d, desc_word, via, false, g, fg);
-    for i in 0..n {
-        g.clear(slot::HELP0 + i);
-    }
+) -> Option<CasnResult> {
+    let result = body(
+        rec,
+        &s.entries[..s.count],
+        s.seq,
+        desc_word,
+        via,
+        false,
+        g,
+        fg,
+    );
+    clear_help(g, s.count);
     result
 }
 
+fn entry(es: &[CasnEntry], i: usize) -> (&CasnEntry, &DAtomic) {
+    let e = &es[i];
+    // Safety: target words' allocations are protected for every executor
+    // that reaches here (the initiator's operation borrows, or a helper's
+    // adopted hazards validated by the undecided D4 read).
+    (e, unsafe { &*e.ptr })
+}
+
+/// Lines D1–D31 over the entries `es` of `rec`'s incarnation `n`. `via` is
+/// the word the executor came through (`*ptr_0` for the initiator and
+/// adopters). `None` when the executor finds the incarnation gone.
+#[allow(clippy::too_many_arguments)]
 fn body(
-    d: &Desc,
+    rec: &Record,
+    es: &[CasnEntry],
+    n: usize,
     desc_word: Word,
     via: &DAtomic,
     initiator: bool,
     g: &Guard,
     fg: FaultGate,
-) -> CasnResult {
-    let addr = word::desc_addr(desc_word);
-    let plain = word::dcas_plain(addr);
+) -> Option<CasnResult> {
+    let owner = word::owner(desc_word);
+    let plain = word::dcas_plain(owner, n);
+    let k = es.len();
 
     // D4–D9: already decided — fix up the word we came through and return.
-    if let Some(r) = d.decision() {
-        finish_decided(d, desc_word, via, r);
-        return r;
+    match rec.decision(k, n) {
+        Decision::Undecided => {}
+        Decision::Decided(r) => {
+            finish_decided(es, desc_word, via, Some(r));
+            return Some(r);
+        }
+        Decision::Gone => {
+            finish_decided(es, desc_word, via, None);
+            return None;
+        }
     }
 
     // D10–D11: the initiator announces the operation. The CAS's Release
-    // publishes the descriptor's (immutable) fields to every helper that
+    // publishes the incarnation's fields to every helper that
     // Acquire-reads the word.
-    let (e0, ptr0) = d.entry(0);
+    let (e0, ptr0) = entry(es, 0);
     if initiator {
         if !ptr0.cas_word(e0.old, plain) {
-            return CasnResult::FailedAt(0);
+            return Some(CasnResult::FailedAt(0));
         }
         // Kill site: the initiator dies with the descriptor installed at
         // `*ptr_0` and the later words untouched — the worst-case torn
@@ -465,25 +692,35 @@ fn body(
         fg.check_kill("dcas.published");
     }
 
-    let my_mark = word::dcas_marked(addr, g.tid());
+    let me = g.tid();
+    let my_mark = word::dcas_marked(owner, n, me);
+    let undecided = word::seq_bits(n) | UNDECIDED;
+    let failed = word::seq_bits(n) | FAILED;
+    let success = word::seq_bits(n) | SUCCESS;
     // The winner recorded for each entry so far (`won[0]` unused).
     let mut won = [0; MAX_ENTRIES];
-    for i in 1..d.count {
-        let (e, ptr) = d.entry(i);
-        let res = &d.res[i];
+    for i in 1..k {
+        let (e, ptr) = entry(es, i);
+        let res = &rec.res[i];
 
-        // D13–D14: try to install our marked descriptor at word i.
+        // A helper's mark may outlive the incarnation (a late mark after
+        // an ABA of `old_i`): record it first, so a reader can revert it
+        // without us (module docs).
+        if me != owner {
+            record(me).pending.publish(my_mark, e.ptr as usize, e.old);
+        }
+        // D13–D14: try to install our marked descriptor word at word i.
         let set = ptr.cas_word(e.old, my_mark);
 
         // Choose the marked word to promote as winner: ours if we installed
-        // it; otherwise, if some marked form of this descriptor is
+        // it; otherwise, if some marked word of this incarnation is
         // installed, that one (this is the D15–D16 re-check: `*ptr_i` still
         // refers to this descriptor).
         let installed = if set {
             my_mark
         } else {
             let cur = ptr.load_word();
-            if word::is_marked_dcas(cur) && word::desc_addr(cur) == addr {
+            if word::is_marked_dcas(cur) && word::unmarked(cur) == plain {
                 cur
             } else {
                 // D17: genuine mismatch (or a foreign descriptor) — try to
@@ -494,16 +731,17 @@ fn body(
                 // pairs with the winning side's Release so the
                 // post-decision fix-ups below see its writes.
                 let _ =
-                    res.compare_exchange(UNDECIDED, FAILED, Ordering::AcqRel, Ordering::Acquire);
+                    res.compare_exchange(undecided, failed, Ordering::AcqRel, Ordering::Acquire);
                 // Acquire (audited): pairs with the Release of whichever RMW
                 // decided `res[i]`; same-location coherence gives the
                 // latest decision.
                 match res.load(Ordering::Acquire) {
-                    SUCCESS => return CasnResult::Success, // D18–D19
-                    FAILED => {
+                    r if word::seq(r) != n => return None,
+                    r if r == success => return Some(CasnResult::Success), // D18–D19
+                    r if r == failed => {
                         // D20–D22: revert the announcement.
-                        revert(d, plain, &won[..i]);
-                        return CasnResult::FailedAt(i);
+                        revert(rec, es, n, plain, &won[..i]);
+                        return Some(CasnResult::FailedAt(i));
                     }
                     // A winner was recorded concurrently; help complete
                     // with it.
@@ -514,13 +752,13 @@ fn body(
 
         // D24: promote the installed marked word. While `res[i]` is
         // undecided word i cannot change (all competing CASes expect
-        // `old_i`, and marks of this descriptor are only removed once
+        // `old_i`, and marks of this incarnation are only removed once
         // `res[i]` is decided), so a successful promotion certifies
         // `installed` is in place — an argument built on same-location
         // coherence of `*ptr_i` and the total modification order of
         // `res[i]`, neither of which needs SeqCst. AcqRel/Acquire (audited)
         // as at D17.
-        let _ = res.compare_exchange(UNDECIDED, installed, Ordering::AcqRel, Ordering::Acquire);
+        let _ = res.compare_exchange(undecided, installed, Ordering::AcqRel, Ordering::Acquire);
         // Acquire (audited): as at D17.
         let r = res.load(Ordering::Acquire);
 
@@ -530,18 +768,22 @@ fn body(
             // `old_i`) — change it back to its old value.
             revert_own_mark(ptr, my_mark, e.old);
         }
-        if r == FAILED {
+        if word::seq(r) != n {
+            // Gone: decided, and its owner cleaned up before moving on.
+            return None;
+        }
+        if r == failed {
             // The decision went against us: make sure the winners so far
             // and the announcement are reverted.
-            revert(d, plain, &won[..i]);
-            return CasnResult::FailedAt(i);
+            revert(rec, es, n, plain, &won[..i]);
+            return Some(CasnResult::FailedAt(i));
         }
-        if r == SUCCESS {
+        if r == success {
             // Completed by other processes.
-            debug_assert_eq!(i, d.count - 1, "only the last slot decides SUCCESS");
-            return CasnResult::Success;
+            debug_assert_eq!(i, k - 1, "only the last slot decides SUCCESS");
+            return Some(CasnResult::Success);
         }
-        debug_assert!(word::is_marked_dcas(r) && word::desc_addr(r) == addr);
+        debug_assert!(word::is_marked_dcas(r) && word::unmarked(r) == plain);
         won[i] = r;
     }
 
@@ -552,33 +794,35 @@ fn body(
     // Acquire reader of `res[K−1]`; the swings themselves are AcqRel CASes
     // on their own words.
     ptr0.cas_word(plain, e0.new);
-    for (i, &w) in won.iter().enumerate().take(d.count).skip(1) {
-        let (e, ptr) = d.entry(i);
+    for (i, &w) in won.iter().enumerate().take(k).skip(1) {
+        let (e, ptr) = entry(es, i);
         ptr.cas_word(w, e.new);
     }
-    let last = d.count - 1;
-    let _ = d.res[last].compare_exchange(won[last], SUCCESS, Ordering::AcqRel, Ordering::Acquire);
-    CasnResult::Success
+    let _ =
+        rec.res[k - 1].compare_exchange(won[k - 1], success, Ordering::AcqRel, Ordering::Acquire);
+    Some(CasnResult::Success)
 }
 
 /// The failed decision's fix-up: revert the winners `won[1..]` recorded
 /// before the failing entry `won.len()`, then the announcement at `*ptr_0`.
-fn revert(d: &Desc, plain: Word, won: &[Word]) {
+#[cfg_attr(not(lfc_model), allow(unused_variables))]
+fn revert(rec: &Record, es: &[CasnEntry], n: usize, plain: Word, won: &[Word]) {
     // The slots read as winners, this FAILED, then UNDECIDED only: no
-    // executor got past the failing entry. Checked by the model searches.
+    // executor got past the failing entry (a slot of a later incarnation
+    // says nothing about this one). Checked by the model searches.
     #[cfg(lfc_model)]
-    for r in &d.res[won.len() + 1..d.count] {
-        assert_eq!(
-            r.load(Ordering::Acquire),
-            UNDECIDED,
+    for r in &rec.res[won.len() + 1..es.len()] {
+        let r = r.load(Ordering::Acquire);
+        assert!(
+            word::seq(r) != n || r == word::seq_bits(n) | UNDECIDED,
             "a slot after a FAILED one left UNDECIDED"
         );
     }
     for (i, &w) in won.iter().enumerate().skip(1).rev() {
-        let (e, ptr) = d.entry(i);
+        let (e, ptr) = entry(es, i);
         ptr.cas_word(w, e.old);
     }
-    let (e0, ptr0) = d.entry(0);
+    let (e0, ptr0) = entry(es, 0);
     ptr0.cas_word(plain, e0.old);
 }
 
@@ -593,27 +837,27 @@ fn revert_own_mark(ptr: &DAtomic, mark: Word, old: Word) {
     }
 }
 
-/// Lines D5–D8: the operation is decided but the word we came through,
-/// `via`, still held a descriptor word — clean it up so readers can make
-/// progress.
-fn finish_decided(d: &Desc, desc_word: Word, via: &DAtomic, r: CasnResult) {
+/// Lines D5–D8: the incarnation is decided (`r`), or gone (`None`), but
+/// the word we came through, `via`, still held a descriptor word — clean
+/// it up so readers can make progress.
+fn finish_decided(es: &[CasnEntry], desc_word: Word, via: &DAtomic, r: Option<CasnResult>) {
     if word::is_marked_dcas(desc_word) {
         // Came through a later word holding a stale mark (on SUCCESS every
         // winner was consumed before SUCCESS was stored, so whatever is
         // still installed is an ABA leftover; on FAILED every installation
         // is stale): revert it to that entry's old value.
-        let e = d.entries[1..d.count]
+        let e = es[1..]
             .iter()
             .find(|e| std::ptr::eq(e.ptr, via))
             .expect("a marked word lives at one of the later entries");
         if via.cas_word(desc_word, e.old) {
             counters::STALE_MARK_REVERTS.add(1);
         }
-    } else if r != CasnResult::Success {
+    } else if let Some(CasnResult::FailedAt(_)) = r {
         // Came through `*ptr_0`: only a failed operation leaves the
         // announcement to revert (on SUCCESS `*ptr_0` already holds
-        // `new_0`).
-        via.cas_word(desc_word, d.entries[0].old);
+        // `new_0`, and a gone owner reverted it before moving on).
+        via.cas_word(desc_word, es[0].old);
     }
 }
 
@@ -623,62 +867,47 @@ fn finish_decided(d: &Desc, desc_word: Word, via: &DAtomic, r: CasnResult) {
 pub mod test_support {
     use super::*;
 
-    /// Allocate a descriptor for `entries`, announce it (line D10 only) and
-    /// "stall": returns the plain descriptor word now installed at
-    /// `*entries[0].ptr`, or `None` (the descriptor recycled) if the
-    /// announcement failed. The caller takes over the initiator's
-    /// responsibility to eventually run/finish and retire the descriptor.
+    /// Start an incarnation of the calling thread's record for `entries`,
+    /// announce it (line D10 only) and "stall": returns the plain
+    /// descriptor word now installed at `*entries[0].ptr`, or `None` if the
+    /// announcement failed. Until the incarnation is decided the calling
+    /// thread must start no other commit (it would end this one
+    /// undecided).
     ///
     /// # Safety
     ///
-    /// As `commit_entries`, and the words must stay alive until
-    /// [`retire_announced`].
+    /// As `commit_entries`, and the words must stay alive until the
+    /// incarnation is decided.
     pub unsafe fn announce_only(entries: &[CasnEntry]) -> Option<Word> {
-        let d = alloc(entries).unwrap_or_else(|e| crate::pool::alloc_failed(e));
-        let plain = word::dcas_plain(d.addr());
-        let (e0, ptr0) = d.entry(0);
-        if ptr0.cas_word(e0.old, plain) {
-            d.into_raw();
-            Some(plain)
-        } else {
-            None
-        }
+        let tid = lfc_runtime::current_tid();
+        let n = record(tid).begin(entries);
+        let plain = word::dcas_plain(tid, n);
+        let (e0, ptr0) = entry(entries, 0);
+        ptr0.cas_word(e0.old, plain).then_some(plain)
     }
 
-    /// Run the protocol for a previously announced descriptor as if the
+    /// Run the protocol for a previously announced incarnation as if the
     /// stalled initiator resumed.
     ///
     /// # Safety
     ///
-    /// `desc_word` must come from [`announce_only`] and the descriptor must
-    /// not have been finished+retired yet.
+    /// `desc_word` must come from [`announce_only`], whose thread has
+    /// started no commit since.
     pub unsafe fn resume(desc_word: Word, g: &Guard) -> CasnResult {
         // Resuming initiator: already announced, so run as a helper that
         // came through the first word.
-        unsafe { help_first_word(desc_word, g) }
+        unsafe { help_first_word(desc_word, g) }.expect("the stalled incarnation is current")
     }
 
-    /// Retire a descriptor obtained from [`announce_only`] once decided.
-    ///
-    /// # Safety
-    ///
-    /// Must be called exactly once, after the operation is decided.
-    pub unsafe fn retire_announced(desc_word: Word) {
-        // Safety: `announce_only` gave the descriptor up; taken back once.
-        unsafe { Owned::from_raw(word::desc_addr(desc_word) as *mut Desc) }.retire();
-    }
-
-    /// Current state of the last winner slot, `res[K−1]` (2 = SUCCESS),
-    /// for assertions.
-    ///
-    /// # Safety
-    ///
-    /// Descriptor must still be alive.
-    pub unsafe fn res_state(desc_word: Word) -> usize {
-        let d = unsafe { &*(word::desc_addr(desc_word) as *const Desc) };
-        // Acquire (audited): test assertions only need the latest decision
-        // via `res`'s own modification order.
-        d.res[d.count - 1].load(Ordering::Acquire)
+    /// The decision of `desc_word`'s incarnation, `None` while undecided
+    /// or once gone.
+    pub fn decision(desc_word: Word) -> Option<CasnResult> {
+        let rec = record(word::owner(desc_word));
+        let count = rec.count.load(Ordering::Acquire);
+        match rec.decision(count, word::seq(desc_word)) {
+            Decision::Decided(r) => Some(r),
+            Decision::Undecided | Decision::Gone => None,
+        }
     }
 }
 
@@ -710,20 +939,19 @@ mod tests {
         commit(g, &entries)
     }
 
-    fn desc_allocs() -> usize {
-        counters::desc_pool_hits() + counters::desc_pool_misses()
-    }
-
     /// Run `f` with a registered peer alive, so its commits take the
-    /// published protocol (marked-word races, reverts, retire) even when
-    /// this test is the only one running — a lone thread would commit solo,
-    /// with no descriptor at all. Checks that `f` built at least `min`
-    /// descriptors.
+    /// published protocol (marked-word races, reverts) even when this test
+    /// is the only one running — a lone thread would commit solo, with no
+    /// descriptor at all. Checks that `f` started at least `min`
+    /// incarnations.
     fn published(min: usize, f: impl FnOnce(&Guard)) {
         lfc_runtime::fault::with_registered_peer(|| {
-            let before = desc_allocs();
+            let before = counters::desc_pool_hits();
             f(&pin());
-            assert!(desc_allocs() - before >= min, "the published protocol ran");
+            assert!(
+                counters::desc_pool_hits() - before >= min,
+                "the published protocol ran"
+            );
         });
     }
 
@@ -784,6 +1012,41 @@ mod tests {
             for (i, w) in words.iter().enumerate() {
                 assert_eq!(w.read(g), i * 8 + 8);
             }
+        });
+    }
+
+    #[test]
+    fn consecutive_commits_reuse_one_record_with_distinct_words() {
+        // One thread's published commits are incarnations of one record:
+        // same owner, `seq` up by one per commit, so no two words (plain
+        // or marked) of different commits are equal.
+        published(3, |g| {
+            let a = DAtomic::new(8);
+            let b = DAtomic::new(16);
+            let es = [entry(&a, 8, 24), entry(&b, 16, 32)];
+            // Safety: both words outlive the incarnation, which is decided
+            // by `resume` before this thread starts another.
+            let w1 = unsafe { test_support::announce_only(&es) }.expect("a holds 8");
+            assert_eq!(unsafe { test_support::resume(w1, g) }, CasnResult::Success);
+            assert_eq!(
+                commit(g, &[entry(&a, 24, 40), entry(&b, 32, 48)]),
+                CasnResult::Success
+            );
+            let es = [entry(&a, 40, 56), entry(&b, 48, 64)];
+            let w3 = unsafe { test_support::announce_only(&es) }.expect("a holds 40");
+            assert_eq!(unsafe { test_support::resume(w3, g) }, CasnResult::Success);
+
+            assert_eq!(word::owner(w1), g.tid());
+            assert_eq!(word::owner(w3), g.tid());
+            assert_eq!(word::seq(w3), (word::seq(w1) + 2) & word::SEQ_MAX);
+            assert_ne!(w1, w3);
+            assert_ne!(
+                word::dcas_marked(g.tid(), word::seq(w1), 1),
+                word::dcas_marked(g.tid(), word::seq(w3), 1)
+            );
+            assert_eq!(test_support::decision(w3), Some(CasnResult::Success));
+            assert_eq!(test_support::decision(w1), None, "w1's incarnation is gone");
+            assert_eq!((a.read(g), b.read(g)), (56, 64));
         });
     }
 
@@ -868,11 +1131,12 @@ mod tests {
     }
 
     #[test]
-    fn descriptors_are_reclaimed() {
+    fn published_commits_retire_nothing() {
         published(10_000, |g| {
             let a = DAtomic::new(0);
             let b = DAtomic::new(0);
             let c = DAtomic::new(0);
+            let retired = lfc_hazard::stats().0;
             for i in 0..10_000usize {
                 let v = i * 8;
                 let r = commit(
@@ -885,11 +1149,10 @@ mod tests {
                 );
                 assert_eq!(r, CasnResult::Success);
             }
-            lfc_hazard::flush();
-            assert!(
-                lfc_hazard::pending_retired() < 20_000,
-                "pending {}",
-                lfc_hazard::pending_retired()
+            assert_eq!(
+                lfc_hazard::stats().0,
+                retired,
+                "a reused descriptor is never retired"
             );
         });
     }

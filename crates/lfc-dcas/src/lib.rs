@@ -5,11 +5,12 @@
 //!
 //! The composition layer (`lfc-core`) captures the linearization-point CAS
 //! triples of the composed operations as [`CasnEntry`] values and commits
-//! them together through [`try_commit_entries`] (infallible name
-//! [`commit_entries`]), the crate's only initiator entry: a solo-regime
-//! fast path, and otherwise one published protocol ([`kcas`]) with one
-//! pooled descriptor type at every width. Data structures route every read
-//! of a composable word through [`DAtomic::read`] so that readers help
+//! them together through [`commit_entries`], the crate's only initiator
+//! entry, which cannot fail: a solo-regime fast path, and otherwise one
+//! published protocol ([`kcas`]) over one descriptor per thread, reused
+//! under a new sequence number by every published commit — nothing is
+//! allocated or reclaimed. Data structures route every read of a
+//! composable word through [`DAtomic::read`] so that readers help
 //! in-flight operations finish (lock-freedom).
 
 #![warn(missing_docs)]
@@ -18,12 +19,11 @@ pub mod adopt;
 mod atomic;
 mod engine;
 pub mod kcas;
-mod pool;
 mod sync;
 pub mod word;
 
 pub use adopt::{adopt_dead_threads, helped_completions};
 pub use atomic::DAtomic;
-pub use engine::{commit_entries, try_commit_entries};
+pub use engine::commit_entries;
 pub use kcas::{counters, CasnEntry, CasnResult, MAX_ENTRIES};
 pub use word::Word;

@@ -9,7 +9,7 @@ use lfc_dcas::kcas::test_support;
 use lfc_dcas::{commit_entries, counters, CasnEntry, CasnResult, DAtomic, Word};
 use lfc_hazard::{pin, Guard};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
     CasnEntry {
@@ -46,15 +46,32 @@ fn leaked_words(k: usize) -> Vec<&'static DAtomic> {
         .collect()
 }
 
-/// Announce (line D10) the commit `OLD → NEW` over `words` and stall.
-fn announce(words: &[&'static DAtomic]) -> Word {
-    let es: Vec<CasnEntry> = words
-        .iter()
-        .enumerate()
-        .map(|(i, w)| entry(w, OLD[i], NEW[i]))
-        .collect();
-    // Safety: leaked words live forever and are distinct.
-    unsafe { test_support::announce_only(&es) }.expect("announce succeeds")
+/// Run `f` with the commit `OLD → NEW` over `words` announced (line D10)
+/// and stalled by a thread that commits nothing else: its descriptor
+/// record keeps the incarnation until `f` has returned and the thread
+/// exits, so every helper (and every resume) in `f` sees it current.
+fn with_stalled<R>(words: &[&'static DAtomic], f: impl FnOnce(Word) -> R) -> R {
+    let (tx, rx) = mpsc::channel();
+    let (stop_tx, stop_rx) = mpsc::channel::<()>();
+    std::thread::scope(|sc| {
+        sc.spawn(move || {
+            let es: Vec<CasnEntry> = words
+                .iter()
+                .enumerate()
+                .map(|(i, w)| entry(w, OLD[i], NEW[i]))
+                .collect();
+            // Safety: leaked words live forever and are distinct; this
+            // thread starts no other commit.
+            let w = unsafe { test_support::announce_only(&es) }.expect("announce succeeds");
+            tx.send(w).unwrap();
+            // Stay registered until `f` is done (or unwinds, which drops
+            // the sender).
+            let _ = stop_rx.recv();
+        });
+        let r = f(rx.recv().unwrap());
+        drop(stop_tx);
+        r
+    })
 }
 
 fn values(words: &[&DAtomic], g: &Guard) -> Vec<usize> {
@@ -114,28 +131,22 @@ fn helper_completes_stalled_operation_via_word1() {
     for k in [2, 3] {
         let g = pin();
         let words = leaked_words(k);
-        let w = announce(&words);
-        let before = counters::help_runs();
-        std::thread::scope(|sc| {
-            sc.spawn(|| {
-                // Word 1 now holds the descriptor; a read must help and
-                // return its new value.
-                let g = pin();
-                assert_eq!(words[0].read(&g), 24, "k={k}: the helper's read");
-            });
+        with_stalled(&words, |w| {
+            let before = counters::help_runs();
+            // Word 1 now holds the descriptor; a read must help and
+            // return its new value.
+            assert_eq!(words[0].read(&g), 24, "k={k}: the helper's read");
+            assert!(
+                counters::help_runs() > before,
+                "k={k}: the decision can only have come from the help path"
+            );
+            // Every word swung without the owner ever running the protocol.
+            assert_eq!(values(&words, &g), NEW[..k]);
+            // The owner "wakes up": resuming is idempotent on a decided
+            // commit.
+            let r = unsafe { test_support::resume(w, &g) };
+            assert_eq!(r, CasnResult::Success);
         });
-        assert!(
-            counters::help_runs() > before,
-            "k={k}: the decision can only have come from the help path"
-        );
-        // Every word swung without the owner ever running the protocol.
-        assert_eq!(values(&words, &g), NEW[..k]);
-        // The owner "wakes up": resuming is idempotent on a decided commit.
-        let r = unsafe { test_support::resume(w, &g) };
-        assert_eq!(r, CasnResult::Success);
-        // Safety: decided; retired exactly once (announce_only handed us
-        // the initiator's retire obligation).
-        unsafe { test_support::retire_announced(w) };
     }
 }
 
@@ -148,18 +159,21 @@ fn helper_completes_stalled_operation_via_word2() {
     for k in [2, 3] {
         let g = pin();
         let words = leaked_words(k);
-        let w = announce(&words);
-        assert_eq!(values(&words[1..], &g), OLD[1..k], "not yet linearized");
-        assert_eq!(words[0].read(&g), 24, "reader helps");
-        assert_eq!(
-            values(&words[1..], &g),
-            NEW[1..k],
-            "later words completed by the helper"
-        );
-        unsafe {
-            assert_eq!(test_support::res_state(w), 2, "res[K-1] is SUCCESS");
-            test_support::retire_announced(w);
-        }
+        with_stalled(&words, |w| {
+            assert_eq!(values(&words[1..], &g), OLD[1..k], "not yet linearized");
+            assert_eq!(test_support::decision(w), None, "undecided");
+            assert_eq!(words[0].read(&g), 24, "reader helps");
+            assert_eq!(
+                values(&words[1..], &g),
+                NEW[1..k],
+                "later words completed by the helper"
+            );
+            assert_eq!(
+                test_support::decision(w),
+                Some(CasnResult::Success),
+                "res[K-1] is SUCCESS"
+            );
+        });
     }
 }
 
@@ -171,26 +185,20 @@ fn stalled_announcement_with_changed_second_word_fails_cleanly() {
     for (k, j) in [(2, 1), (3, 1), (3, 2)] {
         let g = pin();
         let words = leaked_words(k);
-        let w = announce(&words);
-        assert!(words[j].cas_word(OLD[j], 48));
-        // A reader of word 1 on another thread helps: the commit must fail
-        // and roll every installed word back (Lemma 4), and only the help
-        // path can have decided it.
-        let before = counters::help_runs();
-        std::thread::scope(|sc| {
-            sc.spawn(|| {
-                let g = pin();
-                assert_eq!(words[0].read(&g), 8, "k={k} j={j}: reverted value");
-            });
+        with_stalled(&words, |w| {
+            assert!(words[j].cas_word(OLD[j], 48));
+            // A reader of word 1 helps: the commit must fail and roll every
+            // installed word back (Lemma 4), and only the help path can
+            // have decided it.
+            let before = counters::help_runs();
+            assert_eq!(words[0].read(&g), 8, "k={k} j={j}: reverted value");
+            assert!(counters::help_runs() > before);
+            let mut expect = OLD[..k].to_vec();
+            expect[j] = 48;
+            assert_eq!(values(&words, &g), expect, "k={k} j={j}");
+            let r = unsafe { test_support::resume(w, &g) };
+            assert_eq!(r, CasnResult::FailedAt(j));
         });
-        assert!(counters::help_runs() > before);
-        let mut expect = OLD[..k].to_vec();
-        expect[j] = 48;
-        assert_eq!(values(&words, &g), expect, "k={k} j={j}");
-        let r = unsafe { test_support::resume(w, &g) };
-        assert_eq!(r, CasnResult::FailedAt(j));
-        // Safety: decided; single retire.
-        unsafe { test_support::retire_announced(w) };
     }
 }
 
@@ -200,18 +208,18 @@ fn concurrent_helpers_agree_on_result() {
     // swing exactly once and everyone must report the same result.
     for k in [2, 3] {
         let words = leaked_words(k);
-        let w = announce(&words);
-
-        let results: Vec<CasnResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(move || {
-                        let g = pin();
-                        unsafe { test_support::resume(w, &g) }
+        let results: Vec<CasnResult> = with_stalled(&words, |w| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(move || {
+                            let g = pin();
+                            unsafe { test_support::resume(w, &g) }
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
         });
         for r in &results {
             assert_eq!(
@@ -221,7 +229,6 @@ fn concurrent_helpers_agree_on_result() {
             );
         }
         assert_eq!(values(&words, &pin()), NEW[..k]);
-        unsafe { test_support::retire_announced(w) };
     }
 }
 
@@ -335,20 +342,19 @@ fn shared_second_word_serializes() {
 }
 
 #[test]
-fn descriptors_do_not_leak() {
-    // Outstanding pool blocks must not grow without bound across many
-    // committed descriptors.
-    let g = pin();
-    let a = DAtomic::new(0);
-    let b = DAtomic::new(0);
-    for i in 0..20_000usize {
-        let o = i * 8;
-        assert_eq!(dcas(&g, &a, o, o + 8, &b, o, o + 8), CasnResult::Success);
-    }
-    lfc_hazard::flush();
-    assert!(
-        lfc_hazard::pending_retired() < 10_000,
-        "retired descriptors must be reclaimed (pending {})",
-        lfc_hazard::pending_retired()
-    );
+fn descriptors_are_never_retired() {
+    // Every published commit reuses its thread's one descriptor record:
+    // however many commits run, nothing reaches the retire lists.
+    lfc_runtime::fault::with_registered_peer(|| {
+        let g = pin();
+        let a = DAtomic::new(0);
+        let b = DAtomic::new(0);
+        let (retired, incarnations) = (lfc_hazard::stats().0, counters::desc_pool_hits());
+        for i in 0..20_000usize {
+            let o = i * 8;
+            assert_eq!(dcas(&g, &a, o, o + 8, &b, o, o + 8), CasnResult::Success);
+        }
+        assert!(counters::desc_pool_hits() - incarnations >= 20_000);
+        assert_eq!(lfc_hazard::stats().0, retired, "no descriptor retired");
+    });
 }

@@ -1,6 +1,5 @@
 //! Deterministic coverage of the unified k-entry commit
-//! (`lfc_dcas::try_commit_entries` and its infallible name
-//! `commit_entries`) across its three regimes.
+//! (`lfc_dcas::commit_entries`) across its regimes.
 //!
 //! This file intentionally holds **one** test function: integration tests
 //! in one binary run on a thread pool, and a sibling test's `pin()` would
@@ -10,9 +9,7 @@
 //! and the last phase switches from solo to published under a concurrent
 //! reader — all asserted against the same all-or-nothing contract.
 
-use lfc_dcas::{
-    commit_entries, counters, try_commit_entries, CasnEntry, CasnResult, DAtomic, MAX_ENTRIES,
-};
+use lfc_dcas::{commit_entries, counters, CasnEntry, CasnResult, DAtomic, MAX_ENTRIES};
 use lfc_hazard::{pin, Guard};
 
 fn entry(w: &DAtomic, old: usize, new: usize) -> CasnEntry {
@@ -30,36 +27,22 @@ fn commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
     unsafe { commit_entries(entries, g) }
 }
 
-fn try_commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
-    // Safety: as `commit`.
-    unsafe { try_commit_entries(entries, g) }.expect("nothing is armed")
-}
-
-/// Descriptor allocations so far (hits + misses: which of the two an
-/// allocation was depends on what the hazard domain has handed back).
-fn desc_allocs() -> usize {
-    counters::desc_pool_hits() + counters::desc_pool_misses()
-}
-
-/// Every supported width through `name`: one all-match commit, one
-/// last-entry mismatch and one first-entry mismatch per width, each checked
-/// against the all-or-nothing contract. Returns the results and the number
-/// of descriptors allocated per width, `[K=2, K=3, ..]`.
-fn sweep_widths(
-    name: fn(&[CasnEntry], &Guard) -> CasnResult,
-    g: &Guard,
-) -> (Vec<CasnResult>, Vec<usize>) {
-    let mut allocs = Vec::new();
+/// Every supported width: one all-match commit, one last-entry mismatch
+/// and one first-entry mismatch per width, each checked against the
+/// all-or-nothing contract. Returns the results and the number of
+/// descriptor incarnations started per width, `[K=2, K=3, ..]`.
+fn sweep_widths(g: &Guard) -> (Vec<CasnResult>, Vec<usize>) {
+    let mut incarnations = Vec::new();
     let mut results = Vec::new();
     for k in 2..=MAX_ENTRIES {
-        let before = desc_allocs();
+        let before = counters::desc_pool_hits();
         let words: Vec<DAtomic> = (0..k).map(|i| DAtomic::new(i * 8)).collect();
         let ok: Vec<CasnEntry> = words
             .iter()
             .enumerate()
             .map(|(i, w)| entry(w, i * 8, i * 8 + 8))
             .collect();
-        results.push(name(&ok, g));
+        results.push(commit(&ok, g));
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.read(g), i * 8 + 8, "k={k}: every word swung");
         }
@@ -77,7 +60,7 @@ fn sweep_widths(
                 }
             })
             .collect();
-        results.push(name(&bad, g));
+        results.push(commit(&bad, g));
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.read(g), i * 8 + 8, "k={k}: nothing left changed");
         }
@@ -95,13 +78,13 @@ fn sweep_widths(
                 }
             })
             .collect();
-        results.push(name(&bad, g));
+        results.push(commit(&bad, g));
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.read(g), i * 8 + 8, "k={k}: every word untouched");
         }
-        allocs.push(desc_allocs() - before);
+        incarnations.push(counters::desc_pool_hits() - before);
     }
-    (results, allocs)
+    (results, incarnations)
 }
 
 fn expected_results() -> Vec<CasnResult> {
@@ -125,18 +108,16 @@ fn unified_commit_covers_solo_and_published_regimes() {
         "this binary must contain exactly this one test"
     );
 
-    // --- Phase 1: solo regime, every supported width, both names. ---
-    // Solo commits build no descriptors at all, so they never publish and
-    // add nothing to the hazard domain's retire backlog.
+    // --- Phase 1: solo regime, every supported width. ---
+    // Solo commits use no descriptor at all, so they never publish and add
+    // nothing to the hazard domain's retire backlog.
     let retired0 = lfc_hazard::stats().0;
-    for name in [commit, try_commit] {
-        let (results, allocs) = sweep_widths(name, &g);
-        assert_eq!(results, expected_results());
-        assert!(
-            allocs.iter().all(|&a| a == 0),
-            "the solo regime allocates no descriptor"
-        );
-    }
+    let (results, incarnations) = sweep_widths(&g);
+    assert_eq!(results, expected_results());
+    assert!(
+        incarnations.iter().all(|&a| a == 0),
+        "the solo regime uses no descriptor"
+    );
     assert_eq!(
         lfc_hazard::stats().0,
         retired0,
@@ -194,24 +175,26 @@ fn regime_switch_phase() {
 }
 
 fn published_phase(g: &Guard) {
-    // Every width through both names again: exactly one descriptor per
-    // published commit at every width — helpers and installs allocate
-    // nothing — the same for the infallible name and its `try_` twin,
-    // because they are one body.
-    let (results, allocs) = sweep_widths(commit, g);
-    let (try_results, try_allocs) = sweep_widths(try_commit, g);
+    // Every width again: exactly one descriptor incarnation per published
+    // commit at every width — helpers and installs start none — and no
+    // descriptor is ever allocated or retired.
+    let retired0 = lfc_hazard::stats().0;
+    let (results, incarnations) = sweep_widths(g);
     assert_eq!(results, expected_results());
-    assert_eq!(try_results, results);
     assert_eq!(
-        allocs,
+        incarnations,
         vec![3; MAX_ENTRIES - 1],
-        "one descriptor per commit, per width K=2..={MAX_ENTRIES}"
+        "one incarnation per commit, per width K=2..={MAX_ENTRIES}"
     );
-    assert_eq!(try_allocs, allocs);
     assert_eq!(
-        counters::rdcss_pool_hits() + counters::rdcss_pool_misses(),
+        counters::desc_pool_misses() + counters::rdcss_pool_hits() + counters::rdcss_pool_misses(),
         0,
-        "no RDCSS descriptor exists"
+        "no descriptor is ever allocated"
+    );
+    assert_eq!(
+        lfc_hazard::stats().0,
+        retired0,
+        "published commits retire no descriptor"
     );
 
     // K=2: the paper's DCAS, reporting the failing index (the paper's
@@ -232,29 +215,4 @@ fn published_phase(g: &Guard) {
         CasnResult::FailedAt(1)
     );
     assert_eq!((a.read(g), b.read(g)), (16, 24), "nothing left changed");
-
-    // K=3, pooled: steady-state commits must recycle descriptors instead
-    // of falling through to `lfc-alloc`.
-    let words: Vec<DAtomic> = (0..3).map(|i| DAtomic::new(i * 8)).collect();
-    let (miss0, hits0) = (counters::desc_pool_misses(), counters::desc_pool_hits());
-    for round in 0..60usize {
-        let es: Vec<CasnEntry> = words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| entry(w, i * 8 + round * 8, i * 8 + round * 8 + 8))
-            .collect();
-        assert_eq!(commit(&es, g), CasnResult::Success);
-        // Retired descriptors come back through the hazard domain; a flush
-        // per iteration makes the recycling deterministic for the assert.
-        lfc_hazard::flush();
-    }
-    assert!(
-        counters::desc_pool_hits() > hits0,
-        "steady-state K=3 commits must reuse pooled descriptors"
-    );
-    let misses = counters::desc_pool_misses() - miss0;
-    assert!(
-        misses <= 16,
-        "steady-state misses must be bounded by the warmup burst, got {misses}"
-    );
 }

@@ -11,12 +11,12 @@
 //! # Slot convention
 //!
 //! The composition protocol needs several simultaneously live protections
-//! per thread (paper §5: `hp1..hp4`, plus the descriptor hazard `hpd` used
-//! by the `read` operation and the adopted protections of DCAS lines
-//! D2–D3). Fixed roles are assigned in [`slot`] so the layers never clobber
-//! each other:
+//! per thread (paper §5: `hp1..hp4`, and the adopted protections of DCAS
+//! lines D2–D3; the paper's descriptor hazard `hpd` has no slot, because
+//! descriptors are per-thread static records that are never reclaimed).
+//! Fixed roles are assigned in [`slot`] so the layers never clobber each
+//! other:
 //!
-//! * the descriptor hazard set by `read` before helping: [`slot::DESC`]
 //! * the adopted protections of a helper (lines D2–D3), one per commit
 //!   entry: [`slot::HELP0`]..
 //! * the composition engine's per-entry protections: [`slot::ENTRY0`]..
@@ -37,8 +37,8 @@
 //! nodes with plain acquire loads, and publishes per-node hazards only at
 //! the handoff points the composition protocol requires — the captured
 //! linearization entries (`ENTRY*`, promoted at capture time by the
-//! engine), descriptors (`DESC`) and helper adoptions (`HELP*`),
-//! which keep their slots and orderings untouched.
+//! engine) and helper adoptions (`HELP*`), which keep their slots and
+//! orderings untouched.
 //!
 //! # Retire contract (unified domain)
 //!
@@ -64,11 +64,9 @@
 //! (so no in-flight traversal can still hold a pre-unlink pointer), **and**
 //! no hazard slot protects the block (so a
 //! node pinned by an in-flight composed commit — an `ENTRY*`/`HELP*` slot
-//! — survives even after all epochs quiesce). The DCAS protocol preserves the
-//! hazard half exactly as before: descriptors are retired only after the
-//! operation is decided and the initiating side's word has been swung, and
-//! every helper removes its own stale marked descriptor before clearing the
-//! hazard that protects it (see `lfc-dcas`).
+//! — survives even after all epochs quiesce). The DCAS protocol retires
+//! nothing of its own: its descriptors are per-thread static records
+//! reused under sequence numbers (see `lfc-dcas`).
 //!
 //! # Stall robustness: eras and ejection (PR 6)
 //!
@@ -152,27 +150,23 @@ pub mod model_toggles {
 
 /// Named hazard-slot indices (roles) within a thread's slot bank.
 pub mod slot {
-    /// Descriptor hazard set by the `read` operation before helping
-    /// (the paper's `hpd`, line D35).
-    pub const DESC: usize = 0;
     /// Base of the helper-adopted protections (lines D2–D3): entry `i`'s
     /// allocation goes in `HELP0 + i`.
-    pub const HELP0: usize = 1;
+    pub const HELP0: usize = 0;
     /// Number of helper slots (one per possible commit entry).
     pub const HELP_COUNT: usize = 6;
     /// Base of the composition engine's per-entry protections: at capture
     /// time the engine *promotes* each captured entry's allocation from
     /// the capturing operation's epoch into its own ENTRY slot
     /// (unconditionally since PR 3 — the nested operations' epochs end
-    /// when they return, before the commit's descriptor teardown and
-    /// `finish` run), keeping every entry word protected until the
+    /// when they return, before the commit and `finish` run), keeping every entry word protected until the
     /// composition resolves. One slot per entry also keeps nested
     /// same-role stages from clobbering each other's protections.
     /// Disjoint from the HELP* range: ENTRY slots belong to the
     /// *initiating* thread's composition, HELP* to the same thread's
     /// *helping* of foreign commits (a `read` inside a nested operation can
     /// help a foreign commit mid-composition).
-    pub const ENTRY0: usize = 7;
+    pub const ENTRY0: usize = 6;
     /// Number of engine entry slots (one per possible commit entry).
     pub const ENTRY_COUNT: usize = 6;
     /// The batched-composition claim protection (PR 7): a submitter parks
@@ -182,22 +176,22 @@ pub mod slot {
     /// immune to the zombie tier's birth-era partition, unlike epochs).
     /// The batch drainer that clears a batch retires its nodes; a waiter's
     /// CLAIM slot is what makes its final result-word read safe after that.
-    pub const CLAIM: usize = 13;
+    pub const CLAIM: usize = 12;
     /// The elimination exchanger's camp protection (PR 7): a pusher parks
     /// its offered node's address here for as long as it camps on an
     /// exchanger slot. A claimed offer is *retired* (never freed
     /// directly), so this hazard is what closes the ABA window — the
     /// node's address cannot be recycled into a fresh offer the camping
     /// pusher's withdraw CAS could steal (see `lfc-structures::elim`).
-    pub const ELIM: usize = 14;
+    pub const ELIM: usize = 13;
 }
 
 /// Hazard slots per registered thread.
-pub const SLOTS_PER_THREAD: usize = 15;
+pub const SLOTS_PER_THREAD: usize = 14;
 
 // The roles tile the bank: no two share a slot and none is left over.
 const _: () = assert!(
-    slot::HELP0 == slot::DESC + 1
+    slot::HELP0 == 0
         && slot::ENTRY0 == slot::HELP0 + slot::HELP_COUNT
         && slot::CLAIM == slot::ENTRY0 + slot::ENTRY_COUNT
         && slot::ELIM == slot::CLAIM + 1
@@ -208,9 +202,9 @@ const _: () = assert!(
 /// neighbouring threads' banks shared lines in one flat array and every
 /// hazard publication invalidated other threads' cached banks. The
 /// alignment keeps each bank on its own aligned prefetch-pair of lines
-/// (`15 × 8 = 120` bytes, padded to 128 by the alignment). The hot writers
-/// are the `ENTRY*` promotions (every composed capture) and the
-/// `DESC`/`HELP*` helper slots.
+/// (`14 × 8 = 112` bytes, padded to 128 by the alignment). The hot writers
+/// are the `ENTRY*` promotions (every composed capture) and the `HELP*`
+/// helper slots.
 #[repr(align(128))]
 struct SlotBank {
     slots: [AtomicUsize; SLOTS_PER_THREAD],
@@ -954,15 +948,13 @@ fn publish_and_scan(tr: &mut ThreadReclaim) {
 }
 
 /// The lowest value [`scan_trigger`] ever returns.
-pub const MIN_SCAN_TRIGGER: usize = 128;
+const MIN_SCAN_TRIGGER: usize = 128;
 
 /// The calling thread's retire-list length at which its next scan runs: the
 /// base threshold (which grows with the registered thread count, never
 /// below [`MIN_SCAN_TRIGGER`]) or the adaptive re-arm of its last scan,
-/// whichever is larger. So it also bounds how many records one scan of
-/// this thread's own list can free, which is what the `lfc-dcas`
-/// descriptor pools size themselves by.
-pub fn scan_trigger() -> usize {
+/// whichever is larger.
+fn scan_trigger() -> usize {
     NEXT_SCAN.with(Cell::get).max(scan_threshold())
 }
 
@@ -1217,7 +1209,7 @@ fn collect_protection() -> Protection {
 /// A record is freed only when **both** regimes release it: its retire
 /// epoch predates every active reader's entry epoch (no in-flight traversal
 /// can still hold a pre-unlink path to it), and no hazard slot names it (an
-/// `ENTRY*`/`HELP*`/`DESC` pin from an in-flight composition keeps a block
+/// `ENTRY*`/`HELP*` pin from an in-flight composition keeps a block
 /// alive even after all epochs quiesce).
 fn scan_list(list: &mut Vec<Retired>) {
     SCANS_TOTAL.fetch_add(1, Ordering::Relaxed);
@@ -1372,11 +1364,11 @@ mod tests {
     fn protect_returns_loaded_value() {
         let g = pin();
         let word = AtomicUsize::new(0xAB00);
-        let v = g.protect(slot::DESC, || word.load(Ordering::Relaxed));
+        let v = g.protect(slot::CLAIM, || word.load(Ordering::Relaxed));
         assert_eq!(v, 0xAB00);
-        assert_eq!(g.get(slot::DESC), 0xAB00);
-        g.clear(slot::DESC);
-        assert_eq!(g.get(slot::DESC), 0);
+        assert_eq!(g.get(slot::CLAIM), 0xAB00);
+        g.clear(slot::CLAIM);
+        assert_eq!(g.get(slot::CLAIM), 0);
     }
 
     #[test]
@@ -1385,7 +1377,7 @@ mod tests {
         // settle on a validated one.
         let g = pin();
         let calls = Counter::new(0);
-        let v = g.protect(slot::DESC, || {
+        let v = g.protect(slot::CLAIM, || {
             let c = calls.fetch_add(1, Ordering::Relaxed);
             if c < 3 {
                 0x1000 + c
@@ -1394,7 +1386,7 @@ mod tests {
             }
         });
         assert_eq!(v, 0x2000);
-        g.clear(slot::DESC);
+        g.clear(slot::CLAIM);
     }
 
     #[test]
@@ -1446,7 +1438,7 @@ mod tests {
 
     #[test]
     fn scan_threshold_is_independent_of_the_bank_size() {
-        assert_eq!(SLOTS_PER_THREAD, 15);
+        assert_eq!(SLOTS_PER_THREAD, 14);
         for threads in 0..=MAX_THREADS {
             assert_eq!(base_scan_threshold(threads), (48 * threads.max(1)).max(128));
         }

@@ -39,7 +39,7 @@ fn churned_threads_release_clean_banks() {
                     let op = pin_op();
                     let g = pin();
                     g.set(slot::ENTRY0, 0x1000 + (round * PAR + i) * 8);
-                    g.set(slot::DESC, 0x2000 + (round * PAR + i) * 8);
+                    g.set(slot::CLAIM, 0x2000 + (round * PAR + i) * 8);
                     std::mem::forget(op); // epoch slot stays pinned too
                     g.tid()
                 })
@@ -86,7 +86,7 @@ fn reused_tid_starts_pristine() {
     for _ in 0..64 {
         let dirty_tid = std::thread::spawn(|| {
             let g = pin();
-            g.set(slot::DESC, 0xbeef_0008);
+            g.set(slot::CLAIM, 0xbeef_0008);
             g.tid()
         })
         .join()

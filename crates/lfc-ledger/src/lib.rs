@@ -20,20 +20,22 @@
 //! `lfc-core`, atomic at a single linearization point:
 //!
 //! * [`Ledger::migrate`] — rehome an account to another shard
-//!   (`try_move_keyed`, map → map),
+//!   (`move_keyed`, map → map),
 //! * [`Ledger::promote`] / [`Ledger::demote`] — move an account between
-//!   the cold and hot tiers of its shard (`try_move_keyed`, hash map ↔
-//!   skip map),
+//!   the cold and hot tiers of its shard (`move_keyed`, hash map ↔ skip
+//!   map),
 //! * [`Ledger::settle`] — exchange one voucher between two shards' lanes
-//!   (`try_swap`, a four-entry composition), and
+//!   (`swap`, a four-entry composition), and
 //! * [`Ledger::broadcast_notice`] — publish a control notice into several
-//!   shards at once (`try_move_keyed_to_all`, all-or-nothing fan-out).
+//!   shards at once (`move_keyed_to_all`, all-or-nothing fan-out).
 //!
 //! # Degradation, not failure
 //!
-//! Every entry point uses the fallible `try_*` surfaces, retries with the
-//! shared jittered [`Backoff`], and *reports* [`LedgerError::Overloaded`]
-//! or [`LedgerError::Shed`] instead of blocking. The
+//! Composed operations allocate nothing that can fail. Every entry point
+//! that allocates uses the fallible `try_*` structure surfaces, retries
+//! with the shared jittered [`Backoff`], and *reports*
+//! [`LedgerError::Overloaded`] or [`LedgerError::Shed`] instead of
+//! blocking. The
 //! [`health::Health`] ladder (`Normal → NoResize → Shed`) closes admission
 //! and then mutation as live substrate signals deteriorate, and heals on
 //! its own — see the [`health`] module docs.
@@ -73,9 +75,7 @@ pub mod health;
 pub use health::{Health, HealthCfg, HealthStats, ServiceState, Transition};
 
 use lfc_alloc::AllocError;
-use lfc_core::{
-    try_move_keyed, try_move_keyed_to_all, try_swap, MoveOutcome, SwapOutcome, MAX_TARGETS,
-};
+use lfc_core::{move_keyed, move_keyed_to_all, swap, MoveOutcome, SwapOutcome, MAX_TARGETS};
 use lfc_runtime::{camp_round, Backoff, BackoffCfg, CachePadded};
 use lfc_structures::{LfHashMap, LfSkipMap, MsQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -470,19 +470,18 @@ impl Ledger {
             }
             let src = &self.shards[si];
             let r = match tier {
-                Tier::Cold => try_move_keyed(&src.cold, &id, target),
-                Tier::Hot => try_move_keyed(&src.hot, &id, target),
+                Tier::Cold => move_keyed(&src.cold, &id, target),
+                Tier::Hot => move_keyed(&src.hot, &id, target),
             };
             match r {
-                Ok(MoveOutcome::Moved) | Ok(MoveOutcome::WouldAlias) => return Ok(()),
+                MoveOutcome::Moved | MoveOutcome::WouldAlias => return Ok(()),
                 // Lost a race to a concurrent migrate/close: re-locate.
                 // Burns a retry so contended ping-pong still terminates
                 // (as `Overloaded`, an honest answer under that load).
-                Ok(MoveOutcome::SourceEmpty) => {}
+                MoveOutcome::SourceEmpty => {}
                 // Ids are unique, so a rejecting target means the caller
                 // raced a duplicate-creating bug; the audit will scream.
-                Ok(MoveOutcome::TargetRejected) => return Err(LedgerError::Duplicate),
-                Err(AllocError) => self.health.note_alloc_error(),
+                MoveOutcome::TargetRejected => return Err(LedgerError::Duplicate),
             }
             tries += 1;
             if tries > self.retries {
@@ -520,14 +519,13 @@ impl Ledger {
             }
             let s = &self.shards[si];
             let r = match want {
-                Tier::Hot => try_move_keyed(&s.cold, &id, &s.hot),
-                Tier::Cold => try_move_keyed(&s.hot, &id, &s.cold),
+                Tier::Hot => move_keyed(&s.cold, &id, &s.hot),
+                Tier::Cold => move_keyed(&s.hot, &id, &s.cold),
             };
             match r {
-                Ok(MoveOutcome::Moved) | Ok(MoveOutcome::WouldAlias) => return Ok(()),
-                Ok(MoveOutcome::SourceEmpty) => {}
-                Ok(MoveOutcome::TargetRejected) => return Err(LedgerError::Duplicate),
-                Err(AllocError) => self.health.note_alloc_error(),
+                MoveOutcome::Moved | MoveOutcome::WouldAlias => return Ok(()),
+                MoveOutcome::SourceEmpty => {}
+                MoveOutcome::TargetRejected => return Err(LedgerError::Duplicate),
             }
             tries += 1;
             if tries > self.retries {
@@ -565,8 +563,7 @@ impl Ledger {
         self.admit(OpClass::Mutate)?;
         let n = self.shards.len();
         let (a, b) = (a % n, b % n);
-        let r = self.retrying(|| try_swap(&self.shards[a].lane, &self.shards[b].lane))?;
-        Ok(match r {
+        Ok(match swap(&self.shards[a].lane, &self.shards[b].lane) {
             SwapOutcome::Swapped => SettleOutcome::Exchanged,
             // `swap(x, x)` reports WouldAlias; distinct lanes never do.
             SwapOutcome::FirstEmpty
@@ -603,8 +600,7 @@ impl Ledger {
         debug_assert!(staged);
         let n = self.shards.len().min(MAX_TARGETS);
         let dsts: Vec<&LfHashMap<u64, u64>> = self.shards[..n].iter().map(|s| &s.cold).collect();
-        let r = self.retrying(|| try_move_keyed_to_all(&self.staging, &key, &dsts))?;
-        match r {
+        match move_keyed_to_all(&self.staging, &key, &dsts) {
             // SourceEmpty: a concurrent broadcaster of the same tag
             // completed the fan-out for us — helping, not failure.
             MoveOutcome::Moved | MoveOutcome::SourceEmpty => Ok(n),

@@ -46,23 +46,18 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
     l.fund_lane(0, 1).unwrap();
     l.fund_lane(1, 2).unwrap();
 
-    // Starve the commit engine's descriptor allocation: every composed
-    // settle now fails its whole retry budget and reports Overloaded —
-    // never blocks, never panics. (The registered peer defeats the
-    // solo-regime fast path, which allocates no descriptor and could not
-    // fail.)
-    fault::with_registered_peer(|| {
-        // Every commit width allocates its descriptor at this one site.
-        fault::arm_site("dcas.desc", fault::Schedule::Always);
-        for _ in 0..3 {
-            assert_eq!(l.settle(0, 1), Err(LedgerError::Overloaded));
-        }
-        assert!(
-            fault::fired_total() >= 9,
-            "every retry of every settle was refused by injection"
-        );
-        fault::disarm();
-    });
+    // Starve the structures' node allocation: every `open` now fails its
+    // whole retry budget and reports Overloaded — never blocks, never
+    // panics, and mints nothing.
+    fault::arm_site("structures.node", fault::Schedule::Always);
+    for _ in 0..3 {
+        assert_eq!(l.open(1), Err(LedgerError::Overloaded));
+    }
+    assert!(
+        fault::fired_total() >= 9,
+        "every retry of every open was refused by injection"
+    );
+    fault::disarm();
 
     // ≥ 9 allocation errors in the window: one poll jumps straight to Shed.
     assert_eq!(l.health().poll(), ServiceState::Shed);

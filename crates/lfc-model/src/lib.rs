@@ -65,9 +65,9 @@
 //!   the C++20/P0668 read-before-fence strengthening is deliberately not
 //!   modelled — the repo's ordering audit reasons in the C11/C++17 model,
 //!   and the stale-tag bug class lives exactly in that gap.
-//! * Descriptor-pool recycling (lfc-dcas) is per-thread reuse, not a
-//!   free: descriptor UAFs are out of the quarantine's reach (they are
-//!   covered by the protocol tests instead).
+//! * Descriptor records (lfc-dcas) are static and reused by sequence
+//!   number, never freed: a stale helper's reuse hazards are out of the
+//!   quarantine's reach and are searched for directly (`model_reuse.rs`).
 
 #![warn(missing_docs)]
 

@@ -14,7 +14,7 @@
 //! Requires `RUSTFLAGS="--cfg lfc_model"`; compiles to nothing otherwise.
 #![cfg(lfc_model)]
 
-use lfc_core::{move_keyed, move_one, move_to_all, swap, try_move_keyed, MoveOutcome, SwapOutcome};
+use lfc_core::{move_keyed, move_one, move_to_all, swap, MoveOutcome, SwapOutcome};
 use lfc_linear::{
     check_linearizable, render_history, Cont, KeyedMoveResult, KeyedPairOp, KeyedPairSpec, PairOp,
     PairSpec, Recorder, SwapResult, TrioOp, TrioSpec,
@@ -969,13 +969,14 @@ fn fuzz_keyed_skip_map_moves() {
 #[test]
 fn fuzz_keyed_moves_with_faults_armed() {
     // The PR 10 chaos plan family, phase A — the OOM adversary under the
-    // Wing–Gong checker: keyed plans over two hash maps with the
-    // commit-descriptor allocation site armed, every composed move routed
-    // through the fallible `try_move_keyed`. An `Err` is the try-surface
-    // contract ("nothing happened, both maps untouched") and is left
-    // unrecorded — if a refused attempt ever DID mutate a map, some later
-    // recorded operation observes the phantom change and the history
-    // stops linearizing.
+    // Wing–Gong checker: keyed plans over two hash maps with the node
+    // allocation site armed, every insert routed through the fallible
+    // `try_insert` and interleaved with composed moves (which allocate
+    // nothing that can fail). An `Err` is the try-surface contract
+    // ("nothing happened, the map untouched") and is left unrecorded — if
+    // a refused attempt ever DID mutate a map, some later recorded
+    // operation observes the phantom change and the history stops
+    // linearizing.
     use lfc_runtime::fault;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -985,8 +986,8 @@ fn fuzz_keyed_moves_with_faults_armed() {
         InsB(u32),
         RemA(u32),
         RemB(u32),
-        TryMoveAB(u32),
-        TryMoveBA(u32),
+        MoveAB(u32),
+        MoveBA(u32),
     }
 
     fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
@@ -1009,15 +1010,14 @@ fn fuzz_keyed_moves_with_faults_armed() {
                 (0..5)
                     .map(|_| {
                         let k = rng.below(4) as u32;
-                        // Move-heavy mix: the armed site sits on the
-                        // composed path only.
+                        // Move-heavy mix around the armed inserts.
                         match rng.below(8) {
                             0 => FaultOp::InsA(k),
                             1 => FaultOp::InsB(k),
                             2 => FaultOp::RemA(k),
                             3 => FaultOp::RemB(k),
-                            4 | 5 => FaultOp::TryMoveAB(k),
-                            _ => FaultOp::TryMoveBA(k),
+                            4 | 5 => FaultOp::MoveAB(k),
+                            _ => FaultOp::MoveBA(k),
                         }
                     })
                     .collect()
@@ -1035,21 +1035,19 @@ fn fuzz_keyed_moves_with_faults_armed() {
                 let plans = plans.clone();
                 let refusals = refusals.clone();
                 move || {
-                    // Every second descriptor allocation fails.
-                    fault::arm_site("dcas.desc", fault::Schedule::EveryNth(2));
+                    // Every second fallible node allocation fails.
+                    fault::arm_site("structures.node", fault::Schedule::EveryNth(2));
                     let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
                     let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
                     let rec = Arc::new(Recorder::<KeyedPairOp>::new());
-                    // Seed the source map as a recorded sequential prefix:
-                    // a move of an absent key returns `SourceEmpty` before
-                    // it ever allocates, so an empty start would let most
-                    // executions dodge the armed site entirely.
+                    // Seed the source map as a recorded sequential prefix
+                    // (before the plan threads, so through the unarmed
+                    // infallible insert), giving the moves keys to carry.
                     for k in 0..4u32 {
                         rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
                     }
-                    // Root pin: keeps the plan threads out of the
-                    // solo-regime fast path, which commits without a
-                    // descriptor and would never reach the armed site.
+                    // Root pin: keeps the plan threads' moves on the
+                    // published path.
                     let _g = lfc_hazard::pin();
                     let handles: Vec<_> = plans
                         .iter()
@@ -1061,10 +1059,28 @@ fn fuzz_keyed_moves_with_faults_armed() {
                                 for op in ops {
                                     match op {
                                         FaultOp::InsA(k) => {
-                                            rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
+                                            let invoke = rec.now();
+                                            match a.try_insert(k, k) {
+                                                Ok(ok) => {
+                                                    let ret = rec.now();
+                                                    rec.push(KeyedPairOp::InsA(k, ok), invoke, ret);
+                                                }
+                                                Err(_) => {
+                                                    refusals.fetch_add(1, Ordering::Relaxed);
+                                                }
+                                            }
                                         }
                                         FaultOp::InsB(k) => {
-                                            rec.record(|| KeyedPairOp::InsB(k, b.insert(k, k)));
+                                            let invoke = rec.now();
+                                            match b.try_insert(k, k) {
+                                                Ok(ok) => {
+                                                    let ret = rec.now();
+                                                    rec.push(KeyedPairOp::InsB(k, ok), invoke, ret);
+                                                }
+                                                Err(_) => {
+                                                    refusals.fetch_add(1, Ordering::Relaxed);
+                                                }
+                                            }
                                         }
                                         FaultOp::RemA(k) => {
                                             rec.record(|| {
@@ -1076,37 +1092,21 @@ fn fuzz_keyed_moves_with_faults_armed() {
                                                 KeyedPairOp::RemB(k, b.remove(&k).is_some())
                                             });
                                         }
-                                        FaultOp::TryMoveAB(k) => {
-                                            let invoke = rec.now();
-                                            match try_move_keyed(&*a, &k, &*b) {
-                                                Ok(o) => {
-                                                    let ret = rec.now();
-                                                    rec.push(
-                                                        KeyedPairOp::MoveAB(k, mv_result(o)),
-                                                        invoke,
-                                                        ret,
-                                                    );
-                                                }
-                                                Err(_) => {
-                                                    refusals.fetch_add(1, Ordering::Relaxed);
-                                                }
-                                            }
+                                        FaultOp::MoveAB(k) => {
+                                            rec.record(|| {
+                                                KeyedPairOp::MoveAB(
+                                                    k,
+                                                    mv_result(move_keyed(&*a, &k, &*b)),
+                                                )
+                                            });
                                         }
-                                        FaultOp::TryMoveBA(k) => {
-                                            let invoke = rec.now();
-                                            match try_move_keyed(&*b, &k, &*a) {
-                                                Ok(o) => {
-                                                    let ret = rec.now();
-                                                    rec.push(
-                                                        KeyedPairOp::MoveBA(k, mv_result(o)),
-                                                        invoke,
-                                                        ret,
-                                                    );
-                                                }
-                                                Err(_) => {
-                                                    refusals.fetch_add(1, Ordering::Relaxed);
-                                                }
-                                            }
+                                        FaultOp::MoveBA(k) => {
+                                            rec.record(|| {
+                                                KeyedPairOp::MoveBA(
+                                                    k,
+                                                    mv_result(move_keyed(&*b, &k, &*a)),
+                                                )
+                                            });
                                         }
                                     }
                                 }
@@ -1141,15 +1141,13 @@ fn fuzz_keyed_moves_with_faults_armed() {
         "the armed allocation site never refused an attempt — the OOM adversary did not engage"
     );
 
-    // Phase B — kill + OOM armed TOGETHER, checked by conservation: the
+    // Phase B — the kill adversary, checked by conservation: the
     // recorder cannot express an operation whose owner died mid-flight
     // (it is completed later by an adopter, outside any inv/ret window),
     // so this phase asserts the ledger-grade invariant instead — every
     // token ends in exactly one map with its value intact, every corpse
     // is adopted. `Nth(1)` on the publish site guarantees exactly one
-    // death per execution: the first operation whose descriptor
-    // allocation survives `EveryNth(2)` reaches publication and dies
-    // there.
+    // death per execution: the first published move dies there.
     use lfc_dcas::adopt_dead_threads;
 
     let report = explore_random(
@@ -1161,7 +1159,6 @@ fn fuzz_keyed_moves_with_faults_armed() {
         },
         move || {
             fault::arm_site("dcas.published", fault::Schedule::Nth(1));
-            fault::arm_site("dcas.desc", fault::Schedule::EveryNth(2));
             let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
             let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
             for k in 0..3u32 {
@@ -1176,7 +1173,7 @@ fn fuzz_keyed_moves_with_faults_armed() {
                 let (a, b) = (a.clone(), b.clone());
                 lfc_model::thread::spawn(move || {
                     let _g = lfc_hazard::pin();
-                    let _ = try_move_keyed(&*a, &0u32, &*b);
+                    let _ = move_keyed(&*a, &0u32, &*b);
                 })
             };
             let worker = {
@@ -1184,7 +1181,7 @@ fn fuzz_keyed_moves_with_faults_armed() {
                 lfc_model::thread::spawn(move || {
                     let g = lfc_hazard::pin();
                     for k in [1u32, 2] {
-                        let _ = try_move_keyed(&*a, &k, &*b);
+                        let _ = move_keyed(&*a, &k, &*b);
                     }
                     // Bounded: depending on the interleaving the death may
                     // not have happened yet; the root backstop is certain.

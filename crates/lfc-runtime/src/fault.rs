@@ -13,7 +13,7 @@
 //!    thread out of an in-flight composed operation via [`abandon`]. The
 //!    in-flight descriptor was *published* before every kill site, so
 //!    survivors complete the operation by helping; the dead thread's id,
-//!    hazard-slot bank, and pooled resources are adopted afterwards
+//!    hazard-slot bank and epoch slot are adopted afterwards
 //!    (`lfc_dcas::adopt_dead_threads`).
 //!
 //! # Zero cost when disarmed
@@ -46,7 +46,6 @@
 //! | site | layer | meaning when fired |
 //! |---|---|---|
 //! | `alloc.block` | lfc-alloc | backstop: any pooled block allocation fails |
-//! | `dcas.desc` | lfc-dcas | descriptor allocation fails (checked before the pool) |
 //! | `dcas.announced` | lfc-dcas | owner dies right after announcing its descriptor |
 //! | `dcas.published` | lfc-dcas | owner dies right after the D10 install |
 //! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
@@ -173,9 +172,8 @@ thread_local! {
     /// Set by harness survivors: this thread never takes an injected fault.
     static SHIELDED: Cell<bool> = const { Cell::new(false) };
     /// Set by [`abandon`]: this thread is unwinding out of an operation it
-    /// will never complete. Read by the owned-descriptor `Drop`
-    /// (`lfc-dcas`'s one descriptor lifecycle) to leak (instead of recycle)
-    /// published descriptors.
+    /// will never complete. Read by `lfc-core`'s `Engine` drop to keep the
+    /// corpse's ENTRY hazards in place for helpers.
     static ABANDONING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -188,9 +186,9 @@ pub fn shield_thread(on: bool) {
 
 /// Run `f` with a second *registered* thread alive, so the calling thread
 /// is provably outside the solo regime ([`crate::solo`]) for the whole of
-/// `f`: commit descriptors are only allocated there, so an armed
-/// descriptor site (`dcas.desc`) can only fire
-/// — and a test arming one can only be non-vacuous — with a peer present.
+/// `f`: commits publish descriptors only there, so an armed `dcas.*` kill
+/// site can only fire — and a test arming one can only be non-vacuous —
+/// with a peer present.
 ///
 /// The peer shields itself (it never trips an armed site), claims a thread
 /// id, raises a ready flag and parks; the caller registers too, then waits
@@ -538,10 +536,9 @@ fn parse_schedule(s: &str) -> Option<Schedule> {
 pub const ABANDON_PAYLOAD: &str = "lfc: operation abandoned (injected thread death)";
 
 /// Whether the current thread is unwinding out of an operation it will
-/// never complete. The owned-descriptor `Drop` in `lfc-dcas` consults
-/// this to *leak* a published descriptor (helpers may still hold it) instead of
-/// recycling it, and `Engine`'s drop keeps the corpse's ENTRY hazards in
-/// place for them.
+/// never complete. `lfc-core`'s `Engine` drop consults this to keep the
+/// corpse's ENTRY hazards in place for the helpers that complete its
+/// published commit.
 pub fn thread_is_abandoning() -> bool {
     ABANDONING.try_with(|c| c.get()).unwrap_or(false)
 }
@@ -594,9 +591,9 @@ static ABANDONED_TOTAL: AtomicUsize = AtomicUsize::new(0);
 static ADOPTED_TOTAL: AtomicUsize = AtomicUsize::new(0);
 
 /// Finish an abandonment on the dying thread: run the registered
-/// thread-exit hooks (allocator-magazine and descriptor-pool flushes,
-/// hazard retire-list hand-off — all safe because the abandoning-aware
-/// `Drop` impls already leaked anything still published), then park the
+/// thread-exit hooks (allocator-magazine flushes, hazard retire-list
+/// hand-off — safe because the abandoning-aware `Drop` impls left
+/// anything still published in place), then park the
 /// thread id as a **corpse**: `CLAIMED` stays set and the active count
 /// stays up, so no survivor can enter the solo regime or reuse the bank
 /// while the dead thread's descriptor may still be installed. A survivor

@@ -238,10 +238,10 @@ pub fn detach_thread() {
     let _ = EXITING.try_with(|c| c.set(false));
 }
 
-/// Abandon the current thread's slot: run its exit hooks (magazine /
-/// descriptor-pool flushes, hazard retire hand-off — safe even
-/// mid-operation because the abandoning-aware `Drop` impls leaked anything
-/// still published) but **keep the id claimed and the active count up**.
+/// Abandon the current thread's slot: run its exit hooks (magazine
+/// flushes, hazard retire hand-off — safe even mid-operation because the
+/// abandoning-aware `Drop` impls leave anything still published in place)
+/// but **keep the id claimed and the active count up**.
 /// The thread becomes a corpse: its hazard bank keeps protecting whatever
 /// the abandoned operation holds, and no survivor can enter the solo
 /// regime while the corpse's descriptor may still be installed. A

@@ -5,8 +5,8 @@
 //! 1. open accounts and fund settlement lanes (tokens are minted),
 //! 2. run migration/settlement/tier-shift traffic while an auditor
 //!    takes quiesced sweeps — every sweep balances exactly,
-//! 3. starve the commit engine's descriptor allocation with the fault
-//!    injector and watch the ladder shed instead of block, then heal.
+//! 3. starve the structures' node allocation with the fault injector and
+//!    watch the ladder shed instead of block, then heal.
 //!
 //! ```sh
 //! cargo run --release --example ledger_service
@@ -80,26 +80,13 @@ fn main() {
         stop.store(true, Ordering::Release);
     });
 
-    // 3. Pressure: refuse every commit-descriptor allocation. Composed
-    // entry points burn their retry budget and report Overloaded — they
-    // never block — and the error window drives the ladder to Shed.
-    fault::arm_site("dcas.desc", fault::Schedule::Always);
-    let peer_stop = AtomicBool::new(false);
-    std::thread::scope(|sc| {
-        // A second registered thread keeps the service out of the solo
-        // regime (solo composed commits allocate nothing and cannot fail).
-        sc.spawn(|| {
-            fault::shield_thread(true);
-            let _g = lockfree_compose::hazard::pin();
-            while !peer_stop.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        for _ in 0..3 {
-            assert_eq!(ledger.settle(0, 1), Err(LedgerError::Overloaded));
-        }
-        peer_stop.store(true, Ordering::Release);
-    });
+    // 3. Pressure: refuse every node allocation. Opening an account burns
+    // its retry budget and reports Overloaded — it never blocks — and the
+    // error window drives the ladder to Shed.
+    fault::arm_site("structures.node", fault::Schedule::Always);
+    for _ in 0..3 {
+        assert_eq!(ledger.open(1), Err(LedgerError::Overloaded));
+    }
     fault::disarm();
 
     let state = ledger.health().poll();

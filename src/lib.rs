@@ -29,11 +29,10 @@
 #![warn(missing_docs)]
 
 pub use lfc_core::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap,
-    try_move_keyed, try_move_keyed_to_all, try_move_keyed_to_unkeyed, try_move_one,
-    try_move_to_all, try_swap, Composition, DynMoveTarget, InsertCtx, InsertOutcome,
-    KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget, NormalCas,
-    RemoveCtx, RemoveOutcome, ScasResult, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
+    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, Composition,
+    DynMoveTarget, InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint,
+    MoveOutcome, MoveSource, MoveTarget, NormalCas, RemoveCtx, RemoveOutcome, ScasResult,
+    SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
 pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 /// The composition-engine builder module (sources, stages, [`Composition`]).
@@ -76,7 +75,7 @@ pub mod fault {
 /// Dead-thread adoption: survivors complete and reclaim operations whose
 /// owner died mid-flight (see `lfc_dcas::adopt`).
 pub mod adopt {
-    pub use lfc_dcas::adopt::{adopt_dead_threads, announced, helped_completions};
+    pub use lfc_dcas::adopt::{adopt_dead_threads, helped_completions};
 }
 
 /// The chaos-hardened sharded ledger service built on composed operations

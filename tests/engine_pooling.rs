@@ -1,13 +1,16 @@
 //! Acceptance check for the unified engine's descriptor economy: the
 //! steady-state `move_to_all` hot path performs **zero** `lfc-alloc` block
-//! allocations — solo commits build no descriptors at all, and published
-//! descriptors are recycled through the per-thread pool.
+//! allocations for its commits — solo commits use no descriptor at all,
+//! and published commits reuse the calling thread's one descriptor record.
+//! So a published round allocates exactly the blocks a solo round does:
+//! the target nodes, and nothing else.
 //!
 //! One test per file (like `engine_commit.rs` in lfc-dcas): a sibling test's
 //! thread would register itself and both disturb the solo phase and race
-//! the process-global pool counters.
+//! the process-global allocator counters.
 
 use lfc_dcas::counters;
+use lockfree_compose::alloc_stats::stats;
 use lockfree_compose::{move_to_all, MoveOutcome, MsQueue};
 
 fn roundtrip(src: &MsQueue<u64>, refs: &[&MsQueue<u64>], dsts: &[MsQueue<u64>]) {
@@ -20,23 +23,47 @@ fn roundtrip(src: &MsQueue<u64>, refs: &[&MsQueue<u64>], dsts: &[MsQueue<u64>]) 
     }
 }
 
+/// `lfc-alloc` blocks handed out so far.
+fn blocks() -> usize {
+    let s = stats();
+    s.fresh + s.recycled + s.oversize
+}
+
+/// Blocks allocated by `rounds` round trips (each flushed, so retired
+/// nodes come back in the measured window's steady state).
+fn blocks_per(
+    rounds: usize,
+    src: &MsQueue<u64>,
+    refs: &[&MsQueue<u64>],
+    dsts: &[MsQueue<u64>],
+) -> usize {
+    let b0 = blocks();
+    for _ in 0..rounds {
+        roundtrip(src, refs, dsts);
+        lockfree_compose::hazard::flush();
+    }
+    blocks() - b0
+}
+
 #[test]
 fn steady_state_move_to_all_never_hits_the_allocator() {
+    const ROUNDS: usize = 200;
     let src: MsQueue<u64> = MsQueue::new();
     let dsts: Vec<MsQueue<u64>> = (0..3).map(|_| MsQueue::new()).collect();
     let refs: Vec<&MsQueue<u64>> = dsts.iter().collect();
     src.enqueue(1);
 
-    // Phase 1: solo regime — the commit never builds a descriptor.
+    // Phase 1: solo regime — the commit never uses a descriptor.
     assert_eq!(lfc_runtime::active_threads(), 1);
-    for _ in 0..50 {
-        roundtrip(&src, &refs, &dsts);
-    }
+    blocks_per(50, &src, &refs, &dsts);
+    let solo = blocks_per(ROUNDS, &src, &refs, &dsts);
     assert_eq!(
-        counters::desc_pool_hits() + counters::desc_pool_misses(),
+        counters::desc_pool_hits(),
         0,
         "solo move_to_all must not touch the descriptor layer at all"
     );
+    // One node per target, plus the re-enqueue into the source.
+    assert_eq!(solo, 4 * ROUNDS, "a solo round allocates only its nodes");
 
     // Phase 2: a second registered thread forces the published path.
     let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
@@ -48,28 +75,18 @@ fn steady_state_move_to_all_never_hits_the_allocator() {
     });
     ready_rx.recv().unwrap();
 
-    // Warmup: first commits miss the (empty) pools; flushing returns the
-    // retired descriptors so the pools are primed.
-    for _ in 0..50 {
-        roundtrip(&src, &refs, &dsts);
-        lockfree_compose::hazard::flush();
-    }
-    // Steady state: every allocation must be a pool hit.
-    let miss0 = counters::desc_pool_misses();
+    blocks_per(50, &src, &refs, &dsts);
     let hits0 = counters::desc_pool_hits();
-    for _ in 0..200 {
-        roundtrip(&src, &refs, &dsts);
-        lockfree_compose::hazard::flush();
-    }
+    let published = blocks_per(ROUNDS, &src, &refs, &dsts);
     assert_eq!(
-        counters::desc_pool_misses(),
-        miss0,
-        "steady-state move_to_all must never fall through to lfc-alloc"
+        published, solo,
+        "published commits must add no lfc-alloc block allocation"
     );
     assert!(
-        counters::desc_pool_hits() >= hits0 + 200,
-        "steady-state commits are served by the pools"
+        counters::desc_pool_hits() >= hits0 + ROUNDS,
+        "the measured commits took the published path"
     );
+    assert_eq!(counters::desc_pool_misses(), 0);
 
     stop_tx.send(()).unwrap();
     blocker.join().unwrap();

@@ -42,13 +42,14 @@ fn combined_kill_and_oom_conserve_every_token() {
     let abandoned0 = fault::abandoned_total();
 
     // Both adversaries at once (counters advance only for unshielded
-    // threads): kills after the announcement and after the publish, and
-    // refused descriptor allocations, at every commit width — the 4-entry
-    // settle path is where this workload mostly commits.
+    // threads): kills after the announcement and after the publish, at
+    // every commit width — the 4-entry settle path is where this workload
+    // mostly commits — and refused node allocations on the fallible
+    // paths: a notice broadcast stages its notice through `try_insert`.
     fault::arm_site("dcas.announced", fault::Schedule::EveryNth(37));
     fault::arm_site("dcas.published", fault::Schedule::EveryNth(7));
     fault::arm_site(
-        "dcas.desc",
+        "structures.node",
         fault::Schedule::Prob {
             ppm: 25_000,
             seed: 0x6ED1,
@@ -68,11 +69,17 @@ fn combined_kill_and_oom_conserve_every_token() {
                     fault::abandonment_scope(|| {
                         for _ in 0..24 {
                             let id = i % ACCOUNTS;
-                            match i % 4 {
+                            match i % 5 {
                                 0 => drop(l.migrate(id, (id as usize + 1) % 3)),
                                 1 => drop(l.settle(i as usize % 3, (i as usize + 1) % 3)),
                                 2 => drop(l.promote(id)),
-                                _ => drop(l.demote(id)),
+                                3 => drop(l.demote(id)),
+                                // Notices carry no tokens and are not
+                                // accounts: conservation ignores them.
+                                _ => {
+                                    let _ = l.broadcast_notice(i % 4);
+                                    l.collect_notice(i % 4);
+                                }
                             }
                             i = i.wrapping_add(1);
                         }
@@ -113,7 +120,7 @@ fn combined_kill_and_oom_conserve_every_token() {
     fault::disarm_site("dcas.published");
     let r = l.quiesced_audit();
     assert!(r.conserved(), "sweep with only the OOM adversary: {r:?}");
-    fault::disarm_site("dcas.desc");
+    fault::disarm_site("structures.node");
 
     let r = l.quiesced_audit();
     assert!(r.conserved(), "final sweep fully disarmed: {r:?}");
