@@ -84,9 +84,9 @@
 //! latency.
 
 use crate::compose::{
-    drive_move_keyed, drive_move_keyed_to_all, drive_move_one, drive_swap, move_verdict,
-    swap_verdict, Engine, SwapOutcome,
+    drive_move_one, drive_move_to_all, drive_swap, move_verdict, swap_verdict, Engine, SwapOutcome,
 };
+use crate::keyed::{at_each, At};
 use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering};
 use crate::{KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget};
 use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
@@ -509,16 +509,11 @@ impl<R: BatchOp> BatchGate<R> {
     /// (injected at the `"batch.gate"` site, or genuine exhaustion)
     /// surfaces as `Err`.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        Self::try_with_direct_budget(DEFAULT_DIRECT_BUDGET)
-    }
-
-    /// Fallible [`with_direct_budget`](Self::with_direct_budget).
-    pub fn try_with_direct_budget(budget: u32) -> Result<Self, lfc_alloc::AllocError> {
         if lfc_runtime::fault::check("batch.gate") {
             return Err(lfc_alloc::AllocError);
         }
         let p = lfc_alloc::try_alloc_block(Layout::new::<GateHeader>())?.cast::<GateHeader>();
-        Ok(Self::from_header(p, budget))
+        Ok(Self::from_header(p, DEFAULT_DIRECT_BUDGET))
     }
 
     fn from_header(p: NonNull<GateHeader>, budget: u32) -> Self {
@@ -865,23 +860,12 @@ where
     D: KeyedMoveTarget<K, T> + Sync + ?Sized,
 {
     fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        let mut eng = Engine::new(2);
-        eng.set_fail_budget(fail_budget);
-        let outcome = drive_move_keyed(&mut eng, self.src, &self.key, self.dst, Engine::commit);
-        direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
+        let (src, dst) = (At::new(self.src, &self.key), At::new(self.dst, &self.key));
+        direct_move_one(&src, &dst, fail_budget)
     }
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        let g = still_pending(flag)?;
-        let w = move_words();
-        let mut eng = Engine::new(3);
-        let outcome = drive_move_keyed(
-            &mut eng,
-            self.src,
-            &self.key,
-            self.dst,
-            |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
-        );
-        settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
+        let (src, dst) = (At::new(self.src, &self.key), At::new(self.dst, &self.key));
+        flagged_move_one(&src, &dst, flag, node_hp)
     }
 }
 
@@ -905,13 +889,32 @@ impl<'a, K, T, S: ?Sized, D: ?Sized> MoveKeyedToAllOp<'a, K, T, S, D> {
         }
     }
 
-    /// Both run sites refuse an empty or oversized target list.
-    fn check_width(&self) {
+    /// The number of targets. Both run sites refuse an empty or oversized
+    /// target list.
+    fn width(&self) -> usize {
+        let n = self.dsts.len();
         assert!(
-            (1..=MAX_ENTRIES - 2).contains(&self.dsts.len()),
+            (1..=MAX_ENTRIES - 2).contains(&n),
             "batched fan-out supports 1..={} targets",
             MAX_ENTRIES - 2
         );
+        n
+    }
+
+    /// Run the fan-out over key views of the source and every target and
+    /// encode its verdict.
+    fn drive<F>(&self, eng: &mut Engine, tail: F) -> Word
+    where
+        K: Clone,
+        T: Clone,
+        S: KeyedMoveSource<K, T>,
+        D: KeyedMoveTarget<K, T>,
+        F: FnMut(&mut Engine) -> bool,
+    {
+        let views = at_each(self.dsts, &self.key);
+        let src = At::new(self.src, &self.key);
+        let outcome = drive_move_to_all(eng, &src, &views[..self.dsts.len()], tail);
+        encode_move(move_verdict(eng, &outcome))
     }
 }
 
@@ -930,26 +933,20 @@ where
     D: KeyedMoveTarget<K, T> + Sync + ?Sized,
 {
     fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        self.check_width();
-        let mut eng = Engine::new(1 + self.dsts.len());
+        let mut eng = Engine::new(1 + self.width());
         eng.set_fail_budget(fail_budget);
-        let outcome =
-            drive_move_keyed_to_all(&mut eng, self.src, &self.key, self.dsts, Engine::commit);
-        direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
+        let verdict = self.drive(&mut eng, Engine::commit);
+        direct_word(&eng, verdict)
     }
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        self.check_width();
+        let plan = 2 + self.width();
         let g = still_pending(flag)?;
         let w = move_words();
-        let mut eng = Engine::new(2 + self.dsts.len());
-        let outcome = drive_move_keyed_to_all(
-            &mut eng,
-            self.src,
-            &self.key,
-            self.dsts,
-            |eng: &mut Engine| flagged_commit(eng, flag, w.done, node_hp),
-        );
-        settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
+        let mut eng = Engine::new(plan);
+        let verdict = self.drive(&mut eng, |eng: &mut Engine| {
+            flagged_commit(eng, flag, w.done, node_hp)
+        });
+        settle(&g, flag, verdict, w)
     }
 }
 

@@ -7,9 +7,9 @@
 //! engines. This module replaces all three with a single engine:
 //!
 //! * a composition is a nest of **stages**, each owning one entry index;
-//!   stage *i* runs its operation (a remove or an insert, keyed or not),
-//!   captures the operation's linearization-point CAS triple at its entry,
-//!   and invokes stage *i*+1 from inside the capture;
+//!   stage *i* runs its operation (a remove or an insert), captures the
+//!   operation's linearization-point CAS triple at its entry, and invokes
+//!   stage *i*+1 from inside the capture;
 //! * the innermost stage commits every captured entry through
 //!   [`lfc_dcas::commit_entries`], which runs the paper's DCAS entry by
 //!   entry over all K words with one reused descriptor per thread, or the
@@ -25,10 +25,16 @@
 //! and surface as [`MoveOutcome::WouldAlias`] / [`SwapOutcome::WouldAlias`]:
 //! a k-word CAS cannot express two CASes on one word.
 //!
-//! On top of the engine this module ships the compositions the three old
-//! machines could not express — [`swap`], [`move_keyed_to_all`],
-//! [`move_keyed_to_unkeyed`] — and the public [`Composition`] builder for
-//! user-defined chains mixing keyed and unkeyed stages.
+//! The engine knows one pair of traits, [`MoveSource`] and [`MoveTarget`],
+//! and one driver per composition shape: `drive_move_one`,
+//! `drive_move_to_all` and `drive_swap`. A keyed object enters as a key
+//! view ([`At`]: the object at one key *is* a move-ready object), so
+//! [`move_keyed`], [`move_keyed_to_all`], [`move_keyed_to_unkeyed`] and the
+//! keyed [`Composition`] builder methods are views over those drivers, not
+//! keyed twins of them. On top of the engine this module ships the
+//! compositions the three old machines could not express — [`swap`], the
+//! keyed fan-out, keyed → unkeyed moves — and the public [`Composition`]
+//! builder for user-defined chains mixing keyed and unkeyed stages.
 //!
 //! # Hazard discipline: capture-time promotion (PR 3)
 //!
@@ -67,6 +73,7 @@
 //!   rule, never a named hazard. A composition whose thread is ejected (or
 //!   even zombified) mid-commit therefore still holds every captured word.
 
+use crate::keyed::{at_each, At};
 use crate::{
     InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource,
     MoveTarget, RemoveCtx, RemoveOutcome, ScasResult,
@@ -392,7 +399,7 @@ where
     }
 }
 
-/// Drive an unkeyed insert as stage `idx`.
+/// Drive an insert as stage `idx`.
 fn run_insert<T, D, F>(eng: &mut Engine, idx: usize, dst: &D, elem: T, cont: F) -> bool
 where
     D: MoveTarget<T> + ?Sized,
@@ -401,45 +408,14 @@ where
     insert_stage(eng, idx, cont, |ctx| dst.insert_with(elem, ctx))
 }
 
-/// Drive a keyed insert as stage `idx`.
-fn run_insert_keyed<K, T, D, F>(
-    eng: &mut Engine,
-    idx: usize,
-    dst: &D,
-    key: K,
-    elem: T,
-    cont: F,
-) -> bool
-where
-    D: KeyedMoveTarget<K, T> + ?Sized,
-    F: FnMut(&mut Engine) -> bool,
-{
-    insert_stage(eng, idx, cont, |ctx| dst.insert_key_with(key, elem, ctx))
-}
-
-/// Drive an unkeyed remove as stage `idx`, handing back its raw outcome
-/// (the outermost stage's outcome is what the verdict mappings read).
+/// Drive a remove as stage `idx`, handing back its raw outcome (the
+/// outermost stage's outcome is what the verdict mappings read).
 fn remove_stage<T, S, F>(eng: &mut Engine, idx: usize, src: &S, cont: F) -> RemoveOutcome<T>
 where
     S: MoveSource<T> + ?Sized,
     F: FnMut(&mut Engine, &T) -> bool,
 {
     src.remove_with(&mut StageRemoveCtx { eng, idx, cont })
-}
-
-/// Drive a keyed remove as stage `idx`.
-fn remove_key_stage<K, T, S, F>(
-    eng: &mut Engine,
-    idx: usize,
-    src: &S,
-    key: &K,
-    cont: F,
-) -> RemoveOutcome<T>
-where
-    S: KeyedMoveSource<K, T> + ?Sized,
-    F: FnMut(&mut Engine, &T) -> bool,
-{
-    src.remove_key_with(key, &mut StageRemoveCtx { eng, idx, cont })
 }
 
 /// Drive an *inner* remove as stage `idx`, folding its outcome into the
@@ -465,7 +441,8 @@ where
 // terminal stage `tail` — [`Engine::commit`], or the batched front-end's
 // flag-capturing commit. The plain, `direct_*` and `flagged_*` entry
 // points all call these and differ only in engine set-up and in how
-// they map the returned outermost outcome to a verdict.
+// they map the returned outermost outcome to a verdict. Keyed objects
+// enter as key views ([`At`]), so no driver knows about keys.
 // ---------------------------------------------------------------------------
 
 /// Shape `move_one`: remove (stage 0) → insert (stage 1) → `tail`.
@@ -486,72 +463,36 @@ where
     })
 }
 
-/// Shape `move_keyed`: keyed remove → keyed insert (same key) → `tail`.
-pub(crate) fn drive_move_keyed<K, T, S, D, F>(
-    eng: &mut Engine,
-    src: &S,
-    key: &K,
-    dst: &D,
-    mut tail: F,
-) -> RemoveOutcome<T>
+/// Fan `elem` into every target from stage `idx` on, then `tail`.
+fn fan_out<T, D, F>(eng: &mut Engine, idx: usize, dsts: &[D], elem: &T, tail: &mut F) -> bool
 where
-    K: Clone,
     T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-    F: FnMut(&mut Engine) -> bool,
-{
-    remove_key_stage(eng, 0, src, key, |eng: &mut Engine, elem: &T| {
-        run_insert_keyed(eng, 1, dst, key.clone(), elem.clone(), &mut tail)
-    })
-}
-
-/// Fan `elem` into every keyed target from stage `idx` on, then `tail`.
-fn fan_out_keyed<K, T, D, F>(
-    eng: &mut Engine,
-    idx: usize,
-    dsts: &[&D],
-    key: &K,
-    elem: &T,
-    tail: &mut F,
-) -> bool
-where
-    K: Clone,
-    T: Clone,
-    D: KeyedMoveTarget<K, T> + ?Sized,
+    D: MoveTarget<T>,
     F: FnMut(&mut Engine) -> bool,
 {
     match dsts.split_first() {
         None => tail(eng),
-        Some((first, rest)) => run_insert_keyed(
-            eng,
-            idx,
-            *first,
-            key.clone(),
-            elem.clone(),
-            |eng: &mut Engine| fan_out_keyed(eng, idx + 1, rest, key, elem, tail),
-        ),
+        Some((first, rest)) => run_insert(eng, idx, first, elem.clone(), |eng: &mut Engine| {
+            fan_out(eng, idx + 1, rest, elem, tail)
+        }),
     }
 }
 
-/// Shape `move_keyed_to_all`: keyed remove → one keyed insert per target →
-/// `tail`.
-pub(crate) fn drive_move_keyed_to_all<K, T, S, D, F>(
+/// Shape `move_to_all`: remove → one insert per target → `tail`.
+pub(crate) fn drive_move_to_all<T, S, D, F>(
     eng: &mut Engine,
     src: &S,
-    key: &K,
-    dsts: &[&D],
+    dsts: &[D],
     mut tail: F,
 ) -> RemoveOutcome<T>
 where
-    K: Clone,
     T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: KeyedMoveTarget<K, T> + ?Sized,
+    S: MoveSource<T> + ?Sized,
+    D: MoveTarget<T>,
     F: FnMut(&mut Engine) -> bool,
 {
-    remove_key_stage(eng, 0, src, key, |eng: &mut Engine, elem: &T| {
-        fan_out_keyed(eng, 1, dsts, key, elem, &mut tail)
+    remove_stage(eng, 0, src, |eng: &mut Engine, elem: &T| {
+        fan_out(eng, 1, dsts, elem, &mut tail)
     })
 }
 
@@ -629,8 +570,8 @@ where
 /// absent from the source and [`MoveOutcome::TargetRejected`] when the
 /// target already holds the key (or is full).
 ///
-/// A thin wrapper over the unified composition engine (keyed remove at
-/// stage 0, keyed insert at stage 1).
+/// The keyed object at `key` is an ordinary move-ready object ([`At`]),
+/// so this is [`move_one`] between the two key views.
 pub fn move_keyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> MoveOutcome
 where
     K: Clone,
@@ -638,25 +579,7 @@ where
     S: KeyedMoveSource<K, T> + ?Sized,
     D: KeyedMoveTarget<K, T> + ?Sized,
 {
-    let mut eng = Engine::new(2);
-    let outcome = drive_move_keyed(&mut eng, src, key, dst, Engine::commit);
-    move_verdict(&eng, &outcome)
-}
-
-/// Fan `elem` into every target from stage `idx` on, committing innermost.
-fn fan_out<T, D>(eng: &mut Engine, idx: usize, dsts: &[&D], elem: &T) -> bool
-where
-    T: Clone,
-    D: MoveTarget<T> + ?Sized,
-{
-    match dsts.split_first() {
-        None => eng.commit(),
-        Some((first, rest)) => {
-            run_insert(eng, idx, *first, elem.clone(), move |eng: &mut Engine| {
-                fan_out(eng, idx + 1, rest, elem)
-            })
-        }
-    }
+    move_one(&At::new(src, key), &At::new(dst, key))
 }
 
 /// Atomically remove one element from `src` and insert a clone of it into
@@ -687,9 +610,7 @@ where
         "move_to_all supports 1..={MAX_TARGETS} targets"
     );
     let mut eng = Engine::new(1 + dsts.len());
-    let outcome = remove_stage(&mut eng, 0, src, |eng: &mut Engine, elem: &T| {
-        fan_out(eng, 1, dsts, elem)
-    });
+    let outcome = drive_move_to_all(&mut eng, src, dsts, Engine::commit);
     move_verdict(&eng, &outcome)
 }
 
@@ -716,25 +637,27 @@ where
         "move_keyed_to_all supports 1..={MAX_TARGETS} targets"
     );
     let mut eng = Engine::new(1 + dsts.len());
-    let outcome = drive_move_keyed_to_all(&mut eng, src, key, dsts, Engine::commit);
+    let views = at_each(dsts, key);
+    let outcome = drive_move_to_all(
+        &mut eng,
+        &At::new(src, key),
+        &views[..dsts.len()],
+        Engine::commit,
+    );
     move_verdict(&eng, &outcome)
 }
 
 /// Atomically move the element stored under `key` in a *keyed* source into
 /// an *unkeyed* target (e.g. a hash map → a queue): the key is dropped and
 /// the element crosses container shapes in one linearization point.
-/// Equivalent to
-/// `Composition::moving_key_from(src, key).into_target(dst).run()`.
+/// This is [`move_one`] from the key view [`At`]`::new(src, key)`.
 pub fn move_keyed_to_unkeyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> MoveOutcome
 where
-    K: Clone,
     T: Clone,
     S: KeyedMoveSource<K, T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    Composition::moving_key_from(src, key)
-        .into_target(dst)
-        .run()
+    move_one(&At::new(src, key), dst)
 }
 
 /// Outcome of a composed [`swap`].
@@ -783,8 +706,7 @@ mod sealed {
     /// [`super::Composition`] builder.
     pub trait Sealed {}
     impl Sealed for super::Commit {}
-    impl<D: ?Sized, C> Sealed for super::InsertStage<'_, D, C> {}
-    impl<K, D: ?Sized, C> Sealed for super::KeyedInsertStage<'_, K, D, C> {}
+    impl<D, C> Sealed for super::InsertStage<D, C> {}
 }
 
 /// A compiled chain of insert stages (sealed; constructed by
@@ -799,17 +721,11 @@ pub trait Stages<T>: sealed::Sealed {
 /// The terminal chain element: commits every captured entry.
 pub struct Commit;
 
-/// An unkeyed insert stage.
-pub struct InsertStage<'a, D: ?Sized, C> {
-    dst: &'a D,
-    rest: C,
-}
-
-/// A keyed insert stage (inserts under its own key, which may differ from
-/// the source's — an atomic *re-key* is a valid composition).
-pub struct KeyedInsertStage<'a, K, D: ?Sized, C> {
-    dst: &'a D,
-    key: &'a K,
+/// An insert stage: a `&D`, or a key view [`At`] (which inserts under its
+/// own key — that may differ from the source's, so an atomic *re-key* is a
+/// valid composition).
+pub struct InsertStage<D, C> {
+    dst: D,
     rest: C,
 }
 
@@ -820,51 +736,18 @@ impl<T> Stages<T> for Commit {
     }
 }
 
-impl<T, D, C> Stages<T> for InsertStage<'_, D, C>
+impl<T, D, C> Stages<T> for InsertStage<D, C>
 where
     T: Clone,
-    D: MoveTarget<T> + ?Sized,
+    D: MoveTarget<T>,
     C: Stages<T>,
 {
     const LEN: usize = 1 + C::LEN;
     fn run_chain(&self, eng: &mut Engine, idx: usize, elem: &T) -> bool {
-        run_insert(eng, idx, self.dst, elem.clone(), |eng: &mut Engine| {
+        run_insert(eng, idx, &self.dst, elem.clone(), |eng: &mut Engine| {
             self.rest.run_chain(eng, idx + 1, elem)
         })
     }
-}
-
-impl<K, T, D, C> Stages<T> for KeyedInsertStage<'_, K, D, C>
-where
-    K: Clone,
-    T: Clone,
-    D: KeyedMoveTarget<K, T> + ?Sized,
-    C: Stages<T>,
-{
-    const LEN: usize = 1 + C::LEN;
-    fn run_chain(&self, eng: &mut Engine, idx: usize, elem: &T) -> bool {
-        run_insert_keyed(
-            eng,
-            idx,
-            self.dst,
-            self.key.clone(),
-            elem.clone(),
-            |eng: &mut Engine| self.rest.run_chain(eng, idx + 1, elem),
-        )
-    }
-}
-
-/// The unkeyed source of a [`Composition`].
-pub struct Source<'a, T, S: ?Sized> {
-    src: &'a S,
-    _elem: std::marker::PhantomData<fn() -> T>,
-}
-
-/// The keyed source of a [`Composition`].
-pub struct KeyedSource<'a, K, T, S: ?Sized> {
-    src: &'a S,
-    key: &'a K,
-    _elem: std::marker::PhantomData<fn() -> T>,
 }
 
 /// A builder for composed operations over the unified engine.
@@ -872,7 +755,8 @@ pub struct KeyedSource<'a, K, T, S: ?Sized> {
 /// A composition removes one element from its source and inserts clones of
 /// it into every accumulated target — any mix of keyed and unkeyed stages,
 /// up to [`MAX_ENTRIES`] linearization points in total — committing all of
-/// them at a single linearization point.
+/// them at a single linearization point. The source is held by value: a
+/// `&S`, or a key view [`At`].
 ///
 /// ```
 /// use lfc_core::compose::Composition;
@@ -896,42 +780,35 @@ pub struct KeyedSource<'a, K, T, S: ?Sized> {
 /// assert_eq!(work.dequeue().as_deref(), Some("session-7"));
 /// assert_eq!(audit.pop().as_deref(), Some("session-7"));
 /// ```
-pub struct Composition<Src, C> {
-    source: Src,
+pub struct Composition<S, C> {
+    source: S,
     chain: C,
 }
 
-impl<'a, T, S: ?Sized> Composition<Source<'a, T, S>, Commit> {
+impl<'a, S: ?Sized> Composition<&'a S, Commit> {
     /// Start a composition that removes its element from the unkeyed `src`.
     pub fn moving_from(src: &'a S) -> Self {
         Composition {
-            source: Source {
-                src,
-                _elem: std::marker::PhantomData,
-            },
+            source: src,
             chain: Commit,
         }
     }
 }
 
-impl<'a, K, T, S: ?Sized> Composition<KeyedSource<'a, K, T, S>, Commit> {
+impl<'a, K, S: ?Sized> Composition<At<'a, K, S>, Commit> {
     /// Start a composition that removes the element under `key` from the
     /// keyed `src`.
     pub fn moving_key_from(src: &'a S, key: &'a K) -> Self {
         Composition {
-            source: KeyedSource {
-                src,
-                key,
-                _elem: std::marker::PhantomData,
-            },
+            source: At::new(src, key),
             chain: Commit,
         }
     }
 }
 
-impl<Src, C> Composition<Src, C> {
+impl<S, C> Composition<S, C> {
     /// Add an unkeyed insert target.
-    pub fn into_target<D: ?Sized>(self, dst: &D) -> Composition<Src, InsertStage<'_, D, C>> {
+    pub fn into_target<D: ?Sized>(self, dst: &D) -> Composition<S, InsertStage<&D, C>> {
         Composition {
             source: self.source,
             chain: InsertStage {
@@ -946,63 +823,32 @@ impl<Src, C> Composition<Src, C> {
         self,
         dst: &'b D,
         key: &'b K,
-    ) -> Composition<Src, KeyedInsertStage<'b, K, D, C>> {
+    ) -> Composition<S, InsertStage<At<'b, K, D>, C>> {
         Composition {
             source: self.source,
-            chain: KeyedInsertStage {
-                dst,
-                key,
+            chain: InsertStage {
+                dst: At::new(dst, key),
                 rest: self.chain,
             },
         }
     }
-}
 
-impl<T, S, C> Composition<Source<'_, T, S>, C>
-where
-    T: Clone,
-    S: MoveSource<T> + ?Sized,
-    C: Stages<T>,
-{
     /// Execute the composition. Lock-free and linearizable when every
     /// object involved is a lock-free move-ready object.
-    pub fn run(&self) -> MoveOutcome {
+    pub fn run<T>(&self) -> MoveOutcome
+    where
+        T: Clone,
+        S: MoveSource<T>,
+        C: Stages<T>,
+    {
         assert!(
             (1..=MAX_TARGETS).contains(&C::LEN),
             "a composition takes 1..={MAX_TARGETS} insert stages"
         );
         let mut eng = Engine::new(1 + C::LEN);
-        let outcome = remove_stage(
-            &mut eng,
-            0,
-            self.source.src,
-            |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
-        );
-        move_verdict(&eng, &outcome)
-    }
-}
-
-impl<K, T, S, C> Composition<KeyedSource<'_, K, T, S>, C>
-where
-    K: Clone,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    C: Stages<T>,
-{
-    /// Execute the composition (keyed source).
-    pub fn run(&self) -> MoveOutcome {
-        assert!(
-            (1..=MAX_TARGETS).contains(&C::LEN),
-            "a composition takes 1..={MAX_TARGETS} insert stages"
-        );
-        let mut eng = Engine::new(1 + C::LEN);
-        let outcome = remove_key_stage(
-            &mut eng,
-            0,
-            self.source.src,
-            self.source.key,
-            |eng: &mut Engine, elem: &T| self.chain.run_chain(eng, 1, elem),
-        );
+        let outcome = remove_stage(&mut eng, 0, &self.source, |eng: &mut Engine, elem: &T| {
+            self.chain.run_chain(eng, 1, elem)
+        });
         move_verdict(&eng, &outcome)
     }
 }

@@ -5,11 +5,14 @@
 //!
 //! The linearization contexts are key-agnostic (a keyed remove still
 //! linearizes at one CAS and still has its element available beforehand),
-//! so keyed objects plug into the same unified engine ([`crate::compose`])
-//! as everything else: [`crate::move_keyed`] is a two-stage composition,
-//! and the keyed traits also power [`crate::move_keyed_to_all`],
-//! [`crate::move_keyed_to_unkeyed`] and keyed [`crate::Composition`]
-//! stages.
+//! so a keyed object *at one key* is just another move-ready object. The
+//! key view [`At`] says exactly that: it implements [`MoveSource`] and
+//! [`MoveTarget`] over a [`KeyedMoveSource`] / [`KeyedMoveTarget`], and the
+//! engine ([`crate::compose`]) drives every composition through the unkeyed
+//! traits only. [`crate::move_keyed`], [`crate::move_keyed_to_all`],
+//! [`crate::move_keyed_to_unkeyed`], the keyed [`crate::Composition`]
+//! builder methods and the keyed batched requests are all key views over
+//! the unkeyed shape drivers.
 //!
 //! # Captures versus internal restructuring (PR 5)
 //!
@@ -26,7 +29,9 @@
 //! semantically meaningful words, and every `scas` retry re-running the
 //! locate phase from scratch.
 
-use crate::{InsertCtx, InsertOutcome, RemoveCtx, RemoveOutcome};
+use crate::{
+    InsertCtx, InsertOutcome, MoveSource, MoveTarget, RemoveCtx, RemoveOutcome, MAX_TARGETS,
+};
 
 /// An object whose keyed remove is move-ready.
 pub trait KeyedMoveSource<K, T> {
@@ -51,4 +56,59 @@ impl<K, T, D: KeyedMoveTarget<K, T>> KeyedMoveTarget<K, T> for &D {
     fn insert_key_with<C: InsertCtx>(&self, key: K, elem: T, ctx: &mut C) -> InsertOutcome {
         (**self).insert_key_with(key, elem, ctx)
     }
+}
+
+/// A keyed object viewed at one key: a remove takes the element stored
+/// under `key`, an insert stores the element under (a clone of) `key`.
+///
+/// This is how keyed objects enter every composition:
+///
+/// ```
+/// use lfc_core::keyed::At;
+/// use lfc_core::{move_keyed_to_unkeyed, move_one, MoveOutcome};
+/// use lfc_structures::{LfHashMap, MsQueue};
+///
+/// let map: LfHashMap<u64, String> = LfHashMap::new();
+/// let queue: MsQueue<String> = MsQueue::new();
+/// map.insert(1, "one".into());
+/// map.insert(2, "two".into());
+///
+/// // The view is an ordinary move-ready source…
+/// assert_eq!(move_one(&At::new(&map, &1), &queue), MoveOutcome::Moved);
+/// // …and the keyed entry point is that same composition.
+/// assert_eq!(move_keyed_to_unkeyed(&map, &2, &queue), MoveOutcome::Moved);
+/// assert_eq!(move_one(&At::new(&map, &1), &queue), MoveOutcome::SourceEmpty);
+/// assert_eq!(queue.dequeue().as_deref(), Some("one"));
+/// assert_eq!(queue.dequeue().as_deref(), Some("two"));
+/// ```
+pub struct At<'a, K, S: ?Sized> {
+    obj: &'a S,
+    key: &'a K,
+}
+
+impl<'a, K, S: ?Sized> At<'a, K, S> {
+    /// View `obj` at `key`.
+    pub fn new(obj: &'a S, key: &'a K) -> Self {
+        At { obj, key }
+    }
+}
+
+impl<K, T, S: KeyedMoveSource<K, T> + ?Sized> MoveSource<T> for At<'_, K, S> {
+    fn remove_with<C: RemoveCtx<T>>(&self, ctx: &mut C) -> RemoveOutcome<T> {
+        self.obj.remove_key_with(self.key, ctx)
+    }
+}
+
+impl<K: Clone, T, S: KeyedMoveTarget<K, T> + ?Sized> MoveTarget<T> for At<'_, K, S> {
+    fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
+        self.obj.insert_key_with(self.key.clone(), elem, ctx)
+    }
+}
+
+/// Views of every object of `objs` (1..=[`MAX_TARGETS`] of them, which
+/// the fan-out entry points assert first) at the one `key`, in order;
+/// entries past `objs.len()` repeat the last view, so callers slice
+/// `[..objs.len()]`. A fixed array, so a keyed fan-out allocates nothing.
+pub(crate) fn at_each<'a, K, S: ?Sized>(objs: &[&'a S], key: &'a K) -> [At<'a, K, S>; MAX_TARGETS] {
+    std::array::from_fn(|i| At::new(objs[i.min(objs.len() - 1)], key))
 }

@@ -38,7 +38,10 @@
 //! Every composed operation — [`move_one`], [`move_keyed`],
 //! [`move_to_all`], [`swap`], [`move_keyed_to_all`],
 //! [`move_keyed_to_unkeyed`] and user-defined [`compose::Composition`]
-//! chains — is a thin wrapper over that one engine.
+//! chains — is a thin wrapper over that one engine, which drives
+//! [`MoveSource`]/[`MoveTarget`] only: a keyed object enters as the key
+//! view [`At`] (the object at one key), never through a keyed twin of a
+//! driver.
 
 #![warn(missing_docs)]
 
@@ -52,7 +55,7 @@ pub use compose::{
     move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, Composition,
     SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
-pub use keyed::{KeyedMoveSource, KeyedMoveTarget};
+pub use keyed::{At, KeyedMoveSource, KeyedMoveTarget};
 
 use lfc_dcas::{DAtomic, Word};
 
@@ -202,13 +205,13 @@ pub enum MoveOutcome {
     WouldAlias,
 }
 
-impl<T, S: MoveSource<T>> MoveSource<T> for &S {
+impl<T, S: MoveSource<T> + ?Sized> MoveSource<T> for &S {
     fn remove_with<C: RemoveCtx<T>>(&self, ctx: &mut C) -> RemoveOutcome<T> {
         (**self).remove_with(ctx)
     }
 }
 
-impl<T, D: MoveTarget<T>> MoveTarget<T> for &D {
+impl<T, D: MoveTarget<T> + ?Sized> MoveTarget<T> for &D {
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
         (**self).insert_with(elem, ctx)
     }

@@ -5,10 +5,10 @@
 use lfc_core::batch::{self, decode_move, decode_swap, encode_move, encode_swap};
 use lfc_core::compose::SwapOutcome;
 use lfc_core::{
-    move_keyed, move_one, swap, BatchGate, BatchOp, MoveKeyedOp, MoveOneOp, MoveOutcome,
-    MoveSource, MoveTarget, SwapOp,
+    move_keyed, move_keyed_to_all, move_one, swap, BatchGate, BatchOp, MoveKeyedOp,
+    MoveKeyedToAllOp, MoveOneOp, MoveOutcome, MoveSource, MoveTarget, SwapOp, MAX_ENTRIES,
 };
-use lfc_dcas::DAtomic;
+use lfc_dcas::{DAtomic, Word};
 use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -158,6 +158,68 @@ fn swap_agrees<St, A, B>(
     assert_eq!(SwapOp::new(a, b).run_flagged(&flag, 0), None);
 }
 
+type Map = LfHashMap<u64, u64>;
+
+/// A keyed fan-out scenario on key 1: the source holds `1 → 10` iff
+/// `src_has_key`; the last of `width` targets holds `1 → 11` iff
+/// `dup_in_last`.
+fn fan(width: usize, src_has_key: bool, dup_in_last: bool) -> (Map, Vec<Map>) {
+    let src = Map::new();
+    if src_has_key {
+        src.insert(1, 10);
+    }
+    let dsts: Vec<Map> = (0..width).map(|_| Map::new()).collect();
+    if dup_in_last {
+        if let Some(last) = dsts.last() {
+            last.insert(1, 11);
+        }
+    }
+    (src, dsts)
+}
+
+/// [`move_one_agrees`] for the keyed fan-out: `move_keyed_to_all` and
+/// `MoveKeyedToAllOp`'s direct and flagged runs report `expect`, and leave
+/// the same state behind — all-or-nothing, so a rejection touches no
+/// target.
+fn keyed_fan_out_agrees(width: usize, src_has_key: bool, dup_in_last: bool, expect: MoveOutcome) {
+    let moved = expect == MoveOutcome::Moved;
+    let check = |src: &Map, dsts: &[Map]| {
+        let kept = src_has_key && !moved;
+        assert_eq!(src.get(&1), kept.then_some(10), "source after {expect:?}");
+        for (i, d) in dsts.iter().enumerate() {
+            let want = if moved {
+                Some(10)
+            } else if dup_in_last && i + 1 == width {
+                Some(11)
+            } else {
+                None
+            };
+            assert_eq!(d.get(&1), want, "target {i} of {width} after {expect:?}");
+        }
+    };
+
+    let (src, dsts) = fan(width, src_has_key, dup_in_last);
+    let refs: Vec<&Map> = dsts.iter().collect();
+    assert_eq!(move_keyed_to_all(&src, &1, &refs), expect);
+    check(&src, &dsts);
+
+    let (src, dsts) = fan(width, src_has_key, dup_in_last);
+    let refs: Vec<&Map> = dsts.iter().collect();
+    let op = MoveKeyedToAllOp::new(&src, 1u64, &refs);
+    assert_eq!(op.try_direct(3).map(decode_move), Some(expect));
+    check(&src, &dsts);
+
+    let (src, dsts) = fan(width, src_has_key, dup_in_last);
+    let refs: Vec<&Map> = dsts.iter().collect();
+    let op = MoveKeyedToAllOp::new(&src, 1u64, &refs);
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    let w = op.run_flagged(&flag, 0);
+    assert_eq!(w.map(decode_move), Some(expect));
+    assert_eq!(Some(flag.load_word()), w, "the flag holds the verdict");
+    assert_eq!(op.run_flagged(&flag, 0), None);
+    check(&src, &dsts);
+}
+
 fn queue_of(items: &[u64]) -> MsQueue<u64> {
     let q = MsQueue::new();
     for &v in items {
@@ -240,6 +302,50 @@ fn every_entry_point_of_a_shape_reports_the_same_verdict() {
     assert_eq!(op.try_direct(3).map(decode_move), Some(rejected));
     assert_eq!(op.run_flagged(&flag, 0).map(decode_move), Some(rejected));
     assert_eq!((a.get(&1), b.get(&1)), (Some(10), Some(11)));
+
+    // `move_keyed_to_all`: at one target and at the full batched width
+    // (the flag entry takes the last commit slot).
+    for width in [1, MAX_ENTRIES - 2] {
+        keyed_fan_out_agrees(width, true, false, MoveOutcome::Moved);
+        keyed_fan_out_agrees(width, false, false, MoveOutcome::SourceEmpty);
+        keyed_fan_out_agrees(width, true, true, MoveOutcome::TargetRejected);
+    }
+}
+
+/// A `MoveKeyedToAllOp` over `width` empty targets, run through `run`.
+fn keyed_fan_out_op_at_width(
+    width: usize,
+    run: impl Fn(&MoveKeyedToAllOp<'_, u64, u64, Map, Map>) -> Option<Word>,
+) {
+    let (src, dsts) = fan(width, true, false);
+    let refs: Vec<&Map> = dsts.iter().collect();
+    let _ = run(&MoveKeyedToAllOp::new(&src, 1u64, &refs));
+}
+
+#[test]
+#[should_panic(expected = "batched fan-out supports")]
+fn batched_keyed_fan_out_refuses_zero_targets_direct() {
+    keyed_fan_out_op_at_width(0, |op| op.try_direct(3));
+}
+
+#[test]
+#[should_panic(expected = "batched fan-out supports")]
+fn batched_keyed_fan_out_refuses_zero_targets_flagged() {
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    keyed_fan_out_op_at_width(0, |op| op.run_flagged(&flag, 0));
+}
+
+#[test]
+#[should_panic(expected = "batched fan-out supports")]
+fn batched_keyed_fan_out_refuses_max_entries_minus_one_targets_direct() {
+    keyed_fan_out_op_at_width(MAX_ENTRIES - 1, |op| op.try_direct(3));
+}
+
+#[test]
+#[should_panic(expected = "batched fan-out supports")]
+fn batched_keyed_fan_out_refuses_max_entries_minus_one_targets_flagged() {
+    let flag = DAtomic::new(batch::FLAG_PENDING);
+    keyed_fan_out_op_at_width(MAX_ENTRIES - 1, |op| op.run_flagged(&flag, 0));
 }
 
 #[test]

@@ -62,18 +62,6 @@ impl DAtomic {
             .is_ok()
     }
 
-    /// Single-word CAS reporting the value seen on failure.
-    ///
-    /// AcqRel/Acquire: as [`DAtomic::cas_word`]; the failure value is used
-    /// to follow descriptor pointers, so the failure load must be Acquire
-    /// (it pairs with the Release publication of the descriptor's fields).
-    #[inline]
-    pub fn cas_val(&self, old: Word, new: Word) -> Result<(), Word> {
-        self.0
-            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-            .map(|_| ())
-    }
-
     /// Store for initialization paths where the word is not yet (or no
     /// longer) shared.
     ///

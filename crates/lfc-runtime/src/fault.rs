@@ -6,7 +6,7 @@
 //!
 //! 1. **Allocation failure** — every allocation site in the stack funnels
 //!    through [`check`]-guarded paths; an armed schedule turns the nth (or
-//!    a probabilistic, or a scripted) allocation into an
+//!    every nth, or a probabilistic) allocation into an
 //!    `Err(AllocError)` that surfaces through the structures' `try_*`
 //!    variants instead of aborting the process.
 //! 2. **Thread death** — a kill site ([`check_kill`]) unwinds the current
@@ -22,26 +22,19 @@
 //! armed-generation word and a predictable branch — and commit paths that
 //! pass several sites hoist even that into a single [`gate`] snapshot
 //! threaded through as a [`FaultGate`]; no site is ever evaluated, no lock
-//! taken, no counter bumped. Arming happens programmatically
-//! ([`arm_site`] / [`arm_all`] / [`arm_script`]) or through the
-//! `LFC_FAULTS` environment variable, read lazily on the first check:
-//!
-//! ```text
-//! LFC_FAULTS="alloc.block=nth:3;map.segment=always;*=prob:1000:42"
-//! ```
-//!
-//! entries are `site=schedule` pairs separated by `;` or `,`; schedules
-//! are `nth:N` (fire on the Nth check of that site, once), `every:N`,
-//! `prob:PPM[:SEED]` (parts-per-million, seeded PRNG), or `always`. The
-//! site `*` arms a wildcard consulted when no exact entry matches. A
-//! malformed spec panics — a fault campaign that silently doesn't run is
-//! worse than no campaign.
+//! taken, no counter bumped. There is one way to arm a site: [`arm_site`]
+//! with a [`Schedule`] — fire on the Nth check of that site once, on every
+//! Nth check, with a seeded parts-per-million probability, or always.
+//! [`disarm_site`] retires one site and [`disarm`] all of them.
 //!
 //! # Site registry
 //!
 //! Sites are `&'static str` names chosen at the call site; the schedule
 //! decides *whether* to fire, the caller decides *what* a fired fault
-//! means (an `AllocError`, an [`abandon`]). Current sites:
+//! means (an `AllocError`, an [`abandon`]). A site is armed by its exact
+//! name through [`arm_site`]; a name missing from this table arms nothing,
+//! so CI checks every armed literal outside this module against it.
+//! Current sites:
 //!
 //! | site | layer | meaning when fired |
 //! |---|---|---|
@@ -51,7 +44,7 @@
 //! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
 //! | `structures.node`, `structures.header` | lfc-structures | node/header allocation fails |
 //! | `map.segment`, `map.dummy`, `map.grow` | lfc-structures | split-ordered map degrades (no resize) |
-//! | `batch.node`, `batch.gate` | lfc-core | gate allocation fails (falls back to direct execution) |
+//! | `batch.node`, `batch.gate` | lfc-core | request-node allocation fails (falls back to direct execution), or the fallible gate constructor fails |
 //! | `batch.submitted` | lfc-core | submitter dies after publishing its request |
 //!
 //! Threads that must survive a kill campaign (the harness's survivor
@@ -70,21 +63,18 @@ use std::sync::Mutex;
 // Arming state + schedules
 // ---------------------------------------------------------------------------
 
-/// `ARMED_GEN` value meaning "`LFC_FAULTS` not consulted yet".
-const GEN_UNKNOWN: usize = usize::MAX;
 /// `ARMED_GEN` value meaning "no schedule armed anywhere".
 const GEN_DISARMED: usize = 0;
 
 /// Process-global arming state: the **armed-generation word**. Holds
-/// [`GEN_UNKNOWN`] until the environment is consulted, [`GEN_DISARMED`]
-/// while nothing is armed, and a fresh nonzero generation (bumped by every
-/// `arm_*` call) while any schedule is live. A single Relaxed load of this
-/// one word classifies the process, so hot paths that used to pay one load
-/// per fault site now snapshot it once per commit as a [`FaultGate`] and
-/// test a register bool at each site. Plain `std` atomic on purpose: fault
+/// [`GEN_DISARMED`] while nothing is armed, and a fresh nonzero generation
+/// (bumped by every arming change) while any schedule is live. A single
+/// Relaxed load of this one word classifies the process, so hot paths that
+/// used to pay one load per fault site now snapshot it once per commit as a
+/// [`FaultGate`] and test a register bool at each site. Plain `std` atomic on purpose: fault
 /// bookkeeping is harness infrastructure, not protocol state — it must not
 /// create model-checker choice points.
-static ARMED_GEN: AtomicUsize = AtomicUsize::new(GEN_UNKNOWN);
+static ARMED_GEN: AtomicUsize = AtomicUsize::new(GEN_DISARMED);
 
 /// Monotonic generation source for [`ARMED_GEN`]; starts at 1 so an armed
 /// generation can never collide with [`GEN_DISARMED`].
@@ -151,21 +141,15 @@ impl SiteState {
     }
 }
 
-#[derive(Default)]
-struct FaultState {
-    sites: BTreeMap<String, SiteState>,
-    wildcard: Option<SiteState>,
-    script: Vec<String>,
-    script_pos: usize,
-}
+/// Every armed or observed site's schedule and counters, by name. Empty
+/// until a site is armed, and again after [`disarm`].
+static SITES: Mutex<BTreeMap<String, SiteState>> = Mutex::new(BTreeMap::new());
 
-static REGISTRY: Mutex<Option<FaultState>> = Mutex::new(None);
-
-fn lock_registry() -> std::sync::MutexGuard<'static, Option<FaultState>> {
+fn lock_sites() -> std::sync::MutexGuard<'static, BTreeMap<String, SiteState>> {
     // A panic (e.g. an injected abandon) while *not* holding the lock can
     // never poison it; recover anyway so one failed test cannot wedge the
     // whole process's fault machinery.
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    SITES.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
@@ -264,15 +248,9 @@ impl FaultGate {
 /// [`FaultGate`] for a run of site checks.
 #[inline]
 pub fn gate() -> FaultGate {
-    let armed = match ARMED_GEN.load(Ordering::Relaxed) {
-        GEN_DISARMED => false,
-        GEN_UNKNOWN => {
-            init_from_env();
-            ARMED_GEN.load(Ordering::Relaxed) != GEN_DISARMED
-        }
-        _ => true,
-    };
-    FaultGate { armed }
+    FaultGate {
+        armed: ARMED_GEN.load(Ordering::Relaxed) != GEN_DISARMED,
+    }
 }
 
 /// Check a named fault site. Returns `true` when the armed schedule says
@@ -290,52 +268,17 @@ fn check_slow(site: &'static str) -> bool {
     if is_shielded() || crate::tid::thread_is_exiting() || thread_is_abandoning() {
         return false;
     }
-    let mut reg = lock_registry();
-    let Some(st) = reg.as_mut() else { return false };
-    // Scripted faults take precedence: the front of the script names the
-    // next site to fail, in order.
-    if let Some(next) = st.script.get(st.script_pos) {
-        if next == site {
-            st.script_pos += 1;
-            let s = st
-                .sites
-                .entry(site.to_string())
-                .or_insert_with(|| SiteState::new(None));
-            s.checks += 1;
-            s.fired += 1;
-            return true;
-        }
+    let mut sites = lock_sites();
+    if sites.is_empty() {
+        // Disarmed since this check's gate snapshot.
+        return false;
     }
-    if let Some(s) = st.sites.get_mut(site) {
-        if s.schedule.is_some() {
-            return s.eval();
-        }
-        s.checks += 1;
-    } else {
-        // Record the observation so `counters()` names every touched site.
-        st.sites
-            .entry(site.to_string())
-            .or_insert_with(|| SiteState::new(None))
-            .checks += 1;
-    }
-    match &mut st.wildcard {
-        Some(w) => {
-            let fired = w.eval();
-            if fired {
-                // Attribute the fire to the concrete site only: the `*`
-                // row reports checks (its schedule still paces off them),
-                // so each injected fault is counted exactly once and
-                // `fired_total` stays honest.
-                w.fired -= 1;
-                st.sites
-                    .entry(site.to_string())
-                    .or_insert_with(|| SiteState::new(None))
-                    .fired += 1;
-            }
-            fired
-        }
-        None => false,
-    }
+    // Record every observation, armed or not, so `counters()` names every
+    // touched site.
+    sites
+        .entry(site.to_string())
+        .or_insert_with(|| SiteState::new(None))
+        .eval()
 }
 
 fn mark_armed() {
@@ -349,41 +292,15 @@ fn mark_armed() {
     lfc_model::rt::register_abandon_epilogue(complete_abandonment);
 }
 
-fn with_state<R>(f: impl FnOnce(&mut FaultState) -> R) -> R {
-    let mut reg = lock_registry();
-    let st = reg.get_or_insert_with(FaultState::default);
-    f(st)
-}
-
 /// Arm `site` with `schedule` (resetting its counters).
 pub fn arm_site(site: &str, schedule: Schedule) {
-    with_state(|st| {
-        st.sites
-            .insert(site.to_string(), SiteState::new(Some(schedule)));
-    });
+    lock_sites().insert(site.to_string(), SiteState::new(Some(schedule)));
     mark_armed();
 }
 
-/// Arm every site (wildcard) with `schedule`. Exact [`arm_site`] entries
-/// still take precedence.
-pub fn arm_all(schedule: Schedule) {
-    with_state(|st| st.wildcard = Some(SiteState::new(Some(schedule))));
-    mark_armed();
-}
-
-/// Arm a scripted schedule: the `k`th entry names the site whose next
-/// check fails, strictly in order. Replaces any previous script.
-pub fn arm_script(sites: &[&str]) {
-    with_state(|st| {
-        st.script = sites.iter().map(|s| s.to_string()).collect();
-        st.script_pos = 0;
-    });
-    mark_armed();
-}
-
-/// Disarm everything and clear all schedules, scripts and counters.
+/// Disarm everything and clear all schedules and counters.
 pub fn disarm() {
-    *lock_registry() = None;
+    lock_sites().clear();
     ARMED_GEN.store(GEN_DISARMED, Ordering::Release);
 }
 
@@ -391,32 +308,19 @@ pub fn disarm() {
 /// counters (including the disarmed site's) intact. Phased chaos
 /// campaigns retire one adversary at a time this way — e.g. kill sites
 /// first, allocation sites later — and still read the full per-site
-/// check/fire history at the end. Passing `"*"` disarms the wildcard.
+/// check/fire history at the end.
 ///
-/// When the last schedule goes (no site, no wildcard, no unconsumed
-/// script), the armed-generation word drops to disarmed and the hot
-/// paths are back to their single predictable branch.
+/// When the last schedule goes, the armed-generation word drops to
+/// disarmed and the hot paths are back to their single predictable branch.
 pub fn disarm_site(site: &str) {
-    // An explicit disarm must not beat the lazy env consult: resolve the
-    // environment first so `LFC_FAULTS`-armed schedules are visible (and
-    // survivors of this disarm stay armed).
-    if ARMED_GEN.load(Ordering::Relaxed) == GEN_UNKNOWN {
-        init_from_env();
-    }
-    let any_left = with_state(|st| {
-        if site == "*" {
-            if let Some(w) = &mut st.wildcard {
-                w.schedule = None;
-                w.rng = None;
-            }
-        } else if let Some(s) = st.sites.get_mut(site) {
+    let any_left = {
+        let mut sites = lock_sites();
+        if let Some(s) = sites.get_mut(site) {
             s.schedule = None;
             s.rng = None;
         }
-        st.sites.values().any(|s| s.schedule.is_some())
-            || st.wildcard.as_ref().is_some_and(|w| w.schedule.is_some())
-            || st.script_pos < st.script.len()
-    });
+        sites.values().any(|s| s.schedule.is_some())
+    };
     if any_left {
         // Fresh generation: gates snapshotted before this call may still
         // fire the retired site once; everything after sees the new mix.
@@ -426,103 +330,26 @@ pub fn disarm_site(site: &str) {
     }
 }
 
-/// Whether any fault schedule is currently armed (one `Relaxed` load plus
-/// a lazy first-use environment consult). A cheap health signal: service
-/// governors surface it in diagnostics so a chaos campaign that leaks an
-/// armed site into a measurement phase is visible.
+/// Whether any fault schedule is currently armed (one `Relaxed` load). A
+/// cheap health signal: service governors surface it in diagnostics so a
+/// chaos campaign that leaks an armed site into a measurement phase is
+/// visible.
 pub fn armed() -> bool {
     gate().armed
 }
 
 /// Per-site `(site, checks, fired)` counters, sorted by site name.
-/// Empty when nothing was ever armed. Wildcard-injected faults are
-/// attributed to the concrete site they fired at; the trailing `"*"` row
-/// carries the wildcard's check count only.
+/// Empty when nothing was ever armed.
 pub fn counters() -> Vec<(String, u64, u64)> {
-    let reg = lock_registry();
-    let Some(st) = reg.as_ref() else {
-        return Vec::new();
-    };
-    let mut out: Vec<(String, u64, u64)> = st
-        .sites
+    lock_sites()
         .iter()
         .map(|(k, v)| (k.clone(), v.checks, v.fired))
-        .collect();
-    if let Some(w) = &st.wildcard {
-        out.push(("*".to_string(), w.checks, w.fired));
-    }
-    out
+        .collect()
 }
 
 /// Total number of injected faults across all sites.
 pub fn fired_total() -> u64 {
     counters().iter().map(|(_, _, f)| f).sum()
-}
-
-fn init_from_env() {
-    let mut reg = lock_registry();
-    if ARMED_GEN.load(Ordering::Relaxed) != GEN_UNKNOWN {
-        return; // raced with another initializer or an explicit arm
-    }
-    match std::env::var("LFC_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            // Merge into the existing registry rather than replacing it: a
-            // concurrent `arm_site`/`arm_all` may have inserted its
-            // schedule after our caller loaded `ARMED_GEN == GEN_UNKNOWN` but
-            // before its own `mark_armed` ran; clobbering the registry
-            // here would silently discard that programmatic schedule. On a
-            // collision the programmatic entry wins (it is the more
-            // deliberate of the two).
-            let st = reg.get_or_insert_with(FaultState::default);
-            for entry in spec.split([';', ',']).filter(|e| !e.trim().is_empty()) {
-                let (site, sched) = entry
-                    .split_once('=')
-                    .unwrap_or_else(|| panic!("LFC_FAULTS: missing '=' in {entry:?}"));
-                let sched = parse_schedule(sched.trim())
-                    .unwrap_or_else(|| panic!("LFC_FAULTS: bad schedule in {entry:?}"));
-                if site.trim() == "*" {
-                    if st.wildcard.as_ref().is_none_or(|w| w.schedule.is_none()) {
-                        st.wildcard = Some(SiteState::new(Some(sched)));
-                    }
-                } else {
-                    match st.sites.entry(site.trim().to_string()) {
-                        std::collections::btree_map::Entry::Vacant(v) => {
-                            v.insert(SiteState::new(Some(sched)));
-                        }
-                        std::collections::btree_map::Entry::Occupied(mut o) => {
-                            if o.get().schedule.is_none() {
-                                o.insert(SiteState::new(Some(sched)));
-                            }
-                        }
-                    }
-                }
-            }
-            drop(reg);
-            mark_armed();
-        }
-        _ => ARMED_GEN.store(GEN_DISARMED, Ordering::Release),
-    }
-}
-
-fn parse_schedule(s: &str) -> Option<Schedule> {
-    if s == "always" {
-        return Some(Schedule::Always);
-    }
-    let mut parts = s.split(':');
-    let kind = parts.next()?;
-    match kind {
-        "nth" => Some(Schedule::Nth(parts.next()?.parse().ok()?)),
-        "every" => Some(Schedule::EveryNth(parts.next()?.parse().ok()?)),
-        "prob" => {
-            let ppm: u32 = parts.next()?.parse().ok()?;
-            let seed: u64 = match parts.next() {
-                Some(x) => x.parse().ok()?,
-                None => 0x5EED,
-            };
-            Some(Schedule::Prob { ppm, seed })
-        }
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,44 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn script_fires_in_order() {
-        let _s = serial();
-        arm_script(&["a.site", "b.site"]);
-        assert!(!check("b.site"), "script front is a.site");
-        assert!(check("a.site"));
-        assert!(check("b.site"));
-        assert!(!check("a.site"), "script exhausted");
-        disarm();
-    }
-
-    #[test]
-    fn wildcard_covers_unlisted_sites() {
-        let _s = serial();
-        arm_all(Schedule::Always);
-        assert!(check("any.site"));
-        assert!(check("other.site"));
-        disarm();
-    }
-
-    #[test]
-    fn wildcard_fires_counted_once() {
-        let _s = serial();
-        arm_all(Schedule::Always);
-        assert!(check("wild.a"));
-        assert!(check("wild.a"));
-        assert!(check("wild.b"));
-        // Each injected fault appears exactly once in the totals: the
-        // concrete site carries the attribution, the `*` row only checks.
-        assert_eq!(fired_total(), 3);
-        let c = counters();
-        let star = c.iter().find(|(s, _, _)| s == "*").unwrap();
-        assert_eq!((star.1, star.2), (3, 0));
-        let a = c.iter().find(|(s, _, _)| s == "wild.a").unwrap();
-        assert_eq!(a.2, 2);
-        disarm();
-    }
-
-    #[test]
     fn disarm_site_retires_one_adversary_at_a_time() {
         let _s = serial();
         arm_site("phase.kill", Schedule::Always);
@@ -784,20 +573,6 @@ mod tests {
         // Counters survive until the full disarm: phase.kill fired once,
         // phase.oom twice (before each retirement).
         assert_eq!(fired_total(), 3);
-        disarm();
-    }
-
-    #[test]
-    fn disarm_site_covers_the_wildcard() {
-        let _s = serial();
-        arm_all(Schedule::Always);
-        arm_site("exact.site", Schedule::Always);
-        disarm_site("*");
-        assert!(armed(), "exact entry outlives the wildcard");
-        assert!(!check("unlisted.site"), "wildcard is gone");
-        assert!(check("exact.site"));
-        disarm_site("exact.site");
-        assert!(!armed());
         disarm();
     }
 
@@ -832,7 +607,7 @@ mod tests {
     #[test]
     fn shielded_thread_never_fires() {
         let _s = serial();
-        arm_all(Schedule::Always);
+        arm_site("any.site", Schedule::Always);
         shield_thread(true);
         assert!(!check("any.site"));
         shield_thread(false);

@@ -34,7 +34,6 @@ pub struct TreiberStack<T: Clone + Send + Sync + 'static> {
     header: NonNull<SoloHeader>,
     backoff: BackoffCfg,
     elim: ElimArray<T>,
-    elim_enabled: bool,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -54,7 +53,6 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
             header: alloc_solo_header(0),
             backoff: cfg,
             elim: ElimArray::new(),
-            elim_enabled: true,
             _marker: std::marker::PhantomData,
         }
     }
@@ -67,18 +65,8 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
             header: try_alloc_solo_header(0)?,
             backoff: BackoffCfg::NONE,
             elim: ElimArray::new(),
-            elim_enabled: true,
             _marker: std::marker::PhantomData,
         })
-    }
-
-    /// Empty stack with the elimination layer disabled — the PR 6 behaviour,
-    /// kept for baseline measurements and tests that need every operation
-    /// to linearize on `top`.
-    pub fn without_elimination() -> Self {
-        let mut s = Self::new();
-        s.elim_enabled = false;
-        s
     }
 
     #[inline]
@@ -153,7 +141,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     fn insert_node<C: InsertCtx>(&self, node: *mut Node<T>, ctx: &mut C) -> InsertOutcome {
         let g = pin();
         #[cfg(lfc_model)]
-        if self.elim_enabled && ctx.eliminable() && crate::model_toggles::force_elim() {
+        if ctx.eliminable() && crate::model_toggles::force_elim() {
             // Deterministic-exploration hook: collide in the exchanger
             // *before* touching `top`, so the model scenario reaches the
             // pairing interleavings within its budget.
@@ -188,7 +176,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
                     // offer completes the push — the colliding pop
                     // linearized it — and hands node ownership to the
                     // popper.
-                    if self.elim_enabled && ctx.eliminable() {
+                    if ctx.eliminable() {
                         // Safety: node unpublished, ours until claimed.
                         if unsafe { self.elim.offer_push(node, &g, g.tid() as usize) } {
                             return InsertOutcome::Inserted;
@@ -219,7 +207,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
     fn remove_with<C: RemoveCtx<T>>(&self, ctx: &mut C) -> RemoveOutcome<T> {
         let mut g = pin_op();
         #[cfg(lfc_model)]
-        if self.elim_enabled && ctx.eliminable() && crate::model_toggles::force_elim() {
+        if ctx.eliminable() && crate::model_toggles::force_elim() {
             if let Some(v) = self.elim.try_take(g.tid() as usize) {
                 return RemoveOutcome::Removed(v);
             }
@@ -260,7 +248,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
                 ScasResult::Fail => {
                     // Contention observed: try to cancel against a waiting
                     // pusher instead of re-fighting over `top`.
-                    if self.elim_enabled && ctx.eliminable() {
+                    if ctx.eliminable() {
                         if let Some(v) = self.elim.try_take(g.tid() as usize) {
                             return RemoveOutcome::Removed(v);
                         }

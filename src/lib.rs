@@ -29,17 +29,15 @@
 #![warn(missing_docs)]
 
 pub use lfc_core::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, Composition,
-    DynMoveTarget, InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint,
-    MoveOutcome, MoveSource, MoveTarget, NormalCas, RemoveCtx, RemoveOutcome, ScasResult,
+    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, At,
+    Composition, DynMoveTarget, InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget,
+    LinPoint, MoveOutcome, MoveSource, MoveTarget, NormalCas, RemoveCtx, RemoveOutcome, ScasResult,
     SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
 pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
-/// The composition-engine builder module (sources, stages, [`Composition`]).
+/// The composition-engine builder module (stages, [`Composition`]).
 pub mod compose {
-    pub use lfc_core::compose::{
-        Commit, Composition, InsertStage, KeyedInsertStage, KeyedSource, Source, Stages,
-    };
+    pub use lfc_core::compose::{Commit, Composition, InsertStage, Stages};
 }
 /// The contention-adaptive batched front-end (claim-pattern group commit):
 /// result-word codecs and engagement counters.
@@ -65,10 +63,9 @@ pub mod alloc_stats {
 /// `lfc_runtime::fault`).
 pub mod fault {
     pub use lfc_runtime::fault::{
-        abandon, abandoned_total, abandonment_scope, adopted_total, arm_all, arm_script, arm_site,
-        corpse_count, corpses, counters, disarm, disarm_site, fired_total,
-        install_quiet_abandon_hook, is_corpse, shield_thread, thread_is_abandoning,
-        with_registered_peer, Schedule,
+        abandon, abandoned_total, abandonment_scope, adopted_total, arm_site, corpse_count,
+        corpses, counters, disarm, disarm_site, fired_total, install_quiet_abandon_hook, is_corpse,
+        shield_thread, thread_is_abandoning, with_registered_peer, Schedule,
     };
 }
 
