@@ -29,6 +29,22 @@
 //! * [`Ledger::broadcast_notice`] — publish a control notice into several
 //!   shards at once (`move_keyed_to_all`, all-or-nothing fan-out).
 //!
+//! # Finding an account
+//!
+//! Migration means an account can be in either tier of any shard, so a
+//! lookup by id has up to `2 × shards` places to probe. A location
+//! directory (one byte per account id, `(shard, tier) + 1`, 0 = unknown)
+//! records where the ledger last saw each account: `open`, a `Moved`
+//! migrate/promote/demote, and any probe-chain hit write it.
+//! [`Ledger::balance`], [`Ledger::close`] and the lookup before every
+//! migrate/promote/demote probe the recorded place first and fall back to
+//! the chain (home shard's cold then hot tier, then the next shard) on a
+//! miss. The byte is only a probe-order hint: no answer, `NotFound` and
+//! "already there" included, is ever taken from it without a structural
+//! probe, so a stale byte costs one extra probe. Control notices are never
+//! recorded. The byte array grows in lazily allocated doubling segments,
+//! and a segment whose allocation fails just leaves its ids without hints.
+//!
 //! # Degradation, not failure
 //!
 //! Composed operations allocate nothing that can fail. Every entry point
@@ -70,10 +86,12 @@
 
 #![warn(missing_docs)]
 
+mod directory;
 pub mod health;
 
 pub use health::{Health, HealthCfg, HealthStats, ServiceState, Transition};
 
+use directory::Directory;
 use lfc_alloc::AllocError;
 use lfc_core::{move_keyed, move_keyed_to_all, swap, MoveOutcome, SwapOutcome, MAX_TARGETS};
 use lfc_runtime::{camp_round, Backoff, BackoffCfg, CachePadded};
@@ -225,6 +243,9 @@ pub struct Ledger {
     shards: Box<[Shard]>,
     /// Staging area for notices awaiting fan-out (never holds accounts).
     staging: LfHashMap<u64, u64>,
+    /// Where each account was last seen (module docs, "Finding an
+    /// account"): a probe-order hint, never an answer.
+    directory: Directory,
     health: Health,
     minted: CachePadded<AtomicU64>,
     burned: CachePadded<AtomicU64>,
@@ -262,6 +283,7 @@ impl Ledger {
         Ledger {
             shards,
             staging: LfHashMap::new(),
+            directory: Directory::new(),
             health: Health::new(cfg.health),
             minted: CachePadded::new(AtomicU64::new(0)),
             burned: CachePadded::new(AtomicU64::new(0)),
@@ -373,7 +395,8 @@ impl Ledger {
         let _t = self.enter();
         self.admit(OpClass::Admission)?;
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let shard = &self.shards[self.shard_of(id)];
+        let home = self.shard_of(id);
+        let shard = &self.shards[home];
         let mut pair = (id, amount);
         self.retrying(|| match shard.cold.try_insert(pair.0, pair.1) {
             // Mint only after the structural success; there is no fault
@@ -389,6 +412,7 @@ impl Ledger {
                 Err(e)
             }
         })?;
+        self.remember(id, home, Tier::Cold);
         Ok(id)
     }
 
@@ -396,58 +420,87 @@ impl Ledger {
     pub fn close(&self, id: u64) -> Result<u64, LedgerError> {
         let _t = self.enter();
         self.admit(OpClass::Mutate)?;
-        let home = self.shard_of(id);
-        let n = self.shards.len();
-        for k in 0..n {
-            let s = &self.shards[(home + k) % n];
-            // Removes are allocation-free: no retry budget needed. Burn
-            // only after the structural success (same kill-window argument
-            // as `open`).
-            if let Some(v) = s.cold.remove(&id) {
-                self.burned.fetch_add(v, Ordering::Relaxed);
-                return Ok(v);
-            }
-            if let Some(v) = s.hot.remove(&id) {
-                self.burned.fetch_add(v, Ordering::Relaxed);
-                return Ok(v);
-            }
-        }
-        Err(LedgerError::NotFound)
+        // Removes are allocation-free: no retry budget needed. Burn only
+        // after the structural success (same kill-window argument as
+        // `open`).
+        let (_, _, v) = self
+            .find(id, |s, tier| match tier {
+                Tier::Cold => s.cold.remove(&id),
+                Tier::Hot => s.hot.remove(&id),
+            })
+            .ok_or(LedgerError::NotFound)?;
+        self.burned.fetch_add(v, Ordering::Relaxed);
+        Ok(v)
     }
 
     /// Read an account's balance. Reads are served on every rung, never
     /// wait out a quiesce, and cannot fail allocation — total availability.
     pub fn balance(&self, id: u64) -> Result<u64, LedgerError> {
-        let home = self.shard_of(id);
-        let n = self.shards.len();
-        for k in 0..n {
-            let s = &self.shards[(home + k) % n];
-            if let Some(v) = s.cold.get(&id) {
-                return Ok(v);
-            }
-            if let Some(v) = s.hot.get(&id) {
-                return Ok(v);
-            }
-        }
-        Err(LedgerError::NotFound)
+        self.find(id, |s, tier| match tier {
+            Tier::Cold => s.cold.get(&id),
+            Tier::Hot => s.hot.get(&id),
+        })
+        .map(|(_, _, v)| v)
+        .ok_or(LedgerError::NotFound)
     }
 
-    /// Where `id` currently lives, probing its home shard first (migration
-    /// means an account can be anywhere).
+    /// Where `id` currently lives.
     fn locate(&self, id: u64) -> Option<(usize, Tier)> {
+        self.find(id, |s, tier| {
+            match tier {
+                Tier::Cold => s.cold.contains(&id),
+                Tier::Hot => s.hot.contains(&id),
+            }
+            .then_some(())
+        })
+        .map(|(si, tier, ())| (si, tier))
+    }
+
+    /// Run `probe` on the tier where the directory last saw `id`, then, on
+    /// a miss, along the chain: its home shard's cold and hot tiers, then
+    /// the next shard's, and so on (migration means an account can be
+    /// anywhere). Returns the first place `probe` answered and its answer;
+    /// a chain hit is recorded for the next lookup.
+    fn find<R>(
+        &self,
+        id: u64,
+        probe: impl Fn(&Shard, Tier) -> Option<R>,
+    ) -> Option<(usize, Tier, R)> {
+        if let Some((si, tier)) = self.recorded(id) {
+            if let Some(r) = probe(&self.shards[si], tier) {
+                return Some((si, tier, r));
+            }
+        }
         let home = self.shard_of(id);
         let n = self.shards.len();
         for k in 0..n {
             let si = (home + k) % n;
-            let s = &self.shards[si];
-            if s.cold.contains(&id) {
-                return Some((si, Tier::Cold));
-            }
-            if s.hot.contains(&id) {
-                return Some((si, Tier::Hot));
+            for tier in [Tier::Cold, Tier::Hot] {
+                if let Some(r) = probe(&self.shards[si], tier) {
+                    self.remember(id, si, tier);
+                    return Some((si, tier, r));
+                }
             }
         }
         None
+    }
+
+    /// The directory's `(shard, tier)` for `id`, if it holds one that
+    /// names a shard of this ledger.
+    fn recorded(&self, id: u64) -> Option<(usize, Tier)> {
+        let code = usize::from(self.directory.get(id)).checked_sub(1)?;
+        let tier = if code & 1 == 0 { Tier::Cold } else { Tier::Hot };
+        (code / 2 < self.shards.len()).then_some((code / 2, tier))
+    }
+
+    /// Record that `id` was just seen in `tier` of shard `si`. Notices are
+    /// not accounts and are never recorded; a shard index too large for
+    /// the byte records "unknown".
+    fn remember(&self, id: u64, si: usize, tier: Tier) {
+        if id < NOTICE_BASE {
+            let code = u8::try_from(2 * si + tier as usize + 1).unwrap_or(0);
+            self.directory.set(id, code);
+        }
     }
 
     /// Rehome an account into `dst`'s cold tier — one composed keyed move,
@@ -465,7 +518,8 @@ impl Ledger {
                 return Err(LedgerError::NotFound);
             };
             if si == dst {
-                // Already resident (either tier) — nothing to move.
+                // Already resident (either tier), as a structural probe
+                // just saw — nothing to move.
                 return Ok(());
             }
             let src = &self.shards[si];
@@ -474,7 +528,10 @@ impl Ledger {
                 Tier::Hot => move_keyed(&src.hot, &id, target),
             };
             match r {
-                MoveOutcome::Moved | MoveOutcome::WouldAlias => return Ok(()),
+                MoveOutcome::Moved | MoveOutcome::WouldAlias => {
+                    self.remember(id, dst, Tier::Cold);
+                    return Ok(());
+                }
                 // Lost a race to a concurrent migrate/close: re-locate.
                 // Burns a retry so contended ping-pong still terminates
                 // (as `Overloaded`, an honest answer under that load).
@@ -523,7 +580,10 @@ impl Ledger {
                 Tier::Cold => move_keyed(&s.hot, &id, &s.cold),
             };
             match r {
-                MoveOutcome::Moved | MoveOutcome::WouldAlias => return Ok(()),
+                MoveOutcome::Moved | MoveOutcome::WouldAlias => {
+                    self.remember(id, si, want);
+                    return Ok(());
+                }
                 MoveOutcome::SourceEmpty => {}
                 MoveOutcome::TargetRejected => return Err(LedgerError::Duplicate),
             }
@@ -745,6 +805,186 @@ mod tests {
             shards,
             ..LedgerCfg::default()
         })
+    }
+
+    /// Every place `id` is, found by probing both tiers of every shard:
+    /// the structural truth the directory must never override.
+    fn places(l: &Ledger, id: u64) -> Vec<(usize, Tier)> {
+        let mut at = Vec::new();
+        for (si, s) in l.shards.iter().enumerate() {
+            if s.cold.contains(&id) {
+                at.push((si, Tier::Cold));
+            }
+            if s.hot.contains(&id) {
+                at.push((si, Tier::Hot));
+            }
+        }
+        at
+    }
+
+    /// The directory byte naming `tier` of shard `si`.
+    fn code(si: usize, tier: Tier) -> u8 {
+        u8::try_from(2 * si + tier as usize + 1).unwrap()
+    }
+
+    #[test]
+    fn a_wrong_hint_never_changes_an_answer() {
+        const SHARDS: usize = 3;
+        let a = 4; // homes on shard 1
+        type Step = fn(&Ledger, u64) -> Result<u64, LedgerError>;
+        let script: &[Step] = &[
+            |l, a| l.balance(a),
+            |l, a| l.promote(a).map(|()| 0),
+            |l, a| l.balance(a),
+            |l, a| l.promote(a).map(|()| 0),
+            |l, a| l.migrate(a, 2).map(|()| 0),
+            |l, a| l.migrate(a, 2).map(|()| 0),
+            |l, a| l.demote(a).map(|()| 0),
+            |l, a| l.promote(a).map(|()| 0),
+            |l, a| l.migrate(a, 0).map(|()| 0),
+            |l, a| l.balance(a),
+            |l, a| l.demote(a).map(|()| 0),
+            |l, a| l.promote(a).map(|()| 0),
+            |l, a| l.close(a),
+            |l, a| l.balance(a),
+            |l, a| l.migrate(a, 1).map(|()| 0),
+            |l, a| l.promote(a).map(|()| 0),
+            |l, a| l.demote(a).map(|()| 0),
+            |l, a| l.close(a),
+        ];
+        // Every step runs once with each byte in front of it, so it sees
+        // every wrong `(shard, tier)` (and two bytes naming no shard). The
+        // blind twin runs it with the byte cleared.
+        for poison in (1..=code(SHARDS - 1, Tier::Hot)).chain([code(SHARDS, Tier::Cold), 255]) {
+            let (hinted, blind) = (quiet_ledger(SHARDS), quiet_ledger(SHARDS));
+            for l in [&hinted, &blind] {
+                for amount in 10..16 {
+                    l.open(amount).unwrap();
+                }
+            }
+            for (i, step) in script.iter().enumerate() {
+                hinted.directory.set(a, poison);
+                blind.directory.set(a, 0);
+                let (got, want) = (step(&hinted, a), step(&blind, a));
+                assert_eq!(got, want, "step {i} with byte {poison}");
+                let at = places(&hinted, a);
+                assert_eq!(at, places(&blind, a), "step {i} with byte {poison}");
+                assert!(at.len() <= 1, "step {i} duplicated the account: {at:?}");
+            }
+            assert_eq!(hinted.balance(a), Err(LedgerError::NotFound));
+            let r = hinted.quiesced_audit();
+            assert!(r.conserved(), "{r:?}");
+            assert_eq!(r.burned, 14);
+        }
+    }
+
+    #[test]
+    fn a_hint_at_the_destination_does_not_stop_a_migrate() {
+        let l = quiet_ledger(4);
+        let a = l.open(7).unwrap();
+        assert_eq!(l.shard_of(a), 0);
+        // Cold at home, then hot at home: each time the byte claims the
+        // account already sits at the destination, in either tier.
+        for (from, claim) in [(Tier::Cold, Tier::Cold), (Tier::Hot, Tier::Hot)] {
+            l.migrate(a, 0).unwrap();
+            if from == Tier::Hot {
+                l.promote(a).unwrap();
+            }
+            assert_eq!(places(&l, a), vec![(0, from)]);
+            l.directory.set(a, code(2, claim));
+            assert_eq!(l.migrate(a, 2), Ok(()));
+            assert_eq!(places(&l, a), vec![(2, Tier::Cold)], "the move happened");
+        }
+        assert_eq!(l.close(a), Ok(7));
+        l.directory.set(a, code(2, Tier::Cold));
+        assert_eq!(l.migrate(a, 2), Err(LedgerError::NotFound));
+        assert_eq!(l.balance(a), Err(LedgerError::NotFound));
+    }
+
+    #[test]
+    fn writers_record_where_they_leave_an_account() {
+        let l = quiet_ledger(4);
+        let a = l.open(5).unwrap();
+        let b = l.open(6).unwrap();
+        assert_eq!(l.recorded(a), Some((0, Tier::Cold)));
+        l.migrate(a, 3).unwrap();
+        assert_eq!(l.recorded(a), Some((3, Tier::Cold)));
+        l.promote(a).unwrap();
+        assert_eq!(l.recorded(a), Some((3, Tier::Hot)));
+        l.demote(a).unwrap();
+        assert_eq!(l.recorded(a), Some((3, Tier::Cold)));
+        // A lookup that had to walk the chain records its hit.
+        l.directory.set(b, 0);
+        assert_eq!(l.balance(b), Ok(6));
+        assert_eq!(l.recorded(b), Some((1, Tier::Cold)));
+    }
+
+    #[test]
+    fn directory_index_math_holds_at_segment_boundaries_and_far_above_2_pow_32() {
+        use directory::{coords, seg_len};
+        // Segments tile the id space: each starts where the last ended,
+        // its last id is its last slot, and the last one ends at u64::MAX.
+        let mut start = 0u64;
+        let mut k = 0;
+        loop {
+            let len = seg_len(k);
+            assert_eq!(coords(start), (k, 0));
+            assert_eq!(coords(start + (len - 1)), (k, len - 1));
+            match start.checked_add(len) {
+                Some(next) => start = next,
+                None => {
+                    assert_eq!(start + (len - 1), u64::MAX);
+                    break;
+                }
+            }
+            k += 1;
+        }
+        assert_eq!(k, 58);
+        assert_eq!(coords(63), (0, 63));
+        assert_eq!(coords(64), (1, 0));
+        assert_eq!(coords(127), (1, 63));
+        assert_eq!(coords(128), (2, 0));
+        assert_eq!(coords((1 << 32) - 1), (26, (1 << 31) - 1));
+        assert_eq!(coords(1 << 32), (27, 0));
+        assert_eq!(coords((1 << 40) + 5), (35, 5));
+        assert_eq!(coords(NOTICE_BASE - 1), (56, (1 << 61) - 1));
+
+        // Bytes round-trip on both sides of each boundary and touch no
+        // neighbour.
+        let d = Directory::new();
+        let ids = [0, 63, 64, 127, 128, 255, 256, 4095, 4096];
+        for (i, &id) in ids.iter().enumerate() {
+            d.set(id, i as u8 + 1);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(d.get(id), i as u8 + 1, "id {id}");
+        }
+        for id in [1, 62, 65, 126, 129, 254, 257, 4094, 4097] {
+            assert_eq!(d.get(id), 0, "id {id}");
+        }
+        // Far above 2^32 a read finds no segment and allocates none; a
+        // segment the allocator refuses (2^62 bytes) or no `Layout` can
+        // describe (2^63) leaves its ids without hints, and is no error.
+        assert_eq!(d.get((1 << 40) + 5), 0);
+        d.set((1 << 62) + 1, 9);
+        assert_eq!(d.get((1 << 62) + 1), 0);
+        d.set(u64::MAX, 9);
+        assert_eq!(d.get(u64::MAX), 0);
+        assert_eq!(d.get(4096), 9, "earlier hints survive refused segments");
+    }
+
+    #[test]
+    fn notices_are_never_recorded() {
+        let l = quiet_ledger(4);
+        let a = l.open(3).unwrap();
+        assert_eq!(l.broadcast_notice(5), Ok(4));
+        let key = NOTICE_BASE | 5;
+        assert_eq!(l.balance(key), Ok(0), "the chain finds a copy");
+        assert_eq!(l.promote(key), Ok(()));
+        assert_eq!(l.close(key), Ok(0));
+        assert_eq!(l.directory.get(key), 0);
+        assert_eq!(l.recorded(a), Some((0, Tier::Cold)));
+        assert!(l.quiesced_audit().conserved());
     }
 
     #[test]

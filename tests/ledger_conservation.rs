@@ -9,15 +9,29 @@
 //! The wind-down also exercises `fault::disarm_site`: adversaries retire
 //! one at a time (kills first, OOM after), the phased-schedule shape the
 //! site-level disarm API exists for.
+//!
+//! A second test checks that balances stay exact while accounts move, the
+//! property the ledger's location directory must not disturb.
 
 use lockfree_compose::fault;
-use lockfree_compose::ledger::{Ledger, LedgerCfg};
-use std::sync::atomic::{AtomicBool, Ordering};
+use lockfree_compose::ledger::{Ledger, LedgerCfg, LedgerError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Fault schedules are process-wide: the tests of this binary take turns,
+/// each starting disarmed.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    fault::disarm();
+    guard
+}
 
 #[test]
 fn combined_kill_and_oom_conserve_every_token() {
+    let _serial = serial();
     fault::install_quiet_abandon_hook();
-    fault::disarm();
     // The main thread audits and adopts; it must not be reaped and must
     // not advance the kill counters.
     fault::shield_thread(true);
@@ -132,4 +146,80 @@ fn combined_kill_and_oom_conserve_every_token() {
     );
     fault::disarm();
     fault::shield_thread(false);
+}
+
+/// Two threads migrate, promote and demote 64 accounts at random while a
+/// third reads balances. The directory may send a lookup to a stale place,
+/// but every `Ok` must still be the account's opening amount: a hint only
+/// orders probes, it never supplies a value.
+#[test]
+fn balances_stay_exact_while_accounts_move() {
+    let _serial = serial();
+    const ACCOUNTS: u64 = 64;
+    const SHARDS: usize = 4;
+    const MOVES: usize = 20_000;
+    let amount = |id: u64| 1_000 + 7 * id;
+
+    let l = Ledger::new(LedgerCfg {
+        shards: SHARDS,
+        ..LedgerCfg::default()
+    });
+    for id in 0..ACCOUNTS {
+        assert_eq!(l.open(amount(id)), Ok(id));
+    }
+    let movers = AtomicUsize::new(2);
+    let (mut exact, mut reads) = (0u64, 0u64);
+    std::thread::scope(|sc| {
+        for seed in [0x9E37_79B9_7F4A_7C15u64, 0xD1B5_4A32_D192_ED03] {
+            let (l, movers) = (&l, &movers);
+            sc.spawn(move || {
+                let mut x = seed;
+                for _ in 0..MOVES {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let id = x % ACCOUNTS;
+                    let r = match (x >> 32) % 3 {
+                        0 => l.migrate(id, (x >> 40) as usize % SHARDS),
+                        1 => l.promote(id),
+                        _ => l.demote(id),
+                    };
+                    // A lookup racing a move may miss (NotFound) and a
+                    // contended retry budget may run out (Overloaded);
+                    // nothing else is a legal answer here.
+                    assert!(
+                        matches!(
+                            r,
+                            Ok(()) | Err(LedgerError::NotFound | LedgerError::Overloaded)
+                        ),
+                        "account {id}: {r:?}"
+                    );
+                }
+                movers.fetch_sub(1, Ordering::Release);
+            });
+        }
+        let mut id = 0;
+        while movers.load(Ordering::Acquire) > 0 || reads < 4 * ACCOUNTS {
+            match l.balance(id) {
+                Ok(v) => {
+                    assert_eq!(v, amount(id), "account {id} read a wrong balance");
+                    exact += 1;
+                }
+                Err(e) => assert_eq!(e, LedgerError::NotFound, "account {id}"),
+            }
+            reads += 1;
+            id = (id + 1) % ACCOUNTS;
+            if id == 0 {
+                std::thread::yield_now();
+            }
+        }
+    });
+    assert!(exact > 0, "no read found an account ({reads} reads)");
+    for id in 0..ACCOUNTS {
+        assert_eq!(l.balance(id), Ok(amount(id)), "quiet read of account {id}");
+    }
+    let r = l.quiesced_audit();
+    assert!(r.conserved(), "{r:?}");
+    assert_eq!(r.accounts, ACCOUNTS);
+    assert_eq!(r.account_tokens, (0..ACCOUNTS).map(amount).sum::<u64>());
 }
