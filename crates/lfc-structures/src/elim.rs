@@ -50,7 +50,7 @@
 //! window a freed address is free to recycle. The defense is to close the
 //! reuse window outright: the pusher parks `addr` in its [`slot::ELIM`]
 //! hazard *before* offering and clears it only after the outcome is
-//! decided, and a claiming popper hands the node to [`retire_node`]
+//! decided, and a claiming popper hands the node to [`retire`]
 //! instead of freeing it. Reclamation of the node therefore cannot
 //! complete while the pusher camps — every scan that could free it runs
 //! after the popper's retire, which is ordered after the claim CAS's
@@ -65,7 +65,7 @@
 //! linearization point must be a *captured CAS triple* — a cancelled pair
 //! has no word to capture.
 
-use crate::node::{retire_node, Node};
+use crate::node::{retire, Node};
 use crate::sync::{AtomicUsize, Ordering};
 use lfc_hazard::{slot, Guard};
 use lfc_runtime::CachePadded;
@@ -177,7 +177,7 @@ impl<T: Clone + Send + Sync + 'static> ElimArray<T> {
                 // offer its withdraw CAS would steal. The pusher's ELIM
                 // hazard defers reclamation past its camp.
                 // Safety: claimed above, unlinked from the slot by our CAS.
-                unsafe { retire_node(node) };
+                unsafe { retire(node) };
                 return Some(val.expect("offered nodes always hold a value"));
             }
         }
@@ -194,26 +194,26 @@ impl<T: Clone + Send + Sync + 'static> ElimArray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{alloc_node, free_unpublished_node};
+    use crate::node::{alloc, free_unpublished};
     use lfc_hazard::pin;
 
     #[test]
     fn solo_offer_withdraws_cleanly() {
         let e: ElimArray<u64> = ElimArray::new();
         let g = pin();
-        let n = alloc_node(Some(5u64));
+        let n = alloc(Node::new(Some(5u64))).as_ptr();
         // No popper around: the offer must come back withdrawn and the
         // caller keeps ownership.
         assert!(!unsafe { e.offer_push(n, &g, 0) });
         assert!(e.is_quiet());
         assert_eq!(g.get(slot::ELIM), 0, "camp hazard must be cleared");
-        unsafe { free_unpublished_node(n) };
+        unsafe { free_unpublished(n) };
     }
 
     #[test]
     fn claim_transfers_the_value_and_retires_the_node() {
         let e: ElimArray<u64> = ElimArray::new();
-        let n = alloc_node(Some(7u64));
+        let n = alloc(Node::new(Some(7u64))).as_ptr();
         // Park the offer directly (offer_push would withdraw it before a
         // same-thread popper could run).
         e.slots[1]
@@ -234,7 +234,7 @@ mod tests {
         // a fresh offer reuse the address in the same slot.
         let e: ElimArray<u64> = ElimArray::new();
         let g = pin();
-        let n = alloc_node(Some(11u64));
+        let n = alloc(Node::new(Some(11u64))).as_ptr();
         let addr = n as usize;
         // Stand in for the camping pusher: hazard up, offer parked.
         g.promote(slot::ELIM, addr);
@@ -245,7 +245,7 @@ mod tests {
         let mut probes = Vec::new();
         for _ in 0..64 {
             lfc_hazard::flush();
-            let p = alloc_node(Some(0u64));
+            let p = alloc(Node::new(Some(0u64))).as_ptr();
             assert_ne!(
                 p as usize, addr,
                 "claimed node recycled under a camping pusher"
@@ -253,7 +253,7 @@ mod tests {
             probes.push(p);
         }
         for p in probes {
-            unsafe { free_unpublished_node(p) };
+            unsafe { free_unpublished(p) };
         }
         // Camp over: the node becomes reclaimable.
         g.clear(slot::ELIM);
@@ -275,11 +275,11 @@ mod tests {
         let mut v = 41u64;
         loop {
             v += 1;
-            let n = alloc_node(Some(v));
+            let n = alloc(Node::new(Some(v))).as_ptr();
             if unsafe { e.offer_push(n, &g, 0) } {
                 break;
             }
-            unsafe { free_unpublished_node(n) };
+            unsafe { free_unpublished(n) };
         }
         assert_eq!(popper.join().unwrap(), v);
         assert!(e.is_quiet());

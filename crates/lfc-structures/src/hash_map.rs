@@ -56,14 +56,14 @@
 //! Bucket selection hashes with an FxHash-style mixer over a power-of-two
 //! bucket count (PR 3): one rotate-xor-multiply per key word plus a mask.
 
+use crate::node::{alloc, free_unpublished, retire, try_alloc, Block};
 use crate::sync::{AtomicUsize, Ordering};
-use crate::traverse::{self, is_deleted, without_mark, ChainNode, NoRepin, Position, DEL_MARK};
+use crate::traverse::{self, ChainNode, NoRepin, Position};
 use lfc_core::{
-    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, NormalCas, RemoveCtx,
-    RemoveOutcome, ScasResult,
+    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, NormalCas, RemoveCtx, RemoveOutcome,
 };
 use lfc_dcas::DAtomic;
-use lfc_hazard::{pin, pin_op, Guard};
+use lfc_hazard::{pin, pin_op, Guard, OpGuard};
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
@@ -195,91 +195,40 @@ struct SNode<K, T> {
     birth: usize,
 }
 
-fn snode_layout<K, T>() -> Layout {
-    Layout::new::<SNode<K, T>>()
-}
-
-fn alloc_snode<K, T>(so_key: usize, key: Option<K>, val: Option<T>) -> *mut SNode<K, T> {
-    let p = lfc_alloc::alloc_block(snode_layout::<K, T>());
-    unsafe { init_snode(p, so_key, key, val) }
-}
-
-/// Fallible [`alloc_snode`] (`structures.node` fault site): hands key and
-/// value back on failure so the caller keeps ownership.
-#[allow(clippy::type_complexity)]
-fn try_alloc_snode<K, T>(
-    so_key: usize,
-    key: Option<K>,
-    val: Option<T>,
-) -> Result<*mut SNode<K, T>, (Option<K>, Option<T>, lfc_alloc::AllocError)> {
-    if lfc_runtime::fault::check("structures.node") {
-        return Err((key, val, lfc_alloc::AllocError));
-    }
-    match lfc_alloc::try_alloc_block(snode_layout::<K, T>()) {
-        Ok(p) => Ok(unsafe { init_snode(p, so_key, key, val) }),
-        Err(e) => Err((key, val, e)),
-    }
-}
-
-/// # Safety
-///
-/// `p` must be a fresh block of `snode_layout::<K, T>()`.
-unsafe fn init_snode<K, T>(
-    p: std::ptr::NonNull<u8>,
-    so_key: usize,
-    key: Option<K>,
-    val: Option<T>,
-) -> *mut SNode<K, T> {
-    let p = p.cast::<SNode<K, T>>();
-    // Safety: fresh block of the right layout.
-    unsafe {
-        p.as_ptr().write(SNode {
+impl<K, T> SNode<K, T> {
+    /// An unlinked node stamped with the current era.
+    fn new(so_key: usize, key: Option<K>, val: Option<T>) -> Self {
+        SNode {
             next: DAtomic::new(0),
             so_key,
             key,
             val: UnsafeCell::new(val),
             birth: lfc_hazard::birth_era(),
-        });
-    }
-    debug_assert_eq!(p.as_ptr() as usize & 0b111, 0);
-    p.as_ptr()
-}
-
-unsafe fn reclaim_snode<K, T>(p: *mut u8) {
-    // Safety: retire contract.
-    unsafe {
-        std::ptr::drop_in_place(p as *mut SNode<K, T>);
-        lfc_alloc::free_block(p, snode_layout::<K, T>());
+        }
     }
 }
 
-/// Zombie-tier fallback: pool the block without dropping key/value (see
-/// `divert_node` in `node.rs`).
-unsafe fn divert_snode<K, T>(p: *mut u8) {
-    // Safety: retire contract; contents intentionally not dropped.
-    unsafe { lfc_alloc::free_block(p, snode_layout::<K, T>()) };
+impl<K, T> Block for SNode<K, T> {
+    fn birth(&self) -> usize {
+        self.birth
+    }
 }
 
-unsafe fn retire_snode<K, T>(p: *mut SNode<K, T>) {
-    // Safety: unlinked but live; single retire call reads the plain field.
-    let birth = unsafe { (*p).birth };
-    // Safety: forwarded.
-    unsafe {
-        lfc_hazard::retire_with(
-            p as *mut u8,
-            reclaim_snode::<K, T>,
-            lfc_hazard::RetireInfo {
-                bytes: std::mem::size_of::<SNode<K, T>>(),
-                birth,
-                divert: Some(divert_snode::<K, T>),
-            },
-        )
-    };
-}
+// Safety: `next` is the marked chain word; `val` is written before
+// publication; unlinked nodes are hazard-retired.
+unsafe impl<K, T: Clone> ChainNode for SNode<K, T> {
+    type Elem = T;
 
-unsafe fn free_unpublished_snode<K, T>(p: *mut SNode<K, T>) {
-    // Safety: unique owner.
-    unsafe { reclaim_snode::<K, T>(p as *mut u8) };
+    #[inline]
+    fn chain_word(&self) -> &DAtomic {
+        &self.next
+    }
+
+    #[inline]
+    fn elem(&self) -> Option<&T> {
+        // Safety: written once before publication.
+        unsafe { (*self.val.get()).as_ref() }
+    }
 }
 
 /// The map's mutable shared state, kept in its own pooled allocation like
@@ -311,23 +260,7 @@ fn live_items(raw: usize) -> usize {
     (raw as isize).max(0) as usize
 }
 
-fn alloc_map_header(init: usize) -> std::ptr::NonNull<MapHeader> {
-    let p = lfc_alloc::alloc_block(Layout::new::<MapHeader>()).cast::<MapHeader>();
-    // Safety: fresh block of the right layout.
-    unsafe {
-        p.as_ptr().write(MapHeader {
-            size: CachePadded::new(AtomicUsize::new(init)),
-            items: CachePadded::new(AtomicUsize::new(0)),
-            dir: std::array::from_fn(|_| AtomicUsize::new(0)),
-        });
-    }
-    p
-}
-
-unsafe fn reclaim_map_header(p: *mut u8) {
-    // No drop glue: the header is atomics all the way down.
-    unsafe { lfc_alloc::free_block(p, Layout::new::<MapHeader>()) };
-}
+impl Block for MapHeader {}
 
 /// A directory segment is a raw `[AtomicUsize; len + 1]` block: word 0
 /// holds `len` (so the type-erased reclaimer can rebuild the layout), words
@@ -357,19 +290,6 @@ unsafe fn reclaim_segment(p: *mut u8) {
     unsafe {
         let len = (*base).load(Ordering::Relaxed);
         lfc_alloc::free_block(p, segment_layout(len));
-    }
-}
-
-// Safety: `next` is the marked chain word; unlinked nodes are hazard-retired.
-unsafe impl<K, T> ChainNode for SNode<K, T> {
-    #[inline]
-    fn chain_word(&self) -> &DAtomic {
-        &self.next
-    }
-
-    unsafe fn retire_unlinked(p: *mut Self) {
-        // Safety: forwarded contract.
-        unsafe { retire_snode(p) };
     }
 }
 
@@ -453,7 +373,11 @@ where
         // stay under 2^(BITS-1) so dummy keys keep LSB 0).
         let max_size = ((init as u128) << (DIR_SLOTS - 1)).min(1u128 << (usize::BITS - 2)) as usize;
         let map = LfHashMap {
-            header: alloc_map_header(init),
+            header: alloc(MapHeader {
+                size: CachePadded::new(AtomicUsize::new(init)),
+                items: CachePadded::new(AtomicUsize::new(0)),
+                dir: std::array::from_fn(|_| AtomicUsize::new(0)),
+            }),
             init_size: init,
             init_shift: init.trailing_zeros(),
             max_size,
@@ -463,7 +387,7 @@ where
         // order key 0 — the minimum) exist from birth, so `dummy_of`'s
         // recursion always terminates.
         let seg = map.segment(0);
-        let head = alloc_snode::<K, T>(so_dummy_key(0), None, None);
+        let head = alloc(SNode::<K, T>::new(so_dummy_key(0), None, None)).as_ptr();
         // Safety: slot 0 of the freshly allocated segment; Release pairs
         // with the Acquire slot loads of every later operation.
         unsafe { &*seg.add(1) }.store(head as usize, Ordering::Release);
@@ -618,8 +542,8 @@ where
                 }
             }
             if fresh.is_null() {
-                fresh = match try_alloc_snode::<K, T>(dkey, None, None) {
-                    Ok(p) => p,
+                fresh = match try_alloc("structures.node", SNode::new(dkey, None, None)) {
+                    Ok(p) => p.as_ptr(),
                     // Genuine exhaustion: same degrade as the fault site.
                     Err(_) => return parent,
                 };
@@ -637,7 +561,7 @@ where
         };
         if !fresh.is_null() {
             // Safety: never published.
-            unsafe { free_unpublished_snode(fresh) };
+            unsafe { free_unpublished(fresh) };
         }
         // Publish the (unique) list dummy in the directory. A CAS failure
         // means another initializer published first — necessarily the same
@@ -665,24 +589,6 @@ where
         self.dummy_of(h & (size - 1), g)
     }
 
-    /// Whether `cur` sorts at-or-after the target `(so, key)`. Split-order
-    /// keys differ between dummies and data nodes (LSB), so an equal
-    /// `so_key` implies the same kind; equal data keys (a full-hash
-    /// collision) fall back to the `Ord` tie-break.
-    #[inline]
-    fn at_or_after(cur_so: usize, cur_key: Option<&K>, so: usize, key: Option<&K>) -> bool {
-        if cur_so != so {
-            return cur_so > so;
-        }
-        match (key, cur_key) {
-            // Dummy target: equal split-order key means "found".
-            (None, _) => true,
-            // Data target vs dummy node: unreachable (LSBs differ).
-            (Some(_), None) => true,
-            (Some(k), Some(ck)) => ck >= k,
-        }
-    }
-
     /// Locate `(so, key)` starting from the bucket dummy `start`, via the
     /// shared traversal kernel ([`crate::traverse::find_pos`]). `start` is
     /// a dummy — reachable for the map's whole lifetime (dummies are
@@ -698,14 +604,40 @@ where
     ) -> Position<SNode<K, T>> {
         // Safety: start is epoch-protected (a live dummy).
         let anchor = |_: &Guard| (unsafe { &(*start).next } as *const DAtomic, start as usize);
-        // Safety: cur epoch-protected; so_key/key are immutable.
         let at_or_after = |cur: *mut SNode<K, T>| {
-            let (cur_so, cur_key) = unsafe { ((*cur).so_key, (*cur).key.as_ref()) };
-            Self::at_or_after(cur_so, cur_key, so, key)
+            // Safety: cur epoch-protected; so_key/key are immutable.
+            let cur = unsafe { &*cur };
+            if cur.so_key != so {
+                return cur.so_key > so;
+            }
+            // An equal split-order key implies the same kind (dummies and
+            // data nodes differ in the LSB): a dummy target is found, and
+            // equal data keys (a full-hash collision) fall back to `Ord`.
+            match (key, cur.key.as_ref()) {
+                (Some(k), Some(ck)) => ck >= k,
+                _ => true,
+            }
         };
         // Safety: anchor contract per above; nodes are SNodes by
         // construction.
         unsafe { traverse::find_pos(&mut NoRepin(g), anchor, at_or_after) }
+    }
+
+    /// The keyed kernel's `find` for data key `key` with hash `h`: the one
+    /// ejection-restart point of the attempt, then the start dummy
+    /// re-resolved (a concurrent doubling may have split the bucket since
+    /// the last attempt), then the dummy-anchored walk.
+    fn find(&self, h: usize, key: &K, g: &mut OpGuard) -> Position<SNode<K, T>> {
+        g.repin_if_ejected();
+        let start = self.start_for(h, g);
+        self.find_from(start, so_data_key(h), Some(key), g)
+    }
+
+    /// Whether `n` is the data node of `key` (hash `h`). Only data nodes
+    /// match, so a dummy is never a linearization subject (module docs).
+    #[inline]
+    fn holds(n: &SNode<K, T>, h: usize, key: &K) -> bool {
+        n.so_key == so_data_key(h) && n.key.as_ref() == Some(key)
     }
 
     /// Growth heuristic after a successful insert: double the bucket count
@@ -818,19 +750,15 @@ where
     #[allow(clippy::type_complexity)]
     pub fn try_insert(&self, key: K, val: T) -> Result<bool, ((K, T), lfc_alloc::AllocError)> {
         let h = Self::hash(&key);
-        let node = match try_alloc_snode(so_data_key(h), Some(key), Some(val)) {
-            Ok(n) => n,
-            Err((k, v, e)) => {
-                return Err((
-                    (
-                        k.expect("key handed back on failure"),
-                        v.expect("value handed back on failure"),
-                    ),
-                    e,
-                ));
-            }
+        let node = try_alloc(
+            "structures.node",
+            SNode::new(so_data_key(h), Some(key), Some(val)),
+        );
+        let node = match node {
+            Ok(n) => n.as_ptr(),
+            Err((n, e)) => return Err(((n.key.unwrap(), n.val.into_inner().unwrap()), e)),
         };
-        Ok(self.insert_snode(h, node, &mut NormalCas) == InsertOutcome::Inserted)
+        Ok(self.insert_node(h, node, &mut NormalCas) == InsertOutcome::Inserted)
     }
 
     /// Remove the element under `key`.
@@ -848,19 +776,8 @@ where
         let h = Self::hash(key);
         let start = self.start_for(h, &g);
         let pos = self.find_from(start, so_data_key(h), Some(key), &g);
-        if pos.cur.is_null() {
-            return None;
-        }
-        // Safety: cur epoch-protected by the op guard; fields immutable.
-        let node = pos.cur;
-        if unsafe { (*node).so_key } == so_data_key(h)
-            && unsafe { (*node).key.as_ref() } == Some(key)
-        {
-            // Safety: value immutable, node epoch-protected.
-            unsafe { (*(*node).val.get()).clone() }
-        } else {
-            None
-        }
+        // Safety: the position was found under `g`.
+        unsafe { traverse::get(pos, |n| Self::holds(n, h, key)) }
     }
 
     /// Whether `key` is present.
@@ -869,24 +786,12 @@ where
     }
 
     /// Racy O(n) size (quiescent use only): walks the whole split-ordered
-    /// list counting live data nodes (dummies excluded).
+    /// list counting live data nodes (dummies hold no element).
     pub fn count(&self) -> usize {
         let g = pin_op();
-        // Safety: the bucket-0 dummy exists from birth; epoch-protected
-        // walk as in find_from.
         let head = self.bucket_slot(0).load(Ordering::Acquire) as *mut SNode<K, T>;
-        let mut n = 0;
-        let mut cur = unsafe { &(*head).next }.read(&g);
-        while cur != 0 {
-            let node = cur as *mut SNode<K, T>;
-            // Safety: quiescent per the docs.
-            let next = unsafe { &(*node).next }.read_acquire(&g);
-            if !is_deleted(next) && unsafe { (*node).key.is_some() } {
-                n += 1;
-            }
-            cur = without_mark(next);
-        }
-        n
+        // Safety: the bucket-0 dummy exists from birth and heads the list.
+        unsafe { traverse::count::<SNode<K, T>>(&(*head).next, &g) }
     }
 }
 
@@ -905,65 +810,30 @@ where
     K: Hash + Ord + Clone + Send + Sync + 'static,
     T: Clone + Send + Sync + 'static,
 {
-    /// The insert loop on an already-allocated data node: the shared tail
-    /// of the infallible ([`KeyedMoveTarget::insert_key_with`]) and
+    /// The kernel insert of an already-allocated data node: the shared
+    /// tail of the infallible ([`KeyedMoveTarget::insert_key_with`]) and
     /// fallible ([`LfHashMap::try_insert`]) insert paths.
-    fn insert_snode<C: InsertCtx>(
+    fn insert_node<C: InsertCtx>(
         &self,
         h: usize,
         node: *mut SNode<K, T>,
         ctx: &mut C,
     ) -> InsertOutcome {
         let mut g = pin_op();
-        let so = so_data_key(h);
-        loop {
-            // Ejection check (PR 6): the attempt re-resolves its start
-            // dummy anyway, so an ejected thread just re-enters here;
-            // `node` is unpublished and survives the restart.
-            g.repin_if_ejected();
-            // Safety: node is ours until published; the key is immutable.
-            let key_ref = unsafe { (*node).key.as_ref() }.expect("data node holds a key");
-            // Re-resolve the start dummy every attempt: a concurrent
-            // doubling may have split our bucket since the last one.
-            let start = self.start_for(h, &g);
-            let pos = self.find_from(start, so, Some(key_ref), &g);
-            if !pos.cur.is_null() {
-                // Safety: cur epoch-protected by find's op guard.
-                if unsafe { (*pos.cur).so_key } == so
-                    && unsafe { (*pos.cur).key.as_ref() } == Some(key_ref)
-                {
-                    // Duplicate key: genuine rejection (fails a move).
-                    // Safety: never published.
-                    unsafe { free_unpublished_snode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
-            // Safety: unpublished node.
-            unsafe { &(*node).next }.store_word(pos.cur as usize);
-            let r = ctx.scas(LinPoint {
-                // Safety: prev allocation (a dummy or data node)
-                // epoch-protected; a composed capture promotes `hp` into an
-                // ENTRY hazard slot before the commit so the protection
-                // outlives this epoch. The dummy itself is never the
-                // *subject* of the linearization point — only the host of
-                // the predecessor word (module-docs invariant).
-                word: unsafe { &*pos.prev_word },
-                old: pos.cur as usize,
-                new: node as usize,
-                hp: pos.prev_alloc,
-            });
-            match r {
-                ScasResult::Success => {
-                    self.note_inserted();
-                    return InsertOutcome::Inserted;
-                }
-                ScasResult::Fail => continue,
-                ScasResult::Abort => {
-                    // Safety: never published.
-                    unsafe { free_unpublished_snode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
+        // Safety: node is ours until published; the key is immutable.
+        let key = unsafe { (*node).key.as_ref() }.expect("data node holds a key");
+        // Safety: `find` anchors at live bucket dummies. The dummy itself
+        // is never the *subject* of the link CAS — only the host of the
+        // predecessor word (module-docs invariant).
+        unsafe {
+            traverse::insert(
+                &mut g,
+                node,
+                ctx,
+                |g| self.find(h, key, g),
+                |n| Self::holds(n, h, key),
+                |_, _| self.note_inserted(),
+            )
         }
     }
 }
@@ -975,8 +845,8 @@ where
 {
     fn insert_key_with<C: InsertCtx>(&self, key: K, elem: T, ctx: &mut C) -> InsertOutcome {
         let h = Self::hash(&key);
-        let node = alloc_snode(so_data_key(h), Some(key), Some(elem));
-        self.insert_snode(h, node, ctx)
+        let node = alloc(SNode::new(so_data_key(h), Some(key), Some(elem))).as_ptr();
+        self.insert_node(h, node, ctx)
     }
 }
 
@@ -988,62 +858,19 @@ where
     fn remove_key_with<C: RemoveCtx<T>>(&self, key: &K, ctx: &mut C) -> RemoveOutcome<T> {
         let mut g = pin_op();
         let h = Self::hash(key);
-        let so = so_data_key(h);
-        loop {
-            // Ejection check (PR 6): see `insert_key_with`.
-            g.repin_if_ejected();
-            let start = self.start_for(h, &g);
-            let pos = self.find_from(start, so, Some(key), &g);
-            let cur = pos.cur;
-            // Safety: cur epoch-protected by find's op guard (non-null).
-            if cur.is_null()
-                || unsafe { (*cur).so_key } != so
-                || unsafe { (*cur).key.as_ref() } != Some(key)
-            {
-                return RemoveOutcome::Empty;
-            }
-            // The key matched, so `cur` is a data node: the remove's
-            // linearization point can never mark a dummy (module-docs
-            // invariant).
-            debug_assert!(unsafe { (*cur).key.is_some() });
-            // Safety: cur epoch-protected.
-            let succ_w = unsafe { &(*cur).next }.read(&g);
-            if is_deleted(succ_w) {
-                continue; // someone else is removing it; re-find
-            }
-            // Element accessible before the linearization point (req. 4).
-            // Safety: value immutable; cur epoch-protected.
-            let val = match unsafe { (*(*cur).val.get()).as_ref() } {
-                Some(v) => v.clone(),
-                None => unreachable!("data nodes always hold a value"),
-            };
-            // The linearization point: the logical-delete marking CAS.
-            let r = ctx.scas(
-                LinPoint {
-                    // Safety: cur epoch-protected; composed captures promote
-                    // `hp` into an ENTRY hazard slot before the commit.
-                    word: unsafe { &(*cur).next },
-                    old: succ_w,
-                    new: succ_w | DEL_MARK,
-                    hp: cur as usize,
-                },
-                &val,
-            );
-            match r {
-                ScasResult::Success => {
-                    // Relaxed (audited): growth heuristic only.
+        // Safety: as in `insert_node`; only a data node matches, so the
+        // mark CAS never lands on a dummy.
+        unsafe {
+            traverse::remove(
+                &mut g,
+                ctx,
+                |g| self.find(h, key, g),
+                |n| Self::holds(n, h, key),
+                // Relaxed (audited): growth heuristic only.
+                |_, _| {
                     self.hdr().items.fetch_sub(1, Ordering::Relaxed);
-                    // Cleanup: try to unlink physically; a traversal will
-                    // otherwise do it later.
-                    if unsafe { &*pos.prev_word }.cas_word(cur as usize, succ_w) {
-                        // Safety: unlinked.
-                        unsafe { retire_snode(cur) };
-                    }
-                    return RemoveOutcome::Removed(val);
-                }
-                ScasResult::Fail => continue,
-                ScasResult::Abort => return RemoveOutcome::Aborted,
-            }
+                },
+            )
         }
     }
 }
@@ -1057,17 +884,9 @@ where
         let g = pin();
         // Every node — data and dummy alike — is reachable from the
         // bucket-0 dummy, the global head of the split-ordered list.
-        let head = self.bucket_slot(0).load(Ordering::Acquire) as *mut SNode<K, T>;
-        let mut cur = head as usize;
-        while cur != 0 {
-            let node = cur as *mut SNode<K, T>;
-            // Safety: exclusive teardown (&mut self); helpers of past
-            // composed operations may still write into `next` words, which
-            // is why nodes go through the unified reclamation domain.
-            let next = unsafe { &(*node).next }.read(&g);
-            unsafe { retire_snode(node) };
-            cur = without_mark(next);
-        }
+        let head = self.bucket_slot(0).load(Ordering::Acquire);
+        // Safety: exclusive teardown (&mut self).
+        unsafe { traverse::retire_chain::<SNode<K, T>>(head, &g) };
         // Segments and the map header flow through the same domain (PR 5):
         // their slots are plain atomics no helper writes to, but deferring
         // the free keeps one teardown discipline for every block the map
@@ -1095,17 +914,7 @@ where
             }
         }
         // Safety: unique teardown path.
-        unsafe {
-            lfc_hazard::retire_with(
-                self.header.as_ptr() as *mut u8,
-                reclaim_map_header,
-                lfc_hazard::RetireInfo {
-                    bytes: std::mem::size_of::<MapHeader>(),
-                    birth: lfc_hazard::BIRTH_UNKNOWN,
-                    divert: Some(reclaim_map_header),
-                },
-            )
-        };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

@@ -4,13 +4,26 @@
 //! * [`TreiberStack`] — the Treiber lock-free stack, move-ready (paper §5.2)
 //! * [`StampedStack`] — Treiber with a version-stamped top (paper §7's ABA fix)
 //! * [`OneSlot`] — a bounded single-element container (exercises move aborts)
+//! * [`OrderedSet`] — a Harris/Michael sorted linked-list set, keyed and
+//!   move-ready (the list of the paper's §1.1 scenario)
+//! * [`LfHashMap`] — a split-ordered hash map with incremental lock-free
+//!   resize, keyed and move-ready (the hash map of §1.1)
+//! * [`LfSkipMap`] — a skip-list map whose bottom level is the same keyed
+//!   chain, with ordered `range` queries
+//! * [`elim`] — the elimination exchanger behind [`TreiberStack`]'s backoff
 //! * [`PlainMsQueue`], [`PlainTreiberStack`] — textbook baselines without the
 //!   `scas` transformation, for the normal-operation overhead comparison
 //! * [`LockQueue`], [`LockStack`], [`lock_move`] — the paper's blocking
 //!   test-test-and-set baseline and its two-lock composed move
 //!
+//! The three keyed objects share one traversal kernel: the Harris insert
+//! and remove are written once, and each object supplies only its `find`,
+//! its key match and at most two hooks (DESIGN.md, "One keyed chain").
+//!
 //! All lock-free objects share the pooling memory manager (`lfc-alloc`) and
-//! the hazard-pointer domain (`lfc-hazard`), as in the paper's evaluation.
+//! the unified epoch+hazard reclamation domain (`lfc-hazard`): traversals
+//! run under one operation epoch, and hazard slots protect what a composed
+//! operation captures.
 
 #![warn(missing_docs)]
 

@@ -15,29 +15,13 @@
 //! [`lock_move`] acquires the two locks in address order, the standard
 //! deadlock-avoidance discipline a careful programmer would use.
 
+use crate::node::{alloc, divert};
 use lfc_runtime::{BackoffCfg, TtasLock};
-use std::alloc::Layout;
 use std::cell::UnsafeCell;
 
 struct LNode<T> {
     val: T,
     next: *mut LNode<T>,
-}
-
-fn lnode_layout<T>() -> Layout {
-    Layout::new::<LNode<T>>()
-}
-
-fn alloc_lnode<T>(val: T) -> *mut LNode<T> {
-    let p = lfc_alloc::alloc_block(lnode_layout::<T>()).cast::<LNode<T>>();
-    // Safety: fresh block of the right layout.
-    unsafe {
-        p.as_ptr().write(LNode {
-            val,
-            next: std::ptr::null_mut(),
-        });
-    }
-    p.as_ptr()
 }
 
 /// Take the value out and return the block to the pool.
@@ -46,10 +30,11 @@ fn alloc_lnode<T>(val: T) -> *mut LNode<T> {
 ///
 /// `p` must be a live node uniquely owned by the caller.
 unsafe fn take_lnode<T>(p: *mut LNode<T>) -> T {
-    // Safety: unique owner.
+    // Safety: unique owner; the value is moved out, so the block is freed
+    // without its drop glue.
     unsafe {
         let v = std::ptr::read(&(*p).val);
-        lfc_alloc::free_block(p as *mut u8, lnode_layout::<T>());
+        divert::<LNode<T>>(p as *mut u8);
         v
     }
 }
@@ -140,7 +125,11 @@ impl<T> LockQueue<T> {
     unsafe fn push_back(&self, v: T) {
         // Safety: lock held by caller.
         let st = unsafe { &mut *self.inner.get() };
-        let node = alloc_lnode(v);
+        let node = alloc(LNode {
+            val: v,
+            next: std::ptr::null_mut(),
+        })
+        .as_ptr();
         if st.tail.is_null() {
             st.head = node;
         } else {
@@ -267,7 +256,11 @@ impl<T> LockStack<T> {
     unsafe fn push_top(&self, v: T) {
         // Safety: lock held by caller.
         let st = unsafe { &mut *self.inner.get() };
-        let node = alloc_lnode(v);
+        let node = alloc(LNode {
+            val: v,
+            next: std::ptr::null_mut(),
+        })
+        .as_ptr();
         // Safety: node is fresh.
         unsafe { (*node).next = st.head };
         st.head = node;

@@ -19,10 +19,7 @@
 //! words executed by the invoking thread, and the dequeued value is read at
 //! line Q33, before the linearization point.
 
-use crate::node::{
-    alloc_node, alloc_pair_header, clone_val, free_unpublished_node, retire_node,
-    retire_pair_header, try_alloc_node, try_alloc_pair_header, Node, PairHeader,
-};
+use crate::node::{alloc, clone_val, free_unpublished, retire, try_alloc, Node, PairHeader};
 use lfc_core::{
     InsertCtx, InsertOutcome, LinPoint, MoveSource, MoveTarget, NormalCas, RemoveCtx,
     RemoveOutcome, ScasResult,
@@ -57,9 +54,9 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
 
     /// Empty queue whose operations run `cfg` backoff on failed CASes.
     pub fn with_backoff(cfg: BackoffCfg) -> Self {
-        let dummy = alloc_node::<T>(None);
+        let dummy = alloc(Node::<T>::new(None)).as_ptr();
         MsQueue {
-            header: alloc_pair_header(dummy as usize, dummy as usize),
+            header: alloc(PairHeader::new(dummy as usize, dummy as usize)),
             backoff: cfg,
             _marker: std::marker::PhantomData,
         }
@@ -69,19 +66,22 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
     /// failure (genuine exhaustion, or the `structures.node` /
     /// `structures.header` fault sites) as `Err` instead of panicking.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        let dummy = match try_alloc_node::<T>(None) {
-            Ok(n) => n,
+        let dummy = match try_alloc("structures.node", Node::<T>::new(None)) {
+            Ok(n) => n.as_ptr(),
             Err((_, e)) => return Err(e),
         };
-        match try_alloc_pair_header(dummy as usize, dummy as usize) {
+        match try_alloc(
+            "structures.header",
+            PairHeader::new(dummy as usize, dummy as usize),
+        ) {
             Ok(header) => Ok(MsQueue {
                 header,
                 backoff: BackoffCfg::NONE,
                 _marker: std::marker::PhantomData,
             }),
-            Err(e) => {
+            Err((_, e)) => {
                 // Safety: the dummy was never published.
-                unsafe { free_unpublished_node(dummy) };
+                unsafe { free_unpublished(dummy) };
                 Err(e)
             }
         }
@@ -118,9 +118,9 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
     /// exhaustion, or the `structures.node` fault site) surfaces as `Err`
     /// with the element handed back and the queue untouched.
     pub fn try_enqueue(&self, v: T) -> Result<(), (T, lfc_alloc::AllocError)> {
-        let node = match try_alloc_node(Some(v)) {
-            Ok(n) => n,
-            Err((v, e)) => return Err((v.expect("value handed back on failure"), e)),
+        let node = match try_alloc("structures.node", Node::new(Some(v))) {
+            Ok(n) => n.as_ptr(),
+            Err((n, e)) => return Err((n.val.into_inner().expect("value handed back"), e)),
         };
         let r = self.insert_node(node, &mut NormalCas);
         debug_assert_eq!(r, InsertOutcome::Inserted);
@@ -206,7 +206,7 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
                 ScasResult::Abort => {
                     // Q15–Q17.
                     // Safety: never published.
-                    unsafe { free_unpublished_node(node) };
+                    unsafe { free_unpublished(node) };
                     return InsertOutcome::Rejected;
                 }
                 ScasResult::Success => {
@@ -225,7 +225,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for MsQueue<T> {
     /// operation epoch replaces the Q7/Q9 hazard publications and the
     /// Q10 validation re-read — a stale `ltail` simply fails the Q14 CAS.
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
-        let node = alloc_node(Some(elem)); // Q2–Q4 (next = 0)
+        let node = alloc(Node::new(Some(elem))).as_ptr(); // Q2–Q4 (next = 0)
         self.insert_node(node, ctx)
     }
 }
@@ -279,7 +279,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for MsQueue<T> {
                     // Safety: lhead is now unlinked; traversals entering
                     // after this retire cannot reach it, and stale hazard
                     // readers fail validation.
-                    unsafe { retire_node(head_node) };
+                    unsafe { retire(head_node) };
                     return RemoveOutcome::Removed(val);
                 }
                 ScasResult::Fail => bo.fail(),
@@ -304,11 +304,11 @@ impl<T: Clone + Send + Sync + 'static> Drop for MsQueue<T> {
             // moves may still hold hazards on these nodes, which is exactly
             // why we retire instead of freeing.
             let next = unsafe { &(*node).next }.read(&g);
-            unsafe { retire_node(node) };
+            unsafe { retire(node) };
             cur = next;
         }
         // Safety: unique teardown.
-        unsafe { retire_pair_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

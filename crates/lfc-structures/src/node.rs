@@ -1,4 +1,5 @@
-//! Node and header plumbing shared by the move-ready structures.
+//! Node and header plumbing shared by the move-ready structures: **one**
+//! block lifecycle for every node and header type in the crate.
 //!
 //! All nodes and structure headers are allocated from the paper's pooling
 //! memory manager (`lfc-alloc`) and given back exclusively through the
@@ -11,12 +12,121 @@
 //! of **both** regimes (older than every active epoch *and* absent from
 //! every hazard slot). Hazard-managed headers are the Rust-soundness
 //! addition documented in DESIGN.md §2.
+//!
+//! # One lifecycle
+//!
+//! Every block type — the queue/stack [`Node`], the keyed chain nodes of
+//! `OrderedSet`, `LfHashMap` and `LfSkipMap`, every structure header and
+//! the blocking baseline's nodes — goes through the same generic
+//! functions: [`alloc`] / [`try_alloc`] (fault site first), [`retire`],
+//! [`free_unpublished`], and the reclaimer / [`divert`] pair registered
+//! with the hazard domain. The caller builds the value before allocating,
+//! so a node's birth era is stamped before publication — earlier than
+//! strictly needed, which is only more conservative. Headers carry no
+//! drop glue, so for them divert *is* the reclaimer and a zombie-pinned
+//! header frees fully. The hash map's variable-length directory segments
+//! are the one block kind outside this lifecycle (their length lives in
+//! the block).
 
 use lfc_dcas::{DAtomic, Word};
 use lfc_hazard::RetireInfo;
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
 use std::ptr::NonNull;
+
+/// A block type managed by the lifecycle in this module.
+pub(crate) trait Block: Sized {
+    /// Era the block was born in (the zombie partition's evidence that a
+    /// stalled reader cannot reach it; DESIGN.md, zombie tier). Headers live
+    /// from construction to teardown and report `BIRTH_UNKNOWN`.
+    fn birth(&self) -> usize {
+        lfc_hazard::BIRTH_UNKNOWN
+    }
+}
+
+/// Move `b` into a fresh pooled block.
+pub(crate) fn alloc<B>(b: B) -> NonNull<B> {
+    let p = lfc_alloc::alloc_block(Layout::new::<B>()).cast::<B>();
+    // Safety: fresh, correctly sized and aligned block.
+    unsafe { p.as_ptr().write(b) };
+    debug_assert_eq!(p.as_ptr() as usize & 0b111, 0);
+    p
+}
+
+/// Fallible [`alloc`]: the fault site `site` (`structures.node` or
+/// `structures.header`) or genuine exhaustion surfaces as `Err`, with the
+/// value handed back so the caller keeps ownership.
+pub(crate) fn try_alloc<B>(
+    site: &'static str,
+    b: B,
+) -> Result<NonNull<B>, (B, lfc_alloc::AllocError)> {
+    if lfc_runtime::fault::check(site) {
+        return Err((b, lfc_alloc::AllocError));
+    }
+    match lfc_alloc::try_alloc_block(Layout::new::<B>()) {
+        Ok(p) => {
+            let p = p.cast::<B>();
+            // Safety: fresh, correctly sized and aligned block.
+            unsafe { p.as_ptr().write(b) };
+            Ok(p)
+        }
+        Err(e) => Err((b, e)),
+    }
+}
+
+/// Reclaimer registered with the hazard domain: drops the contents and
+/// returns the block to the pool.
+unsafe fn reclaim<B>(p: *mut u8) {
+    // Safety: retire contract — last reference, initialized block.
+    unsafe {
+        std::ptr::drop_in_place(p as *mut B);
+        lfc_alloc::free_block(p, Layout::new::<B>());
+    }
+}
+
+/// Zombie-tier fallback free: return the block to its type-stable pool
+/// **without** running drop glue — the contents leak, bounded per stall,
+/// but a reader that violates the park assumption lands on mapped pooled
+/// memory instead of recycled bytes. Also the free of a block whose
+/// contents were moved out.
+pub(crate) unsafe fn divert<B>(p: *mut u8) {
+    // Safety: retire contract; contents intentionally not dropped.
+    unsafe { lfc_alloc::free_block(p, Layout::new::<B>()) };
+}
+
+/// Defer-free a block that was published (reachable through shared memory).
+///
+/// # Safety
+///
+/// The block must be unlinked per the hazard-domain retire contract, and
+/// this must be its single retire call.
+pub(crate) unsafe fn retire<B: Block>(p: *mut B) {
+    // Safety: the block is unlinked but still live; reading its plain
+    // birth field is the retirer's prerogative (single retire call).
+    let birth = unsafe { (*p).birth() };
+    // Safety: forwarded.
+    unsafe {
+        lfc_hazard::retire_with(
+            p as *mut u8,
+            reclaim::<B>,
+            RetireInfo {
+                bytes: std::mem::size_of::<B>(),
+                birth,
+                divert: Some(divert::<B>),
+            },
+        )
+    };
+}
+
+/// Free a block that was never published.
+///
+/// # Safety
+///
+/// The block must be unpublished and uniquely owned.
+pub(crate) unsafe fn free_unpublished<B>(p: *mut B) {
+    // Safety: unique owner.
+    unsafe { reclaim::<B>(p as *mut u8) };
+}
 
 /// A singly linked node carrying an optional value (the queue's dummy node
 /// holds `None`).
@@ -27,107 +137,26 @@ pub(crate) struct Node<T> {
     /// Written once before the node is published; read (cloned) by removers
     /// before their linearization point; dropped at reclamation.
     pub val: UnsafeCell<Option<T>>,
-    /// Era the node was allocated in (plain write before publication,
-    /// plain read at retire): the zombie partition's evidence that a
-    /// stalled reader cannot reach this node (DESIGN.md, PR 6).
+    /// Era the node was built in (plain write before publication, plain
+    /// read at retire).
     pub birth: usize,
 }
 
-const fn node_layout<T>() -> Layout {
-    Layout::new::<Node<T>>()
-}
-
-/// Allocate and initialize a node. The returned pointer is at least
-/// 8-aligned, i.e. a valid raw protocol word.
-pub(crate) fn alloc_node<T>(val: Option<T>) -> *mut Node<T> {
-    let p = lfc_alloc::alloc_block(node_layout::<T>());
-    unsafe { init_node(p, val) }
-}
-
-/// Fallible [`alloc_node`]: surfaces exhaustion (or the `structures.node`
-/// fault site) as `Err` instead of panicking. On failure the element is
-/// handed back so the caller keeps ownership.
-pub(crate) fn try_alloc_node<T>(
-    val: Option<T>,
-) -> Result<*mut Node<T>, (Option<T>, lfc_alloc::AllocError)> {
-    if lfc_runtime::fault::check("structures.node") {
-        return Err((val, lfc_alloc::AllocError));
-    }
-    match lfc_alloc::try_alloc_block(node_layout::<T>()) {
-        Ok(p) => Ok(unsafe { init_node(p, val) }),
-        Err(e) => Err((val, e)),
-    }
-}
-
-/// # Safety
-///
-/// `p` must be a fresh block of `node_layout::<T>()`.
-unsafe fn init_node<T>(p: NonNull<u8>, val: Option<T>) -> *mut Node<T> {
-    let p = p.cast::<Node<T>>();
-    // Safety: fresh, correctly sized and aligned block.
-    unsafe {
-        p.as_ptr().write(Node {
+impl<T> Node<T> {
+    /// An unlinked node holding `val`, stamped with the current era.
+    pub(crate) fn new(val: Option<T>) -> Self {
+        Node {
             next: DAtomic::new(0),
             val: UnsafeCell::new(val),
             birth: lfc_hazard::birth_era(),
-        });
-    }
-    debug_assert_eq!(p.as_ptr() as usize & 0b111, 0);
-    p.as_ptr()
-}
-
-/// Reclaimer registered with the hazard domain: drops the value and returns
-/// the block to the pool.
-pub(crate) unsafe fn reclaim_node<T>(p: *mut u8) {
-    let node = p as *mut Node<T>;
-    // Safety: retire contract — last reference, initialized node.
-    unsafe {
-        std::ptr::drop_in_place(node);
-        lfc_alloc::free_block(p, node_layout::<T>());
+        }
     }
 }
 
-/// Zombie-tier fallback free (see `lfc-hazard` crate docs): return the
-/// block to its type-stable pool **without** running drop glue — the value
-/// leaks, bounded per stall, but a reader that violates the park
-/// assumption lands on mapped pooled memory instead of recycled bytes.
-pub(crate) unsafe fn divert_node<T>(p: *mut u8) {
-    // Safety: retire contract; contents intentionally not dropped.
-    unsafe { lfc_alloc::free_block(p, node_layout::<T>()) };
-}
-
-/// Defer-free a node that was published (reachable through shared memory).
-///
-/// # Safety
-///
-/// The node must be unlinked per the hazard-domain retire contract.
-pub(crate) unsafe fn retire_node<T>(p: *mut Node<T>) {
-    // Safety: the node is unlinked but still live; reading its plain
-    // birth field is the retirer's prerogative (single retire call).
-    let birth = unsafe { (*p).birth };
-    // Safety: forwarded.
-    unsafe {
-        lfc_hazard::retire_with(
-            p as *mut u8,
-            reclaim_node::<T>,
-            RetireInfo {
-                bytes: std::mem::size_of::<Node<T>>(),
-                birth,
-                divert: Some(divert_node::<T>),
-            },
-        )
-    };
-}
-
-/// Free a node that was never published (insert abort path, paper Q15–Q17 /
-/// S8–S10).
-///
-/// # Safety
-///
-/// The node must be unpublished and uniquely owned.
-pub(crate) unsafe fn free_unpublished_node<T>(p: *mut Node<T>) {
-    // Safety: unique owner.
-    unsafe { reclaim_node::<T>(p as *mut u8) };
+impl<T> Block for Node<T> {
+    fn birth(&self) -> usize {
+        self.birth
+    }
 }
 
 /// Clone the value out of a (hazard-protected) node.
@@ -153,168 +182,102 @@ pub(crate) struct PairHeader {
     pub second: DAtomic,
 }
 
-/// A one-word structure header (stack, slot).
+impl PairHeader {
+    pub(crate) fn new(first: Word, second: Word) -> Self {
+        PairHeader {
+            first: DAtomic::new(first),
+            second: DAtomic::new(second),
+        }
+    }
+}
+
+impl Block for PairHeader {}
+
+/// A one-word structure header (stack, slot, ordered set).
 #[repr(C)]
 pub(crate) struct SoloHeader {
     pub word: DAtomic,
 }
 
-pub(crate) fn alloc_pair_header(first: Word, second: Word) -> NonNull<PairHeader> {
-    let p = lfc_alloc::alloc_block(Layout::new::<PairHeader>()).cast::<PairHeader>();
-    // Safety: fresh block.
-    unsafe {
-        p.as_ptr().write(PairHeader {
-            first: DAtomic::new(first),
-            second: DAtomic::new(second),
-        });
-    }
-    p
-}
-
-/// Fallible [`alloc_pair_header`] (`structures.header` fault site): lets
-/// constructors degrade to `Err` under memory pressure instead of aborting.
-pub(crate) fn try_alloc_pair_header(
-    first: Word,
-    second: Word,
-) -> Result<NonNull<PairHeader>, lfc_alloc::AllocError> {
-    if lfc_runtime::fault::check("structures.header") {
-        return Err(lfc_alloc::AllocError);
-    }
-    let p = lfc_alloc::try_alloc_block(Layout::new::<PairHeader>())?.cast::<PairHeader>();
-    // Safety: fresh block.
-    unsafe {
-        p.as_ptr().write(PairHeader {
-            first: DAtomic::new(first),
-            second: DAtomic::new(second),
-        });
-    }
-    Ok(p)
-}
-
-pub(crate) fn alloc_solo_header(word: Word) -> NonNull<SoloHeader> {
-    let p = lfc_alloc::alloc_block(Layout::new::<SoloHeader>()).cast::<SoloHeader>();
-    // Safety: fresh block.
-    unsafe {
-        p.as_ptr().write(SoloHeader {
+impl SoloHeader {
+    pub(crate) fn new(word: Word) -> Self {
+        SoloHeader {
             word: DAtomic::new(word),
-        });
+        }
     }
-    p
 }
 
-/// Fallible [`alloc_solo_header`] (`structures.header` fault site).
-pub(crate) fn try_alloc_solo_header(
-    word: Word,
-) -> Result<NonNull<SoloHeader>, lfc_alloc::AllocError> {
-    if lfc_runtime::fault::check("structures.header") {
-        return Err(lfc_alloc::AllocError);
-    }
-    let p = lfc_alloc::try_alloc_block(Layout::new::<SoloHeader>())?.cast::<SoloHeader>();
-    // Safety: fresh block.
-    unsafe {
-        p.as_ptr().write(SoloHeader {
-            word: DAtomic::new(word),
-        });
-    }
-    Ok(p)
-}
-
-pub(crate) unsafe fn reclaim_pair_header(p: *mut u8) {
-    // No drop glue: DAtomics are plain words.
-    unsafe { lfc_alloc::free_block(p, Layout::new::<PairHeader>()) };
-}
-
-pub(crate) unsafe fn reclaim_solo_header(p: *mut u8) {
-    unsafe { lfc_alloc::free_block(p, Layout::new::<SoloHeader>()) };
-}
-
-/// Retire a header at structure drop.
-///
-/// # Safety
-///
-/// Must be the structure's unique teardown path.
-pub(crate) unsafe fn retire_pair_header(p: NonNull<PairHeader>) {
-    // Headers carry no drop glue, so the divert path *is* the reclaimer:
-    // a zombie-pinned header frees fully instead of being retained.
-    unsafe {
-        lfc_hazard::retire_with(
-            p.as_ptr() as *mut u8,
-            reclaim_pair_header,
-            RetireInfo {
-                bytes: std::mem::size_of::<PairHeader>(),
-                birth: lfc_hazard::BIRTH_UNKNOWN,
-                divert: Some(reclaim_pair_header),
-            },
-        )
-    };
-}
-
-/// See [`retire_pair_header`].
-///
-/// # Safety
-///
-/// Must be the structure's unique teardown path.
-pub(crate) unsafe fn retire_solo_header(p: NonNull<SoloHeader>) {
-    unsafe {
-        lfc_hazard::retire_with(
-            p.as_ptr() as *mut u8,
-            reclaim_solo_header,
-            RetireInfo {
-                bytes: std::mem::size_of::<SoloHeader>(),
-                birth: lfc_hazard::BIRTH_UNKNOWN,
-                divert: Some(reclaim_solo_header),
-            },
-        )
-    };
-}
+impl Block for SoloHeader {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    /// Drop-counting payload.
+    #[derive(Clone)]
+    struct D;
+    impl Drop for D {
+        fn drop(&mut self) {
+            DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Release every block `make` builds through each exit of the
+    /// lifecycle and count the drops that exit runs. Every block, fallible
+    /// or not, must be 8-aligned (a valid raw protocol word).
+    fn check_lifecycle<B>(make: impl Fn() -> B, drop_glue: usize) {
+        type Exit = unsafe fn(*mut u8);
+        let rows: [(&str, Exit, usize); 3] = [
+            ("reclaim", reclaim::<B>, drop_glue),
+            // The zombie tier must never run drop glue.
+            ("divert", divert::<B>, 0),
+            (
+                "free_unpublished",
+                |p| unsafe { free_unpublished(p as *mut B) },
+                drop_glue,
+            ),
+        ];
+        for (exit, release, drops) in rows {
+            for p in [
+                alloc(make()),
+                try_alloc("structures.node", make()).unwrap_or_else(|_| panic!("try_alloc")),
+            ] {
+                assert_eq!(p.as_ptr() as usize & 0b111, 0, "{exit}: not 8-aligned");
+                let before = DROPS.load(Ordering::SeqCst);
+                unsafe { release(p.as_ptr() as *mut u8) };
+                assert_eq!(DROPS.load(Ordering::SeqCst) - before, drops, "{exit}");
+            }
+        }
+    }
 
     #[test]
-    fn nodes_are_word_aligned() {
-        let n = alloc_node::<u64>(Some(1));
-        assert_eq!(n as usize & 0b111, 0);
-        unsafe { free_unpublished_node(n) };
+    fn lifecycle_drops_exactly_as_documented() {
+        check_lifecycle(|| Node::new(Some(D)), 1);
+        check_lifecycle(|| PairHeader::new(0, 8), 0);
+        check_lifecycle(|| SoloHeader::new(16), 0);
+        // Nodes carry the era they were built in; headers an unknown one.
+        let n = Node::new(Some(D));
+        assert!(n.birth() != lfc_hazard::BIRTH_UNKNOWN && n.birth() <= lfc_hazard::birth_era());
+        assert_eq!(PairHeader::new(0, 8).birth(), lfc_hazard::BIRTH_UNKNOWN);
+        // Headers hold the words they were built with.
+        let h = alloc(PairHeader::new(0, 8));
+        let s = alloc(SoloHeader::new(16));
+        unsafe {
+            assert_eq!(h.as_ref().first.load_word(), 0);
+            assert_eq!(h.as_ref().second.load_word(), 8);
+            assert_eq!(s.as_ref().word.load_word(), 16);
+            free_unpublished(h.as_ptr());
+            free_unpublished(s.as_ptr());
+        }
     }
 
     #[test]
     fn node_value_roundtrip() {
-        let n = alloc_node::<String>(Some("hello".to_string()));
+        let n = alloc(Node::new(Some("hello".to_string()))).as_ptr();
         assert_eq!(unsafe { clone_val(n) }, "hello");
-        unsafe { free_unpublished_node(n) };
-    }
-
-    #[test]
-    fn drop_counts_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        #[derive(Clone)]
-        struct D;
-        impl Drop for D {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let before = DROPS.load(Ordering::SeqCst);
-        let n = alloc_node::<D>(Some(D));
-        unsafe { free_unpublished_node(n) };
-        assert_eq!(DROPS.load(Ordering::SeqCst), before + 1);
-    }
-
-    #[test]
-    fn headers_allocate_and_free() {
-        let h = alloc_pair_header(0, 8);
-        unsafe {
-            assert_eq!(h.as_ref().first.load_word(), 0);
-            assert_eq!(h.as_ref().second.load_word(), 8);
-            reclaim_pair_header(h.as_ptr() as *mut u8);
-        }
-        let s = alloc_solo_header(16);
-        unsafe {
-            assert_eq!(s.as_ref().word.load_word(), 16);
-            reclaim_solo_header(s.as_ptr() as *mut u8);
-        }
+        unsafe { free_unpublished(n) };
     }
 }

@@ -7,10 +7,7 @@
 //! "If the insertion fails, due for example to the object being full, the
 //! move is aborted"), and it is handy as a mailbox in examples.
 
-use crate::node::{
-    alloc_node, alloc_solo_header, clone_val, free_unpublished_node, retire_node,
-    retire_solo_header, Node, SoloHeader,
-};
+use crate::node::{alloc, clone_val, free_unpublished, retire, Node, SoloHeader};
 use lfc_core::{
     InsertCtx, InsertOutcome, LinPoint, MoveSource, MoveTarget, NormalCas, RemoveCtx,
     RemoveOutcome, ScasResult,
@@ -32,7 +29,7 @@ impl<T: Clone + Send + Sync + 'static> OneSlot<T> {
     /// Empty slot.
     pub fn new() -> Self {
         OneSlot {
-            header: alloc_solo_header(0),
+            header: alloc(SoloHeader::new(0)),
             _marker: std::marker::PhantomData,
         }
     }
@@ -91,14 +88,14 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for OneSlot<T> {
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
         // No operation epoch: only the borrow-protected header word is read.
         let g = pin();
-        let node = alloc_node(Some(elem));
+        let node = alloc(Node::new(Some(elem))).as_ptr();
         loop {
             let cur = self.word().read(&g);
             if cur != 0 {
                 // Occupied: fail before the linearization point; a composed
                 // move aborts with TargetRejected.
                 // Safety: never published.
-                unsafe { free_unpublished_node(node) };
+                unsafe { free_unpublished(node) };
                 return InsertOutcome::Rejected;
             }
             match ctx.scas(LinPoint {
@@ -111,7 +108,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for OneSlot<T> {
                 ScasResult::Fail => continue,
                 ScasResult::Abort => {
                     // Safety: never published.
-                    unsafe { free_unpublished_node(node) };
+                    unsafe { free_unpublished(node) };
                     return InsertOutcome::Rejected;
                 }
             }
@@ -144,7 +141,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for OneSlot<T> {
             match r {
                 ScasResult::Success => {
                     // Safety: unlinked.
-                    unsafe { retire_node(cur as *mut Node<T>) };
+                    unsafe { retire(cur as *mut Node<T>) };
                     return RemoveOutcome::Removed(val);
                 }
                 ScasResult::Fail => continue,
@@ -160,10 +157,10 @@ impl<T: Clone + Send + Sync + 'static> Drop for OneSlot<T> {
         let cur = self.word().read(&g);
         if cur != 0 {
             // Safety: exclusive teardown.
-            unsafe { retire_node(cur as *mut Node<T>) };
+            unsafe { retire(cur as *mut Node<T>) };
         }
         // Safety: unique teardown.
-        unsafe { retire_solo_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

@@ -17,15 +17,13 @@
 //! move-candidate (paper Definition 1). Physical unlinking is cleanup,
 //! performed by the remover or by any later traversal.
 
-use crate::node::{alloc_solo_header, retire_solo_header, SoloHeader};
-use crate::traverse::{self, is_deleted, without_mark, ChainNode, Position, DEL_MARK};
+use crate::node::{alloc, retire, Block, SoloHeader};
+use crate::traverse::{self, ChainNode, Position};
 use lfc_core::{
-    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, NormalCas, RemoveCtx,
-    RemoveOutcome, ScasResult,
+    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, NormalCas, RemoveCtx, RemoveOutcome,
 };
 use lfc_dcas::DAtomic;
 use lfc_hazard::{pin, pin_op, Guard, OpGuard};
-use std::alloc::Layout;
 use std::cell::UnsafeCell;
 use std::ptr::NonNull;
 
@@ -37,72 +35,26 @@ struct LNode<K, T> {
     birth: usize,
 }
 
-fn lnode_layout<K, T>() -> Layout {
-    Layout::new::<LNode<K, T>>()
-}
-
-fn alloc_lnode<K, T>(key: K, val: T) -> *mut LNode<K, T> {
-    let p = lfc_alloc::alloc_block(lnode_layout::<K, T>()).cast::<LNode<K, T>>();
-    // Safety: fresh block of the right layout.
-    unsafe {
-        p.as_ptr().write(LNode {
-            next: DAtomic::new(0),
-            key,
-            val: UnsafeCell::new(Some(val)),
-            birth: lfc_hazard::birth_era(),
-        });
-    }
-    debug_assert_eq!(p.as_ptr() as usize & 0b111, 0);
-    p.as_ptr()
-}
-
-unsafe fn reclaim_lnode<K, T>(p: *mut u8) {
-    // Safety: retire contract.
-    unsafe {
-        std::ptr::drop_in_place(p as *mut LNode<K, T>);
-        lfc_alloc::free_block(p, lnode_layout::<K, T>());
+impl<K, T> Block for LNode<K, T> {
+    fn birth(&self) -> usize {
+        self.birth
     }
 }
 
-/// Zombie-tier fallback: pool the block without dropping key/value (see
-/// `divert_node` in `node.rs`).
-unsafe fn divert_lnode<K, T>(p: *mut u8) {
-    // Safety: retire contract; contents intentionally not dropped.
-    unsafe { lfc_alloc::free_block(p, lnode_layout::<K, T>()) };
-}
+// Safety: `next` is the marked chain word; `val` is written before
+// publication; unlinked nodes are hazard-retired.
+unsafe impl<K, T: Clone> ChainNode for LNode<K, T> {
+    type Elem = T;
 
-unsafe fn retire_lnode<K, T>(p: *mut LNode<K, T>) {
-    // Safety: unlinked but live; single retire call reads the plain field.
-    let birth = unsafe { (*p).birth };
-    // Safety: forwarded.
-    unsafe {
-        lfc_hazard::retire_with(
-            p as *mut u8,
-            reclaim_lnode::<K, T>,
-            lfc_hazard::RetireInfo {
-                bytes: std::mem::size_of::<LNode<K, T>>(),
-                birth,
-                divert: Some(divert_lnode::<K, T>),
-            },
-        )
-    };
-}
-
-unsafe fn free_unpublished_lnode<K, T>(p: *mut LNode<K, T>) {
-    // Safety: unique owner.
-    unsafe { reclaim_lnode::<K, T>(p as *mut u8) };
-}
-
-// Safety: `next` is the marked chain word; unlinked nodes are hazard-retired.
-unsafe impl<K, T> ChainNode for LNode<K, T> {
     #[inline]
     fn chain_word(&self) -> &DAtomic {
         &self.next
     }
 
-    unsafe fn retire_unlinked(p: *mut Self) {
-        // Safety: forwarded contract.
-        unsafe { retire_lnode(p) };
+    #[inline]
+    fn elem(&self) -> Option<&T> {
+        // Safety: written once before publication.
+        unsafe { (*self.val.get()).as_ref() }
     }
 }
 
@@ -138,7 +90,7 @@ where
     /// Empty set.
     pub fn new() -> Self {
         OrderedSet {
-            header: alloc_solo_header(0),
+            header: alloc(SoloHeader::new(0)),
             _marker: std::marker::PhantomData,
         }
     }
@@ -179,19 +131,8 @@ where
     /// Clone the element under `key`, if present.
     pub fn get(&self, key: &K) -> Option<T> {
         let mut g = pin_op();
-        let pos = self.find(key, &mut g);
-        if pos.cur.is_null() {
-            None
-        } else {
-            // Safety: cur epoch-protected by the op guard.
-            let node = pos.cur;
-            if unsafe { &(*node).key } == key {
-                // Safety: value immutable, node epoch-protected.
-                unsafe { (*(*node).val.get()).clone() }
-            } else {
-                None
-            }
-        }
+        // Safety: the position was found under `g`.
+        unsafe { traverse::get(self.find(key, &mut g), |n| n.key == *key) }
     }
 
     /// Whether `key` is present.
@@ -201,18 +142,8 @@ where
 
     /// Racy O(n) length (quiescent use only).
     pub fn count(&self) -> usize {
-        let g = pin_op();
-        let mut n = 0;
-        let mut cur = self.head().read(&g);
-        while cur != 0 {
-            // Safety: quiescent per the docs.
-            let next = unsafe { &(*(cur as *mut LNode<K, T>)).next }.read_acquire(&g);
-            if !is_deleted(next) {
-                n += 1;
-            }
-            cur = without_mark(next);
-        }
-        n
+        // Safety: the owned head word heads a chain of LNodes.
+        unsafe { traverse::count::<LNode<K, T>>(self.head(), &pin_op()) }
     }
 }
 
@@ -233,45 +164,25 @@ where
 {
     fn insert_key_with<C: InsertCtx>(&self, key: K, elem: T, ctx: &mut C) -> InsertOutcome {
         let mut g = pin_op();
-        let node = alloc_lnode(key, elem);
-        loop {
-            // Ejection check (PR 6): if a scan marked us stalled, re-enter
-            // at a fresh era and redo the find — `node` is unpublished and
-            // ours, so it survives the restart; every `pos` from a prior
-            // iteration is dead either way.
-            g.repin_if_ejected();
-            // Safety: node is ours until published.
-            let key_ref = unsafe { &(*node).key };
-            let pos = self.find(key_ref, &mut g);
-            if !pos.cur.is_null() {
-                // Safety: cur epoch-protected by find's op guard.
-                if unsafe { &(*pos.cur).key } == key_ref {
-                    // Duplicate key: genuine rejection (fails a move).
-                    // Safety: never published.
-                    unsafe { free_unpublished_lnode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
-            // Safety: unpublished node.
-            unsafe { &(*node).next }.store_word(pos.cur as usize);
-            let r = ctx.scas(LinPoint {
-                // Safety: prev allocation epoch-protected; a composed
-                // capture promotes `hp` into an ENTRY hazard slot before
-                // the commit so the protection outlives this epoch.
-                word: unsafe { &*pos.prev_word },
-                old: pos.cur as usize,
-                new: node as usize,
-                hp: pos.prev_alloc,
-            });
-            match r {
-                ScasResult::Success => return InsertOutcome::Inserted,
-                ScasResult::Fail => continue,
-                ScasResult::Abort => {
-                    // Safety: never published.
-                    unsafe { free_unpublished_lnode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
+        let node = alloc(LNode {
+            next: DAtomic::new(0),
+            key,
+            val: UnsafeCell::new(Some(elem)),
+            birth: lfc_hazard::birth_era(),
+        })
+        .as_ptr();
+        // Safety: node is ours until published; keys are immutable.
+        let key = unsafe { &(*node).key };
+        // Safety: find is the kernel walk anchored at the owned header.
+        unsafe {
+            traverse::insert(
+                &mut g,
+                node,
+                ctx,
+                |g| self.find(key, g),
+                |n| n.key == *key,
+                |_, _| {},
+            )
         }
     }
 }
@@ -283,51 +194,15 @@ where
 {
     fn remove_key_with<C: RemoveCtx<T>>(&self, key: &K, ctx: &mut C) -> RemoveOutcome<T> {
         let mut g = pin_op();
-        loop {
-            // Ejection check (PR 6): see `insert_key_with`.
-            g.repin_if_ejected();
-            let pos = self.find(key, &mut g);
-            let cur = pos.cur;
-            // Safety: cur epoch-protected by find's op guard (non-null).
-            if cur.is_null() || unsafe { &(*cur).key } != key {
-                return RemoveOutcome::Empty;
-            }
-            // Safety: cur epoch-protected.
-            let succ_w = unsafe { &(*cur).next }.read(&g);
-            if is_deleted(succ_w) {
-                continue; // someone else is removing it; re-find
-            }
-            // Element accessible before the linearization point (req. 4).
-            // Safety: value immutable; cur epoch-protected.
-            let val = match unsafe { (*(*cur).val.get()).as_ref() } {
-                Some(v) => v.clone(),
-                None => unreachable!("list nodes always hold a value"),
-            };
-            // The linearization point: the logical-delete marking CAS.
-            let r = ctx.scas(
-                LinPoint {
-                    // Safety: cur epoch-protected; composed captures promote
-                    // `hp` into an ENTRY hazard slot before the commit.
-                    word: unsafe { &(*cur).next },
-                    old: succ_w,
-                    new: succ_w | DEL_MARK,
-                    hp: cur as usize,
-                },
-                &val,
-            );
-            match r {
-                ScasResult::Success => {
-                    // Cleanup: try to unlink physically; a traversal will
-                    // otherwise do it later.
-                    if unsafe { &*pos.prev_word }.cas_word(cur as usize, succ_w) {
-                        // Safety: unlinked.
-                        unsafe { retire_lnode(cur) };
-                    }
-                    return RemoveOutcome::Removed(val);
-                }
-                ScasResult::Fail => continue,
-                ScasResult::Abort => return RemoveOutcome::Aborted,
-            }
+        // Safety: as in `insert_key_with`.
+        unsafe {
+            traverse::remove(
+                &mut g,
+                ctx,
+                |g| self.find(key, g),
+                |n| n.key == *key,
+                |_, _| {},
+            )
         }
     }
 }
@@ -339,16 +214,11 @@ where
 {
     fn drop(&mut self) {
         let g = pin();
-        let mut cur = self.head().read(&g);
-        while cur != 0 {
-            let node = cur as *mut LNode<K, T>;
-            // Safety: exclusive teardown.
-            let next = unsafe { &(*node).next }.read(&g);
-            unsafe { retire_lnode(node) };
-            cur = without_mark(next);
+        // Safety: exclusive teardown.
+        unsafe {
+            traverse::retire_chain::<LNode<K, T>>(self.head().read(&g), &g);
+            retire(self.header.as_ptr());
         }
-        // Safety: unique teardown.
-        unsafe { retire_solo_header(self.header) };
     }
 }
 

@@ -8,10 +8,7 @@
 //! `pin_op`, same unified reclamation domain), but plain CASes and plain loads — no `scas` indirection, no
 //! descriptor check on reads.
 
-use crate::node::{
-    alloc_node, alloc_pair_header, alloc_solo_header, clone_val, retire_node, retire_pair_header,
-    retire_solo_header, Node, PairHeader, SoloHeader,
-};
+use crate::node::{alloc, clone_val, retire, Node, PairHeader, SoloHeader};
 use lfc_hazard::pin_op;
 use std::ptr::NonNull;
 
@@ -28,9 +25,9 @@ unsafe impl<T: Clone + Send + Sync + 'static> Sync for PlainMsQueue<T> {}
 impl<T: Clone + Send + Sync + 'static> PlainMsQueue<T> {
     /// Empty queue.
     pub fn new() -> Self {
-        let dummy = alloc_node::<T>(None);
+        let dummy = alloc(Node::<T>::new(None)).as_ptr();
         PlainMsQueue {
-            header: alloc_pair_header(dummy as usize, dummy as usize),
+            header: alloc(PairHeader::new(dummy as usize, dummy as usize)),
             _marker: std::marker::PhantomData,
         }
     }
@@ -44,7 +41,7 @@ impl<T: Clone + Send + Sync + 'static> PlainMsQueue<T> {
     /// Append at the tail.
     pub fn enqueue(&self, v: T) {
         let _g = pin_op();
-        let node = alloc_node(Some(v));
+        let node = alloc(Node::new(Some(v))).as_ptr();
         loop {
             let ltail = self.h().second.load_word();
             let tail_node = ltail as *mut Node<T>;
@@ -81,7 +78,7 @@ impl<T: Clone + Send + Sync + 'static> PlainMsQueue<T> {
             let val = unsafe { clone_val(lnext as *mut Node<T>) };
             if self.h().first.cas_word(lhead, lnext) {
                 // Safety: unlinked.
-                unsafe { retire_node(head_node) };
+                unsafe { retire(head_node) };
                 return Some(val);
             }
         }
@@ -101,11 +98,11 @@ impl<T: Clone + Send + Sync + 'static> Drop for PlainMsQueue<T> {
             let node = cur as *mut Node<T>;
             // Safety: exclusive teardown.
             let next = unsafe { &(*node).next }.load_word();
-            unsafe { retire_node(node) };
+            unsafe { retire(node) };
             cur = next;
         }
         // Safety: unique teardown.
-        unsafe { retire_pair_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 
@@ -123,7 +120,7 @@ impl<T: Clone + Send + Sync + 'static> PlainTreiberStack<T> {
     /// Empty stack.
     pub fn new() -> Self {
         PlainTreiberStack {
-            header: alloc_solo_header(0),
+            header: alloc(SoloHeader::new(0)),
             _marker: std::marker::PhantomData,
         }
     }
@@ -137,7 +134,7 @@ impl<T: Clone + Send + Sync + 'static> PlainTreiberStack<T> {
     /// Push.
     pub fn push(&self, v: T) {
         // No shared dereference: the CAS on `top` needs no protection.
-        let node = alloc_node(Some(v));
+        let node = alloc(Node::new(Some(v))).as_ptr();
         loop {
             let ltop = self.top().load_word();
             // Safety: unpublished node.
@@ -163,7 +160,7 @@ impl<T: Clone + Send + Sync + 'static> PlainTreiberStack<T> {
             let lnext = unsafe { &(*node).next }.load_word();
             if self.top().cas_word(ltop, lnext) {
                 // Safety: unlinked.
-                unsafe { retire_node(node) };
+                unsafe { retire(node) };
                 return Some(val);
             }
         }
@@ -183,11 +180,11 @@ impl<T: Clone + Send + Sync + 'static> Drop for PlainTreiberStack<T> {
             let node = cur as *mut Node<T>;
             // Safety: exclusive teardown.
             let next = unsafe { &(*node).next }.load_word();
-            unsafe { retire_node(node) };
+            unsafe { retire(node) };
             cur = next;
         }
         // Safety: unique teardown.
-        unsafe { retire_solo_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

@@ -69,15 +69,14 @@
 //! point inside the walk's window; every pair live across the whole
 //! window appears).
 
+use crate::node::{alloc, retire, Block};
 use crate::sync::{AtomicUsize, Ordering};
 use crate::traverse::{self, is_deleted, without_mark, ChainNode, Position, DEL_MARK};
 use lfc_core::{
-    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, NormalCas, RemoveCtx,
-    RemoveOutcome, ScasResult,
+    InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, NormalCas, RemoveCtx, RemoveOutcome,
 };
 use lfc_dcas::DAtomic;
 use lfc_hazard::{pin_op, Guard, OpGuard};
-use std::alloc::Layout;
 use std::cell::UnsafeCell;
 use std::ops::{Bound, RangeBounds};
 use std::ptr::NonNull;
@@ -114,58 +113,12 @@ struct ZHeader {
     tower: [AtomicUsize; MAX_LEVEL - 1],
 }
 
-fn znode_layout<K, T>() -> Layout {
-    Layout::new::<ZNode<K, T>>()
-}
+impl Block for ZHeader {}
 
-fn alloc_znode<K, T>(key: K, val: T, height: usize) -> *mut ZNode<K, T> {
-    let p = lfc_alloc::alloc_block(znode_layout::<K, T>()).cast::<ZNode<K, T>>();
-    // Safety: fresh block of the right layout.
-    unsafe {
-        p.as_ptr().write(ZNode {
-            next: DAtomic::new(0),
-            tower: std::array::from_fn(|_| AtomicUsize::new(0)),
-            height,
-            refs: AtomicUsize::new(height),
-            key,
-            val: UnsafeCell::new(Some(val)),
-            birth: lfc_hazard::birth_era(),
-        });
+impl<K, T> Block for ZNode<K, T> {
+    fn birth(&self) -> usize {
+        self.birth
     }
-    debug_assert_eq!(p.as_ptr() as usize & 0b111, 0);
-    p.as_ptr()
-}
-
-unsafe fn reclaim_znode<K, T>(p: *mut u8) {
-    // Safety: retire contract.
-    unsafe {
-        std::ptr::drop_in_place(p as *mut ZNode<K, T>);
-        lfc_alloc::free_block(p, znode_layout::<K, T>());
-    }
-}
-
-/// Zombie-tier fallback: pool the block without dropping key/value (see
-/// `divert_node` in `node.rs`).
-unsafe fn divert_znode<K, T>(p: *mut u8) {
-    // Safety: retire contract; contents intentionally not dropped.
-    unsafe { lfc_alloc::free_block(p, znode_layout::<K, T>()) };
-}
-
-unsafe fn retire_znode<K, T>(p: *mut ZNode<K, T>) {
-    // Safety: unlinked at every level but live; single retire call.
-    let birth = unsafe { (*p).birth };
-    // Safety: forwarded.
-    unsafe {
-        lfc_hazard::retire_with(
-            p as *mut u8,
-            reclaim_znode::<K, T>,
-            lfc_hazard::RetireInfo {
-                bytes: std::mem::size_of::<ZNode<K, T>>(),
-                birth,
-                divert: Some(divert_znode::<K, T>),
-            },
-        )
-    };
 }
 
 /// Release one level reference; the last one out retires the node.
@@ -175,22 +128,25 @@ unsafe fn release_ref<K, T>(p: *mut ZNode<K, T>) {
     // Safety: p live (each level releases at most once, refs > 0).
     if unsafe { &(*p).refs }.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Safety: every level let go; no new link can form (all frozen).
-        unsafe { retire_znode(p) };
+        unsafe { retire(p) };
     }
 }
 
-unsafe fn free_unpublished_znode<K, T>(p: *mut ZNode<K, T>) {
-    // Safety: unique owner (never published at any level).
-    unsafe { reclaim_znode::<K, T>(p as *mut u8) };
-}
+// Safety: `next` is the marked level-0 chain word; `val` is written
+// before publication; the level-0 unlink winner releases that level's
+// tower reference (retire happens when the towers let go too).
+unsafe impl<K, T: Clone> ChainNode for ZNode<K, T> {
+    type Elem = T;
 
-// Safety: `next` is the marked level-0 chain word; the level-0 unlink
-// winner releases that level's tower reference (retire happens when the
-// towers let go too).
-unsafe impl<K, T> ChainNode for ZNode<K, T> {
     #[inline]
     fn chain_word(&self) -> &DAtomic {
         &self.next
+    }
+
+    #[inline]
+    fn elem(&self) -> Option<&T> {
+        // Safety: written once before publication.
+        unsafe { (*self.val.get()).as_ref() }
     }
 
     unsafe fn retire_unlinked(p: *mut Self) {
@@ -244,16 +200,11 @@ where
 {
     /// Empty map.
     pub fn new() -> Self {
-        let p = lfc_alloc::alloc_block(Layout::new::<ZHeader>()).cast::<ZHeader>();
-        // Safety: fresh block.
-        unsafe {
-            p.as_ptr().write(ZHeader {
+        LfSkipMap {
+            header: alloc(ZHeader {
                 next: DAtomic::new(0),
                 tower: std::array::from_fn(|_| AtomicUsize::new(0)),
-            });
-        }
-        LfSkipMap {
-            header: p,
+            }),
             ticket: AtomicUsize::new(1),
             _marker: std::marker::PhantomData,
         }
@@ -346,25 +297,17 @@ where
         }
     }
 
-    /// The level-0 restart anchor: the closest tower predecessor's `next`
-    /// word (or the header's), re-derived per kernel restart.
-    fn anchor(&self, key: &K, g: &Guard) -> (*const DAtomic, usize) {
-        let preds = self.search_upper(key, g);
-        let pred = preds[0];
-        if pred.is_null() {
-            (&self.hdr().next, self.header.as_ptr() as usize)
-        } else {
-            // Safety: pred found under this epoch (search_upper contract).
-            (unsafe { &(*pred).next }, pred as usize)
-        }
-    }
-
     /// Locate `key` on level 0 via the shared traversal kernel, anchored
-    /// at the closest tower predecessor. The anchor closure re-runs the
-    /// tower search on every restart: unlike a bucket dummy, a tower
-    /// predecessor *can* be logically deleted between restarts.
+    /// at the closest tower predecessor's `next` word (or the header's).
+    /// The anchor closure re-runs the tower search on every restart:
+    /// unlike a bucket dummy, a tower predecessor *can* be logically
+    /// deleted between restarts.
     fn find(&self, key: &K, g: &mut OpGuard) -> Position<ZNode<K, T>> {
-        let anchor = |eg: &Guard| self.anchor(key, eg);
+        let anchor = |eg: &Guard| match self.search_upper(key, eg)[0] {
+            pred if pred.is_null() => (&self.hdr().next as *const _, self.header.as_ptr() as usize),
+            // Safety: pred found under this epoch (search_upper contract).
+            pred => (unsafe { &(*pred).next } as *const _, pred as usize),
+        };
         // Safety: cur epoch-protected; keys are immutable.
         let at_or_after = |cur: *mut ZNode<K, T>| unsafe { &(*cur).key } >= key;
         // Safety: anchors are epoch-protected (header: owned; preds:
@@ -481,18 +424,8 @@ where
     /// Clone the element under `key`, if present.
     pub fn get(&self, key: &K) -> Option<T> {
         let mut g = pin_op();
-        let pos = self.find(key, &mut g);
-        if pos.cur.is_null() {
-            return None;
-        }
-        let node = pos.cur;
-        // Safety: cur epoch-protected by the op guard; keys immutable.
-        if unsafe { &(*node).key } == key {
-            // Safety: value immutable, node epoch-protected.
-            unsafe { (*(*node).val.get()).clone() }
-        } else {
-            None
-        }
+        // Safety: the position was found under `g`.
+        unsafe { traverse::get(self.find(key, &mut g), |n| n.key == *key) }
     }
 
     /// Whether `key` is present.
@@ -554,18 +487,8 @@ where
 
     /// Racy O(n) length (quiescent use only).
     pub fn count(&self) -> usize {
-        let g = pin_op();
-        let mut n = 0;
-        let mut cur = self.hdr().next.read(&g);
-        while cur != 0 {
-            // Safety: quiescent per the docs.
-            let next = unsafe { &(*(cur as *mut ZNode<K, T>)).next }.read_acquire(&g);
-            if !is_deleted(next) {
-                n += 1;
-            }
-            cur = without_mark(next);
-        }
-        n
+        // Safety: the owned level-0 head heads a chain of ZNodes.
+        unsafe { traverse::count::<ZNode<K, T>>(&self.hdr().next, &pin_op()) }
     }
 }
 
@@ -587,48 +510,32 @@ where
     fn insert_key_with<C: InsertCtx>(&self, key: K, elem: T, ctx: &mut C) -> InsertOutcome {
         let mut g = pin_op();
         let height = height_for(self.ticket.fetch_add(1, Ordering::Relaxed));
-        let node = alloc_znode(key, elem, height);
-        loop {
-            // The kernel repins at its own restart points; `node` is
-            // unpublished and ours, so it survives every restart.
-            // Safety: node is ours until published.
-            let key_ref = unsafe { &(*node).key };
-            let pos = self.find(key_ref, &mut g);
-            if !pos.cur.is_null() {
-                // Safety: cur epoch-protected by find's op guard.
-                if unsafe { &(*pos.cur).key } == key_ref {
-                    // Duplicate key: genuine rejection (fails a move).
-                    // Safety: never published at any level.
-                    unsafe { free_unpublished_znode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
-            // Safety: unpublished node.
-            unsafe { &(*node).next }.store_word(pos.cur as usize);
-            let r = ctx.scas(LinPoint {
-                // Safety: prev allocation epoch-protected; a composed
-                // capture promotes `hp` into an ENTRY hazard slot before
-                // the commit so the protection outlives this epoch.
-                word: unsafe { &*pos.prev_word },
-                old: pos.cur as usize,
-                new: node as usize,
-                hp: pos.prev_alloc,
-            });
-            match r {
-                ScasResult::Success => {
-                    // The map already contains the node (level 0 is the
-                    // linearization chain); the tower is an accelerator
-                    // built after the fact by auxiliary CASes.
-                    self.build_tower(node, &g);
-                    return InsertOutcome::Inserted;
-                }
-                ScasResult::Fail => continue,
-                ScasResult::Abort => {
-                    // Safety: never published at any level.
-                    unsafe { free_unpublished_znode(node) };
-                    return InsertOutcome::Rejected;
-                }
-            }
+        let node = alloc(ZNode {
+            next: DAtomic::new(0),
+            tower: std::array::from_fn(|_| AtomicUsize::new(0)),
+            height,
+            refs: AtomicUsize::new(height),
+            key,
+            val: UnsafeCell::new(Some(elem)),
+            birth: lfc_hazard::birth_era(),
+        })
+        .as_ptr();
+        // Safety: node is ours until published; keys are immutable.
+        let key = unsafe { &(*node).key };
+        // Safety: find is the kernel walk anchored at live tower
+        // predecessors. A node freed unpublished was never linked at any
+        // level. After the link the map already contains the node (level
+        // 0 is the linearization chain); the tower is an accelerator built
+        // after the fact by auxiliary CASes.
+        unsafe {
+            traverse::insert(
+                &mut g,
+                node,
+                ctx,
+                |g| self.find(key, g),
+                |n| n.key == *key,
+                |n, g| self.build_tower(n, g),
+            )
         }
     }
 }
@@ -640,51 +547,16 @@ where
 {
     fn remove_key_with<C: RemoveCtx<T>>(&self, key: &K, ctx: &mut C) -> RemoveOutcome<T> {
         let mut g = pin_op();
-        loop {
-            let pos = self.find(key, &mut g);
-            let cur = pos.cur;
-            // Safety: cur epoch-protected by find's op guard (non-null).
-            if cur.is_null() || unsafe { &(*cur).key } != key {
-                return RemoveOutcome::Empty;
-            }
-            // Safety: cur epoch-protected.
-            let succ_w = unsafe { &(*cur).next }.read(&g);
-            if is_deleted(succ_w) {
-                continue; // someone else is removing it; re-find
-            }
-            // Element accessible before the linearization point (req. 4).
-            // Safety: value immutable; cur epoch-protected.
-            let val = match unsafe { (*(*cur).val.get()).as_ref() } {
-                Some(v) => v.clone(),
-                None => unreachable!("skip-map nodes always hold a value"),
-            };
-            // The linearization point: the level-0 logical-delete mark.
-            let r = ctx.scas(
-                LinPoint {
-                    // Safety: cur epoch-protected; composed captures
-                    // promote `hp` into an ENTRY hazard slot pre-commit.
-                    word: unsafe { &(*cur).next },
-                    old: succ_w,
-                    new: succ_w | DEL_MARK,
-                    hp: cur as usize,
-                },
-                &val,
-            );
-            match r {
-                ScasResult::Success => {
-                    // Freeze and sweep the tower (auxiliary), then try
-                    // the level-0 physical unlink; a traversal will
-                    // otherwise do it later.
-                    self.unlink_tower(cur, &g);
-                    if unsafe { &*pos.prev_word }.cas_word(cur as usize, succ_w) {
-                        // Safety: we won the level-0 unlink.
-                        unsafe { release_ref(cur) };
-                    }
-                    return RemoveOutcome::Removed(val);
-                }
-                ScasResult::Fail => continue,
-                ScasResult::Abort => return RemoveOutcome::Aborted,
-            }
+        // Safety: as in `insert_key_with`. After the level-0 mark the tower
+        // is frozen and swept (auxiliary) before the level-0 unlink.
+        unsafe {
+            traverse::remove(
+                &mut g,
+                ctx,
+                |g| self.find(key, g),
+                |n| n.key == *key,
+                |n, g| self.unlink_tower(n, g),
+            )
         }
     }
 }
@@ -712,33 +584,13 @@ where
                 cur = without_mark(next);
             }
         }
-        let mut cur = without_mark(self.hdr().next.read(&g));
-        while cur != 0 {
-            let node = cur as *mut ZNode<K, T>;
-            // Safety: exclusive teardown.
-            let next = unsafe { &(*node).next }.read(&g);
-            // Safety: the level-0 link is dropped right here.
-            unsafe { release_ref(node) };
-            cur = without_mark(next);
-        }
-        // Safety: unique teardown; the header is a plain block.
+        // Safety: exclusive teardown; the level-0 links are dropped here,
+        // then the header (a plain block).
         unsafe {
-            lfc_hazard::retire_with(
-                self.header.as_ptr() as *mut u8,
-                reclaim_zheader,
-                lfc_hazard::RetireInfo {
-                    bytes: std::mem::size_of::<ZHeader>(),
-                    birth: lfc_hazard::BIRTH_UNKNOWN,
-                    divert: Some(reclaim_zheader),
-                },
-            );
+            traverse::retire_chain::<ZNode<K, T>>(self.hdr().next.read(&g), &g);
+            retire(self.header.as_ptr());
         }
     }
-}
-
-unsafe fn reclaim_zheader(p: *mut u8) {
-    // Safety: retire contract; ZHeader has no drop glue.
-    unsafe { lfc_alloc::free_block(p, Layout::new::<ZHeader>()) };
 }
 
 #[cfg(test)]

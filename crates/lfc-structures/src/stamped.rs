@@ -12,10 +12,7 @@
 //! helping disappears (measured by `lfc_dcas::counters::stale_mark_reverts`
 //! in the `stamped_ablation` bench).
 
-use crate::node::{
-    alloc_node, alloc_solo_header, clone_val, free_unpublished_node, retire_node,
-    retire_solo_header, Node, SoloHeader,
-};
+use crate::node::{alloc, clone_val, free_unpublished, retire, Node, SoloHeader};
 use lfc_core::{
     InsertCtx, InsertOutcome, LinPoint, MoveSource, MoveTarget, NormalCas, RemoveCtx,
     RemoveOutcome, ScasResult,
@@ -63,7 +60,7 @@ impl<T: Clone + Send + Sync + 'static> StampedStack<T> {
     /// Empty stack with the given CAS-failure backoff.
     pub fn with_backoff(cfg: BackoffCfg) -> Self {
         StampedStack {
-            header: alloc_solo_header(0),
+            header: alloc(SoloHeader::new(0)),
             backoff: cfg,
             _marker: std::marker::PhantomData,
         }
@@ -125,7 +122,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for StampedStack<T> {
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
         // No operation epoch: push never dereferences a node (see Treiber).
         let g = pin();
-        let node = alloc_node(Some(elem));
+        let node = alloc(Node::new(Some(elem))).as_ptr();
         let mut bo = Backoff::new(self.backoff);
         loop {
             let lw = self.top().read(&g);
@@ -140,7 +137,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for StampedStack<T> {
             }) {
                 ScasResult::Abort => {
                     // Safety: never published.
-                    unsafe { free_unpublished_node(node) };
+                    unsafe { free_unpublished(node) };
                     return InsertOutcome::Rejected;
                 }
                 ScasResult::Success => return InsertOutcome::Inserted,
@@ -178,7 +175,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for StampedStack<T> {
             match r {
                 ScasResult::Success => {
                     // Safety: unlinked.
-                    unsafe { retire_node(node) };
+                    unsafe { retire(node) };
                     return RemoveOutcome::Removed(val);
                 }
                 ScasResult::Fail => bo.fail(),
@@ -196,11 +193,11 @@ impl<T: Clone + Send + Sync + 'static> Drop for StampedStack<T> {
             let node = cur as *mut Node<T>;
             // Safety: exclusive teardown.
             let next = unsafe { &(*node).next }.read(&g);
-            unsafe { retire_node(node) };
+            unsafe { retire(node) };
             cur = next;
         }
         // Safety: unique teardown.
-        unsafe { retire_solo_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

@@ -1,16 +1,46 @@
-//! The shared traversal kernel: **one** Michael-style `find` for every
-//! marked-chain structure in this crate.
+//! The shared traversal kernel: **one** keyed chain for every marked-chain
+//! structure in this crate.
 //!
 //! [`OrderedSet`](crate::OrderedSet), [`LfHashMap`](crate::LfHashMap) and
 //! the bottom level of [`LfSkipMap`](crate::LfSkipMap) are all the same
 //! data structure at the chain level: nodes threaded through a raw
 //! protocol word whose bit 2 ([`DEL_MARK`]) is the Harris logical-delete
-//! mark, searched by "first node at-or-after the target". Before PR 9
-//! the search loop — with its mark-check, unlink-helping and restart
-//! discipline — was duplicated per structure, and so was the safety
-//! argument below. [`find_pos`] is that loop, written once; the
-//! structures supply only their node layout ([`ChainNode`]), their
-//! restart anchor and their ordering predicate.
+//! mark, searched by "first node at-or-after the target". The search loop
+//! ([`find_pos`]) and the keyed operations built on it — [`insert`],
+//! [`remove`], [`get`], [`count`] and the teardown walk [`retire_chain`] —
+//! are written once, here. A structure supplies only:
+//!
+//! * its node layout ([`ChainNode`]);
+//! * a `find` closure — its restart anchor and ordering predicate around
+//!   [`find_pos`], plus the ejection-restart point (below);
+//! * a key-match predicate;
+//! * at most two hooks: one after a successful link (the hash map's
+//!   growth heuristic, the skip map's tower build) and one after a
+//!   successful mark, before the physical unlink (the hash map's item
+//!   count, the skip map's tower freeze and sweep).
+//!
+//! Structural work that is not a linearization point — the hash map's
+//! bucket-dummy threading, the skip map's tower surgery — stays with the
+//! structure.
+//!
+//! # Keyed insert and remove are move-ready (paper Definition 1)
+//!
+//! Each linearizes at exactly one `scas` on a chain word, executed by the
+//! invoking thread:
+//!
+//! * **insert** stages the successor into its unpublished node, then CASes
+//!   the predecessor word from `cur` to the node (the link CAS). A
+//!   duplicate key is a rejection decided before any shared write; the
+//!   node is freed unpublished on rejection and on `Abort`.
+//! * **remove** clones the element out of the matching node *before* the
+//!   linearization point (requirement 4), then CASes the node's own chain
+//!   word from `succ` to `succ | DEL_MARK` (the mark CAS). The physical
+//!   unlink after it is cleanup: the remover tries once, any later
+//!   traversal helps, and only the winner of that unlink CAS hands the
+//!   node to [`ChainNode::retire_unlinked`].
+//!
+//! A `Fail` from either `scas` re-runs the `find`. These two `ctx.scas`
+//! calls are the only keyed linearization points in the crate.
 //!
 //! # The traversal (Michael's `find`, fence-free since PR 3)
 //!
@@ -34,35 +64,31 @@
 //!    `cur` is logically deleted: the walk CASes it out of the chain
 //!    (cleanup helping; a stale `prev_word` makes the CAS fail
 //!    harmlessly) and the **winner** of that CAS retires the node via
-//!    [`ChainNode::retire_unlinked`]. This is the only physical-unlink
-//!    site in the crate.
+//!    [`ChainNode::retire_unlinked`]. With the remover's own cleanup
+//!    attempt in [`remove`], these are the only chain-unlink sites.
 //! 3. **Ordering predicate.** The first `cur` with `at_or_after(cur)`
 //!    ends the walk; otherwise `cur` becomes the predecessor.
 //!
-//! # Restart anchor
+//! # Restart anchor and the ejection restart point
 //!
 //! The anchor is a closure, re-invoked on **every** restart (not hoisted),
-//! because the three structures restart differently:
-//!
-//! * `OrderedSet` restarts at the list head word — the closure is constant.
-//! * `LfHashMap` restarts at a bucket dummy's next word. Dummies are
-//!   unlinked only at `Drop` and never logically deleted, so the same
-//!   dummy stays a sound anchor across restarts; no re-resolution needed,
-//!   and the traversal can run under a plain [`Guard`] (no repin point).
-//! * `LfSkipMap` anchors at the closest level-≥1 predecessor, which *can*
-//!   be logically deleted between restarts; its closure re-runs the
-//!   tower search so every restart re-derives a live anchor.
-//!
-//! # Ejection restart point (PR 6)
+//! because the structures restart differently: `OrderedSet` at its list
+//! head (constant); `LfHashMap` at a bucket dummy's next word (dummies are
+//! never logically deleted and unlinked only at `Drop`, so the same dummy
+//! stays sound and the walk runs under a plain [`Guard`] via
+//! [`NoRepin`]); `LfSkipMap` at the closest level-≥1 predecessor, which
+//! *can* be deleted between restarts, so its closure re-runs the tower
+//! search.
 //!
 //! [`TraverseGuard::at_restart`] runs at the top of every retry, where
-//! the walk holds no pointers: for an [`OpGuard`] caller this is
-//! [`OpGuard::repin_if_ejected`] — acknowledging an ejection there is
-//! free because the walk below re-derives everything from the anchor
-//! under the fresh era (which is also why the anchor closure is
-//! re-invoked: pointers obtained under the pre-ejection era are dead).
-//! Plain [`Guard`] callers (bucket-dummy anchored) have no repin point
-//! and use [`NoRepin`].
+//! the walk holds no pointers: for an [`OpGuard`] this is
+//! [`OpGuard::repin_if_ejected`], free to acknowledge there because the
+//! walk re-derives everything from the anchor under the fresh era.
+//! Every retry of [`insert`] and [`remove`] passes **exactly one** such
+//! point before it derives a pointer, and it is the `find` closure's:
+//! `OrderedSet` and `LfSkipMap` get it from [`find_pos`]; `LfHashMap`
+//! repins in its closure before resolving the start dummy. An insert's
+//! unpublished node is the caller's and survives every restart.
 //!
 //! # Ordering audit (moved here from the two pre-PR 9 copies)
 //!
@@ -72,7 +98,12 @@
 //! | `cur.next` read | Acquire | same pairing; also carries the logical-delete mark |
 //! | unlink CAS | AcqRel (`cas_word`) | Release republishes the successor chain under the new link; Acquire orders the retire after the frozen link's final value |
 //! | retire | — | winner-only (the CAS arbitrates), under the caller's epoch |
+//! | remove's `succ` read | SeqCst (`read`), helping any descriptor | unchanged from the per-structure copies; the mark CAS re-validates it |
+//! | insert's successor stage | Release (`store_word`) | the node is unpublished; the link CAS's Release publishes it |
+//! | link / mark CAS | the context's `scas` | `NormalCas` is `cas_word` (AcqRel); composed contexts capture the triple |
 
+use crate::node::{free_unpublished, retire, Block};
+use lfc_core::{InsertCtx, InsertOutcome, LinPoint, RemoveCtx, RemoveOutcome, ScasResult};
 use lfc_dcas::DAtomic;
 use lfc_hazard::{Guard, OpGuard};
 
@@ -97,12 +128,19 @@ pub(crate) fn without_mark(w: usize) -> usize {
 /// # Safety
 ///
 /// `chain_word` must return the word the chain is threaded through (the
-/// word carrying [`DEL_MARK`] when the node is logically deleted), and
+/// word carrying [`DEL_MARK`] when the node is logically deleted),
+/// `elem` must only read a value written before publication, and
 /// `retire_unlinked` must be safe to call exactly once on a node that has
 /// been physically unlinked from the chain while epoch-protected.
-pub(crate) unsafe trait ChainNode {
+pub(crate) unsafe trait ChainNode: Block {
+    /// The element a data node carries.
+    type Elem: Clone;
+
     /// The node's chain ("next") word.
     fn chain_word(&self) -> &DAtomic;
+
+    /// The node's element; `None` only for the hash map's bucket dummies.
+    fn elem(&self) -> Option<&Self::Elem>;
 
     /// Hand the physically unlinked node to reclamation.
     ///
@@ -114,7 +152,10 @@ pub(crate) unsafe trait ChainNode {
     /// # Safety
     ///
     /// `p` was just unlinked by the caller and is epoch-protected.
-    unsafe fn retire_unlinked(p: *mut Self);
+    unsafe fn retire_unlinked(p: *mut Self) {
+        // Safety: forwarded contract.
+        unsafe { retire(p) };
+    }
 }
 
 /// Where a key belongs in a chain: the word to CAS and its successor.
@@ -242,5 +283,182 @@ where
             prev_word = unsafe { &*cur_node }.chain_word();
             prev_alloc = cur;
         }
+    }
+}
+
+/// Keyed insert: link the unpublished `node` at the position `find`
+/// returns, unless `is_dup` says that position already holds its key.
+/// `linked` runs after a successful link CAS. See the module docs.
+///
+/// # Safety
+///
+/// `node` is unpublished and owned by the caller (this call consumes it),
+/// and `find` upholds [`find_pos`]'s contract under the guard it is handed.
+pub(crate) unsafe fn insert<N, C>(
+    g: &mut OpGuard,
+    node: *mut N,
+    ctx: &mut C,
+    mut find: impl FnMut(&mut OpGuard) -> Position<N>,
+    is_dup: impl Fn(&N) -> bool,
+    linked: impl FnOnce(*mut N, &OpGuard),
+) -> InsertOutcome
+where
+    N: ChainNode,
+    C: InsertCtx,
+{
+    loop {
+        let pos = find(g);
+        // Safety: cur epoch-protected by find's guard.
+        if !pos.cur.is_null() && is_dup(unsafe { &*pos.cur }) {
+            // Duplicate key: genuine rejection (fails a move).
+            // Safety: never published.
+            unsafe { free_unpublished(node) };
+            return InsertOutcome::Rejected;
+        }
+        // Safety: unpublished node.
+        unsafe { &*node }.chain_word().store_word(pos.cur as usize);
+        let r = ctx.scas(LinPoint {
+            // Safety: prev allocation (anchor, dummy or node) epoch-protected;
+            // a composed capture promotes `hp` into an ENTRY hazard slot
+            // before the commit so the protection outlives this epoch.
+            word: unsafe { &*pos.prev_word },
+            old: pos.cur as usize,
+            new: node as usize,
+            hp: pos.prev_alloc,
+        });
+        match r {
+            ScasResult::Success => {
+                linked(node, g);
+                return InsertOutcome::Inserted;
+            }
+            ScasResult::Fail => continue,
+            ScasResult::Abort => {
+                // Safety: never published.
+                unsafe { free_unpublished(node) };
+                return InsertOutcome::Rejected;
+            }
+        }
+    }
+}
+
+/// Keyed remove: logically delete the node at the position `find` returns
+/// if `matches` accepts it, then try the physical unlink. `marked` runs
+/// after a successful mark CAS, before that unlink. See the module docs.
+///
+/// # Safety
+///
+/// `find` upholds [`find_pos`]'s contract under the guard it is handed.
+pub(crate) unsafe fn remove<N, C>(
+    g: &mut OpGuard,
+    ctx: &mut C,
+    mut find: impl FnMut(&mut OpGuard) -> Position<N>,
+    matches: impl Fn(&N) -> bool,
+    marked: impl FnOnce(*mut N, &OpGuard),
+) -> RemoveOutcome<N::Elem>
+where
+    N: ChainNode,
+    C: RemoveCtx<N::Elem>,
+{
+    loop {
+        let pos = find(g);
+        let cur = pos.cur;
+        // Safety: cur epoch-protected by find's guard (non-null).
+        if cur.is_null() || !matches(unsafe { &*cur }) {
+            return RemoveOutcome::Empty;
+        }
+        // Safety: cur epoch-protected.
+        let word = unsafe { &*cur }.chain_word();
+        let succ_w = word.read(g);
+        if is_deleted(succ_w) {
+            continue; // someone else is removing it; re-find
+        }
+        // Element accessible before the linearization point (req. 4).
+        let val = match unsafe { &*cur }.elem() {
+            Some(v) => v.clone(),
+            None => unreachable!("a matching node is a data node"),
+        };
+        // The linearization point: the logical-delete marking CAS. A
+        // composed capture promotes `hp` into an ENTRY hazard slot.
+        let r = ctx.scas(
+            LinPoint {
+                word,
+                old: succ_w,
+                new: succ_w | DEL_MARK,
+                hp: cur as usize,
+            },
+            &val,
+        );
+        match r {
+            ScasResult::Success => {
+                marked(cur, g);
+                // Cleanup: try to unlink physically; a traversal will
+                // otherwise do it later.
+                if unsafe { &*pos.prev_word }.cas_word(cur as usize, succ_w) {
+                    // Safety: we won the unlink.
+                    unsafe { N::retire_unlinked(cur) };
+                }
+                return RemoveOutcome::Removed(val);
+            }
+            ScasResult::Fail => continue,
+            ScasResult::Abort => return RemoveOutcome::Aborted,
+        }
+    }
+}
+
+/// Clone the element of `pos.cur` if `matches` accepts it.
+///
+/// # Safety
+///
+/// `pos` was returned by a `find` whose guard the caller still holds.
+pub(crate) unsafe fn get<N: ChainNode>(
+    pos: Position<N>,
+    matches: impl FnOnce(&N) -> bool,
+) -> Option<N::Elem> {
+    // Safety: cur epoch-protected (contract); elements are immutable.
+    let cur = unsafe { pos.cur.as_ref() }?;
+    if matches(cur) {
+        cur.elem().cloned()
+    } else {
+        None
+    }
+}
+
+/// Racy O(n) count of the live data nodes (unmarked, holding an element)
+/// after `head`. Quiescent use only.
+///
+/// # Safety
+///
+/// `head` heads a chain of `N` nodes, and `g` protects the walk.
+pub(crate) unsafe fn count<N: ChainNode>(head: &DAtomic, g: &Guard) -> usize {
+    let mut n = 0;
+    let mut cur = head.read(g);
+    while cur != 0 {
+        // Safety: contract; nodes are epoch-protected.
+        let node = unsafe { &*(cur as *const N) };
+        let next = node.chain_word().read_acquire(g);
+        if !is_deleted(next) && node.elem().is_some() {
+            n += 1;
+        }
+        cur = without_mark(next);
+    }
+    n
+}
+
+/// Teardown: hand every node from `first` to the end of the chain to
+/// [`ChainNode::retire_unlinked`], marked or not.
+///
+/// # Safety
+///
+/// Exclusive teardown of the structure owning the chain.
+pub(crate) unsafe fn retire_chain<N: ChainNode>(first: usize, g: &Guard) {
+    let mut cur = without_mark(first);
+    while cur != 0 {
+        let node = cur as *mut N;
+        // Safety: exclusive teardown; helpers of past composed operations
+        // may still write into chain words, which is why every node goes
+        // through the reclamation domain.
+        let next = unsafe { &*node }.chain_word().read(g);
+        unsafe { N::retire_unlinked(node) };
+        cur = without_mark(next);
     }
 }

@@ -9,10 +9,7 @@
 //! layer detects it and reports [`lfc_core::MoveOutcome::WouldAlias`].
 
 use crate::elim::ElimArray;
-use crate::node::{
-    alloc_node, alloc_solo_header, clone_val, free_unpublished_node, retire_node,
-    retire_solo_header, try_alloc_node, try_alloc_solo_header, Node, SoloHeader,
-};
+use crate::node::{alloc, clone_val, free_unpublished, retire, try_alloc, Node, SoloHeader};
 use lfc_core::{
     InsertCtx, InsertOutcome, LinPoint, MoveSource, MoveTarget, NormalCas, RemoveCtx,
     RemoveOutcome, ScasResult,
@@ -50,7 +47,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     /// Empty stack whose operations run `cfg` backoff on failed CASes.
     pub fn with_backoff(cfg: BackoffCfg) -> Self {
         TreiberStack {
-            header: alloc_solo_header(0),
+            header: alloc(SoloHeader::new(0)),
             backoff: cfg,
             elim: ElimArray::new(),
             _marker: std::marker::PhantomData,
@@ -62,7 +59,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     /// instead of panicking.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
         Ok(TreiberStack {
-            header: try_alloc_solo_header(0)?,
+            header: try_alloc("structures.header", SoloHeader::new(0)).map_err(|(_, e)| e)?,
             backoff: BackoffCfg::NONE,
             elim: ElimArray::new(),
             _marker: std::marker::PhantomData,
@@ -90,9 +87,9 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     /// exhaustion, or the `structures.node` fault site) surfaces as `Err`
     /// with the element handed back and the stack untouched.
     pub fn try_push(&self, v: T) -> Result<(), (T, lfc_alloc::AllocError)> {
-        let node = match try_alloc_node(Some(v)) {
-            Ok(n) => n,
-            Err((v, e)) => return Err((v.expect("value handed back on failure"), e)),
+        let node = match try_alloc("structures.node", Node::new(Some(v))) {
+            Ok(n) => n.as_ptr(),
+            Err((n, e)) => return Err((n.val.into_inner().expect("value handed back"), e)),
         };
         let r = self.insert_node(node, &mut NormalCas);
         debug_assert_eq!(r, InsertOutcome::Inserted);
@@ -166,7 +163,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
                 ScasResult::Abort => {
                     // S8–S10.
                     // Safety: never published.
-                    unsafe { free_unpublished_node(node) };
+                    unsafe { free_unpublished(node) };
                     return InsertOutcome::Rejected;
                 }
                 ScasResult::Success => return InsertOutcome::Inserted, // S11–S12
@@ -194,7 +191,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for TreiberStack<T> {
     /// only shared word it touches is `top` (header allocation, kept alive
     /// by the `&self` borrow); it never dereferences a node.
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
-        let node = alloc_node(Some(elem)); // S2–S3
+        let node = alloc(Node::new(Some(elem))).as_ptr(); // S2–S3
         self.insert_node(node, ctx)
     }
 }
@@ -242,7 +239,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
                 ScasResult::Success => {
                     // S23–S24.
                     // Safety: unlinked by the successful CAS.
-                    unsafe { retire_node(node) };
+                    unsafe { retire(node) };
                     return RemoveOutcome::Removed(val);
                 }
                 ScasResult::Fail => {
@@ -269,11 +266,11 @@ impl<T: Clone + Send + Sync + 'static> Drop for TreiberStack<T> {
             let node = cur as *mut Node<T>;
             // Safety: exclusive teardown; see MsQueue::drop.
             let next = unsafe { &(*node).next }.read(&g);
-            unsafe { retire_node(node) };
+            unsafe { retire(node) };
             cur = next;
         }
         // Safety: unique teardown.
-        unsafe { retire_solo_header(self.header) };
+        unsafe { retire(self.header.as_ptr()) };
     }
 }
 

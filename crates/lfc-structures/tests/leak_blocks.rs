@@ -1,9 +1,10 @@
-//! Block-leak check for composed moves. `lfc_alloc::outstanding()` is a
-//! process-global counter, so this is the only test of its binary: no
-//! sibling test allocates between the two readings.
+//! Block-leak check for composed moves, over the queue/stack pair and the
+//! three keyed structures. `lfc_alloc::outstanding()` is a process-global
+//! counter, so this is the only test of its binary: no sibling test
+//! allocates between the two readings.
 
-use lfc_core::move_one;
-use lfc_structures::{MsQueue, TreiberStack};
+use lfc_core::{move_keyed, move_one, MoveOutcome};
+use lfc_structures::{LfHashMap, LfSkipMap, MsQueue, OrderedSet, TreiberStack};
 
 /// One fill / move / drain round; everything except a bounded number of
 /// still-hazarded stragglers must be back in the pool afterwards.
@@ -31,11 +32,58 @@ fn round_returns_every_block() {
     );
 }
 
+/// One keyed round: fill an `OrderedSet`, an `LfHashMap` and an
+/// `LfSkipMap` with overlapping key ranges, run `move_keyed` around the
+/// ring set → map → skip map → set over every key (some missing
+/// everywhere), then drain and drop all three. Duplicate rejections free
+/// their unpublished target node; every other block retires.
+fn keyed_round_returns_every_block() {
+    const KEYS: u64 = 1_000;
+    let before = lfc_alloc::outstanding();
+    {
+        let set: OrderedSet<u64, u64> = OrderedSet::new();
+        let map: LfHashMap<u64, u64> = LfHashMap::new();
+        let skip: LfSkipMap<u64, u64> = LfSkipMap::new();
+        for k in 0..KEYS {
+            set.insert(k, k);
+            map.insert(k + KEYS / 2, k);
+            skip.insert(k + KEYS, k);
+        }
+        let mut rejected = 0;
+        for k in 0..3 * KEYS {
+            for outcome in [
+                move_keyed(&set, &k, &map),
+                move_keyed(&map, &k, &skip),
+                move_keyed(&skip, &k, &set),
+            ] {
+                rejected += usize::from(outcome == MoveOutcome::TargetRejected);
+            }
+        }
+        assert!(rejected > 0, "the ring must hit duplicate keys");
+        for k in 0..3 * KEYS {
+            set.remove(&k);
+            map.remove(&k);
+            skip.remove(&k);
+        }
+        assert_eq!(set.count() + map.count() + skip.count(), 0);
+    }
+    lfc_hazard::flush();
+    let after = lfc_alloc::outstanding();
+    assert!(
+        after <= before + 64,
+        "outstanding blocks grew {before} -> {after} over the keyed round"
+    );
+}
+
 #[test]
 fn structures_do_not_leak_blocks() {
     // Alone in the binary this thread is in the solo regime (no commit
     // descriptors); the parked peer of the second round forces the
     // published path, whose descriptors must come back as well.
     round_returns_every_block();
-    lfc_runtime::fault::with_registered_peer(round_returns_every_block);
+    keyed_round_returns_every_block();
+    lfc_runtime::fault::with_registered_peer(|| {
+        round_returns_every_block();
+        keyed_round_returns_every_block();
+    });
 }
