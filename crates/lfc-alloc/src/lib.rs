@@ -175,6 +175,65 @@ fn class_layout(class: usize) -> Layout {
     Layout::from_size_align(c, c).expect("class sizes are power-of-two")
 }
 
+/// Alignment every oversized block is requested from the system with.
+/// std's `System` allocator serves `alloc_zeroed` from `calloc` only up to
+/// its minimum alignment; above it, it calls `posix_memalign` and then
+/// writes zeros over every byte, touching every page. So a block aligned
+/// more strictly is carved out of a `SYS_ALIGN` request `align` bytes
+/// larger, and a large zeroed block keeps `calloc`'s lazily mapped zero
+/// pages: bytes nobody writes cost no resident memory.
+const SYS_ALIGN: usize = std::mem::align_of::<usize>();
+
+/// The layout an oversized `layout` is requested from the system with;
+/// `None` if the padded size overflows.
+fn sys_layout(layout: Layout) -> Option<Layout> {
+    if layout.align() <= SYS_ALIGN {
+        return Some(layout);
+    }
+    Layout::from_size_align(layout.size().checked_add(layout.align())?, SYS_ALIGN).ok()
+}
+
+/// Allocate an oversized block. An over-aligned one starts at the first
+/// `layout.align()` boundary strictly above the system block's base, which
+/// leaves at least one word below it to record that base.
+fn sys_alloc(layout: Layout, zeroed: bool) -> Result<NonNull<u8>, AllocError> {
+    OVERSIZE.add(1);
+    let sys = sys_layout(layout).ok_or(AllocError)?;
+    // Safety: oversized layouts always have non-zero size.
+    let base = unsafe {
+        if zeroed {
+            std::alloc::alloc_zeroed(sys)
+        } else {
+            std::alloc::alloc(sys)
+        }
+    };
+    if base.is_null() || sys == layout {
+        return NonNull::new(base).ok_or(AllocError);
+    }
+    // Safety: the block starts `1..=align` bytes above base, so its
+    // `size` bytes end inside the `size + align` of the system block, and
+    // as both are SYS_ALIGN-aligned the gap holds at least the base word.
+    unsafe {
+        let p = base.add(layout.align() - (base as usize & (layout.align() - 1)));
+        p.cast::<*mut u8>().sub(1).write(base);
+        Ok(NonNull::new_unchecked(p))
+    }
+}
+
+/// The system block and layout behind oversized block `ptr`.
+///
+/// # Safety
+///
+/// `ptr` must come from [`sys_alloc`] with `layout`.
+unsafe fn sys_origin(ptr: *mut u8, layout: Layout) -> (*mut u8, Layout) {
+    let sys = sys_layout(layout).expect("the block was allocated with this layout");
+    if sys == layout {
+        return (ptr, layout);
+    }
+    // Safety: `sys_alloc` recorded the base in the word below the block.
+    (unsafe { ptr.cast::<*mut u8>().sub(1).read() }, sys)
+}
+
 /// Allocation failure: the system allocator returned null, or the
 /// `alloc.block` fault site fired (`lfc_runtime::fault`). Surfaced through
 /// every `try_*` operation in the stack instead of aborting the process.
@@ -207,10 +266,7 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     if thread_is_exiting() {
         // Thread-exit fallback: no per-thread cache may be (re)created now.
         let Some(class) = class_for(layout) else {
-            OVERSIZE.add(1);
-            // Safety: non-zero size.
-            let p = unsafe { std::alloc::alloc(layout) };
-            return NonNull::new(p).ok_or(AllocError);
+            return sys_alloc(layout, false);
         };
         FRESH.add(1);
         let l = class_layout(class);
@@ -219,10 +275,7 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
         return NonNull::new(p).ok_or(AllocError);
     }
     let Some(class) = class_for(layout) else {
-        OVERSIZE.add(1);
-        // Safety: oversized layouts always have non-zero size here.
-        let p = unsafe { std::alloc::alloc(layout) };
-        return NonNull::new(p).ok_or(AllocError);
+        return sys_alloc(layout, false);
     };
     let recycled = with_mags(|m| {
         if let Some(p) = m.local[class].pop() {
@@ -250,6 +303,23 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     }
 }
 
+/// [`try_alloc_block`] returning zero-filled memory. An oversized block
+/// comes zeroed from the system's `calloc` whatever its alignment (see
+/// [`SYS_ALIGN`]), so a large one maps its pages lazily: bytes nobody
+/// writes cost no resident memory. A pooled block is zeroed by hand.
+pub fn try_alloc_zeroed_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
+    if class_for(layout).is_some() {
+        let p = try_alloc_block(layout)?;
+        // Safety: fresh block of at least `layout.size()` bytes.
+        unsafe { p.as_ptr().write_bytes(0, layout.size()) };
+        return Ok(p);
+    }
+    if lfc_runtime::fault::check("alloc.block") {
+        return Err(AllocError);
+    }
+    sys_alloc(layout, true)
+}
+
 /// Return a block previously obtained from [`alloc_block`] with an
 /// equivalent `layout`.
 ///
@@ -259,6 +329,14 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
 /// be used afterwards.
 pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
     FREED.add(1);
+    let class = class_for(layout);
+    // The system block behind `ptr`: a pooled block came from `std::alloc`
+    // with its class layout, an oversized one from `sys_alloc`.
+    let origin = || match class {
+        Some(c) => (ptr, class_layout(c)),
+        // Safety: forwarded contract.
+        None => unsafe { sys_origin(ptr, layout) },
+    };
     #[cfg(lfc_model)]
     {
         // Inside a model execution the block is *quarantined* instead of
@@ -266,26 +344,19 @@ pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
         // execution ends, so a stale access is defined behaviour the
         // model's shadow memory detects and reports as a use-after-free
         // with a replayable schedule, rather than real UB.
-        let l = class_for(layout).map(class_layout).unwrap_or(layout);
-        // Safety: every pooled block was obtained from `std::alloc` with
-        // its class layout (oversized ones with `layout` itself), which is
-        // exactly what we hand the quarantine for the final release.
-        if unsafe { lfc_model::rt::quarantine_block(ptr, l.size(), l.align()) } {
+        let (base, l) = origin();
+        // Safety: exactly the system block and layout the quarantine
+        // hands back to `std::alloc` for the final release.
+        if unsafe { lfc_model::rt::quarantine_block(base, l.size(), l.align()) } {
             return;
         }
     }
-    if thread_is_exiting() {
-        // Thread-exit fallback: every pooled block originally came from the
-        // system allocator with its class layout, so direct deallocation is
-        // always valid.
-        let l = class_for(layout).map(class_layout).unwrap_or(layout);
+    // Oversized blocks, and every block on the thread-exit fallback, go
+    // straight back to the system allocator.
+    let Some(class) = class.filter(|_| !thread_is_exiting()) else {
+        let (base, l) = origin();
         // Safety: forwarded contract.
-        unsafe { std::alloc::dealloc(ptr, l) };
-        return;
-    }
-    let Some(class) = class_for(layout) else {
-        // Safety: forwarded contract.
-        unsafe { std::alloc::dealloc(ptr, layout) };
+        unsafe { std::alloc::dealloc(base, l) };
         return;
     };
     with_mags(|m| {
@@ -410,6 +481,40 @@ mod tests {
         unsafe { *(p.as_ptr() as *mut u64) = 42 };
         unsafe { free_block(p.as_ptr(), layout) };
         assert!(stats().oversize > before);
+    }
+
+    #[test]
+    fn zeroed_blocks_are_zero_pooled_or_oversized() {
+        for layout in [l(128, 64), l(1 << 20, 64)] {
+            // Dirty a recycled block first: the pooled path must re-zero it.
+            let dirty = alloc_block(layout);
+            unsafe { dirty.as_ptr().write_bytes(0xA5, layout.size()) };
+            unsafe { free_block(dirty.as_ptr(), layout) };
+            let p = try_alloc_zeroed_block(layout).unwrap();
+            assert_eq!(p.as_ptr() as usize % layout.align(), 0);
+            let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr(), layout.size()) };
+            assert!(bytes.iter().all(|&b| b == 0), "{layout:?} not zeroed");
+            unsafe { free_block(p.as_ptr(), layout) };
+        }
+    }
+
+    #[test]
+    fn over_aligned_oversized_blocks_are_aligned_and_whole() {
+        for align in [16, 64, 4096] {
+            for zeroed in [false, true] {
+                let layout = l(3 * 4096 + 8, align);
+                let p = if zeroed {
+                    try_alloc_zeroed_block(layout).unwrap()
+                } else {
+                    alloc_block(layout)
+                };
+                assert_eq!(p.as_ptr() as usize % align, 0, "align {align}");
+                // Every byte is the caller's: a write over the whole block
+                // must not clobber the recorded base the free reads back.
+                unsafe { p.as_ptr().write_bytes(0x5A, layout.size()) };
+                unsafe { free_block(p.as_ptr(), layout) };
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!
 //! * a **cold tier** — an [`LfHashMap`] holding the bulk of the accounts,
 //! * a **hot tier** — an [`LfSkipMap`] for accounts under ranged audit
-//!   scrutiny (the auditor enumerates it with one ordered sweep instead of
-//!   a dense id scan), and
+//!   scrutiny (ordered `range` sweeps), and
 //! * a **settlement lane** — an [`MsQueue`] of voucher tokens exchanged
 //!   between shards.
 //!
@@ -302,7 +301,8 @@ impl Ledger {
         self.shards.len()
     }
 
-    /// Account ids handed out so far (the audit's scan bound).
+    /// Account ids handed out so far (bounds every account id the audit
+    /// tallies).
     pub fn issued(&self) -> u64 {
         self.next_id.load(Ordering::SeqCst)
     }
@@ -707,9 +707,10 @@ impl Ledger {
     /// One exact sweep. **Call only while quiesced** (after
     /// [`Ledger::pause`], ideally via [`Ledger::quiesced_audit`]): with
     /// mutations drained and corpses adopted the sums are exact, not
-    /// approximate. The cold tiers are scanned densely by id; the hot
-    /// tiers are enumerated with one ordered sweep each — the reason hot
-    /// accounts live in a skip map.
+    /// approximate. Every tier is enumerated with one sweep of its chain
+    /// ([`LfHashMap::to_vec`] for the cold tiers, [`LfSkipMap::to_vec`]
+    /// for the hot ones); control notices (keys at or above
+    /// [`NOTICE_BASE`]) are not accounts and are skipped.
     pub fn audit(&self) -> AuditReport {
         let bound = self.next_id.load(Ordering::SeqCst);
         let mut seen = vec![0u8; bound as usize];
@@ -727,12 +728,7 @@ impl Ledger {
             }
         };
         for s in self.shards.iter() {
-            for id in 0..bound {
-                if let Some(v) = s.cold.get(&id) {
-                    tally(id, v);
-                }
-            }
-            for (k, v) in s.hot.to_vec() {
+            for (k, v) in s.cold.to_vec().into_iter().chain(s.hot.to_vec()) {
                 if k < NOTICE_BASE {
                     tally(k, v);
                 }

@@ -1,10 +1,13 @@
 //! Bounded-exhaustive model checking of the split-ordered hash map's
 //! resize machinery (PR 5): the races the incremental split opens —
 //! a lazily threaded bucket dummy CASing into the very word a composed
-//! capture has claimed as its linearization point, and a dummy threading
-//! into a chain whose neighbour is concurrently unlinked and retired —
-//! explored over every schedule at the same preemption bound (and memory
-//! mode) `tests/stale_tag.rs` uses for its acceptance claim.
+//! capture has claimed as its linearization point, a dummy threading
+//! into a chain whose neighbour is concurrently unlinked and retired, and
+//! two threads racing to claim and thread one bucket's embedded dummy
+//! while a third inserts into that bucket (with a seeded bug that skips
+//! the claim CAS, which must be caught) — explored over every schedule at
+//! the same preemption bound (and memory mode) `tests/stale_tag.rs` uses
+//! for its acceptance claim.
 //!
 //! Requires `RUSTFLAGS="--cfg lfc_model"`; compiles to nothing otherwise.
 #![cfg(lfc_model)]
@@ -128,4 +131,85 @@ fn dfs_split_vs_retire() {
         report.executions
     );
     assert!(report.executions > 10, "scenario must actually branch");
+}
+
+/// Two distinct keys of bucket 1 in a 2-bucket map.
+fn bucket1_keys() -> (u32, u32) {
+    let probe: LfHashMap<u32, u32> = LfHashMap::with_buckets(2);
+    let mut odd = (1..64u32).filter(|k| probe.bucket_index(k) == 1);
+    (
+        odd.next().expect("a key hashes to bucket 1"),
+        odd.next().expect("a second key hashes to bucket 1"),
+    )
+}
+
+/// Two readers race to thread bucket 1's embedded dummy while a third
+/// thread inserts a key of that bucket. Checked after the join: the key is
+/// found, the list's split-order keys strictly increase, and bucket 1's
+/// dummy is linked exactly once.
+fn claim_race(k_read: u32, k_ins: u32, sabotage: bool) {
+    use lfc_structures::model_toggles::SKIP_CLAIM;
+    use std::sync::atomic::Ordering;
+    /// Clears the seeded bug however the execution ends, so no other
+    /// search ever runs with it set (the explorer lock is still held).
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            SKIP_CLAIM.store(false, Ordering::SeqCst);
+        }
+    }
+    SKIP_CLAIM.store(sabotage, Ordering::SeqCst);
+    let _reset = Reset;
+    let m = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
+    assert_eq!(m.force_grow(), 2, "bucket 1 exists but is unthreaded");
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let m = m.clone();
+            lfc_model::thread::spawn(move || assert_eq!(m.get(&k_read), None))
+        })
+        .collect();
+    let m3 = m.clone();
+    let inserter = lfc_model::thread::spawn(move || assert!(m3.insert(k_ins, 7)));
+    for r in readers {
+        r.join();
+    }
+    inserter.join();
+    assert_eq!(m.get(&k_ins), Some(7), "the inserted key is found");
+    let keys = m.split_order_keys(16);
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "split-order keys must strictly increase: {keys:x?}"
+    );
+    let dummy1 = 1usize.reverse_bits();
+    assert_eq!(
+        keys.iter().filter(|&&so| so == dummy1).count(),
+        1,
+        "bucket 1's dummy must be linked exactly once: {keys:x?}"
+    );
+}
+
+#[test]
+fn dfs_claim_then_thread_then_sabotage_caught() {
+    let (k_read, k_ins) = bucket1_keys();
+    // Phase 1 — claim intact: a complete bounded search, no failure.
+    let report = explore(opts(), move || claim_race(k_read, k_ins, false));
+    report.assert_ok();
+    assert!(
+        report.complete,
+        "claim race must be a COMPLETE bounded search ({} executions)",
+        report.executions
+    );
+    assert!(report.executions > 10, "scenario must actually branch");
+    eprintln!("claim race clean over {} executions", report.executions);
+
+    // Phase 2 — claim CAS skipped: two threaders write one slot, which the
+    // bounded search must catch.
+    let report = explore(opts(), move || claim_race(k_read, k_ins, true));
+    let failure = report
+        .failure
+        .expect("a skipped claim CAS must be caught by the bounded explorer");
+    eprintln!(
+        "skipped claim caught after {} executions:\n{failure}",
+        report.executions
+    );
 }

@@ -43,7 +43,7 @@
 //! | `dcas.published` | lfc-dcas | owner dies right after the D10 install |
 //! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
 //! | `structures.node`, `structures.header` | lfc-structures | node/header allocation fails |
-//! | `map.segment`, `map.dummy`, `map.grow` | lfc-structures | split-ordered map degrades (no resize) |
+//! | `map.segment`, `map.dummy`, `map.grow` | lfc-structures | split-ordered map degrades (no resize): a directory segment allocation fails; a bucket's claimer releases its claim and starts from the parent bucket's dummy; the doubling CAS is skipped |
 //! | `batch.node`, `batch.gate` | lfc-core | request-node allocation fails (falls back to direct execution), or the fallible gate constructor fails |
 //! | `batch.submitted` | lfc-core | submitter dies after publishing its request |
 //!

@@ -10,8 +10,8 @@
 //! Every element lives in **one** epoch-protected ordered list (the same
 //! two-phase Harris/Michael discipline as [`crate::OrderedSet`]), sorted by
 //! *split-order key*: the bit-reversed hash, with the least-significant bit
-//! forced to 1 for data nodes. Buckets are not containers but shortcut
-//! pointers into that list: bucket `b`'s pointer names a *dummy node* whose
+//! forced to 1 for data nodes. Buckets are not containers but shortcuts
+//! into that list: bucket `b` is a *dummy node* threaded through it, whose
 //! split-order key is the bit-reversal of `b` itself (LSB 0 — dummies and
 //! data nodes can never collide on a split-order key). Because
 //! `hash & (size-1) == b` pins the reversed hash's **top** bits to
@@ -28,11 +28,40 @@
 //! *parent* (the index with the top bit cleared) — so no thread ever stalls
 //! on a stop-the-world rehash and latency stays flat through growth.
 //!
-//! The bucket directory itself is a segmented pointer table: a fixed array
-//! of [`DIR_SLOTS`] segment pointers where segment *k* ≥ 1 covers buckets
+//! The bucket directory itself is segmented: a fixed array of
+//! [`DIR_SLOTS`] segment pointers where segment *k* ≥ 1 covers buckets
 //! `[init·2^(k-1), init·2^k)` (segment 0 covers `[0, init)`), allocated
 //! lazily and published with a single CAS, so growth never copies or moves
 //! directory state either.
+//!
+//! # Dummies live in the directory
+//!
+//! A segment is an array of cache-line `Slot`s, and each slot *embeds*
+//! its bucket's dummy node next to a state word. A lookup computes the
+//! dummy's address from the bucket index and reads the state word and the
+//! dummy's `next` word from the same line — no directory pointer to
+//! chase, no separately allocated dummy block. Segments come zero-filled
+//! (state 0 = `UNCLAIMED`); a large one comes from the system's `calloc`
+//! (`lfc_alloc::try_alloc_zeroed_block`), so an untouched bucket costs no
+//! resident memory beyond the zero page it maps to.
+//!
+//! A slot is threaded by **claim, then thread**:
+//!
+//! 1. the first toucher to win the `UNCLAIMED → CLAIMED` CAS is the
+//!    slot's only writer: it writes the dummy's fields in place, finds its
+//!    position from the parent bucket's dummy, stages `next` and link-CASes
+//!    it in (re-finding on failure), then Release-stores `THREADED`;
+//! 2. a thread that finds the slot `CLAIMED` does not wait: it starts from
+//!    the parent's dummy, which is always correct (every key of bucket `b`
+//!    sorts inside its parent's chain) and merely lengthens the walk.
+//!
+//! A claimer that leaves before its link CAS (the `map.dummy` fault site,
+//! or an unwind out of the walk) hands the slot back to `UNCLAIMED`, so a
+//! later toucher threads it; one that unwinds after it stores `THREADED`.
+//!
+//! So each dummy is threaded exactly once, and a stalled claimer delays
+//! nobody: it only lengthens walks through its bucket, exactly like the
+//! parent fallback a missing directory segment takes.
 //!
 //! # Composition under resize
 //!
@@ -47,16 +76,18 @@
 //! marks a node whose key matched (dummies carry no key), and an insert's
 //! `new` value is always a freshly allocated data node — a dummy is never
 //! the *subject* of a capture. A dummy **may** host the *predecessor word*
-//! of a capture (`LinPoint::hp` then pins the dummy's allocation), which is
-//! sound exactly like any predecessor pin: the allocation is epoch-covered
-//! at capture time and promoted into an `ENTRY*` hazard slot by the engine.
-//! Dummies and directory segments are unlinked only at `Drop` and flow
-//! through the PR 3 unified epoch+hazard domain like every other block.
+//! of a capture; `LinPoint::hp` is then the base address of the dummy's
+//! *segment* — the block the reclamation domain knows — which is sound
+//! exactly like any predecessor pin: the segment is epoch-covered at
+//! capture time and promoted into an `ENTRY*` hazard slot by the engine.
+//! Dummies are never unlinked while the map lives; `Drop` retires the data
+//! nodes and the segments (dummies included) through the unified
+//! epoch+hazard domain like every other block.
 //!
 //! Bucket selection hashes with an FxHash-style mixer over a power-of-two
 //! bucket count (PR 3): one rotate-xor-multiply per key word plus a mask.
 
-use crate::node::{alloc, free_unpublished, retire, try_alloc, Block};
+use crate::node::{alloc, retire, try_alloc, Block};
 use crate::sync::{AtomicUsize, Ordering};
 use crate::traverse::{self, ChainNode, NoRepin, Position};
 use lfc_core::{
@@ -68,6 +99,7 @@ use lfc_runtime::CachePadded;
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
 use std::hash::{Hash, Hasher};
+use std::mem::MaybeUninit;
 
 /// An FxHash-style word-at-a-time mixer (rustc-hash's algorithm, std-only
 /// re-implementation). `SipHash` (`DefaultHasher`) pays per-byte rounds and
@@ -159,6 +191,12 @@ fn so_dummy_key(b: usize) -> usize {
     b.reverse_bits()
 }
 
+/// Whether split-order key `so` is a dummy's (LSB 0; see [`DATA_TAG`]).
+#[inline]
+fn is_dummy_key(so: usize) -> bool {
+    so & 1 == 0
+}
+
 /// Parent of bucket `b > 0` in the recursive split: `b` with its highest
 /// set bit cleared. Bucket 0 is the root (the global list head).
 #[inline]
@@ -196,7 +234,7 @@ struct SNode<K, T> {
 }
 
 impl<K, T> SNode<K, T> {
-    /// An unlinked node stamped with the current era.
+    /// An unlinked data node stamped with the current era.
     fn new(so_key: usize, key: Option<K>, val: Option<T>) -> Self {
         SNode {
             next: DAtomic::new(0),
@@ -205,6 +243,12 @@ impl<K, T> SNode<K, T> {
             val: UnsafeCell::new(val),
             birth: lfc_hazard::birth_era(),
         }
+    }
+
+    /// Bucket `b`'s dummy, written in place into its directory [`Slot`] by
+    /// the slot's claimer — never allocated as a block of its own.
+    fn dummy(b: usize) -> Self {
+        Self::new(so_dummy_key(b), None, None)
     }
 }
 
@@ -229,6 +273,15 @@ unsafe impl<K, T: Clone> ChainNode for SNode<K, T> {
         // Safety: written once before publication.
         unsafe { (*self.val.get()).as_ref() }
     }
+
+    unsafe fn retire_unlinked(p: *mut Self) {
+        // Only `Drop`'s teardown walk reaches a dummy here (dummies are
+        // never marked): it lives in its segment and is freed with it.
+        // Safety: forwarded contract; so_key is immutable.
+        if !is_dummy_key(unsafe { (*p).so_key }) {
+            unsafe { retire(p) };
+        }
+    }
 }
 
 /// The map's mutable shared state, kept in its own pooled allocation like
@@ -249,7 +302,7 @@ struct MapHeader {
     /// the same key can decrement first and take the raw word to −1 —
     /// always read it through [`live_items`].
     items: CachePadded<AtomicUsize>,
-    /// Segment pointers (`*mut AtomicUsize` as usize; 0 = unallocated).
+    /// Segment pointers (`*mut Slot<K, T>` as usize; 0 = unallocated).
     /// Written once per segment with a CAS; read-mostly thereafter.
     dir: [AtomicUsize; DIR_SLOTS],
 }
@@ -262,34 +315,77 @@ fn live_items(raw: usize) -> usize {
 
 impl Block for MapHeader {}
 
-/// A directory segment is a raw `[AtomicUsize; len + 1]` block: word 0
-/// holds `len` (so the type-erased reclaimer can rebuild the layout), words
-/// `1..=len` are the bucket slots (0 = uninitialized, else a `*mut SNode`
-/// dummy pointer). Slots are plain atomics, never DCAS targets: no
-/// composed linearization point ever lands in the directory.
-fn segment_layout(len: usize) -> Layout {
-    Layout::array::<AtomicUsize>(len + 1).expect("segment fits in isize")
+/// Slot states of the claim-then-thread protocol (module docs). A
+/// zero-filled segment starts every slot `UNCLAIMED`.
+const UNCLAIMED: usize = 0;
+/// A thread owns the slot and is threading its dummy.
+const CLAIMED: usize = 1;
+/// The dummy is linked into the list; its fields are immutable.
+const THREADED: usize = 2;
+
+/// A won claim on a slot's `state` (`init_bucket`). Dropping it ends the
+/// claim: `THREADED` once the link CAS has published the dummy, else back
+/// to `UNCLAIMED` — nothing is published before that CAS, so a claimer
+/// that leaves early (the `map.dummy` site, or an unwind out of the walk)
+/// leaves the slot for a later toucher to claim and thread afresh, never
+/// `CLAIMED` forever.
+struct Claim<'a> {
+    state: &'a AtomicUsize,
+    linked: bool,
 }
 
-fn try_alloc_segment(len: usize) -> Result<*mut AtomicUsize, lfc_alloc::AllocError> {
-    let p = lfc_alloc::try_alloc_block(segment_layout(len))?.cast::<AtomicUsize>();
-    // Safety: fresh block sized for len + 1 atomics.
-    unsafe {
-        p.as_ptr().write(AtomicUsize::new(len));
-        for i in 0..len {
-            p.as_ptr().add(1 + i).write(AtomicUsize::new(0));
-        }
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let next = if self.linked { THREADED } else { UNCLAIMED };
+        // Release: `THREADED` pairs with `dummy_of`'s Acquire load, and
+        // `UNCLAIMED` with the next claimer's Acquire CAS, so the fields
+        // this claimer may have written happen-before that claimer's own.
+        self.state.store(next, Ordering::Release);
     }
-    Ok(p.as_ptr())
 }
 
-unsafe fn reclaim_segment(p: *mut u8) {
-    let base = p as *mut AtomicUsize;
-    // Safety: retire contract — the block is quiescent; word 0 is the
-    // length header written at allocation.
+/// One bucket of a directory segment: the bucket's dummy node, embedded,
+/// and the state word guarding it, on one cache line for word-sized keys
+/// and values (`SNode<u64, u64>` is 56 bytes), so a lookup's state check
+/// and its first chain hop read the same line.
+#[repr(C, align(64))]
+struct Slot<K, T> {
+    /// The dummy; uninitialized until the claimer writes it, read only
+    /// once published (by the link CAS, or the `THREADED` store).
+    dummy: UnsafeCell<MaybeUninit<SNode<K, T>>>,
+    /// `UNCLAIMED`, `CLAIMED` or `THREADED`. A plain atomic, never a DCAS
+    /// target: no composed linearization point lands on it.
+    state: AtomicUsize,
+}
+
+impl<K, T> Slot<K, T> {
+    #[inline]
+    fn dummy(&self) -> *mut SNode<K, T> {
+        self.dummy.get().cast()
+    }
+}
+
+/// A directory segment is a zero-filled `[Slot; len + 1]` block: the first
+/// word of slot 0 holds `len` (so the type-erased reclaimer can rebuild the
+/// layout), slots `1..=len` are the buckets.
+fn segment_layout<K, T>(len: usize) -> Layout {
+    Layout::array::<Slot<K, T>>(len + 1).expect("segment fits in isize")
+}
+
+fn try_alloc_segment<K, T>(len: usize) -> Result<*mut Slot<K, T>, lfc_alloc::AllocError> {
+    let p = lfc_alloc::try_alloc_zeroed_block(segment_layout::<K, T>(len))?;
+    // Safety: fresh block; slot 0 is the length header.
+    unsafe { p.as_ptr().cast::<usize>().write(len) };
+    Ok(p.as_ptr().cast())
+}
+
+unsafe fn reclaim_segment<K, T>(p: *mut u8) {
+    // Safety: retire contract — the block is quiescent; its first word is
+    // the length header written at allocation. Dummies own nothing (no key,
+    // no value), so freeing the block frees them.
     unsafe {
-        let len = (*base).load(Ordering::Relaxed);
-        lfc_alloc::free_block(p, segment_layout(len));
+        let len = p.cast::<usize>().read();
+        lfc_alloc::free_block(p, segment_layout::<K, T>(len));
     }
 }
 
@@ -386,11 +482,12 @@ where
         // Segment 0 and the bucket-0 dummy (the global list head, split
         // order key 0 — the minimum) exist from birth, so `dummy_of`'s
         // recursion always terminates.
-        let seg = map.segment(0);
-        let head = alloc(SNode::<K, T>::new(so_dummy_key(0), None, None)).as_ptr();
-        // Safety: slot 0 of the freshly allocated segment; Release pairs
-        // with the Acquire slot loads of every later operation.
-        unsafe { &*seg.add(1) }.store(head as usize, Ordering::Release);
+        map.segment(0);
+        let head = map.try_slot(0).expect("segment 0 was just allocated");
+        // Safety: the map is not shared yet; the Release store pairs with
+        // the Acquire state loads of every later operation.
+        unsafe { head.dummy().write(SNode::dummy(0)) };
+        head.state.store(THREADED, Ordering::Release);
         map
     }
 
@@ -431,10 +528,10 @@ where
 
     /// Segment `k`'s base pointer, allocating (and racing to publish) it on
     /// first touch.
-    fn segment(&self, k: usize) -> *mut AtomicUsize {
+    fn segment(&self, k: usize) -> *mut Slot<K, T> {
         match self.try_segment(k, false) {
             Some(p) => p,
-            // try_segment(_, false) only fails through `try_alloc_block`,
+            // try_segment(_, false) only fails through the allocator,
             // which the infallible path escalates.
             None => panic!("lfc-structures: directory segment allocation failed"),
         }
@@ -445,12 +542,12 @@ where
     /// exhaustion, or — with `faultable` — the `map.segment` site). The
     /// caller falls back to an ancestor bucket's dummy; the directory heals
     /// on a later touch once memory returns.
-    fn try_segment(&self, k: usize, faultable: bool) -> Option<*mut AtomicUsize> {
+    fn try_segment(&self, k: usize, faultable: bool) -> Option<*mut Slot<K, T>> {
         // Acquire (audited): pairs with the Release publication below so a
         // reader that sees the pointer sees the zeroed slots + len header.
         let p = self.hdr().dir[k].load(Ordering::Acquire);
         if p != 0 {
-            return Some(p as *mut AtomicUsize);
+            return Some(p as *mut Slot<K, T>);
         }
         if faultable && lfc_runtime::fault::check("map.segment") {
             return None;
@@ -467,114 +564,142 @@ where
             Ok(_) => Some(fresh),
             Err(won) => {
                 // Safety: our segment was never published; unique owner.
-                unsafe { lfc_alloc::free_block(fresh as *mut u8, segment_layout(self.seg_len(k))) };
-                Some(won as *mut AtomicUsize)
+                unsafe {
+                    lfc_alloc::free_block(fresh as *mut u8, segment_layout::<K, T>(self.seg_len(k)))
+                };
+                Some(won as *mut Slot<K, T>)
             }
         }
-    }
-
-    /// Bucket `b`'s directory slot.
-    #[inline]
-    fn bucket_slot(&self, b: usize) -> &AtomicUsize {
-        let (k, off) = self.seg_coords(b);
-        // Safety: `segment` returns a live segment of `seg_len(k)` slots
-        // (freed only at Drop), and `off < seg_len(k)` by construction.
-        unsafe { &*self.segment(k).add(1 + off) }
     }
 
     /// Bucket `b`'s slot if its segment is (or can be made) resident;
     /// `None` degrades the caller to an ancestor bucket.
     #[inline]
-    fn try_bucket_slot(&self, b: usize) -> Option<&AtomicUsize> {
+    fn try_slot(&self, b: usize) -> Option<&Slot<K, T>> {
         let (k, off) = self.seg_coords(b);
         let seg = self.try_segment(k, true)?;
-        // Safety: as in `bucket_slot`.
+        // Safety: `seg` is a live segment of `seg_len(k)` slots (freed
+        // only at Drop), `off < seg_len(k)` by construction, and slot 0 is
+        // the length header. Every byte pattern is a valid `Slot`.
         Some(unsafe { &*seg.add(1 + off) })
+    }
+
+    /// The bucket-0 dummy: the global head of the split-ordered list,
+    /// threaded at construction.
+    fn head(&self) -> *mut SNode<K, T> {
+        self.try_slot(0)
+            .expect("segment 0 lives from construction to Drop")
+            .dummy()
     }
 
     /// Bucket `b`'s dummy node, lazily threading it (and its ancestors)
     /// into the list on first touch — the per-operation amortized split.
+    /// Its address is computed from `b`: no pointer to it is ever loaded.
     ///
-    /// Degrades under memory pressure instead of failing: if the bucket's
-    /// directory segment or dummy node cannot be allocated (or the
-    /// `map.segment` / `map.dummy` fault sites fire), the *parent* bucket's
-    /// dummy is returned. That is always correct — every key of bucket `b`
-    /// sorts inside its parent's chain — it merely lengthens the walk until
-    /// a later operation succeeds in materializing the split.
+    /// Degrades instead of waiting or failing: if the bucket's directory
+    /// segment cannot be allocated (or the `map.segment` fault site fires),
+    /// or its slot is being threaded by another claimer, the *parent*
+    /// bucket's dummy is returned. That is always correct — every key of
+    /// bucket `b` sorts inside its parent's chain — it merely lengthens the
+    /// walk until the split materializes.
+    #[inline]
     fn dummy_of(&self, b: usize, g: &Guard) -> *mut SNode<K, T> {
-        let Some(slot) = self.try_bucket_slot(b) else {
+        let Some(slot) = self.try_slot(b) else {
             debug_assert!(b > 0, "segment 0 is allocated at construction");
             return self.dummy_of(parent_bucket(b), g);
         };
-        // Acquire (audited): pairs with the Release slot store below (and
-        // in `with_buckets`), publishing the dummy's immutable fields.
-        let p = slot.load(Ordering::Acquire);
-        if p != 0 {
-            return p as *mut SNode<K, T>;
+        // Acquire (audited): pairs with the claimer's Release `THREADED`
+        // store (and `with_buckets`'), publishing the dummy's fields.
+        if slot.state.load(Ordering::Acquire) == THREADED {
+            return slot.dummy();
         }
-        self.init_bucket(b, g)
+        self.init_bucket(b, slot, g)
     }
 
-    /// Initialize bucket `b`: ensure the parent's dummy exists (recursing
-    /// up the split tree), thread a dummy for `b` into the list, and
-    /// publish it in the directory. Concurrent initializers converge on
-    /// the single list-resident dummy: the list admits one node per
-    /// split-order key, and dummies are never unlinked while the map
-    /// lives, so whoever loses the insertion race adopts the winner's
-    /// node.
+    /// Thread bucket `b`'s dummy by claim, then thread (module docs):
+    /// ensure the parent's dummy exists (recursing up the split tree), win
+    /// the slot's claim, write the dummy in place and link it into the
+    /// list. A thread that loses the claim to a claimer still threading
+    /// uses the parent's dummy instead of waiting.
     #[cold]
-    fn init_bucket(&self, b: usize, g: &Guard) -> *mut SNode<K, T> {
+    fn init_bucket(&self, b: usize, slot: &Slot<K, T>, g: &Guard) -> *mut SNode<K, T> {
         let parent = self.dummy_of(parent_bucket(b), g);
-        let dkey = so_dummy_key(b);
+        match Self::claim(slot) {
+            Ok(()) => {}
+            // Threaded since our state load: use it.
+            Err(THREADED) => return slot.dummy(),
+            // Another claimer is threading it: never wait.
+            Err(_) => return parent,
+        }
+        // From here to `THREADED` this thread owns the slot, and the guard
+        // hands it on however the thread leaves: by the fault site below, by
+        // a kill at a helping boundary inside the walk, or by any panic.
+        let mut claim = Claim {
+            state: &slot.state,
+            linked: false,
+        };
         if lfc_runtime::fault::check("map.dummy") {
-            // Degrade: no dummy for `b` this time; the operation starts
-            // from the parent's chain (see `dummy_of`).
+            // Degrade: release the claim untouched (nothing was written)
+            // and start from the parent's chain this time.
             return parent;
         }
-        let mut fresh: *mut SNode<K, T> = std::ptr::null_mut();
-        let dummy = loop {
+        let d = slot.dummy();
+        let dkey = so_dummy_key(b);
+        // Safety: the claim makes this thread the slot's only writer, and
+        // nothing reads the dummy before the link CAS publishes it.
+        unsafe { d.write(SNode::dummy(b)) };
+        loop {
             let pos = self.find_from(parent, dkey, None, g);
-            if !pos.cur.is_null() {
-                // Safety: cur is epoch-protected by the caller's op guard;
-                // so_key is immutable.
-                if unsafe { (*pos.cur).so_key } == dkey {
-                    break pos.cur; // another initializer won the thread race
-                }
-            }
-            if fresh.is_null() {
-                fresh = match try_alloc("structures.node", SNode::new(dkey, None, None)) {
-                    Ok(p) => p.as_ptr(),
-                    // Genuine exhaustion: same degrade as the fault site.
-                    Err(_) => return parent,
-                };
-            }
-            // Safety: fresh is ours until published.
-            unsafe { &(*fresh).next }.store_word(pos.cur as usize);
+            // A second threader would link the dummy to itself, and every
+            // later walk through it would spin forever: fail loudly instead.
+            assert!(
+                // Safety: cur is epoch-protected; so_key is immutable.
+                pos.cur.is_null() || unsafe { (*pos.cur).so_key } != dkey,
+                "bucket {b}'s dummy threaded twice: only its claimer threads it"
+            );
+            // Safety: unpublished until the CAS below.
+            unsafe { &(*d).next }.store_word(pos.cur as usize);
             // Safety: prev allocation epoch-protected; a raw CAS suffices —
             // dummy threading is structural, not a linearization point (the
             // map's observable state is unchanged by it).
-            if unsafe { &*pos.prev_word }.cas_word(pos.cur as usize, fresh as usize) {
-                let d = fresh;
-                fresh = std::ptr::null_mut();
-                break d;
+            if unsafe { &*pos.prev_word }.cas_word(pos.cur as usize, d as usize) {
+                claim.linked = true;
+                break;
             }
-        };
-        if !fresh.is_null() {
-            // Safety: never published.
-            unsafe { free_unpublished(fresh) };
         }
-        // Publish the (unique) list dummy in the directory. A CAS failure
-        // means another initializer published first — necessarily the same
-        // pointer, since both found the one list-resident dummy for `dkey`.
-        // Release pairs with `dummy_of`'s Acquire.
-        let slot = self.bucket_slot(b);
-        if slot
-            .compare_exchange(0, dummy as usize, Ordering::Release, Ordering::Acquire)
-            .is_err()
-        {
-            debug_assert_eq!(slot.load(Ordering::Acquire), dummy as usize);
+        drop(claim);
+        d
+    }
+
+    /// Win `slot`'s `UNCLAIMED → CLAIMED` CAS, or report the state that
+    /// beat us. Acquire on failure: a `THREADED` result publishes the
+    /// dummy's fields to the loser.
+    #[inline]
+    fn claim(slot: &Slot<K, T>) -> Result<(), usize> {
+        #[cfg(lfc_model)]
+        if crate::model_toggles::skip_claim() {
+            return Ok(()); // seeded bug: every toucher thinks it won
         }
-        dummy
+        slot.state
+            .compare_exchange(UNCLAIMED, CLAIMED, Ordering::Acquire, Ordering::Acquire)
+            .map(|_| ())
+    }
+
+    /// The reclamation block hosting chain node `n`: a data node is its
+    /// own block, a dummy lives inside its directory segment — the block
+    /// the domain knows, so that is what a capture's `hp` must name.
+    #[inline]
+    fn block_of(&self, n: usize) -> usize {
+        // Safety: `n` is a chain node found under the caller's epoch;
+        // so_key is immutable.
+        let so = unsafe { (*(n as *const SNode<K, T>)).so_key };
+        if !is_dummy_key(so) {
+            return n;
+        }
+        let (k, _) = self.seg_coords(so.reverse_bits());
+        // Acquire (audited): the dummy was reached through the list, after
+        // its claimer loaded this (write-once) pointer.
+        self.hdr().dir[k].load(Ordering::Acquire)
     }
 
     /// The bucket dummy to start a search for hash `h` from, under the
@@ -592,9 +717,10 @@ where
     /// Locate `(so, key)` starting from the bucket dummy `start`, via the
     /// shared traversal kernel ([`crate::traverse::find_pos`]). `start` is
     /// a dummy — reachable for the map's whole lifetime (dummies are
-    /// unlinked only at `Drop`) and never logically deleted — so the same
-    /// anchor stays sound across restarts and the walk runs under a plain
-    /// [`Guard`] ([`NoRepin`]: no ejection-repin point needed).
+    /// never unlinked; they live in their segment until `Drop`) and never
+    /// logically deleted — so the same anchor stays sound across restarts
+    /// and the walk runs under a plain [`Guard`] ([`NoRepin`]: no
+    /// ejection-repin point needed).
     fn find_from(
         &self,
         start: *mut SNode<K, T>,
@@ -626,11 +752,14 @@ where
     /// The keyed kernel's `find` for data key `key` with hash `h`: the one
     /// ejection-restart point of the attempt, then the start dummy
     /// re-resolved (a concurrent doubling may have split the bucket since
-    /// the last attempt), then the dummy-anchored walk.
+    /// the last attempt), then the dummy-anchored walk. A predecessor word
+    /// inside a dummy reports the dummy's segment as its block.
     fn find(&self, h: usize, key: &K, g: &mut OpGuard) -> Position<SNode<K, T>> {
         g.repin_if_ejected();
         let start = self.start_for(h, g);
-        self.find_from(start, so_data_key(h), Some(key), g)
+        let mut pos = self.find_from(start, so_data_key(h), Some(key), g);
+        pos.prev_alloc = self.block_of(pos.prev_alloc);
+        pos
     }
 
     /// Whether `n` is the data node of `key` (hash `h`). Only data nodes
@@ -789,9 +918,44 @@ where
     /// list counting live data nodes (dummies hold no element).
     pub fn count(&self) -> usize {
         let g = pin_op();
-        let head = self.bucket_slot(0).load(Ordering::Acquire) as *mut SNode<K, T>;
         // Safety: the bucket-0 dummy exists from birth and heads the list.
-        unsafe { traverse::count::<SNode<K, T>>(&(*head).next, &g) }
+        unsafe { traverse::count::<SNode<K, T>>(&(*self.head()).next, &g) }
+    }
+
+    /// Clone every entry, in split order (not key order): one walk of the
+    /// whole list, skipping dummies. **Not a snapshot** — linearizable per
+    /// entry, like [`LfSkipMap::range`](crate::LfSkipMap::range): each
+    /// returned pair was present when the walk visited it, and an entry
+    /// present for the whole walk is returned.
+    pub fn to_vec(&self) -> Vec<(K, T)> {
+        let g = pin_op();
+        let mut out = Vec::new();
+        // Safety: as in `count`.
+        unsafe {
+            traverse::for_each_live::<SNode<K, T>>(&(*self.head()).next, &g, |n, v| {
+                out.push((n.key.clone().expect("data node holds a key"), v.clone()))
+            })
+        };
+        out
+    }
+
+    /// The split-order keys of the first `limit` nodes of the list,
+    /// dummies and marked nodes included. Tests only: lets unit tests and
+    /// model-checker scenarios check the list's shape (keys strictly
+    /// increase; each dummy is linked once).
+    #[cfg(any(test, lfc_model))]
+    #[doc(hidden)]
+    pub fn split_order_keys(&self, limit: usize) -> Vec<usize> {
+        let g = pin_op();
+        let mut out = Vec::new();
+        let mut cur = self.head();
+        while !cur.is_null() && out.len() < limit {
+            // Safety: every node on the walk is epoch-protected.
+            let n = unsafe { &*cur };
+            out.push(n.so_key);
+            cur = traverse::without_mark(n.next.read_acquire(&g)) as *mut SNode<K, T>;
+        }
+        out
     }
 }
 
@@ -882,32 +1046,30 @@ where
 {
     fn drop(&mut self) {
         let g = pin();
-        // Every node — data and dummy alike — is reachable from the
-        // bucket-0 dummy, the global head of the split-ordered list.
-        let head = self.bucket_slot(0).load(Ordering::Acquire);
+        // Every data node is reachable from the bucket-0 dummy, the global
+        // head of the split-ordered list; the walk retires data nodes only
+        // (`SNode::retire_unlinked` passes over dummies).
         // Safety: exclusive teardown (&mut self).
-        unsafe { traverse::retire_chain::<SNode<K, T>>(head, &g) };
-        // Segments and the map header flow through the same domain (PR 5):
-        // their slots are plain atomics no helper writes to, but deferring
-        // the free keeps one teardown discipline for every block the map
-        // ever published.
+        unsafe { traverse::retire_chain::<SNode<K, T>>(self.head() as usize, &g) };
+        // Segments — and with them every dummy — and the map header flow
+        // through the same domain: helpers of past composed
+        // operations may still write into a dummy's `next` word, and one
+        // teardown discipline covers every block the map ever published.
         for k in 0..DIR_SLOTS {
             let seg = self.hdr().dir[k].load(Ordering::Acquire);
             if seg != 0 {
                 // Safety: unique teardown; the length header word rebuilds
                 // the layout inside the reclaimer. Segments carry no drop
-                // glue, so the divert path is the reclaimer itself; the
-                // byte charge uses the length header. Birth unknown: a
-                // segment lives from first touch to Drop anyway.
-                let len = unsafe { (*(seg as *mut AtomicUsize)).load(Ordering::Relaxed) };
+                // glue, so the divert path is the reclaimer itself. Birth
+                // unknown: a segment lives from first touch to Drop anyway.
                 unsafe {
                     lfc_hazard::retire_with(
                         seg as *mut u8,
-                        reclaim_segment,
+                        reclaim_segment::<K, T>,
                         lfc_hazard::RetireInfo {
-                            bytes: segment_layout(len).size(),
+                            bytes: segment_layout::<K, T>(self.seg_len(k)).size(),
                             birth: lfc_hazard::BIRTH_UNKNOWN,
-                            divert: Some(reclaim_segment),
+                            divert: Some(reclaim_segment::<K, T>),
                         },
                     )
                 };
@@ -1067,6 +1229,159 @@ mod tests {
             assert_eq!(m.get(&k), Some(k));
         }
         assert_eq!(m.count(), 32);
+    }
+
+    #[test]
+    fn a_stalled_claimer_delays_nobody() {
+        // A claimer stalled between its claim and its link leaves the slot
+        // CLAIMED: every other toucher must start from the parent's dummy
+        // instead of waiting, and the slot threads on the next claim.
+        let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(1);
+        assert_eq!(m.force_grow(), 2);
+        let slot = m.try_slot(1).expect("bucket 1's segment allocates");
+        slot.state.store(CLAIMED, Ordering::Relaxed);
+        for k in 0..64u64 {
+            assert!(m.insert(k, k + 1));
+        }
+        for k in 0..64u64 {
+            assert_eq!(m.get(&k), Some(k + 1));
+        }
+        let dkey = so_dummy_key(1);
+        assert!(
+            !m.split_order_keys(usize::MAX).contains(&dkey),
+            "nobody threaded a claimed slot"
+        );
+        // The stalled claimer gives up its claim: the next touch threads
+        // the slot, even though its split children threaded meanwhile.
+        slot.state.store(UNCLAIMED, Ordering::Relaxed);
+        assert_eq!(m.dummy_of(1, &pin()), slot.dummy());
+        let keys = m.split_order_keys(usize::MAX);
+        assert_eq!(slot.state.load(Ordering::Relaxed), THREADED);
+        assert_eq!(
+            keys.iter().filter(|&&so| so == dkey).count(),
+            1,
+            "linked once"
+        );
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "split order holds");
+        assert_eq!(m.count(), 64);
+    }
+
+    #[test]
+    fn a_claimer_killed_inside_its_walk_leaves_the_slot_claimable() {
+        use lfc_runtime::fault;
+        // Two 2-bucket maps with bucket 1 unthreaded, and a key `k` of
+        // bucket 0 in `src`: a move of `k` commits the mark on `k`'s `next`
+        // in `src` and the link into `dst`'s head, and in either map that
+        // word lies on the walk from the head to bucket 1's position.
+        let src: LfHashMap<u64, u64> = LfHashMap::with_buckets(1);
+        let dst: LfHashMap<u64, u64> = LfHashMap::with_buckets(1);
+        let maps = [&src, &dst];
+        for m in maps {
+            assert_eq!(m.force_grow(), 2);
+        }
+        let k = (0..).find(|k| src.bucket_index(k) == 0).unwrap();
+        let k1 = (0..).find(|k| src.bucket_index(k) == 1).unwrap();
+        assert!(src.insert(k, 1));
+        // The mover dies with its descriptor installed in the first word.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                fault::with_registered_peer(|| {
+                    fault::arm_site("dcas.published", fault::Schedule::Nth(1));
+                    let moved = fault::abandonment_scope(|| lfc_core::move_keyed(&src, &k, &dst));
+                    assert!(moved.is_none(), "the mover dies published");
+                })
+            });
+        });
+        // A reader of bucket 1 claims the slot, meets the descriptor in its
+        // walk and dies at the helping boundary.
+        fault::arm_site("dcas.help", fault::Schedule::Nth(1));
+        let killed = maps.map(|m| {
+            std::thread::scope(|s| {
+                s.spawn(|| fault::abandonment_scope(|| m.get(&k1)).is_none())
+                    .join()
+                    .unwrap()
+            })
+        });
+        fault::disarm();
+        assert_ne!(killed[0], killed[1], "exactly one claimer died in its walk");
+        for m in maps {
+            let slot = m.try_slot(1).unwrap();
+            assert_ne!(
+                slot.state.load(Ordering::Acquire),
+                CLAIMED,
+                "claim released"
+            );
+            // The next touch helps the dead mover and threads the slot.
+            assert_eq!(m.get(&k1), None);
+            assert_eq!(slot.state.load(Ordering::Acquire), THREADED);
+            let keys = m.split_order_keys(usize::MAX);
+            let dkey = so_dummy_key(1);
+            assert_eq!(keys.iter().filter(|&&so| so == dkey).count(), 1);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "split order holds");
+        }
+        assert_eq!(src.contains(&k) as u8 + dst.contains(&k) as u8, 1);
+        lfc_dcas::adopt_dead_threads(&pin());
+    }
+
+    #[test]
+    fn to_vec_returns_exactly_the_live_entries() {
+        let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(4);
+        for k in 0..1_000u64 {
+            assert!(m.insert(k, k * 2));
+        }
+        for k in (0..1_000u64).step_by(3) {
+            assert_eq!(m.remove(&k), Some(k * 2));
+        }
+        let mut got = m.to_vec();
+        got.sort_unstable();
+        let want: Vec<(u64, u64)> = (0..1_000u64)
+            .filter(|k| k % 3 != 0)
+            .map(|k| (k, k * 2))
+            .collect();
+        assert_eq!(got, want, "no dummy, no removed entry, every live one");
+    }
+
+    #[test]
+    fn to_vec_returns_entries_live_through_a_concurrent_walk() {
+        // Keys 0..256 stay live throughout while a churner inserts and
+        // removes other keys and splits buckets under the walks: every walk
+        // must return each stable key once, and only well-formed pairs.
+        use std::sync::atomic::AtomicBool;
+        let m: LfHashMap<u64, u64> = LfHashMap::with_buckets(2);
+        for k in 0..256u64 {
+            assert!(m.insert(k, k));
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            let (m, stop) = (&m, &stop);
+            sc.spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let k = 1_000 + i % 512;
+                    if !m.insert(k, k) {
+                        m.remove(&k);
+                    }
+                    if i.is_multiple_of(64) {
+                        m.force_grow();
+                        std::thread::yield_now();
+                    }
+                    i += 1;
+                }
+            });
+            for _ in 0..50 {
+                let walk = m.to_vec();
+                let mut stable = 0;
+                for &(k, v) in &walk {
+                    assert_eq!(k, v, "torn pair");
+                    stable += usize::from(k < 256);
+                }
+                let distinct: std::collections::HashSet<u64> = walk.iter().map(|e| e.0).collect();
+                assert_eq!(distinct.len(), walk.len(), "an entry returned twice");
+                assert_eq!(stable, 256, "a stable entry was missed");
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

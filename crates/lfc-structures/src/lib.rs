@@ -68,6 +68,16 @@ pub mod model_toggles {
     pub(crate) fn force_elim() -> bool {
         FORCE_ELIM.load(Ordering::Relaxed)
     }
+
+    /// Seeded bug: skip the hash map's `UNCLAIMED → CLAIMED` slot CAS, so
+    /// every thread that finds a bucket unthreaded believes it is the
+    /// claimer and two threaders write one slot. The resize model search
+    /// must catch it.
+    pub static SKIP_CLAIM: AtomicBool = AtomicBool::new(false);
+
+    pub(crate) fn skip_claim() -> bool {
+        SKIP_CLAIM.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]

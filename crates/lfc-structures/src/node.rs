@@ -26,7 +26,7 @@
 //! drop glue, so for them divert *is* the reclaimer and a zombie-pinned
 //! header frees fully. The hash map's variable-length directory segments
 //! are the one block kind outside this lifecycle (their length lives in
-//! the block).
+//! the block); its bucket dummies live inside them and are not blocks.
 
 use lfc_dcas::{DAtomic, Word};
 use lfc_hazard::RetireInfo;

@@ -77,6 +77,7 @@ use lfc_core::{
 };
 use lfc_dcas::DAtomic;
 use lfc_hazard::{pin_op, Guard, OpGuard};
+use lfc_runtime::CachePadded;
 use std::cell::UnsafeCell;
 use std::ops::{Bound, RangeBounds};
 use std::ptr::NonNull;
@@ -165,8 +166,10 @@ where
     header: NonNull<ZHeader>,
     /// Deterministic height source: one tick per insert, mixed into a
     /// geometric height. Deterministic (per map) by design — the model
-    /// checker and the fuzzer replay identical tower shapes.
-    ticket: AtomicUsize,
+    /// checker and the fuzzer replay identical tower shapes. Padded: every
+    /// insert bumps it, and unpadded it shared a line with `header` (read
+    /// by every operation) and with neighbouring map handles.
+    ticket: CachePadded<AtomicUsize>,
     _marker: std::marker::PhantomData<(K, T)>,
 }
 
@@ -205,7 +208,7 @@ where
                 next: DAtomic::new(0),
                 tower: std::array::from_fn(|_| AtomicUsize::new(0)),
             }),
-            ticket: AtomicUsize::new(1),
+            ticket: CachePadded::new(AtomicUsize::new(1)),
             _marker: std::marker::PhantomData,
         }
     }

@@ -7,7 +7,8 @@
 //! protocol word whose bit 2 ([`DEL_MARK`]) is the Harris logical-delete
 //! mark, searched by "first node at-or-after the target". The search loop
 //! ([`find_pos`]) and the keyed operations built on it — [`insert`],
-//! [`remove`], [`get`], [`count`] and the teardown walk [`retire_chain`] —
+//! [`remove`], [`get`], the live walk [`for_each_live`] (and [`count`] on
+//! it) and the teardown walk [`retire_chain`] —
 //! are written once, here. A structure supplies only:
 //!
 //! * its node layout ([`ChainNode`]);
@@ -74,8 +75,8 @@
 //! The anchor is a closure, re-invoked on **every** restart (not hoisted),
 //! because the structures restart differently: `OrderedSet` at its list
 //! head (constant); `LfHashMap` at a bucket dummy's next word (dummies are
-//! never logically deleted and unlinked only at `Drop`, so the same dummy
-//! stays sound and the walk runs under a plain [`Guard`] via
+//! never logically deleted or unlinked and live until `Drop`, so the same
+//! dummy stays sound and the walk runs under a plain [`Guard`] via
 //! [`NoRepin`]); `LfSkipMap` at the closest level-≥1 predecessor, which
 //! *can* be deleted between restarts, so its closure re-runs the tower
 //! search.
@@ -162,10 +163,13 @@ pub(crate) unsafe trait ChainNode: Block {
 ///
 /// `prev_alloc` was called `prev_hp` before PR 9 — a relic of the
 /// pre-PR 3 per-node hazard-pointer scheme. It is *not* a hazard: it is
-/// the base address of the allocation hosting `prev_word` (anchor header,
-/// bucket dummy, or predecessor node), recorded so a composed capture can
-/// promote that allocation into an `ENTRY*` hazard slot at capture time
-/// ([`lfc_core::LinPoint::hp`]).
+/// the base address of the allocation hosting `prev_word` (anchor header
+/// or predecessor node), recorded so a composed capture can promote that
+/// allocation into an `ENTRY*` hazard slot at capture time
+/// ([`lfc_core::LinPoint::hp`]). [`find_pos`] records the predecessor
+/// node's own address; a node that is not its own block (a hash-map bucket
+/// dummy, embedded in its directory segment) is mapped to its block by the
+/// structure's `find`.
 pub(crate) struct Position<N> {
     /// Word holding `cur` (the anchor word or a predecessor's chain word).
     pub prev_word: *const DAtomic,
@@ -423,24 +427,43 @@ pub(crate) unsafe fn get<N: ChainNode>(
     }
 }
 
-/// Racy O(n) count of the live data nodes (unmarked, holding an element)
-/// after `head`. Quiescent use only.
+/// Visit every live data node (unmarked when visited, holding an element)
+/// after `head`, in chain order. Linearizable per node, not a snapshot:
+/// each visited node was live when its chain word was read, and a node
+/// live for the whole walk is visited.
 ///
 /// # Safety
 ///
 /// `head` heads a chain of `N` nodes, and `g` protects the walk.
-pub(crate) unsafe fn count<N: ChainNode>(head: &DAtomic, g: &Guard) -> usize {
-    let mut n = 0;
+pub(crate) unsafe fn for_each_live<N: ChainNode>(
+    head: &DAtomic,
+    g: &Guard,
+    mut f: impl FnMut(&N, &N::Elem),
+) {
     let mut cur = head.read(g);
     while cur != 0 {
         // Safety: contract; nodes are epoch-protected.
         let node = unsafe { &*(cur as *const N) };
         let next = node.chain_word().read_acquire(g);
-        if !is_deleted(next) && node.elem().is_some() {
-            n += 1;
+        if !is_deleted(next) {
+            if let Some(v) = node.elem() {
+                f(node, v);
+            }
         }
         cur = without_mark(next);
     }
+}
+
+/// Racy O(n) count of the live data nodes after `head` (see
+/// [`for_each_live`]). Quiescent use only.
+///
+/// # Safety
+///
+/// As for [`for_each_live`].
+pub(crate) unsafe fn count<N: ChainNode>(head: &DAtomic, g: &Guard) -> usize {
+    let mut n = 0;
+    // Safety: forwarded contract.
+    unsafe { for_each_live::<N>(head, g, |_, _| n += 1) };
     n
 }
 

@@ -1,5 +1,5 @@
 //! Block-leak check for composed moves, over the queue/stack pair and the
-//! three keyed structures. `lfc_alloc::outstanding()` is a process-global
+//! three keyed structures, and the block count of a growing hash map. `lfc_alloc::outstanding()` is a process-global
 //! counter, so this is the only test of its binary: no sibling test
 //! allocates between the two readings.
 
@@ -75,6 +75,41 @@ fn keyed_round_returns_every_block() {
     );
 }
 
+/// Grow an `LfHashMap` from 64 to ≥ 65 536 buckets, threading a dummy in
+/// every touched bucket: bucket dummies live inside the directory
+/// segments, so the only blocks are one per key, the header and one per
+/// segment — and dropping the map returns all of them, segments included.
+fn map_growth_allocates_no_dummy_blocks() {
+    const KEYS: u64 = 70_000;
+    let before = lfc_alloc::outstanding();
+    {
+        let map: LfHashMap<u64, u64> = LfHashMap::with_buckets(64);
+        for k in 0..KEYS {
+            assert!(map.insert(k, !k));
+        }
+        for k in 0..KEYS {
+            assert_eq!(map.get(&k), Some(!k));
+        }
+        let buckets = map.capacity();
+        assert!(buckets >= 65_536, "grew to {buckets} buckets");
+        // Segment 0 holds the first 64 buckets, segment k ≥ 1 the next
+        // 64·2^(k-1); at this load every segment has a touched bucket.
+        let segments = 1 + (buckets / 64).ilog2() as usize;
+        let blocks = lfc_alloc::outstanding() - before;
+        assert_eq!(
+            blocks,
+            KEYS as usize + 1 + segments,
+            "{KEYS} keys, one header, {segments} segments: no dummy blocks"
+        );
+    }
+    lfc_hazard::flush();
+    assert_eq!(
+        lfc_alloc::outstanding(),
+        before,
+        "drop returns every node, the header and every segment"
+    );
+}
+
 #[test]
 fn structures_do_not_leak_blocks() {
     // Alone in the binary this thread is in the solo regime (no commit
@@ -82,6 +117,7 @@ fn structures_do_not_leak_blocks() {
     // published path, whose descriptors must come back as well.
     round_returns_every_block();
     keyed_round_returns_every_block();
+    map_growth_allocates_no_dummy_blocks();
     lfc_runtime::fault::with_registered_peer(|| {
         round_returns_every_block();
         keyed_round_returns_every_block();
