@@ -78,6 +78,15 @@ pub mod model_toggles {
     pub(crate) fn skip_claim() -> bool {
         SKIP_CLAIM.load(Ordering::Relaxed)
     }
+
+    /// Seeded bug: drop the skip map's fallback sweep, so a tower level
+    /// whose targeted unlink failed stays linked after its remover
+    /// returns. The skip-list model search must catch it.
+    pub static SKIP_TOWER_FALLBACK: AtomicBool = AtomicBool::new(false);
+
+    pub(crate) fn skip_tower_fallback() -> bool {
+        SKIP_TOWER_FALLBACK.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]

@@ -46,15 +46,34 @@
 //! link it re-checks the mark and, if set, unlinks its own node (winner
 //! releases) and stops building.
 //!
+//! **One search per operation.** A tower search records, at every level,
+//! the strict predecessor of the key and the successor that predecessor
+//! linked to; `find` keeps the arrays of its last search, the one its
+//! level-0 position came from. The builder links each level from that
+//! search with one CAS that expects exactly the recorded successor, so a
+//! level is never linked out of key order, and it searches again only
+//! after that CAS fails (the predecessor gained a successor or was
+//! frozen). An uncontended insert runs one tower search, whatever its
+//! height. The level-0 walk starts at the lowest recorded predecessor
+//! that is not logically deleted: removers mark level 0 before they
+//! freeze the tower, and a walk anchored at a deleted predecessor would
+//! wait for its remover.
+//!
 //! # Removal
 //!
 //! 1. **Logical delete** (the linearization point, possibly inside a
 //!    composed commit): CAS the mark onto the level-0 `next` word.
-//! 2. **Tower freeze**: `fetch_or` the mark onto every tower level,
-//!    top-down.
-//! 3. **Eager cleanup**: one tower search for the key physically
-//!    unlinks every marked level it passes; stragglers are unlinked by
-//!    any later traversal (same helping rule as the kernel's level 0).
+//! 2. **Tower freeze and targeted unlink**: top-down, `fetch_or` the mark
+//!    onto each tower level, then unlink that level with one CAS on the
+//!    predecessor the remove's own search recorded; the CAS winner
+//!    releases the level's reference.
+//! 3. **Fallback sweep**: only if a targeted unlink fails (a concurrent
+//!    removal froze or bypassed the predecessor), or the search did not
+//!    record the node at some level (its builder linked the level since),
+//!    one more tower search for the key unlinks every marked level it
+//!    passes; stragglers are unlinked by any later traversal (same
+//!    helping rule as the kernel's level 0). An uncontended remove runs
+//!    one tower search and retires the node before it returns.
 //!
 //! # `range` and iteration semantics (weak consistency)
 //!
@@ -78,7 +97,7 @@ use lfc_core::{
 use lfc_dcas::DAtomic;
 use lfc_hazard::{pin_op, Guard, OpGuard};
 use lfc_runtime::CachePadded;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::{Bound, RangeBounds};
 use std::ptr::NonNull;
 
@@ -122,12 +141,37 @@ impl<K, T> Block for ZNode<K, T> {
     }
 }
 
+/// One tower search for a key: at every level ≥ 1 (index `L-1` holds
+/// level `L`) the strict predecessor (null = the header) and the
+/// successor word it held when the search passed it (0 = end of level).
+struct Search<K, T> {
+    preds: [*mut ZNode<K, T>; MAX_LEVEL - 1],
+    succs: [usize; MAX_LEVEL - 1],
+}
+
+impl<K, T> Search<K, T> {
+    const EMPTY: Self = Search {
+        preds: [std::ptr::null_mut(); MAX_LEVEL - 1],
+        succs: [0; MAX_LEVEL - 1],
+    };
+}
+
+impl<K, T> Clone for Search<K, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, T> Copy for Search<K, T> {}
+
 /// Release one level reference; the last one out retires the node.
 unsafe fn release_ref<K, T>(p: *mut ZNode<K, T>) {
     // Release orders this level's final link traffic before the retire;
     // the winner's Acquire fetch pairs with every loser's Release.
     // Safety: p live (each level releases at most once, refs > 0).
     if unsafe { &(*p).refs }.fetch_sub(1, Ordering::AcqRel) == 1 {
+        #[cfg(test)]
+        tests::RETIRES.with(|n| n.set(n.get() + 1));
         // Safety: every level let go; no new link can form (all frozen).
         unsafe { retire(p) };
     }
@@ -236,22 +280,23 @@ where
     }
 
     /// Walk the tower levels top-down, helping unlink marked links, and
-    /// record the strict predecessor of `key` at every level ≥ 1.
-    /// Returns the per-level predecessors (null = header) — the lowest
-    /// one doubles as the kernel's level-0 restart anchor.
+    /// record at every level ≥ 1 the strict predecessor of `key` and the
+    /// successor it linked to when the walk passed it. The lowest
+    /// predecessor doubles as the kernel's level-0 restart anchor.
     ///
     /// The same ordering discipline as the kernel applies per level: a
     /// mark on the *predecessor's own* link word takes the whole search
     /// back to the top (the predecessor left the live chain), while a
     /// mark on `cur`'s link word makes `cur` the unlink subject.
-    fn search_upper(&self, key: &K, g: &Guard) -> [*mut ZNode<K, T>; MAX_LEVEL - 1] {
+    fn search_upper(&self, key: &K, g: &Guard) -> Search<K, T> {
         let _ = g; // the epoch, not any per-read token, licenses the derefs
+        #[cfg(test)]
+        tests::SEARCHES.with(|n| n.set(n.get() + 1));
         'retry: loop {
-            let mut preds: [*mut ZNode<K, T>; MAX_LEVEL - 1] =
-                [std::ptr::null_mut(); MAX_LEVEL - 1];
+            let mut s = Search::EMPTY;
             let mut pred: *mut ZNode<K, T> = std::ptr::null_mut();
             for level in (1..MAX_LEVEL).rev() {
-                loop {
+                let succ = loop {
                     // Safety: pred is the header or was reached through a
                     // live link inside this epoch.
                     let pred_w = unsafe { &*self.tower_word(pred, level) };
@@ -264,7 +309,7 @@ where
                         continue 'retry;
                     }
                     if cur_w == 0 {
-                        break;
+                        break cur_w;
                     }
                     let cur = cur_w as *mut ZNode<K, T>;
                     // Safety: cur reachable through the live chain inside
@@ -290,26 +335,40 @@ where
                     }
                     // Safety: cur epoch-protected; keys are immutable.
                     if unsafe { &(*cur).key } >= key {
-                        break;
+                        break cur_w;
                     }
                     pred = cur;
-                }
-                preds[level - 1] = pred;
+                };
+                s.preds[level - 1] = pred;
+                s.succs[level - 1] = succ;
             }
-            return preds;
+            return s;
         }
     }
 
     /// Locate `key` on level 0 via the shared traversal kernel, anchored
-    /// at the closest tower predecessor's `next` word (or the header's).
+    /// at the closest live tower predecessor's `next` word (or the
+    /// header's).
     /// The anchor closure re-runs the tower search on every restart:
     /// unlike a bucket dummy, a tower predecessor *can* be logically
-    /// deleted between restarts.
-    fn find(&self, key: &K, g: &mut OpGuard) -> Position<ZNode<K, T>> {
-        let anchor = |eg: &Guard| match self.search_upper(key, eg)[0] {
-            pred if pred.is_null() => (&self.hdr().next as *const _, self.header.as_ptr() as usize),
-            // Safety: pred found under this epoch (search_upper contract).
-            pred => (unsafe { &(*pred).next } as *const _, pred as usize),
+    /// deleted between restarts. Each search is stored in `last`, so after
+    /// the call it holds the one the returned position came from.
+    fn find(&self, key: &K, g: &mut OpGuard, last: &Cell<Search<K, T>>) -> Position<ZNode<K, T>> {
+        let anchor = |eg: &Guard| {
+            let s = self.search_upper(key, eg);
+            last.set(s);
+            // Anchor at the lowest predecessor still live on level 0. A
+            // remover marks level 0 before it freezes the tower, so a
+            // predecessor can be logically deleted yet still linked above;
+            // anchoring there would restart until that remover moves on.
+            for &pred in s.preds.iter().take_while(|p| !p.is_null()) {
+                // Safety: pred found under this epoch (search_upper contract).
+                let next = unsafe { &(*pred).next };
+                if !is_deleted(next.read_acquire(eg)) {
+                    return (next as *const _, pred as usize);
+                }
+            }
+            (&self.hdr().next as *const _, self.header.as_ptr() as usize)
         };
         // Safety: cur epoch-protected; keys are immutable.
         let at_or_after = |cur: *mut ZNode<K, T>| unsafe { &(*cur).key } >= key;
@@ -319,27 +378,26 @@ where
     }
 
     /// Link `node` at levels `1..height`, bottom-up, after its level-0
-    /// publication. Runs entirely with auxiliary CASes; stops (releasing
-    /// the remaining level references) as soon as it observes a mark.
-    fn build_tower(&self, node: *mut ZNode<K, T>, g: &Guard) {
+    /// publication, from `s` — the search that found its level-0 position.
+    /// Each level is one CAS on the recorded predecessor that expects
+    /// exactly the recorded successor, so a level never links out of key
+    /// order; only a failed CAS (the predecessor gained a successor or was
+    /// frozen) searches again. Runs entirely with auxiliary CASes; stops
+    /// (releasing the remaining level references) as soon as it observes
+    /// a mark.
+    fn build_tower(&self, node: *mut ZNode<K, T>, mut s: Search<K, T>, g: &Guard) {
         // Safety: node is level-0 published and epoch-protected.
         let (key, height) = unsafe { (&(*node).key, (*node).height) };
         for level in 1..height {
             loop {
-                let preds = self.search_upper(key, g);
-                let pred = preds[level - 1];
-                // Safety: pred epoch-protected (search_upper contract).
-                let pred_w = unsafe { &*self.tower_word(pred, level) };
-                let succ_w = pred_w.load(Ordering::Acquire);
-                if is_deleted(succ_w) {
-                    continue; // pred frozen under us; re-search
-                }
+                let succ = s.succs[level - 1];
                 // Stage the successor into our own link. A marked value
                 // here means the remover already froze this level (and,
                 // top-down, every level above): release their references
                 // and stop.
                 // Safety: node epoch-protected.
-                let staged = unsafe { &(*node).tower[level - 1] }.load(Ordering::Acquire);
+                let link = unsafe { &(*node).tower[level - 1] };
+                let staged = link.load(Ordering::Acquire);
                 if is_deleted(staged) {
                     for _ in level..height {
                         // Safety: these levels were never linked; the
@@ -348,22 +406,24 @@ where
                     }
                     return;
                 }
-                if unsafe { &(*node).tower[level - 1] }
-                    .compare_exchange(staged, succ_w, Ordering::AcqRel, Ordering::Acquire)
+                if link
+                    .compare_exchange(staged, succ, Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
-                    continue; // re-read (either a stale stage or a mark)
+                    continue; // only a freeze changes our link under us
                 }
                 // Link pred → node. Release publishes the staged link.
+                // Safety: pred epoch-protected (search_upper contract).
+                let pred_w = unsafe { &*self.tower_word(s.preds[level - 1], level) };
                 if pred_w
-                    .compare_exchange(succ_w, node as usize, Ordering::AcqRel, Ordering::Acquire)
+                    .compare_exchange(succ, node as usize, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
                     // Healing re-check: a remover may have frozen the
                     // level between our stage and the link. Unlink our
                     // own node (the winner releases) and stop — levels
                     // above are already frozen (marks go top-down).
-                    let now = unsafe { &(*node).tower[level - 1] }.load(Ordering::Acquire);
+                    let now = link.load(Ordering::Acquire);
                     if is_deleted(now) {
                         if pred_w
                             .compare_exchange(
@@ -385,27 +445,58 @@ where
                     }
                     break; // next level
                 }
-                // Lost the link race; re-search this level.
+                // The recorded successor is stale: search again.
+                s = self.search_upper(key, g);
             }
         }
     }
 
-    /// Post-linearization removal cleanup: freeze the tower top-down,
-    /// then eagerly sweep the key's levels once (any marked link the
-    /// sweep meets is unlinked; stragglers are caught by later
-    /// traversals).
-    fn unlink_tower(&self, node: *mut ZNode<K, T>, g: &Guard) {
+    /// Post-linearization removal cleanup, from `s` — the search that
+    /// found the node. Freeze the tower top-down and unlink each level
+    /// with one CAS on its recorded predecessor; the winner of that CAS
+    /// releases the level's reference. Only when a targeted unlink cannot
+    /// be made — the CAS fails, or the search did not record the node at
+    /// that level (its builder may have linked it since) — does one sweep
+    /// for the key unlink every marked level it passes; stragglers are
+    /// caught by later traversals.
+    fn unlink_tower(&self, node: *mut ZNode<K, T>, s: &Search<K, T>, g: &Guard) {
         // Safety: node epoch-protected (logically deleted, not yet gone).
-        let (key, height) = unsafe { ((*node).key.clone(), (*node).height) };
+        let height = unsafe { (*node).height };
+        let mut sweep = false;
         for level in (1..height).rev() {
             // fetch_or freezes the level regardless of what the builder
             // is doing; tower words never hold descriptors, so the mark
-            // bit is always ours to set.
+            // bit is always ours to set. The frozen successor is final.
             // Safety: node epoch-protected.
-            unsafe { &(*node).tower[level - 1] }.fetch_or(DEL_MARK, Ordering::AcqRel);
+            let next = unsafe { &(*node).tower[level - 1] }.fetch_or(DEL_MARK, Ordering::AcqRel);
+            if s.succs[level - 1] != node as usize {
+                sweep = true;
+                continue;
+            }
+            // Safety: pred epoch-protected (search_upper contract).
+            let pred_w = unsafe { &*self.tower_word(s.preds[level - 1], level) };
+            if pred_w
+                .compare_exchange(
+                    node as usize,
+                    without_mark(next),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                )
+                .is_ok()
+            {
+                // Safety: we won this level's unlink.
+                unsafe { release_ref(node) };
+            } else {
+                sweep = true;
+            }
         }
-        if height > 1 {
-            // One sweep unlinks what it can (helping does the rest).
+        #[cfg(lfc_model)]
+        if crate::model_toggles::skip_tower_fallback() {
+            return; // seeded bug: a failed targeted unlink is left behind
+        }
+        if sweep {
+            // Safety: node epoch-protected; keys are immutable.
+            let key = unsafe { (*node).key.clone() };
             let _ = self.search_upper(&key, g);
         }
     }
@@ -427,8 +518,9 @@ where
     /// Clone the element under `key`, if present.
     pub fn get(&self, key: &K) -> Option<T> {
         let mut g = pin_op();
+        let pos = self.find(key, &mut g, &Cell::new(Search::EMPTY));
         // Safety: the position was found under `g`.
-        unsafe { traverse::get(self.find(key, &mut g), |n| n.key == *key) }
+        unsafe { traverse::get(pos, |n| n.key == *key) }
     }
 
     /// Whether `key` is present.
@@ -445,7 +537,9 @@ where
         // Position the walk at the first candidate: an excluded start
         // bound still anchors at `start` and skips the equal key below.
         let start_pos = match bounds.start_bound() {
-            Bound::Included(k) | Bound::Excluded(k) => self.find(k, &mut g).cur,
+            Bound::Included(k) | Bound::Excluded(k) => {
+                self.find(k, &mut g, &Cell::new(Search::EMPTY)).cur
+            }
             Bound::Unbounded => {
                 // Full walk from the head; the kernel is not needed (no
                 // position to compute), but deleted-node skipping is.
@@ -493,6 +587,51 @@ where
         // Safety: the owned level-0 head heads a chain of ZNodes.
         unsafe { traverse::count::<ZNode<K, T>>(&self.hdr().next, &pin_op()) }
     }
+
+    /// Walk every tower level from the header and fail on a link to a
+    /// smaller key (or between two equal keys neither of which is
+    /// removed), a node linked above its height, or a cycle. Returns how
+    /// many tower links reach a removed node: zero once every removal's
+    /// tower unlinks have landed. Tests only: lets unit tests and
+    /// model-checker scenarios check the towers' shape at quiescence.
+    #[cfg(any(test, lfc_model))]
+    #[doc(hidden)]
+    pub fn check_tower_order(&self) -> Result<usize, String> {
+        let g = pin_op();
+        let mut removed = 0;
+        for level in 1..MAX_LEVEL {
+            let mut seen = std::collections::HashSet::new();
+            let mut prev: Option<(&K, bool)> = None;
+            let mut w = without_mark(self.hdr().tower[level - 1].load(Ordering::Acquire));
+            while w != 0 {
+                if !seen.insert(w) {
+                    return Err(format!("level {level}: cycle after {} links", seen.len()));
+                }
+                // Safety: every node on the walk is epoch-protected.
+                let n = unsafe { &*(w as *const ZNode<K, T>) };
+                if n.height <= level {
+                    return Err(format!(
+                        "level {level}: links a node of height {}",
+                        n.height
+                    ));
+                }
+                let link = n.tower[level - 1].load(Ordering::Acquire);
+                let gone = is_deleted(link) || is_deleted(n.next.read_acquire(&g));
+                if let Some((pk, p_gone)) = prev {
+                    if n.key < *pk || (n.key == *pk && !gone && !p_gone) {
+                        return Err(format!(
+                            "level {level}: not ascending after {} links",
+                            seen.len() - 1
+                        ));
+                    }
+                }
+                removed += usize::from(gone);
+                prev = Some((&n.key, gone));
+                w = without_mark(link);
+            }
+        }
+        Ok(removed)
+    }
 }
 
 impl<K, T> Default for LfSkipMap<K, T>
@@ -525,19 +664,21 @@ where
         .as_ptr();
         // Safety: node is ours until published; keys are immutable.
         let key = unsafe { &(*node).key };
+        let last = Cell::new(Search::EMPTY);
         // Safety: find is the kernel walk anchored at live tower
         // predecessors. A node freed unpublished was never linked at any
         // level. After the link the map already contains the node (level
         // 0 is the linearization chain); the tower is an accelerator built
-        // after the fact by auxiliary CASes.
+        // after the fact by auxiliary CASes, from the search that found
+        // the level-0 position.
         unsafe {
             traverse::insert(
                 &mut g,
                 node,
                 ctx,
-                |g| self.find(key, g),
+                |g| self.find(key, g, &last),
                 |n| n.key == *key,
-                |n, g| self.build_tower(n, g),
+                |n, g| self.build_tower(n, last.get(), g),
             )
         }
     }
@@ -550,15 +691,16 @@ where
 {
     fn remove_key_with<C: RemoveCtx<T>>(&self, key: &K, ctx: &mut C) -> RemoveOutcome<T> {
         let mut g = pin_op();
+        let last = Cell::new(Search::EMPTY);
         // Safety: as in `insert_key_with`. After the level-0 mark the tower
-        // is frozen and swept (auxiliary) before the level-0 unlink.
+        // is frozen and unlinked (auxiliary) before the level-0 unlink.
         unsafe {
             traverse::remove(
                 &mut g,
                 ctx,
-                |g| self.find(key, g),
+                |g| self.find(key, g, &last),
                 |n| n.key == *key,
-                |n, g| self.unlink_tower(n, g),
+                |n, g| self.unlink_tower(n, &last.get(), g),
             )
         }
     }
@@ -599,6 +741,50 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// `search_upper` calls made by this thread.
+        pub(super) static SEARCHES: Cell<usize> = const { Cell::new(0) };
+        /// Nodes whose last level reference this thread released.
+        pub(super) static RETIRES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Run `f`, returning its result with the tower searches it ran and
+    /// the nodes it retired on this thread.
+    fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+        let (s0, r0) = (SEARCHES.with(Cell::get), RETIRES.with(Cell::get));
+        let r = f();
+        (
+            r,
+            SEARCHES.with(Cell::get) - s0,
+            RETIRES.with(Cell::get) - r0,
+        )
+    }
+
+    #[test]
+    fn a_tall_tower_is_built_and_unlinked_from_one_search() {
+        let m: LfSkipMap<u64, u64> = LfSkipMap::new();
+        assert!(m.insert(10, 10) && m.insert(30, 30)); // heights 3 and 4
+        let tall = (1..).find(|&t| height_for(t) == MAX_LEVEL).unwrap();
+        m.ticket.store(tall, Ordering::Relaxed);
+        let (inserted, searches, _) = counted(|| m.insert(20, 20));
+        assert!(inserted);
+        assert_eq!(searches, 1, "every level links from the level-0 search");
+        assert_eq!(m.check_tower_order(), Ok(0));
+        let g = pin_op();
+        for level in 5..MAX_LEVEL {
+            let w = m.hdr().tower[level - 1].load(Ordering::Acquire);
+            // Safety: w is a live node under `g`.
+            assert_eq!(unsafe { (*(w as *const ZNode<u64, u64>)).key }, 20);
+        }
+        drop(g);
+        let (removed, searches, retires) = counted(|| m.remove(&20));
+        assert_eq!(removed, Some(20));
+        assert_eq!(searches, 1, "targeted unlinks: no sweep");
+        assert_eq!(retires, 1, "every level let go before remove returned");
+        assert_eq!(m.check_tower_order(), Ok(0));
+        assert_eq!(m.to_vec(), vec![(10, 10), (30, 30)]);
+    }
 
     #[test]
     fn sorted_unique_inserts_and_range() {
@@ -749,6 +935,54 @@ mod tests {
         }
         crate::test_util::flush_until(|| DROPS.load(SOrd::SeqCst) - before == 30);
         assert_eq!(DROPS.load(SOrd::SeqCst) - before, 30);
+    }
+
+    #[test]
+    #[ignore = "stress: run with --release -- --ignored stress"]
+    fn skip_map_tower_stress() {
+        use lfc_core::move_keyed;
+        use std::sync::atomic::{AtomicI64, Ordering as SOrd};
+        const KEYS: u64 = 256;
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
+        let maps: [LfSkipMap<u64, u64>; 2] = [LfSkipMap::new(), LfSkipMap::new()];
+        let net = AtomicI64::new(0);
+        std::thread::scope(|sc| {
+            for t in 0..threads as u64 {
+                let (maps, net) = (&maps, &net);
+                sc.spawn(move || {
+                    let mut x = 0x9E37_79B9_7F4A_7C15_u64 ^ (t + 1);
+                    for _ in 0..1_000_000 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let (k, side) = (x % KEYS, (x >> 32) as usize & 1);
+                        let (m, other) = (&maps[side], &maps[side ^ 1]);
+                        match (x >> 40) % 4 {
+                            0 => {
+                                if m.insert(k, k) {
+                                    net.fetch_add(1, SOrd::Relaxed);
+                                }
+                            }
+                            1 => {
+                                if m.remove(&k).is_some() {
+                                    net.fetch_sub(1, SOrd::Relaxed);
+                                }
+                            }
+                            _ => {
+                                let _ = move_keyed(m, &k, other);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        for m in &maps {
+            assert!(m.check_tower_order().is_ok(), "{:?}", m.check_tower_order());
+            let keys: Vec<u64> = m.to_vec().into_iter().map(|(k, _)| k).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "level 0 sorted");
+        }
+        let held = (maps[0].count() + maps[1].count()) as i64;
+        assert_eq!(held, net.load(SOrd::Relaxed), "moves conserve keys");
     }
 
     #[test]

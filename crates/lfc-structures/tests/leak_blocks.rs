@@ -75,6 +75,42 @@ fn keyed_round_returns_every_block() {
     );
 }
 
+/// Tall-tower churn between two skip maps: enough inserts that the
+/// per-map height tickets pass every height up to `MAX_LEVEL` (ticket 733
+/// is the first at the cap), with removes and `move_keyed` in both
+/// directions unlinking towers of every height, then drop both maps with
+/// keys still in them. Every tower level's reference must be released, so
+/// every node retires.
+fn tall_tower_round_returns_every_block() {
+    const KEYS: u64 = 512;
+    let before = lfc_alloc::outstanding();
+    {
+        let a: LfSkipMap<u64, u64> = LfSkipMap::new();
+        let b: LfSkipMap<u64, u64> = LfSkipMap::new();
+        for round in 0..8u64 {
+            for k in 0..KEYS {
+                a.insert(k, round);
+                b.insert(k ^ 1, round);
+            }
+            for k in 0..KEYS {
+                match (k + round) % 4 {
+                    0 => drop(a.remove(&k)),
+                    1 => drop(b.remove(&k)),
+                    2 => drop(move_keyed(&a, &k, &b)),
+                    _ => drop(move_keyed(&b, &k, &a)),
+                }
+            }
+        }
+        assert!(a.count() + b.count() > 0, "drop must reclaim live towers");
+    }
+    lfc_hazard::flush();
+    let after = lfc_alloc::outstanding();
+    assert!(
+        after <= before + 64,
+        "outstanding blocks grew {before} -> {after} over the tall-tower round"
+    );
+}
+
 /// Grow an `LfHashMap` from 64 to ≥ 65 536 buckets, threading a dummy in
 /// every touched bucket: bucket dummies live inside the directory
 /// segments, so the only blocks are one per key, the header and one per
@@ -117,9 +153,11 @@ fn structures_do_not_leak_blocks() {
     // published path, whose descriptors must come back as well.
     round_returns_every_block();
     keyed_round_returns_every_block();
+    tall_tower_round_returns_every_block();
     map_growth_allocates_no_dummy_blocks();
     lfc_runtime::fault::with_registered_peer(|| {
         round_returns_every_block();
         keyed_round_returns_every_block();
+        tall_tower_round_returns_every_block();
     });
 }
