@@ -183,7 +183,7 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
     }
     for _ in 0..256 {
         lfc_hazard::flush();
-        if lfc_hazard::pending_retired() == 0 {
+        if lfc_hazard::retired_count() == 0 {
             break;
         }
         std::thread::yield_now();

@@ -179,7 +179,10 @@ impl Engine {
             .iter()
             .any(|e| std::ptr::eq(e.ptr, word))
         {
-            self.aliased = true;
+            // Reaching this stage at all may rest on a stale shallower
+            // capture (a rival emptied a key view, so this insert was not
+            // refused): the alias verdict, too, must stand.
+            self.aliased = self.verdict_stands(idx);
             return false;
         }
         self.entries[idx] = CasnEntry {
@@ -249,20 +252,27 @@ impl Engine {
     /// and so spends one `fail_budget` unit on a budgeted direct attempt,
     /// like any commit failure.
     fn observe_dead(&mut self, idx: usize, dead: Dead) {
+        // A standing verdict ends the composition: every shallower stage
+        // now aborts, so this is the only verdict recorded.
+        if self.verdict_stands(idx) {
+            self.dead = Some(dead);
+        }
+    }
+
+    /// Whether a permanent verdict at stage `idx` stands: every shallower
+    /// captured word still holds its `old`. Otherwise the first stale stage
+    /// is set to redo its init phase and `false` comes back.
+    fn verdict_stands(&mut self, idx: usize) -> bool {
         let stale = self.entries[..idx].iter().position(|e| {
             // Safety: captured this attempt, so the ENTRY* promotion made in
             // `capture` still keeps the word's allocation alive.
             unsafe { &*e.ptr }.load_word() != e.old
         });
-        match stale {
-            Some(k) => {
-                self.no_commit = false;
-                self.retry_at = Some(k);
-            }
-            // A standing verdict ends the composition: every shallower
-            // stage now aborts, so this is the only verdict recorded.
-            None => self.dead = Some(dead),
+        if let Some(k) = stale {
+            self.no_commit = false;
+            self.retry_at = Some(k);
         }
+        stale.is_none()
     }
 
     /// Translate a stage's "deeper" verdict into the `scas` result for the

@@ -635,22 +635,6 @@ impl Guard {
     pub fn ejected(&self) -> bool {
         EPOCHS[self.tid as usize].epoch.load(Ordering::Relaxed) & (EJ_BIT | Z_BIT) != 0
     }
-
-    /// Set-and-validate loop: publishes the value returned by `load`, then
-    /// re-runs `load` until it observes the same value, guaranteeing the
-    /// protection was visible before the allocation could have been freed.
-    #[inline]
-    pub fn protect(&self, idx: usize, load: impl Fn() -> usize) -> usize {
-        let mut cur = load();
-        loop {
-            self.set(idx, cur);
-            let again = load();
-            if again == cur {
-                return cur;
-            }
-            cur = again;
-        }
-    }
 }
 
 /// An operation-scoped guard: a [`Guard`] plus an entered epoch.
@@ -1301,12 +1285,6 @@ pub fn flush() {
     with_reclaim(publish_and_scan);
 }
 
-/// Number of retired-but-not-yet-freed allocations (process-wide; diverted
-/// records count as freed — their blocks are back in the pool).
-pub fn pending_retired() -> usize {
-    retired_count()
-}
-
 /// Number of retired records still awaiting reclamation (the count the
 /// [`StallPolicy::max_retired_count`] budget is charged against).
 pub fn retired_count() -> usize {
@@ -1361,35 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn protect_returns_loaded_value() {
-        let g = pin();
-        let word = AtomicUsize::new(0xAB00);
-        let v = g.protect(slot::CLAIM, || word.load(Ordering::Relaxed));
-        assert_eq!(v, 0xAB00);
-        assert_eq!(g.get(slot::CLAIM), 0xAB00);
-        g.clear(slot::CLAIM);
-        assert_eq!(g.get(slot::CLAIM), 0);
-    }
-
-    #[test]
-    fn protect_follows_moving_target() {
-        // load() returns a different value the first few calls; protect must
-        // settle on a validated one.
-        let g = pin();
-        let calls = Counter::new(0);
-        let v = g.protect(slot::CLAIM, || {
-            let c = calls.fetch_add(1, Ordering::Relaxed);
-            if c < 3 {
-                0x1000 + c
-            } else {
-                0x2000
-            }
-        });
-        assert_eq!(v, 0x2000);
-        g.clear(slot::CLAIM);
-    }
-
-    #[test]
     fn unprotected_retire_reclaims_on_flush() {
         let before = DROPS.load(Ordering::Relaxed);
         let p = Box::into_raw(Box::new(7u64)) as *mut u8;
@@ -1409,15 +1358,6 @@ mod tests {
         assert_eq!(unsafe { *(p as *mut u64) }, 9);
         g.clear(slot::ENTRY0);
         flush();
-        // Now it must be gone (we cannot read it; rely on counters).
-        assert!(!pending_retired_contains(p));
-    }
-
-    fn pending_retired_contains(_p: *mut u8) -> bool {
-        // There is no address-level query; this helper documents intent. The
-        // deferred/reclaimed behaviour is asserted via the protected read
-        // above and the drop counters in other tests.
-        false
     }
 
     #[test]
@@ -1429,9 +1369,9 @@ mod tests {
         }
         flush();
         assert!(
-            pending_retired() < 4 * scan_threshold(),
+            retired_count() < 4 * scan_threshold(),
             "pending {} should be bounded by a small multiple of the threshold {}",
-            pending_retired(),
+            retired_count(),
             scan_threshold()
         );
     }

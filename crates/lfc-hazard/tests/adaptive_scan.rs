@@ -61,7 +61,7 @@ fn pinned_retire_burst_scans_logarithmically() {
     );
     // And the records were genuinely deferred, not freed under the reader.
     assert!(
-        lfc_hazard::pending_retired() >= BURST - lfc_hazard::stats().1.saturating_sub(freed_before),
+        lfc_hazard::retired_count() >= BURST - lfc_hazard::stats().1.saturating_sub(freed_before),
         "burst records must sit pending while the reader is parked"
     );
 

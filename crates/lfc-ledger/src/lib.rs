@@ -358,32 +358,42 @@ impl Ledger {
         }
     }
 
-    /// Shared retry loop: on [`AllocError`] report it to the ladder, back
-    /// off with jitter, and give up as `Overloaded` once the budget is
-    /// spent. The backoff state is built lazily — a first-try success
-    /// allocates nothing and draws no randomness.
+    /// Shared retry loop: on [`AllocError`] report it to the ladder and
+    /// retry under the policy of [`Self::with_retries`].
     fn retrying<T>(
         &self,
         mut attempt: impl FnMut() -> Result<T, AllocError>,
     ) -> Result<T, LedgerError> {
+        self.with_retries(|| match attempt() {
+            Ok(v) => Some(Ok(v)),
+            Err(AllocError) => {
+                self.health.note_alloc_error();
+                None
+            }
+        })
+    }
+
+    /// The one retry policy: run `attempt` until it answers (`Some`),
+    /// backing off with jitter between tries, and give up as `Overloaded`
+    /// once the budget is spent. The backoff state is built lazily — a
+    /// first-try answer allocates nothing and draws no randomness.
+    fn with_retries<T>(
+        &self,
+        mut attempt: impl FnMut() -> Option<Result<T, LedgerError>>,
+    ) -> Result<T, LedgerError> {
         let mut bo: Option<Backoff> = None;
         let mut tries = 0u32;
         loop {
-            match attempt() {
-                Ok(v) => return Ok(v),
-                Err(AllocError) => {
-                    self.health.note_alloc_error();
-                    tries += 1;
-                    if tries > self.retries {
-                        self.health.note_overloaded();
-                        return Err(LedgerError::Overloaded);
-                    }
-                    bo.get_or_insert_with(|| {
-                        Backoff::new_jittered(self.backoff, self.jitter_seed())
-                    })
-                    .fail();
-                }
+            if let Some(answer) = attempt() {
+                return answer;
             }
+            tries += 1;
+            if tries > self.retries {
+                self.health.note_overloaded();
+                return Err(LedgerError::Overloaded);
+            }
+            bo.get_or_insert_with(|| Backoff::new_jittered(self.backoff, self.jitter_seed()))
+                .fail();
         }
     }
 
@@ -505,96 +515,67 @@ impl Ledger {
 
     /// Rehome an account into `dst`'s cold tier — one composed keyed move,
     /// atomic at a single linearization point: no observer ever sees the
-    /// account in two shards or in none.
+    /// account in two shards or in none. Already resident in `dst` (either
+    /// tier) is success with nothing to move.
     pub fn migrate(&self, id: u64, dst: usize) -> Result<(), LedgerError> {
-        let _t = self.enter();
-        self.admit(OpClass::Mutate)?;
         let dst = dst % self.shards.len();
-        let target = &self.shards[dst].cold;
-        let mut bo: Option<Backoff> = None;
-        let mut tries = 0u32;
-        loop {
-            let Some((si, tier)) = self.locate(id) else {
-                return Err(LedgerError::NotFound);
-            };
-            if si == dst {
-                // Already resident (either tier), as a structural probe
-                // just saw — nothing to move.
-                return Ok(());
-            }
-            let src = &self.shards[si];
-            let r = match tier {
-                Tier::Cold => move_keyed(&src.cold, &id, target),
-                Tier::Hot => move_keyed(&src.hot, &id, target),
-            };
-            match r {
-                MoveOutcome::Moved | MoveOutcome::WouldAlias => {
-                    self.remember(id, dst, Tier::Cold);
-                    return Ok(());
-                }
-                // Lost a race to a concurrent migrate/close: re-locate.
-                // Burns a retry so contended ping-pong still terminates
-                // (as `Overloaded`, an honest answer under that load).
-                MoveOutcome::SourceEmpty => {}
-                // Ids are unique, so a rejecting target means the caller
-                // raced a duplicate-creating bug; the audit will scream.
-                MoveOutcome::TargetRejected => return Err(LedgerError::Duplicate),
-            }
-            tries += 1;
-            if tries > self.retries {
-                self.health.note_overloaded();
-                return Err(LedgerError::Overloaded);
-            }
-            bo.get_or_insert_with(|| Backoff::new_jittered(self.backoff, self.jitter_seed()))
-                .fail();
-        }
+        self.relocate(id, |si, _| (si != dst).then_some((dst, Tier::Cold)))
     }
 
     /// Move an account from its shard's cold tier into the hot tier
     /// (hash map → skip map, one composed keyed move).
     pub fn promote(&self, id: u64) -> Result<(), LedgerError> {
-        self.shift_tier(id, Tier::Hot)
+        self.relocate(id, |si, tier| {
+            (tier != Tier::Hot).then_some((si, Tier::Hot))
+        })
     }
 
     /// Move an account from the hot tier back to cold (skip map → hash
     /// map, one composed keyed move).
     pub fn demote(&self, id: u64) -> Result<(), LedgerError> {
-        self.shift_tier(id, Tier::Cold)
+        self.relocate(id, |si, tier| {
+            (tier != Tier::Cold).then_some((si, Tier::Cold))
+        })
     }
 
-    fn shift_tier(&self, id: u64, want: Tier) -> Result<(), LedgerError> {
+    /// The one relocate loop: locate `id`, ask `dest` where it should go
+    /// from there (`None`: it already is), move it with one composed keyed
+    /// move, and remember where it went.
+    fn relocate(
+        &self,
+        id: u64,
+        dest: impl Fn(usize, Tier) -> Option<(usize, Tier)>,
+    ) -> Result<(), LedgerError> {
         let _t = self.enter();
         self.admit(OpClass::Mutate)?;
-        let mut bo: Option<Backoff> = None;
-        let mut tries = 0u32;
-        loop {
+        self.with_retries(|| {
             let Some((si, tier)) = self.locate(id) else {
-                return Err(LedgerError::NotFound);
+                return Some(Err(LedgerError::NotFound));
             };
-            if tier == want {
-                return Ok(());
-            }
-            let s = &self.shards[si];
-            let r = match want {
-                Tier::Hot => move_keyed(&s.cold, &id, &s.hot),
-                Tier::Cold => move_keyed(&s.hot, &id, &s.cold),
+            let Some((di, want)) = dest(si, tier) else {
+                return Some(Ok(()));
+            };
+            let (src, dst) = (&self.shards[si], &self.shards[di]);
+            let r = match (tier, want) {
+                (Tier::Cold, Tier::Cold) => move_keyed(&src.cold, &id, &dst.cold),
+                (Tier::Cold, Tier::Hot) => move_keyed(&src.cold, &id, &dst.hot),
+                (Tier::Hot, Tier::Cold) => move_keyed(&src.hot, &id, &dst.cold),
+                (Tier::Hot, Tier::Hot) => move_keyed(&src.hot, &id, &dst.hot),
             };
             match r {
                 MoveOutcome::Moved | MoveOutcome::WouldAlias => {
-                    self.remember(id, si, want);
-                    return Ok(());
+                    self.remember(id, di, want);
+                    Some(Ok(()))
                 }
-                MoveOutcome::SourceEmpty => {}
-                MoveOutcome::TargetRejected => return Err(LedgerError::Duplicate),
+                // Lost a race to a concurrent migrate/close: re-locate.
+                // Burns a retry so contended ping-pong still terminates
+                // (as `Overloaded`, an honest answer under that load).
+                MoveOutcome::SourceEmpty => None,
+                // Ids are unique, so a rejecting target means the caller
+                // raced a duplicate-creating bug; the audit will scream.
+                MoveOutcome::TargetRejected => Some(Err(LedgerError::Duplicate)),
             }
-            tries += 1;
-            if tries > self.retries {
-                self.health.note_overloaded();
-                return Err(LedgerError::Overloaded);
-            }
-            bo.get_or_insert_with(|| Backoff::new_jittered(self.backoff, self.jitter_seed()))
-                .fail();
-        }
+        })
     }
 
     /// Seed shard `s`'s settlement lane with a voucher worth `amount`

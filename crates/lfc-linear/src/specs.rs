@@ -84,6 +84,10 @@ pub enum Cont {
     Fifo,
     /// LIFO (stack) semantics.
     Lifo,
+    /// Holds at most one element and refuses an insert while full: a
+    /// one-element slot, or a keyed object viewed at one key (a duplicate
+    /// key is the refusal).
+    Bounded1,
 }
 
 /// A container state with either discipline.
@@ -101,13 +105,22 @@ impl ContState {
         }
     }
 
-    fn insert(&mut self, v: u32) {
-        self.items.push_back(v);
+    fn is_full(&self) -> bool {
+        self.kind == Cont::Bounded1 && !self.items.is_empty()
+    }
+
+    /// `false` (and no change) when a bounded container is full.
+    fn insert(&mut self, v: u32) -> bool {
+        let room = !self.is_full();
+        if room {
+            self.items.push_back(v);
+        }
+        room
     }
 
     fn remove(&mut self) -> Option<u32> {
         match self.kind {
-            Cont::Fifo => self.items.pop_front(),
+            Cont::Fifo | Cont::Bounded1 => self.items.pop_front(),
             Cont::Lifo => self.items.pop_back(),
         }
     }
@@ -122,6 +135,12 @@ pub enum SwapResult {
     FirstEmpty,
     /// The first container held an element but the second was empty.
     SecondEmpty,
+    /// Both held an element, but a reinsert was refused: a bounded side
+    /// still counts its own outgoing element while the swap is in flight.
+    Rejected,
+    /// Both held an element, but a side's insert and remove linearize on
+    /// one word, which a k-word CAS cannot express. Nothing changed.
+    WouldAlias,
 }
 
 /// Operations on a pair of containers (A, B) with an atomic move.
@@ -129,10 +148,14 @@ pub enum SwapResult {
 pub enum PairOp {
     /// Insert into A.
     InsA(u32),
+    /// Insert into A refused: A is a full bounded container.
+    InsAFull(u32),
     /// Remove from A with the observed outcome.
     RemA(Option<u32>),
     /// Insert into B.
     InsB(u32),
+    /// Insert into B refused.
+    InsBFull(u32),
     /// Remove from B with the observed outcome.
     RemB(Option<u32>),
     /// Composed move; `true` if an element moved, `false` if the source was
@@ -141,6 +164,10 @@ pub enum PairOp {
     MoveAB(bool),
     /// Move in the other direction.
     MoveBA(bool),
+    /// Composed move A → B refused by a full bounded B: nothing changed.
+    MoveABFull,
+    /// Composed move B → A refused by a full bounded A.
+    MoveBAFull,
     /// Composed swap (A's removal inserted into B and vice versa): four
     /// linearization points, ONE action in the sequential history.
     Swap(SwapResult),
@@ -153,6 +180,51 @@ pub struct PairSpec {
     pub a: Cont,
     /// Discipline of container B.
     pub b: Cont,
+    /// Whether A's and B's insert and remove linearize on one word (a
+    /// stack's `top`): a swap then reports [`SwapResult::WouldAlias`].
+    pub one_word: [bool; 2],
+}
+
+impl PairSpec {
+    /// The spec of two containers whose inserts and removes linearize on
+    /// distinct words.
+    pub fn new(a: Cont, b: Cont) -> Self {
+        PairSpec {
+            a,
+            b,
+            one_word: [false; 2],
+        }
+    }
+
+    /// The verdict of a swap that found both containers non-empty. Its
+    /// inserts run while both removes are still pending, A's first: a
+    /// bounded side is still full, and a one-word side aliases.
+    fn loaded_swap(&self) -> SwapResult {
+        for (cont, one_word) in [(self.a, self.one_word[0]), (self.b, self.one_word[1])] {
+            if cont == Cont::Bounded1 {
+                return SwapResult::Rejected;
+            }
+            if one_word {
+                return SwapResult::WouldAlias;
+            }
+        }
+        SwapResult::Swapped
+    }
+}
+
+/// Apply a composed move from `src` to `dst` with the observed verdict
+/// (`Some(moved)`, or `None` for a refusal by a full `dst`); `false` when
+/// the verdict contradicts the state.
+fn apply_move(src: &mut ContState, dst: &mut ContState, verdict: Option<bool>) -> bool {
+    match (verdict, src.items.is_empty(), dst.is_full()) {
+        (Some(false), true, _) => true,
+        (None, false, true) => true,
+        (Some(true), false, false) => {
+            let v = src.remove().expect("non-empty");
+            dst.insert(v)
+        }
+        _ => false,
+    }
 }
 
 impl Spec for PairSpec {
@@ -165,56 +237,34 @@ impl Spec for PairSpec {
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> Option<Self::State> {
         let (mut a, mut b) = state.clone();
-        match op {
-            PairOp::InsA(v) => {
-                a.insert(*v);
-                Some((a, b))
-            }
-            PairOp::InsB(v) => {
-                b.insert(*v);
-                Some((a, b))
-            }
-            PairOp::RemA(expected) => {
-                let got = a.remove();
-                (got == *expected).then_some((a, b))
-            }
-            PairOp::RemB(expected) => {
-                let got = b.remove();
-                (got == *expected).then_some((a, b))
-            }
-            PairOp::MoveAB(moved) => match (a.remove(), moved) {
-                (Some(v), true) => {
-                    b.insert(v);
-                    Some((a, b))
-                }
-                (None, false) => Some((a, b)),
-                _ => None,
-            },
-            PairOp::MoveBA(moved) => match (b.remove(), moved) {
-                (Some(v), true) => {
-                    a.insert(v);
-                    Some((a, b))
-                }
-                (None, false) => Some((a, b)),
-                _ => None,
-            },
-            PairOp::Swap(r) => match r {
-                // Empty outcomes change nothing; they are legal exactly
-                // when the observed emptiness holds in `state`.
-                SwapResult::FirstEmpty => a.remove().is_none().then(|| state.clone()),
-                SwapResult::SecondEmpty => {
-                    (a.remove().is_some() && b.remove().is_none()).then(|| state.clone())
-                }
-                SwapResult::Swapped => match (a.remove(), b.remove()) {
-                    (Some(x), Some(y)) => {
-                        a.insert(y);
-                        b.insert(x);
-                        Some((a, b))
+        let ok = match *op {
+            PairOp::InsA(v) => a.insert(v),
+            PairOp::InsB(v) => b.insert(v),
+            PairOp::InsAFull(_) => a.is_full(),
+            PairOp::InsBFull(_) => b.is_full(),
+            PairOp::RemA(expected) => a.remove() == expected,
+            PairOp::RemB(expected) => b.remove() == expected,
+            PairOp::MoveAB(moved) => apply_move(&mut a, &mut b, Some(moved)),
+            PairOp::MoveBA(moved) => apply_move(&mut b, &mut a, Some(moved)),
+            PairOp::MoveABFull => apply_move(&mut a, &mut b, None),
+            PairOp::MoveBAFull => apply_move(&mut b, &mut a, None),
+            PairOp::Swap(r) => {
+                let loaded = !a.items.is_empty() && !b.items.is_empty();
+                match r {
+                    // Only a completed swap changes anything; every other
+                    // verdict is legal exactly when it holds in `state`.
+                    SwapResult::FirstEmpty => a.items.is_empty(),
+                    SwapResult::SecondEmpty => !a.items.is_empty() && b.items.is_empty(),
+                    r if !loaded || r != self.loaded_swap() => false,
+                    SwapResult::Swapped => {
+                        let (x, y) = (a.remove().unwrap(), b.remove().unwrap());
+                        a.insert(y) && b.insert(x)
                     }
-                    _ => None,
-                },
-            },
-        }
+                    _ => true,
+                }
+            }
+        };
+        ok.then_some((a, b))
     }
 }
 
@@ -369,6 +419,8 @@ impl Spec for SlotSpec {
 pub enum TrioOp {
     /// Insert into the source A.
     InsA(u32),
+    /// Insert into A refused: A is a full bounded container.
+    InsAFull(u32),
     /// Remove from A with the observed outcome.
     RemA(Option<u32>),
     /// Remove from target B.
@@ -380,6 +432,9 @@ pub enum TrioOp {
     /// observed empty. An observer must never see the element in a strict
     /// subset of the targets.
     Broadcast(bool),
+    /// Composed broadcast refused by a full bounded target: nothing
+    /// changed anywhere.
+    BroadcastFull,
 }
 
 /// Specification of a source and two targets composed with `move_to_all`.
@@ -407,24 +462,20 @@ impl Spec for TrioSpec {
 
     fn apply(&self, state: &Self::State, op: &Self::Op) -> Option<Self::State> {
         let (mut a, mut b, mut c) = state.clone();
-        match op {
-            TrioOp::InsA(v) => {
-                a.insert(*v);
-                Some((a, b, c))
-            }
-            TrioOp::RemA(expected) => (a.remove() == *expected).then_some((a, b, c)),
-            TrioOp::RemB(expected) => (b.remove() == *expected).then_some((a, b, c)),
-            TrioOp::RemC(expected) => (c.remove() == *expected).then_some((a, b, c)),
-            TrioOp::Broadcast(moved) => match (a.remove(), moved) {
-                (Some(v), true) => {
-                    b.insert(v);
-                    c.insert(v);
-                    Some((a, b, c))
-                }
-                (None, false) => Some((a, b, c)),
-                _ => None,
+        let ok = match *op {
+            TrioOp::InsA(v) => a.insert(v),
+            TrioOp::InsAFull(_) => a.is_full(),
+            TrioOp::RemA(expected) => a.remove() == expected,
+            TrioOp::RemB(expected) => b.remove() == expected,
+            TrioOp::RemC(expected) => c.remove() == expected,
+            TrioOp::Broadcast(false) => a.items.is_empty(),
+            TrioOp::BroadcastFull => !a.items.is_empty() && (b.is_full() || c.is_full()),
+            TrioOp::Broadcast(true) => match a.remove() {
+                Some(v) => b.insert(v) && c.insert(v),
+                None => false,
             },
-        }
+        };
+        ok.then_some((a, b, c))
     }
 }
 
@@ -465,10 +516,7 @@ mod tests {
 
     #[test]
     fn pair_move_transfers_respecting_disciplines() {
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Lifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Lifo);
         let st = spec.init();
         let st = spec.apply(&st, &PairOp::InsA(1)).unwrap();
         let st = spec.apply(&st, &PairOp::InsA(2)).unwrap();
@@ -489,10 +537,7 @@ mod tests {
         // there is no single point for the move: the element would have been
         // absent from both containers — exactly the intermediate state the
         // paper's Figure 1c shows and the methodology eliminates.
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Fifo);
         let h = vec![
             e(PairOp::InsA(7), 0, 1),
             e(PairOp::MoveAB(true), 2, 20),
@@ -510,10 +555,7 @@ mod tests {
         // RemB->None (before the move linearizes) then RemA->Some(7) would
         // conflict with the move succeeding; instead observe RemB->None and
         // let the move linearize afterwards.
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Fifo);
         let h = vec![
             e(PairOp::InsA(7), 0, 1),
             e(PairOp::MoveAB(true), 2, 20),
@@ -525,10 +567,7 @@ mod tests {
 
     #[test]
     fn swap_spec_semantics() {
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Fifo);
         let st = spec.init();
         assert!(spec
             .apply(&st, &PairOp::Swap(SwapResult::Swapped))
@@ -551,15 +590,68 @@ mod tests {
     }
 
     #[test]
+    fn bounded_side_refuses_and_one_word_side_aliases() {
+        let spec = PairSpec::new(Cont::Fifo, Cont::Bounded1);
+        let st = spec.init();
+        let st = spec.apply(&st, &PairOp::InsB(1)).unwrap();
+        assert!(spec.apply(&st, &PairOp::InsB(2)).is_none(), "B is full");
+        let st = spec.apply(&st, &PairOp::InsBFull(2)).unwrap();
+        assert!(spec.apply(&st, &PairOp::MoveABFull).is_none(), "A empty");
+        let st = spec.apply(&st, &PairOp::InsA(3)).unwrap();
+        assert!(spec.apply(&st, &PairOp::MoveAB(true)).is_none());
+        let st = spec.apply(&st, &PairOp::MoveABFull).unwrap();
+        // Both loaded: the bounded side still holds its own element when
+        // the swap reinserts into it.
+        assert!(spec
+            .apply(&st, &PairOp::Swap(SwapResult::Swapped))
+            .is_none());
+        let st = spec
+            .apply(&st, &PairOp::Swap(SwapResult::Rejected))
+            .unwrap();
+        let st = spec.apply(&st, &PairOp::RemB(Some(1))).unwrap();
+        let _ = spec.apply(&st, &PairOp::MoveAB(true)).unwrap();
+
+        let stacks = PairSpec {
+            one_word: [true, true],
+            ..PairSpec::new(Cont::Lifo, Cont::Lifo)
+        };
+        let st = stacks.init();
+        let st = stacks.apply(&st, &PairOp::InsA(1)).unwrap();
+        assert!(stacks
+            .apply(&st, &PairOp::Swap(SwapResult::WouldAlias))
+            .is_none());
+        let st = stacks.apply(&st, &PairOp::InsB(2)).unwrap();
+        assert!(stacks
+            .apply(&st, &PairOp::Swap(SwapResult::Swapped))
+            .is_none());
+        assert!(stacks
+            .apply(&st, &PairOp::Swap(SwapResult::WouldAlias))
+            .is_some());
+
+        let trio = TrioSpec {
+            a: Cont::Fifo,
+            b: Cont::Fifo,
+            c: Cont::Bounded1,
+        };
+        let st = trio.init();
+        let st = trio.apply(&st, &TrioOp::InsA(1)).unwrap();
+        let st = trio.apply(&st, &TrioOp::InsA(2)).unwrap();
+        let st = trio.apply(&st, &TrioOp::Broadcast(true)).unwrap();
+        assert!(
+            trio.apply(&st, &TrioOp::Broadcast(true)).is_none(),
+            "C full"
+        );
+        let st = trio.apply(&st, &TrioOp::BroadcastFull).unwrap();
+        assert!(trio.apply(&st, &TrioOp::RemC(Some(1))).is_some());
+    }
+
+    #[test]
     fn torn_swap_is_not_linearizable() {
         // a=[1], b=[2]; a successful swap spans the window. Inside it an
         // observer removes 1 from a and then 2 from a — but 2 can only be
         // in a after the swap, and the swap needs 1 still in a: no single
         // point exists.
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Fifo);
         let h = vec![
             e(PairOp::InsA(1), 0, 1),
             e(PairOp::InsB(2), 2, 3),
@@ -706,10 +798,7 @@ mod tests {
     #[test]
     fn duplicated_element_is_not_linearizable() {
         // The element observed in BOTH containers: impossible.
-        let spec = PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        };
+        let spec = PairSpec::new(Cont::Fifo, Cont::Fifo);
         let h = vec![
             e(PairOp::InsA(7), 0, 1),
             e(PairOp::MoveAB(true), 2, 20),

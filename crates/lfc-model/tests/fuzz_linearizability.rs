@@ -14,10 +14,12 @@
 //! Requires `RUSTFLAGS="--cfg lfc_model"`; compiles to nothing otherwise.
 #![cfg(lfc_model)]
 
-use lfc_core::{move_keyed, move_one, move_to_all, swap, MoveOutcome, SwapOutcome};
+use lfc_core::{
+    move_keyed, move_one, move_to_all, swap, MoveOutcome, MoveSource, MoveTarget, SwapOutcome,
+};
 use lfc_linear::{
     check_linearizable, render_history, Cont, KeyedMoveResult, KeyedPairOp, KeyedPairSpec, PairOp,
-    PairSpec, Recorder, SwapResult, TrioOp, TrioSpec,
+    PairSpec, Recorder, Spec, SwapResult, TrioOp, TrioSpec,
 };
 use lfc_model::{explore_random, FuzzOpts, MemoryMode};
 use lfc_runtime::SmallRng;
@@ -48,6 +50,71 @@ fn budget() -> (u64, u64, u64) {
     )
 }
 
+/// One fuzz family: workload `w` of the budget draws its per-thread plans
+/// from the first seed of `seeds(base, w)` and explores schedules from the
+/// second. Every execution builds fresh objects, runs each plan on its own
+/// model thread through `run` (which performs one operation and returns
+/// the op-with-outcome to record, or `None` to leave it unrecorded), and
+/// checks the history against `spec`.
+fn fuzz_family<S, P, O, R>(
+    name: &str,
+    spec: S,
+    seeds: fn(u64, u64) -> (u64, u64),
+    draw: impl Fn(&mut SmallRng) -> Vec<Vec<P>>,
+    build: impl Fn() -> O,
+    run: R,
+) where
+    S: Spec,
+    S::Op: std::fmt::Debug + Send + 'static,
+    P: Copy + Send + 'static,
+    O: Send + Sync + 'static,
+    R: Fn(&O, P) -> Option<S::Op> + Copy + Send + 'static,
+{
+    let (workloads, execs, base) = budget();
+    for w in 0..workloads {
+        let (plan_seed, schedule_seed) = seeds(base, w);
+        let plans = draw(&mut SmallRng::seed_from_u64(plan_seed));
+        let opts = FuzzOpts {
+            seed: schedule_seed,
+            executions: execs,
+            step_budget: 200_000,
+            memory: MemoryMode::Interleaving,
+        };
+        let report = explore_random(opts, || {
+            let objs = Arc::new(build());
+            let rec = Arc::new(Recorder::new());
+            let handles: Vec<_> = plans
+                .iter()
+                .cloned()
+                .map(|ops| {
+                    let (objs, rec) = (objs.clone(), rec.clone());
+                    lfc_model::thread::spawn(move || {
+                        for op in ops {
+                            let invoke = rec.now();
+                            if let Some(done) = run(&objs, op) {
+                                rec.push(done, invoke, rec.now());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join();
+            }
+            let rec = Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
+            let h = rec.finish();
+            assert!(
+                check_linearizable(&spec, &h).is_linearizable(),
+                "non-linearizable {name} history:\n{}",
+                render_history(&h)
+            );
+        });
+        if let Some(f) = &report.failure {
+            panic!("fuzz family {name}, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}");
+        }
+    }
+}
+
 /// One planned operation on a pair of unkeyed containers.
 #[derive(Clone, Copy, Debug)]
 enum PlanOp {
@@ -60,10 +127,9 @@ enum PlanOp {
     Swap,
 }
 
-/// Deterministic per-thread operation plans derived from a seed. Values
-/// are statically unique per (thread, index) so histories never alias.
-fn make_plan(seed: u64, threads: usize, ops: usize, with_swap: bool) -> Vec<Vec<PlanOp>> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+/// Deterministic per-thread operation plans. Values are statically unique
+/// per (thread, index) so histories never alias.
+fn make_plan(rng: &mut SmallRng, threads: usize, ops: usize, with_swap: bool) -> Vec<Vec<PlanOp>> {
     (0..threads)
         .map(|t| {
             (0..ops)
@@ -84,131 +150,79 @@ fn make_plan(seed: u64, threads: usize, ops: usize, with_swap: bool) -> Vec<Vec<
         .collect()
 }
 
+/// A composed move as the pair spec records it: `full` when the target
+/// refused the element.
+fn move_op(o: MoveOutcome, ok: fn(bool) -> PairOp, full: PairOp) -> PairOp {
+    match o {
+        MoveOutcome::Moved => ok(true),
+        MoveOutcome::SourceEmpty => ok(false),
+        MoveOutcome::TargetRejected => full,
+        MoveOutcome::WouldAlias => unreachable!("distinct containers"),
+    }
+}
+
 fn swap_result(o: SwapOutcome) -> SwapResult {
     match o {
         SwapOutcome::Swapped => SwapResult::Swapped,
         SwapOutcome::FirstEmpty => SwapResult::FirstEmpty,
-        SwapOutcome::SecondEmpty | SwapOutcome::Rejected => SwapResult::SecondEmpty,
-        SwapOutcome::WouldAlias => unreachable!("distinct containers"),
+        SwapOutcome::SecondEmpty => SwapResult::SecondEmpty,
+        SwapOutcome::Rejected => SwapResult::Rejected,
+        SwapOutcome::WouldAlias => SwapResult::WouldAlias,
     }
 }
 
-/// Drive one family of container pairs: `mk` builds the pair and the
-/// per-op adapter for every execution.
+/// The plan and schedule seeds of the unkeyed pair families.
+fn pair_seeds(base: u64, w: u64) -> (u64, u64) {
+    (base.wrapping_add(w).wrapping_mul(0x9E37), base ^ (w << 8))
+}
+
+/// Drive one family of container pairs: `mk` builds the pair for every
+/// execution; `ins_*` report whether the insert was accepted; composed
+/// moves (and swaps, `with_swap`) go through the move-ready interfaces.
 #[allow(clippy::too_many_arguments)]
 fn fuzz_pair_family<A, B>(
     name: &str,
     spec: PairSpec,
-    mk: impl Fn() -> (Arc<A>, Arc<B>) + Copy,
-    ins_a: impl Fn(&A, u32) -> bool + Copy + Send + Sync + 'static,
-    rem_a: impl Fn(&A) -> Option<u32> + Copy + Send + Sync + 'static,
-    ins_b: impl Fn(&B, u32) -> bool + Copy + Send + Sync + 'static,
-    rem_b: impl Fn(&B) -> Option<u32> + Copy + Send + Sync + 'static,
-    mv_ab: impl Fn(&A, &B) -> PairOp + Copy + Send + Sync + 'static,
-    mv_ba: impl Fn(&A, &B) -> PairOp + Copy + Send + Sync + 'static,
-    swap_op: Option<impl Fn(&A, &B) -> PairOp + Copy + Send + Sync + 'static>,
+    seeds: fn(u64, u64) -> (u64, u64),
+    mk: impl Fn() -> (A, B),
+    ins_a: impl Fn(&A, u32) -> bool + Copy + Send + 'static,
+    rem_a: impl Fn(&A) -> Option<u32> + Copy + Send + 'static,
+    ins_b: impl Fn(&B, u32) -> bool + Copy + Send + 'static,
+    rem_b: impl Fn(&B) -> Option<u32> + Copy + Send + 'static,
+    with_swap: bool,
 ) where
-    A: Send + Sync + 'static,
-    B: Send + Sync + 'static,
+    A: MoveSource<u32> + MoveTarget<u32> + Send + Sync + 'static,
+    B: MoveSource<u32> + MoveTarget<u32> + Send + Sync + 'static,
 {
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let plan = make_plan(
-            base.wrapping_add(w).wrapping_mul(0x9E37),
-            2,
-            4,
-            swap_op.is_some(),
-        );
-        let plan = Arc::new(plan);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (w << 8),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plan = plan.clone();
-                move || {
-                    let (a, b) = mk();
-                    let rec = Arc::new(Recorder::<PairOp>::new());
-                    let handles: Vec<_> = plan
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (a, b, rec) = (a.clone(), b.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        PlanOp::InsA(v) => {
-                                            rec.record(|| {
-                                                ins_a(&a, v);
-                                                PairOp::InsA(v)
-                                            });
-                                        }
-                                        PlanOp::InsB(v) => {
-                                            rec.record(|| {
-                                                ins_b(&b, v);
-                                                PairOp::InsB(v)
-                                            });
-                                        }
-                                        PlanOp::RemA => {
-                                            rec.record(|| PairOp::RemA(rem_a(&a)));
-                                        }
-                                        PlanOp::RemB => {
-                                            rec.record(|| PairOp::RemB(rem_b(&b)));
-                                        }
-                                        PlanOp::MoveAB => {
-                                            rec.record(|| mv_ab(&a, &b));
-                                        }
-                                        PlanOp::MoveBA => {
-                                            rec.record(|| mv_ba(&a, &b));
-                                        }
-                                        PlanOp::Swap => {
-                                            if let Some(sw) = swap_op {
-                                                rec.record(|| sw(&a, &b));
-                                            }
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&spec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable history:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!("fuzz family {name}, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}");
-        }
-    }
+    fuzz_family(
+        name,
+        spec,
+        seeds,
+        |rng| make_plan(rng, 2, 4, with_swap),
+        mk,
+        move |(a, b): &(A, B), op| {
+            Some(match op {
+                PlanOp::InsA(v) if ins_a(a, v) => PairOp::InsA(v),
+                PlanOp::InsA(v) => PairOp::InsAFull(v),
+                PlanOp::InsB(v) if ins_b(b, v) => PairOp::InsB(v),
+                PlanOp::InsB(v) => PairOp::InsBFull(v),
+                PlanOp::RemA => PairOp::RemA(rem_a(a)),
+                PlanOp::RemB => PairOp::RemB(rem_b(b)),
+                PlanOp::MoveAB => move_op(move_one(a, b), PairOp::MoveAB, PairOp::MoveABFull),
+                PlanOp::MoveBA => move_op(move_one(b, a), PairOp::MoveBA, PairOp::MoveBAFull),
+                PlanOp::Swap => PairOp::Swap(swap_result(swap(a, b))),
+            })
+        },
+    );
 }
 
 #[test]
 fn fuzz_queue_stack_moves_and_swaps() {
     fuzz_pair_family(
         "queue/stack",
-        PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Lifo,
-        },
-        || {
-            (
-                Arc::new(MsQueue::<u32>::new()),
-                Arc::new(TreiberStack::<u32>::new()),
-            )
-        },
+        PairSpec::new(Cont::Fifo, Cont::Lifo),
+        pair_seeds,
+        || (MsQueue::<u32>::new(), TreiberStack::<u32>::new()),
         |a, v| {
             a.enqueue(v);
             true
@@ -219,11 +233,9 @@ fn fuzz_queue_stack_moves_and_swaps() {
             true
         },
         |b| b.pop(),
-        |a, b| PairOp::MoveAB(move_one(a, b) == MoveOutcome::Moved),
-        |a, b| PairOp::MoveBA(move_one(b, a) == MoveOutcome::Moved),
         // No swaps: a swap touching a stack puts both its linearization
         // points on the same `top` word and reports WouldAlias by design.
-        None::<fn(&MsQueue<u32>, &TreiberStack<u32>) -> PairOp>,
+        false,
     );
 }
 
@@ -231,16 +243,9 @@ fn fuzz_queue_stack_moves_and_swaps() {
 fn fuzz_queue_queue_swaps() {
     fuzz_pair_family(
         "queue/queue",
-        PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Fifo,
-        },
-        || {
-            (
-                Arc::new(MsQueue::<u32>::new()),
-                Arc::new(MsQueue::<u32>::new()),
-            )
-        },
+        PairSpec::new(Cont::Fifo, Cont::Fifo),
+        pair_seeds,
+        || (MsQueue::<u32>::new(), MsQueue::<u32>::new()),
         |a, v| {
             a.enqueue(v);
             true
@@ -251,160 +256,110 @@ fn fuzz_queue_queue_swaps() {
             true
         },
         |b| b.dequeue(),
-        |a, b| PairOp::MoveAB(move_one(a, b) == MoveOutcome::Moved),
-        |a, b| PairOp::MoveBA(move_one(b, a) == MoveOutcome::Moved),
-        Some(|a: &MsQueue<u32>, b: &MsQueue<u32>| PairOp::Swap(swap_result(swap(a, b)))),
+        true,
     );
 }
 
 #[test]
 fn fuzz_stamped_one_slot_moves() {
     // StampedStack source, OneSlot target: the bounded slot exercises the
-    // move abort path (TargetRejected) under the scheduler. PairSpec
-    // cannot express a bounded target, so this family checks against a
-    // local spec with an explicit capacity-1 container B.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum SlotPairOp {
-        PushA(u32),
-        PopA(Option<u32>),
-        PutB(u32, bool),
-        TakeB(Option<u32>),
-        /// move stack -> slot with the full observed outcome.
-        MoveAB(MoveOutcome),
-        /// move slot -> stack; true iff an element moved.
-        MoveBA(bool),
-    }
-    #[derive(Clone, Copy, Debug, Default)]
-    struct SlotPairSpec;
-    impl lfc_linear::Spec for SlotPairSpec {
-        type State = (u64, Option<u32>); // stack packed 8x8-bit values, slot
-        type Op = SlotPairOp;
-        fn init(&self) -> Self::State {
-            (0, None)
-        }
-        fn apply(&self, state: &Self::State, op: &Self::Op) -> Option<Self::State> {
-            // Stack encoding: little 8-bit frames, low frame = top; values
-            // in this fuzz family are < 255 and stacks stay shallow.
-            let (stack, slot) = *state;
-            let push = |st: u64, v: u32| (st << 8) | (v as u64 & 0xFF);
-            let pop = |st: u64| -> (u64, Option<u32>) {
-                if st == 0 {
-                    (0, None)
-                } else {
-                    (st >> 8, Some((st & 0xFF) as u32))
-                }
-            };
-            match *op {
-                SlotPairOp::PushA(v) => Some((push(stack, v), slot)),
-                SlotPairOp::PopA(expected) => {
-                    let (rest, got) = pop(stack);
-                    (got == expected).then_some((rest, slot))
-                }
-                SlotPairOp::PutB(v, accepted) => match (slot, accepted) {
-                    (None, true) => Some((stack, Some(v))),
-                    (Some(_), false) => Some((stack, slot)),
-                    _ => None,
-                },
-                SlotPairOp::TakeB(expected) => (slot == expected).then_some((stack, None)),
-                SlotPairOp::MoveAB(outcome) => match outcome {
-                    MoveOutcome::Moved => {
-                        let (rest, got) = pop(stack);
-                        match (got, slot) {
-                            (Some(v), None) => Some((rest, Some(v))),
-                            _ => None,
-                        }
-                    }
-                    MoveOutcome::SourceEmpty => (stack == 0).then_some((stack, slot)),
-                    MoveOutcome::TargetRejected => {
-                        (stack != 0 && slot.is_some()).then_some((stack, slot))
-                    }
-                    MoveOutcome::WouldAlias => None,
-                },
-                SlotPairOp::MoveBA(moved) => match (slot, moved) {
-                    (Some(v), true) => Some((push(stack, v), None)),
-                    (None, false) => Some((stack, slot)),
-                    _ => None,
-                },
-            }
-        }
-    }
+    // move abort path (TargetRejected) under the scheduler, checked by the
+    // pair spec with a bounded-1 container B.
+    fuzz_pair_family(
+        "stamped/one-slot",
+        PairSpec::new(Cont::Lifo, Cont::Bounded1),
+        |base, w| {
+            (
+                base.wrapping_add(w).wrapping_mul(0xA5A5),
+                base ^ (0xB00 + w),
+            )
+        },
+        || (StampedStack::<u32>::new(), OneSlot::<u32>::new()),
+        |s, v| {
+            s.push(v);
+            true
+        },
+        |s| s.pop(),
+        |slot, v| slot.put(v),
+        |slot| slot.take(),
+        false,
+    );
+}
 
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let plan = make_plan(base.wrapping_add(w).wrapping_mul(0xA5A5), 2, 4, false);
-        let plan = Arc::new(plan);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0xB00 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plan = plan.clone();
-                move || {
-                    let s = Arc::new(StampedStack::<u32>::new());
-                    let slot = Arc::new(OneSlot::<u32>::new());
-                    let rec = Arc::new(Recorder::<SlotPairOp>::new());
-                    let handles: Vec<_> = plan
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (s, slot, rec) = (s.clone(), slot.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        PlanOp::InsA(v) => {
-                                            rec.record(|| {
-                                                s.push(v);
-                                                SlotPairOp::PushA(v)
-                                            });
-                                        }
-                                        PlanOp::InsB(v) => {
-                                            rec.record(|| SlotPairOp::PutB(v, slot.put(v)));
-                                        }
-                                        PlanOp::RemA => {
-                                            rec.record(|| SlotPairOp::PopA(s.pop()));
-                                        }
-                                        PlanOp::RemB => {
-                                            rec.record(|| SlotPairOp::TakeB(slot.take()));
-                                        }
-                                        PlanOp::MoveAB => {
-                                            rec.record(|| {
-                                                SlotPairOp::MoveAB(move_one(&*s, &*slot))
-                                            });
-                                        }
-                                        PlanOp::MoveBA | PlanOp::Swap => {
-                                            rec.record(|| {
-                                                SlotPairOp::MoveBA(
-                                                    move_one(&*slot, &*s) == MoveOutcome::Moved,
-                                                )
-                                            });
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&SlotPairSpec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable history:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!("fuzz family stamped/one-slot, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}");
-        }
+/// One planned keyed operation on a pair of maps (a forced directory
+/// doubling is never recorded: no observable map state changes).
+#[derive(Clone, Copy, Debug)]
+enum KeyedOp {
+    InsA(u32),
+    InsB(u32),
+    RemA(u32),
+    RemB(u32),
+    MoveAB(u32),
+    MoveBA(u32),
+    GrowA,
+    GrowB,
+}
+
+/// Two threads of `ops` keyed operations each: a key below `keys`, then
+/// an operation drawn uniformly from `menu`.
+fn keyed_plans(
+    rng: &mut SmallRng,
+    ops: usize,
+    keys: u64,
+    menu: &[fn(u32) -> KeyedOp],
+) -> Vec<Vec<KeyedOp>> {
+    (0..2)
+        .map(|_| {
+            (0..ops)
+                .map(|_| {
+                    let k = rng.below(keys) as u32;
+                    menu[rng.below(menu.len() as u64) as usize](k)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+const KEYED_MENU: [fn(u32) -> KeyedOp; 6] = [
+    KeyedOp::InsA,
+    KeyedOp::InsB,
+    KeyedOp::RemA,
+    KeyedOp::RemB,
+    KeyedOp::MoveAB,
+    KeyedOp::MoveBA,
+];
+
+fn keyed_result(o: MoveOutcome) -> KeyedMoveResult {
+    match o {
+        MoveOutcome::Moved => KeyedMoveResult::Moved,
+        MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
+        MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
+        MoveOutcome::WouldAlias => unreachable!("distinct containers"),
     }
+}
+
+/// One keyed operation on two hash maps, moves through `move_keyed`.
+fn hash_maps_step(
+    a: &LfHashMap<u32, u32>,
+    b: &LfHashMap<u32, u32>,
+    op: KeyedOp,
+) -> Option<KeyedPairOp> {
+    Some(match op {
+        KeyedOp::InsA(k) => KeyedPairOp::InsA(k, a.insert(k, k)),
+        KeyedOp::InsB(k) => KeyedPairOp::InsB(k, b.insert(k, k)),
+        KeyedOp::RemA(k) => KeyedPairOp::RemA(k, a.remove(&k).is_some()),
+        KeyedOp::RemB(k) => KeyedPairOp::RemB(k, b.remove(&k).is_some()),
+        KeyedOp::MoveAB(k) => KeyedPairOp::MoveAB(k, keyed_result(move_keyed(a, &k, b))),
+        KeyedOp::MoveBA(k) => KeyedPairOp::MoveBA(k, keyed_result(move_keyed(b, &k, a))),
+        KeyedOp::GrowA => {
+            a.force_grow();
+            return None;
+        }
+        KeyedOp::GrowB => {
+            b.force_grow();
+            return None;
+        }
+    })
 }
 
 #[test]
@@ -415,230 +370,63 @@ fn fuzz_keyed_map_resize() {
     // dummies into the very chains the keyed operations (and composed
     // captures) are traversing; every recorded history must still satisfy
     // the keyed pair spec — resize is semantically invisible.
-    #[derive(Clone, Copy, Debug)]
-    enum ResizeOp {
-        InsA(u32),
-        InsB(u32),
-        RemA(u32),
-        RemB(u32),
-        MoveAB(u32),
-        MoveBA(u32),
-        /// Forced doubling (unrecorded: no observable map state changes).
-        GrowA,
-        GrowB,
-    }
-
-    fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
-        match o {
-            MoveOutcome::Moved => KeyedMoveResult::Moved,
-            MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
-            MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
-            MoveOutcome::WouldAlias => unreachable!("distinct containers"),
-        }
-    }
-
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0x5EED5));
+    fuzz_family(
+        "keyed map resize",
+        KeyedPairSpec,
+        |base, w| {
+            (
+                base.wrapping_add(w).wrapping_mul(0x5EED5),
+                base ^ (0xD00 + w),
+            )
+        },
         // Tiny key space so operations genuinely conflict inside one chain
         // before growth and across split chains after it.
-        let plans: Vec<Vec<ResizeOp>> = (0..2)
-            .map(|_| {
-                (0..5)
-                    .map(|_| {
-                        let k = rng.below(4) as u32;
-                        match rng.below(8) {
-                            0 => ResizeOp::InsA(k),
-                            1 => ResizeOp::InsB(k),
-                            2 => ResizeOp::RemA(k),
-                            3 => ResizeOp::RemB(k),
-                            4 => ResizeOp::MoveAB(k),
-                            5 => ResizeOp::MoveBA(k),
-                            6 => ResizeOp::GrowA,
-                            _ => ResizeOp::GrowB,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let plans = Arc::new(plans);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0xD00 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plans = plans.clone();
-                move || {
-                    let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
-                    let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
-                    let rec = Arc::new(Recorder::<KeyedPairOp>::new());
-                    let handles: Vec<_> = plans
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (a, b, rec) = (a.clone(), b.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        ResizeOp::InsA(k) => {
-                                            rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
-                                        }
-                                        ResizeOp::InsB(k) => {
-                                            rec.record(|| KeyedPairOp::InsB(k, b.insert(k, k)));
-                                        }
-                                        ResizeOp::RemA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemA(k, a.remove(&k).is_some())
-                                            });
-                                        }
-                                        ResizeOp::RemB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemB(k, b.remove(&k).is_some())
-                                            });
-                                        }
-                                        ResizeOp::MoveAB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveAB(
-                                                    k,
-                                                    mv_result(move_keyed(&*a, &k, &*b)),
-                                                )
-                                            });
-                                        }
-                                        ResizeOp::MoveBA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveBA(
-                                                    k,
-                                                    mv_result(move_keyed(&*b, &k, &*a)),
-                                                )
-                                            });
-                                        }
-                                        ResizeOp::GrowA => {
-                                            a.force_grow();
-                                        }
-                                        ResizeOp::GrowB => {
-                                            b.force_grow();
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&KeyedPairSpec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable keyed history under resize:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!(
-                "fuzz family keyed map resize, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}"
-            );
-        }
-    }
+        |rng| {
+            let grow: [fn(u32) -> KeyedOp; 2] = [|_| KeyedOp::GrowA, |_| KeyedOp::GrowB];
+            keyed_plans(rng, 5, 4, &[&KEYED_MENU[..], &grow[..]].concat())
+        },
+        || (LfHashMap::with_buckets(1), LfHashMap::with_buckets(1)),
+        |(a, b): &(LfHashMap<u32, u32>, LfHashMap<u32, u32>), op| hash_maps_step(a, b, op),
+    );
 }
 
 #[test]
 fn fuzz_broadcast_trio() {
     // move_to_all with two targets under the trio spec: an observer must
     // never catch the element in a strict subset of the targets.
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0xBCA57));
-        let plans: Vec<Vec<u32>> = (0..2)
-            .map(|_| (0..4).map(|_| rng.below(5) as u32).collect())
-            .collect();
-        let plans = Arc::new(plans);
-        let spec = TrioSpec {
+    fuzz_family(
+        "broadcast trio",
+        TrioSpec {
             a: Cont::Fifo,
             b: Cont::Fifo,
             c: Cont::Fifo,
-        };
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0xC00 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plans = plans.clone();
-                move || {
-                    let src = Arc::new(MsQueue::<u32>::new());
-                    let d1 = Arc::new(MsQueue::<u32>::new());
-                    let d2 = Arc::new(MsQueue::<u32>::new());
-                    let rec = Arc::new(Recorder::<TrioOp>::new());
-                    let handles: Vec<_> = plans
-                        .iter()
-                        .enumerate()
-                        .map(|(t, ops)| {
-                            let ops = ops.clone();
-                            let (src, d1, d2, rec) =
-                                (src.clone(), d1.clone(), d2.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for (i, op) in ops.into_iter().enumerate() {
-                                    let v = (t as u32 + 1) * 100 + i as u32;
-                                    match op {
-                                        0 => {
-                                            rec.record(|| {
-                                                src.enqueue(v);
-                                                TrioOp::InsA(v)
-                                            });
-                                        }
-                                        1 => {
-                                            rec.record(|| TrioOp::RemA(src.dequeue()));
-                                        }
-                                        2 => {
-                                            rec.record(|| TrioOp::RemB(d1.dequeue()));
-                                        }
-                                        3 => {
-                                            rec.record(|| TrioOp::RemC(d2.dequeue()));
-                                        }
-                                        _ => {
-                                            rec.record(|| {
-                                                TrioOp::Broadcast(
-                                                    move_to_all(&*src, &[&*d1, &*d2])
-                                                        == MoveOutcome::Moved,
-                                                )
-                                            });
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&spec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable broadcast history:\n{}",
-                        render_history(&h)
-                    );
+        },
+        |base, w| {
+            (
+                base.wrapping_add(w).wrapping_mul(0xBCA57),
+                base ^ (0xC00 + w),
+            )
+        },
+        // (operation, the value an insert would use).
+        |rng| {
+            (0..2u32)
+                .map(|t| (0..4).map(|i| (rng.below(5), (t + 1) * 100 + i)).collect())
+                .collect()
+        },
+        || (MsQueue::new(), MsQueue::new(), MsQueue::new()),
+        |(src, d1, d2): &(MsQueue<u32>, MsQueue<u32>, MsQueue<u32>), (op, v)| {
+            Some(match op {
+                0 => {
+                    src.enqueue(v);
+                    TrioOp::InsA(v)
                 }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!(
-                "fuzz family broadcast trio, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}"
-            );
-        }
-    }
+                1 => TrioOp::RemA(src.dequeue()),
+                2 => TrioOp::RemB(d1.dequeue()),
+                3 => TrioOp::RemC(d2.dequeue()),
+                _ => TrioOp::Broadcast(move_to_all(src, &[d1, d2]) == MoveOutcome::Moved),
+            })
+        },
+    );
 }
 
 #[test]
@@ -653,139 +441,36 @@ fn fuzz_batched_keyed_moves() {
     use lfc_core::batch::decode_move;
     use lfc_core::{BatchGate, MoveKeyedOp};
 
-    #[derive(Clone, Copy, Debug)]
-    enum BatchedOp {
-        InsA(u32),
-        InsB(u32),
-        RemA(u32),
-        RemB(u32),
-        MoveAB(u32),
-        MoveBA(u32),
-    }
+    type Map = LfHashMap<u32, u32>;
+    type Gate = BatchGate<MoveKeyedOp<'static, u32, u32, Map, Map>>;
 
-    fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
-        match o {
-            MoveOutcome::Moved => KeyedMoveResult::Moved,
-            MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
-            MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
-            MoveOutcome::WouldAlias => unreachable!("distinct containers"),
-        }
-    }
-
-    type Gate = BatchGate<MoveKeyedOp<'static, u32, u32, LfHashMap<u32, u32>, LfHashMap<u32, u32>>>;
-
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0xBA7C4));
+    fuzz_family(
+        "batched keyed moves",
+        KeyedPairSpec,
+        |base, w| {
+            (
+                base.wrapping_add(w).wrapping_mul(0xBA7C4),
+                base ^ (0xE00 + w),
+            )
+        },
         // Tiny key space so batched moves collide with direct operations
         // on the same chains.
-        let plans: Vec<Vec<BatchedOp>> = (0..2)
-            .map(|_| {
-                (0..4)
-                    .map(|_| {
-                        let k = rng.below(4) as u32;
-                        match rng.below(6) {
-                            0 => BatchedOp::InsA(k),
-                            1 => BatchedOp::InsB(k),
-                            2 => BatchedOp::RemA(k),
-                            3 => BatchedOp::RemB(k),
-                            4 => BatchedOp::MoveAB(k),
-                            _ => BatchedOp::MoveBA(k),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let plans = Arc::new(plans);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0xE00 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plans = plans.clone();
-                move || {
-                    let a = Arc::new(LfHashMap::<u32, u32>::new());
-                    let b = Arc::new(LfHashMap::<u32, u32>::new());
-                    // The request type borrows the maps; the Arcs outlive
-                    // every worker join below, so promoting is sound.
-                    let (ar, br): (&'static LfHashMap<u32, u32>, &'static LfHashMap<u32, u32>) =
-                        unsafe { (&*Arc::as_ptr(&a), &*Arc::as_ptr(&b)) };
-                    let gate: Arc<Gate> = Arc::new(BatchGate::always_batched());
-                    let rec = Arc::new(Recorder::<KeyedPairOp>::new());
-                    let handles: Vec<_> = plans
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (a, b, gate, rec) =
-                                (a.clone(), b.clone(), gate.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        BatchedOp::InsA(k) => {
-                                            rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
-                                        }
-                                        BatchedOp::InsB(k) => {
-                                            rec.record(|| KeyedPairOp::InsB(k, b.insert(k, k)));
-                                        }
-                                        BatchedOp::RemA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemA(k, a.remove(&k).is_some())
-                                            });
-                                        }
-                                        BatchedOp::RemB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemB(k, b.remove(&k).is_some())
-                                            });
-                                        }
-                                        BatchedOp::MoveAB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveAB(
-                                                    k,
-                                                    mv_result(decode_move(
-                                                        gate.submit(MoveKeyedOp::new(ar, k, br)),
-                                                    )),
-                                                )
-                                            });
-                                        }
-                                        BatchedOp::MoveBA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveBA(
-                                                    k,
-                                                    mv_result(decode_move(
-                                                        gate.submit(MoveKeyedOp::new(br, k, ar)),
-                                                    )),
-                                                )
-                                            });
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&KeyedPairSpec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable batched keyed history:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!(
-                "fuzz family batched keyed moves, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}"
-            );
-        }
-    }
+        |rng| keyed_plans(rng, 4, 4, &KEYED_MENU),
+        || (Map::new(), Map::new(), Gate::always_batched()),
+        |(a, b, gate): &(Map, Map, Gate), op| {
+            // The request type borrows the maps; every plan thread holds
+            // the objects until it returns, so promoting is sound.
+            let (ar, br): (&'static Map, &'static Map) =
+                unsafe { (&*(a as *const _), &*(b as *const _)) };
+            let batched =
+                |src, dst, k| keyed_result(decode_move(gate.submit(MoveKeyedOp::new(src, k, dst))));
+            match op {
+                KeyedOp::MoveAB(k) => Some(KeyedPairOp::MoveAB(k, batched(ar, br, k))),
+                KeyedOp::MoveBA(k) => Some(KeyedPairOp::MoveBA(k, batched(br, ar, k))),
+                _ => hash_maps_step(a, b, op),
+            }
+        },
+    );
 }
 
 #[test]
@@ -806,16 +491,9 @@ fn fuzz_eliminating_stack_pairs() {
     lfc_structures::model_toggles::FORCE_ELIM.store(true, std::sync::atomic::Ordering::SeqCst);
     fuzz_pair_family(
         "queue/eliminating-stack",
-        PairSpec {
-            a: Cont::Fifo,
-            b: Cont::Lifo,
-        },
-        || {
-            (
-                Arc::new(MsQueue::<u32>::new()),
-                Arc::new(TreiberStack::<u32>::new()),
-            )
-        },
+        PairSpec::new(Cont::Fifo, Cont::Lifo),
+        pair_seeds,
+        || (MsQueue::<u32>::new(), TreiberStack::<u32>::new()),
         |a, v| {
             a.enqueue(v);
             true
@@ -826,9 +504,7 @@ fn fuzz_eliminating_stack_pairs() {
             true
         },
         |b| b.pop(),
-        |a, b| PairOp::MoveAB(move_one(a, b) == MoveOutcome::Moved),
-        |a, b| PairOp::MoveBA(move_one(b, a) == MoveOutcome::Moved),
-        None::<fn(&MsQueue<u32>, &TreiberStack<u32>) -> PairOp>,
+        false,
     );
 }
 
@@ -841,129 +517,33 @@ fn fuzz_keyed_skip_map_moves() {
     // pair spec must hold on every schedule — a tower CAS that decided an
     // outcome, resurrected a removed key or tore a composed capture would
     // surface as a non-linearizable history.
-    #[derive(Clone, Copy, Debug)]
-    enum SkipOp {
-        InsA(u32),
-        InsB(u32),
-        RemA(u32),
-        RemB(u32),
-        MoveAB(u32),
-        MoveBA(u32),
-    }
-
-    fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
-        match o {
-            MoveOutcome::Moved => KeyedMoveResult::Moved,
-            MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
-            MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
-            MoveOutcome::WouldAlias => unreachable!("distinct containers"),
-        }
-    }
-
     use lfc_structures::LfSkipMap;
 
-    let (seeds, execs, base) = budget();
-    for w in 0..seeds {
-        let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0x5C1F5));
+    fuzz_family(
+        "keyed skip-map moves",
+        KeyedPairSpec,
+        |base, w| {
+            (
+                base.wrapping_add(w).wrapping_mul(0x5C1F5),
+                base ^ (0x5C0 + w),
+            )
+        },
         // Tiny key space so the same level-0 nodes are inserted, removed,
         // tower-linked and re-inserted across interleavings.
-        let plans: Vec<Vec<SkipOp>> = (0..2)
-            .map(|_| {
-                (0..5)
-                    .map(|_| {
-                        let k = rng.below(3) as u32;
-                        match rng.below(6) {
-                            0 => SkipOp::InsA(k),
-                            1 => SkipOp::InsB(k),
-                            2 => SkipOp::RemA(k),
-                            3 => SkipOp::RemB(k),
-                            4 => SkipOp::MoveAB(k),
-                            _ => SkipOp::MoveBA(k),
-                        }
-                    })
-                    .collect()
+        |rng| keyed_plans(rng, 5, 3, &KEYED_MENU),
+        || (LfSkipMap::new(), LfSkipMap::new()),
+        |(a, b): &(LfSkipMap<u32, u32>, LfSkipMap<u32, u32>), op| {
+            Some(match op {
+                KeyedOp::InsA(k) => KeyedPairOp::InsA(k, a.insert(k, k)),
+                KeyedOp::InsB(k) => KeyedPairOp::InsB(k, b.insert(k, k)),
+                KeyedOp::RemA(k) => KeyedPairOp::RemA(k, a.remove(&k).is_some()),
+                KeyedOp::RemB(k) => KeyedPairOp::RemB(k, b.remove(&k).is_some()),
+                KeyedOp::MoveAB(k) => KeyedPairOp::MoveAB(k, keyed_result(move_keyed(a, &k, b))),
+                KeyedOp::MoveBA(k) => KeyedPairOp::MoveBA(k, keyed_result(move_keyed(b, &k, a))),
+                KeyedOp::GrowA | KeyedOp::GrowB => unreachable!("skip maps do not grow"),
             })
-            .collect();
-        let plans = Arc::new(plans);
-        let report = explore_random(
-            FuzzOpts {
-                seed: base ^ (0x5C0 + w),
-                executions: execs,
-                step_budget: 200_000,
-                memory: MemoryMode::Interleaving,
-            },
-            {
-                let plans = plans.clone();
-                move || {
-                    let a = Arc::new(LfSkipMap::<u32, u32>::new());
-                    let b = Arc::new(LfSkipMap::<u32, u32>::new());
-                    let rec = Arc::new(Recorder::<KeyedPairOp>::new());
-                    let handles: Vec<_> = plans
-                        .iter()
-                        .cloned()
-                        .map(|ops| {
-                            let (a, b, rec) = (a.clone(), b.clone(), rec.clone());
-                            lfc_model::thread::spawn(move || {
-                                for op in ops {
-                                    match op {
-                                        SkipOp::InsA(k) => {
-                                            rec.record(|| KeyedPairOp::InsA(k, a.insert(k, k)));
-                                        }
-                                        SkipOp::InsB(k) => {
-                                            rec.record(|| KeyedPairOp::InsB(k, b.insert(k, k)));
-                                        }
-                                        SkipOp::RemA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemA(k, a.remove(&k).is_some())
-                                            });
-                                        }
-                                        SkipOp::RemB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemB(k, b.remove(&k).is_some())
-                                            });
-                                        }
-                                        SkipOp::MoveAB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveAB(
-                                                    k,
-                                                    mv_result(move_keyed(&*a, &k, &*b)),
-                                                )
-                                            });
-                                        }
-                                        SkipOp::MoveBA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveBA(
-                                                    k,
-                                                    mv_result(move_keyed(&*b, &k, &*a)),
-                                                )
-                                            });
-                                        }
-                                    }
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join();
-                    }
-                    let rec =
-                        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-                    let h = rec.finish();
-                    let verdict = check_linearizable(&KeyedPairSpec, &h);
-                    assert!(
-                        verdict.is_linearizable(),
-                        "non-linearizable keyed skip-map history:\n{}",
-                        render_history(&h)
-                    );
-                }
-            },
-        );
-        if let Some(f) = &report.failure {
-            panic!(
-                "fuzz family keyed skip-map moves, workload {w} (re-run with LFC_FUZZ_SEED={base}): {f}"
-            );
-        }
-    }
+        },
+    );
 }
 
 #[test]
@@ -980,49 +560,24 @@ fn fuzz_keyed_moves_with_faults_armed() {
     use lfc_runtime::fault;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[derive(Clone, Copy, Debug)]
-    enum FaultOp {
-        InsA(u32),
-        InsB(u32),
-        RemA(u32),
-        RemB(u32),
-        MoveAB(u32),
-        MoveBA(u32),
-    }
-
-    fn mv_result(o: MoveOutcome) -> KeyedMoveResult {
-        match o {
-            MoveOutcome::Moved => KeyedMoveResult::Moved,
-            MoveOutcome::SourceEmpty => KeyedMoveResult::Absent,
-            MoveOutcome::TargetRejected => KeyedMoveResult::Duplicate,
-            MoveOutcome::WouldAlias => unreachable!("distinct containers"),
-        }
-    }
-
     let (seeds, execs, base) = budget();
     // Counted across every execution of every workload: the family must
     // prove the adversary engaged, not that the schedule dodged it.
     let refusals = Arc::new(AtomicU64::new(0));
     for w in 0..seeds {
         let mut rng = SmallRng::seed_from_u64(base.wrapping_add(w).wrapping_mul(0xFA017));
-        let plans: Vec<Vec<FaultOp>> = (0..2)
-            .map(|_| {
-                (0..5)
-                    .map(|_| {
-                        let k = rng.below(4) as u32;
-                        // Move-heavy mix around the armed inserts.
-                        match rng.below(8) {
-                            0 => FaultOp::InsA(k),
-                            1 => FaultOp::InsB(k),
-                            2 => FaultOp::RemA(k),
-                            3 => FaultOp::RemB(k),
-                            4 | 5 => FaultOp::MoveAB(k),
-                            _ => FaultOp::MoveBA(k),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        // Move-heavy mix around the armed inserts.
+        let menu: [fn(u32) -> KeyedOp; 8] = [
+            KeyedOp::InsA,
+            KeyedOp::InsB,
+            KeyedOp::RemA,
+            KeyedOp::RemB,
+            KeyedOp::MoveAB,
+            KeyedOp::MoveAB,
+            KeyedOp::MoveBA,
+            KeyedOp::MoveBA,
+        ];
+        let plans = keyed_plans(&mut rng, 5, 4, &menu);
         let plans = Arc::new(plans);
         let report = explore_random(
             FuzzOpts {
@@ -1057,56 +612,22 @@ fn fuzz_keyed_moves_with_faults_armed() {
                             let refusals = refusals.clone();
                             lfc_model::thread::spawn(move || {
                                 for op in ops {
-                                    match op {
-                                        FaultOp::InsA(k) => {
-                                            let invoke = rec.now();
-                                            match a.try_insert(k, k) {
-                                                Ok(ok) => {
-                                                    let ret = rec.now();
-                                                    rec.push(KeyedPairOp::InsA(k, ok), invoke, ret);
-                                                }
-                                                Err(_) => {
-                                                    refusals.fetch_add(1, Ordering::Relaxed);
-                                                }
-                                            }
-                                        }
-                                        FaultOp::InsB(k) => {
-                                            let invoke = rec.now();
-                                            match b.try_insert(k, k) {
-                                                Ok(ok) => {
-                                                    let ret = rec.now();
-                                                    rec.push(KeyedPairOp::InsB(k, ok), invoke, ret);
-                                                }
-                                                Err(_) => {
-                                                    refusals.fetch_add(1, Ordering::Relaxed);
-                                                }
-                                            }
-                                        }
-                                        FaultOp::RemA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemA(k, a.remove(&k).is_some())
-                                            });
-                                        }
-                                        FaultOp::RemB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::RemB(k, b.remove(&k).is_some())
-                                            });
-                                        }
-                                        FaultOp::MoveAB(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveAB(
-                                                    k,
-                                                    mv_result(move_keyed(&*a, &k, &*b)),
-                                                )
-                                            });
-                                        }
-                                        FaultOp::MoveBA(k) => {
-                                            rec.record(|| {
-                                                KeyedPairOp::MoveBA(
-                                                    k,
-                                                    mv_result(move_keyed(&*b, &k, &*a)),
-                                                )
-                                            });
+                                    let invoke = rec.now();
+                                    let done = match op {
+                                        KeyedOp::InsA(k) => a
+                                            .try_insert(k, k)
+                                            .ok()
+                                            .map(|ok| KeyedPairOp::InsA(k, ok)),
+                                        KeyedOp::InsB(k) => b
+                                            .try_insert(k, k)
+                                            .ok()
+                                            .map(|ok| KeyedPairOp::InsB(k, ok)),
+                                        _ => hash_maps_step(&a, &b, op),
+                                    };
+                                    match done {
+                                        Some(done) => rec.push(done, invoke, rec.now()),
+                                        None => {
+                                            refusals.fetch_add(1, Ordering::Relaxed);
                                         }
                                     }
                                 }

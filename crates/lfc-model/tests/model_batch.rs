@@ -131,10 +131,8 @@ fn dfs_elimination_exchange_is_linearizable() {
     // LIFO spec, and the element must surface exactly once.
     let _t = Toggles::take();
     lfc_structures::model_toggles::FORCE_ELIM.store(true, Ordering::SeqCst);
-    let spec = PairSpec {
-        a: Cont::Lifo,
-        b: Cont::Fifo, // unused side of the pair spec
-    };
+    // B is the unused side of the pair spec.
+    let spec = PairSpec::new(Cont::Lifo, Cont::Fifo);
     let report = explore(opts(2), move || {
         let s = Arc::new(TreiberStack::<u32>::new());
         let rec = Arc::new(Recorder::<PairOp>::new());

@@ -73,10 +73,7 @@ fn dfs_move_one_has_a_unified_linearization_point() {
     // element absent from both containers (or present in both). The
     // recorded histories of every explored schedule must satisfy the
     // composed pair spec in which the move is ONE action.
-    let spec = PairSpec {
-        a: Cont::Fifo,
-        b: Cont::Lifo,
-    };
+    let spec = PairSpec::new(Cont::Fifo, Cont::Lifo);
     let report = explore(opts(1), move || {
         let q = Arc::new(MsQueue::<u32>::new());
         let s = Arc::new(TreiberStack::<u32>::new());

@@ -47,10 +47,7 @@ fn main() {
 
     let history = rec.finish();
     println!("recorded {} operations; checking...", history.len());
-    let spec = PairSpec {
-        a: Cont::Fifo,
-        b: Cont::Lifo,
-    };
+    let spec = PairSpec::new(Cont::Fifo, Cont::Lifo);
     match check_linearizable(&spec, &history) {
         CheckResult::Linearizable(order) => {
             println!("linearizable; witness order of first 10 ops:");

@@ -50,7 +50,7 @@ pub use lfc_structures::*;
 
 /// Re-export of the hazard-pointer domain (diagnostics and advanced use).
 pub mod hazard {
-    pub use lfc_hazard::{bank_is_clear, flush, pending_retired, pin, stats, Guard};
+    pub use lfc_hazard::{bank_is_clear, flush, pin, retired_count, stats, Guard};
 }
 
 /// Re-export of the pooling allocator statistics.

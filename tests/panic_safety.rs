@@ -150,10 +150,10 @@ fn unwind_mid_builder_composition_is_clean() {
     // The unwound attempt pinned epochs and promoted ENTRY hazards; had
     // any survived the unwind, this flush could never reclaim the nodes
     // retired above. Drive the domain and require forward progress.
-    let before = lockfree_compose::hazard::pending_retired();
+    let before = lockfree_compose::hazard::retired_count();
     for _ in 0..64 {
         lockfree_compose::hazard::flush();
-        if lockfree_compose::hazard::pending_retired() < before || before == 0 {
+        if lockfree_compose::hazard::retired_count() < before || before == 0 {
             break;
         }
         std::thread::yield_now();

@@ -5,8 +5,8 @@
 
 use lockfree_compose::{
     move_keyed_to_all, move_keyed_to_unkeyed, move_one, swap, Composition, InsertCtx,
-    InsertOutcome, LfHashMap, MoveOutcome, MoveSource, MoveTarget, MsQueue, OrderedSet, RemoveCtx,
-    RemoveOutcome, SwapOutcome, TreiberStack,
+    InsertOutcome, LfHashMap, MoveOutcome, MoveSource, MoveTarget, MsQueue, OneSlot, OrderedSet,
+    RemoveCtx, RemoveOutcome, SwapOutcome, TreiberStack,
 };
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -296,4 +296,49 @@ fn rival_drain_after_capture_is_not_second_empty() {
     assert_eq!(swap(&a, &second), SwapOutcome::FirstEmpty);
     assert!(a.is_empty() && b.is_empty());
     assert_eq!((c.dequeue(), c.dequeue()), (Some(1), Some(2)));
+}
+
+/// A one-slot container whose first insert lets `rival` run to completion
+/// on another thread first. As a swap's first object its insert runs
+/// inside both removes' captures.
+struct RivalBeforeInsert<'a> {
+    slot: &'a OneSlot<u64>,
+    rival: Cell<Option<Box<dyn FnOnce() + Send + 'a>>>,
+}
+
+impl MoveSource<u64> for RivalBeforeInsert<'_> {
+    fn remove_with<C: RemoveCtx<u64>>(&self, ctx: &mut C) -> RemoveOutcome<u64> {
+        self.slot.remove_with(ctx)
+    }
+}
+
+impl MoveTarget<u64> for RivalBeforeInsert<'_> {
+    fn insert_with<C: InsertCtx>(&self, elem: u64, ctx: &mut C) -> InsertOutcome {
+        if let Some(rival) = self.rival.take() {
+            std::thread::scope(|sc| {
+                sc.spawn(rival);
+            });
+        }
+        self.slot.insert_with(elem, ctx)
+    }
+}
+
+#[test]
+fn rival_take_before_reinsert_is_not_an_alias() {
+    let slot: OneSlot<u64> = OneSlot::new();
+    let b: TreiberStack<u64> = TreiberStack::new();
+    slot.put(1);
+    b.push(2);
+    let rs = &slot;
+    let a = RivalBeforeInsert {
+        slot: &slot,
+        rival: Cell::new(Some(Box::new(move || assert_eq!(rs.take(), Some(1))))),
+    };
+    // The rival emptied the slot after our capture of it, so the reinsert
+    // found room and reached the slot's word again. No instant had the
+    // slot full and its reinsert accepted, so `WouldAlias` would be a lie:
+    // the stale capture must turn into a retry, which finds the slot empty.
+    assert_eq!(swap(&a, &b), SwapOutcome::FirstEmpty);
+    assert!(!slot.is_occupied());
+    assert_eq!(b.pop(), Some(2));
 }
