@@ -636,13 +636,15 @@ impl<R: BatchOp> BatchGate<R> {
         // Safety: CLAIM hazard (set by our caller) keeps the node mapped
         // and its flag word stable-after-resolve for the whole wait.
         let n = unsafe { &*node };
+        // A leader helps at once; a follower spins first.
+        let spin_rounds = if leader { 0 } else { SPIN_ROUNDS };
         let mut rounds: u32 = 0;
         loop {
             let w = n.flag.read(g);
             if w != FLAG_PENDING {
                 return w;
             }
-            if leader || rounds >= SPIN_ROUNDS {
+            if rounds >= spin_rounds {
                 self.advance();
                 if rounds >= SELF_EXEC_ROUNDS {
                     if let Some(w) = n.req.run_flagged(&n.flag, node as usize) {

@@ -5,7 +5,7 @@
 //! One process-global domain holds a fixed bank of hazard slots per
 //! registered thread. Threads protect an allocation by publishing its base
 //! address into one of their slots and re-validating the source pointer;
-//! retired allocations are kept on per-thread lists and reclaimed by a scan
+//! retired allocations are kept in per-thread bags and reclaimed by a scan
 //! that frees everything no slot protects.
 //!
 //! # Slot convention
@@ -51,7 +51,8 @@
 //!   memory and wants to dereference it under a *hazard* will fail its
 //!   validation step (set slot, re-read source, compare).
 //!
-//! The record is tagged by the first scan that sees it — with the
+//! Each scan seals the records its thread retired since the previous scan
+//! into one *bag* (DEBRA-style limbo bags) and tags the bag with the
 //! **maximum** of that scan's post-fence read of the global epoch and every
 //! entry epoch its reader sweep observed. The max closes a stale-read hole:
 //! an unrelated scan can advance the epoch just before the unlink with
@@ -64,9 +65,11 @@
 //! (so no in-flight traversal can still hold a pre-unlink pointer), **and**
 //! no hazard slot protects the block (so a
 //! node pinned by an in-flight composed commit — an `ENTRY*`/`HELP*` slot
-//! — survives even after all epochs quiesce). The DCAS protocol retires
-//! nothing of its own: its descriptors are per-thread static records
-//! reused under sequence numbers (see `lfc-dcas`).
+//! — survives even after all epochs quiesce). Sealed bags are freed oldest
+//! first, and a scan stops at the first bag that is not clear, so each
+//! record is examined once, by the scan that frees its bag. The DCAS
+//! protocol retires nothing of its own: its descriptors are per-thread
+//! static records reused under sequence numbers (see `lfc-dcas`).
 //!
 //! # Stall robustness: eras and ejection (PR 6)
 //!
@@ -111,7 +114,7 @@ use lfc_runtime::{
     ShardedCounter, MAX_THREADS,
 };
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 #[doc(hidden)]
 pub mod sync;
@@ -123,8 +126,8 @@ pub mod sync;
 pub mod model_toggles {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Revert the PR 3 stale-tag fix: when set, a scan tags untagged
-    /// retire records with its post-fence global-epoch read **alone**,
+    /// Revert the PR 3 stale-tag fix: when set, a scan seals its bag of
+    /// retire records under its post-fence global-epoch read **alone**,
     /// without folding in the entry epochs its reader sweep observed. An
     /// unrelated advance just before the unlink can then leave the tag one
     /// generation stale and a pre-unlink reader gets freed under — the
@@ -325,9 +328,13 @@ static RETIRED_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Total retired allocations whose reclaimer has run. Padded: bumped once
 /// per scan, and kept off the orphan head's line.
 static RECLAIMED_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
-/// Total reclamation scans run (diagnostics; the adaptive-threshold test
-/// asserts scan counts stay logarithmic under pinned retire bursts).
-static SCANS_TOTAL: CachePadded<AtomicUsize> = CachePadded::new(AtomicUsize::new(0));
+/// Total reclamation scans run (diagnostics). Sharded like
+/// [`RETIRED_TOTAL`]: every thread bumps it about once per base threshold
+/// of retires.
+static SCANS_TOTAL: ShardedCounter = ShardedCounter::new();
+/// Total retired records scans have examined for freeing (the retire-scan
+/// test asserts no record is examined twice under a pinned burst).
+static SCAN_VISITS_TOTAL: ShardedCounter = ShardedCounter::new();
 /// Bytes sitting in retired-but-unreclaimed records (as reported to
 /// [`retire_with`]; legacy [`retire`] records count 0). Published at scan
 /// granularity, not per retire: each thread accumulates into its
@@ -356,23 +363,11 @@ static ERA_TICK: AtomicUsize = AtomicUsize::new(0);
 #[cfg(not(lfc_model))]
 const ERA_RETIRE_QUANTUM: usize = 128;
 
-/// Tag of a retired record no scan has seen yet. Tagging happens on the
-/// *scan* side (after the scan's SC fence), not at retire time, so the hot
-/// retire path pays no fence and no shared-epoch cache line.
-const UNTAGGED: usize = usize::MAX;
-
-/// A retired allocation awaiting reclamation.
+/// A retired allocation awaiting reclamation. Its epoch tag is the tag of
+/// the [`Bag`] it is sealed into.
 struct Retired {
     ptr: *mut u8,
     reclaim: unsafe fn(*mut u8),
-    /// [`UNTAGGED`] until the first scan sees the record; then the max of
-    /// the global epoch that scan read after its fence and every entry
-    /// epoch its reader sweep observed. A reader whose entry epoch is
-    /// *greater* than the tag provably fenced after the tagging scan's
-    /// fence (had it fenced before, the sweep would have seen its epoch
-    /// and the tag would dominate it), therefore after the unlink, and
-    /// cannot hold a path to the block.
-    epoch: usize,
     /// Allocation size for the garbage-bytes budget (0 for legacy records).
     bytes: usize,
     /// Era the allocation was born in ([`BIRTH_UNKNOWN`] for legacy
@@ -390,10 +385,27 @@ struct Retired {
 // most once and the pointee is unreachable except through this record.
 unsafe impl Send for Retired {}
 
-/// A batch of retired records abandoned by an exiting thread, linked into
-/// the lock-free orphan stack.
-struct OrphanBatch {
+/// Retired records sealed under one epoch tag (DEBRA-style limbo bag).
+///
+/// A scan seals the records retired since the previous scan into one bag
+/// and tags it with the max of the global epoch it read after its fence
+/// and every entry epoch its reader sweep observed. A reader whose entry
+/// epoch is *greater* than the tag provably fenced after the sealing
+/// scan's fence (had it fenced before, the sweep would have seen its epoch
+/// and the tag would dominate it), therefore after every unlink that fed
+/// the bag, and cannot hold a path into it. A bag's records are examined
+/// once, by the scan that frees the bag.
+struct Bag {
+    tag: usize,
     items: Vec<Retired>,
+}
+
+/// A batch of retired records abandoned by an exiting thread, linked into
+/// the lock-free orphan stack. `bag.tag` is the largest tag any of its
+/// records was sealed under, 0 when none was sealed yet (the global epoch
+/// starts at 1, so 0 is below every real tag).
+struct OrphanBatch {
+    bag: Bag,
     next: *mut OrphanBatch,
 }
 
@@ -407,16 +419,16 @@ static ORPHANS: CachePadded<AtomicPtr<OrphanBatch>> =
     CachePadded::new(AtomicPtr::new(std::ptr::null_mut()));
 
 /// Push a batch of orphaned retirees (no-op for an empty batch).
-fn orphans_push(items: Vec<Retired>) {
-    if items.is_empty() {
+fn orphans_push(bag: Bag) {
+    if bag.items.is_empty() {
         return;
     }
     let node = Box::into_raw(Box::new(OrphanBatch {
-        items,
+        bag,
         next: std::ptr::null_mut(),
     }));
     // Acquire on failure/entry is not needed (we never read through `head`
-    // before publishing); Release on success publishes `items` to adopters.
+    // before publishing); Release on success publishes `bag` to adopters.
     let mut head = ORPHANS.load(Ordering::Relaxed);
     loop {
         // Safety: `node` is exclusively ours until the CAS succeeds.
@@ -428,53 +440,110 @@ fn orphans_push(items: Vec<Retired>) {
     }
 }
 
-/// Detach and drain every orphan batch into `list`. One atomic `swap`; the
-/// detached chain is exclusively owned, so no ABA hazard exists.
-fn orphans_adopt(list: &mut Vec<Retired>) {
+/// Detach and drain every orphan batch into `open`, returning the largest
+/// tag among them (0 if none). One atomic `swap`; the detached chain is
+/// exclusively owned, so no ABA hazard exists. The caller seals `open`
+/// under at least the returned tag, so adoption never lowers a tag.
+fn orphans_adopt(open: &mut Vec<Retired>) -> usize {
     // Acquire pairs with the Release push: the batch contents are visible.
     let mut node = ORPHANS.swap(std::ptr::null_mut(), Ordering::Acquire);
+    let mut tag = 0;
     while !node.is_null() {
         // Safety: the swap made the whole chain exclusively ours.
         let mut batch = unsafe { Box::from_raw(node) };
-        list.append(&mut batch.items);
+        tag = tag.max(batch.bag.tag);
+        open.append(&mut batch.bag.items);
         node = batch.next;
     }
+    tag
 }
 
+/// One thread's retired records: the open bag the retire path pushes to,
+/// and the sealed bags awaiting their free, oldest first.
+#[derive(Default)]
 struct ThreadReclaim {
-    pending: Vec<Retired>,
+    open: Vec<Retired>,
+    sealed: VecDeque<Bag>,
     /// Bytes retired by this thread since it last published into
-    /// [`RETIRED_BYTES`] (see the doc there): folded in by
-    /// [`publish_and_scan`], so the retire fast path is a plain add.
+    /// [`RETIRED_BYTES`] (see the doc there): folded in right before each
+    /// scan, so the retire fast path is a plain add.
     bytes_unpublished: usize,
+}
+
+impl ThreadReclaim {
+    /// Fold the unpublished byte charges into the global gauge, so it is
+    /// current before `collect_protection` computes pressure.
+    fn publish_bytes(&mut self) {
+        if self.bytes_unpublished != 0 {
+            RETIRED_BYTES.fetch_add(self.bytes_unpublished, Ordering::Relaxed);
+            self.bytes_unpublished = 0;
+        }
+    }
+
+    /// The first half of a scan: adopt orphans into the open bag, collect
+    /// protection once, seal the open bag under this scan's tag, and
+    /// detach the front run of sealed bags whose tag is below every active
+    /// reader's entry epoch. Stopping at the first bag that is not clear
+    /// only delays a free; the next scan looks at it again. The bag sealed
+    /// here clears at once exactly when no reader is active: its tag
+    /// dominates every reader the sweep saw, and a reader the sweep missed
+    /// fenced after this scan's fence, hence after every unlink that fed
+    /// the bag.
+    ///
+    /// Runs no reclaimer. The detached bags go to [`free_bags`] after the
+    /// borrow of `self` has ended, so a reclaimer may retire, and even
+    /// scan, meanwhile. A bag sealed by such a nested scan may hold records
+    /// unlinked after this scan's sweep, about which this `min_enter` says
+    /// nothing: detaching before any reclaimer runs keeps it out.
+    fn seal(&mut self) -> (Vec<Bag>, Protection) {
+        SCANS_TOTAL.add(1);
+        let retired = self.open.len();
+        // Adopt orphans so abandoned garbage cannot accumulate forever.
+        let adopted = orphans_adopt(&mut self.open);
+        let p = collect_protection();
+        if !self.open.is_empty() {
+            let items = std::mem::replace(&mut self.open, Vec::with_capacity(retired));
+            self.sealed.push_back(Bag {
+                tag: p.tag.max(adopted),
+                items,
+            });
+        }
+        let clear = self
+            .sealed
+            .iter()
+            .take_while(|b| b.tag < p.min_enter)
+            .count();
+        (self.sealed.drain(..clear).collect(), p)
+    }
+
+    /// Park everything still pending on the orphan stack as one batch,
+    /// under the largest tag any of it carries.
+    fn orphan(self) {
+        let mut bag = Bag {
+            tag: 0,
+            items: self.open,
+        };
+        for mut b in self.sealed {
+            bag.tag = bag.tag.max(b.tag);
+            bag.items.append(&mut b.items);
+        }
+        orphans_push(bag);
+    }
 }
 
 thread_local! {
     static RECLAIM: Cell<*mut ThreadReclaim> = const { Cell::new(std::ptr::null_mut()) };
-    /// Pending-list length that re-arms the next threshold scan: the max of
-    /// the base threshold and **twice the survivors of the last scan**,
-    /// retention-capped (adaptive, PR 5; see [`rearm_scan`]). A fixed
-    /// trigger is pathological under retire bursts whose records stay
-    /// pinned (a resize/teardown retiring thousands of dummies and
-    /// segments while a reader's epoch parks them): every `base` retires
-    /// would pay a full O(pending) scan, O(pending²/base) in total.
-    /// Re-arming at 2× the surviving count makes consecutive scans
-    /// geometric in the live retired-record count — amortized O(1) scan
-    /// work per retire — while an empty survivor set falls back to the
-    /// base threshold unchanged. Its own cell rather than a
-    /// [`ThreadReclaim`] field: [`scan_trigger`] reads it from reclaimers
-    /// that run inside a scan, while the scan holds the list mutably.
-    static NEXT_SCAN: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Run `f` on this thread's retire state. `f` must not retire (and so must
+/// run no reclaimer): every borrow handed out here ends before the next
+/// one starts, which is what lets a reclaimer retire into the open bag
+/// while a scan is freeing.
 fn with_reclaim<R>(f: impl FnOnce(&mut ThreadReclaim) -> R) -> R {
     RECLAIM.with(|cell| {
         let mut p = cell.get();
         if p.is_null() {
-            p = Box::into_raw(Box::new(ThreadReclaim {
-                pending: Vec::new(),
-                bytes_unpublished: 0,
-            }));
+            p = Box::into_raw(Box::default());
             cell.set(p);
             // Tear down *before* the thread id is released (lfc-runtime runs
             // hooks ahead of freeing the id), so the slot bank cannot be
@@ -482,20 +551,11 @@ fn with_reclaim<R>(f: impl FnOnce(&mut ThreadReclaim) -> R) -> R {
             on_thread_exit(Box::new(move || {
                 RECLAIM.with(|c| c.set(std::ptr::null_mut()));
                 // Safety: pointer was uniquely created above; hook runs once.
-                let mut tr = unsafe { Box::from_raw(p) };
-                // One last scan attempt, then park leftovers on the orphan
-                // stack as a single batch (one CAS, however many remain).
-                // Publish first: the leftovers' bytes must be globally
-                // visible before another thread can adopt and free them.
-                if tr.bytes_unpublished != 0 {
-                    RETIRED_BYTES.fetch_add(tr.bytes_unpublished, Ordering::Relaxed);
-                    tr.bytes_unpublished = 0;
-                }
-                scan_list(&mut tr.pending);
-                orphans_push(std::mem::take(&mut tr.pending));
+                scan_detached(*unsafe { Box::from_raw(p) });
             }));
         }
-        // Safety: exclusive to this thread; never aliased across the closure.
+        // Safety: exclusive to this thread, and `f` cannot reach
+        // `with_reclaim` again (see above), so no two borrows overlap.
         f(unsafe { &mut *p })
     })
 }
@@ -888,8 +948,8 @@ pub struct RetireInfo {
 #[inline]
 pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: RetireInfo) {
     RETIRED_TOTAL.add(1);
-    // No fence and no epoch read here: the record enters the list
-    // UNTAGGED, and the first scan that sees it — whose own SC fence is
+    // No fence and no epoch read here: the record enters the open bag
+    // untagged, and the scan that seals the bag — whose own SC fence is
     // ordered after this retire (same thread, or the orphan handoff's
     // release/acquire) and hence after the caller's unlink — assigns the
     // tag. Keeps the retire path at a Vec push; the byte charge is a plain
@@ -897,7 +957,6 @@ pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: Retir
     let r = Retired {
         ptr,
         reclaim,
-        epoch: UNTAGGED,
         bytes: info.bytes,
         birth: info.birth,
         divert: info.divert,
@@ -907,46 +966,66 @@ pub unsafe fn retire_with(ptr: *mut u8, reclaim: unsafe fn(*mut u8), info: Retir
         // next scan by any live thread adopts it) and publish its bytes
         // now — there is no later scan of ours to fold them in.
         RETIRED_BYTES.fetch_add(info.bytes, Ordering::Relaxed);
-        orphans_push(vec![r]);
+        orphans_push(Bag {
+            tag: 0,
+            items: vec![r],
+        });
         return;
     }
-    with_reclaim(|tr| {
+    let full = with_reclaim(|tr| {
         tr.bytes_unpublished += info.bytes;
-        tr.pending.push(r);
-        if tr.pending.len() >= scan_trigger() {
-            publish_and_scan(tr);
-        }
+        tr.open.push(r);
+        tr.open.len() >= scan_threshold()
     });
-}
-
-/// Fold this thread's unpublished byte charges into the global gauge, then
-/// scan and re-arm. Every scan of a live thread's list goes through here so
-/// the gauge is current before `collect_protection` computes pressure.
-fn publish_and_scan(tr: &mut ThreadReclaim) {
-    if tr.bytes_unpublished != 0 {
-        RETIRED_BYTES.fetch_add(tr.bytes_unpublished, Ordering::Relaxed);
-        tr.bytes_unpublished = 0;
+    if full {
+        scan();
     }
-    scan_list(&mut tr.pending);
-    NEXT_SCAN.with(|n| n.set(rearm_scan(tr.pending.len())));
 }
 
-/// The lowest value [`scan_trigger`] ever returns.
+/// Scan this (live) thread's retire state: seal, then free the clear bags
+/// with no borrow of the state live, so a reclaimer that retires lands in
+/// the fresh open bag (and may even trigger a nested scan of its own).
+/// Records a freed bag must keep go back to the front of the queue.
+fn scan() {
+    let (clear, p) = with_reclaim(|tr| {
+        tr.publish_bytes();
+        tr.seal()
+    });
+    if let Some(kept) = free_bags(clear, &p) {
+        with_reclaim(|tr| tr.sealed.push_front(kept));
+    }
+}
+
+/// Scan retire state no live thread owns any more (thread exit, or a flush
+/// during it), then park whatever is left on the orphan stack as one batch
+/// (one CAS, however many remain). The bytes are published first: they
+/// must be globally visible before another thread can adopt and free the
+/// records. Reclaimers that retire here take the exiting-thread path of
+/// [`retire_with`].
+fn scan_detached(mut tr: ThreadReclaim) {
+    tr.publish_bytes();
+    let (clear, p) = tr.seal();
+    if let Some(kept) = free_bags(clear, &p) {
+        tr.sealed.push_front(kept);
+    }
+    tr.orphan();
+}
+
+/// The lowest base scan threshold.
 const MIN_SCAN_TRIGGER: usize = 128;
-
-/// The calling thread's retire-list length at which its next scan runs: the
-/// base threshold (which grows with the registered thread count, never
-/// below [`MIN_SCAN_TRIGGER`]) or the adaptive re-arm of its last scan,
-/// whichever is larger.
-fn scan_trigger() -> usize {
-    NEXT_SCAN.with(Cell::get).max(scan_threshold())
-}
 
 /// Retire records per registered thread in the base scan threshold. A
 /// constant of its own, not a multiple of [`SLOTS_PER_THREAD`], so
 /// resizing the bank never moves the scan trigger.
 const SCAN_RECORDS_PER_THREAD: usize = 48;
 
+/// Open-bag length at which a retire runs a scan: grows with the
+/// registered thread count, never below [`MIN_SCAN_TRIGGER`]. Fixed per
+/// thread count, because sealed bags cost a scan one tag compare each
+/// while they stay pinned, never a re-examination of their records.
+/// Performance-only either way: scan *frequency* never enters the freeing
+/// proof — every scan re-derives all protection from its own SC fence and
+/// sweeps.
 fn scan_threshold() -> usize {
     base_scan_threshold(registered_high_water())
 }
@@ -955,38 +1034,22 @@ fn base_scan_threshold(threads: usize) -> usize {
     (SCAN_RECORDS_PER_THREAD * threads.max(1)).max(MIN_SCAN_TRIGGER)
 }
 
-/// Adaptive re-arm after a scan (see [`NEXT_SCAN`]): the next scan
-/// triggers once the pending list doubles past the records this scan
-/// could not free — capped at a multiple of the base threshold, so a
-/// one-time pinned burst cannot permanently raise the trigger: once the
-/// pin clears, at most `RETENTION_CAP` further retires pass before a scan
-/// drains the (now freeable) backlog, instead of waiting for pending to
-/// double past the burst size. Above the cap, scan cost degrades from
-/// amortized O(1) to O(pending / RETENTION_CAP) per retire — the price of
-/// bounded retention, paid only while something pins an extreme backlog.
-/// Performance-only either way: scan *frequency* never enters the freeing
-/// proof — every scan re-derives all protection from its own SC fence and
-/// sweeps.
-fn rearm_scan(survivors: usize) -> usize {
-    const RETENTION_CAP_FACTOR: usize = 32;
-    let cap = survivors + RETENTION_CAP_FACTOR * scan_threshold();
-    survivors.saturating_mul(2).min(cap)
-}
-
 /// A consistent snapshot of everything currently protecting retired memory:
 /// the hazard set plus the smallest entry epoch among active readers
 /// (`usize::MAX` when all threads are quiescent).
 struct Protection {
-    hazards: HashSet<usize>,
+    /// Every non-zero hazard slot value, sorted (binary-searched per
+    /// record a scan frees).
+    hazards: Vec<usize>,
     min_enter: usize,
-    /// The tag assigned to records this scan sees untagged: the max of the
+    /// The tag this scan seals its bag under: the max of the
     /// global epoch read after this scan's fence and every entry epoch the
     /// reader sweep observed. See `collect_protection` for why the sweep
     /// must participate in the max.
     tag: usize,
     /// Zombie slots this scan observed: their entry eras no longer feed
     /// `min_enter`; records only they could reach go through the birth-era
-    /// partition in `scan_list`.
+    /// partition in `free_bags`.
     zombies: Vec<Zombie>,
 }
 
@@ -1036,8 +1099,8 @@ fn collect_protection() -> Protection {
     // fence".
     let cur = GLOBAL_EPOCH.load(Ordering::SeqCst);
     let mut min_enter = usize::MAX;
-    // The tag for untagged records must dominate the entry epoch of every
-    // reader that might still hold a pre-unlink path to them. `cur` alone
+    // The tag of the bag this scan seals must dominate the entry epoch of
+    // every reader that might still hold a pre-unlink path into it. `cur` alone
     // is NOT enough: an *unrelated* scan may advance the epoch E -> E+1
     // just before the unlink, and a reader may enter and validate E+1
     // also before the unlink — while nothing orders our load above after
@@ -1166,7 +1229,7 @@ fn collect_protection() -> Protection {
         }
     }
 
-    let mut hazards = HashSet::with_capacity(hw * 4);
+    let mut hazards = Vec::with_capacity(hw * SLOTS_PER_THREAD);
     for bank in SLOTS.iter().take(hw) {
         for s in &bank.slots {
             // SeqCst (audited, required): the scanner's side of the Dekker
@@ -1176,10 +1239,11 @@ fn collect_protection() -> Protection {
             // has its hazard visible here.
             let v = s.load(Ordering::SeqCst);
             if v != 0 {
-                hazards.insert(v);
+                hazards.push(v);
             }
         }
     }
+    hazards.sort_unstable();
     Protection {
         hazards,
         min_enter,
@@ -1188,79 +1252,72 @@ fn collect_protection() -> Protection {
     }
 }
 
-/// Reclaim everything in `list` that nothing protects; retain the rest.
+/// Free the records of `bags`, which the scan that collected `p` found
+/// clear of every active reader's epoch (`tag < p.min_enter`); return the
+/// records that must stay, as one bag under the largest tag they had.
 ///
-/// A record is freed only when **both** regimes release it: its retire
-/// epoch predates every active reader's entry epoch (no in-flight traversal
-/// can still hold a pre-unlink path to it), and no hazard slot names it (an
-/// `ENTRY*`/`HELP*` pin from an in-flight composition keeps a block
-/// alive even after all epochs quiesce).
-fn scan_list(list: &mut Vec<Retired>) {
-    SCANS_TOTAL.fetch_add(1, Ordering::Relaxed);
-    // Adopt orphans so abandoned garbage cannot accumulate forever.
-    orphans_adopt(list);
-    let p = collect_protection();
-    let pending = std::mem::take(list);
+/// A record is freed only when **both** regimes release it: its bag's tag
+/// predates every active reader's entry epoch (no in-flight traversal can
+/// still hold a pre-unlink path to it), and no hazard slot names it (an
+/// `ENTRY*`/`HELP*` pin from an in-flight composition keeps a block alive
+/// even after all epochs quiesce). The hazard check and the zombie
+/// partition therefore run on these records only, each record once.
+fn free_bags(bags: Vec<Bag>, p: &Protection) -> Option<Bag> {
+    let mut kept = Bag {
+        tag: 0,
+        items: Vec::new(),
+    };
     // Per-scan batches for the global gauges: one RMW each at the end
     // instead of one per freed record (the free loop is the hot part of a
     // scan; lock-prefixed RMWs per record showed up in profiles).
+    let mut visited = 0usize;
     let mut freed_bytes = 0usize;
     let mut reclaimed = 0usize;
     let mut diverted = 0usize;
-    for mut r in pending {
-        let epoch_clear = if r.epoch == UNTAGGED {
-            // First scan to see this record. With no active reader it can
-            // go at once: an invisible (concurrently entering) reader
-            // fenced after this scan's fence, hence after the unlink that
-            // preceded the retire that fed us the record. With readers
-            // active, tag it — with the max of this scan's epoch read and
-            // every reader epoch the sweep saw, so the tag dominates any
-            // reader that could still reach the block — and defer; a
-            // later scan frees it once every active reader entered past
-            // the tag.
-            r.epoch = p.tag;
-            p.min_enter == usize::MAX
-        } else {
-            r.epoch < p.min_enter
-        };
-        if !epoch_clear || p.hazards.contains(&(r.ptr as usize)) {
-            list.push(r);
-            continue;
-        }
-        // Zombie partition (R2, see crate docs): `epoch_clear` says no
-        // *non-zombie* reader can reach the record. A zombie with entry
-        // era ≤ the tag may still hold a pre-unlink path — unless the
-        // record was born after that zombie was ejected (it stalled before
-        // the ejection, so a block allocated after it can never have been
-        // captured by it). Records some zombie could reach are diverted
-        // into type-stable limbo when the retirer provided a divert path,
-        // and retained otherwise.
-        let mut divert = false;
-        let mut retain = false;
-        for z in &p.zombies {
-            if r.epoch >= z.entry && !(r.birth != BIRTH_UNKNOWN && r.birth > z.ejected) {
-                if r.divert.is_some() {
-                    divert = true;
-                } else {
-                    retain = true;
+    for bag in bags {
+        visited += bag.items.len();
+        for r in bag.items {
+            let mut retain = p.hazards.binary_search(&(r.ptr as usize)).is_ok();
+            // Zombie partition (R2, see crate docs): `tag < min_enter` says
+            // no *non-zombie* reader can reach the record. A zombie with
+            // entry era ≤ the tag may still hold a pre-unlink path —
+            // unless the record was born after that zombie was ejected (it
+            // stalled before the ejection, so a block allocated after it
+            // can never have been captured by it). Records some zombie
+            // could reach are diverted into type-stable limbo when the
+            // retirer provided a divert path, and retained otherwise.
+            let mut divert = false;
+            for z in &p.zombies {
+                if retain {
                     break;
                 }
+                if bag.tag >= z.entry && !(r.birth != BIRTH_UNKNOWN && r.birth > z.ejected) {
+                    if r.divert.is_some() {
+                        divert = true;
+                    } else {
+                        retain = true;
+                    }
+                }
+            }
+            if retain {
+                kept.tag = kept.tag.max(bag.tag);
+                kept.items.push(r);
+            } else if divert {
+                diverted += 1;
+                freed_bytes += r.bytes;
+                // Safety: retire_with contract — divert frees into the
+                // type-stable pool without touching the contents.
+                unsafe { (r.divert.unwrap())(r.ptr) };
+            } else {
+                reclaimed += 1;
+                freed_bytes += r.bytes;
+                // Safety: unlinked per the retire contract and unprotected now.
+                unsafe { (r.reclaim)(r.ptr) };
             }
         }
-        if retain {
-            list.push(r);
-        } else if divert {
-            diverted += 1;
-            freed_bytes += r.bytes;
-            // Safety: retire_with contract — divert frees into the
-            // type-stable pool without touching the contents.
-            unsafe { (r.divert.unwrap())(r.ptr) };
-        } else {
-            reclaimed += 1;
-            freed_bytes += r.bytes;
-            // Safety: unlinked per the retire contract and unprotected now.
-            unsafe { (r.reclaim)(r.ptr) };
-        }
+    }
+    if visited != 0 {
+        SCAN_VISITS_TOTAL.add(visited);
     }
     if reclaimed != 0 {
         RECLAIMED_TOTAL.fetch_add(reclaimed, Ordering::Relaxed);
@@ -1271,18 +1328,17 @@ fn scan_list(list: &mut Vec<Retired>) {
     if freed_bytes != 0 {
         RETIRED_BYTES.fetch_sub(freed_bytes, Ordering::Relaxed);
     }
+    (!kept.items.is_empty()).then_some(kept)
 }
 
-/// Force a reclamation attempt on the current thread's retire list (and the
-/// orphan list). Primarily for tests and shutdown paths.
+/// Force a reclamation attempt on the current thread's retire state (and
+/// the orphan list). Primarily for tests and shutdown paths.
 pub fn flush() {
     if thread_is_exiting() {
-        let mut list = Vec::new();
-        scan_list(&mut list);
-        orphans_push(list);
+        scan_detached(ThreadReclaim::default());
         return;
     }
-    with_reclaim(publish_and_scan);
+    scan();
 }
 
 /// Number of retired records still awaiting reclamation (the count the
@@ -1318,7 +1374,14 @@ pub fn ejection_stats() -> (usize, usize) {
 
 /// Number of reclamation scans run since process start (diagnostics).
 pub fn scan_count() -> usize {
-    SCANS_TOTAL.load(Ordering::Relaxed)
+    SCANS_TOTAL.get()
+}
+
+/// Retired records scans have examined for freeing since process start
+/// (tests: a record is examined once, by the scan that frees its bag).
+#[doc(hidden)]
+pub fn scan_visits() -> usize {
+    SCAN_VISITS_TOTAL.get()
 }
 
 /// (retired, reclaimed) totals since process start.

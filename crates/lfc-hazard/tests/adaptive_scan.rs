@@ -1,14 +1,18 @@
-//! The adaptive retire-scan threshold (PR 5): a burst of retired records
-//! that a parked reader's epoch pins — the shape a hash-map resize or
-//! teardown produces (thousands of dummy/segment/node records retired
-//! back-to-back) — must not trigger a full scan every fixed `base`
-//! retires. The trigger re-arms at twice the survivors of the last scan,
-//! so scan count grows logarithmically in the burst size while the
-//! records are pinned, and everything is still reclaimed promptly once
-//! the reader leaves.
+//! The retire-scan trigger under a pinned retire burst — the shape a
+//! hash-map resize or teardown produces (thousands of dummy/segment/node
+//! records retired back-to-back) while a parked reader's epoch pins them.
+//! Each scan seals the records retired since the previous scan into one
+//! bag, and a bag the reader still pins costs a scan one tag compare, so
+//! the trigger is the fixed base threshold. What it must guarantee:
 //!
-//! Own integration binary: `scan_count()` is process-global, and sibling
-//! lib tests scanning concurrently would pollute the delta.
+//! * while the reader parks, the burst stays pending and no record is
+//!   examined by more than one scan (re-examining pinned records every
+//!   scan is O(pending) per scan, O(pending² / threshold) per burst);
+//! * once the reader leaves, ordinary retire traffic — no manual flush —
+//!   frees the whole burst within one scan threshold of further retires.
+//!
+//! Own integration binary: the scan counters are process-global, and
+//! sibling lib tests scanning concurrently would pollute the deltas.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,13 +24,19 @@ unsafe fn reclaim_box_u64(p: *mut u8) {
     DROPS.fetch_add(1, Ordering::Relaxed);
 }
 
+fn retire_one(v: u64) {
+    let p = Box::into_raw(Box::new(v)) as *mut u8;
+    // Safety: fresh allocation, reclaimed exactly once by the domain.
+    unsafe { lfc_hazard::retire(p, reclaim_box_u64) };
+}
+
 #[test]
-fn pinned_retire_burst_scans_logarithmically() {
+fn pinned_retire_burst_is_examined_once_and_drains_within_one_threshold() {
     const BURST: usize = 20_000;
 
-    // Park a reader inside an operation epoch: every record the burst
-    // retires gets tagged at (or folded up to) an epoch the reader's entry
-    // epoch does not exceed, so no scan can free it while the reader sits.
+    // Park a reader inside an operation epoch: every bag the burst seals
+    // is tagged at (or folded up to) an epoch the reader's entry epoch
+    // does not exceed, so no scan can free it while the reader sits.
     let entered = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
     let reader = {
@@ -43,59 +53,70 @@ fn pinned_retire_burst_scans_logarithmically() {
         std::thread::yield_now();
     }
 
-    let scans_before = lfc_hazard::scan_count();
+    let visits_before = lfc_hazard::scan_visits();
     let freed_before = lfc_hazard::stats().1;
-    for _ in 0..BURST {
-        let p = Box::into_raw(Box::new(7u64)) as *mut u8;
-        // Safety: fresh allocation, reclaimed exactly once by the domain.
-        unsafe { lfc_hazard::retire(p, reclaim_box_u64) };
+    // The trigger, measured: the fewest retires between two consecutive
+    // scans.
+    let mut threshold = usize::MAX;
+    let mut last_scan: Option<usize> = None;
+    let mut scans_seen = lfc_hazard::scan_count();
+    for i in 0..BURST {
+        retire_one(7);
+        let scans = lfc_hazard::scan_count();
+        if scans != scans_seen {
+            if let Some(at) = last_scan {
+                threshold = threshold.min(i - at);
+            }
+            last_scan = Some(i);
+            scans_seen = scans;
+        }
     }
-    let scans = lfc_hazard::scan_count() - scans_before;
-
-    // Fixed-threshold behaviour would be ~BURST/base ≈ 150+ scans; the
-    // geometric re-arm needs one per doubling past the base (~8). Leave
-    // headroom for the base threshold racing the high-water mark.
     assert!(
-        scans <= 24,
-        "{scans} scans for a pinned burst of {BURST}: trigger is not adaptive"
+        threshold != usize::MAX,
+        "a burst of {BURST} retires ran fewer than two scans"
     );
-    // And the records were genuinely deferred, not freed under the reader.
+
+    // Genuinely deferred, not freed under the reader.
+    let freed = lfc_hazard::stats().1 - freed_before;
     assert!(
-        lfc_hazard::retired_count() >= BURST - lfc_hazard::stats().1.saturating_sub(freed_before),
+        lfc_hazard::retired_count() >= BURST - freed,
         "burst records must sit pending while the reader is parked"
     );
+    // Examined at most once each: with no hazard and no zombie in play, a
+    // scan that examines a record frees it, so every examination is a free.
+    let visits = lfc_hazard::scan_visits() - visits_before;
+    assert!(
+        visits <= BURST && visits == freed,
+        "{visits} record examinations for {freed} frees over a pinned burst \
+         of {BURST}: scans re-examine pinned records"
+    );
 
-    // Reader leaves. The retention cap bounds how long the freeable
-    // backlog may now sit: the re-arm is `min(2 × survivors, survivors +
-    // 32 × base)`, so ordinary retire traffic — NO manual flush — must
-    // trigger the draining scan within ~32 × base further retires, not
-    // after the backlog doubles.
+    // Reader leaves. Ordinary retire traffic — NO manual flush — must run
+    // the draining scan within one threshold of further retires.
     release.store(true, Ordering::Release);
     reader.join().unwrap();
-    const TRAFFIC: usize = 10_000; // > 32 × base for any plausible base here
-    for _ in 0..TRAFFIC {
-        let p = Box::into_raw(Box::new(9u64)) as *mut u8;
-        // Safety: fresh allocation, reclaimed exactly once by the domain.
-        unsafe { lfc_hazard::retire(p, reclaim_box_u64) };
+    let mut traffic = 0;
+    while DROPS.load(Ordering::Relaxed) < BURST && traffic < 4 * threshold {
+        retire_one(9);
+        traffic += 1;
     }
     assert!(
-        DROPS.load(Ordering::Relaxed) >= BURST,
-        "retention cap must drain the freeable burst through ordinary \
-         retire traffic (freed {} of {BURST})",
+        DROPS.load(Ordering::Relaxed) >= BURST && traffic <= threshold,
+        "the freeable burst must drain within one scan threshold ({threshold}) \
+         of retire traffic (freed {} of {BURST} after {traffic} retires)",
         DROPS.load(Ordering::Relaxed)
     );
 
     // And the trailing traffic itself drains within a bounded number of
-    // flushes (first scans may only tag adopted orphans or advance the
-    // epoch).
+    // flushes.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while DROPS.load(Ordering::Relaxed) < BURST + TRAFFIC && std::time::Instant::now() < deadline {
+    while DROPS.load(Ordering::Relaxed) < BURST + traffic && std::time::Instant::now() < deadline {
         lfc_hazard::flush();
         std::thread::yield_now();
     }
     assert_eq!(
         DROPS.load(Ordering::Relaxed),
-        BURST + TRAFFIC,
+        BURST + traffic,
         "all records reclaimed after the reader left"
     );
 }

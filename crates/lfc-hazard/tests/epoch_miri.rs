@@ -1,7 +1,8 @@
 //! Miri smoke of the epoch layer: single-threaded enter/exit/nesting,
 //! retire-under-epoch, scan-time tagging, forced advance, and the
-//! epoch→hazard promotion handoff. Runs in CI's Miri step (the
-//! multi-thread paths are covered by the `epoch_reclaim` stress suite).
+//! epoch→hazard promotion handoff, and reclaimers that retire. Runs in
+//! CI's Miri step (the multi-thread paths are covered by the
+//! `epoch_reclaim` stress suite).
 
 use lfc_hazard::{advance_epoch, epoch_now, flush, min_active_epoch, pin, pin_op, retire, slot};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,4 +62,50 @@ fn epoch_lifecycle_smoke() {
     while DROPS.load(Ordering::SeqCst) < 2 {
         flush();
     }
+}
+
+static PARENTS: AtomicUsize = AtomicUsize::new(0);
+static CHILDREN: AtomicUsize = AtomicUsize::new(0);
+
+/// A retired value that owns retired memory: dropping it retires its
+/// children, as a `Drop` that tears down a structure does.
+struct Parent {
+    children: [*mut u64; 2],
+}
+
+unsafe fn reclaim_child(p: *mut u8) {
+    drop(unsafe { Box::from_raw(p as *mut u64) });
+    CHILDREN.fetch_add(1, Ordering::SeqCst);
+}
+
+unsafe fn reclaim_parent(p: *mut u8) {
+    let parent = unsafe { Box::from_raw(p as *mut Parent) };
+    for c in parent.children {
+        // Safety: the parent owned its children; it is gone now, so each
+        // child is unreachable and retired exactly once.
+        unsafe { retire(c as *mut u8, reclaim_child) };
+    }
+    PARENTS.fetch_add(1, Ordering::SeqCst);
+}
+
+#[test]
+fn reclaimers_may_retire() {
+    // Enough parents that the children a scan's reclaimers retire fill the
+    // open bag past the scan threshold, so a scan also runs from inside a
+    // reclaimer, in the middle of an outer scan's free loop.
+    const N: usize = 200;
+    for _ in 0..N {
+        let children = [Box::into_raw(Box::new(1u64)), Box::into_raw(Box::new(2u64))];
+        let p = Box::into_raw(Box::new(Parent { children })) as *mut u8;
+        // Safety: fresh allocation, never published.
+        unsafe { retire(p, reclaim_parent) };
+    }
+    for _ in 0..1_000 {
+        if CHILDREN.load(Ordering::SeqCst) == 2 * N {
+            break;
+        }
+        flush();
+    }
+    assert_eq!(PARENTS.load(Ordering::SeqCst), N);
+    assert_eq!(CHILDREN.load(Ordering::SeqCst), 2 * N);
 }

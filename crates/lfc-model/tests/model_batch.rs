@@ -50,6 +50,9 @@ fn opts(bound: u32) -> ExploreOpts {
     }
 }
 
+/// A composed move between two borrowed queues, as a gate request.
+type QueueMove = MoveOneOp<'static, u32, MsQueue<u32>, MsQueue<u32>>;
+
 /// Two threads submit composed moves through one `always_batched` gate:
 /// whichever thread claims the batch may be preempted mid-drain, and the
 /// other must re-claim and finish — with each request committing exactly
@@ -65,8 +68,7 @@ fn batched_move_scenario() {
     // joins below, so promoting the borrows is sound.
     let (ar, br): (&'static MsQueue<u32>, &'static MsQueue<u32>) =
         unsafe { (&*Arc::as_ptr(&a), &*Arc::as_ptr(&b)) };
-    let gate: Arc<BatchGate<MoveOneOp<'static, u32, MsQueue<u32>, MsQueue<u32>>>> =
-        Arc::new(BatchGate::always_batched());
+    let gate: Arc<BatchGate<QueueMove>> = Arc::new(BatchGate::always_batched());
     let workers: Vec<_> = (0..2)
         .map(|_| {
             let gate = gate.clone();

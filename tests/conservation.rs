@@ -147,12 +147,9 @@ fn no_unbounded_block_leak_across_churn() {
             }
         });
     }
-    // Flush until the retire backlog drains: since the adaptive scan
-    // trigger (PR 5) a thread may carry a larger — still bounded, still
-    // reclaimable — backlog at any instant, and records adopted from
-    // exited workers need one scan to be tagged and a later one to be
-    // freed (possibly more while sibling tests' operation epochs pin
-    // them). A *leak* is what never drains.
+    // Flush until the retire backlog drains: records adopted from exited
+    // workers may need several scans (sibling tests' operation epochs can
+    // pin them). A *leak* is what never drains.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let mut after = lockfree_compose::alloc_stats::outstanding();
     while after > before + 2_000 && std::time::Instant::now() < deadline {
