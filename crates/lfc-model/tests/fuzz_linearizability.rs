@@ -260,13 +260,12 @@ fn fuzz_queue_queue_swaps() {
     );
 }
 
-#[test]
-fn fuzz_stamped_one_slot_moves() {
-    // StampedStack source, OneSlot target: the bounded slot exercises the
-    // move abort path (TargetRejected) under the scheduler, checked by the
-    // pair spec with a bounded-1 container B.
+/// StampedStack source, OneSlot target: the bounded slot exercises the
+/// move abort path (TargetRejected) under the scheduler, checked by the
+/// pair spec with a bounded-1 container B.
+fn stamped_one_slot_family(name: &str) {
     fuzz_pair_family(
-        "stamped/one-slot",
+        name,
         PairSpec::new(Cont::Lifo, Cont::Bounded1),
         |base, w| {
             (
@@ -284,6 +283,11 @@ fn fuzz_stamped_one_slot_moves() {
         |slot| slot.take(),
         false,
     );
+}
+
+#[test]
+fn fuzz_stamped_one_slot_moves() {
+    stamped_one_slot_family("stamped/one-slot");
 }
 
 /// One planned keyed operation on a pair of maps (a forced directory
@@ -475,11 +479,13 @@ fn fuzz_batched_keyed_moves() {
 
 #[test]
 fn fuzz_eliminating_stack_pairs() {
-    // The queue/stack family re-run with the elimination exchanger forced
-    // in front of the stack's `top` CAS: plain pushes and pops may cancel
-    // through a side slot in any schedule the scheduler finds, and every
-    // history must still linearize. Composed moves in the same plans keep
-    // using `top` (composed contexts are never eliminable).
+    // The queue/stack and stamped/one-slot families re-run with the
+    // elimination exchanger forced in front of the stack's `top` CAS: plain
+    // pushes and pops may cancel through a side slot in any schedule the
+    // scheduler finds, and every history must still linearize. Composed
+    // moves in the same plans keep using `top` (composed contexts are never
+    // eliminable). Both stacks are the one Treiber algorithm; the second
+    // carries the stamped top word.
     struct ForceElim;
     impl Drop for ForceElim {
         fn drop(&mut self) {
@@ -506,6 +512,7 @@ fn fuzz_eliminating_stack_pairs() {
         |b| b.pop(),
         false,
     );
+    stamped_one_slot_family("eliminating-stamped/one-slot");
 }
 
 #[test]

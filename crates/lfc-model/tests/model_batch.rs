@@ -16,7 +16,10 @@ use lfc_core::batch::decode_move;
 use lfc_core::{BatchGate, MoveOneOp, MoveOutcome};
 use lfc_linear::{check_linearizable, render_history, Cont, PairOp, PairSpec, Recorder};
 use lfc_model::{explore, ExploreOpts, MemoryMode};
-use lfc_structures::{MsQueue, TreiberStack};
+use lfc_structures::elim::counters::eliminated_pairs;
+use lfc_structures::stamped::StampedTop;
+use lfc_structures::treiber::{PlainTop, TopWord, Treiber};
+use lfc_structures::MsQueue;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -125,41 +128,68 @@ fn dfs_seeded_handoff_bug_double_commits_and_is_caught() {
     );
 }
 
-#[test]
-fn dfs_elimination_exchange_is_linearizable() {
-    // A pusher and two pops race on one stack with the exchanger forced
-    // in front of the `top` CAS, so claim/withdraw/claim-lost races are
-    // explored directly. Every recorded history must linearize against a
-    // LIFO spec, and the element must surface exactly once.
-    let _t = Toggles::take();
-    lfc_structures::model_toggles::FORCE_ELIM.store(true, Ordering::SeqCst);
+/// A pusher and two pops race on one stack of top-word format `W` with the
+/// exchanger forced in front of the `top` CAS, so claim/withdraw/claim-lost
+/// races are explored directly. Every recorded history must linearize
+/// against a LIFO spec, the token must surface exactly once, and a pair
+/// that cancelled through the exchanger must leave the `top` word (the
+/// stamp included) as it found it.
+fn elimination_exchange_scenario<W: TopWord>() {
     // B is the unused side of the pair spec.
     let spec = PairSpec::new(Cont::Lifo, Cont::Fifo);
-    let report = explore(opts(2), move || {
-        let s = Arc::new(TreiberStack::<u32>::new());
-        let rec = Arc::new(Recorder::<PairOp>::new());
-        let (s1, r1) = (s.clone(), rec.clone());
-        let pusher = lfc_model::thread::spawn(move || {
-            r1.record(|| {
-                s1.push(7);
-                PairOp::InsA(7)
-            });
+    let s = Arc::new(Treiber::<u32, W>::new());
+    let top_before = s.top_word();
+    let pairs_before = eliminated_pairs();
+    let rec = Arc::new(Recorder::<PairOp>::new());
+    let (s1, r1) = (s.clone(), rec.clone());
+    let pusher = lfc_model::thread::spawn(move || {
+        r1.record(|| {
+            s1.push(7);
+            PairOp::InsA(7)
         });
-        let (s2, r2) = (s.clone(), rec.clone());
-        let popper = lfc_model::thread::spawn(move || {
-            r2.record(|| PairOp::RemA(s2.pop()));
-        });
-        pusher.join();
-        popper.join();
-        rec.record(|| PairOp::RemA(s.pop()));
-        let rec = Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
-        let h = rec.finish();
-        assert!(
-            check_linearizable(&spec, &h).is_linearizable(),
-            "elimination broke LIFO:\n{}",
-            render_history(&h)
-        );
     });
-    report.assert_ok();
-    assert!(report.executions > 10, "exchanger must branch");
+    let (s2, r2) = (s.clone(), rec.clone());
+    let popper = lfc_model::thread::spawn(move || {
+        r2.record(|| PairOp::RemA(s2.pop()));
+    });
+    pusher.join();
+    popper.join();
+    if eliminated_pairs() != pairs_before {
+        assert_eq!(
+            s.top_word(),
+            top_before,
+            "an eliminated pair must not touch top"
+        );
+    }
+    rec.record(|| PairOp::RemA(s.pop()));
+    let rec = Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("sole recorder owner"));
+    let h = rec.finish();
+    let surfaced = h.iter().filter(|e| e.op == PairOp::RemA(Some(7))).count();
+    assert_eq!(surfaced, 1, "the token must surface exactly once");
+    assert!(
+        check_linearizable(&spec, &h).is_linearizable(),
+        "elimination broke LIFO:\n{}",
+        render_history(&h)
+    );
+}
+
+#[test]
+fn dfs_elimination_exchange_is_linearizable() {
+    // Both top-word formats run the one Treiber algorithm, exchanger
+    // included: the plain stack and the stamped stack of the §7 ABA fix.
+    let _t = Toggles::take();
+    lfc_structures::model_toggles::FORCE_ELIM.store(true, Ordering::SeqCst);
+    for (name, scenario) in [
+        ("plain", elimination_exchange_scenario::<PlainTop> as fn()),
+        ("stamped", elimination_exchange_scenario::<StampedTop>),
+    ] {
+        let pairs_before = eliminated_pairs();
+        let report = explore(opts(2), scenario);
+        report.assert_ok();
+        assert!(report.executions > 10, "{name}: exchanger must branch");
+        assert!(
+            eliminated_pairs() > pairs_before,
+            "{name}: some schedule must eliminate"
+        );
+    }
 }

@@ -388,7 +388,7 @@ pub fn check_kill(site: &'static str) {
 }
 
 /// Whether a caught panic payload is an [`abandon`] unwind.
-pub fn is_abandon_payload(p: &(dyn std::any::Any + Send)) -> bool {
+fn is_abandon_payload(p: &(dyn std::any::Any + Send)) -> bool {
     p.downcast_ref::<&'static str>() == Some(&ABANDON_PAYLOAD)
 }
 

@@ -46,20 +46,6 @@ impl TtasLock {
             bo.fail();
         }
     }
-
-    /// Try to acquire without spinning.
-    pub fn try_lock(&self) -> Option<TtasGuard<'_>> {
-        if !self.locked.load(Ordering::Relaxed) && !self.locked.swap(true, Ordering::Acquire) {
-            Some(TtasGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Whether the lock is currently held (racy, for diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for TtasGuard<'_> {
@@ -73,26 +59,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-
-    #[test]
-    fn lock_unlock() {
-        let l = TtasLock::new();
-        assert!(!l.is_locked());
-        {
-            let _g = l.lock(BackoffCfg::NONE);
-            assert!(l.is_locked());
-        }
-        assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let l = TtasLock::new();
-        let g = l.lock(BackoffCfg::NONE);
-        assert!(l.try_lock().is_none());
-        drop(g);
-        assert!(l.try_lock().is_some());
-    }
 
     #[test]
     fn mutual_exclusion_counter() {

@@ -2,7 +2,8 @@
 //!
 //! * [`MsQueue`] — the Michael–Scott lock-free queue, move-ready (paper §5.1)
 //! * [`TreiberStack`] — the Treiber lock-free stack, move-ready (paper §5.2)
-//! * [`StampedStack`] — Treiber with a version-stamped top (paper §7's ABA fix)
+//! * [`StampedStack`] — the same stack with a version-stamped top (paper §7's
+//!   ABA fix): one [`treiber::Treiber`] algorithm, two top-word formats
 //! * [`OneSlot`] — a bounded single-element container (exercises move aborts)
 //! * [`OrderedSet`] — a Harris/Michael sorted linked-list set, keyed and
 //!   move-ready (the list of the paper's §1.1 scenario)
@@ -14,7 +15,8 @@
 //! * [`PlainMsQueue`], [`PlainTreiberStack`] — textbook baselines without the
 //!   `scas` transformation, for the normal-operation overhead comparison
 //! * [`LockQueue`], [`LockStack`], [`lock_move`] — the paper's blocking
-//!   test-test-and-set baseline and its two-lock composed move
+//!   test-test-and-set baseline: one locked list ([`locked::LockList`])
+//!   inserting at either end, and its two-lock composed move
 //!
 //! The three keyed objects share one traversal kernel: the Harris insert
 //! and remove are written once, and each object supplies only its `find`,
@@ -45,7 +47,7 @@ pub mod stamped;
 pub mod treiber;
 
 pub use hash_map::LfHashMap;
-pub use locked::{lock_move, LockQueue, LockStack, Locked};
+pub use locked::{lock_move, LockQueue, LockStack};
 pub use ms_queue::MsQueue;
 pub use one_slot::OneSlot;
 pub use ordered_list::OrderedSet;

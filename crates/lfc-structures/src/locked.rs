@@ -1,6 +1,6 @@
-//! Blocking baselines for the paper's evaluation (§6): node-based queue and
-//! stack protected by a test-test-and-set lock, and a lock-based composed
-//! move that must acquire *both* objects' locks:
+//! Blocking baselines for the paper's evaluation (§6): one node-based list
+//! protected by a test-test-and-set lock, used as a queue or a stack, and a
+//! lock-based composed move that must acquire *both* objects' locks:
 //!
 //! > "both the remove and the insert operations would have to acquire a lock
 //! > before executing, in order to ensure that they are not executed
@@ -45,47 +45,34 @@ struct ListState<T> {
     len: usize,
 }
 
-/// A container whose operations are serialized by a [`TtasLock`]; the trait
-/// the lock-based composed move is generic over.
-pub trait Locked<T> {
-    /// The object's lock.
-    fn raw_lock(&self) -> &TtasLock;
-    /// The backoff policy for failed acquisitions.
-    fn lock_backoff(&self) -> BackoffCfg;
-    /// Insert while holding the lock.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold `raw_lock`.
-    unsafe fn insert_locked(&self, v: T) -> bool;
-    /// Remove while holding the lock.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold `raw_lock`.
-    unsafe fn remove_locked(&self) -> Option<T>;
-}
-
-/// FIFO queue (linked list, pooled nodes) under a test-test-and-set lock.
-pub struct LockQueue<T> {
+/// Linked list (pooled nodes) under a test-test-and-set lock. Removal takes
+/// the head; `FIFO` picks the end that inserts: the tail ([`LockQueue`]) or
+/// the head ([`LockStack`]).
+pub struct LockList<T, const FIFO: bool> {
     lock: TtasLock,
     backoff: BackoffCfg,
     inner: UnsafeCell<ListState<T>>,
 }
 
-// Safety: `inner` is only touched under `lock`.
-unsafe impl<T: Send> Send for LockQueue<T> {}
-unsafe impl<T: Send> Sync for LockQueue<T> {}
+/// FIFO queue under a test-test-and-set lock.
+pub type LockQueue<T> = LockList<T, true>;
 
-impl<T> LockQueue<T> {
-    /// Empty queue; failed lock acquisitions retry immediately.
+/// LIFO stack under a test-test-and-set lock.
+pub type LockStack<T> = LockList<T, false>;
+
+// Safety: `inner` is only touched under `lock`.
+unsafe impl<T: Send, const FIFO: bool> Send for LockList<T, FIFO> {}
+unsafe impl<T: Send, const FIFO: bool> Sync for LockList<T, FIFO> {}
+
+impl<T, const FIFO: bool> LockList<T, FIFO> {
+    /// Empty list; failed lock acquisitions retry immediately.
     pub fn new() -> Self {
         Self::with_backoff(BackoffCfg::NONE)
     }
 
-    /// Empty queue with doubling backoff on failed lock acquisitions.
+    /// Empty list with doubling backoff on failed lock acquisitions.
     pub fn with_backoff(backoff: BackoffCfg) -> Self {
-        LockQueue {
+        LockList {
             lock: TtasLock::new(),
             backoff,
             inner: UnsafeCell::new(ListState {
@@ -94,20 +81,6 @@ impl<T> LockQueue<T> {
                 len: 0,
             }),
         }
-    }
-
-    /// Append at the tail (blocking).
-    pub fn enqueue(&self, v: T) {
-        let _g = self.lock.lock(self.backoff);
-        // Safety: lock held.
-        unsafe { self.push_back(v) };
-    }
-
-    /// Remove from the head (blocking).
-    pub fn dequeue(&self) -> Option<T> {
-        let _g = self.lock.lock(self.backoff);
-        // Safety: lock held.
-        unsafe { self.pop_front() }
     }
 
     /// Observed emptiness (blocking).
@@ -122,7 +95,24 @@ impl<T> LockQueue<T> {
         unsafe { (*self.inner.get()).len }
     }
 
-    unsafe fn push_back(&self, v: T) {
+    fn insert(&self, v: T) {
+        let _g = self.lock.lock(self.backoff);
+        // Safety: lock held.
+        unsafe { self.insert_locked(v) };
+    }
+
+    fn remove(&self) -> Option<T> {
+        let _g = self.lock.lock(self.backoff);
+        // Safety: lock held.
+        unsafe { self.remove_locked() }
+    }
+
+    /// Insert at the tail (`FIFO`) or the head.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold `self.lock`.
+    unsafe fn insert_locked(&self, v: T) {
         // Safety: lock held by caller.
         let st = unsafe { &mut *self.inner.get() };
         let node = alloc(LNode {
@@ -130,17 +120,27 @@ impl<T> LockQueue<T> {
             next: std::ptr::null_mut(),
         })
         .as_ptr();
-        if st.tail.is_null() {
+        if st.head.is_null() {
             st.head = node;
-        } else {
+            st.tail = node;
+        } else if FIFO {
             // Safety: tail is a live node.
             unsafe { (*st.tail).next = node };
+            st.tail = node;
+        } else {
+            // Safety: node is fresh.
+            unsafe { (*node).next = st.head };
+            st.head = node;
         }
-        st.tail = node;
         st.len += 1;
     }
 
-    unsafe fn pop_front(&self) -> Option<T> {
+    /// Remove the head.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold `self.lock`.
+    unsafe fn remove_locked(&self) -> Option<T> {
         // Safety: lock held by caller.
         let st = unsafe { &mut *self.inner.get() };
         if st.head.is_null() {
@@ -158,137 +158,37 @@ impl<T> LockQueue<T> {
     }
 }
 
-impl<T> Default for LockQueue<T> {
-    fn default() -> Self {
-        Self::new()
+impl<T> LockQueue<T> {
+    /// Append at the tail (blocking).
+    pub fn enqueue(&self, v: T) {
+        self.insert(v)
+    }
+
+    /// Remove from the head (blocking).
+    pub fn dequeue(&self) -> Option<T> {
+        self.remove()
     }
 }
-
-impl<T> Drop for LockQueue<T> {
-    fn drop(&mut self) {
-        // Safety: exclusive access.
-        unsafe {
-            let st = &mut *self.inner.get();
-            let mut cur = st.head;
-            while !cur.is_null() {
-                let next = (*cur).next;
-                drop(take_lnode(cur));
-                cur = next;
-            }
-        }
-    }
-}
-
-impl<T> Locked<T> for LockQueue<T> {
-    fn raw_lock(&self) -> &TtasLock {
-        &self.lock
-    }
-    fn lock_backoff(&self) -> BackoffCfg {
-        self.backoff
-    }
-    unsafe fn insert_locked(&self, v: T) -> bool {
-        // Safety: forwarded contract (lock held).
-        unsafe { self.push_back(v) };
-        true
-    }
-    unsafe fn remove_locked(&self) -> Option<T> {
-        // Safety: forwarded contract (lock held).
-        unsafe { self.pop_front() }
-    }
-}
-
-/// LIFO stack (linked list, pooled nodes) under a test-test-and-set lock.
-pub struct LockStack<T> {
-    lock: TtasLock,
-    backoff: BackoffCfg,
-    inner: UnsafeCell<ListState<T>>,
-}
-
-// Safety: `inner` is only touched under `lock`.
-unsafe impl<T: Send> Send for LockStack<T> {}
-unsafe impl<T: Send> Sync for LockStack<T> {}
 
 impl<T> LockStack<T> {
-    /// Empty stack; failed lock acquisitions retry immediately.
-    pub fn new() -> Self {
-        Self::with_backoff(BackoffCfg::NONE)
-    }
-
-    /// Empty stack with doubling backoff on failed lock acquisitions.
-    pub fn with_backoff(backoff: BackoffCfg) -> Self {
-        LockStack {
-            lock: TtasLock::new(),
-            backoff,
-            inner: UnsafeCell::new(ListState {
-                head: std::ptr::null_mut(),
-                tail: std::ptr::null_mut(),
-                len: 0,
-            }),
-        }
-    }
-
     /// Push (blocking).
     pub fn push(&self, v: T) {
-        let _g = self.lock.lock(self.backoff);
-        // Safety: lock held.
-        unsafe { self.push_top(v) };
+        self.insert(v)
     }
 
     /// Pop (blocking).
     pub fn pop(&self) -> Option<T> {
-        let _g = self.lock.lock(self.backoff);
-        // Safety: lock held.
-        unsafe { self.pop_top() }
-    }
-
-    /// Observed emptiness (blocking).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Length (blocking).
-    pub fn len(&self) -> usize {
-        let _g = self.lock.lock(self.backoff);
-        // Safety: lock held.
-        unsafe { (*self.inner.get()).len }
-    }
-
-    unsafe fn push_top(&self, v: T) {
-        // Safety: lock held by caller.
-        let st = unsafe { &mut *self.inner.get() };
-        let node = alloc(LNode {
-            val: v,
-            next: std::ptr::null_mut(),
-        })
-        .as_ptr();
-        // Safety: node is fresh.
-        unsafe { (*node).next = st.head };
-        st.head = node;
-        st.len += 1;
-    }
-
-    unsafe fn pop_top(&self) -> Option<T> {
-        // Safety: lock held by caller.
-        let st = unsafe { &mut *self.inner.get() };
-        if st.head.is_null() {
-            return None;
-        }
-        let node = st.head;
-        // Safety: head is live.
-        st.head = unsafe { (*node).next };
-        st.len -= 1;
-        // Safety: unlinked under the lock.
-        Some(unsafe { take_lnode(node) })
+        self.remove()
     }
 }
 
-impl<T> Default for LockStack<T> {
+impl<T, const FIFO: bool> Default for LockList<T, FIFO> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> Drop for LockStack<T> {
+impl<T, const FIFO: bool> Drop for LockList<T, FIFO> {
     fn drop(&mut self) {
         // Safety: exclusive access.
         unsafe {
@@ -300,24 +200,6 @@ impl<T> Drop for LockStack<T> {
                 cur = next;
             }
         }
-    }
-}
-
-impl<T> Locked<T> for LockStack<T> {
-    fn raw_lock(&self) -> &TtasLock {
-        &self.lock
-    }
-    fn lock_backoff(&self) -> BackoffCfg {
-        self.backoff
-    }
-    unsafe fn insert_locked(&self, v: T) -> bool {
-        // Safety: forwarded contract (lock held).
-        unsafe { self.push_top(v) };
-        true
-    }
-    unsafe fn remove_locked(&self) -> Option<T> {
-        // Safety: forwarded contract (lock held).
-        unsafe { self.pop_top() }
     }
 }
 
@@ -325,50 +207,32 @@ impl<T> Locked<T> for LockStack<T> {
 /// removes from `src` and inserts into `dst`. Atomic, but serializes against
 /// *every* operation on either object — the composition cost the paper's
 /// evaluation quantifies.
-pub fn lock_move<T, S: Locked<T> + ?Sized, D: Locked<T> + ?Sized>(src: &S, dst: &D) -> bool {
-    let a = src.raw_lock() as *const TtasLock;
-    let b = dst.raw_lock() as *const TtasLock;
-    if a == b {
-        let _g = src.raw_lock().lock(src.lock_backoff());
-        // Safety: lock held for both roles (same object).
-        unsafe {
-            match src.remove_locked() {
-                Some(v) => {
-                    dst.insert_locked(v);
-                    true
-                }
-                None => false,
-            }
-        }
+pub fn lock_move<T, const A: bool, const B: bool>(
+    src: &LockList<T, A>,
+    dst: &LockList<T, B>,
+) -> bool {
+    let a = &src.lock as *const TtasLock;
+    let b = &dst.lock as *const TtasLock;
+    // A self-move takes the one lock once. Otherwise address-ordered
+    // acquisition prevents deadlock between concurrent moves in opposite
+    // directions.
+    let (_g1, _g2) = if a == b {
+        (src.lock.lock(src.backoff), None)
+    } else if (a as usize) < (b as usize) {
+        let g1 = src.lock.lock(src.backoff);
+        (g1, Some(dst.lock.lock(dst.backoff)))
     } else {
-        // Address-ordered acquisition prevents deadlock between concurrent
-        // moves in opposite directions.
-        let (first, first_bo, second, second_bo) = if (a as usize) < (b as usize) {
-            (
-                src.raw_lock(),
-                src.lock_backoff(),
-                dst.raw_lock(),
-                dst.lock_backoff(),
-            )
-        } else {
-            (
-                dst.raw_lock(),
-                dst.lock_backoff(),
-                src.raw_lock(),
-                src.lock_backoff(),
-            )
-        };
-        let _g1 = first.lock(first_bo);
-        let _g2 = second.lock(second_bo);
-        // Safety: both locks held.
-        unsafe {
-            match src.remove_locked() {
-                Some(v) => {
-                    dst.insert_locked(v);
-                    true
-                }
-                None => false,
+        let g1 = dst.lock.lock(dst.backoff);
+        (g1, Some(src.lock.lock(src.backoff)))
+    };
+    // Safety: both locks held (one, for a self-move).
+    unsafe {
+        match src.remove_locked() {
+            Some(v) => {
+                dst.insert_locked(v);
+                true
             }
+            None => false,
         }
     }
 }

@@ -7,6 +7,12 @@
 //! *self*-move (stack onto itself) would put both linearization points on
 //! the same `top` word — a case a two-word CAS cannot express; the move
 //! layer detects it and reports [`lfc_core::MoveOutcome::WouldAlias`].
+//!
+//! The algorithm is written once, generic over how the `top` word encodes
+//! the top node ([`TopWord`]): [`TreiberStack`] holds a bare node pointer,
+//! [`crate::StampedStack`] a pointer plus the version stamp of the paper's
+//! §7 ABA fix ([`crate::stamped`]). Both run this file's push, pop,
+//! elimination and teardown.
 
 use crate::elim::ElimArray;
 use crate::node::{alloc, clone_val, free_unpublished, retire, try_alloc, Node, SoloHeader};
@@ -18,27 +24,57 @@ use lfc_hazard::{pin, pin_op};
 use lfc_runtime::{Backoff, BackoffCfg};
 use std::ptr::NonNull;
 
-/// A move-ready Treiber lock-free LIFO stack.
+/// How a stack's `top` word encodes the top node. Node `next` links always
+/// hold bare addresses; only `top` carries the format.
+pub trait TopWord: 'static {
+    /// The node address held in top word `w` (0: the stack is empty).
+    fn addr(w: usize) -> usize;
+    /// The top word that replaces `old` when the node at `addr` (0: none)
+    /// becomes the top.
+    fn next(old: usize, addr: usize) -> usize;
+}
+
+/// A bare node pointer: Algorithm 6's `top`.
+pub struct PlainTop;
+
+impl TopWord for PlainTop {
+    #[inline]
+    fn addr(w: usize) -> usize {
+        w
+    }
+
+    #[inline]
+    fn next(_old: usize, addr: usize) -> usize {
+        addr
+    }
+}
+
+/// A move-ready Treiber lock-free LIFO stack whose `top` word has format
+/// `W`. Use it through its two instantiations, [`TreiberStack`] and
+/// [`crate::StampedStack`].
 ///
-/// Since PR 7 the stack carries an embedded elimination exchanger
+/// The stack carries an embedded elimination exchanger
 /// ([`crate::elim`]): a plain push and a plain pop that both failed their
 /// `top` CAS may cancel each other through a side slot without ever
 /// touching `top`. Composed operations never eliminate
 /// ([`RemoveCtx::eliminable`] is `false` for composed contexts), and the
 /// uncontended path is untouched — elimination is only attempted after a
 /// CAS failure.
-pub struct TreiberStack<T: Clone + Send + Sync + 'static> {
+pub struct Treiber<T: Clone + Send + Sync + 'static, W: TopWord> {
     header: NonNull<SoloHeader>,
     backoff: BackoffCfg,
     elim: ElimArray<T>,
-    _marker: std::marker::PhantomData<T>,
+    _marker: std::marker::PhantomData<(T, W)>,
 }
 
-// Safety: see `MsQueue`.
-unsafe impl<T: Clone + Send + Sync + 'static> Send for TreiberStack<T> {}
-unsafe impl<T: Clone + Send + Sync + 'static> Sync for TreiberStack<T> {}
+/// The Treiber stack of Algorithm 6: `top` is a bare node pointer.
+pub type TreiberStack<T> = Treiber<T, PlainTop>;
 
-impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
+// Safety: see `MsQueue`.
+unsafe impl<T: Clone + Send + Sync + 'static, W: TopWord> Send for Treiber<T, W> {}
+unsafe impl<T: Clone + Send + Sync + 'static, W: TopWord> Sync for Treiber<T, W> {}
+
+impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
     /// Empty stack without contention backoff.
     pub fn new() -> Self {
         Self::with_backoff(BackoffCfg::NONE)
@@ -46,7 +82,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
 
     /// Empty stack whose operations run `cfg` backoff on failed CASes.
     pub fn with_backoff(cfg: BackoffCfg) -> Self {
-        TreiberStack {
+        Treiber {
             header: alloc(SoloHeader::new(0)),
             backoff: cfg,
             elim: ElimArray::new(),
@@ -54,11 +90,11 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
         }
     }
 
-    /// Fallible [`TreiberStack::new`]: surfaces header-allocation failure
+    /// Fallible [`Treiber::new`]: surfaces header-allocation failure
     /// (genuine exhaustion, or the `structures.header` fault site) as `Err`
     /// instead of panicking.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        Ok(TreiberStack {
+        Ok(Treiber {
             header: try_alloc("structures.header", SoloHeader::new(0)).map_err(|(_, e)| e)?,
             backoff: BackoffCfg::NONE,
             elim: ElimArray::new(),
@@ -67,7 +103,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     }
 
     #[inline]
-    fn top(&self) -> &lfc_dcas::DAtomic {
+    pub(crate) fn top(&self) -> &lfc_dcas::DAtomic {
         // Safety: header lives until Drop retires it.
         &unsafe { self.header.as_ref() }.word
     }
@@ -83,7 +119,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
         debug_assert_eq!(r, InsertOutcome::Inserted);
     }
 
-    /// Fallible [`TreiberStack::push`]: a node-allocation failure (genuine
+    /// Fallible [`Treiber::push`]: a node-allocation failure (genuine
     /// exhaustion, or the `structures.node` fault site) surfaces as `Err`
     /// with the element handed back and the stack untouched.
     pub fn try_push(&self, v: T) -> Result<(), (T, lfc_alloc::AllocError)> {
@@ -108,14 +144,14 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     /// Whether the stack was observed empty.
     pub fn is_empty(&self) -> bool {
         let g = pin();
-        self.top().read(&g) == 0
+        W::addr(self.top().read(&g)) == 0
     }
 
     /// Racy O(n) count; only meaningful on a quiescent stack (tests).
     pub fn count(&self) -> usize {
         let g = pin_op();
         let mut n = 0;
-        let mut cur = self.top().read(&g);
+        let mut cur = W::addr(self.top().read(&g));
         while cur != 0 {
             n += 1;
             // Safety: quiescent per the docs.
@@ -123,18 +159,27 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
         }
         n
     }
+
+    /// The raw `top` word, format bits included, so model scenarios can
+    /// check that an eliminated pair leaves the stamp alone.
+    #[cfg(lfc_model)]
+    #[doc(hidden)]
+    pub fn top_word(&self) -> usize {
+        let g = pin();
+        self.top().read(&g)
+    }
 }
 
-impl<T: Clone + Send + Sync + 'static> Default for TreiberStack<T> {
+impl<T: Clone + Send + Sync + 'static, W: TopWord> Default for Treiber<T, W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
+impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
     /// Algorithm 6, `push` (lines S4–S12), on an already-allocated node:
     /// the shared tail of the infallible ([`MoveTarget::insert_with`]) and
-    /// fallible ([`TreiberStack::try_push`]) insert paths.
+    /// fallible ([`Treiber::try_push`]) insert paths.
     fn insert_node<C: InsertCtx>(&self, node: *mut Node<T>, ctx: &mut C) -> InsertOutcome {
         let g = pin();
         #[cfg(lfc_model)]
@@ -152,12 +197,12 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
             let ltop = self.top().read(&g); // S5
                                             // S6: link the unpublished node.
                                             // Safety: node is ours until the CAS publishes it.
-            unsafe { &(*node).next }.store_word(ltop);
+            unsafe { &(*node).next }.store_word(W::addr(ltop));
             // S7: the linearization point.
             match ctx.scas(LinPoint {
                 word: self.top(),
                 old: ltop,
-                new: node as usize,
+                new: W::next(ltop, node as usize),
                 hp: self.header_addr(),
             }) {
                 ScasResult::Abort => {
@@ -186,7 +231,7 @@ impl<T: Clone + Send + Sync + 'static> TreiberStack<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for TreiberStack<T> {
+impl<T: Clone + Send + Sync + 'static, W: TopWord> MoveTarget<T> for Treiber<T, W> {
     /// Algorithm 6, `push` (lines S1–S12). Needs no operation epoch: the
     /// only shared word it touches is `top` (header allocation, kept alive
     /// by the `&self` borrow); it never dereferences a node.
@@ -196,7 +241,7 @@ impl<T: Clone + Send + Sync + 'static> MoveTarget<T> for TreiberStack<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
+impl<T: Clone + Send + Sync + 'static, W: TopWord> MoveSource<T> for Treiber<T, W> {
     /// Algorithm 6, `pop` (lines S13–S24). Fence-free since PR 3: the
     /// operation epoch replaces the S18 hazard publication and the S19–S20
     /// validation re-read — nodes cannot be recycled inside our epoch, so
@@ -216,10 +261,10 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
             // its fresh era.
             g.repin_if_ejected();
             let ltop = self.top().read(&g); // S15
-            if ltop == 0 {
+            if W::addr(ltop) == 0 {
                 return RemoveOutcome::Empty; // S16–S17
             }
-            let node = ltop as *mut Node<T>;
+            let node = W::addr(ltop) as *mut Node<T>;
             // S21: the element is accessible before the linearization point.
             // Safety: ltop was reachable through `top` inside this epoch.
             let val = unsafe { clone_val(node) };
@@ -230,7 +275,7 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
                 LinPoint {
                     word: self.top(),
                     old: ltop,
-                    new: lnext,
+                    new: W::next(ltop, lnext),
                     hp: self.header_addr(),
                 },
                 &val,
@@ -258,10 +303,10 @@ impl<T: Clone + Send + Sync + 'static> MoveSource<T> for TreiberStack<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> Drop for TreiberStack<T> {
+impl<T: Clone + Send + Sync + 'static, W: TopWord> Drop for Treiber<T, W> {
     fn drop(&mut self) {
         let g = pin();
-        let mut cur = self.top().read(&g);
+        let mut cur = W::addr(self.top().read(&g));
         while cur != 0 {
             let node = cur as *mut Node<T>;
             // Safety: exclusive teardown; see MsQueue::drop.
