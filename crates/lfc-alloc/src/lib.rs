@@ -305,7 +305,7 @@ pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
 
 /// [`try_alloc_block`] returning zero-filled memory. An oversized block
 /// comes zeroed from the system's `calloc` whatever its alignment (see
-/// [`SYS_ALIGN`]), so a large one maps its pages lazily: bytes nobody
+/// `SYS_ALIGN`), so a large one maps its pages lazily: bytes nobody
 /// writes cost no resident memory. A pooled block is zeroed by hand.
 pub fn try_alloc_zeroed_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
     if class_for(layout).is_some() {

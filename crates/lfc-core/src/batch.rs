@@ -73,7 +73,7 @@
 //!
 //! The gate keeps a racy *heat* counter (saturating relaxed RMWs). While
 //! cool, submits run the plain composition directly with a small
-//! commit-failure budget ([`compose::Engine`]'s `fail_budget`); an attempt
+//! commit-failure budget ([`Engine`]'s `fail_budget`); an attempt
 //! that burns the budget warms the gate and falls back to the batched
 //! path. Cooling happens on **both** regimes — a direct success decays the
 //! counter, and so does every fully drained batch (charged once, to the

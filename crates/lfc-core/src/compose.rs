@@ -18,6 +18,9 @@
 //! * a commit failure at entry *k* aborts the stages deeper than *k* and
 //!   re-runs the init phase of exactly the operation owning entry *k* — the
 //!   generalization of the paper's FIRSTFAILED/SECONDFAILED retry rule.
+//!   The first such failure of a composition first waits once for about
+//!   one uncontended published move (`COMMIT_RETRY_PAUSE`); later ones
+//!   retry at once.
 //!
 //! Aliased entries (two linearization points on the **same** memory word —
 //! e.g. a stack moved onto itself, or a swap involving a LIFO whose push
@@ -83,6 +86,21 @@ use lfc_hazard::{pin, slot, Guard};
 
 pub use lfc_dcas::MAX_ENTRIES;
 
+/// How long a composition waits after its first failed commit, before the
+/// owning stage redoes its init phase: about one uncontended published
+/// `move_one`. The rival whose commit beat ours is then usually done, so
+/// the retry neither collides with it again nor helps it. Only the first
+/// failure pauses, so the wait per operation is bounded. Timed rather than
+/// counted in spin hints, whose cost varies tenfold across CPUs.
+#[cfg(not(lfc_model))]
+const COMMIT_RETRY_PAUSE: std::time::Duration = std::time::Duration::from_nanos(250);
+
+#[cfg(test)]
+thread_local! {
+    /// Commit-retry pauses taken on this thread.
+    static PAUSES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// Maximum number of insert targets of a fan-out (`MAX_ENTRIES` minus the
 /// remove entry).
 pub const MAX_TARGETS: usize = MAX_ENTRIES - 1;
@@ -120,6 +138,9 @@ pub struct Engine {
     /// Whether the composition aborted because `fail_budget` ran out
     /// (contention starvation), as opposed to a semantic rejection.
     starved: bool,
+    /// Whether a failed commit already took this composition's one
+    /// `COMMIT_RETRY_PAUSE`.
+    paused: bool,
 }
 
 impl Engine {
@@ -140,6 +161,7 @@ impl Engine {
             dead: None,
             fail_budget: None,
             starved: false,
+            paused: false,
         }
     }
 
@@ -233,10 +255,27 @@ impl Engine {
         match unsafe { commit_entries(&self.entries[..self.count], &self.g) } {
             CasnResult::Success => true,
             CasnResult::FailedAt(k) => {
+                if !self.paused {
+                    self.pause();
+                }
                 self.retry_at = Some(k);
                 false
             }
         }
+    }
+
+    /// The composition's one wait after a failed commit (module docs).
+    /// Out of line and cold, so the success path keeps its code layout.
+    /// The model checker replays schedules, not clocks, so under
+    /// `lfc_model` the wait is compiled out and only the flag is kept.
+    #[cold]
+    #[inline(never)]
+    fn pause(&mut self) {
+        self.paused = true;
+        #[cfg(not(lfc_model))]
+        lfc_runtime::backoff::spin_wait(COMMIT_RETRY_PAUSE);
+        #[cfg(test)]
+        PAUSES.with(|p| p.set(p.get() + 1));
     }
 
     /// Stage `idx` met a permanent obstacle of its own: its target rejected
@@ -860,5 +899,114 @@ impl<S, C> Composition<S, C> {
             self.chain.run_chain(eng, 1, elem)
         });
         move_verdict(&eng, &outcome)
+    }
+}
+
+#[cfg(all(test, not(lfc_model)))]
+mod tests {
+    use super::*;
+    use lfc_dcas::Word;
+    use std::cell::Cell;
+
+    /// One raw unit: raw words keep their low two bits clear.
+    const UNIT: Word = 8;
+
+    /// A counter on one word holding `UNIT × count`: a remove takes one
+    /// unit, an insert adds one, each at a CAS on that word.
+    struct Counter(DAtomic);
+
+    impl Counter {
+        fn new(count: usize) -> Self {
+            Counter(DAtomic::new(count * UNIT))
+        }
+
+        fn count(&self) -> usize {
+            self.0.load_word() / UNIT
+        }
+
+        /// Run `step` from the word's current value to a new one through
+        /// `scas` until it succeeds or aborts.
+        fn update(&self, mut scas: impl FnMut(LinPoint<'_>) -> ScasResult, step: isize) -> bool {
+            let g = pin();
+            loop {
+                let old = self.0.read(&g);
+                let lp = LinPoint {
+                    word: &self.0,
+                    old,
+                    new: old.wrapping_add_signed(step * UNIT as isize),
+                    hp: 0,
+                };
+                match scas(lp) {
+                    ScasResult::Success => return true,
+                    ScasResult::Fail => continue,
+                    ScasResult::Abort => return false,
+                }
+            }
+        }
+    }
+
+    impl MoveSource<usize> for Counter {
+        fn remove_with<C: RemoveCtx<usize>>(&self, ctx: &mut C) -> RemoveOutcome<usize> {
+            if self.count() == 0 {
+                return RemoveOutcome::Empty;
+            }
+            match self.update(|lp| ctx.scas(lp, &1), -1) {
+                true => RemoveOutcome::Removed(1),
+                false => RemoveOutcome::Aborted,
+            }
+        }
+    }
+
+    /// A counter target whose first `disturb` inserts bump `src` before
+    /// capturing, so the word the composition captured there is stale and
+    /// the commit fails at entry 0.
+    struct Disturbing<'a> {
+        inner: Counter,
+        src: &'a Counter,
+        disturb: Cell<u32>,
+        calls: Cell<u32>,
+    }
+
+    impl MoveTarget<usize> for Disturbing<'_> {
+        fn insert_with<C: InsertCtx>(&self, _elem: usize, ctx: &mut C) -> InsertOutcome {
+            self.calls.set(self.calls.get() + 1);
+            if self.disturb.get() > 0 {
+                self.disturb.set(self.disturb.get() - 1);
+                let w = self.src.0.load_word();
+                assert!(self.src.0.cas_word(w, w + UNIT));
+            }
+            match self.inner.update(|lp| ctx.scas(lp), 1) {
+                true => InsertOutcome::Inserted,
+                false => InsertOutcome::Rejected,
+            }
+        }
+    }
+
+    fn pauses() -> u32 {
+        PAUSES.with(Cell::get)
+    }
+
+    #[test]
+    fn failed_commits_pause_once_per_composition() {
+        // Published regime: a peer is registered, so every commit runs the
+        // descriptor protocol rather than the solo CASes.
+        lfc_runtime::fault::with_registered_peer(|| {
+            for k in [0, 1, 3] {
+                let src = Counter::new(5);
+                let dst = Disturbing {
+                    inner: Counter::new(0),
+                    src: &src,
+                    disturb: Cell::new(k),
+                    calls: Cell::new(0),
+                };
+                let before = pauses();
+                assert_eq!(move_one(&src, &dst), MoveOutcome::Moved, "k = {k}");
+                assert_eq!(dst.calls.get(), k + 1, "k = {k}: one retry per failure");
+                // k units were pushed into the source, one moved out of it.
+                assert_eq!(src.count() + 1, 5 + k as usize, "k = {k}");
+                assert_eq!(dst.inner.count(), 1, "k = {k}");
+                assert_eq!(pauses() - before, u32::from(k > 0), "k = {k}");
+            }
+        });
     }
 }

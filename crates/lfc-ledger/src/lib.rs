@@ -5,7 +5,7 @@
 //! # Shape
 //!
 //! The ledger is sharded for a thread-per-core deployment: account id `i`
-//! homes on shard `i % shards`. Each [`Shard`] owns
+//! homes on shard `i % shards`. Each `Shard` owns
 //!
 //! * a **cold tier** — an [`LfHashMap`] holding the bulk of the accounts,
 //! * a **hot tier** — an [`LfSkipMap`] for accounts under ranged audit

@@ -6,7 +6,7 @@
 //! cfg but running normally (test harness setup, threads the model does not
 //! manage) behaves identically to a plain build. Inside an execution every
 //! operation is a scheduling point routed through the shadow memory in
-//! [`crate::sched`].
+//! `sched`.
 
 use crate::sched;
 pub use std::sync::atomic::Ordering;

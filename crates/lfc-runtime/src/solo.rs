@@ -12,7 +12,7 @@
 //! * the solo thread publishes `SOLO_INFLIGHT = 1`, then checks that it is
 //!   still the only active thread ([`try_enter`]);
 //! * a registering thread increments the active count, then spins until
-//!   `SOLO_INFLIGHT == 0` ([`registration_barrier`], called from the tid
+//!   `SOLO_INFLIGHT == 0` (`registration_barrier`, called from the tid
 //!   registry's claim path).
 //!
 //! Under the SeqCst total order one of the two must see the other: either
@@ -43,7 +43,7 @@ pub struct SoloSection {
 /// Returns `Some` iff the calling thread is the *only* active registered
 /// thread, in which case no other thread can observe shared memory until
 /// the returned token is dropped (new registrants block in
-/// [`registration_barrier`]). Keep the section to a handful of instructions.
+/// `registration_barrier`). Keep the section to a handful of instructions.
 pub fn try_enter() -> Option<SoloSection> {
     // Cheap gate first: under contention (the common multi-thread case)
     // this is one Relaxed load of a rarely-written padded line, so

@@ -50,7 +50,7 @@
 //! window a freed address is free to recycle. The defense is to close the
 //! reuse window outright: the pusher parks `addr` in its [`slot::ELIM`]
 //! hazard *before* offering and clears it only after the outcome is
-//! decided, and a claiming popper hands the node to [`retire`]
+//! decided, and a claiming popper hands the node to `retire`
 //! instead of freeing it. Reclamation of the node therefore cannot
 //! complete while the pusher camps — every scan that could free it runs
 //! after the popper's retire, which is ordered after the claim CAS's

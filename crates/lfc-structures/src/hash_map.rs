@@ -29,7 +29,7 @@
 //! on a stop-the-world rehash and latency stays flat through growth.
 //!
 //! The bucket directory itself is segmented: a fixed array of
-//! [`DIR_SLOTS`] segment pointers where segment *k* ≥ 1 covers buckets
+//! `DIR_SLOTS` segment pointers where segment *k* ≥ 1 covers buckets
 //! `[init·2^(k-1), init·2^k)` (segment 0 covers `[0, init)`), allocated
 //! lazily and published with a single CAS, so growth never copies or moves
 //! directory state either.

@@ -47,7 +47,10 @@ unsafe impl<T: Clone + Send + Sync + 'static> Send for MsQueue<T> {}
 unsafe impl<T: Clone + Send + Sync + 'static> Sync for MsQueue<T> {}
 
 impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
-    /// Empty queue (no backoff on contention, as in the paper's primary runs).
+    /// Empty queue whose retry loops run no backoff on contention. A
+    /// composed operation on it still waits once after its first failed
+    /// commit: that pause belongs to the composition engine
+    /// (`lfc_core::compose`), not to the queue.
     pub fn new() -> Self {
         Self::with_backoff(BackoffCfg::NONE)
     }

@@ -1,5 +1,5 @@
 //! A move-ready lock-free skip-list map (Sundell & Tsigas style) whose
-//! bottom level **is** a [`crate::traverse`] kernel chain — the third
+//! bottom level **is** a `traverse` kernel chain — the third
 //! structure on the shared traversal kernel, and the first with ordered
 //! `range` queries.
 //!

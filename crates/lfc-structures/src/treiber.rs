@@ -75,7 +75,11 @@ unsafe impl<T: Clone + Send + Sync + 'static, W: TopWord> Send for Treiber<T, W>
 unsafe impl<T: Clone + Send + Sync + 'static, W: TopWord> Sync for Treiber<T, W> {}
 
 impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
-    /// Empty stack without contention backoff.
+    /// Empty stack whose retry loops run no backoff on contention (a
+    /// failed plain push or pop tries the elimination exchanger). A
+    /// composed operation on it still waits once after its first failed
+    /// commit: that pause belongs to the composition engine
+    /// (`lfc_core::compose`), not to the stack.
     pub fn new() -> Self {
         Self::with_backoff(BackoffCfg::NONE)
     }

@@ -2,11 +2,14 @@
 //! contention, in the two patterns the move-conformance matrix
 //! (`tests/linearizability.rs`) only samples: elements bouncing between two
 //! Treiber stacks (the ABA setup of §7) and movers racing direct consumers
-//! for exactly-once delivery. Every other pairing is a matrix cell.
+//! for exactly-once delivery. Every other pairing is a matrix cell. A
+//! release-only stress (`--ignored stress`) runs the benchmark's
+//! move-only panel: two movers on one queue/stack pair, each to its quota.
 
-use lfc_core::move_one;
+use lfc_core::{move_one, MoveOutcome};
 use lfc_structures::{MsQueue, TreiberStack};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 #[test]
 fn concurrent_stack_stack_movers_preserve_count() {
@@ -101,4 +104,67 @@ fn movers_race_direct_consumers_for_exactly_once_delivery() {
     assert!(seen.iter().all(|&b| b), "every value delivered");
     assert!(q.is_empty());
     assert!(s.is_empty());
+}
+
+#[test]
+#[ignore = "stress: run with --release -- --ignored stress"]
+fn stress_two_movers_each_finish_their_quota() {
+    // The move-only panel: two threads, one shared queue/stack pair, every
+    // operation a `move_one` alternating direction. A failed commit pauses
+    // once and then retries at once, so neither mover may starve: each
+    // must finish its quota (a deadline turns starvation into a failure
+    // instead of a hang), and every token must survive.
+    const TOKENS: u64 = 1024;
+    const QUOTA: u64 = 200_000;
+    const DEADLINE: Duration = Duration::from_secs(120);
+    let q: MsQueue<u64> = MsQueue::new();
+    let s: TreiberStack<u64> = TreiberStack::new();
+    for t in 0..TOKENS {
+        if t.is_multiple_of(2) {
+            q.enqueue(t);
+        } else {
+            s.push(t);
+        }
+    }
+    let done = [AtomicU64::new(0), AtomicU64::new(0)];
+    let give_up = AtomicBool::new(false);
+    std::thread::scope(|sc| {
+        for (me, done) in done.iter().enumerate() {
+            let (q, s, give_up) = (&q, &s, &give_up);
+            sc.spawn(move || {
+                for i in 0..QUOTA {
+                    if give_up.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let outcome = if (i + me as u64).is_multiple_of(2) {
+                        move_one(q, s)
+                    } else {
+                        move_one(s, q)
+                    };
+                    assert!(
+                        matches!(outcome, MoveOutcome::Moved | MoveOutcome::SourceEmpty),
+                        "{outcome:?}"
+                    );
+                    done.store(i + 1, Ordering::Relaxed);
+                }
+            });
+        }
+        let start = Instant::now();
+        while done.iter().any(|d| d.load(Ordering::Relaxed) < QUOTA) {
+            if start.elapsed() > DEADLINE {
+                give_up.store(true, Ordering::Relaxed);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    let done = done.map(|d| d.into_inner());
+    assert_eq!(
+        done, [QUOTA; 2],
+        "a mover did not finish its quota in {DEADLINE:?}"
+    );
+    let mut all: Vec<u64> = std::iter::from_fn(|| q.dequeue()).collect();
+    all.extend(std::iter::from_fn(|| s.pop()));
+    all.sort_unstable();
+    assert_eq!(all, (0..TOKENS).collect::<Vec<u64>>());
 }
