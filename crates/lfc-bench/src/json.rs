@@ -1,6 +1,6 @@
 //! One tiny JSON tree shared by every emitter (no crates.io): `reproduce
-//! chaos`, the `stamped_ablation` bench target and the `benchmark/`
-//! package all build a [`Json`] value and serialize through this module;
+//! chaos` and the `benchmark/` package both build a [`Json`] value and
+//! serialize through this module;
 //! the parser exists so a round-trip test can pin the emitted bytes to a
 //! real JSON grammar.
 

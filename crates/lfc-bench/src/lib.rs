@@ -14,7 +14,6 @@
 
 pub mod chaos;
 pub mod diag;
-pub mod harness;
 pub mod hist;
 pub mod json;
 pub mod stats;

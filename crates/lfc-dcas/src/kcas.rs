@@ -446,8 +446,8 @@ fn clear_help(g: &Guard, count: usize) {
     }
 }
 
-/// Diagnostic counters (used by the false-helping ablation bench, the
-/// engine tests and the benchmark). Sharded per thread
+/// Diagnostic counters (used by the engine tests, the model scenarios and
+/// the benchmark). Sharded per thread
 /// ([`lfc_runtime::ShardedCounter`]): the incarnation counter is bumped on
 /// every published commit, and a global line would be shared by every
 /// committing thread.
@@ -464,9 +464,14 @@ pub mod counters {
         HELP_RUNS.get()
     }
 
-    /// Number of marked-descriptor installations that had to be reverted —
-    /// each one is a *false helping* episode caused by the ABA the paper's
-    /// §7 discussion attributes to the stack.
+    /// Number of reverted late marks: marked descriptor words put back to
+    /// their entry's old value after the operation was decided, or after
+    /// their incarnation was gone. Three paths count: an executor's Lemma 3
+    /// self-revert of its own losing or late mark, a reader that meets a
+    /// stale mark after the decision, and the revert of a mark whose
+    /// incarnation is gone. The false helping of the paper's §7 (a helper
+    /// whose expected old value reappeared through ABA) is one source
+    /// among these, so the count can move on an ABA-free word.
     pub fn stale_mark_reverts() -> usize {
         STALE_MARK_REVERTS.get()
     }

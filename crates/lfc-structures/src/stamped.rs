@@ -9,12 +9,13 @@
 //! The top word packs a 16-bit stamp into the pointer's high bits; every
 //! successful `top` CAS bumps it, so a delayed DCAS helper whose expected
 //! `old2` was consumed can never match a *recreated* top value and false
-//! helping disappears (measured by `lfc_dcas::counters::stale_mark_reverts`
-//! in the `stamped_ablation` bench). Only the format lives here: the stack
-//! is [`crate::treiber::Treiber`], so [`StampedStack`] differs from
-//! [`crate::TreiberStack`] in the top word alone (elimination, `try_new`
-//! and `try_push` included). An eliminated push/pop pair never touches
-//! `top` and leaves the stamp unchanged.
+//! helping disappears. `lfc-model`'s `a_stamped_top_closes_false_helping`
+//! (`tests/model_late_mark.rs`) counts it over a complete bounded search:
+//! some schedules revert a late mark with a plain top, none with this one.
+//! Only the format lives here: the stack is [`crate::treiber::Treiber`],
+//! so [`StampedStack`] differs from [`crate::TreiberStack`] in the top word
+//! alone (elimination, `try_new` and `try_push` included). An eliminated
+//! push/pop pair never touches `top` and leaves the stamp unchanged.
 
 use crate::treiber::{TopWord, Treiber};
 

@@ -164,13 +164,13 @@ impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
         n
     }
 
-    /// The raw `top` word, format bits included, so model scenarios can
-    /// check that an eliminated pair leaves the stamp alone.
+    /// The `top` word as stored, format bits and any descriptor word
+    /// included: a plain load, so model scenarios see the stamp an
+    /// eliminated pair must leave alone, and a late mark nobody cleaned up.
     #[cfg(lfc_model)]
     #[doc(hidden)]
     pub fn top_word(&self) -> usize {
-        let g = pin();
-        self.top().read(&g)
+        self.top().load_word()
     }
 }
 
