@@ -13,6 +13,14 @@
 //! magazine back. Only when both levels are empty does the manager fall
 //! through to the system allocator.
 //!
+//! The headers that carry magazines on the global stack are type-stable:
+//! once made, a header is never freed. A pop reads the head's `next` word
+//! before its CAS, and a rival may have popped that header meanwhile; the
+//! tag defeats the stale CAS, and type stability makes the read itself a
+//! read of live memory. A thread keeps the headers it pops for its next
+//! pushes, so a thread that pushes as often as it pops makes no header and
+//! frees none.
+//!
 //! This crate is deliberately independent of the hazard-pointer domain:
 //! callers (the structures and the DCAS layer) must only hand blocks back
 //! once they are unreachable — which they guarantee by routing frees through
@@ -24,11 +32,12 @@
 
 #![warn(missing_docs)]
 
+use lfc_runtime::fault::{self, site};
 use lfc_runtime::{on_thread_exit, thread_is_exiting, CachePadded, ShardedCounter};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// Capacity of a thread-local free list, from the paper.
 pub const LOCAL_CAP: usize = 200;
@@ -59,10 +68,44 @@ static RECYCLED: ShardedCounter = ShardedCounter::new();
 static FREED: ShardedCounter = ShardedCounter::new();
 static OVERSIZE: ShardedCounter = ShardedCounter::new();
 
-/// A full (or partial, on thread exit) magazine pushed to the global stack.
+/// The header of a magazine on the global stack: full, or partial on
+/// thread exit. Never freed (see the crate docs); a popped header is a
+/// *shell* whose empty `items` buffer the next push swaps a full magazine
+/// into.
 struct Segment {
+    /// Touched only by the thread that owns the header (made it, or won
+    /// its pop).
     items: Vec<*mut u8>,
-    next: *mut Segment,
+    /// Read by every pop that finds the header on top, owner or not.
+    next: AtomicPtr<Segment>,
+}
+
+#[cfg(test)]
+static SEGMENTS_FREED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+#[cfg(test)]
+impl Drop for Segment {
+    fn drop(&mut self) {
+        SEGMENTS_FREED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Shells this thread made.
+    static SHELLS_MADE: Cell<usize> = const { Cell::new(0) };
+}
+
+impl Segment {
+    /// A new header, leaked: headers are type-stable.
+    fn shell() -> *mut Segment {
+        #[cfg(test)]
+        SHELLS_MADE.with(|c| c.set(c.get() + 1));
+        Box::into_raw(Box::new(Segment {
+            items: Vec::with_capacity(LOCAL_CAP),
+            next: AtomicPtr::new(std::ptr::null_mut()),
+        }))
+    }
 }
 
 /// Treiber stack of segments with a 16-bit tag in the head word's high bits;
@@ -83,8 +126,9 @@ impl TaggedStack {
     fn push(&self, seg: *mut Segment) {
         let mut head = self.head.load(Ordering::Acquire);
         loop {
-            // Safety: `seg` is exclusively ours until the CAS succeeds.
-            unsafe { (*seg).next = (head & ADDR_MASK) as *mut Segment };
+            // Safety: headers are never freed. Relaxed: the Release CAS
+            // below publishes `next` to the Acquire head load of a pop.
+            unsafe { &(*seg).next }.store((head & ADDR_MASK) as *mut Segment, Ordering::Relaxed);
             let tag = (head >> 48).wrapping_add(1) & 0xFFFF;
             let new = (seg as u64 & ADDR_MASK) | (tag << 48);
             match self
@@ -97,26 +141,25 @@ impl TaggedStack {
         }
     }
 
-    fn pop(&self) -> Option<Box<Segment>> {
+    /// Pop a header; the caller owns it (and its `items`) from here on.
+    fn pop(&self) -> Option<*mut Segment> {
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             let ptr = (head & ADDR_MASK) as *mut Segment;
             if ptr.is_null() {
                 return None;
             }
-            // Safety: segments are never freed to the OS while on the stack;
-            // a stale `ptr` (already popped by someone else) may be read as a
-            // reused segment, but the tag makes the CAS fail in that case and
-            // the value of `next` is discarded.
-            let next = unsafe { (*ptr).next };
+            // Safety: headers are never freed, so `ptr` is live even when a
+            // rival popped it after our load; then the tag fails the CAS
+            // and the value read is discarded.
+            let next = unsafe { &(*ptr).next }.load(Ordering::Relaxed);
             let tag = (head >> 48).wrapping_add(1) & 0xFFFF;
             let new = (next as u64 & ADDR_MASK) | (tag << 48);
             match self
                 .head
                 .compare_exchange_weak(head, new, Ordering::AcqRel, Ordering::Acquire)
             {
-                // Safety: we won the pop; the segment is exclusively ours.
-                Ok(_) => return Some(unsafe { Box::from_raw(ptr) }),
+                Ok(_) => return Some(ptr),
                 Err(h) => head = h,
             }
         }
@@ -129,8 +172,47 @@ impl TaggedStack {
 static GLOBAL: [CachePadded<TaggedStack>; NUM_CLASSES] =
     [const { CachePadded::new(TaggedStack::new()) }; NUM_CLASSES];
 
+/// Empty shells beyond a thread's [`SPARE_SHELLS`]: a thread that pops more
+/// magazines than it pushes leaves its surplus here for threads that push
+/// more than they pop.
+static SHELLS: CachePadded<TaggedStack> = CachePadded::new(TaggedStack::new());
+
+/// Shells a thread keeps for its own next pushes.
+const SPARE_SHELLS: usize = 4;
+
 struct Magazines {
     local: [Vec<*mut u8>; NUM_CLASSES],
+    /// Empty shells this thread popped and has not pushed again.
+    shells: Vec<*mut Segment>,
+}
+
+impl Magazines {
+    /// Push the local magazine of `class`, leaving a shell's empty buffer
+    /// in its place.
+    fn push_magazine(&mut self, class: usize) {
+        let seg = self
+            .shells
+            .pop()
+            .or_else(|| SHELLS.pop())
+            .unwrap_or_else(Segment::shell);
+        // Safety: the shell is ours until the push publishes it.
+        std::mem::swap(&mut self.local[class], unsafe { &mut (*seg).items });
+        GLOBAL[class].push(seg);
+    }
+
+    /// Refill the empty magazine of `class` from the global stack and
+    /// take a block from it.
+    fn refill(&mut self, class: usize) -> Option<*mut u8> {
+        let seg = GLOBAL[class].pop()?;
+        // Safety: we won the pop; the header is ours.
+        std::mem::swap(&mut self.local[class], unsafe { &mut (*seg).items });
+        if self.shells.len() < SPARE_SHELLS {
+            self.shells.push(seg);
+        } else {
+            SHELLS.push(seg);
+        }
+        self.local[class].pop()
+    }
 }
 
 thread_local! {
@@ -143,19 +225,20 @@ fn with_mags<R>(f: impl FnOnce(&mut Magazines) -> R) -> R {
         if p.is_null() {
             p = Box::into_raw(Box::new(Magazines {
                 local: std::array::from_fn(|_| Vec::new()),
+                shells: Vec::with_capacity(SPARE_SHELLS),
             }));
             cell.set(p);
             on_thread_exit(Box::new(move || {
                 MAGS.with(|c| c.set(std::ptr::null_mut()));
                 // Safety: created above, hook runs once per thread.
-                let mags = unsafe { Box::from_raw(p) };
-                for (class, items) in mags.local.into_iter().enumerate() {
-                    if !items.is_empty() {
-                        GLOBAL[class].push(Box::into_raw(Box::new(Segment {
-                            items,
-                            next: std::ptr::null_mut(),
-                        })));
+                let mut mags = unsafe { Box::from_raw(p) };
+                for class in 0..NUM_CLASSES {
+                    if !mags.local[class].is_empty() {
+                        mags.push_magazine(class);
                     }
+                }
+                for seg in mags.shells.drain(..) {
+                    SHELLS.push(seg);
                 }
             }));
         }
@@ -260,33 +343,18 @@ pub fn alloc_block(layout: Layout) -> NonNull<u8> {
 /// Fallible [`alloc_block`]: returns `Err(AllocError)` when the system
 /// allocator fails or the `alloc.block` fault-injection site fires.
 pub fn try_alloc_block(layout: Layout) -> Result<NonNull<u8>, AllocError> {
-    if lfc_runtime::fault::check("alloc.block") {
+    if fault::check(site::ALLOC_BLOCK) {
         return Err(AllocError);
-    }
-    if thread_is_exiting() {
-        // Thread-exit fallback: no per-thread cache may be (re)created now.
-        let Some(class) = class_for(layout) else {
-            return sys_alloc(layout, false);
-        };
-        FRESH.add(1);
-        let l = class_layout(class);
-        // Safety: non-zero size.
-        let p = unsafe { std::alloc::alloc(l) };
-        return NonNull::new(p).ok_or(AllocError);
     }
     let Some(class) = class_for(layout) else {
         return sys_alloc(layout, false);
     };
-    let recycled = with_mags(|m| {
-        if let Some(p) = m.local[class].pop() {
-            return Some(p);
-        }
-        if let Some(seg) = GLOBAL[class].pop() {
-            m.local[class] = seg.items;
-            return m.local[class].pop();
-        }
+    // Thread-exit fallback: no per-thread cache may be (re)created now.
+    let recycled = if thread_is_exiting() {
         None
-    });
+    } else {
+        with_mags(|m| m.local[class].pop().or_else(|| m.refill(class)))
+    };
     match recycled {
         Some(p) => {
             RECYCLED.add(1);
@@ -314,7 +382,7 @@ pub fn try_alloc_zeroed_block(layout: Layout) -> Result<NonNull<u8>, AllocError>
         unsafe { p.as_ptr().write_bytes(0, layout.size()) };
         return Ok(p);
     }
-    if lfc_runtime::fault::check("alloc.block") {
+    if fault::check(site::ALLOC_BLOCK) {
         return Err(AllocError);
     }
     sys_alloc(layout, true)
@@ -360,14 +428,9 @@ pub unsafe fn free_block(ptr: *mut u8, layout: Layout) {
         return;
     };
     with_mags(|m| {
-        let list = &mut m.local[class];
-        list.push(ptr);
-        if list.len() >= LOCAL_CAP {
-            let items = std::mem::take(list);
-            GLOBAL[class].push(Box::into_raw(Box::new(Segment {
-                items,
-                next: std::ptr::null_mut(),
-            })));
+        m.local[class].push(ptr);
+        if m.local[class].len() >= LOCAL_CAP {
+            m.push_magazine(class);
         }
     });
 }
@@ -517,72 +580,68 @@ mod tests {
         }
     }
 
+    /// A thread that only frees hands magazines to a thread that only
+    /// allocates. Every header is reused: none is freed (a rival pop may
+    /// still read its `next` word), and the freeing thread makes a handful
+    /// of headers, not one per magazine.
     #[test]
-    fn cross_thread_recycling_via_global_stack() {
-        let layout = l(256, 8);
-        // Worker fills the global stack with one magazine worth of blocks.
-        std::thread::spawn(move || {
-            let blocks: Vec<_> = (0..LOCAL_CAP).map(|_| alloc_block(layout)).collect();
-            for b in blocks {
-                unsafe { free_block(b.as_ptr(), layout) };
+    fn magazine_headers_are_reused_never_freed() {
+        const ROUNDS: usize = 100;
+        const PER_ROUND: usize = 4;
+        let layout = l(1024, 8);
+        let (to_freer, blocks) = std::sync::mpsc::channel::<Vec<usize>>();
+        let (done, freed) = std::sync::mpsc::channel::<()>();
+        let freer = std::thread::spawn(move || {
+            for batch in blocks {
+                for b in batch {
+                    unsafe { free_block(b as *mut u8, layout) };
+                }
+                done.send(()).unwrap();
             }
-            // Thread exit flushes the partial magazine to the global stack.
-        })
-        .join()
-        .unwrap();
-        let before = stats();
-        let mine: Vec<_> = (0..LOCAL_CAP / 2).map(|_| alloc_block(layout)).collect();
-        let after = stats();
+            SHELLS_MADE.with(Cell::get)
+        });
+        let recycled = stats().recycled;
+        for _ in 0..ROUNDS {
+            let batch = (0..LOCAL_CAP * PER_ROUND)
+                .map(|_| alloc_block(layout).as_ptr() as usize)
+                .collect();
+            to_freer.send(batch).unwrap();
+            freed.recv().unwrap();
+        }
+        drop(to_freer);
+        let made = freer.join().unwrap();
+        assert!(stats().recycled > recycled, "blocks cross threads");
+        assert_eq!(SEGMENTS_FREED.load(Ordering::Relaxed), 0);
         assert!(
-            after.recycled > before.recycled,
-            "this thread should recycle blocks freed by the worker"
+            made <= 2 * (SPARE_SHELLS + PER_ROUND),
+            "{made} headers made for {} magazines",
+            ROUNDS * PER_ROUND
         );
-        for b in mine {
-            unsafe { free_block(b.as_ptr(), layout) };
-        }
     }
 
+    /// Four threads cycle whole magazines through the global stack, so
+    /// pops race pops of the same header, and no two hold one block.
+    /// Under AddressSanitizer this is the check that a pop never reads a
+    /// freed header.
     #[test]
-    fn concurrent_alloc_free_stress() {
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            handles.push(std::thread::spawn(|| {
-                let layout = l(48, 8);
-                let mut held = Vec::new();
-                for i in 0..20_000u64 {
-                    let p = alloc_block(layout);
-                    unsafe { *(p.as_ptr() as *mut u64) = i };
-                    held.push(p);
-                    if held.len() > 32 {
-                        let victim = held.swap_remove((i % 33) as usize);
-                        unsafe { free_block(victim.as_ptr(), layout) };
+    fn racing_pops_read_live_headers() {
+        let layout = l(64, 8);
+        std::thread::scope(|sc| {
+            for _ in 0..4 {
+                sc.spawn(|| {
+                    for round in 0..200u64 {
+                        let held: Vec<_> =
+                            (0..LOCAL_CAP + 1).map(|_| alloc_block(layout)).collect();
+                        for b in &held {
+                            unsafe { *b.cast::<u64>().as_ptr() = round };
+                        }
+                        for b in held {
+                            assert_eq!(unsafe { *b.cast::<u64>().as_ptr() }, round, "aliased");
+                            unsafe { free_block(b.as_ptr(), layout) };
+                        }
                     }
-                }
-                for p in held {
-                    unsafe { free_block(p.as_ptr(), layout) };
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn tagged_stack_push_pop() {
-        let s = TaggedStack::new();
-        assert!(s.pop().is_none());
-        for i in 0..10 {
-            s.push(Box::into_raw(Box::new(Segment {
-                items: vec![i as *mut u8],
-                next: std::ptr::null_mut(),
-            })));
-        }
-        let mut seen = Vec::new();
-        while let Some(seg) = s.pop() {
-            seen.push(seg.items[0] as usize);
-        }
-        assert_eq!(seen.len(), 10);
-        assert_eq!(seen, (0..10).rev().collect::<Vec<_>>(), "LIFO order");
+                });
+            }
+        });
     }
 }

@@ -272,12 +272,12 @@ impl ChaosResult {
 fn arm_combined(seed: u64) {
     // Kills at initiator boundaries (crash-adversary primes: global
     // EveryNth counters advance only for unshielded threads).
-    fault::arm_site("dcas.announced", Schedule::EveryNth(701));
-    fault::arm_site("dcas.published", Schedule::EveryNth(463));
+    fault::arm_site(fault::site::DCAS_ANNOUNCED, Schedule::EveryNth(701));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, Schedule::EveryNth(463));
     // OOM on the try_-surfaced allocation paths, probabilistic so failures
     // cluster unpredictably instead of beating like a metronome.
     fault::arm_site(
-        "structures.node",
+        fault::site::STRUCTURES_NODE,
         Schedule::Prob {
             ppm: 15_000,
             seed: seed ^ 0x0DE5,

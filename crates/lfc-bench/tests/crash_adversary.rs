@@ -68,9 +68,9 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
     // group commit. EveryNth counters are global
     // and only unshielded threads advance them, so the victims reap
     // themselves at a steady rate while survivors run for free.
-    fault::arm_site("dcas.announced", fault::Schedule::EveryNth(701));
-    fault::arm_site("dcas.published", fault::Schedule::EveryNth(463));
-    fault::arm_site("batch.submitted", fault::Schedule::EveryNth(389));
+    fault::arm_site(fault::site::DCAS_ANNOUNCED, fault::Schedule::EveryNth(701));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::EveryNth(463));
+    fault::arm_site(fault::site::BATCH_SUBMITTED, fault::Schedule::EveryNth(389));
 
     let stop = AtomicBool::new(false);
     let mut series: Vec<(u128, usize, usize, usize)> = Vec::new();

@@ -91,6 +91,7 @@ use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering};
 use crate::{KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget};
 use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
 use lfc_hazard::{pin, pin_op, slot, Guard, OpGuard, RetireInfo};
+use lfc_runtime::fault::site;
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
 use std::marker::PhantomData;
@@ -365,7 +366,7 @@ fn try_alloc_batch_node<R: BatchOp>(
 ) -> Result<*mut BatchNode<R>, lfc_alloc::AllocError> {
     // Site check ahead of the allocator so injection reaches this path
     // independently of `"alloc.block"`.
-    if fg.check("batch.node") {
+    if fg.check(site::BATCH_NODE) {
         return Err(lfc_alloc::AllocError);
     }
     let p = lfc_alloc::try_alloc_block(Layout::new::<BatchNode<R>>())?.cast::<BatchNode<R>>();
@@ -509,7 +510,7 @@ impl<R: BatchOp> BatchGate<R> {
     /// (injected at the `"batch.gate"` site, or genuine exhaustion)
     /// surfaces as `Err`.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        if lfc_runtime::fault::check("batch.gate") {
+        if lfc_runtime::fault::check(site::BATCH_GATE) {
             return Err(lfc_alloc::AllocError);
         }
         let p = lfc_alloc::try_alloc_block(Layout::new::<GateHeader>())?.cast::<GateHeader>();
@@ -585,7 +586,7 @@ impl<R: BatchOp> BatchGate<R> {
 
     fn submit_batched(&self, req: R) -> Word {
         counters::note_batched();
-        // One armed-generation load covers this submit's fault sites
+        // One armed-flag load covers this submit's fault sites
         // (`batch.node` here, `batch.submitted` after publication).
         let fg = lfc_runtime::fault::gate();
         let node = match try_alloc_batch_node(req, fg) {
@@ -620,7 +621,7 @@ impl<R: BatchOp> BatchGate<R> {
                 // a submitter's death here leaves a request the *gate
                 // traffic itself* completes — the corpse's CLAIM hazard
                 // keeps the node alive until adoption clears its bank.
-                fg.check_kill("batch.submitted");
+                fg.check_kill(site::BATCH_SUBMITTED);
                 let result = self.await_done(&g, node, h == 0);
                 g.clear(slot::CLAIM);
                 return result;

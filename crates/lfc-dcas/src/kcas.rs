@@ -117,7 +117,7 @@ use crate::atomic::DAtomic;
 use crate::sync::{AtomicPtr, AtomicUsize, Ordering};
 use crate::word::{self, Word};
 use lfc_hazard::{slot, Guard};
-use lfc_runtime::fault::FaultGate;
+use lfc_runtime::fault::{site, FaultGate};
 use lfc_runtime::MAX_THREADS;
 
 /// Maximum entries in one commit (1 remove + up to 5 insert targets).
@@ -527,11 +527,11 @@ pub(crate) unsafe fn commit(entries: &[CasnEntry], g: &Guard) -> CasnResult {
     // Announce the in-flight operation for adopters before publication:
     // from here until `clear_announce`, a survivor can complete this commit
     // on our behalf if we die (`crate::adopt_dead_threads`). The kill site
-    // models exactly that death. One armed-generation load covers every
+    // models exactly that death. One armed-flag load covers every
     // kill site this commit passes (announce, publish).
     let fg = lfc_runtime::fault::gate();
     rec.announce(plain);
-    fg.check_kill("dcas.announced");
+    fg.check_kill(site::DCAS_ANNOUNCED);
     // Safety: the caller keeps every target word alive.
     let via = unsafe { &*entries[0].ptr };
     let result = body(rec, entries, n, plain, via, true, g, fg);
@@ -548,7 +548,7 @@ pub(crate) fn help(w: Word, via: &DAtomic, g: &Guard) {
     // Kill site at the helping boundary: a helper that dies here has
     // published nothing yet.
     let fg = lfc_runtime::fault::gate();
-    fg.check_kill("dcas.help");
+    fg.check_kill(site::DCAS_HELP);
     let rec = record(word::owner(w));
     match rec.snapshot(word::seq(w), g) {
         Some(s) => {
@@ -694,7 +694,7 @@ fn body(
         // Kill site: the initiator dies with the descriptor installed at
         // `*ptr_0` and the later words untouched — the worst-case torn
         // state. Survivors complete it via `read`-helping or adoption.
-        fg.check_kill("dcas.published");
+        fg.check_kill(site::DCAS_PUBLISHED);
     }
 
     let me = g.tid();

@@ -49,7 +49,7 @@ fn injected_oom_walks_the_ladder_and_the_service_heals() {
     // Starve the structures' node allocation: every `open` now fails its
     // whole retry budget and reports Overloaded — never blocks, never
     // panics, and mints nothing.
-    fault::arm_site("structures.node", fault::Schedule::Always);
+    fault::arm_site(fault::site::STRUCTURES_NODE, fault::Schedule::Always);
     for _ in 0..3 {
         assert_eq!(l.open(1), Err(LedgerError::Overloaded));
     }
@@ -118,8 +118,8 @@ fn killed_workers_are_adopted_and_every_sweep_conserves() {
     // published-not-decided, at every commit width. EveryNth counters
     // advance only for unshielded threads — the workers reap themselves
     // while the auditor and governor run for free.
-    fault::arm_site("dcas.announced", fault::Schedule::EveryNth(463));
-    fault::arm_site("dcas.published", fault::Schedule::EveryNth(701));
+    fault::arm_site(fault::site::DCAS_ANNOUNCED, fault::Schedule::EveryNth(463));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::EveryNth(701));
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|sc| {

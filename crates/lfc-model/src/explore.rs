@@ -174,6 +174,18 @@ fn run_one(cfg: RunCfg, forced: Vec<u32>, f: &dyn Fn()) -> RunOutcome {
     outcome
 }
 
+/// An untraced run driven by a forced tape, leftmost past its end.
+fn dfs(mem: MemoryMode, preemption_bound: u32, step_budget: u64) -> RunCfg {
+    RunCfg {
+        policy: Policy::Dfs,
+        seed: 0,
+        mem,
+        preemption_bound,
+        step_budget,
+        trace: false,
+    }
+}
+
 /// The choice tape (chosen values) of a recorded run.
 fn chosen(record: &[Choice]) -> Vec<u32> {
     record.iter().map(|c| c.chosen).collect()
@@ -205,12 +217,8 @@ fn failure_report(
     // The preemption bound must match the recording run: it decides which
     // scheduling points have arity > 1 and therefore consume tape entries.
     let cfg = RunCfg {
-        policy: Policy::Dfs,
-        seed: 0,
-        mem: memory,
-        preemption_bound,
-        step_budget,
         trace: true,
+        ..dfs(memory, preemption_bound, step_budget)
     };
     let out = run_one(cfg, schedule.clone(), f);
     debug_assert!(
@@ -230,6 +238,13 @@ fn failure_report(
 /// every scheduling (and, in weak mode, read-candidate) choice, cut by the
 /// preemption bound and the sleep-set rule. `f` runs once per execution
 /// and must be deterministic up to the controlled choices.
+///
+/// Executions share the process-global runtime state of the code under
+/// test (thread ids, epochs, descriptor records), so the execution total
+/// depends on what the process explored before: one bound-1 search ran
+/// 3 063 executions as the first test of its binary and 3 093 after
+/// another search. Gate on verdicts and counted events, not on
+/// [`ExploreReport::executions`].
 pub fn explore(opts: ExploreOpts, f: impl Fn()) -> ExploreReport {
     let _g = EXPLORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     explore_inner(opts, &f)
@@ -240,14 +255,7 @@ fn explore_inner(opts: ExploreOpts, f: &dyn Fn()) -> ExploreReport {
     let mut executions = 0;
     let mut pruned = 0;
     loop {
-        let cfg = RunCfg {
-            policy: Policy::Dfs,
-            seed: 0,
-            mem: opts.memory,
-            preemption_bound: opts.preemption_bound,
-            step_budget: opts.step_budget,
-            trace: false,
-        };
+        let cfg = dfs(opts.memory, opts.preemption_bound, opts.step_budget);
         let out = run_one(cfg, forced, f);
         executions += 1;
         match &out.stop {
@@ -349,7 +357,10 @@ pub fn explore_random(opts: FuzzOpts, f: impl Fn()) -> ExploreReport {
 /// [`FailureReport`] or a CI artifact) and return the failure it
 /// reproduces, if any. `preemption_bound` must be the bound the schedule
 /// was recorded under ([`FailureReport::preemption_bound`]) — tapes only
-/// align under the same bound.
+/// align under the same bound. A tape replays exactly only from the same
+/// process-global runtime state it was recorded in (see [`explore`]); in
+/// another process, or after other explorations, it may take another
+/// path.
 pub fn replay(
     schedule: &[u32],
     memory: MemoryMode,
@@ -357,14 +368,7 @@ pub fn replay(
     f: impl Fn(),
 ) -> Option<FailureReport> {
     let _g = EXPLORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = RunCfg {
-        policy: Policy::Dfs,
-        seed: 0,
-        mem: memory,
-        preemption_bound,
-        step_budget: 1_000_000,
-        trace: false,
-    };
+    let cfg = dfs(memory, preemption_bound, 1_000_000);
     let out = run_one(cfg, schedule.to_vec(), &f);
     match out.stop {
         Some(Stop::Failure(kind)) => Some(failure_report(
@@ -412,15 +416,7 @@ fn shrink_inner(
             return None;
         }
         *budget -= 1;
-        let cfg = RunCfg {
-            policy: Policy::Dfs,
-            seed: 0,
-            mem: memory,
-            preemption_bound,
-            step_budget,
-            trace: false,
-        };
-        let out = run_one(cfg, tape, f);
+        let out = run_one(dfs(memory, preemption_bound, step_budget), tape, f);
         match out.stop {
             Some(Stop::Failure(k)) if same_kind(&k) => Some(chosen(&out.record)),
             _ => None,

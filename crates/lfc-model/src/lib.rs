@@ -86,7 +86,7 @@ pub use explore::{
     FailureReport, FuzzOpts,
 };
 pub use mem::MemoryMode;
-pub use sched::{Choice, FailureKind, TraceEv};
+pub use sched::{Choice, FailureKind, TraceEv, STALL_BOUND};
 
 #[cfg(test)]
 mod tests {

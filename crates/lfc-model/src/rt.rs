@@ -6,11 +6,6 @@
 use crate::sched;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Whether the calling thread belongs to a live model execution.
-pub fn model_active() -> bool {
-    sched::execution_active()
-}
-
 /// Allocator hook: called by `lfc_alloc::free_block` before releasing a
 /// block. Returns `true` when the model takes ownership — the block is
 /// *quarantined*: kept mapped until the execution ends so a stale access is

@@ -22,6 +22,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Why an execution stopped before completing normally.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +48,21 @@ pub enum FailureKind {
     /// The execution exceeded the per-run step budget (livelock, or the
     /// scenario is too big for the configured bound).
     StepBudget,
+    /// The baton holder reached no scheduling point for [`STALL_BOUND`]:
+    /// it is blocked outside the model, typically on a `std` lock held by
+    /// a thread the scheduler parked inside a model operation. The
+    /// report's timeline ends where the execution stalled.
+    Stalled {
+        /// Model thread id of the baton holder.
+        holder: usize,
+    },
 }
+
+/// How long the baton holder may run without reaching a scheduling point
+/// before its waiters stop the execution as [`FailureKind::Stalled`]. The
+/// longest such gap seen in the release model suite (debug assertions on,
+/// 2 vCPUs) was 34 ms.
+pub const STALL_BOUND: Duration = Duration::from_secs(10);
 
 impl std::fmt::Display for FailureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -64,6 +79,11 @@ impl std::fmt::Display for FailureKind {
             FailureKind::StepBudget => {
                 write!(f, "step budget exceeded (livelock or bound too small)")
             }
+            FailureKind::Stalled { holder } => write!(
+                f,
+                "stall: T{holder} reached no scheduling point for {STALL_BOUND:?} \
+                 (blocked outside the model?)"
+            ),
         }
     }
 }
@@ -375,13 +395,6 @@ pub(crate) fn clear_current() {
     CURRENT.with(|c| *c.borrow_mut() = None);
 }
 
-/// Whether the calling thread is inside a live (non-poisoned) model
-/// execution. Used by the allocator hook: frees are quarantined for the
-/// whole execution, including the post-failure free-for-all.
-pub(crate) fn execution_active() -> bool {
-    current().is_some()
-}
-
 impl Exec {
     pub(crate) fn new(cfg: RunCfg, forced: Vec<u32>) -> Arc<Exec> {
         let tape = Tape::new(forced, cfg.policy, cfg.seed);
@@ -538,6 +551,40 @@ impl Exec {
         }
     }
 
+    /// Wait on the baton until `ready` holds (`true`) or the execution
+    /// stops (`false`). A waiter that sees the baton holder make no
+    /// scheduling point for [`STALL_BOUND`] stops the execution as
+    /// [`FailureKind::Stalled`]; every waiter then drains in passthrough,
+    /// as after any stop.
+    fn wait_turn<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, ExecState>,
+        ready: impl Fn(&ExecState) -> bool,
+    ) -> (MutexGuard<'a, ExecState>, bool) {
+        let mut seen = (st.steps, st.active);
+        let mut since = Instant::now();
+        loop {
+            if st.stopped() {
+                return (st, false);
+            }
+            if ready(&st) {
+                return (st, true);
+            }
+            st = self
+                .cv
+                .wait_timeout(st, STALL_BOUND)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            if (st.steps, st.active) != seen {
+                seen = (st.steps, st.active);
+                since = Instant::now();
+            } else if let Some(holder) = st.active.filter(|_| since.elapsed() >= STALL_BOUND) {
+                st.set_stop(Stop::Failure(FailureKind::Stalled { holder }));
+                self.cv.notify_all();
+            }
+        }
+    }
+
     /// Announce `op`, wait for the baton, then run `perform` under the
     /// execution lock. Returns `None` when the execution is poisoned (the
     /// caller falls through to the raw operation).
@@ -568,24 +615,13 @@ impl Exec {
             st.active = None;
             self.pick(&mut st);
         }
-        if st.stopped() {
-            // pick() may have stopped the execution (deadlock/prune).
-            st.threads[tid].status = Status::Running;
+        // pick() may have stopped the execution (deadlock/prune).
+        let (mut st, granted) = self.wait_turn(st, |st| st.active == Some(tid));
+        st.threads[tid].status = Status::Running;
+        if !granted {
             st.threads[tid].pending = None;
             return None;
         }
-        loop {
-            if st.stopped() {
-                st.threads[tid].status = Status::Running;
-                st.threads[tid].pending = None;
-                return None;
-            }
-            if st.active == Some(tid) {
-                break;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st.threads[tid].status = Status::Running;
         let op = st.threads[tid]
             .pending
             .take()
@@ -632,35 +668,23 @@ impl Exec {
         if st.stopped() {
             return;
         }
-        if st.threads[target].status == Status::Finished {
-            // Thread completion synchronizes-with join.
-            let tc = st.threads[target].clock;
-            let tv = st.threads[target].view.clone();
-            st.threads[tid].clock.join(&tc);
-            if view_join(&mut st.threads[tid].view, &tv) {
-                st.threads[tid].view_dirty = true;
+        if st.threads[target].status != Status::Finished {
+            st.threads[tid].status = Status::JoinWait(target);
+            st.threads[tid].pending = None;
+            if st.active == Some(tid) {
+                st.active = None;
+                self.pick(&mut st);
             }
-            return;
-        }
-        st.threads[tid].status = Status::JoinWait(target);
-        st.threads[tid].pending = None;
-        if st.active == Some(tid) {
-            st.active = None;
-            self.pick(&mut st);
-        }
-        loop {
-            if st.stopped() {
-                st.threads[tid].status = Status::Running;
-                st.threads[tid].pending = None;
+            let granted;
+            (st, granted) = self.wait_turn(st, |st| {
+                st.active == Some(tid) && st.threads[tid].status == Status::Runnable
+            });
+            st.threads[tid].status = Status::Running;
+            st.threads[tid].pending = None;
+            if !granted {
                 return;
             }
-            if st.active == Some(tid) && st.threads[tid].status == Status::Runnable {
-                break;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
-        st.threads[tid].status = Status::Running;
-        st.threads[tid].pending = None;
         // Thread completion synchronizes-with join.
         let tc = st.threads[target].clock;
         let tv = st.threads[target].view.clone();
@@ -673,18 +697,7 @@ impl Exec {
     /// First scheduling point of a spawned thread (its registration made it
     /// runnable before the OS thread existed).
     pub(crate) fn start_point(self: &Arc<Self>, tid: usize) {
-        let mut st = self.lock();
-        loop {
-            if st.stopped() {
-                st.threads[tid].status = Status::Running;
-                st.threads[tid].pending = None;
-                return;
-            }
-            if st.active == Some(tid) {
-                break;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        let (mut st, _) = self.wait_turn(self.lock(), |st| st.active == Some(tid));
         st.threads[tid].status = Status::Running;
         st.threads[tid].pending = None;
     }

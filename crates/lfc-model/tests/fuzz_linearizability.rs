@@ -598,7 +598,7 @@ fn fuzz_keyed_moves_with_faults_armed() {
                 let refusals = refusals.clone();
                 move || {
                     // Every second fallible node allocation fails.
-                    fault::arm_site("structures.node", fault::Schedule::EveryNth(2));
+                    fault::arm_site(fault::site::STRUCTURES_NODE, fault::Schedule::EveryNth(2));
                     let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
                     let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
                     let rec = Arc::new(Recorder::<KeyedPairOp>::new());
@@ -686,7 +686,7 @@ fn fuzz_keyed_moves_with_faults_armed() {
             memory: MemoryMode::Interleaving,
         },
         move || {
-            fault::arm_site("dcas.published", fault::Schedule::Nth(1));
+            fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::Nth(1));
             let a = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
             let b = Arc::new(LfHashMap::<u32, u32>::with_buckets(1));
             for k in 0..3u32 {

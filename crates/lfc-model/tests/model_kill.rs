@@ -58,7 +58,7 @@ fn plain_values(words: &[DAtomic]) -> Vec<usize> {
 fn scenario(k: usize) {
     // Re-armed per execution: `Nth(1)` fires on the victim's first (and
     // only) pass through the site; the survivor never runs initiator code.
-    fault::arm_site("dcas.published", fault::Schedule::Nth(1));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::Nth(1));
     let ws = words(k);
 
     // Root pins *before* the victim runs: two registered threads keep the
@@ -110,7 +110,7 @@ fn scenario(k: usize) {
 /// torn half-commit the crash adversary caught. Every word must end
 /// exactly as it started.
 fn scenario_unpublished(k: usize) {
-    fault::arm_site("dcas.announced", fault::Schedule::Nth(1));
+    fault::arm_site(fault::site::DCAS_ANNOUNCED, fault::Schedule::Nth(1));
     let ws = words(k);
     let g = lfc_hazard::pin();
 

@@ -8,7 +8,7 @@
 
 use lfc_core::{move_keyed, move_one, swap, MoveOutcome, SwapOutcome};
 use lfc_linear::{check_linearizable, render_history, Cont, PairOp, PairSpec, Recorder};
-use lfc_model::{explore, ExploreOpts, MemoryMode};
+use lfc_model::{explore, ExploreOpts, FailureKind, MemoryMode};
 use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
 use std::sync::Arc;
 
@@ -233,4 +233,34 @@ fn dfs_second_empty_verdict_vs_rival_drain() {
     });
     report.assert_ok();
     assert!(report.executions > 10, "scenario must actually branch");
+}
+
+#[test]
+fn a_std_lock_held_across_a_pop_is_reported_as_a_stall() {
+    // Two poppers lock a std `Mutex` before popping into it. The scheduler
+    // parks one lock holder inside `pop` and hands the baton to the other
+    // popper, which blocks on the OS lock: no thread can reach a
+    // scheduling point. The watchdog stops the execution instead of
+    // letting the search hang, and the waiters drain in passthrough.
+    let report = explore(opts(1), || {
+        let s = Arc::new(TreiberStack::<u32>::new());
+        s.push(1);
+        s.push(2);
+        let taken = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let poppers: Vec<_> = (0..2)
+            .map(|_| {
+                let (s, taken) = (s.clone(), taken.clone());
+                lfc_model::thread::spawn(move || taken.lock().unwrap().extend(s.pop()))
+            })
+            .collect();
+        for p in poppers {
+            p.join();
+        }
+    });
+    let failure = report.failure.expect("the stall is reported");
+    // The holder is the popper waiting on the lock.
+    assert!(
+        matches!(failure.kind, FailureKind::Stalled { holder: 1 | 2 }),
+        "{failure}"
+    );
 }

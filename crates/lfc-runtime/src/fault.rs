@@ -18,34 +18,25 @@
 //!
 //! # Zero cost when disarmed
 //!
-//! Every site begins with one `Relaxed` load of the process-global
-//! armed-generation word and a predictable branch — and commit paths that
-//! pass several sites hoist even that into a single [`gate`] snapshot
-//! threaded through as a [`FaultGate`]; no site is ever evaluated, no lock
-//! taken, no counter bumped. There is one way to arm a site: [`arm_site`]
-//! with a [`Schedule`] — fire on the Nth check of that site once, on every
-//! Nth check, with a seeded parts-per-million probability, or always.
-//! [`disarm_site`] retires one site and [`disarm`] all of them.
+//! Every site begins with one `Relaxed` load of the process-global armed
+//! flag and a predictable branch — and commit paths that pass several
+//! sites hoist even that into a single [`gate`] snapshot threaded through
+//! as a [`FaultGate`]; no site is ever evaluated, no counter bumped. There
+//! is one way to arm a site: [`arm_site`] with a [`Schedule`] — fire on
+//! the Nth check of that site once, on every Nth check, with a seeded
+//! parts-per-million probability, or always. [`disarm_site`] retires one
+//! site and [`disarm`] all of them.
 //!
-//! # Site registry
+//! # The site table
 //!
-//! Sites are `&'static str` names chosen at the call site; the schedule
-//! decides *whether* to fire, the caller decides *what* a fired fault
-//! means (an `AllocError`, an [`abandon`]). A site is armed by its exact
-//! name through [`arm_site`]; a name missing from this table arms nothing,
-//! so CI checks every armed literal outside this module against it.
-//! Current sites:
-//!
-//! | site | layer | meaning when fired |
-//! |---|---|---|
-//! | `alloc.block` | lfc-alloc | backstop: any pooled block allocation fails |
-//! | `dcas.announced` | lfc-dcas | owner dies right after announcing its descriptor |
-//! | `dcas.published` | lfc-dcas | owner dies right after the D10 install |
-//! | `dcas.help` | lfc-dcas | helper dies at the helping boundary |
-//! | `structures.node`, `structures.header` | lfc-structures | node/header allocation fails |
-//! | `map.segment`, `map.dummy`, `map.grow` | lfc-structures | split-ordered map degrades (no resize): a directory segment allocation fails; a bucket's claimer releases its claim and starts from the parent bucket's dummy; the doubling CAS is skipped |
-//! | `batch.node`, `batch.gate` | lfc-core | request-node allocation fails (falls back to direct execution), or the fallible gate constructor fails |
-//! | `batch.submitted` | lfc-core | submitter dies after publishing its request |
+//! Every site is a row of one static table, named by a constant of
+//! [`site`] (whose docs say what each site means when it fires). The
+//! schedule decides *whether* to fire, the caller decides *what* a fired
+//! fault means (an `AllocError`, an [`abandon`]). A row holds its schedule,
+//! seed and counters in plain atomics, so an armed check takes no lock and
+//! allocates nothing: threads checking sites concurrently never wait for
+//! each other. [`arm_site`] and [`disarm_site`] panic on a name outside the
+//! table; [`check`] on such a name never fires.
 //!
 //! Threads that must survive a kill campaign (the harness's survivor
 //! pool, verification code) call [`shield_thread`]; exiting and
@@ -54,31 +45,67 @@
 
 use crate::rng::SmallRng;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------------
-// Arming state + schedules
+// The site table + schedules
 // ---------------------------------------------------------------------------
 
-/// `ARMED_GEN` value meaning "no schedule armed anywhere".
-const GEN_DISARMED: usize = 0;
+/// The names of every fault site, one per row of the table.
+pub mod site {
+    /// lfc-alloc backstop: any pooled block allocation fails.
+    pub const ALLOC_BLOCK: &str = "alloc.block";
+    /// lfc-core: a request-node allocation fails (the submitter falls
+    /// back to direct execution).
+    pub const BATCH_NODE: &str = "batch.node";
+    /// lfc-core: the fallible gate constructor fails.
+    pub const BATCH_GATE: &str = "batch.gate";
+    /// lfc-core: the submitter dies after publishing its request.
+    pub const BATCH_SUBMITTED: &str = "batch.submitted";
+    /// lfc-dcas: the owner dies right after announcing its descriptor.
+    pub const DCAS_ANNOUNCED: &str = "dcas.announced";
+    /// lfc-dcas: a helper dies at the helping boundary.
+    pub const DCAS_HELP: &str = "dcas.help";
+    /// lfc-dcas: the owner dies right after the D10 install.
+    pub const DCAS_PUBLISHED: &str = "dcas.published";
+    /// lfc-structures: the split-ordered map's doubling CAS is skipped
+    /// (the map degrades to no resize).
+    pub const MAP_GROW: &str = "map.grow";
+    /// lfc-structures: a bucket's claimer releases its claim and starts
+    /// from the parent bucket's dummy.
+    pub const MAP_DUMMY: &str = "map.dummy";
+    /// lfc-structures: a directory segment allocation fails.
+    pub const MAP_SEGMENT: &str = "map.segment";
+    /// lfc-structures: a header allocation fails.
+    pub const STRUCTURES_HEADER: &str = "structures.header";
+    /// lfc-structures: a node allocation fails.
+    pub const STRUCTURES_NODE: &str = "structures.node";
 
-/// Process-global arming state: the **armed-generation word**. Holds
-/// [`GEN_DISARMED`] while nothing is armed, and a fresh nonzero generation
-/// (bumped by every arming change) while any schedule is live. A single
-/// Relaxed load of this one word classifies the process, so hot paths that
-/// used to pay one load per fault site now snapshot it once per commit as a
-/// [`FaultGate`] and test a register bool at each site. Plain `std` atomic on purpose: fault
-/// bookkeeping is harness infrastructure, not protocol state — it must not
-/// create model-checker choice points.
-static ARMED_GEN: AtomicUsize = AtomicUsize::new(GEN_DISARMED);
+    /// Every site, sorted by name: row `i` of the table is `ALL[i]`.
+    pub(super) const ALL: [&str; 12] = [
+        ALLOC_BLOCK,
+        BATCH_GATE,
+        BATCH_NODE,
+        BATCH_SUBMITTED,
+        DCAS_ANNOUNCED,
+        DCAS_HELP,
+        DCAS_PUBLISHED,
+        MAP_DUMMY,
+        MAP_GROW,
+        MAP_SEGMENT,
+        STRUCTURES_HEADER,
+        STRUCTURES_NODE,
+    ];
+}
 
-/// Monotonic generation source for [`ARMED_GEN`]; starts at 1 so an armed
-/// generation can never collide with [`GEN_DISARMED`].
-static NEXT_GEN: AtomicUsize = AtomicUsize::new(1);
+/// Whether any row holds a schedule. A single Relaxed load of this one
+/// flag classifies the process, so hot paths snapshot it once per commit
+/// as a [`FaultGate`] and test a register bool at each site. Plain `std`
+/// atomics here and in the table on purpose: fault bookkeeping is harness
+/// infrastructure, not protocol state — it must not create model-checker
+/// choice points.
+static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// When a site should fire.
 #[derive(Debug, Clone)]
@@ -87,7 +114,8 @@ pub enum Schedule {
     Nth(u64),
     /// Fire on every `n`th check of the site.
     EveryNth(u64),
-    /// Fire with probability `ppm`/1 000 000 per check, from a seeded PRNG.
+    /// Fire with probability `ppm`/1 000 000 per check, drawn from the
+    /// seed and the check's index (deterministic replay).
     Prob {
         /// Parts-per-million firing probability.
         ppm: u32,
@@ -98,58 +126,86 @@ pub enum Schedule {
     Always,
 }
 
-struct SiteState {
-    schedule: Option<Schedule>,
-    rng: Option<SmallRng>,
-    checks: u64,
-    fired: u64,
+/// A row's schedule word: the [`Schedule`] kind in the top bits, its
+/// `n` or `ppm` below. Zero means no schedule.
+const KIND_SHIFT: u32 = 60;
+const NTH: u64 = 1;
+const EVERY_NTH: u64 = 2;
+const PROB: u64 = 3;
+const ALWAYS: u64 = 4;
+
+impl Schedule {
+    fn word(&self) -> u64 {
+        let (kind, arg) = match *self {
+            Schedule::Nth(n) => (NTH, n),
+            Schedule::EveryNth(n) => (EVERY_NTH, n),
+            Schedule::Prob { ppm, .. } => (PROB, ppm as u64),
+            Schedule::Always => (ALWAYS, 0),
+        };
+        assert!(arg < 1 << KIND_SHIFT, "{self:?}: argument out of range");
+        kind << KIND_SHIFT | arg
+    }
 }
 
-impl SiteState {
-    fn new(schedule: Option<Schedule>) -> Self {
-        let rng = match &schedule {
-            Some(Schedule::Prob { seed, .. }) => Some(SmallRng::seed_from_u64(*seed)),
-            _ => None,
-        };
-        SiteState {
-            schedule,
-            rng,
-            checks: 0,
-            fired: 0,
-        }
-    }
+/// One site's schedule and counters.
+struct Row {
+    schedule: AtomicU64,
+    seed: AtomicU64,
+    checks: AtomicU64,
+    fired: AtomicU64,
+}
 
-    fn eval(&mut self) -> bool {
-        self.checks += 1;
-        let fire = match &self.schedule {
-            None => false,
-            Some(Schedule::Nth(n)) => self.checks == *n,
-            Some(Schedule::EveryNth(n)) => self.checks.is_multiple_of(*n),
-            Some(Schedule::Always) => true,
-            Some(Schedule::Prob { ppm, .. }) => {
-                self.rng
-                    .as_mut()
-                    .expect("prob schedule carries rng")
+impl Row {
+    /// Count one check and decide whether it fires.
+    fn eval(&self) -> bool {
+        let i = self.checks.fetch_add(1, Ordering::Relaxed) + 1;
+        // Acquire: pairs with `arm_site`'s Release, so a `Prob` word is
+        // never read with the previous schedule's seed.
+        let word = self.schedule.load(Ordering::Acquire);
+        let arg = word & ((1 << KIND_SHIFT) - 1);
+        let fire = match word >> KIND_SHIFT {
+            NTH => i == arg,
+            EVERY_NTH => i.is_multiple_of(arg),
+            PROB => {
+                let seed = self.seed.load(Ordering::Relaxed);
+                SmallRng::seed_from_u64(seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93))
                     .below(1_000_000)
-                    < *ppm as u64
+                    < arg
             }
+            ALWAYS => true,
+            _ => false,
         };
         if fire {
-            self.fired += 1;
+            self.fired.fetch_add(1, Ordering::Relaxed);
         }
         fire
     }
 }
 
-/// Every armed or observed site's schedule and counters, by name. Empty
-/// until a site is armed, and again after [`disarm`].
-static SITES: Mutex<BTreeMap<String, SiteState>> = Mutex::new(BTreeMap::new());
+static TABLE: [Row; site::ALL.len()] = [const {
+    Row {
+        schedule: AtomicU64::new(0),
+        seed: AtomicU64::new(0),
+        checks: AtomicU64::new(0),
+        fired: AtomicU64::new(0),
+    }
+}; site::ALL.len()];
 
-fn lock_sites() -> std::sync::MutexGuard<'static, BTreeMap<String, SiteState>> {
-    // A panic (e.g. an injected abandon) while *not* holding the lock can
-    // never poison it; recover anyway so one failed test cannot wedge the
-    // whole process's fault machinery.
-    SITES.lock().unwrap_or_else(|e| e.into_inner())
+/// The row named `name`, if the table has one.
+fn row(name: &str) -> Option<&'static Row> {
+    site::ALL.iter().position(|&s| s == name).map(|i| &TABLE[i])
+}
+
+/// The row named `name`; panics naming it when the table has none, so a
+/// stale or misspelt name fails where it is armed instead of arming
+/// nothing.
+fn known_row(name: &str) -> &'static Row {
+    row(name)
+        .unwrap_or_else(|| panic!("{name:?} is not a fault site (see lfc_runtime::fault::site)"))
+}
+
+fn any_scheduled() -> bool {
+    TABLE.iter().any(|r| r.schedule.load(Ordering::SeqCst) != 0)
 }
 
 thread_local! {
@@ -216,7 +272,7 @@ fn is_shielded() -> bool {
 ///
 /// Commit paths that pass several fault sites (a composed move pays
 /// `dcas.announced`, `dcas.published`, possibly `dcas.help`, plus the
-/// allocation sites of the stages) load the armed-generation word **once**
+/// allocation sites of the stages) load the armed flag **once**
 /// and thread this `Copy` token through; each per-site check then costs a
 /// register test instead of a shared load. Semantics: a schedule armed
 /// *after* the snapshot is not seen until the next `gate()` (harnesses arm
@@ -244,18 +300,18 @@ impl FaultGate {
     }
 }
 
-/// Snapshot the armed-generation word (one `Relaxed` load) into a
-/// [`FaultGate`] for a run of site checks.
+/// Snapshot the armed flag (one `Relaxed` load) into a [`FaultGate`] for
+/// a run of site checks.
 #[inline]
 pub fn gate() -> FaultGate {
     FaultGate {
-        armed: ARMED_GEN.load(Ordering::Relaxed) != GEN_DISARMED,
+        armed: ARMED.load(Ordering::Relaxed),
     }
 }
 
 /// Check a named fault site. Returns `true` when the armed schedule says
 /// this check fails. The disarmed fast path is a single `Relaxed` load of
-/// the armed-generation word.
+/// the armed flag.
 #[inline]
 pub fn check(site: &'static str) -> bool {
     gate().check(site)
@@ -265,26 +321,32 @@ pub fn check(site: &'static str) -> bool {
 fn check_slow(site: &'static str) -> bool {
     // Teardown and abandonment paths are implicitly shielded: an injected
     // failure inside a TLS destructor would double-panic into an abort.
-    if is_shielded() || crate::tid::thread_is_exiting() || thread_is_abandoning() {
+    // A check whose gate predates a `disarm` finds the flag down and
+    // counts nothing.
+    if !ARMED.load(Ordering::Relaxed)
+        || is_shielded()
+        || crate::tid::thread_is_exiting()
+        || thread_is_abandoning()
+    {
         return false;
     }
-    let mut sites = lock_sites();
-    if sites.is_empty() {
-        // Disarmed since this check's gate snapshot.
-        return false;
-    }
-    // Record every observation, armed or not, so `counters()` names every
-    // touched site.
-    sites
-        .entry(site.to_string())
-        .or_insert_with(|| SiteState::new(None))
-        .eval()
+    // While anything is armed, every check of a table site is counted,
+    // armed or not, so `counters()` names every touched site.
+    row(site).is_some_and(Row::eval)
 }
 
-fn mark_armed() {
-    // A fresh generation per arm: gates snapshotted before this store stay
-    // disarmed for their in-flight commit; everything after sees armed.
-    ARMED_GEN.store(NEXT_GEN.fetch_add(1, Ordering::Relaxed), Ordering::Release);
+/// Arm `site` with `schedule`, resetting its counters. Panics when `site`
+/// is not a [`site`] of the table.
+pub fn arm_site(site: &str, schedule: Schedule) {
+    let row = known_row(site);
+    let word = schedule.word();
+    if let Schedule::Prob { seed, .. } = schedule {
+        row.seed.store(seed, Ordering::Relaxed);
+    }
+    row.checks.store(0, Ordering::Relaxed);
+    row.fired.store(0, Ordering::Relaxed);
+    row.schedule.store(word, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     // Under the model checker the kill payload is recognized by
     // `lfc-model`'s thread wrapper, which must know how to finish the
     // abandonment while the dead thread is still scheduled.
@@ -292,41 +354,36 @@ fn mark_armed() {
     lfc_model::rt::register_abandon_epilogue(complete_abandonment);
 }
 
-/// Arm `site` with `schedule` (resetting its counters).
-pub fn arm_site(site: &str, schedule: Schedule) {
-    lock_sites().insert(site.to_string(), SiteState::new(Some(schedule)));
-    mark_armed();
-}
-
 /// Disarm everything and clear all schedules and counters.
 pub fn disarm() {
-    lock_sites().clear();
-    ARMED_GEN.store(GEN_DISARMED, Ordering::Release);
+    ARMED.store(false, Ordering::SeqCst);
+    for row in &TABLE {
+        row.schedule.store(0, Ordering::SeqCst);
+        row.checks.store(0, Ordering::Relaxed);
+        row.fired.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Disarm one named site, leaving every other schedule armed and **all**
 /// counters (including the disarmed site's) intact. Phased chaos
 /// campaigns retire one adversary at a time this way — e.g. kill sites
 /// first, allocation sites later — and still read the full per-site
-/// check/fire history at the end.
+/// check/fire history at the end. Panics when `site` is not a [`site`] of
+/// the table.
 ///
-/// When the last schedule goes, the armed-generation word drops to
-/// disarmed and the hot paths are back to their single predictable branch.
+/// When the last schedule goes, the armed flag drops and the hot paths are
+/// back to their single predictable branch. Gates snapshotted before this
+/// call may still fire the retired site once.
 pub fn disarm_site(site: &str) {
-    let any_left = {
-        let mut sites = lock_sites();
-        if let Some(s) = sites.get_mut(site) {
-            s.schedule = None;
-            s.rng = None;
+    known_row(site).schedule.store(0, Ordering::SeqCst);
+    if !any_scheduled() {
+        ARMED.store(false, Ordering::SeqCst);
+        // An `arm_site` that raced the scan stored its schedule before
+        // raising the flag: either this rescan sees it, or its raise comes
+        // after the store above.
+        if any_scheduled() {
+            ARMED.store(true, Ordering::SeqCst);
         }
-        sites.values().any(|s| s.schedule.is_some())
-    };
-    if any_left {
-        // Fresh generation: gates snapshotted before this call may still
-        // fire the retired site once; everything after sees the new mix.
-        mark_armed();
-    } else {
-        ARMED_GEN.store(GEN_DISARMED, Ordering::Release);
     }
 }
 
@@ -338,18 +395,29 @@ pub fn armed() -> bool {
     gate().armed
 }
 
-/// Per-site `(site, checks, fired)` counters, sorted by site name.
-/// Empty when nothing was ever armed.
+/// Per-site `(site, checks, fired)` counters of every armed or checked
+/// site, sorted by site name. Empty when nothing was armed since the last
+/// [`disarm`].
 pub fn counters() -> Vec<(String, u64, u64)> {
-    lock_sites()
+    site::ALL
         .iter()
-        .map(|(k, v)| (k.clone(), v.checks, v.fired))
+        .zip(&TABLE)
+        .filter(|(_, r)| {
+            r.schedule.load(Ordering::Relaxed) != 0 || r.checks.load(Ordering::Relaxed) != 0
+        })
+        .map(|(s, r)| {
+            let (checks, fired) = (
+                r.checks.load(Ordering::Relaxed),
+                r.fired.load(Ordering::Relaxed),
+            );
+            (s.to_string(), checks, fired)
+        })
         .collect()
 }
 
 /// Total number of injected faults across all sites.
 pub fn fired_total() -> u64 {
-    counters().iter().map(|(_, _, f)| f).sum()
+    TABLE.iter().map(|r| r.fired.load(Ordering::Relaxed)).sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -410,7 +478,7 @@ pub fn abandonment_scope<R>(f: impl FnOnce() -> R) -> Option<R> {
 }
 
 /// Corpse registry: tids whose owning thread died mid-operation and whose
-/// id/bank/descriptors await adoption. Plain `std` atomics (see `ARMED_GEN`).
+/// id/bank/descriptors await adoption. Plain `std` atomics (see `ARMED`).
 static CORPSE: [AtomicBool; crate::tid::MAX_THREADS] =
     [const { AtomicBool::new(false) }; crate::tid::MAX_THREADS];
 static CORPSE_COUNT: AtomicUsize = AtomicUsize::new(0);
@@ -504,11 +572,20 @@ pub fn install_quiet_abandon_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use site::*;
+    use std::sync::Mutex;
+    use std::time::Instant;
 
     // All tests share process-global arming state; serialize them.
     static SER: Mutex<()> = Mutex::new(());
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         SER.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn row_counters(name: &str) -> (u64, u64) {
+        let c = counters();
+        let row = c.iter().find(|(s, _, _)| s == name).expect("row reported");
+        (row.1, row.2)
     }
 
     #[test]
@@ -518,101 +595,160 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_never_fires() {
+    fn the_table_is_sorted_and_has_no_duplicates() {
+        assert!(site::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "\"alloc.blok\" is not a fault site")]
+    fn arming_an_unknown_site_panics() {
+        arm_site("alloc.blok", Schedule::Always);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"never.armed\" is not a fault site")]
+    fn disarming_an_unknown_site_panics() {
+        disarm_site("never.armed");
+    }
+
+    #[test]
+    fn disarmed_sites_and_unknown_names_never_fire() {
         let _s = serial();
         disarm();
-        for _ in 0..1000 {
-            assert!(!check("test.site"));
+        assert!((0..1000).all(|_| !check(ALLOC_BLOCK)));
+        arm_site(DCAS_PUBLISHED, Schedule::Always);
+        assert!(!check("bench.probe"));
+        assert!(counters().iter().all(|(s, _, _)| s == DCAS_PUBLISHED));
+        disarm();
+    }
+
+    #[test]
+    fn every_site_armed_always_fires_on_its_next_check() {
+        let _s = serial();
+        for name in site::ALL {
+            arm_site(name, Schedule::Always);
+            assert!(check(name), "{name} did not fire");
+            assert_eq!(row_counters(name), (1, 1), "{name}");
+            disarm();
         }
     }
 
     #[test]
     fn nth_fires_exactly_once() {
         let _s = serial();
-        arm_site("test.nth", Schedule::Nth(3));
-        let fired: Vec<bool> = (0..6).map(|_| check("test.nth")).collect();
+        arm_site(MAP_GROW, Schedule::Nth(3));
+        let fired: Vec<bool> = (0..6).map(|_| check(MAP_GROW)).collect();
         assert_eq!(fired, [false, false, true, false, false, false]);
-        let c = counters();
-        let row = c.iter().find(|(s, _, _)| s == "test.nth").unwrap();
-        assert_eq!((row.1, row.2), (6, 1));
+        assert_eq!(row_counters(MAP_GROW), (6, 1));
         disarm();
     }
 
     #[test]
-    fn every_nth_fires_periodically() {
+    fn every_nth_counts_exactly_across_two_threads() {
         let _s = serial();
-        arm_site("test.every", Schedule::EveryNth(2));
-        let fired = (0..6).filter(|_| check("test.every")).count();
-        assert_eq!(fired, 3);
+        const K: u64 = 7;
+        const PER_THREAD: u64 = 1_000_000;
+        arm_site(MAP_DUMMY, Schedule::EveryNth(K));
+        let fired: u64 = std::thread::scope(|sc| {
+            let run = || (0..PER_THREAD).filter(|_| check(MAP_DUMMY)).count() as u64;
+            let a = sc.spawn(run);
+            let b = sc.spawn(run);
+            a.join().unwrap() + b.join().unwrap()
+        });
+        assert_eq!(
+            row_counters(MAP_DUMMY),
+            (2 * PER_THREAD, 2 * PER_THREAD / K)
+        );
+        assert_eq!(fired, 2 * PER_THREAD / K);
         disarm();
+    }
+
+    #[test]
+    fn prob_fires_the_same_check_indices_for_a_seed() {
+        let _s = serial();
+        let run = |seed| {
+            arm_site(BATCH_NODE, Schedule::Prob { ppm: 250_000, seed });
+            let v: Vec<usize> = (0..256).filter(|_| check(BATCH_NODE)).collect();
+            disarm();
+            v
+        };
+        let fired = run(7);
+        assert_eq!(fired, run(7));
+        assert_ne!(fired, run(8));
+        // About a quarter of the checks fire.
+        assert!((32..96).contains(&fired.len()), "{} of 256", fired.len());
     }
 
     #[test]
     fn disarm_site_retires_one_adversary_at_a_time() {
         let _s = serial();
-        arm_site("phase.kill", Schedule::Always);
-        arm_site("phase.oom", Schedule::Always);
-        assert!(check("phase.kill") && check("phase.oom"));
+        arm_site(DCAS_PUBLISHED, Schedule::Always);
+        arm_site(STRUCTURES_NODE, Schedule::Always);
+        assert!(check(DCAS_PUBLISHED) && check(STRUCTURES_NODE));
 
         // Retiring one adversary leaves the other armed and keeps the
         // retired site's counters for the end-of-campaign report.
-        disarm_site("phase.kill");
-        assert!(armed(), "phase.oom is still live");
-        assert!(!check("phase.kill"), "retired site never fires again");
-        assert!(check("phase.oom"));
-        let c = counters();
-        let kill = c.iter().find(|(s, _, _)| s == "phase.kill").unwrap();
-        assert_eq!(kill.2, 1, "history of the retired site is preserved");
-        assert!(kill.1 >= 2, "post-disarm checks still counted");
+        disarm_site(DCAS_PUBLISHED);
+        assert!(armed(), "structures.node is still live");
+        assert!(!check(DCAS_PUBLISHED), "retired site never fires again");
+        assert!(check(STRUCTURES_NODE));
+        let (checks, fired) = row_counters(DCAS_PUBLISHED);
+        assert_eq!(fired, 1, "history of the retired site is preserved");
+        assert!(checks >= 2, "post-disarm checks still counted");
 
-        // Retiring the last schedule drops the armed-generation word:
-        // the disarmed fast path is back.
-        disarm_site("phase.oom");
+        // Retiring the last schedule drops the armed flag: the disarmed
+        // fast path is back.
+        disarm_site(STRUCTURES_NODE);
         assert!(!armed(), "no schedule left anywhere");
-        assert!(!check("phase.oom"));
-        // Counters survive until the full disarm: phase.kill fired once,
-        // phase.oom twice (before each retirement).
+        assert!(!check(STRUCTURES_NODE));
+        // Counters survive until the full disarm: dcas.published fired
+        // once, structures.node twice (before each retirement).
         assert_eq!(fired_total(), 3);
         disarm();
-    }
-
-    #[test]
-    fn disarm_site_on_unknown_site_is_a_no_op() {
-        let _s = serial();
-        arm_site("real.site", Schedule::Always);
-        disarm_site("never.armed");
-        assert!(armed());
-        assert!(check("real.site"));
-        disarm();
-    }
-
-    #[test]
-    fn prob_is_deterministic_for_a_seed() {
-        let _s = serial();
-        let run = || {
-            arm_site(
-                "test.prob",
-                Schedule::Prob {
-                    ppm: 250_000,
-                    seed: 7,
-                },
-            );
-            let v: Vec<bool> = (0..64).map(|_| check("test.prob")).collect();
-            disarm();
-            v
-        };
-        assert_eq!(run(), run());
+        assert_eq!(fired_total(), 0);
     }
 
     #[test]
     fn shielded_thread_never_fires() {
         let _s = serial();
-        arm_site("any.site", Schedule::Always);
+        arm_site(ALLOC_BLOCK, Schedule::Always);
         shield_thread(true);
-        assert!(!check("any.site"));
+        assert!(!check(ALLOC_BLOCK));
         shield_thread(false);
-        assert!(check("any.site"));
+        assert!(check(ALLOC_BLOCK));
         disarm();
+    }
+
+    /// The armed-path cost: one site armed, another checked from one and
+    /// from two threads. Prints, asserts nothing; run with
+    /// `cargo test --release -p lfc-runtime armed_check_cost -- --ignored
+    /// --nocapture`.
+    #[test]
+    #[ignore = "timing report, not a check"]
+    fn armed_check_cost() {
+        let _s = serial();
+        const N: u32 = 2_000_000;
+        let time = || {
+            let t = Instant::now();
+            for _ in 0..N {
+                std::hint::black_box(check(std::hint::black_box(ALLOC_BLOCK)));
+            }
+            t.elapsed().as_nanos() as f64 / N as f64
+        };
+        let disarmed = time();
+        arm_site(DCAS_PUBLISHED, Schedule::Nth(1));
+        let one = time();
+        let two: Vec<f64> = std::thread::scope(|sc| {
+            [sc.spawn(time), sc.spawn(time)]
+                .map(|h| h.join().unwrap())
+                .to_vec()
+        });
+        disarm();
+        println!(
+            "check(alloc.block): disarmed {disarmed:.1} ns, armed 1 thread {one:.1} ns, \
+             armed 2 threads {:.1} / {:.1} ns per call",
+            two[0], two[1]
+        );
     }
 
     #[test]

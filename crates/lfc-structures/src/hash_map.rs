@@ -95,6 +95,7 @@ use lfc_core::{
 };
 use lfc_dcas::DAtomic;
 use lfc_hazard::{pin, pin_op, Guard, OpGuard};
+use lfc_runtime::fault::{self, site};
 use lfc_runtime::CachePadded;
 use std::alloc::Layout;
 use std::cell::UnsafeCell;
@@ -549,7 +550,7 @@ where
         if p != 0 {
             return Some(p as *mut Slot<K, T>);
         }
-        if faultable && lfc_runtime::fault::check("map.segment") {
+        if faultable && fault::check(site::MAP_SEGMENT) {
             return None;
         }
         let fresh = try_alloc_segment(self.seg_len(k)).ok()?;
@@ -638,7 +639,7 @@ where
             state: &slot.state,
             linked: false,
         };
-        if lfc_runtime::fault::check("map.dummy") {
+        if fault::check(site::MAP_DUMMY) {
             // Degrade: release the claim untouched (nothing was written)
             // and start from the parent's chain this time.
             return parent;
@@ -791,7 +792,7 @@ where
             // requirement, so the map simply runs at a higher load factor
             // (longer chains) until the pressure lifts. The heuristic
             // re-fires on every later insert, so growth resumes by itself.
-            if lfc_runtime::fault::check("map.grow") {
+            if fault::check(site::MAP_GROW) {
                 return;
             }
             // Relaxed CAS (audited): doubling publishes nothing — new
@@ -880,7 +881,7 @@ where
     pub fn try_insert(&self, key: K, val: T) -> Result<bool, ((K, T), lfc_alloc::AllocError)> {
         let h = Self::hash(&key);
         let node = try_alloc(
-            "structures.node",
+            site::STRUCTURES_NODE,
             SNode::new(so_data_key(h), Some(key), Some(val)),
         );
         let node = match node {
@@ -1268,7 +1269,6 @@ mod tests {
 
     #[test]
     fn a_claimer_killed_inside_its_walk_leaves_the_slot_claimable() {
-        use lfc_runtime::fault;
         // Two 2-bucket maps with bucket 1 unthreaded, and a key `k` of
         // bucket 0 in `src`: a move of `k` commits the mark on `k`'s `next`
         // in `src` and the link into `dst`'s head, and in either map that
@@ -1286,7 +1286,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 fault::with_registered_peer(|| {
-                    fault::arm_site("dcas.published", fault::Schedule::Nth(1));
+                    fault::arm_site(site::DCAS_PUBLISHED, fault::Schedule::Nth(1));
                     let moved = fault::abandonment_scope(|| lfc_core::move_keyed(&src, &k, &dst));
                     assert!(moved.is_none(), "the mover dies published");
                 })
@@ -1294,7 +1294,7 @@ mod tests {
         });
         // A reader of bucket 1 claims the slot, meets the descriptor in its
         // walk and dies at the helping boundary.
-        fault::arm_site("dcas.help", fault::Schedule::Nth(1));
+        fault::arm_site(site::DCAS_HELP, fault::Schedule::Nth(1));
         let killed = maps.map(|m| {
             std::thread::scope(|s| {
                 s.spawn(|| fault::abandonment_scope(|| m.get(&k1)).is_none())

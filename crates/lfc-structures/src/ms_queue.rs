@@ -25,6 +25,7 @@ use lfc_core::{
     RemoveOutcome, ScasResult,
 };
 use lfc_hazard::{pin, pin_op};
+use lfc_runtime::fault::site;
 use lfc_runtime::{Backoff, BackoffCfg};
 use std::ptr::NonNull;
 
@@ -69,12 +70,12 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
     /// failure (genuine exhaustion, or the `structures.node` /
     /// `structures.header` fault sites) as `Err` instead of panicking.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
-        let dummy = match try_alloc("structures.node", Node::<T>::new(None)) {
+        let dummy = match try_alloc(site::STRUCTURES_NODE, Node::<T>::new(None)) {
             Ok(n) => n.as_ptr(),
             Err((_, e)) => return Err(e),
         };
         match try_alloc(
-            "structures.header",
+            site::STRUCTURES_HEADER,
             PairHeader::new(dummy as usize, dummy as usize),
         ) {
             Ok(header) => Ok(MsQueue {
@@ -121,7 +122,7 @@ impl<T: Clone + Send + Sync + 'static> MsQueue<T> {
     /// exhaustion, or the `structures.node` fault site) surfaces as `Err`
     /// with the element handed back and the queue untouched.
     pub fn try_enqueue(&self, v: T) -> Result<(), (T, lfc_alloc::AllocError)> {
-        let node = match try_alloc("structures.node", Node::new(Some(v))) {
+        let node = match try_alloc(site::STRUCTURES_NODE, Node::new(Some(v))) {
             Ok(n) => n.as_ptr(),
             Err((n, e)) => return Err((n.val.into_inner().expect("value handed back"), e)),
         };

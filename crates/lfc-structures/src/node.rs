@@ -212,6 +212,7 @@ impl Block for SoloHeader {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lfc_runtime::fault::site;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DROPS: AtomicUsize = AtomicUsize::new(0);
@@ -243,7 +244,7 @@ mod tests {
         for (exit, release, drops) in rows {
             for p in [
                 alloc(make()),
-                try_alloc("structures.node", make()).unwrap_or_else(|_| panic!("try_alloc")),
+                try_alloc(site::STRUCTURES_NODE, make()).unwrap_or_else(|_| panic!("try_alloc")),
             ] {
                 assert_eq!(p.as_ptr() as usize & 0b111, 0, "{exit}: not 8-aligned");
                 let before = DROPS.load(Ordering::SeqCst);

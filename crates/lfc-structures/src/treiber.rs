@@ -21,6 +21,7 @@ use lfc_core::{
     RemoveOutcome, ScasResult,
 };
 use lfc_hazard::{pin, pin_op};
+use lfc_runtime::fault::site;
 use lfc_runtime::{Backoff, BackoffCfg};
 use std::ptr::NonNull;
 
@@ -99,7 +100,7 @@ impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
     /// instead of panicking.
     pub fn try_new() -> Result<Self, lfc_alloc::AllocError> {
         Ok(Treiber {
-            header: try_alloc("structures.header", SoloHeader::new(0)).map_err(|(_, e)| e)?,
+            header: try_alloc(site::STRUCTURES_HEADER, SoloHeader::new(0)).map_err(|(_, e)| e)?,
             backoff: BackoffCfg::NONE,
             elim: ElimArray::new(),
             _marker: std::marker::PhantomData,
@@ -127,7 +128,7 @@ impl<T: Clone + Send + Sync + 'static, W: TopWord> Treiber<T, W> {
     /// exhaustion, or the `structures.node` fault site) surfaces as `Err`
     /// with the element handed back and the stack untouched.
     pub fn try_push(&self, v: T) -> Result<(), (T, lfc_alloc::AllocError)> {
-        let node = match try_alloc("structures.node", Node::new(Some(v))) {
+        let node = match try_alloc(site::STRUCTURES_NODE, Node::new(Some(v))) {
             Ok(n) => n.as_ptr(),
             Err((n, e)) => return Err((n.val.into_inner().expect("value handed back"), e)),
         };

@@ -83,7 +83,7 @@ fn main() {
     // 3. Pressure: refuse every node allocation. Opening an account burns
     // its retry budget and reports Overloaded — it never blocks — and the
     // error window drives the ladder to Shed.
-    fault::arm_site("structures.node", fault::Schedule::Always);
+    fault::arm_site(fault::site::STRUCTURES_NODE, fault::Schedule::Always);
     for _ in 0..3 {
         assert_eq!(ledger.open(1), Err(LedgerError::Overloaded));
     }

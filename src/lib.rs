@@ -65,7 +65,7 @@ pub mod fault {
     pub use lfc_runtime::fault::{
         abandon, abandoned_total, abandonment_scope, adopted_total, arm_site, corpse_count,
         corpses, counters, disarm, disarm_site, fired_total, install_quiet_abandon_hook, is_corpse,
-        shield_thread, thread_is_abandoning, with_registered_peer, Schedule,
+        shield_thread, site, thread_is_abandoning, with_registered_peer, Schedule,
     };
 }
 

@@ -60,10 +60,10 @@ fn combined_kill_and_oom_conserve_every_token() {
     // every commit width — the 4-entry settle path is where this workload
     // mostly commits — and refused node allocations on the fallible
     // paths: a notice broadcast stages its notice through `try_insert`.
-    fault::arm_site("dcas.announced", fault::Schedule::EveryNth(37));
-    fault::arm_site("dcas.published", fault::Schedule::EveryNth(7));
+    fault::arm_site(fault::site::DCAS_ANNOUNCED, fault::Schedule::EveryNth(37));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::EveryNth(7));
     fault::arm_site(
-        "structures.node",
+        fault::site::STRUCTURES_NODE,
         fault::Schedule::Prob {
             ppm: 25_000,
             seed: 0x6ED1,
@@ -130,11 +130,11 @@ fn combined_kill_and_oom_conserve_every_token() {
 
     // Phased wind-down: retire the crash adversary first and audit with
     // the OOM schedule still armed, then retire that too.
-    fault::disarm_site("dcas.announced");
-    fault::disarm_site("dcas.published");
+    fault::disarm_site(fault::site::DCAS_ANNOUNCED);
+    fault::disarm_site(fault::site::DCAS_PUBLISHED);
     let r = l.quiesced_audit();
     assert!(r.conserved(), "sweep with only the OOM adversary: {r:?}");
-    fault::disarm_site("structures.node");
+    fault::disarm_site(fault::site::STRUCTURES_NODE);
 
     let r = l.quiesced_audit();
     assert!(r.conserved(), "final sweep fully disarmed: {r:?}");

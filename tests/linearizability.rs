@@ -636,7 +636,7 @@ fn kill_column_move_one_conserves_every_token() {
     // The checking thread adopts; it must never be reaped itself.
     fault::shield_thread(true);
     let fired0 = fault::fired_total();
-    fault::arm_site("dcas.published", fault::Schedule::EveryNth(7));
+    fault::arm_site(fault::site::DCAS_PUBLISHED, fault::Schedule::EveryNth(7));
     let failed: Vec<String> = fault::with_registered_peer(|| {
         let g = lockfree_compose::hazard::pin();
         let mut failed = Vec::new();

@@ -12,7 +12,9 @@
 //! degrade), and the allocator-level `alloc.block` beneath them all.
 
 use lockfree_compose::batch::{decode_move, decode_swap};
-use lockfree_compose::fault::{arm_site, disarm, fired_total, with_registered_peer, Schedule};
+use lockfree_compose::fault::{
+    arm_site, disarm, fired_total, site, with_registered_peer, Schedule,
+};
 use lockfree_compose::{
     move_one, BatchGate, LfHashMap, MoveOneOp, MoveOutcome, MsQueue, SwapOp, SwapOutcome,
     TreiberStack,
@@ -38,7 +40,7 @@ fn structure_try_ops_hand_the_element_back() {
     let s: TreiberStack<String> = TreiberStack::new();
     let m: LfHashMap<u64, String> = LfHashMap::new();
 
-    arm_site("structures.node", Schedule::Always);
+    arm_site(site::STRUCTURES_NODE, Schedule::Always);
     let (v, _) = s.try_push("stack".into()).expect_err("node starved");
     assert_eq!(v, "stack", "element handed back");
     let (v, _) = q.try_enqueue("queue".into()).expect_err("node starved");
@@ -59,8 +61,8 @@ fn structure_try_ops_hand_the_element_back() {
 #[test]
 fn constructors_and_gate_fail_fallibly() {
     let _serial = serial();
-    arm_site("structures.header", Schedule::Always);
-    arm_site("batch.gate", Schedule::Always);
+    arm_site(site::STRUCTURES_HEADER, Schedule::Always);
+    arm_site(site::BATCH_GATE, Schedule::Always);
     assert!(TreiberStack::<u64>::try_new().is_err());
     assert!(MsQueue::<u64>::try_new().is_err());
     assert!(BatchGate::<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>>::try_new().is_err());
@@ -82,7 +84,7 @@ fn batch_submit_degrades_to_direct_execution_without_nodes() {
     // return the operation's real outcome.
     let gate: BatchGate<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>> =
         BatchGate::always_batched();
-    arm_site("batch.node", Schedule::Always);
+    arm_site(site::BATCH_NODE, Schedule::Always);
     let w = gate.submit(MoveOneOp::new(&q, &s));
     let fired = fired_total();
     disarm();
@@ -110,7 +112,7 @@ fn batched_submits_ride_out_node_refusals() {
     // The gate must stay panic-free and still return each request's real
     // outcome.
     with_registered_peer(|| {
-        arm_site("batch.node", Schedule::EveryNth(2));
+        arm_site(site::BATCH_NODE, Schedule::EveryNth(2));
         for left in (0..TOKENS).rev() {
             let w = moves.submit(MoveOneOp::new(&a, &b));
             assert_eq!(decode_move(w), MoveOutcome::Moved);
@@ -152,9 +154,9 @@ fn map_degrades_to_no_resize_under_pressure() {
     // Growth starved at every layer: the doubling CAS, the directory
     // segments, and the bucket dummies. Inserts must keep succeeding —
     // the map just runs at a higher load factor on coarser chains.
-    arm_site("map.grow", Schedule::Always);
-    arm_site("map.segment", Schedule::Always);
-    arm_site("map.dummy", Schedule::Always);
+    arm_site(site::MAP_GROW, Schedule::Always);
+    arm_site(site::MAP_SEGMENT, Schedule::Always);
+    arm_site(site::MAP_DUMMY, Schedule::Always);
     for k in 0..500u64 {
         assert!(m.insert(k, !k), "insert {k} under growth pressure");
     }
@@ -186,7 +188,7 @@ fn allocator_level_failures_stay_fallible() {
 
     // Below every named site sits `alloc.block` in lfc-alloc itself; the
     // try_ paths must propagate it as the same AllocError.
-    arm_site("alloc.block", Schedule::Always);
+    arm_site(site::ALLOC_BLOCK, Schedule::Always);
     assert!(s.try_push(1).is_err());
     assert!(fired_total() >= 1, "the Err came from the injection");
     disarm();
