@@ -619,6 +619,23 @@ mod tests {
         );
     }
 
+    #[test]
+    fn tagged_stack_push_pop() {
+        let s = TaggedStack::new();
+        assert!(s.pop().is_none());
+        // Fresh headers, never freed: `SEGMENTS_FREED` stays untouched.
+        for i in 0..10 {
+            let seg = Segment::shell();
+            unsafe { &mut *seg }.items.push(i as *mut u8);
+            s.push(seg);
+        }
+        let mut seen = Vec::new();
+        while let Some(seg) = s.pop() {
+            seen.push(unsafe { &*seg }.items[0] as usize);
+        }
+        assert_eq!(seen, (0..10).rev().collect::<Vec<_>>(), "LIFO order");
+    }
+
     /// Four threads cycle whole magazines through the global stack, so
     /// pops race pops of the same header, and no two hold one block.
     /// Under AddressSanitizer this is the check that a pop never reads a

@@ -372,8 +372,9 @@ pub fn disarm() {
 /// the table.
 ///
 /// When the last schedule goes, the armed flag drops and the hot paths are
-/// back to their single predictable branch. Gates snapshotted before this
-/// call may still fire the retired site once.
+/// back to their single predictable branch. Only a check that had already
+/// loaded the site's schedule word when this call cleared it can still
+/// fire the retired site; a later check reloads the word, gate or not.
 pub fn disarm_site(site: &str) {
     known_row(site).schedule.store(0, Ordering::SeqCst);
     if !any_scheduled() {
