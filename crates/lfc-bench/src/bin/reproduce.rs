@@ -146,27 +146,7 @@ fn run_chaos_capture(args: &[String]) {
         cfg.seed, cfg.workers, cfg.shards, cfg.duration_ms, cfg.audit_every_ms
     );
     let r = run_chaos(&cfg);
-    eprintln!(
-        "chaos-summary: ops={} ok={} shed={} overloaded={} audits={}/{} abandoned={} adopted={} \
-         ejections={} p99_normal={}ns p99_degraded={}ns retired_hwm={} leaked={}<= {} recovery={:?}ms final={} acceptable={}",
-        r.ops,
-        r.ok,
-        r.shed,
-        r.overloaded,
-        r.audits_conserved,
-        r.audits,
-        r.abandoned,
-        r.adopted,
-        r.ejections,
-        r.p99_normal_ns,
-        r.p99_degraded_ns,
-        r.retired_hwm,
-        r.leaked_blocks,
-        r.leak_bound_blocks,
-        r.recovery_ms,
-        r.final_state,
-        r.acceptable()
-    );
+    eprintln!("{r}");
     let doc = Json::Obj(vec![
         ("label".into(), Json::str(label)),
         ("seed".into(), Json::int(cfg.seed)),

@@ -31,8 +31,7 @@
 //! Kill sites are the crash adversary's: `dcas.announced` and
 //! `dcas.published` — initiator boundaries whose abandoned operations
 //! helpers and adopters must finish. The OOM site is the `try_*`-surfaced
-//! `structures.node` (account/voucher nodes); commits allocate nothing.
-//! The
+//! `structures.node` (account/voucher nodes); commits allocate nothing. The
 //! allocator-level `alloc.block` site is deliberately **not** armed: it
 //! also fails infallible internal paths (e.g. skip-list node allocation),
 //! which panic by contract rather than degrade — that tier is covered by
@@ -240,10 +239,7 @@ impl ChaosResult {
             ),
             (
                 "recovery_ms".into(),
-                match self.recovery_ms {
-                    Some(ms) => Json::int(ms),
-                    None => Json::Null,
-                },
+                self.recovery_ms.map_or(Json::Null, Json::int),
             ),
             (
                 "final_state".into(),
@@ -266,6 +262,36 @@ impl ChaosResult {
             ),
             ("acceptable".into(), Json::Bool(self.acceptable())),
         ])
+    }
+}
+
+/// The `chaos-summary:` line CI's nightly job greps; `recovery=none` if no recovery was measured.
+impl std::fmt::Display for ChaosResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let recovery = self.recovery_ms.map(|ms| format!("{ms}ms"));
+        write!(
+            f,
+            "chaos-summary: ops={} ok={} shed={} overloaded={} audits={}/{} abandoned={} \
+             adopted={} ejections={} p99_normal={}ns p99_degraded={}ns retired_hwm={} \
+             leaked={}<={} recovery={} final={} acceptable={}",
+            self.ops,
+            self.ok,
+            self.shed,
+            self.overloaded,
+            self.audits_conserved,
+            self.audits,
+            self.abandoned,
+            self.adopted,
+            self.ejections,
+            self.p99_normal_ns,
+            self.p99_degraded_ns,
+            self.retired_hwm,
+            self.leaked_blocks,
+            self.leak_bound_blocks,
+            recovery.as_deref().unwrap_or("none"),
+            self.final_state,
+            self.acceptable()
+        )
     }
 }
 

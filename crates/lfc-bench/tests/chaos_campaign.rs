@@ -25,26 +25,7 @@ fn chaos_combined_adversaries_conserve_and_recover() {
     let r = run_chaos(&cfg);
 
     // The artifact line the nightly job greps out of the test log.
-    println!(
-        "chaos-summary: ops={} ok={} shed={} overloaded={} audits={}/{} abandoned={} adopted={} \
-         ejections={} p99_normal={}ns p99_degraded={}ns retired_hwm={} leaked={}<={} recovery={:?}ms final={}",
-        r.ops,
-        r.ok,
-        r.shed,
-        r.overloaded,
-        r.audits_conserved,
-        r.audits,
-        r.abandoned,
-        r.adopted,
-        r.ejections,
-        r.p99_normal_ns,
-        r.p99_degraded_ns,
-        r.retired_hwm,
-        r.leaked_blocks,
-        r.leak_bound_blocks,
-        r.recovery_ms,
-        r.final_state,
-    );
+    println!("{r}");
     for (at, from, to) in &r.transitions {
         println!("chaos-transition: at={at}ms {from} -> {to}");
     }

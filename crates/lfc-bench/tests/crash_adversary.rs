@@ -1,13 +1,17 @@
 //! Crash adversary (PR 8 acceptance): a kill campaign abandons at least
 //! eight threads at armed protocol kill sites — after announcement, after
 //! descriptor publication, after a batched submit — while shielded
-//! survivors keep churning the same objects. The claims:
+//! survivors keep churning the same objects. Every queue → stack move goes
+//! through one shared always-batched [`BatchGate`], every stack → queue
+//! move through `move_one`. The claims:
 //!
 //! 1. every abandoned in-flight operation is completed by survivors
 //!    (read-helping or corpse adoption), so token **conservation** holds
 //!    exactly at the end;
 //! 2. every corpse is adopted — id, hazard bank and epoch slot come back;
-//! 3. the net leak is bounded by the documented per-abandonment cost:
+//! 3. every armed site was both checked and fired, so each death path
+//!    above was really taken;
+//! 4. the net leak is bounded by the documented per-abandonment cost:
 //!    the nodes the dead thread had allocated but not yet published,
 //!    ≤ [`LEAK_BLOCKS_PER_ABANDON`] allocator blocks each (descriptors are
 //!    per-thread static records, so none leaks).
@@ -16,7 +20,7 @@
 //! crash-adversary job runs `cargo test --release -- --ignored crash` and
 //! archives the `crash-series:` / `crash-summary:` lines this test prints.
 
-use lfc_core::move_one;
+use lfc_core::{move_one, BatchGate, MoveOneOp};
 use lfc_dcas::adopt_dead_threads;
 use lfc_runtime::fault;
 use lfc_structures::{MsQueue, TreiberStack};
@@ -57,6 +61,10 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
     for i in 0..TOKENS {
         q.enqueue(i);
     }
+    // Always batched, so every gated move is a published request: a victim
+    // killed at `batch.submitted` leaves it for the survivors' drains.
+    let gate: BatchGate<MoveOneOp<u64, MsQueue<u64>, TreiberStack<u64>>> =
+        BatchGate::always_batched();
     for _ in 0..4 {
         lfc_hazard::flush();
     }
@@ -78,12 +86,12 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
 
     std::thread::scope(|sc| {
         for _ in 0..SURVIVORS {
-            let (q, s, stop) = (&q, &s, &stop);
+            let (q, s, gate, stop) = (&q, &s, &gate, &stop);
             sc.spawn(move || {
                 fault::shield_thread(true);
                 let g = lfc_hazard::pin();
                 while !stop.load(Ordering::Acquire) {
-                    let _ = move_one(q, s);
+                    gate.submit(MoveOneOp::new(q, s));
                     let _ = move_one(s, q);
                     adopt_dead_threads(&g);
                 }
@@ -92,11 +100,11 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
         }
         let victims: Vec<_> = (0..VICTIMS)
             .map(|_| {
-                let (q, s) = (&q, &s);
+                let (q, s, gate) = (&q, &s, &gate);
                 sc.spawn(move || {
                     fault::abandonment_scope(|| {
                         for _ in 0..MAX_VICTIM_OPS {
-                            let _ = move_one(q, s);
+                            gate.submit(MoveOneOp::new(q, s));
                             let _ = move_one(s, q);
                         }
                     })
@@ -131,6 +139,10 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
     // Snapshot before disarm: disarm clears the whole registry.
     let fault_counters = fault::counters();
     fault::disarm();
+    // A request whose submitter died may still sit unclaimed: it never
+    // ran, so the tokens below are unaffected. Dropping the gate retires
+    // it with the header before the leak count.
+    drop(gate);
 
     assert!(
         reaped >= 8,
@@ -197,7 +209,7 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
             "crash-series: t_ms={ms} outstanding_blocks={blocks} corpses={corpses} abandoned={dead}"
         );
     }
-    for (site, checks, fired) in fault_counters {
+    for (site, checks, fired) in &fault_counters {
         println!("crash-fault: site={site} checks={checks} fired={fired}");
     }
     println!(
@@ -206,6 +218,17 @@ fn crash_abandoned_threads_are_adopted_and_conserved() {
         fault::adopted_total() - adopted0,
         lfc_dcas::helped_completions() - helped0,
     );
+    for site in [
+        fault::site::DCAS_ANNOUNCED,
+        fault::site::DCAS_PUBLISHED,
+        fault::site::BATCH_SUBMITTED,
+    ] {
+        let row = fault_counters.iter().find(|(s, _, _)| s == site);
+        assert!(
+            row.is_some_and(|&(_, checks, fired)| checks > 0 && fired > 0),
+            "armed site {site} must be both checked and fired: {row:?}"
+        );
+    }
     assert!(
         leaked <= bound,
         "leaked {leaked} blocks exceeds the documented bound {bound} \

@@ -1,10 +1,6 @@
 //! The unified composition engine: **one** state machine for every composed
-//! operation.
-//!
-//! The seed reproduced the paper's §8 extension ("n operations on n
-//! distinct objects") as three hand-duplicated `scas` state machines
-//! (`move_one`, `move_keyed`, `move_to_all`) over two disjoint descriptor
-//! engines. This module replaces all three with a single engine:
+//! operation, the paper's §8 extension ("n operations on n distinct
+//! objects") included:
 //!
 //! * a composition is a nest of **stages**, each owning one entry index;
 //!   stage *i* runs its operation (a remove or an insert), captures the
@@ -32,12 +28,11 @@
 //! and one driver per composition shape: `drive_move_one`,
 //! `drive_move_to_all` and `drive_swap`. A keyed object enters as a key
 //! view ([`At`]: the object at one key *is* a move-ready object), so
-//! [`move_keyed`], [`move_keyed_to_all`], [`move_keyed_to_unkeyed`] and the
-//! keyed [`Composition`] builder methods are views over those drivers, not
-//! keyed twins of them. On top of the engine this module ships the
-//! compositions the three old machines could not express — [`swap`], the
-//! keyed fan-out, keyed → unkeyed moves — and the public [`Composition`]
-//! builder for user-defined chains mixing keyed and unkeyed stages.
+//! [`move_keyed`] and [`move_keyed_to_all`] are views over those drivers,
+//! not keyed twins of them, and so is every chain mixing keyed and unkeyed
+//! objects: a keyed → unkeyed move is [`move_one`] from an `At`, an atomic
+//! re-key is [`move_one`] between `At`s at two keys, and a mixed fan-out is
+//! [`move_to_all`] over `&dyn DynMoveTarget` targets.
 //!
 //! # Hazard discipline: capture-time promotion (PR 3)
 //!
@@ -117,10 +112,7 @@ enum Dead {
 
 /// Shared state of one composition invocation: the captured entries plus
 /// the retry bookkeeping the paper keeps in `desc`, `insfailed`, `ltarget`.
-///
-/// Opaque outside the crate — it appears in [`Stages`]' hidden method
-/// signature but can only be constructed and driven by the engine itself.
-pub struct Engine {
+pub(crate) struct Engine {
     g: Guard,
     entries: [CasnEntry; MAX_ENTRIES],
     count: usize,
@@ -645,6 +637,26 @@ where
 /// owns entry k — the generalization of the FIRSTFAILED/SECONDFAILED retry
 /// rule — and a failure *before* any commit aborts the whole composition.
 ///
+/// Targets of different types share the slice as `&dyn`
+/// [`DynMoveTarget`](crate::DynMoveTarget); a keyed object takes part at
+/// one key as its view [`At`], as the source or as a target:
+///
+/// ```
+/// use lfc_core::{keyed::At, move_to_all, DynMoveTarget, MoveOutcome};
+/// use lfc_structures::{LfHashMap, MsQueue, TreiberStack};
+///
+/// let sessions: LfHashMap<u64, String> = LfHashMap::new();
+/// let (work, audit) = (MsQueue::new(), TreiberStack::new());
+/// sessions.insert(7, "session-7".into());
+/// // Key 7 leaves the map and reaches BOTH containers at one linearization
+/// // point: never in the map and a container at once, or in just one.
+/// let targets: [&dyn DynMoveTarget<String>; 2] = [&work, &audit];
+/// assert_eq!(move_to_all(&At::new(&sessions, &7), &targets), MoveOutcome::Moved);
+/// assert!(!sessions.contains(&7));
+/// assert_eq!(work.dequeue().as_deref(), Some("session-7"));
+/// assert_eq!(audit.pop().as_deref(), Some("session-7"));
+/// ```
+///
 /// # Panics
 ///
 /// Panics if `dsts` is empty or holds more than [`MAX_TARGETS`] targets.
@@ -696,19 +708,6 @@ where
     move_verdict(&eng, &outcome)
 }
 
-/// Atomically move the element stored under `key` in a *keyed* source into
-/// an *unkeyed* target (e.g. a hash map → a queue): the key is dropped and
-/// the element crosses container shapes in one linearization point.
-/// This is [`move_one`] from the key view [`At`]`::new(src, key)`.
-pub fn move_keyed_to_unkeyed<K, T, S, D>(src: &S, key: &K, dst: &D) -> MoveOutcome
-where
-    T: Clone,
-    S: KeyedMoveSource<K, T> + ?Sized,
-    D: MoveTarget<T> + ?Sized,
-{
-    move_one(&At::new(src, key), dst)
-}
-
 /// Outcome of a composed [`swap`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SwapOutcome {
@@ -748,158 +747,6 @@ where
     let mut eng = Engine::new(4);
     let outcome = drive_swap(&mut eng, a, b, Engine::commit);
     swap_verdict(&eng, &outcome)
-}
-
-mod sealed {
-    /// Seals [`super::Stages`]: stage chains are built only through the
-    /// [`super::Composition`] builder.
-    pub trait Sealed {}
-    impl Sealed for super::Commit {}
-    impl<D, C> Sealed for super::InsertStage<D, C> {}
-}
-
-/// A compiled chain of insert stages (sealed; constructed by
-/// [`Composition`]'s builder methods).
-pub trait Stages<T>: sealed::Sealed {
-    /// Number of insert stages in the chain.
-    const LEN: usize;
-    #[doc(hidden)]
-    fn run_chain(&self, eng: &mut Engine, idx: usize, elem: &T) -> bool;
-}
-
-/// The terminal chain element: commits every captured entry.
-pub struct Commit;
-
-/// An insert stage: a `&D`, or a key view [`At`] (which inserts under its
-/// own key — that may differ from the source's, so an atomic *re-key* is a
-/// valid composition).
-pub struct InsertStage<D, C> {
-    dst: D,
-    rest: C,
-}
-
-impl<T> Stages<T> for Commit {
-    const LEN: usize = 0;
-    fn run_chain(&self, eng: &mut Engine, _idx: usize, _elem: &T) -> bool {
-        eng.commit()
-    }
-}
-
-impl<T, D, C> Stages<T> for InsertStage<D, C>
-where
-    T: Clone,
-    D: MoveTarget<T>,
-    C: Stages<T>,
-{
-    const LEN: usize = 1 + C::LEN;
-    fn run_chain(&self, eng: &mut Engine, idx: usize, elem: &T) -> bool {
-        run_insert(eng, idx, &self.dst, elem.clone(), |eng: &mut Engine| {
-            self.rest.run_chain(eng, idx + 1, elem)
-        })
-    }
-}
-
-/// A builder for composed operations over the unified engine.
-///
-/// A composition removes one element from its source and inserts clones of
-/// it into every accumulated target — any mix of keyed and unkeyed stages,
-/// up to [`MAX_ENTRIES`] linearization points in total — committing all of
-/// them at a single linearization point. The source is held by value: a
-/// `&S`, or a key view [`At`].
-///
-/// ```
-/// use lfc_core::compose::Composition;
-/// use lfc_core::MoveOutcome;
-/// use lfc_structures::{LfHashMap, MsQueue, TreiberStack};
-///
-/// let sessions: LfHashMap<u64, String> = LfHashMap::new();
-/// let work: MsQueue<String> = MsQueue::new();
-/// let audit: TreiberStack<String> = TreiberStack::new();
-/// sessions.insert(7, "session-7".into());
-///
-/// // Atomically take key 7 out of the map and deliver the payload to BOTH
-/// // unkeyed containers: no observer can ever see it in the map and a
-/// // queue at once, or in one queue but not the other.
-/// let outcome = Composition::moving_key_from(&sessions, &7)
-///     .into_target(&work)
-///     .into_target(&audit)
-///     .run();
-/// assert_eq!(outcome, MoveOutcome::Moved);
-/// assert!(!sessions.contains(&7));
-/// assert_eq!(work.dequeue().as_deref(), Some("session-7"));
-/// assert_eq!(audit.pop().as_deref(), Some("session-7"));
-/// ```
-pub struct Composition<S, C> {
-    source: S,
-    chain: C,
-}
-
-impl<'a, S: ?Sized> Composition<&'a S, Commit> {
-    /// Start a composition that removes its element from the unkeyed `src`.
-    pub fn moving_from(src: &'a S) -> Self {
-        Composition {
-            source: src,
-            chain: Commit,
-        }
-    }
-}
-
-impl<'a, K, S: ?Sized> Composition<At<'a, K, S>, Commit> {
-    /// Start a composition that removes the element under `key` from the
-    /// keyed `src`.
-    pub fn moving_key_from(src: &'a S, key: &'a K) -> Self {
-        Composition {
-            source: At::new(src, key),
-            chain: Commit,
-        }
-    }
-}
-
-impl<S, C> Composition<S, C> {
-    /// Add an unkeyed insert target.
-    pub fn into_target<D: ?Sized>(self, dst: &D) -> Composition<S, InsertStage<&D, C>> {
-        Composition {
-            source: self.source,
-            chain: InsertStage {
-                dst,
-                rest: self.chain,
-            },
-        }
-    }
-
-    /// Add a keyed insert target, inserting under `key`.
-    pub fn into_keyed_target<'b, K, D: ?Sized>(
-        self,
-        dst: &'b D,
-        key: &'b K,
-    ) -> Composition<S, InsertStage<At<'b, K, D>, C>> {
-        Composition {
-            source: self.source,
-            chain: InsertStage {
-                dst: At::new(dst, key),
-                rest: self.chain,
-            },
-        }
-    }
-
-    /// Execute the composition. Lock-free and linearizable when every
-    /// object involved is a lock-free move-ready object.
-    pub fn run<T>(&self) -> MoveOutcome
-    where
-        T: Clone,
-        S: MoveSource<T>,
-        C: Stages<T>,
-    {
-        assert!(
-            (1..=MAX_TARGETS).contains(&C::LEN),
-            "a composition takes 1..={MAX_TARGETS} insert stages"
-        );
-        let mut eng = Engine::new(1 + C::LEN);
-        let outcome = remove_stage(&mut eng, 0, &self.source, |eng: &mut Engine, elem: &T| {
-            self.chain.run_chain(eng, 1, elem)
-        });
-        move_verdict(&eng, &outcome)
-    }
 }
 
 #[cfg(all(test, not(lfc_model)))]

@@ -9,10 +9,10 @@
 //! key view [`At`] says exactly that: it implements [`MoveSource`] and
 //! [`MoveTarget`] over a [`KeyedMoveSource`] / [`KeyedMoveTarget`], and the
 //! engine ([`crate::compose`]) drives every composition through the unkeyed
-//! traits only. [`crate::move_keyed`], [`crate::move_keyed_to_all`],
-//! [`crate::move_keyed_to_unkeyed`], the keyed [`crate::Composition`]
-//! builder methods and the keyed batched requests are all key views over
-//! the unkeyed shape drivers.
+//! traits only. [`crate::move_keyed`], [`crate::move_keyed_to_all`] and the
+//! keyed batched requests are key views over the unkeyed shape drivers, and
+//! a caller mixes keyed and unkeyed objects the same way: by passing `At`
+//! views to [`crate::move_one`] or [`crate::move_to_all`].
 //!
 //! # Captures versus internal restructuring (PR 5)
 //!
@@ -65,21 +65,23 @@ impl<K, T, D: KeyedMoveTarget<K, T>> KeyedMoveTarget<K, T> for &D {
 ///
 /// ```
 /// use lfc_core::keyed::At;
-/// use lfc_core::{move_keyed_to_unkeyed, move_one, MoveOutcome};
+/// use lfc_core::{move_keyed, move_one, MoveOutcome};
 /// use lfc_structures::{LfHashMap, MsQueue};
 ///
 /// let map: LfHashMap<u64, String> = LfHashMap::new();
+/// let other: LfHashMap<u64, String> = LfHashMap::new();
 /// let queue: MsQueue<String> = MsQueue::new();
 /// map.insert(1, "one".into());
 /// map.insert(2, "two".into());
 ///
 /// // The view is an ordinary move-ready source…
 /// assert_eq!(move_one(&At::new(&map, &1), &queue), MoveOutcome::Moved);
-/// // …and the keyed entry point is that same composition.
-/// assert_eq!(move_keyed_to_unkeyed(&map, &2, &queue), MoveOutcome::Moved);
+/// // …and the keyed entry point is that composition between two views.
+/// assert_eq!(move_keyed(&map, &2, &other), MoveOutcome::Moved);
+/// assert_eq!(move_one(&At::new(&other, &2), &At::new(&map, &2)), MoveOutcome::Moved);
 /// assert_eq!(move_one(&At::new(&map, &1), &queue), MoveOutcome::SourceEmpty);
 /// assert_eq!(queue.dequeue().as_deref(), Some("one"));
-/// assert_eq!(queue.dequeue().as_deref(), Some("two"));
+/// assert_eq!(map.get(&2).as_deref(), Some("two"));
 /// ```
 pub struct At<'a, K, S: ?Sized> {
     obj: &'a S,

@@ -36,12 +36,12 @@
 //! engine's generalized retry rule.
 //!
 //! Every composed operation — [`move_one`], [`move_keyed`],
-//! [`move_to_all`], [`swap`], [`move_keyed_to_all`],
-//! [`move_keyed_to_unkeyed`] and user-defined [`compose::Composition`]
-//! chains — is a thin wrapper over that one engine, which drives
-//! [`MoveSource`]/[`MoveTarget`] only: a keyed object enters as the key
-//! view [`At`] (the object at one key), never through a keyed twin of a
-//! driver.
+//! [`move_to_all`], [`swap`] and [`move_keyed_to_all`] — is a thin wrapper
+//! over that one engine, which drives [`MoveSource`]/[`MoveTarget`] only:
+//! a keyed object enters as the key view [`At`] (the object at one key),
+//! never through a keyed twin of a driver, so a chain mixing keyed and
+//! unkeyed objects is one of those operations over views (see
+//! [`compose`]).
 
 #![warn(missing_docs)]
 
@@ -52,8 +52,8 @@ mod sync;
 
 pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
 pub use compose::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, Composition,
-    SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
+    move_keyed, move_keyed_to_all, move_one, move_to_all, swap, SwapOutcome, MAX_ENTRIES,
+    MAX_TARGETS,
 };
 pub use keyed::{At, KeyedMoveSource, KeyedMoveTarget};
 

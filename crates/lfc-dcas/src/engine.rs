@@ -34,7 +34,7 @@ use lfc_runtime::solo;
 /// caller keeps alive for the duration of the call (by borrow or hazard;
 /// `hp` is what helpers adopt), and the entry words must be pairwise
 /// distinct — a k-word CAS cannot express two CASes on one word. The
-/// `Composition` builder in `lfc-core` is the safe wrapper: it captures
+/// `lfc-core` composition engine is the safe wrapper: it captures
 /// entries from live borrows and rejects aliased words at capture time
 /// (debug builds re-check distinctness here).
 #[inline]

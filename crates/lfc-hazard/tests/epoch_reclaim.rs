@@ -2,7 +2,7 @@
 //! with hazard slots, and the multi-thread traverse-while-retiring stress
 //! (`--ignored stress`, run release-mode by CI).
 
-use lfc_hazard::{advance_epoch, flush, min_active_epoch, pin, pin_op, retire, slot};
+use lfc_hazard::{advance_epoch, epoch_now, flush, min_active_epoch, pin, pin_op, retire, slot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Flush until `cond` holds or the deadline passes (epoch reclamation is
@@ -29,11 +29,21 @@ macro_rules! counted_reclaimer {
 #[test]
 fn op_guard_publishes_and_clears_epoch() {
     let _g = pin_op();
+    // Our published epoch is no newer than the global epoch read after the
+    // entry. Other readers can only lower the minimum, so `<= mine` holds
+    // whatever sibling tests pin or unpin meanwhile.
+    let mine = epoch_now();
     let m = min_active_epoch().expect("our own epoch must be visible");
-    assert!(m >= 1);
-    // Nested entries share the outermost epoch.
+    assert!(m >= 1 && m <= mine);
+    // Nested entries share the outermost epoch: after an advance, a nested
+    // entry that re-published would sit above `mine`, and with no older
+    // reader pinned the minimum would then exceed it.
+    advance_epoch();
     let inner = pin_op();
-    assert!(min_active_epoch().unwrap() <= m);
+    assert!(
+        min_active_epoch().unwrap() <= mine,
+        "a nested entry must not re-publish a newer epoch"
+    );
     drop(inner);
     assert!(
         min_active_epoch().is_some(),

@@ -1,14 +1,14 @@
 //! Compositions the unified engine newly expresses: an atomic `swap`
 //! (exchange one element between two queues — four linearization points,
-//! one atomic step) and mixed keyed→unkeyed moves via the `Composition`
-//! builder (hash map → queues, with the key dropped or rewritten).
+//! one atomic step) and mixed keyed→unkeyed moves through key views
+//! (`At`: hash map → queues, with the key dropped or rewritten).
 //!
 //! ```sh
 //! cargo run --release --example atomic_swap
 //! ```
 
 use lockfree_compose::{
-    move_keyed_to_unkeyed, swap, Composition, LfHashMap, MoveOutcome, MsQueue, SwapOutcome,
+    move_one, move_to_all, swap, At, LfHashMap, MoveOutcome, MsQueue, SwapOutcome,
 };
 
 fn main() {
@@ -38,25 +38,21 @@ fn main() {
         pending.insert(ticket, format!("ticket-{ticket}"));
     }
 
-    // One ticket straight to the work queue (key dropped atomically).
+    // The map at one key is an ordinary move-ready object: one ticket
+    // goes straight to the work queue (key dropped atomically).
     assert_eq!(
-        move_keyed_to_unkeyed(&pending, &101, &work),
+        move_one(&At::new(&pending, &101), &work),
         MoveOutcome::Moved
     );
 
-    // Another fanned into work AND audit with the builder: either both
-    // queues receive it (and the map loses it) or nothing changes.
-    let outcome = Composition::moving_key_from(&pending, &102)
-        .into_target(&work)
-        .into_target(&audit)
-        .run();
+    // Another fanned into work AND audit: either both queues receive it
+    // (and the map loses it) or nothing changes.
+    let outcome = move_to_all(&At::new(&pending, &102), &[&work, &audit]);
     assert_eq!(outcome, MoveOutcome::Moved);
 
     // And an atomic re-key: 103 becomes 9103 in a second map, in one step.
     let archive: LfHashMap<u64, String> = LfHashMap::new();
-    let outcome = Composition::moving_key_from(&pending, &103)
-        .into_keyed_target(&archive, &9103)
-        .run();
+    let outcome = move_one(&At::new(&pending, &103), &At::new(&archive, &9103));
     assert_eq!(outcome, MoveOutcome::Moved);
 
     println!("work queue drained:");

@@ -29,16 +29,11 @@
 #![warn(missing_docs)]
 
 pub use lfc_core::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, move_one, move_to_all, swap, At,
-    Composition, DynMoveTarget, InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget,
-    LinPoint, MoveOutcome, MoveSource, MoveTarget, NormalCas, RemoveCtx, RemoveOutcome, ScasResult,
-    SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
+    move_keyed, move_keyed_to_all, move_one, move_to_all, swap, At, DynMoveTarget, InsertCtx,
+    InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget,
+    NormalCas, RemoveCtx, RemoveOutcome, ScasResult, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
 pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
-/// The composition-engine builder module (stages, [`Composition`]).
-pub mod compose {
-    pub use lfc_core::compose::{Commit, Composition, InsertStage, Stages};
-}
 /// The contention-adaptive batched front-end (claim-pattern group commit):
 /// result-word codecs and engagement counters.
 pub mod batch {

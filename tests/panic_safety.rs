@@ -15,9 +15,9 @@
 //! model-kill suites. The commit itself cannot fail or panic: it reuses
 //! the thread's descriptor record and allocates nothing.
 
-use lockfree_compose::{move_one, Composition, LfHashMap, MoveOutcome, MsQueue, TreiberStack};
+use lockfree_compose::{move_one, move_to_all, At, LfHashMap, MoveOutcome, MsQueue, TreiberStack};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: they share the panic-arming
@@ -25,16 +25,23 @@ use std::sync::Mutex;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 static ARMED: AtomicBool = AtomicBool::new(false);
+/// Clones an armed [`Bomb`] still lets through before it panics.
+static SPARE: AtomicU32 = AtomicU32::new(0);
 
-/// A value whose `Clone` panics while [`ARMED`] — the clone site sits on
-/// the remove path *before* the linearization point, so an armed move must
-/// unwind without having changed either object.
+/// A value whose `Clone` panics while [`ARMED`] (after [`SPARE`] clones) —
+/// the first clone sits on the remove path *before* the linearization
+/// point, so a move armed with no spare must unwind without having changed
+/// either object.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Bomb(u64);
 
 impl Clone for Bomb {
     fn clone(&self) -> Self {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED.load(Ordering::Relaxed)
+            && SPARE
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_err()
+        {
             panic!("injected clone panic");
         }
         Bomb(self.0)
@@ -115,33 +122,39 @@ fn other_threads_are_unaffected_by_an_unwound_peer() {
 }
 
 #[test]
-fn unwind_mid_builder_composition_is_clean() {
+fn unwind_mid_fan_out_is_clean() {
     let _serial = SERIAL.lock().unwrap();
     let m: LfHashMap<u64, Bomb> = LfHashMap::new();
     let q: MsQueue<Bomb> = MsQueue::new();
     let log: MsQueue<Bomb> = MsQueue::new();
     assert!(m.insert(1, Bomb(10)));
+    let tid = lockfree_compose::hazard::pin().tid();
+    assert!(lockfree_compose::hazard::bank_is_clear(tid));
 
-    // A three-stage composition (keyed remove fanned into two queues): the
-    // second target's clone panics, unwinding through the builder run with
-    // stage captures already taken — the engine `Drop` must clear its
-    // `ENTRY*` promotions so reclamation is not wedged afterwards.
+    // A three-stage fan-out (keyed remove into two queues): the remove's
+    // clone and the first target's pass, the second target's clone panics,
+    // unwinding with stages 0 and 1 captured — the engine `Drop` must clear
+    // their `ENTRY*` promotions so reclamation is not wedged afterwards.
+    SPARE.store(2, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
     let r = catch_unwind(AssertUnwindSafe(|| {
-        Composition::moving_key_from(&m, &1)
-            .into_target(&q)
-            .into_target(&log)
-            .run()
+        move_to_all(&At::new(&m, &1), &[&q, &log])
     }));
     ARMED.store(false, Ordering::Relaxed);
     assert!(r.is_err());
+    assert_eq!(
+        SPARE.load(Ordering::Relaxed),
+        0,
+        "the panic came from the third clone, past two captures"
+    );
+    assert!(
+        lockfree_compose::hazard::bank_is_clear(tid),
+        "no ENTRY promotion or epoch survives the unwind"
+    );
 
     // Nothing committed, nothing leaked protection: the same composition
     // now succeeds, and the element lands in every target.
-    let outcome = Composition::moving_key_from(&m, &1)
-        .into_target(&q)
-        .into_target(&log)
-        .run();
+    let outcome = move_to_all(&At::new(&m, &1), &[&q, &log]);
     assert_eq!(outcome, MoveOutcome::Moved);
     assert!(!m.contains(&1));
     assert_eq!(q.dequeue(), Some(Bomb(10)));

@@ -6,8 +6,8 @@
 //! auxiliary and never participate in a capture).
 
 use lockfree_compose::{
-    move_keyed, move_keyed_to_all, move_keyed_to_unkeyed, Composition, LfHashMap, LfSkipMap,
-    MoveOutcome, MsQueue, OrderedSet,
+    move_keyed, move_keyed_to_all, move_one, At, LfHashMap, LfSkipMap, MoveOutcome, MsQueue,
+    OrderedSet,
 };
 
 #[test]
@@ -55,21 +55,17 @@ fn skip_map_duplicate_and_missing_outcomes() {
 
 #[test]
 fn skip_map_atomic_rekey_swaps_keys_between_maps() {
-    // The composition-builder "swap" shape for keyed structures: two
-    // rekeying moves exchange which container holds which key, each one
-    // a single linearization point through the skip map's level-0 chain.
+    // Two rekeying moves (`move_one` between views at different keys)
+    // exchange which container holds which key, each one a single
+    // linearization point through the skip map's level-0 chain.
     let skip: LfSkipMap<u64, String> = LfSkipMap::new();
     let map: LfHashMap<u64, String> = LfHashMap::new();
     skip.insert(1, "from-skip".into());
     map.insert(2, "from-map".into());
 
-    let out = Composition::moving_key_from(&skip, &1)
-        .into_keyed_target(&map, &10)
-        .run();
+    let out = move_one(&At::new(&skip, &1), &At::new(&map, &10));
     assert_eq!(out, MoveOutcome::Moved);
-    let out = Composition::moving_key_from(&map, &2)
-        .into_keyed_target(&skip, &20)
-        .run();
+    let out = move_one(&At::new(&map, &2), &At::new(&skip, &20));
     assert_eq!(out, MoveOutcome::Moved);
 
     assert_eq!(map.get(&10).as_deref(), Some("from-skip"));
@@ -106,10 +102,7 @@ fn skip_map_to_unkeyed_queue() {
     let sessions: LfSkipMap<u64, String> = LfSkipMap::new();
     let work: MsQueue<String> = MsQueue::new();
     sessions.insert(7, "payload".into());
-    assert_eq!(
-        move_keyed_to_unkeyed(&sessions, &7, &work),
-        MoveOutcome::Moved
-    );
+    assert_eq!(move_one(&At::new(&sessions, &7), &work), MoveOutcome::Moved);
     assert!(!sessions.contains(&7));
     assert_eq!(work.dequeue().as_deref(), Some("payload"));
 }

@@ -1,12 +1,12 @@
 //! The compositions the unified engine newly expresses: `swap` (atomic
 //! exchange of one element between two objects), keyed fan-out
-//! (`move_keyed_to_all`), mixed keyed→unkeyed moves, and user-defined
-//! `Composition` chains.
+//! (`move_keyed_to_all`), mixed keyed→unkeyed moves, and chains mixing
+//! keyed and unkeyed objects through key views (`At`).
 
 use lockfree_compose::{
-    move_keyed_to_all, move_keyed_to_unkeyed, move_one, swap, Composition, InsertCtx,
-    InsertOutcome, LfHashMap, MoveOutcome, MoveSource, MoveTarget, MsQueue, OneSlot, OrderedSet,
-    RemoveCtx, RemoveOutcome, SwapOutcome, TreiberStack,
+    move_keyed_to_all, move_one, move_to_all, swap, At, DynMoveTarget, InsertCtx, InsertOutcome,
+    LfHashMap, MoveOutcome, MoveSource, MoveTarget, MsQueue, OneSlot, OrderedSet, RemoveCtx,
+    RemoveOutcome, SwapOutcome, TreiberStack,
 };
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -119,14 +119,11 @@ fn keyed_to_unkeyed_crosses_container_shapes() {
     let sessions: LfHashMap<u64, String> = LfHashMap::new();
     let work: MsQueue<String> = MsQueue::new();
     sessions.insert(7, "payload".into());
-    assert_eq!(
-        move_keyed_to_unkeyed(&sessions, &7, &work),
-        MoveOutcome::Moved
-    );
+    assert_eq!(move_one(&At::new(&sessions, &7), &work), MoveOutcome::Moved);
     assert!(!sessions.contains(&7), "left the map");
     assert_eq!(work.dequeue().as_deref(), Some("payload"));
     assert_eq!(
-        move_keyed_to_unkeyed(&sessions, &7, &work),
+        move_one(&At::new(&sessions, &7), &work),
         MoveOutcome::SourceEmpty
     );
 }
@@ -200,16 +197,16 @@ fn concurrent_keyed_fan_out_conserves_keys() {
 }
 
 #[test]
-fn builder_chains_mixed_keyed_and_unkeyed_targets() {
+fn fan_out_mixes_keyed_and_unkeyed_targets() {
     let staging: MsQueue<u64> = MsQueue::new();
     let index: LfHashMap<u64, u64> = LfHashMap::new();
     let log: MsQueue<u64> = MsQueue::new();
     staging.enqueue(42);
     // Unkeyed source fanned into a keyed map (under key 7) AND a queue.
-    let outcome = Composition::moving_from(&staging)
-        .into_keyed_target(&index, &7)
-        .into_target(&log)
-        .run();
+    let outcome = move_to_all(
+        &staging,
+        &[&At::new(&index, &7u64) as &dyn DynMoveTarget<u64>, &log],
+    );
     assert_eq!(outcome, MoveOutcome::Moved);
     assert!(staging.is_empty());
     assert_eq!(index.get(&7), Some(42));
@@ -217,16 +214,13 @@ fn builder_chains_mixed_keyed_and_unkeyed_targets() {
 }
 
 #[test]
-fn builder_expresses_atomic_rekey() {
+fn views_at_two_keys_rekey_atomically() {
     // Move a value between maps while *changing its key* — one
-    // linearization point, a composition none of the fixed entry points
-    // offered.
+    // linearization point: `move_one` between views at different keys.
     let m1: LfHashMap<u64, String> = LfHashMap::new();
     let m2: LfHashMap<u64, String> = LfHashMap::new();
     m1.insert(1, "v".into());
-    let outcome = Composition::moving_key_from(&m1, &1)
-        .into_keyed_target(&m2, &2)
-        .run();
+    let outcome = move_one(&At::new(&m1, &1), &At::new(&m2, &2));
     assert_eq!(outcome, MoveOutcome::Moved);
     assert!(!m1.contains(&1));
     assert_eq!(m2.get(&2).as_deref(), Some("v"));
@@ -234,16 +228,16 @@ fn builder_expresses_atomic_rekey() {
 }
 
 #[test]
-fn builder_rejects_duplicate_and_preserves_everything() {
+fn view_fan_out_rejects_duplicate_and_preserves_everything() {
     let m1: LfHashMap<u64, u64> = LfHashMap::new();
     let m2: LfHashMap<u64, u64> = LfHashMap::new();
     let q: MsQueue<u64> = MsQueue::new();
     m1.insert(1, 10);
     m2.insert(2, 20); // target key occupied
-    let outcome = Composition::moving_key_from(&m1, &1)
-        .into_target(&q)
-        .into_keyed_target(&m2, &2)
-        .run();
+    let outcome = move_to_all(
+        &At::new(&m1, &1),
+        &[&q as &dyn DynMoveTarget<u64>, &At::new(&m2, &2u64)],
+    );
     assert_eq!(outcome, MoveOutcome::TargetRejected);
     assert_eq!(m1.get(&1), Some(10), "source untouched");
     assert_eq!(m2.get(&2), Some(20), "target untouched");
