@@ -14,6 +14,12 @@
 //! k-way CAS contention on one *claim head*, which is cheap because a push
 //! never retries against a committed descriptor.
 //!
+//! The gate fronts move-shaped requests: [`MoveOneOp`], [`MoveKeyedOp`],
+//! and custom [`BatchOp`]s built on [`direct_move_one`] /
+//! [`flagged_move_one`]. Every result word is therefore an encoded
+//! [`MoveOutcome`]. Swaps and fan-outs run unbatched ([`crate::swap`],
+//! [`crate::move_to_all`], [`crate::move_keyed_to_all`]).
+//!
 //! # Protocol
 //!
 //! A [`BatchGate`] owns a pooled two-word header:
@@ -83,13 +89,11 @@
 //! therefore never touches the claim list, preserving single-thread
 //! latency.
 
-use crate::compose::{
-    drive_move_one, drive_move_to_all, drive_swap, move_verdict, swap_verdict, Engine, SwapOutcome,
-};
-use crate::keyed::{at_each, At};
+use crate::compose::{drive_move_one, move_verdict, Engine};
+use crate::keyed::At;
 use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering};
 use crate::{KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget};
-use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word, MAX_ENTRIES};
+use lfc_dcas::{commit_entries, CasnEntry, CasnResult, DAtomic, Word};
 use lfc_hazard::{pin, pin_op, slot, Guard, OpGuard, RetireInfo};
 use lfc_runtime::fault::site;
 use lfc_runtime::CachePadded;
@@ -119,12 +123,11 @@ pub fn encode_move(o: MoveOutcome) -> Word {
     code << CODE_SHIFT
 }
 
-/// Decode a flag word produced by a move-shaped [`BatchOp`].
+/// Decode a flag word produced by a [`BatchOp`].
 ///
 /// # Panics
 ///
-/// Panics on a word that is not an encoded [`MoveOutcome`] (e.g. the
-/// result of a swap-shaped request).
+/// Panics on a word that is not an encoded [`MoveOutcome`].
 pub fn decode_move(w: Word) -> MoveOutcome {
     match w >> CODE_SHIFT {
         1 => MoveOutcome::Moved,
@@ -132,35 +135,6 @@ pub fn decode_move(w: Word) -> MoveOutcome {
         3 => MoveOutcome::TargetRejected,
         4 => MoveOutcome::WouldAlias,
         _ => panic!("not an encoded MoveOutcome: {w:#x}"),
-    }
-}
-
-/// Encode a [`SwapOutcome`] as a flag word (codes disjoint from
-/// [`encode_move`]'s so cross-decoding panics instead of lying).
-pub fn encode_swap(o: SwapOutcome) -> Word {
-    let code: Word = match o {
-        SwapOutcome::Swapped => 5,
-        SwapOutcome::FirstEmpty => 6,
-        SwapOutcome::SecondEmpty => 7,
-        SwapOutcome::Rejected => 8,
-        SwapOutcome::WouldAlias => 9,
-    };
-    code << CODE_SHIFT
-}
-
-/// Decode a flag word produced by a swap-shaped [`BatchOp`].
-///
-/// # Panics
-///
-/// Panics on a word that is not an encoded [`SwapOutcome`].
-pub fn decode_swap(w: Word) -> SwapOutcome {
-    match w >> CODE_SHIFT {
-        5 => SwapOutcome::Swapped,
-        6 => SwapOutcome::FirstEmpty,
-        7 => SwapOutcome::SecondEmpty,
-        8 => SwapOutcome::Rejected,
-        9 => SwapOutcome::WouldAlias,
-        _ => panic!("not an encoded SwapOutcome: {w:#x}"),
     }
 }
 
@@ -190,9 +164,9 @@ pub trait BatchOp: Copy + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Flagged runs: a shape driver with the result flag as an extra CASN entry.
-// (`flagged_move_one` / `direct_move_one` are free functions because custom
-// `BatchOp`s build on them; the other shapes live in their `BatchOp` impls.)
+// The two runs of a move: flagged (for the batch) and budgeted direct (for
+// the adaptive fast path). Free functions, so custom `BatchOp`s build on
+// them.
 // ---------------------------------------------------------------------------
 
 /// The flagged terminal stage: capture `flag: PENDING → done` as the
@@ -232,57 +206,6 @@ fn finalize(flag: &DAtomic, done: Word) -> Option<Word> {
     }
 }
 
-/// Pin, and hand the guard back iff the request is still unresolved.
-fn still_pending(flag: &DAtomic) -> Option<Guard> {
-    let g = pin();
-    (flag.read(&g) == FLAG_PENDING).then_some(g)
-}
-
-/// The two verdict words of a shape that a flagged run treats specially.
-#[derive(Clone, Copy)]
-struct ShapeWords {
-    /// The shape's success verdict — the `new` of the flag entry.
-    done: Word,
-    /// Its permanent-rejection verdict — what an abort maps to when
-    /// nothing else explains it.
-    rejected: Word,
-}
-
-/// [`ShapeWords`] of the three move-shaped requests.
-fn move_words() -> ShapeWords {
-    ShapeWords {
-        done: encode_move(MoveOutcome::Moved),
-        rejected: encode_move(MoveOutcome::TargetRejected),
-    }
-}
-
-/// [`ShapeWords`] of a swap.
-fn swap_words() -> ShapeWords {
-    ShapeWords {
-        done: encode_swap(SwapOutcome::Swapped),
-        rejected: encode_swap(SwapOutcome::Rejected),
-    }
-}
-
-/// Map a flagged run's verdict word to its flag resolution.
-///
-/// `None` leaves the request for another round: a racing executor resolved
-/// it (or is mid-commit on it).
-fn settle(g: &Guard, flag: &DAtomic, verdict: Word, w: ShapeWords) -> Option<Word> {
-    if verdict == w.done {
-        // The CASN — flag entry included — succeeded: the flag already
-        // holds our done word.
-        return Some(verdict);
-    }
-    if verdict == w.rejected && flag.read(g) != FLAG_PENDING {
-        // The abort was the flag entry failing inside our CASN (or a
-        // downstream consequence): somebody else resolved the request.
-        // Exactly-once held; we lost.
-        return None;
-    }
-    finalize(flag, verdict)
-}
-
 /// `move_one` with the result flag folded into the commit (plan: remove,
 /// insert, flag).
 pub fn flagged_move_one<T, S, D>(src: &S, dst: &D, flag: &DAtomic, node_hp: usize) -> Option<Word>
@@ -291,30 +214,29 @@ where
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T> + ?Sized,
 {
-    let g = still_pending(flag)?;
-    let w = move_words();
+    let g = pin();
+    if flag.read(&g) != FLAG_PENDING {
+        return None;
+    }
+    let done = encode_move(MoveOutcome::Moved);
     let mut eng = Engine::new(3);
     let outcome = drive_move_one(&mut eng, src, dst, |eng: &mut Engine| {
-        flagged_commit(eng, flag, w.done, node_hp)
+        flagged_commit(eng, flag, done, node_hp)
     });
-    settle(&g, flag, encode_move(move_verdict(&eng, &outcome)), w)
-}
-
-// ---------------------------------------------------------------------------
-// Direct (budgeted) runs for the adaptive fast path.
-// ---------------------------------------------------------------------------
-
-/// A direct attempt's result: `None` = starved on contention — fall back
-/// to the gate / retry.
-fn direct_word(eng: &Engine, verdict: Word) -> Option<Word> {
-    if eng.starved() {
-        None
-    } else {
-        Some(verdict)
+    match move_verdict(&eng, &outcome) {
+        // The CASN — flag entry included — succeeded: the flag already
+        // holds our done word.
+        MoveOutcome::Moved => Some(done),
+        // The abort was the flag entry failing inside our CASN (or a
+        // downstream consequence): somebody else resolved the request.
+        // Exactly-once held; we lost.
+        MoveOutcome::TargetRejected if flag.read(&g) != FLAG_PENDING => None,
+        verdict => finalize(flag, encode_move(verdict)),
     }
 }
 
-/// Budgeted `move_one`.
+/// Budgeted `move_one`: `None` means the attempt starved on contention —
+/// fall back to the gate / retry.
 pub fn direct_move_one<T, S, D>(src: &S, dst: &D, fail_budget: u32) -> Option<Word>
 where
     T: Clone,
@@ -324,7 +246,7 @@ where
     let mut eng = Engine::new(2);
     eng.set_fail_budget(fail_budget);
     let outcome = drive_move_one(&mut eng, src, dst, Engine::commit);
-    direct_word(&eng, encode_move(move_verdict(&eng, &outcome)))
+    (!eng.starved()).then(|| encode_move(move_verdict(&eng, &outcome)))
 }
 
 // ---------------------------------------------------------------------------
@@ -458,9 +380,9 @@ const CLAIM_ATTEMPTS: u32 = 4;
 const HEAT_HOT: u32 = 8;
 const HEAT_MAX: u32 = 16;
 
-/// Commit failures a direct attempt may absorb before starving (see
-/// [`BatchGate::with_direct_budget`]).
-pub const DEFAULT_DIRECT_BUDGET: u32 = 3;
+/// Commit failures a cool gate's direct attempt may absorb before it
+/// starves and falls back to the batched path.
+const DIRECT_BUDGET: u32 = 3;
 
 /// The claim-pattern group-commit front-end (module docs). One gate per
 /// contended composition hot spot; requests of type `R` submitted through
@@ -472,6 +394,8 @@ pub struct BatchGate<R: BatchOp> {
     /// correctness depends on it, so it stays on `std` atomics and
     /// `Relaxed`, invisible to the model checker).
     heat: CachePadded<AtomicU32>,
+    /// A direct attempt's commit-failure budget; 0 routes every submit
+    /// through the claim list.
     direct_budget: u32,
     _req: PhantomData<R>,
 }
@@ -490,20 +414,13 @@ impl<R: BatchOp> Default for BatchGate<R> {
 }
 
 impl<R: BatchOp> BatchGate<R> {
-    /// A gate with the default direct budget.
+    /// An adaptive gate: direct attempts while cool, batching while hot.
     pub fn new() -> Self {
-        Self::with_direct_budget(DEFAULT_DIRECT_BUDGET)
-    }
-
-    /// A gate whose cool-path direct attempts absorb up to `budget` commit
-    /// failures before falling back to the batched path. `0` disables the
-    /// direct path entirely (see [`BatchGate::always_batched`]).
-    pub fn with_direct_budget(budget: u32) -> Self {
         // No `"batch.gate"` site check here: the infallible constructor
         // keeps working while injection is armed (only `try_*` surfaces
         // injected failures).
         let p = lfc_alloc::alloc_block(Layout::new::<GateHeader>()).cast::<GateHeader>();
-        Self::from_header(p, budget)
+        Self::from_header(p)
     }
 
     /// Fallible [`new`](Self::new): gate-header allocation failure
@@ -514,10 +431,10 @@ impl<R: BatchOp> BatchGate<R> {
             return Err(lfc_alloc::AllocError);
         }
         let p = lfc_alloc::try_alloc_block(Layout::new::<GateHeader>())?.cast::<GateHeader>();
-        Ok(Self::from_header(p, DEFAULT_DIRECT_BUDGET))
+        Ok(Self::from_header(p))
     }
 
-    fn from_header(p: NonNull<GateHeader>, budget: u32) -> Self {
+    fn from_header(p: NonNull<GateHeader>) -> Self {
         // Safety: fresh block.
         unsafe {
             p.as_ptr().write(GateHeader {
@@ -528,7 +445,7 @@ impl<R: BatchOp> BatchGate<R> {
         BatchGate {
             header: p,
             heat: CachePadded::new(AtomicU32::new(0)),
-            direct_budget: budget,
+            direct_budget: DIRECT_BUDGET,
             _req: PhantomData,
         }
     }
@@ -537,7 +454,9 @@ impl<R: BatchOp> BatchGate<R> {
     /// model checker and fuzzer use this to pin all executions on the
     /// batched protocol.
     pub fn always_batched() -> Self {
-        Self::with_direct_budget(0)
+        let mut gate = Self::new();
+        gate.direct_budget = 0;
+        gate
     }
 
     fn header(&self) -> &GateHeader {
@@ -756,12 +675,6 @@ impl<R: BatchOp> BatchGate<R> {
             unsafe { retire_list::<R>(b) };
         }
     }
-
-    /// Drain whatever is pending without submitting (used by teardown
-    /// paths and tests).
-    pub fn help(&self) {
-        self.advance();
-    }
 }
 
 impl<R: BatchOp> Drop for BatchGate<R> {
@@ -869,137 +782,6 @@ where
     fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
         let (src, dst) = (At::new(self.src, &self.key), At::new(self.dst, &self.key));
         flagged_move_one(&src, &dst, flag, node_hp)
-    }
-}
-
-/// A batched `move_keyed_to_all(src, key, dsts)`.
-pub struct MoveKeyedToAllOp<'a, K, T, S: ?Sized, D: ?Sized> {
-    src: &'a S,
-    key: K,
-    dsts: &'a [&'a D],
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<'a, K, T, S: ?Sized, D: ?Sized> MoveKeyedToAllOp<'a, K, T, S, D> {
-    /// Package a keyed fan-out request (1..=[`MAX_ENTRIES`]−2 targets; the
-    /// flag entry uses one commit slot).
-    pub fn new(src: &'a S, key: K, dsts: &'a [&'a D]) -> Self {
-        MoveKeyedToAllOp {
-            src,
-            key,
-            dsts,
-            _elem: PhantomData,
-        }
-    }
-
-    /// The number of targets. Both run sites refuse an empty or oversized
-    /// target list.
-    fn width(&self) -> usize {
-        let n = self.dsts.len();
-        assert!(
-            (1..=MAX_ENTRIES - 2).contains(&n),
-            "batched fan-out supports 1..={} targets",
-            MAX_ENTRIES - 2
-        );
-        n
-    }
-
-    /// Run the fan-out over key views of the source and every target and
-    /// encode its verdict.
-    fn drive<F>(&self, eng: &mut Engine, tail: F) -> Word
-    where
-        K: Clone,
-        T: Clone,
-        S: KeyedMoveSource<K, T>,
-        D: KeyedMoveTarget<K, T>,
-        F: FnMut(&mut Engine) -> bool,
-    {
-        let views = at_each(self.dsts, &self.key);
-        let src = At::new(self.src, &self.key);
-        let outcome = drive_move_to_all(eng, &src, &views[..self.dsts.len()], tail);
-        encode_move(move_verdict(eng, &outcome))
-    }
-}
-
-impl<K: Copy, T, S: ?Sized, D: ?Sized> Clone for MoveKeyedToAllOp<'_, K, T, S, D> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<K: Copy, T, S: ?Sized, D: ?Sized> Copy for MoveKeyedToAllOp<'_, K, T, S, D> {}
-
-impl<K, T, S, D> BatchOp for MoveKeyedToAllOp<'_, K, T, S, D>
-where
-    K: Copy + Clone + Send + Sync,
-    T: Clone,
-    S: KeyedMoveSource<K, T> + Sync + ?Sized,
-    D: KeyedMoveTarget<K, T> + Sync + ?Sized,
-{
-    fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        let mut eng = Engine::new(1 + self.width());
-        eng.set_fail_budget(fail_budget);
-        let verdict = self.drive(&mut eng, Engine::commit);
-        direct_word(&eng, verdict)
-    }
-    fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        let plan = 2 + self.width();
-        let g = still_pending(flag)?;
-        let w = move_words();
-        let mut eng = Engine::new(plan);
-        let verdict = self.drive(&mut eng, |eng: &mut Engine| {
-            flagged_commit(eng, flag, w.done, node_hp)
-        });
-        settle(&g, flag, verdict, w)
-    }
-}
-
-/// A batched `swap(a, b)`.
-pub struct SwapOp<'a, T, A: ?Sized, B: ?Sized> {
-    a: &'a A,
-    b: &'a B,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<'a, T, A: ?Sized, B: ?Sized> SwapOp<'a, T, A, B> {
-    /// Package a `swap` request.
-    pub fn new(a: &'a A, b: &'a B) -> Self {
-        SwapOp {
-            a,
-            b,
-            _elem: PhantomData,
-        }
-    }
-}
-
-impl<T, A: ?Sized, B: ?Sized> Clone for SwapOp<'_, T, A, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T, A: ?Sized, B: ?Sized> Copy for SwapOp<'_, T, A, B> {}
-
-impl<T, A, B> BatchOp for SwapOp<'_, T, A, B>
-where
-    T: Clone,
-    A: MoveSource<T> + MoveTarget<T> + Sync + ?Sized,
-    B: MoveSource<T> + MoveTarget<T> + Sync + ?Sized,
-{
-    fn try_direct(&self, fail_budget: u32) -> Option<Word> {
-        let mut eng = Engine::new(4);
-        eng.set_fail_budget(fail_budget);
-        let outcome = drive_swap(&mut eng, self.a, self.b, Engine::commit);
-        direct_word(&eng, encode_swap(swap_verdict(&eng, &outcome)))
-    }
-    /// Plan: remove a, remove b, insert a, insert b, flag — five of the
-    /// six entries.
-    fn run_flagged(&self, flag: &DAtomic, node_hp: usize) -> Option<Word> {
-        let g = still_pending(flag)?;
-        let w = swap_words();
-        let mut eng = Engine::new(5);
-        let outcome = drive_swap(&mut eng, self.a, self.b, |eng: &mut Engine| {
-            flagged_commit(eng, flag, w.done, node_hp)
-        });
-        settle(&g, flag, encode_swap(swap_verdict(&eng, &outcome)), w)
     }
 }
 

@@ -71,7 +71,7 @@
 //!   rule, never a named hazard. A composition whose thread is ejected (or
 //!   even zombified) mid-commit therefore still holds every captured word.
 
-use crate::keyed::{at_each, At};
+use crate::keyed::At;
 use crate::{
     InsertCtx, InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource,
     MoveTarget, RemoveCtx, RemoveOutcome, ScasResult,
@@ -478,10 +478,11 @@ where
 
 // ---------------------------------------------------------------------------
 // One driver per composition shape. Each writes its stage nest once and
-// takes the engine (set up by the caller: plan size, retry budget) and the
-// terminal stage `tail` — [`Engine::commit`], or the batched front-end's
-// flag-capturing commit. The plain, `direct_*` and `flagged_*` entry
-// points all call these and differ only in engine set-up and in how
+// takes the engine, set up by the caller (plan size, retry budget). The
+// fan-out and swap drivers end in [`Engine::commit`]; `drive_move_one`
+// alone takes its terminal stage `tail`, because the batched front-end's
+// flagged run ends it with a flag-capturing commit. The plain, `direct_*`
+// and `flagged_*` entry points differ only in engine set-up and in how
 // they map the returned outermost outcome to a verdict. Keyed objects
 // enter as key views ([`At`]), so no driver knows about keys.
 // ---------------------------------------------------------------------------
@@ -504,57 +505,44 @@ where
     })
 }
 
-/// Fan `elem` into every target from stage `idx` on, then `tail`.
-fn fan_out<T, D, F>(eng: &mut Engine, idx: usize, dsts: &[D], elem: &T, tail: &mut F) -> bool
+/// Fan `elem` into every target from stage `idx` on, then commit.
+fn fan_out<T, D>(eng: &mut Engine, idx: usize, dsts: &[D], elem: &T) -> bool
 where
     T: Clone,
     D: MoveTarget<T>,
-    F: FnMut(&mut Engine) -> bool,
 {
     match dsts.split_first() {
-        None => tail(eng),
+        None => eng.commit(),
         Some((first, rest)) => run_insert(eng, idx, first, elem.clone(), |eng: &mut Engine| {
-            fan_out(eng, idx + 1, rest, elem, tail)
+            fan_out(eng, idx + 1, rest, elem)
         }),
     }
 }
 
-/// Shape `move_to_all`: remove → one insert per target → `tail`.
-pub(crate) fn drive_move_to_all<T, S, D, F>(
-    eng: &mut Engine,
-    src: &S,
-    dsts: &[D],
-    mut tail: F,
-) -> RemoveOutcome<T>
+/// Shape `move_to_all`: remove → one insert per target → commit.
+fn drive_move_to_all<T, S, D>(eng: &mut Engine, src: &S, dsts: &[D]) -> RemoveOutcome<T>
 where
     T: Clone,
     S: MoveSource<T> + ?Sized,
     D: MoveTarget<T>,
-    F: FnMut(&mut Engine) -> bool,
 {
     remove_stage(eng, 0, src, |eng: &mut Engine, elem: &T| {
-        fan_out(eng, 1, dsts, elem, &mut tail)
+        fan_out(eng, 1, dsts, elem)
     })
 }
 
 /// Shape `swap`: remove a → remove b → insert b's element into a → insert
-/// a's element into b → `tail`.
-pub(crate) fn drive_swap<T, A, B, F>(
-    eng: &mut Engine,
-    a: &A,
-    b: &B,
-    mut tail: F,
-) -> RemoveOutcome<T>
+/// a's element into b → commit.
+fn drive_swap<T, A, B>(eng: &mut Engine, a: &A, b: &B) -> RemoveOutcome<T>
 where
     T: Clone,
     A: MoveSource<T> + MoveTarget<T> + ?Sized,
     B: MoveSource<T> + MoveTarget<T> + ?Sized,
-    F: FnMut(&mut Engine) -> bool,
 {
     remove_stage(eng, 0, a, |eng: &mut Engine, x: &T| {
         run_remove(eng, 1, b, |eng: &mut Engine, y: &T| {
             run_insert(eng, 2, a, y.clone(), |eng: &mut Engine| {
-                run_insert(eng, 3, b, x.clone(), &mut tail)
+                run_insert(eng, 3, b, x.clone(), Engine::commit)
             })
         })
     })
@@ -572,7 +560,7 @@ pub(crate) fn move_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> MoveO
 
 /// Map a swap's outermost remove outcome to a [`SwapOutcome`] — the single
 /// copy of the swap verdict.
-pub(crate) fn swap_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> SwapOutcome {
+fn swap_verdict<T>(eng: &Engine, outcome: &RemoveOutcome<T>) -> SwapOutcome {
     match outcome {
         RemoveOutcome::Removed(_) => SwapOutcome::Swapped,
         RemoveOutcome::Empty => SwapOutcome::FirstEmpty,
@@ -671,7 +659,7 @@ where
         "move_to_all supports 1..={MAX_TARGETS} targets"
     );
     let mut eng = Engine::new(1 + dsts.len());
-    let outcome = drive_move_to_all(&mut eng, src, dsts, Engine::commit);
+    let outcome = drive_move_to_all(&mut eng, src, dsts);
     move_verdict(&eng, &outcome)
 }
 
@@ -697,14 +685,12 @@ where
         !dsts.is_empty() && dsts.len() <= MAX_TARGETS,
         "move_keyed_to_all supports 1..={MAX_TARGETS} targets"
     );
+    // A fixed array of views, so a keyed fan-out allocates nothing;
+    // entries past `dsts.len()` repeat the last view and are sliced off.
+    let views: [At<'_, K, D>; MAX_TARGETS] =
+        std::array::from_fn(|i| At::new(dsts[i.min(dsts.len() - 1)], key));
     let mut eng = Engine::new(1 + dsts.len());
-    let views = at_each(dsts, key);
-    let outcome = drive_move_to_all(
-        &mut eng,
-        &At::new(src, key),
-        &views[..dsts.len()],
-        Engine::commit,
-    );
+    let outcome = drive_move_to_all(&mut eng, &At::new(src, key), &views[..dsts.len()]);
     move_verdict(&eng, &outcome)
 }
 
@@ -745,7 +731,7 @@ where
     B: MoveSource<T> + MoveTarget<T> + ?Sized,
 {
     let mut eng = Engine::new(4);
-    let outcome = drive_swap(&mut eng, a, b, Engine::commit);
+    let outcome = drive_swap(&mut eng, a, b);
     swap_verdict(&eng, &outcome)
 }
 

@@ -10,9 +10,9 @@
 //! [`MoveTarget`] over a [`KeyedMoveSource`] / [`KeyedMoveTarget`], and the
 //! engine ([`crate::compose`]) drives every composition through the unkeyed
 //! traits only. [`crate::move_keyed`], [`crate::move_keyed_to_all`] and the
-//! keyed batched requests are key views over the unkeyed shape drivers, and
-//! a caller mixes keyed and unkeyed objects the same way: by passing `At`
-//! views to [`crate::move_one`] or [`crate::move_to_all`].
+//! batched [`crate::MoveKeyedOp`] are key views over the unkeyed shape
+//! drivers, and a caller mixes keyed and unkeyed objects the same way: by
+//! passing `At` views to [`crate::move_one`] or [`crate::move_to_all`].
 //!
 //! # Captures versus internal restructuring (PR 5)
 //!
@@ -29,9 +29,7 @@
 //! semantically meaningful words, and every `scas` retry re-running the
 //! locate phase from scratch.
 
-use crate::{
-    InsertCtx, InsertOutcome, MoveSource, MoveTarget, RemoveCtx, RemoveOutcome, MAX_TARGETS,
-};
+use crate::{InsertCtx, InsertOutcome, MoveSource, MoveTarget, RemoveCtx, RemoveOutcome};
 
 /// An object whose keyed remove is move-ready.
 pub trait KeyedMoveSource<K, T> {
@@ -105,12 +103,4 @@ impl<K: Clone, T, S: KeyedMoveTarget<K, T> + ?Sized> MoveTarget<T> for At<'_, K,
     fn insert_with<C: InsertCtx>(&self, elem: T, ctx: &mut C) -> InsertOutcome {
         self.obj.insert_key_with(self.key.clone(), elem, ctx)
     }
-}
-
-/// Views of every object of `objs` (1..=[`MAX_TARGETS`] of them, which
-/// the fan-out entry points assert first) at the one `key`, in order;
-/// entries past `objs.len()` repeat the last view, so callers slice
-/// `[..objs.len()]`. A fixed array, so a keyed fan-out allocates nothing.
-pub(crate) fn at_each<'a, K, S: ?Sized>(objs: &[&'a S], key: &'a K) -> [At<'a, K, S>; MAX_TARGETS] {
-    std::array::from_fn(|i| At::new(objs[i.min(objs.len() - 1)], key))
 }

@@ -50,7 +50,7 @@ pub mod compose;
 pub mod keyed;
 mod sync;
 
-pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
+pub use batch::{BatchGate, BatchOp, MoveKeyedOp, MoveOneOp};
 pub use compose::{
     move_keyed, move_keyed_to_all, move_one, move_to_all, swap, SwapOutcome, MAX_ENTRIES,
     MAX_TARGETS,

@@ -2,13 +2,13 @@
 //! exactly-once execution, conservation under contention, adaptivity
 //! plumbing, and outcome encoding.
 
-use lfc_core::batch::{self, decode_move, decode_swap, encode_move, encode_swap};
+use lfc_core::batch::{self, decode_move, encode_move};
 use lfc_core::compose::SwapOutcome;
 use lfc_core::{
-    move_keyed, move_keyed_to_all, move_one, swap, BatchGate, BatchOp, MoveKeyedOp,
-    MoveKeyedToAllOp, MoveOneOp, MoveOutcome, MoveSource, MoveTarget, SwapOp, MAX_ENTRIES,
+    move_keyed, move_keyed_to_all, move_one, swap, BatchGate, BatchOp, MoveKeyedOp, MoveOneOp,
+    MoveOutcome, MoveSource, MoveTarget, MAX_TARGETS,
 };
-use lfc_dcas::{DAtomic, Word};
+use lfc_dcas::DAtomic;
 use lfc_structures::{LfHashMap, MsQueue, OneSlot, TreiberStack};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -27,24 +27,13 @@ fn encoding_round_trips_and_stays_raw() {
         assert_eq!(w & 0b111, 0);
         assert_eq!(decode_move(w), o);
     }
-    for o in [
-        SwapOutcome::Swapped,
-        SwapOutcome::FirstEmpty,
-        SwapOutcome::SecondEmpty,
-        SwapOutcome::Rejected,
-        SwapOutcome::WouldAlias,
-    ] {
-        let w = encode_swap(o);
-        assert_ne!(w, batch::FLAG_PENDING);
-        assert_eq!(w & 0b111, 0);
-        assert_eq!(decode_swap(w), o);
-    }
 }
 
 #[test]
 #[should_panic(expected = "not an encoded MoveOutcome")]
 fn cross_decoding_panics() {
-    let _ = decode_move(encode_swap(SwapOutcome::Swapped));
+    // The first code past the four move codes.
+    let _ = decode_move(5 << 3);
 }
 
 #[test]
@@ -80,21 +69,20 @@ fn batched_path_matches_direct_semantics() {
     q2.enqueue(70);
 
     let gate = BatchGate::always_batched();
-    let w = gate.submit(SwapOp::new(&q1, &q2));
-    // swap removed 7 from q1 and 70 from q2, crossing them over; 8 was
-    // already queued ahead of the swapped-in 70.
-    assert_eq!(decode_swap(w), SwapOutcome::Swapped);
-    assert_eq!(q1.dequeue(), Some(8));
-    assert_eq!(q1.dequeue(), Some(70));
-    assert_eq!(q2.dequeue(), Some(7));
-
-    q1.enqueue(99);
-    let move_gate = BatchGate::always_batched();
     let before = batch::counters::batched_ops();
-    let w = move_gate.submit(MoveOneOp::new(&q1, &q2));
-    assert_eq!(decode_move(w), MoveOutcome::Moved);
-    assert_eq!(q2.dequeue(), Some(99));
-    assert!(batch::counters::batched_ops() > before);
+    for expect in [
+        MoveOutcome::Moved,
+        MoveOutcome::Moved,
+        MoveOutcome::SourceEmpty,
+    ] {
+        let w = gate.submit(MoveOneOp::new(&q1, &q2));
+        assert_eq!(decode_move(w), expect);
+    }
+    assert!(batch::counters::batched_ops() >= before + 3);
+    // Both moved elements queue up behind the target's own, in order.
+    assert_eq!(q2.dequeue(), Some(70));
+    assert_eq!(q2.dequeue(), Some(7));
+    assert_eq!(q2.dequeue(), Some(8));
 }
 
 /// Every entry point of the `move_one` shape on its own freshly prepared
@@ -129,35 +117,6 @@ fn move_one_agrees<St, S, D>(
     );
 }
 
-/// [`move_one_agrees`] for the `swap` shape.
-fn swap_agrees<St, A, B>(
-    prepare: impl Fn() -> St,
-    pick: impl for<'s> Fn(&'s St) -> (&'s A, &'s B),
-    expect: SwapOutcome,
-) where
-    A: MoveSource<u64> + MoveTarget<u64> + Sync,
-    B: MoveSource<u64> + MoveTarget<u64> + Sync,
-{
-    let st = prepare();
-    let (a, b) = pick(&st);
-    assert_eq!(swap(a, b), expect);
-    let st = prepare();
-    let (a, b) = pick(&st);
-    let w = SwapOp::new(a, b)
-        .try_direct(3)
-        .expect("uncontended: never starves");
-    assert_eq!(decode_swap(w), expect);
-    let st = prepare();
-    let (a, b) = pick(&st);
-    let flag = DAtomic::new(batch::FLAG_PENDING);
-    let w = SwapOp::new(a, b)
-        .run_flagged(&flag, 0)
-        .expect("sole executor: resolves the flag");
-    assert_eq!(decode_swap(w), expect);
-    assert_eq!(flag.load_word(), w, "the flag holds the verdict");
-    assert_eq!(SwapOp::new(a, b).run_flagged(&flag, 0), None);
-}
-
 type Map = LfHashMap<u64, u64>;
 
 /// A keyed fan-out scenario on key 1: the source holds `1 → 10` iff
@@ -177,11 +136,10 @@ fn fan(width: usize, src_has_key: bool, dup_in_last: bool) -> (Map, Vec<Map>) {
     (src, dsts)
 }
 
-/// [`move_one_agrees`] for the keyed fan-out: `move_keyed_to_all` and
-/// `MoveKeyedToAllOp`'s direct and flagged runs report `expect`, and leave
-/// the same state behind — all-or-nothing, so a rejection touches no
-/// target.
-fn keyed_fan_out_agrees(width: usize, src_has_key: bool, dup_in_last: bool, expect: MoveOutcome) {
+/// The keyed fan-out (unbatched: `move_keyed_to_all`) reports `expect`
+/// and leaves the matching state behind — all-or-nothing, so a rejection
+/// touches no target.
+fn keyed_fan_out_reports(width: usize, src_has_key: bool, dup_in_last: bool, expect: MoveOutcome) {
     let moved = expect == MoveOutcome::Moved;
     let check = |src: &Map, dsts: &[Map]| {
         let kept = src_has_key && !moved;
@@ -201,22 +159,6 @@ fn keyed_fan_out_agrees(width: usize, src_has_key: bool, dup_in_last: bool, expe
     let (src, dsts) = fan(width, src_has_key, dup_in_last);
     let refs: Vec<&Map> = dsts.iter().collect();
     assert_eq!(move_keyed_to_all(&src, &1, &refs), expect);
-    check(&src, &dsts);
-
-    let (src, dsts) = fan(width, src_has_key, dup_in_last);
-    let refs: Vec<&Map> = dsts.iter().collect();
-    let op = MoveKeyedToAllOp::new(&src, 1u64, &refs);
-    assert_eq!(op.try_direct(3).map(decode_move), Some(expect));
-    check(&src, &dsts);
-
-    let (src, dsts) = fan(width, src_has_key, dup_in_last);
-    let refs: Vec<&Map> = dsts.iter().collect();
-    let op = MoveKeyedToAllOp::new(&src, 1u64, &refs);
-    let flag = DAtomic::new(batch::FLAG_PENDING);
-    let w = op.run_flagged(&flag, 0);
-    assert_eq!(w.map(decode_move), Some(expect));
-    assert_eq!(Some(flag.load_word()), w, "the flag holds the verdict");
-    assert_eq!(op.run_flagged(&flag, 0), None);
     check(&src, &dsts);
 }
 
@@ -265,30 +207,19 @@ fn every_entry_point_of_a_shape_reports_the_same_verdict() {
         MoveOutcome::WouldAlias,
     );
 
-    // `swap`: all five `SwapOutcome` variants.
-    swap_agrees(
-        || (queue_of(&[1]), queue_of(&[2])),
-        |(a, b)| (a, b),
-        SwapOutcome::Swapped,
-    );
-    swap_agrees(
-        || (queue_of(&[]), queue_of(&[2])),
-        |(a, b)| (a, b),
-        SwapOutcome::FirstEmpty,
-    );
-    swap_agrees(
-        || (queue_of(&[1]), queue_of(&[])),
-        |(a, b)| (a, b),
-        SwapOutcome::SecondEmpty,
-    );
+    // `swap` (unbatched): all five `SwapOutcome` variants.
+    let (a, b) = (queue_of(&[1]), queue_of(&[2]));
+    assert_eq!(swap(&a, &b), SwapOutcome::Swapped);
+    let (a, b) = (queue_of(&[]), queue_of(&[2]));
+    assert_eq!(swap(&a, &b), SwapOutcome::FirstEmpty);
+    let (a, b) = (queue_of(&[1]), queue_of(&[]));
+    assert_eq!(swap(&a, &b), SwapOutcome::SecondEmpty);
     // The slot stays occupied until the commit, so inserting b's element
     // into it is permanently rejected.
-    swap_agrees(
-        || (slot_of(Some(1)), queue_of(&[2])),
-        |(a, b)| (a, b),
-        SwapOutcome::Rejected,
-    );
-    swap_agrees(|| queue_of(&[1, 2]), |q| (q, q), SwapOutcome::WouldAlias);
+    let (a, b) = (slot_of(Some(1)), queue_of(&[2]));
+    assert_eq!(swap(&a, &b), SwapOutcome::Rejected);
+    let q = queue_of(&[1, 2]);
+    assert_eq!(swap(&q, &q), SwapOutcome::WouldAlias);
 
     // The keyed shape maps through the same `move_verdict`; spot-check the
     // variant only keyed targets produce organically (duplicate key).
@@ -303,49 +234,12 @@ fn every_entry_point_of_a_shape_reports_the_same_verdict() {
     assert_eq!(op.run_flagged(&flag, 0).map(decode_move), Some(rejected));
     assert_eq!((a.get(&1), b.get(&1)), (Some(10), Some(11)));
 
-    // `move_keyed_to_all`: at one target and at the full batched width
-    // (the flag entry takes the last commit slot).
-    for width in [1, MAX_ENTRIES - 2] {
-        keyed_fan_out_agrees(width, true, false, MoveOutcome::Moved);
-        keyed_fan_out_agrees(width, false, false, MoveOutcome::SourceEmpty);
-        keyed_fan_out_agrees(width, true, true, MoveOutcome::TargetRejected);
+    // `move_keyed_to_all`: at one target and at its full width.
+    for width in [1, MAX_TARGETS] {
+        keyed_fan_out_reports(width, true, false, MoveOutcome::Moved);
+        keyed_fan_out_reports(width, false, false, MoveOutcome::SourceEmpty);
+        keyed_fan_out_reports(width, true, true, MoveOutcome::TargetRejected);
     }
-}
-
-/// A `MoveKeyedToAllOp` over `width` empty targets, run through `run`.
-fn keyed_fan_out_op_at_width(
-    width: usize,
-    run: impl Fn(&MoveKeyedToAllOp<'_, u64, u64, Map, Map>) -> Option<Word>,
-) {
-    let (src, dsts) = fan(width, true, false);
-    let refs: Vec<&Map> = dsts.iter().collect();
-    let _ = run(&MoveKeyedToAllOp::new(&src, 1u64, &refs));
-}
-
-#[test]
-#[should_panic(expected = "batched fan-out supports")]
-fn batched_keyed_fan_out_refuses_zero_targets_direct() {
-    keyed_fan_out_op_at_width(0, |op| op.try_direct(3));
-}
-
-#[test]
-#[should_panic(expected = "batched fan-out supports")]
-fn batched_keyed_fan_out_refuses_zero_targets_flagged() {
-    let flag = DAtomic::new(batch::FLAG_PENDING);
-    keyed_fan_out_op_at_width(0, |op| op.run_flagged(&flag, 0));
-}
-
-#[test]
-#[should_panic(expected = "batched fan-out supports")]
-fn batched_keyed_fan_out_refuses_max_entries_minus_one_targets_direct() {
-    keyed_fan_out_op_at_width(MAX_ENTRIES - 1, |op| op.try_direct(3));
-}
-
-#[test]
-#[should_panic(expected = "batched fan-out supports")]
-fn batched_keyed_fan_out_refuses_max_entries_minus_one_targets_flagged() {
-    let flag = DAtomic::new(batch::FLAG_PENDING);
-    keyed_fan_out_op_at_width(MAX_ENTRIES - 1, |op| op.run_flagged(&flag, 0));
 }
 
 #[test]

@@ -162,8 +162,9 @@ pub mod slot {
     /// time the engine *promotes* each captured entry's allocation from
     /// the capturing operation's epoch into its own ENTRY slot
     /// (unconditionally since PR 3 — the nested operations' epochs end
-    /// when they return, before the commit and `finish` run), keeping every entry word protected until the
-    /// composition resolves. One slot per entry also keeps nested
+    /// when they return, before the commit runs), keeping every entry
+    /// word protected until the engine's `Drop` releases the slots. One
+    /// slot per entry also keeps nested
     /// same-role stages from clobbering each other's protections.
     /// Disjoint from the HELP* range: ENTRY slots belong to the
     /// *initiating* thread's composition, HELP* to the same thread's

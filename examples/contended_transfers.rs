@@ -9,18 +9,17 @@
 //! — the lock-freedom escape hatch). Uncontended submits never touch the
 //! claim list at all.
 //!
-//! Two express lanes (queues with one sealed token each) are swapped
-//! through a second gate, and a broadcast desk occasionally routes
-//! `move_keyed_to_all` through a third. When the music stops, every token
-//! must exist exactly once — batching changed who *executes* a move, never
-//! its atomicity.
+//! Two express lanes (queues with one sealed token each) are exchanged by
+//! a plain, unbatched `swap` now and then. When the music stops, every
+//! token must exist exactly once — batching changed who *executes* a move,
+//! never its atomicity.
 //!
 //! ```sh
 //! cargo run --release --example contended_transfers
 //! ```
 
-use lockfree_compose::batch::{counters, decode_move, decode_swap};
-use lockfree_compose::{BatchGate, LfHashMap, MoveKeyedOp, MoveKeyedToAllOp, MsQueue, SwapOp};
+use lockfree_compose::batch::{counters, decode_move};
+use lockfree_compose::{swap, BatchGate, LfHashMap, MoveKeyedOp, MsQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -43,13 +42,9 @@ fn main() {
     q1.enqueue(1_000);
     q2.enqueue(2_000);
 
-    // One gate per request type; each gate serves both directions.
+    // One gate serves every keyed move, hot and cold, in both directions.
     type Ledger = LfHashMap<u64, u64>;
     let moves: BatchGate<MoveKeyedOp<'_, u64, u64, Ledger, Ledger>> = BatchGate::new();
-    let casts: BatchGate<MoveKeyedToAllOp<'_, u64, u64, Ledger, Ledger>> = BatchGate::new();
-    let swaps: BatchGate<SwapOp<'_, u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::new();
-    let to_a: [&LfHashMap<u64, u64>; 1] = [&a];
-    let to_b: [&LfHashMap<u64, u64>; 1] = [&b];
 
     let stop = AtomicBool::new(false);
     let ops = AtomicU64::new(0);
@@ -57,8 +52,7 @@ fn main() {
     std::thread::scope(|sc| {
         for t in 0..THREADS {
             let (a, b, q1, q2) = (&a, &b, &q1, &q2);
-            let (moves, casts, swaps) = (&moves, &casts, &swaps);
-            let (to_a, to_b) = (&to_a, &to_b);
+            let moves = &moves;
             let (stop, ops) = (&stop, &ops);
             sc.spawn(move || {
                 let mut n = 0u64;
@@ -68,38 +62,26 @@ fn main() {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    let key = x % HOT;
                     match x >> 60 {
-                        0..=5 => {
-                            // The hot path: keyed move on a contended key.
+                        // An express-lane exchange: a plain, unbatched swap.
+                        13..=15 => {
+                            let _ = swap(q1, q2);
+                        }
+                        r => {
+                            // Mostly the hot path, a keyed move on a
+                            // contended key; cold keys spread some
+                            // uncontended traffic.
+                            let key = if (6..=9).contains(&r) {
+                                HOT + x % (TOKENS - HOT)
+                            } else {
+                                x % HOT
+                            };
                             let op = if x & (1 << 32) == 0 {
                                 MoveKeyedOp::new(a, key, b)
                             } else {
                                 MoveKeyedOp::new(b, key, a)
                             };
                             let _ = decode_move(moves.submit(op));
-                        }
-                        6..=9 => {
-                            // Cold keys spread some uncontended traffic.
-                            let cold = HOT + x % (TOKENS - HOT);
-                            let op = if x & (1 << 32) == 0 {
-                                MoveKeyedOp::new(a, cold, b)
-                            } else {
-                                MoveKeyedOp::new(b, cold, a)
-                            };
-                            let _ = decode_move(moves.submit(op));
-                        }
-                        10..=12 => {
-                            // Broadcast desk: same atomicity, fan-out form.
-                            let op = if x & (1 << 32) == 0 {
-                                MoveKeyedToAllOp::new(a, key, &to_b[..])
-                            } else {
-                                MoveKeyedToAllOp::new(b, key, &to_a[..])
-                            };
-                            let _ = decode_move(casts.submit(op));
-                        }
-                        _ => {
-                            let _ = decode_swap(swaps.submit(SwapOp::new(q1, q2)));
                         }
                     }
                     n += 1;

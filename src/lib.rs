@@ -33,19 +33,18 @@ pub use lfc_core::{
     InsertOutcome, KeyedMoveSource, KeyedMoveTarget, LinPoint, MoveOutcome, MoveSource, MoveTarget,
     NormalCas, RemoveCtx, RemoveOutcome, ScasResult, SwapOutcome, MAX_ENTRIES, MAX_TARGETS,
 };
-pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveKeyedToAllOp, MoveOneOp, SwapOp};
-/// The contention-adaptive batched front-end (claim-pattern group commit):
-/// result-word codecs and engagement counters.
+pub use lfc_core::{BatchGate, BatchOp, MoveKeyedOp, MoveOneOp};
+/// The contention-adaptive batched front-end for moves (claim-pattern
+/// group commit): the result-word decoder and engagement counters.
 pub mod batch {
-    pub use lfc_core::batch::{counters, decode_move, decode_swap, encode_move, encode_swap};
+    pub use lfc_core::batch::{counters, decode_move};
 }
 pub use lfc_dcas::DAtomic;
-pub use lfc_runtime::{Backoff, BackoffCfg, TtasLock};
 pub use lfc_structures::*;
 
 /// Re-export of the hazard-pointer domain (diagnostics and advanced use).
 pub mod hazard {
-    pub use lfc_hazard::{bank_is_clear, flush, pin, retired_count, stats, Guard};
+    pub use lfc_hazard::{bank_is_clear, flush, pin, retired_count, Guard};
 }
 
 /// Re-export of the pooling allocator statistics.
@@ -58,16 +57,16 @@ pub mod alloc_stats {
 /// `lfc_runtime::fault`).
 pub mod fault {
     pub use lfc_runtime::fault::{
-        abandon, abandoned_total, abandonment_scope, adopted_total, arm_site, corpse_count,
-        corpses, counters, disarm, disarm_site, fired_total, install_quiet_abandon_hook, is_corpse,
-        shield_thread, site, thread_is_abandoning, with_registered_peer, Schedule,
+        abandoned_total, abandonment_scope, arm_site, corpse_count, disarm, disarm_site,
+        fired_total, install_quiet_abandon_hook, shield_thread, site, with_registered_peer,
+        Schedule,
     };
 }
 
 /// Dead-thread adoption: survivors complete and reclaim operations whose
 /// owner died mid-flight (see `lfc_dcas::adopt`).
 pub mod adopt {
-    pub use lfc_dcas::adopt::{adopt_dead_threads, helped_completions};
+    pub use lfc_dcas::adopt::adopt_dead_threads;
 }
 
 /// The chaos-hardened sharded ledger service built on composed operations
@@ -85,7 +84,7 @@ pub mod ledger {
 pub mod linear {
     pub use lfc_linear::{
         check_linearizable, render_history, CheckResult, Cont, Entry, KeyedMoveResult, KeyedPairOp,
-        KeyedPairSpec, MapOp, MapSpec, PairOp, PairSpec, QueueOp, QueueSpec, Recorder, SlotOp,
-        SlotSpec, Spec, StackOp, StackSpec, SwapResult, TrioOp, TrioSpec,
+        KeyedPairSpec, MapOp, MapSpec, PairOp, PairSpec, Recorder, SlotOp, SlotSpec, Spec, StackOp,
+        StackSpec, SwapResult, TrioOp, TrioSpec,
     };
 }

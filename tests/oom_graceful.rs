@@ -11,13 +11,12 @@
 //! front-end), `map.grow` / `map.segment` / `map.dummy` (directory growth
 //! degrade), and the allocator-level `alloc.block` beneath them all.
 
-use lockfree_compose::batch::{decode_move, decode_swap};
+use lockfree_compose::batch::decode_move;
 use lockfree_compose::fault::{
     arm_site, disarm, fired_total, site, with_registered_peer, Schedule,
 };
 use lockfree_compose::{
-    move_one, BatchGate, LfHashMap, MoveOneOp, MoveOutcome, MsQueue, SwapOp, SwapOutcome,
-    TreiberStack,
+    move_one, BatchGate, LfHashMap, MoveOneOp, MoveOutcome, MsQueue, TreiberStack,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -103,44 +102,40 @@ fn batched_submits_ride_out_node_refusals() {
         a.enqueue(t);
         b.enqueue(100 + t);
     }
-    let moves: BatchGate<MoveOneOp<u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::always_batched();
-    let swaps: BatchGate<SwapOp<u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::always_batched();
+    let gate: BatchGate<MoveOneOp<u64, MsQueue<u64>, MsQueue<u64>>> = BatchGate::always_batched();
+    // Submit `rounds` moves `src → dst` that each succeed, then one more
+    // that finds `src` drained and resolves by the plain finalize CAS
+    // instead of a commit.
+    let drain = |src: &MsQueue<u64>, dst: &MsQueue<u64>, rounds: u64| {
+        for _ in 0..rounds {
+            let w = gate.submit(MoveOneOp::new(src, dst));
+            assert_eq!(decode_move(w), MoveOutcome::Moved);
+        }
+        let w = gate.submit(MoveOneOp::new(src, dst));
+        assert_eq!(decode_move(w), MoveOutcome::SourceEmpty, "source drained");
+    };
 
     // Outside the solo regime every claim DCAS and every flagged commit is
     // published, and every second request-node allocation is refused, so
-    // batched and degraded direct submits interleave over the same queues.
-    // The gate must stay panic-free and still return each request's real
-    // outcome.
+    // batched and degraded direct submits interleave over the same queues,
+    // in both directions. The gate must stay panic-free and still return
+    // each request's real outcome.
     with_registered_peer(|| {
         arm_site(site::BATCH_NODE, Schedule::EveryNth(2));
-        for left in (0..TOKENS).rev() {
-            let w = moves.submit(MoveOneOp::new(&a, &b));
-            assert_eq!(decode_move(w), MoveOutcome::Moved);
-            // The last move drains `a`: the swap then resolves by the
-            // plain finalize CAS instead of a commit.
-            let w = swaps.submit(SwapOp::new(&a, &b));
-            let expect = if left > 0 {
-                SwapOutcome::Swapped
-            } else {
-                SwapOutcome::FirstEmpty
-            };
-            assert_eq!(decode_swap(w), expect);
-        }
-        let w = moves.submit(MoveOneOp::new(&a, &b));
-        assert_eq!(decode_move(w), MoveOutcome::SourceEmpty, "a is drained");
+        drain(&a, &b, TOKENS);
+        drain(&b, &a, 2 * TOKENS);
         let fired = fired_total();
         disarm();
         assert!(fired > 0, "node allocations were actually refused");
     });
 
-    // Swaps preserve both populations' sizes and each move shifts one
-    // token a → b: nothing was created, destroyed or duplicated by a
-    // refused round.
+    // Each move shifts one token: nothing was created, destroyed or
+    // duplicated by a refused round.
     let mut seen = Vec::new();
-    while let Some(v) = b.dequeue() {
+    while let Some(v) = a.dequeue() {
         seen.push(v);
     }
-    assert!(a.dequeue().is_none());
+    assert!(b.dequeue().is_none());
     seen.sort_unstable();
     let expect: Vec<u64> = (0..TOKENS).chain(100..100 + TOKENS).collect();
     assert_eq!(seen, expect, "every token exactly once");
